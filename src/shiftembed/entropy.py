@@ -145,6 +145,11 @@ def per_growth_in_cell(system, m, n, enumerate_cap=20):
     return 0.0
 
 
+def _trunc_div(num, den):
+    """num / den rounded toward zero (den > 0), as int() rounds a Fraction."""
+    return num // den if num >= 0 else -(-num // den)
+
+
 @dataclass(frozen=True)
 class ScaleSchedule:
     """Verified scale data consumed by the marker and codec stages."""
@@ -168,16 +173,17 @@ class ScaleSchedule:
         return float(self.alpha)
 
     def fill1(self, L):
-        """1-filling budget of a regular 1-block of length L.
+        """1-filling budget of a regular 1-block of length L: int((1 - alpha/2) L).
 
         Capped at L-2 so every regular 1-block keeps at least one free slot
         for higher-scale markers.
         """
-        return min(int((1 - self.alpha / 2) * L), L - 2)
+        a, d = self.alpha.numerator, self.alpha.denominator
+        return min(_trunc_div((2 * d - a) * L, 2 * d), L - 2)
 
     def budget(self, L, k):
-        """k-filling budget of a k-block of length L (k >= 2)."""
-        return int(self.alpha * L / 2 ** k)
+        """k-filling budget of a k-block of length L (k >= 2): int(alpha L / 2^k)."""
+        return _trunc_div(self.alpha.numerator * L, self.alpha.denominator << k)
 
     def free1(self, L):
         return L - 1 - self.fill1(L)
@@ -228,11 +234,34 @@ class ScaleSchedule:
 # -- inequality families -------------------------------------------------------
 
 
-def _family1_holds(system, K, alpha, m1, n):
-    """#V_1^n <= e^{n(h+alpha/4)} < K^{n(1-alpha/2)-1} at one n."""
+def _word_counts(system, nmax):
+    """count_words(n) for n = 0..nmax: one transfer-matrix step per length
+    instead of one matrix power per call."""
+    if system.kind != "sft":
+        return [system.count_words(n) for n in range(nmax + 1)]
+    M = system.memory
+    counts = [system.count_words(n) for n in range(min(M, nmax + 1))]
+    walks = [1] * len(system.adjacency)  # walks[i]: paths of the current length from state i
+    for _ in range(M, nmax + 1):
+        counts.append(sum(walks))
+        walks = [sum(a * w for a, w in zip(row, walks)) for row in system.adjacency]
+    return counts
+
+
+def _scale1_counts(system, m1, N_cert):
+    """Word counts #W_n for n <= N_cert + 2 m1 (None off word systems) and
+    the scale-1 cell counts #V_1^n for n <= N_cert, each computed once."""
+    if not system.is_word_system:
+        return None, [cell_count(system, m1, n) for n in range(N_cert + 1)]
+    counts = _word_counts(system, N_cert + 2 * m1)
+    return counts, counts[2 * m1:]
+
+
+def _family1_holds(K, alpha, cells, n):
+    """#V_1^n <= e^{n(h+alpha/4)} < K^{n(1-alpha/2)-1} at one n, given cells = #V_1^n."""
     h = math.log(K) - alpha
     mid = n * (h + alpha / 4)
-    left = math.log(cell_count(system, m1, n)) <= mid + 1e-12
+    left = math.log(cells) <= mid + 1e-12
     right = mid < (n * (1 - alpha / 2) - 1) * math.log(K) - 1e-12
     return left and right
 
@@ -242,17 +271,17 @@ def _family2_holds(system, K, alpha, m_prev, m_cur, n, k):
     return math.log(cc) < (n * alpha / 2 ** k - 1) * math.log(K) - 1e-12
 
 
-def _family1_tail_certified(system, K, alpha, m1, N_cert):
-    """Certify both scale-1 inequalities for all n > N_cert."""
+def _family1_tail_certified(system, K, alpha, m1, N_cert, counts):
+    """Certify both scale-1 inequalities for all n > N_cert (counts[n] = #W_n)."""
     h = math.log(K) - alpha
     if not system.is_word_system:
         return True  # cell counts are bounded; both sides grow linearly in n
     best = None
     for N0 in range(1, N_cert + 1):
-        g0 = math.log(system.count_words(N0)) / N0
+        g0 = math.log(counts[N0]) / N0
         if g0 >= h + alpha / 4:
             continue
-        cstar = max(math.log(system.count_words(r)) - r * g0 for r in range(0, N0))
+        cstar = max(math.log(counts[r]) - r * g0 for r in range(0, N0))
         threshold = (2 * m1 * g0 + cstar) / (h + alpha / 4 - g0)
         if best is None or threshold < best:
             best = threshold
@@ -291,8 +320,9 @@ def verify_schedule(system, schedule, full=True):
     K, alpha = schedule.K, schedule.alpha_float
     N = schedule.N_cert
     m, n = schedule.m, schedule.n
-    ok1 = all(_family1_holds(system, K, alpha, m[0], nn) for nn in range(n[0], N + 1))
-    ok1 = ok1 and _family1_tail_certified(system, K, alpha, m[0], N)
+    counts, cells1 = _scale1_counts(system, m[0], N)
+    ok1 = all(_family1_holds(K, alpha, cells1[nn], nn) for nn in range(n[0], N + 1))
+    ok1 = ok1 and _family1_tail_certified(system, K, alpha, m[0], N, counts)
     records.append(("scale1-capacity", 1, ok1))
     for k in range(2, schedule.kmax + 1):
         okk = all(_family2_holds(system, K, alpha, m[k - 2], m[k - 1], nn, k)
@@ -309,48 +339,70 @@ def verify_schedule(system, schedule, full=True):
         records.append(("periodic-code", 1, lp < K ** (n[0] - 1)))
     for k in range(1, schedule.kmax + 1):
         records.append(("tower-radius", k, schedule.r[k - 1] >= schedule.n[k - 1]))
+    tables = layout_free_tables(schedule)
+    for k in range(2, schedule.kmax + 1):
+        records.append(("layout-capacity", k,
+                        _capacity_shortfall(schedule, k, tables[k]) is None))
     return records
 
 
-def _worst_case_free(schedule, k, L):
-    """Exact worst case, over compositions into regular blocks, of the number
-    of (k-1)-free slots available inside a regular k-block of length L."""
-    lo, hi = schedule.block_bounds(k - 1) if k > 1 else (None, None)
-    if k == 1:
-        return schedule.free1(L)
-    avail = {}
+def layout_free_tables(schedule):
+    """Worst-case free slots of regular compositions, one table per scale.
 
-    def avail_block(length):
-        if length not in avail:
-            if k - 1 == 1:
-                avail[length] = schedule.free1(length)
+    Returns {k: best} for 2 <= k <= kmax, where best[L] (0 <= L < 2 n'_k)
+    is the fewest (k-1)-free slots, over all tilings of a length-L stretch by
+    regular (k-1)-blocks (lengths in block_bounds(k-1)), left for scale-k
+    markers and fillings; math.inf where no such tiling exists.
+
+    A part of length p costs free1(p) at scale 1, and at scale k-1 >= 2 the
+    free slots of its own worst tiling minus its marker and its (k-1)-budget,
+    best_{k-1}[p] - 1 - budget(p, k-1).  The prefix recurrence
+    best[t] = min_p best[t - p] + cost(p) reads only smaller totals and part
+    costs, neither of which depends on the target length: the run for a
+    target L is the prefix, up to L, of the run for any longer target.  So
+    one array up to the longest regular k-block, 2 n'_k - 1, answers every
+    L of scale k at once, and it covers every part length scale k+1 asks
+    of it, which makes the tables chain bottom-up.
+    """
+    tables = {}
+    for k in range(2, schedule.kmax + 1):
+        lo, hi = schedule.block_bounds(k - 1)
+        cost = {}
+        for part in range(lo, hi):
+            if k == 2:
+                cost[part] = schedule.free1(part)
             else:
-                inner = _worst_case_free(schedule, k - 1, length)
-                avail[length] = inner - 1 - schedule.budget(length, k - 1)
-        return avail[length]
+                cost[part] = tables[k - 1][part] - 1 - schedule.budget(part, k - 1)
+        best = [0] + [math.inf] * (2 * schedule.nprime[k - 1] - 1)
+        for total in range(lo, len(best)):
+            best[total] = min((best[total - part] + cost[part]
+                               for part in range(lo, min(hi - 1, total) + 1)),
+                              default=math.inf)
+        tables[k] = best
+    return tables
 
-    INF = float("inf")
-    best = [INF] * (L + 1)
-    best[0] = 0
-    for total in range(lo, L + 1):
-        for part in range(lo, min(hi - 1, total) + 1):
-            if best[total - part] is not INF:
-                best[total] = min(best[total], best[total - part] + avail_block(part))
-    return best[L] if best[L] is not INF else INF
+
+def _capacity_shortfall(schedule, k, best):
+    """First regular k-block length whose worst case lacks room for its
+    marker and k-filling budget, as (L, needed, available); None if none."""
+    lo, hi = schedule.block_bounds(k)
+    for L in range(lo, hi):
+        needed = 1 + schedule.budget(L, k)
+        if needed > best[L]:  # an unrealizable length (inf) never fails
+            return L, needed, best[L]
+    return None
 
 
 def check_layout_capacity(schedule):
     """Worst-case filling-slot feasibility of pure-regular blocks, all scales."""
+    tables = layout_free_tables(schedule)
     for k in range(2, schedule.kmax + 1):
-        lo, hi = schedule.block_bounds(k)
-        for L in range(lo, hi):
-            free = _worst_case_free(schedule, k, L)
-            if free == float("inf"):
-                continue  # length not realizable as a regular composition
-            if 1 + schedule.budget(L, k) > free:
-                raise CapacityError(
-                    "scale-%d block of length %d: %d slots needed, %s available"
-                    % (k, L, 1 + schedule.budget(L, k), free), scale=k, block=L)
+        short = _capacity_shortfall(schedule, k, tables[k])
+        if short is not None:
+            L, needed, free = short
+            raise CapacityError(
+                "scale-%d block of length %d: %d slots needed, %s available"
+                % (k, L, needed, free), scale=k, block=L)
 
 
 def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64, periodic=None,
@@ -376,29 +428,42 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64, periodic=None,
     if periodic is None:
         periodic = system.is_word_system  # every nonempty SFT/orbit carries periodic points
 
+    counts, cells1 = _scale1_counts(system, m[0], N_cert)
     ns = []
     for k in range(1, kmax + 1):
         lower = 1 if k == 1 else ns[-1] + 1
         while af * lower < C * 2 ** k:
             lower += 1
+        if k == 1:
+            def holds(nn):
+                return _family1_holds(K, af, cells1[nn], nn)
+
+            def tail():
+                return _family1_tail_certified(system, K, af, m[0], N_cert, counts)
+        else:
+            def holds(nn):
+                return _family2_holds(system, K, af, m[k - 2], m[k - 1], nn, k)
+
+            def tail():
+                return _family2_tail_certified(system, K, af, m[k - 2], m[k - 1], k, N_cert)
+        # n0 must see the family hold on all of [n0, N_cert]: one pass down
+        # from N_cert finds the last failure, and every n0 past it qualifies.
+        start = lower
+        for nn in range(N_cert, lower - 1, -1):
+            if not holds(nn):
+                start = nn + 1
+                break
         found = None
-        for n0 in range(lower, N_cert + 1):
-            if k == 1:
-                ok = all(_family1_holds(system, K, af, m[0], nn)
-                         for nn in range(n0, N_cert + 1))
-                ok = ok and _family1_tail_certified(system, K, af, m[0], N_cert)
-                if ok and periodic and system.is_word_system:
-                    ok = least_period_count(system, n0) < K ** (n0 - 1)
-            else:
-                ok = all(_family2_holds(system, K, af, m[k - 2], m[k - 1], nn, k)
-                         for nn in range(n0, N_cert + 1))
-                ok = ok and _family2_tail_certified(system, K, af, m[k - 2], m[k - 1], k, N_cert)
-            if ok:
-                bound = af / 2 ** k
-                if any(per_growth_in_cell(system, m[k - 1], nn) >= bound
-                       for nn in range(1, 13)):
+        if start <= N_cert and tail():
+            for n0 in range(start, N_cert + 1):
+                if (k == 1 and periodic and system.is_word_system
+                        and least_period_count(system, n0) >= K ** (n0 - 1)):
                     continue
-                found = n0
+                # the per-growth family does not depend on n0: decide it once
+                bound = af / 2 ** k
+                if not any(per_growth_in_cell(system, m[k - 1], nn) >= bound
+                           for nn in range(1, 13)):
+                    found = n0
                 break
         if found is None:
             raise ScheduleError("no admissible n_%d within certified range %d" % (k, N_cert))

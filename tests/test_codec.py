@@ -129,6 +129,20 @@ class TestStreams:
             want = itinerary(golden_mean(), p, pipe.schedule.m[l - 1], (-60, 60))
             assert res.itinerary_list(l, (-60, 60)) == want
 
+    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
+        "known encoder defect: the scale-2 return partition lays out a regular "
+        "block [-2, 7) of length 9 < n_2 = 19 inside the scale-1 singular block "
+        "[-12, 7), so decode rightly rejects the stream with 'scale-2 block "
+        "[-2, 7) has impossible length'"))
+    def test_roundtrip_regular_block_inside_singular(self, pipe):
+        margin = pipe.decode_margin()
+        p = Point("10010", "101010010101010010010000010001000100100000", "010", -7)
+        stream = pipe.encode(p, 2, (-200 - margin, 200 + margin))
+        res = pipe.decode(stream, 2)
+        for l in (1, 2):
+            want = itinerary(golden_mean(), p, pipe.schedule.m[l - 1], (-200, 200))
+            assert res.itinerary_list(l, (-200, 200)) == want
+
     def test_symbol_soup_rejected(self, pipe):
         soup = SymbolStream(-30, 30, (list("12") * 31)[:61])
         soup.symbols[5] = "|"

@@ -1,15 +1,18 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 
-from shiftembed.entropy import (ScaleSchedule, appendix_fullness_check,
+from shiftembed.entropy import (ScaleSchedule, _word_counts, appendix_fullness_check,
                                 build_schedule, conditional_count,
                                 check_layout_capacity, complete_to_point,
-                                htop_estimate, least_period_count,
-                                per_growth_in_cell, verify_schedule)
-from shiftembed.errors import ScheduleError
-from shiftembed.systems import (OrbitSystem, dyadic_odometer, full_shift,
+                                htop_estimate, layout_free_tables,
+                                least_period_count, per_growth_in_cell,
+                                verify_schedule)
+from shiftembed.errors import CapacityError, ScheduleError
+from shiftembed.pipeline import build_pipeline
+from shiftembed.systems import (OrbitSystem, Sft, dyadic_odometer, full_shift,
                                 golden_mean)
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -146,9 +149,104 @@ class TestSchedule:
         assert sched.fill1(1000) == 900
         assert sched.budget(10000, 2) == 500
 
+    def test_word_counts_match_count_words(self):
+        for system in (golden_mean(), full_shift(3), Sft(2, forbidden=("111", "0101")),
+                       OrbitSystem(2, "001")):
+            assert _word_counts(system, 40) == [system.count_words(n) for n in range(41)]
+
     def test_capacity_check_passes_for_golden(self):
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
         check_layout_capacity(sched)
+
+
+GOLDEN_ALPHA = Fraction(227563855, 1073741824)      # build_schedule(golden_mean(), K=2, ...)
+ODOMETER_ALPHA = Fraction(2977044471, 4294967296)   # log 2 at 2^-32 resolution
+
+
+def reference_free(sched):
+    """Top-down recursion over compositions of one target length at a time:
+    fewest free slots a length-L stretch of regular (k-1)-blocks leaves."""
+    @functools.lru_cache(maxsize=None)
+    def free(k, L):
+        if k == 1:
+            return sched.free1(L)
+        lo, hi = sched.block_bounds(k - 1)
+        best = [0] + [math.inf] * L
+        for total in range(1, L + 1):
+            for part in range(lo, min(hi - 1, total) + 1):
+                avail = free(k - 1, part) - (0 if k == 2 else 1 + sched.budget(part, k - 1))
+                best[total] = min(best[total], best[total - part] + avail)
+        return best[L]
+    return free
+
+
+def small_schedule(alpha, n):
+    nprime = tuple(sum(n[:i + 1]) for i in range(len(n)))
+    return ScaleSchedule(K=2, alpha=alpha, m=(0,) * len(n), n=n, nprime=nprime,
+                         r=n, periodic=False)
+
+
+class TestLayoutCapacity:
+    @pytest.mark.parametrize("alpha, n", [
+        (Fraction(1, 5), (4, 9, 20)),
+        (Fraction(1, 2), (5, 11, 23)),
+        (Fraction(2, 3), (3, 7, 12)),
+        (GOLDEN_ALPHA, (6, 13, 27)),
+    ])
+    def test_table_matches_reference_recursion(self, alpha, n):
+        sched = small_schedule(alpha, n)
+        tables = layout_free_tables(sched)
+        ref = reference_free(sched)
+        assert sorted(tables) == [2, 3]
+        for k in (2, 3):
+            assert len(tables[k]) == 2 * sched.nprime[k - 1]
+            for L in range(len(tables[k])):
+                assert tables[k][L] == ref(k, L), (k, L)
+        # both realizable and unrealizable lengths are exercised
+        assert math.inf in tables[3] and any(v != math.inf for v in tables[3])
+
+    def test_capacity_error_first_failure(self):
+        sched = ScaleSchedule(K=2, alpha=Fraction(1, 5), m=(0, 0), n=(20, 100),
+                              nprime=(20, 120), r=(20, 100), periodic=False)
+        with pytest.raises(CapacityError) as err:
+            check_layout_capacity(sched)
+        assert err.value.scale == 2
+        assert err.value.block == 100
+        assert "6 slots needed, 5 available" in str(err.value)
+
+    def test_verify_record_can_fail(self):
+        sched = ScaleSchedule(K=2, alpha=Fraction(1, 5), m=(0, 0), n=(20, 100),
+                              nprime=(20, 120), r=(20, 100), periodic=False)
+        records = verify_schedule(golden_mean(), sched, full=False)
+        assert ("layout-capacity", 2, False) in records
+
+    def test_verify_record_passes_for_golden(self):
+        sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
+        assert ("layout-capacity", 2, True) in verify_schedule(golden_mean(), sched)
+
+    def test_override_failing_only_capacity_raises_capacity_error(self):
+        sched = build_schedule(golden_mean(), K=2, kmax=3, C=0.0, m=(0, 0, 0),
+                               check_capacity=False)
+        records = verify_schedule(golden_mean(), sched, full=False)
+        assert [r for r in records if not r[2]] == [("layout-capacity", 3, False)]
+        with pytest.raises(CapacityError) as err:
+            build_pipeline(golden_mean(), K=2, kmax=3, schedule=sched)
+        assert (err.value.scale, err.value.block) == (3, 38)
+
+    @pytest.mark.parametrize("alpha", [GOLDEN_ALPHA, ODOMETER_ALPHA, Fraction(1, 5),
+                                       Fraction(9, 4)])
+    def test_integer_budgets_match_fraction_formulas(self, alpha):
+        sched = small_schedule(alpha, (9,))
+        for L in range(1, 5001):
+            assert sched.fill1(L) == min(int((1 - alpha / 2) * L), L - 2)
+            for k in (2, 3):
+                assert sched.budget(L, k) == int(alpha * L / 2 ** k)
+
+    def test_odometer_schedule_pinned(self):
+        sched = build_schedule(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
+        assert sched.n == (24, 47, 93)
+        assert sched.nprime == (24, 71, 164)
+        assert sched.r == (24, 48, 95)
 
 
 class TestAppendix:
