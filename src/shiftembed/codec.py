@@ -21,6 +21,7 @@ apart; codewords are then inverted per context.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
                      ROLE_CLOSING, ROLE_FREE, ROLE_MARKER, ROLE_MARKER_K,
@@ -28,9 +29,10 @@ from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, WindowError)
 from .markers import Interval, ReturnPartition, return_partition
-from .systems import cell_label
+from .systems import cell_label, periodic_orbits
 from .words import (code_length_needed, has_short_period_prefix, is_primitive,
-                    kary_word, necklace, periodic_window, repetition_prefix)
+                    kary_alphabet, kary_index, kary_word, necklace, periodic_window,
+                    repetition_prefix)
 
 SYM_M1 = "|"
 SYM_MK = "="
@@ -141,6 +143,81 @@ class Codebook:
         return len(self.encode_map)
 
 
+class RankedCodebook(Codebook):
+    """The scale-1 codebook of an SFT, computed per lookup.
+
+    Sliding windows of equal length compare as the word they slide over, so
+    the sorted itinerary keys are the sorted (n + 2m)-words and a key's index
+    is its word's rank among the admissible words, which the SFT counts on
+    its graph.  Every command starts with cold codebooks; this makes a
+    lookup cost the same whatever the block length, instead of a table of
+    all the words of that length.  Looked-up codewords are kept.
+    """
+
+    def __init__(self, system, m, n, length, K):
+        self.size = system.count_words(n + 2 * m)
+        if self.size > K ** length:
+            raise CapacityError("codebook domain %d exceeds K^%d" % (self.size, length),
+                                scale=1, block=n)
+        self.system = system
+        self.m = m
+        self.scale = 1
+        self.n = n
+        self.length = length
+        self.K = K
+        self.context = None
+        self._words = {}            # key -> codeword, filled by encode
+        self._keys = {}             # codeword -> key, filled by decode
+
+    def _key_of(self, w):
+        return tuple(w[i:i + 2 * self.m + 1] for i in range(self.n))
+
+    def encode(self, key, pad_to=None):
+        word = self._words.get(key)
+        if word is None:
+            index = None
+            if isinstance(key, tuple) and len(key) == self.n and all(
+                    isinstance(lab, str) and len(lab) == 2 * self.m + 1 for lab in key):
+                w = key[0] + "".join(lab[-1] for lab in key[1:])
+                if self._key_of(w) == key:
+                    index = self.system.word_rank(w)
+            if index is None:
+                raise MalformedStreamError("itinerary word %r not in codebook domain" % (key,))
+            word = self._words[key] = kary_word(index, self.length, self.K)
+        if pad_to is not None:
+            if pad_to < self.length:
+                raise CapacityError("codeword of length %d cannot fit %d slots"
+                                    % (self.length, pad_to), scale=self.scale, block=self.n)
+            word = word + "1" * (pad_to - self.length)
+        return word
+
+    def decode(self, word):
+        word = word[:self.length]
+        key = self._keys.get(word)
+        if key is None:
+            letters = kary_alphabet(self.K)
+            index = self.size
+            if len(word) == self.length and all(c in letters for c in word):
+                index = kary_index(word, self.K)
+            if index >= self.size:
+                raise MalformedStreamError("codeword %r not in codebook image" % word)
+            w = self.system.word_at(index, self.n + 2 * self.m)
+            key = self._keys[word] = self._key_of(w)
+        return key
+
+    def __len__(self):
+        return self.size
+
+    @cached_property
+    def encode_map(self):
+        keys = itinerary_keys(self.system, self.m, self.n)
+        return {key: kary_word(i, self.length, self.K) for i, key in enumerate(sorted(keys))}
+
+    @cached_property
+    def decode_map(self):
+        return {v: k for k, v in self.encode_map.items()}
+
+
 def itinerary_keys(system, m, n):
     """All realized itinerary words of the radius-m partition over n steps."""
     if system.is_word_system:
@@ -188,7 +265,10 @@ def build_first_codebook(system, schedule, n, length=None):
         raise ScheduleError("block length %d below n_1 = %d" % (n, schedule.n[0]))
     if length is None:
         length = schedule.fill1(n)
-    keys = itinerary_keys(system, schedule.m[0], n)
+    m = schedule.m[0]
+    if system.kind == "sft" and n + 2 * m >= system.memory:
+        return RankedCodebook(system, m, n, length, schedule.K)
+    keys = itinerary_keys(system, m, n)
     return Codebook(1, n, length, keys, schedule.K)
 
 
@@ -281,14 +361,15 @@ def build_periodic_code(system, K, n1):
     from .entropy import least_period_count
     if least_period_count(system, n1) >= K ** (n1 - 1):
         raise ScheduleError("periodic-code precondition #Per_{n1} < K^{n1-1} fails")
+    by_period = {}
+    for v, n in periodic_orbits(system, n1).items():
+        by_period.setdefault(n, []).append(v)
     sqrt_n1 = n1 ** 0.5
     used_prefixes = set()
     used_necklaces = set()
     orbit_code = {}
-    for n in range(1, n1 + 1):
-        orbits = sorted({necklace(w) for w in system.least_period_words(n)})
-        if not orbits:
-            continue
+    for n in sorted(by_period):
+        orbits = sorted(by_period[n])
         cursor = 0
         top = K ** n
         for v in orbits:

@@ -12,12 +12,13 @@ invariants can be checked by plain set algebra.
 Odometer towers live on residues and are always exact and flat.
 """
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .clopen import Clopen, OdoClopen
 from .errors import (EnumerationBudgetError, SeparationError,
                      ShiftEmbedError, WindowError)
+from .systems import periodic_orbits
 from .words import min_period, necklace, periodic_window
 
 FLAT_PATTERN_BUDGET = 300_000
@@ -30,26 +31,34 @@ class PeriodicNeighborhood:
     The neighborhood of radius r around an orbit point is its width-(2r+1)
     central cylinder.  Orbit identification of a window goes through its
     minimal period: r >= n makes every matching window fully determine the
-    orbit and the phase.
+    orbit and the phase.  Membership is a local test on the window (least
+    period at most n, root cyclically admissible), so nothing is enumerated
+    until the explicit orbit list is asked for.
     """
 
     def __init__(self, system, n, r):
-        if r < n:
-            raise SeparationError("radius %d below period bound %d" % (r, n))
         self.system = system
         self.n = n
         self.r = r
-        self.width = 2 * r + 1
-        self.orbits = {}            # necklace -> least period
-        for p in range(1, n + 1):
-            for w in system.least_period_words(p):
-                key = necklace(w)
-                if key not in self.orbits:
-                    self.orbits[key] = p
         self.separation_check()
+        # necklace -> cyclically admissible.  Keys are primitive roots of
+        # length <= n; once n covers the memory, an admissible window of
+        # width 2r + 1 > 2n holds every cyclic factor of its root that a
+        # forbidden word could be, so the memo is bounded by the number of
+        # orbits of period <= n
+        self._is_orbit = {}
 
-    def empty(self):
-        return not self.orbits
+    @cached_property
+    def orbits(self):
+        """necklace -> least period for every orbit of period <= n."""
+        return periodic_orbits(self.system, self.n)
+
+    def has_orbit(self, key):
+        """Whether the necklace of a primitive word of length <= n names an orbit."""
+        hit = self._is_orbit.get(key)
+        if hit is None:
+            hit = self._is_orbit[key] = self.system.is_cyclic_word(key)
+        return hit
 
     def match_word(self, window):
         """(necklace, rotation) when the window is a periodic-point window.
@@ -59,9 +68,9 @@ class PeriodicNeighborhood:
         p = min_period(window)
         if p > self.n:
             return None
-        root = window[:p]
+        root = window[:p]  # primitive: a shorter period of it would be one of the window
         key = necklace(root)
-        if key not in self.orbits:
+        if not self.has_orbit(key):
             return None
         d = next(i for i in range(p) if key[i:] + key[:i] == root)
         return key, d
@@ -93,23 +102,19 @@ class PeriodicNeighborhood:
         return Clopen(self.system, self.r, pats, check=False, **kwargs)
 
     def separation_check(self):
-        """Distinct orbits must have disjoint window sets, with enough slack
-        that two overlapping matched windows can never disagree on the orbit."""
-        seen = {}
-        for key, p in self.orbits.items():
-            for j in range(p):
-                w = periodic_window(key, j, j + self.width - 1)
-                if w in seen and seen[w] != key:
-                    raise SeparationError(
-                        "radius %d cannot separate orbits %r and %r" % (self.r, seen[w], key))
-                seen[w] = key
-        # overlap margin: agreement of length 2r between two periodic words
-        # of periods p, q <= n forces the same orbit (Fine and Wilf)
-        for a, p in self.orbits.items():
-            for b, q in self.orbits.items():
-                if a < b and p + q - math.gcd(p, q) > 2 * self.r:
-                    raise SeparationError(
-                        "radius %d too small for orbit pair (%d, %d)" % (self.r, p, q))
+        """Distinct orbits have disjoint window sets, with enough slack that
+        two overlapping matched windows can never disagree on the orbit.
+
+        Both hold exactly when r >= n, by Fine and Wilf (1965): a word with
+        periods p and q and length at least p + q - gcd(p, q) also has period
+        gcd(p, q).  For p, q <= n that length is at most 2n - 1.  A window of
+        width 2r + 1 >= 2n + 1 seen on orbits of least periods p and q thus
+        has period gcd(p, q), which forces p = q and the same rotation class;
+        and an agreement of length 2r >= 2n between two periodic words of
+        periods p, q <= n forces the same orbit the same way.
+        """
+        if self.r < self.n:
+            raise SeparationError("radius %d below period bound %d" % (self.r, self.n))
 
 
 @dataclass
@@ -191,10 +196,8 @@ class WordTower:
         rk = self.rank(point, pos, runtime)
         if rk is None:
             cache[pos] = False
-            runtime.witness_cache[self.k][pos] = None
             return False
         result = True
-        witness = None
         guard = 0
         for m in sorted(range(-(self.n - 1), self.n), key=abs):
             if m == 0:
@@ -206,10 +209,8 @@ class WordTower:
                     raise ShiftEmbedError("rank chase exceeded limit at scale %d" % self.k)
                 if self.member(point, pos + m, runtime):
                     result = False
-                    witness = m
                     break
         cache[pos] = result
-        runtime.witness_cache[self.k][pos] = witness
         return result
 
     def accepted_tier(self, point, pos, runtime):
@@ -264,7 +265,6 @@ class TowerRuntime:
         kmax = stack.schedule.kmax
         self.rank_cache = {k: {} for k in range(1, kmax + 1)}
         self.member_cache = {k: {} for k in range(1, kmax + 1)}
-        self.witness_cache = {k: {} for k in range(1, kmax + 1)}
 
 
 class TowerStack:
@@ -471,7 +471,7 @@ def _side_has_returns_forever(tower, point, left):
     p = _tail_least_period(word)
     if p > tower.n:
         return True
-    return necklace(word[:p] if len(word) % p == 0 else word) not in tower.pernbhd.orbits
+    return not tower.pernbhd.has_orbit(necklace(word[:p] if len(word) % p == 0 else word))
 
 
 def _scan_for_return(tower, point, runtime, from_pos, direction, quiet_bound,

@@ -6,6 +6,7 @@ cannot fail later on admissible inputs.  Pipelines serialize to a directory
 of flat text artifacts and rebuild deterministically.
 """
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -151,6 +152,10 @@ def sample_points(system, count, seed=DEFAULT_SEED, core_max=12, tail_max=6):
             from .systems import OdometerPoint
             out.append(OdometerPoint(system, digits))
         return out
+    if system.kind == "orbit":
+        # a finite orbit has no graph to walk: its points are its phases
+        phases = system.least_period_words(system.period)
+        return [Point(w, w, w, 0) for w in itertools.islice(itertools.cycle(phases), count)]
     cycles = _cycle_words(system)
     out = []
     while len(out) < count:

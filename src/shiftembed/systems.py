@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (EmptySubshiftError, EnumerationBudgetError,
                      InvalidPointError, SpecParseError)
-from .words import (ALPHABET_CHARS, is_primitive, min_period,
+from .words import (ALPHABET_CHARS, is_primitive, min_period, necklace,
                     periodic_window, primitive_root)
 
 WORD_ENUM_BUDGET = 4_000_000
@@ -94,6 +94,7 @@ class Sft:
         self.memory = max(1, maxlen - 1)
         self._build_graph()
         self._word_cache = {}
+        self._extensions = [{s: 1 for s in self.states}]
 
     # -- graph presentation ------------------------------------------------
 
@@ -193,6 +194,61 @@ class Sft:
         power = matpow_int(self.adjacency, n - self.memory)
         return sum(sum(row) for row in power)
 
+    def _extension_counts(self, r):
+        """state -> number of admissible (memory + r)-words starting with it."""
+        ext = self._extensions
+        while len(ext) <= r:
+            last = ext[-1]
+            ext.append({s: sum(last[t] for t in self._succ[s]) for s in self.states})
+        return ext[r]
+
+    def word_rank(self, w):
+        """Index of w in words(len(w)), without listing them; None when w is
+        not admissible.  Only for len(w) >= memory."""
+        M = self.memory
+        if len(w) < M or w[:M] not in self._succ:
+            return None
+        r = len(w) - M
+        rank = sum(c for s, c in self._extension_counts(r).items() if s < w[:M])
+        state = w[:M]
+        for i in range(M, len(w)):
+            r -= 1
+            below = self._extension_counts(r)
+            nxt = None
+            for t in self._succ[state]:        # sorted, so by last letter
+                if t[-1] == w[i]:
+                    nxt = t
+                    break
+                if t[-1] > w[i]:
+                    break
+                rank += below[t]
+            if nxt is None:
+                return None
+            state = nxt
+        return rank
+
+    def word_at(self, index, n):
+        """words(n)[index], without listing them.  Only for n >= memory."""
+        M = self.memory
+        r = n - M
+        for s in self.states:
+            c = self._extension_counts(r)[s]
+            if index < c:
+                break
+            index -= c
+        else:
+            raise IndexError("word index out of range")
+        w = s
+        for _ in range(n - M):
+            r -= 1
+            below = self._extension_counts(r)
+            for t in self._succ[w[-M:]]:
+                if index < below[t]:
+                    break
+                index -= below[t]
+            w += t[-1]
+        return w
+
     def fix_count(self, n):
         """Number of points fixed by the n-th shift power: trace of the matrix power."""
         power = matpow_int(self.adjacency, n)
@@ -224,14 +280,6 @@ class Sft:
         """
         return [w for w in self.words(n)
                 if self.is_cyclic_word(w) and is_primitive(w)]
-
-    def walk_from(self, state, length, rng=None):
-        """Admissible word of a given length starting at a graph state."""
-        w = state
-        while len(w) < length:
-            nxt = self._succ[w[-self.memory:]]
-            w += (rng.choice(nxt) if rng is not None else nxt[0])[-1]
-        return w[:length]
 
 
 class OrbitSystem:
@@ -514,13 +562,24 @@ def enumerate_periodic(system, n):
     return points, system.fix_count(n)
 
 
-def periodic_orbit_table(system, nmax):
-    """necklace -> representative word, for every orbit of least period <= nmax."""
+def periodic_orbits(system, nmax):
+    """necklace -> least period, for every orbit of least period <= nmax.
+
+    The enumeration walks words(1..nmax), so it is refused up front, before
+    any word is listed, when the nmax-words alone exceed WORD_ENUM_BUDGET.
+    That is the same refusal words(nmax) would raise at the end of the walk:
+    every word of an essential graph extends, so count_words is
+    nondecreasing and no shorter length can hit the budget first.
+    """
+    count = system.count_words(nmax)
+    if count > WORD_ENUM_BUDGET:
+        raise EnumerationBudgetError(
+            "orbits of period <= %d need the %d admissible %d-words, over "
+            "WORD_ENUM_BUDGET = %d" % (nmax, count, nmax, WORD_ENUM_BUDGET))
     table = {}
     for n in range(1, nmax + 1):
         for w in system.least_period_words(n):
-            key = min(w[i:] + w[:i] for i in range(n))
-            table.setdefault(key, key)
+            table.setdefault(necklace(w), n)
     return table
 
 

@@ -1,14 +1,16 @@
 import pytest
 
-from shiftembed.codec import (SymbolStream, build_first_codebook,
-                              build_conditional_codebook, build_periodic_code)
-from shiftembed.errors import (MalformedStreamError, ScheduleError,
-                               WindowError)
+from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream,
+                              build_first_codebook, build_conditional_codebook,
+                              build_periodic_code, itinerary_keys)
+from shiftembed.errors import (CapacityError, MalformedStreamError,
+                               ScheduleError, WindowError)
 from shiftembed.pipeline import build_pipeline, sample_points
-from shiftembed.systems import (Point, dyadic_odometer, enumerate_periodic,
+from shiftembed.systems import (Point, Sft, dyadic_odometer, enumerate_periodic,
                                 golden_mean, itinerary)
-from shiftembed.words import (forbidden_shape_count_bound,
-                              has_short_period_prefix, repetition_prefix)
+from shiftembed.words import (code_length_needed, forbidden_shape_count_bound,
+                              has_short_period_prefix, kary_word,
+                              repetition_prefix)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,44 @@ class TestCodebooks:
         cb = build_first_codebook(golden_mean(), pipe.schedule, 10)
         words = {cb.encode(k) for k in cb.encode_map}
         assert len(words) == len(cb)
+
+    @pytest.mark.parametrize("system", [golden_mean(), Sft(2, forbidden=("111", "00")),
+                                        Sft(3, forbidden=("22", "201"))],
+                             ids=["golden", "memory-2", "three-letter"])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_ranked_codebook_matches_sorted_table(self, system, m):
+        """The per-lookup codebook gives every key the codeword of its index
+        in the sorted key table, and rejects what the table lacks."""
+        for n in range(max(1, system.memory - 2 * m), 8 - 2 * m):
+            keys = sorted(itinerary_keys(system, m, n))
+            length = code_length_needed(len(keys), 2) + 1
+            cb = RankedCodebook(system, m, n, length, 2)
+            assert len(cb) == len(keys)
+            for i, key in enumerate(keys):
+                assert cb.encode(key) == kary_word(i, length, 2)
+                assert cb.encode(key, pad_to=length + 2) == kary_word(i, length, 2) + "11"
+                assert cb.decode(kary_word(i, length, 2) + "2") == key
+            for i in range(len(keys), 2 ** length):
+                with pytest.raises(MalformedStreamError):
+                    cb.decode(kary_word(i, length, 2))
+            for bad in (keys[0][:-1], keys[0] + keys[0][-1:], ("9" * (2 * m + 1),) * n):
+                with pytest.raises(MalformedStreamError):
+                    cb.encode(bad)
+            with pytest.raises(MalformedStreamError):
+                cb.decode("3" * length)
+            with pytest.raises(MalformedStreamError):
+                cb.decode("1" * (length - 1))
+
+    def test_ranked_codebook_capacity(self):
+        with pytest.raises(CapacityError):
+            RankedCodebook(golden_mean(), 0, 9, 6, 2)       # 89 words > 2^6
+
+    def test_first_codebook_ranked_on_sft(self, pipe):
+        cb = build_first_codebook(golden_mean(), pipe.schedule, 9)
+        assert isinstance(cb, RankedCodebook)
+        table = Codebook(1, 9, cb.length, itinerary_keys(golden_mean(), 0, 9), 2)
+        assert cb.encode_map == table.encode_map
+        assert cb.decode_map == table.decode_map
 
     def test_below_n1_rejected(self, pipe):
         with pytest.raises(ScheduleError):

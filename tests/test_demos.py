@@ -1,0 +1,22 @@
+"""Smoke test: every narrative demo runs to the end and prints something."""
+
+import contextlib
+import io
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    assert out.getvalue().strip()

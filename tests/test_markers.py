@@ -7,9 +7,11 @@ from shiftembed.entropy import ScaleSchedule, build_schedule
 from shiftembed.errors import SeparationError
 from shiftembed.markers import (PeriodicNeighborhood, build_towers,
                                 return_partition, verify_tower)
-from shiftembed.pipeline import build_pipeline, sample_points
-from shiftembed.systems import (OdometerPoint, Point, dyadic_odometer,
-                                full_shift, golden_mean)
+from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points,
+                                 save_pipeline)
+from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
+                                dyadic_odometer, full_shift, golden_mean)
+from shiftembed.words import necklace, periodic_window
 
 
 def small_schedule(n1, r1=None, m1=0, K=2, periodic=True):
@@ -41,6 +43,81 @@ class TestPeriodicNeighborhood:
     def test_radius_below_period_rejected(self):
         with pytest.raises(SeparationError):
             PeriodicNeighborhood(golden_mean(), 4, 2)
+
+    def test_construction_enumerates_nothing(self):
+        nb = PeriodicNeighborhood(golden_mean(), 19, 19)
+        assert nb.match_word("01" * 19 + "0") == ("01", 0)
+        assert "orbits" not in vars(nb)
+
+
+def test_root_outside_the_system_rejected():
+    assert PeriodicNeighborhood(golden_mean(), 2, 2).match_word("11111") is None
+    orbit = PeriodicNeighborhood(OrbitSystem(2, "001"), 3, 3)
+    assert orbit.match_word("0" * 7) is None
+    assert orbit.match_word("0010010") == ("001", 0)
+
+
+def reference_window_map(system, n, r):
+    """Every width-(2r+1) window of an orbit of period <= n, mapped to its
+    (necklace, rotation), from an explicit orbit table; a window seen on two
+    orbits would break the separation the lazy test relies on."""
+    table = {}
+    for p in range(1, n + 1):
+        for w in system.least_period_words(p):
+            table.setdefault(necklace(w), p)
+    windows = {}
+    for key, p in table.items():
+        for j in range(p):
+            w = periodic_window(key, j, j + 2 * r)
+            assert windows.setdefault(w, (key, j)) == (key, j)
+    return table, windows
+
+
+def _lazy_cases(name, system, ns, radii):
+    return [pytest.param(system, n, r, id="%s-n%d-r%d" % (name, n, r))
+            for n in ns for r in radii(n)]
+
+
+LAZY_CASES = (_lazy_cases("golden", golden_mean(), range(1, 9), lambda n: (n, n + 1))
+              + _lazy_cases("full", full_shift(), range(1, 6), lambda n: (n,))
+              + _lazy_cases("sft3", Sft(3, forbidden=("22", "201")), range(1, 6),
+                            lambda n: (n,))
+              + _lazy_cases("orbit001", OrbitSystem(2, "001"), range(1, 6),
+                            lambda n: (n, n + 1)))
+
+
+@pytest.mark.parametrize("system,n,r", LAZY_CASES)
+def test_lazy_match_equals_table(system, n, r):
+    table, windows = reference_window_map(system, n, r)
+    nb = PeriodicNeighborhood(system, n, r)
+    for w in system.words(2 * r + 1):
+        assert nb.match_word(w) == windows.get(w), w
+    assert nb.orbits == table
+    # admissible windows only ever ask about orbits
+    assert set(nb._is_orbit) <= set(table)
+
+
+def test_load_enumerates_only_the_periodic_code(tmp_path, monkeypatch):
+    pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
+    save_pipeline(pipe, str(tmp_path))
+    asked = []
+    real = Sft.least_period_words
+
+    def recording(self, n):
+        asked.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(Sft, "least_period_words", recording)
+    again = load_pipeline(str(tmp_path))
+    assert again.schedule.n == (9, 19)
+    assert asked and max(asked) <= 9
+
+
+def test_golden_towers_orbit_counts(pipe):
+    lines = pipe.stack.serialize().splitlines()
+    counts = [len(line[len("orbits: ["):-1].split(", "))
+              for line in lines if line.startswith("orbits: ")]
+    assert counts == [25, 1420]
 
 
 class TestOdometerTowers:

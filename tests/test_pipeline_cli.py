@@ -137,6 +137,37 @@ class TestCli:
         assert not (out / "periodic_code.txt").exists()
 
 
+class TestOrbitPipelineCli:
+    @pytest.fixture
+    def orbit_pipe(self, tmp_path):
+        sysfile = tmp_path / "orbit.txt"
+        sysfile.write_text("kind: orbit\nalphabet: 2\nword: 001\n")
+        out = tmp_path / "pipe"
+        assert main(["build", "--system", str(sysfile), "--K", "2", "--kmax", "1",
+                     "--C", "0", "--m", "0", "--out", str(out)]) == 0
+        return out
+
+    def test_sample_points_are_the_phases(self):
+        from shiftembed.systems import OrbitSystem
+        pts = sample_points(OrbitSystem(2, "001"), 5)
+        assert [p.right for p in pts] == ["001", "010", "100", "001", "010"]
+
+    def test_verify_all_pass(self, orbit_pipe, capsys):
+        capsys.readouterr()
+        rc = main(["verify", "--pipeline", str(orbit_pipe)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines and all(" PASS" in line for line in lines), lines
+
+    def test_report(self, orbit_pipe, capsys):
+        capsys.readouterr()
+        rc = main(["report", "--pipeline", str(orbit_pipe), "--samples", "3"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].startswith("point\tscale\tmetric")
+        assert len(rows) > 1
+
+
 class TestReports:
     def test_convergence_report_rows(self, pipe):
         from shiftembed.metrics import convergence_report

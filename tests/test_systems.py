@@ -2,14 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftembed.errors import EmptySubshiftError, InvalidPointError, SpecParseError
+from shiftembed.errors import (EmptySubshiftError, EnumerationBudgetError,
+                               InvalidPointError, SpecParseError)
 from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point,
                                 Sft, coordinate, dyadic_odometer,
                                 enumerate_periodic, enumerate_words,
                                 full_shift, golden_mean, itinerary,
-                                parse_point, parse_system, product_coding,
-                                serialize_point, serialize_system,
-                                validate_point)
+                                parse_point, parse_system, periodic_orbits,
+                                product_coding, serialize_point,
+                                serialize_system, validate_point)
 
 
 def brute_words(forbidden, n, A=2):
@@ -152,6 +153,26 @@ class TestWords:
         for n in range(1, 10):
             assert sys.words(n) == brute_words(["111", "00"], n)
 
+    @pytest.mark.parametrize("sys", [golden_mean(), full_shift(),
+                                     Sft(2, forbidden=("111", "00")),
+                                     Sft(3, forbidden=("22", "201"))],
+                             ids=["golden", "full", "memory-2", "three-letter"])
+    def test_rank_and_unrank_follow_words(self, sys):
+        for n in range(sys.memory, 9):
+            words = sys.words(n)
+            for i, w in enumerate(words):
+                assert sys.word_rank(w) == i
+                assert sys.word_at(i, n) == w
+            with pytest.raises(IndexError):
+                sys.word_at(len(words), n)
+
+    def test_rank_of_inadmissible_word_is_none(self):
+        sys = Sft(3, forbidden=("22", "201"))
+        assert sys.word_rank("0122") is None
+        assert sys.word_rank("2010") is None
+        assert sys.word_rank("0013") is None
+        assert golden_mean().word_rank("0110") is None
+
 
 class TestPeriodic:
     def test_golden_fix_counts(self):
@@ -188,6 +209,17 @@ class TestPeriodic:
 
     def test_odometer_has_no_periodic_points(self):
         assert enumerate_periodic(dyadic_odometer(3), 4) == ([], 0)
+
+    def test_periodic_orbits_golden(self):
+        table = periodic_orbits(golden_mean(), 4)
+        assert table == {"0": 1, "01": 2, "001": 3, "0001": 4}
+        assert periodic_orbits(OrbitSystem(2, "001"), 5) == {"001": 3}
+
+    def test_periodic_orbits_refused_before_enumerating(self):
+        fs = Sft(2, forbidden=())
+        with pytest.raises(EnumerationBudgetError, match="WORD_ENUM_BUDGET = 4000000"):
+            periodic_orbits(fs, 22)
+        assert fs._word_cache == {}
 
 
 class TestProductCoding:

@@ -40,8 +40,8 @@ def test_pure_orbit_system_pipeline():
 
 
 def test_full_shift_periodic_machinery_hits_honest_wall():
-    """The full 2-shift's periodic neighborhoods at the scheduled n_1 need
-    ~2^36 periodic words; the enumeration budget refuses rather than
-    truncating."""
+    """The full 2-shift's periodic code at the scheduled n_1 = 36 needs
+    every orbit of period <= 36, ~2^36 words; the enumeration budget refuses
+    from the word count, before any word is listed, rather than truncating."""
     with pytest.raises(EnumerationBudgetError):
         build_pipeline(full_shift(), K=4, kmax=1, C=0.0, m=(0,))
