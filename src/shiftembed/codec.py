@@ -27,7 +27,7 @@ from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
                      ROLE_CLOSING, ROLE_FREE, ROLE_MARKER, ROLE_MARKER_K,
                      ROLE_SINGULAR_FILL, ROLE_UNRESOLVED)
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
-                     ShiftEmbedError, WindowError)
+                     ShiftEmbedError, SpecParseError, WindowError)
 from .markers import Interval, ReturnPartition, return_partition
 from .systems import cell_label, periodic_orbits
 from .words import (code_length_needed, has_short_period_prefix, is_primitive,
@@ -85,18 +85,38 @@ class SymbolStream:
 
     @classmethod
     def from_text(cls, text):
+        """Parse the to_text form; SpecParseError on anything else."""
         kv = {}
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
+            if ":" not in line:
+                raise SpecParseError("stream line %d: expected 'key: value'" % lineno)
             key, val = line.split(":", 1)
             kv[key.strip()] = val.strip()
-        a, b = (int(v) for v in kv["window"].split(":"))
+        for key in ("window", "symbols"):
+            if key not in kv:
+                raise SpecParseError("stream needs '%s'" % key)
+        try:
+            a, b = (int(v) for v in kv["window"].split(":"))
+        except ValueError:
+            raise SpecParseError("stream window must look like a:b, not %r"
+                                 % kv["window"]) from None
         syms = [_TOKEN_IN.get(tok, tok) for tok in kv["symbols"].split()]
+        if len(syms) != b - a + 1:
+            raise SpecParseError("stream has %d symbols for window %d:%d"
+                                 % (len(syms), a, b))
         res = None
         if "resolution" in kv:
-            res = [None if tok == "-" else int(tok) for tok in kv["resolution"].split()]
+            try:
+                res = [None if tok == "-" else int(tok) for tok in kv["resolution"].split()]
+            except ValueError:
+                raise SpecParseError("stream resolution entries must be integers or '-'") \
+                    from None
+            if len(res) != len(syms):
+                raise SpecParseError("stream has %d resolution entries for %d symbols"
+                                     % (len(res), len(syms)))
         return cls(a, b, syms, res)
 
     def __eq__(self, other):

@@ -19,7 +19,7 @@ from .clopen import Clopen, OdoClopen
 from .errors import (EnumerationBudgetError, SeparationError,
                      ShiftEmbedError, WindowError)
 from .systems import periodic_orbits
-from .words import min_period, necklace, periodic_window
+from .words import least_period_at_most, min_period, necklace, periodic_window
 
 FLAT_PATTERN_BUDGET = 300_000
 CHASE_LIMIT = 10_000
@@ -65,8 +65,8 @@ class PeriodicNeighborhood:
 
         rotation d means window[j] == v[(j + d) % p] for the canonical word v.
         """
-        p = min_period(window)
-        if p > self.n:
+        p = least_period_at_most(window, self.n)
+        if p is None:
             return None
         root = window[:p]  # primitive: a shorter period of it would be one of the window
         key = necklace(root)
@@ -158,6 +158,8 @@ class WordTower:
         self.parent = parent
         self.piece_halfwidth = self.r + self.prev_nprime
         self.flat = None
+        # offsets of the rank chase, nearest first
+        self.chase_order = [m for m in sorted(range(-(self.n - 1), self.n), key=abs) if m]
 
     # rank = (tier, window) or None; windows compare lexicographically
 
@@ -178,13 +180,10 @@ class WordTower:
                 merged = self.pernbhd.match_word(window) if self.pernbhd else None
                 if merged is None:
                     out = (1, window)
-            else:
-                near_prev = any(self.parent.member(point, pos + i, runtime)
-                                for i in range(-(self.prev_nprime - 1), self.prev_nprime))
-                if not near_prev:
-                    central = window[R - self.r: R + self.r + 1]
-                    if self.pernbhd is None or self.pernbhd.match_word(central) is None:
-                        out = (2, window)
+            elif not runtime.near(self.parent, pos, self.prev_nprime):
+                central = window[R - self.r: R + self.r + 1]
+                if self.pernbhd is None or self.pernbhd.match_word(central) is None:
+                    out = (2, window)
         cache[pos] = out
         return out
 
@@ -199,9 +198,7 @@ class WordTower:
             return False
         result = True
         guard = 0
-        for m in sorted(range(-(self.n - 1), self.n), key=abs):
-            if m == 0:
-                continue
+        for m in self.chase_order:
             rk2 = self.rank(point, pos + m, runtime)
             if rk2 is not None and rk2 < rk:
                 guard += 1
@@ -265,6 +262,28 @@ class TowerRuntime:
         kmax = stack.schedule.kmax
         self.rank_cache = {k: {} for k in range(1, kmax + 1)}
         self.member_cache = {k: {} for k in range(1, kmax + 1)}
+        # scale -> [base, right, left]: right[j] counts the members in
+        # [base, base + j), left[j] those in [base - j, base)
+        self._counts = {}
+
+    def near(self, tower, pos, w):
+        """Whether the tower has a member within distance w - 1 of pos."""
+        return self._count_below(tower, pos + w) > self._count_below(tower, pos - w + 1)
+
+    def _count_below(self, tower, x):
+        """Members in [base, x) of the tower's scale, negated for x < base;
+        grows the count arrays to reach x."""
+        counts = self._counts.get(tower.k)
+        if counts is None:
+            counts = self._counts[tower.k] = [x, [0], [0]]
+        base, right, left = counts
+        if x >= base:
+            for t in range(base + len(right) - 1, x):
+                right.append(right[-1] + tower.member(self.point, t, self))
+            return right[x - base]
+        for t in range(base - len(left), x - 1, -1):
+            left.append(left[-1] + tower.member(self.point, t, self))
+        return -left[base - x]
 
 
 class TowerStack:
@@ -361,9 +380,7 @@ def _flat_member(tower, word, center, _depth=0):
     if rk is None:
         return False
     unknown = False
-    for m in sorted(range(-(tower.n - 1), tower.n), key=abs):
-        if m == 0:
-            continue
+    for m in tower.chase_order:
         rk2 = _flat_rank(tower, word, center + m)
         if rk2 == "unknown":
             unknown = True
@@ -571,11 +588,8 @@ def _tag_singular(iv, point, stack, k, comp_range, runtime):
     lo = comp_range[0] if iv.start is None else iv.start
     hi = comp_range[1] if iv.end is None else iv.end
     hits = set()
-    nprev = tower.nprime
     for t in range(lo, hi):
-        near = any(tower.member(point, t + i, runtime)
-                   for i in range(-(nprev - 1), nprev))
-        if not near:
+        if not runtime.near(tower, t, tower.nprime):
             hit = tower.pernbhd.member(point, t)
             if hit is None:
                 raise ShiftEmbedError(
@@ -700,9 +714,7 @@ def verify_tower(stack, k, probe_points=None):
         report.add(k, "disjointness", "probe", ok_dis, "point %r" % (point,))
         ok_cov = True
         for t in range(lo + tower.nprime, hi - tower.nprime):
-            near = any(tower.member(point, t + i, runtime)
-                       for i in range(-(tower.nprime - 1), tower.nprime))
-            if not near:
+            if not runtime.near(tower, t, tower.nprime):
                 if tower.pernbhd is None or tower.pernbhd.member(point, t) is None:
                     ok_cov = False
                     break
@@ -713,11 +725,8 @@ def verify_tower(stack, k, probe_points=None):
                 tier = tower.accepted_tier(point, t, runtime)
                 if tier == 1 and not tower.parent.member(point, t, runtime):
                     ok_nest = False
-                if tier == 2:
-                    near_prev = any(tower.parent.member(point, t + i, runtime)
-                                    for i in range(-(tower.prev_nprime - 1), tower.prev_nprime))
-                    if near_prev:
-                        ok_nest = False
+                if tier == 2 and runtime.near(tower.parent, t, tower.prev_nprime):
+                    ok_nest = False
             report.add(k, "nesting", "probe", ok_nest, "point %r" % (point,))
     return report
 

@@ -8,6 +8,7 @@ of flat text artifacts and rebuild deterministically.
 
 import itertools
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import codec
@@ -17,6 +18,7 @@ from .markers import build_towers, verify_tower
 from .systems import (Point, parse_system, serialize_system, validate_point)
 
 DEFAULT_SEED = 17
+CONTEXT_CACHE_SIZE = 64   # point contexts kept, least recently used evicted first
 
 
 class Pipeline:
@@ -29,7 +31,7 @@ class Pipeline:
         self._first = {}
         self._cond = {}
         self._ident = {}
-        self._contexts = {}
+        self._contexts = OrderedDict()
 
     @property
     def kmax(self):
@@ -67,10 +69,21 @@ class Pipeline:
     # -- point contexts -----------------------------------------------------
 
     def context(self, point, window):
-        key = (id(point), window)
-        if key not in self._contexts:
-            self._contexts[key] = codec.build_point_context(self, point, window)
-        return self._contexts[key]
+        """Partitions and layout of a point around a window, cached by the
+        point's representation, so an equal point built anew hits."""
+        if hasattr(point, "digits"):
+            key = (point.digits, window)
+        else:
+            key = (point.left, point.core, point.right, point.anchor, window)
+        ctx = self._contexts.get(key)
+        if ctx is None:
+            ctx = codec.build_point_context(self, point, window)
+            if len(self._contexts) >= CONTEXT_CACHE_SIZE:
+                self._contexts.popitem(last=False)
+            self._contexts[key] = ctx
+        else:
+            self._contexts.move_to_end(key)
+        return ctx
 
     def encode(self, point, k, window):
         return codec.encode_k(point, self, k, window)

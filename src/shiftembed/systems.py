@@ -412,8 +412,18 @@ class Point:
         return self.left[rel % len(self.left)]
 
     def word(self, a, b):
-        """Letters a..b inclusive."""
-        return "".join(self.letter(i) for i in range(a, b + 1))
+        """Letters a..b inclusive, as slices of the left tail, the core and
+        the right tail."""
+        c0 = self.anchor
+        c1 = c0 + len(self.core)
+        parts = []
+        if a < c0:
+            parts.append(periodic_window(self.left, a - c0, min(b, c0 - 1) - c0))
+        if a < c1 and b >= c0:
+            parts.append(self.core[max(a, c0) - c0: min(b + 1, c1) - c0])
+        if b >= c1:
+            parts.append(periodic_window(self.right, max(a, c1) - c1, b - c1))
+        return "".join(parts)
 
     def shifted(self, k):
         """T^k of this point (T is the left shift)."""
@@ -599,6 +609,13 @@ def _parse_kv(text):
     return pairs
 
 
+def _parse_int(value, what):
+    try:
+        return int(value)
+    except ValueError:
+        raise SpecParseError("%s must be an integer, not %r" % (what, value)) from None
+
+
 def _parse_list(value, what):
     value = value.strip()
     if not (value.startswith("[") and value.endswith("]")):
@@ -626,13 +643,14 @@ def parse_system(text):
     if kind == "sft":
         if "alphabet" not in kv:
             raise SpecParseError("sft spec needs 'alphabet'")
-        A = int(kv["alphabet"])
+        A = _parse_int(kv["alphabet"], "alphabet")
         if "matrix" in kv:
             rows = kv["matrix"].strip()
             if not (rows.startswith("[[") and rows.endswith("]]")):
                 raise SpecParseError("matrix must look like [[0,1],[1,0]]")
             body = rows[2:-2]
-            matrix = [[int(v) for v in row.split(",")] for row in body.split("],[")]
+            matrix = [[_parse_int(v, "matrix entry") for v in row.split(",")]
+                      for row in body.split("],[")]
             return Sft(A, matrix=matrix)
         if "forbidden" in kv:
             return Sft(A, forbidden=_parse_list(kv["forbidden"], "forbidden"))
@@ -640,11 +658,11 @@ def parse_system(text):
     if kind == "odometer":
         if "base" not in kv:
             raise SpecParseError("odometer spec needs 'base'")
-        return Odometer([int(v) for v in _parse_list(kv["base"], "base")])
+        return Odometer([_parse_int(v, "base entry") for v in _parse_list(kv["base"], "base")])
     if kind == "orbit":
         if "alphabet" not in kv or "word" not in kv:
             raise SpecParseError("orbit spec needs 'alphabet' and 'word'")
-        return OrbitSystem(int(kv["alphabet"]), kv["word"])
+        return OrbitSystem(_parse_int(kv["alphabet"], "alphabet"), kv["word"])
     raise SpecParseError("unknown kind %r" % kind)
 
 
@@ -680,14 +698,15 @@ def parse_point(text, system):
     if "digits" in kv:
         if system.kind != "odometer":
             raise SpecParseError("digits given for a word system")
-        return OdometerPoint(system, [int(v) for v in _parse_list(kv["digits"], "digits")])
+        return OdometerPoint(system, [_parse_int(v, "digit")
+                                      for v in _parse_list(kv["digits"], "digits")])
     for key in ("left", "core", "right"):
         if key not in kv:
             raise SpecParseError("point spec needs '%s'" % key)
     if "@" not in kv["core"]:
         raise SpecParseError("core must be '<word>@<anchor>'")
     core, anchor = kv["core"].rsplit("@", 1)
-    point = Point(kv["left"], core, kv["right"], int(anchor))
+    point = Point(kv["left"], core, kv["right"], _parse_int(anchor, "core anchor"))
     validate_point(system, point)
     return point
 

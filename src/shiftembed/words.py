@@ -33,6 +33,16 @@ def min_period(s):
     return len(s) - kmp_border(s)
 
 
+def least_period_at_most(s, n):
+    """min_period(s) of a nonempty word s when it is at most n, else None.
+
+    Exact without computing the least period: a q with s[q:] == s[:-q] is a
+    period of s, so when the least period is at most n it is the first such
+    q in 1..n.
+    """
+    return next((q for q in range(1, n + 1) if s[q:] == s[:-q]), None)
+
+
 def is_periodic_with(s, p):
     """True when s has period p (possibly a partial final repetition)."""
     return all(s[i] == s[i + p] for i in range(len(s) - p))
@@ -68,9 +78,13 @@ def periodic_lookup(s, w, phase=0):
 
 
 def periodic_window(w, a, b, phase=0):
-    """Word w^inf restricted to coordinates a..b inclusive."""
+    """Word w^inf restricted to coordinates a..b inclusive: letter i is
+    w[(i + phase) % len(w)]."""
+    if b < a:
+        return ""
     n = len(w)
-    return "".join(w[(i + phase) % n] for i in range(a, b + 1))
+    s = (a + phase) % n
+    return (w * ((s + b - a) // n + 1))[s: s + b - a + 1]
 
 
 def kary_alphabet(K):

@@ -1,0 +1,155 @@
+"""Byte-identity guard: pinned digests of what the program emits.
+
+Performance work on the tower, layout and codec paths must not change a
+single output byte.  These tests pin SHA-256 digests (first 16 hex digits)
+of encoded streams (window, symbols and resolution), of decode results
+(certified windows, itineraries and orbits, or the exception type and
+text) and of the `verify_pipeline` lines, for sampled points on four
+configurations: golden mean K=2 and K=3, the dyadic odometer and the orbit
+system of "001".  A change that moves a digest changed the output.
+"""
+
+import hashlib
+
+import pytest
+
+from shiftembed.errors import ShiftEmbedError
+from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
+from shiftembed.systems import OrbitSystem, Point, dyadic_odometer, golden_mean
+
+WINDOW = (-200, 200)
+SAMPLES = 10
+SEED = 29
+
+CONFIGS = {
+    "golden-k2": (golden_mean, dict(K=2, kmax=2, C=0.0, m=(0, 0))),
+    "golden-k3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 0))),
+    "odometer": (lambda: dyadic_odometer(8), dict(K=2, kmax=3, N_cert=128)),
+    "orbit001": (lambda: OrbitSystem(2, "001"), dict(K=2, kmax=1, C=0.0, m=(0,))),
+}
+
+# The known encoder defect pinned by the strict xfail
+# tests/test_codec.py::TestStreams::test_roundtrip_regular_block_inside_singular:
+# its stream keeps a pinned digest and its decode pins the MalformedStreamError
+# text, so the defect can only disappear on purpose.
+DEFECT_POINT = Point("10010", "101010010101010010010000010001000100100000", "010", -7)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _decode_text(pipe, stream, k):
+    try:
+        res = pipe.decode(stream, k)
+    except ShiftEmbedError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    lines = []
+    for l in sorted(res.itineraries):
+        cert = res.certified.get(l)
+        if cert is None:
+            lines.append("scale %d uncertified" % l)
+            continue
+        lo, hi = cert
+        lines.append("scale %d window %d:%d %r" % (
+            l, lo, hi, [res.itineraries[l][t] for t in range(lo, hi + 1)]))
+    lines.append("orbits %r" % (res.orbits,))
+    return "\n".join(lines)
+
+
+def _points(name, system):
+    points = sample_points(system, SAMPLES, seed=SEED)
+    if name == "golden-k2":
+        points.append(DEFECT_POINT)
+    return points
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def config(request):
+    make_system, kwargs = CONFIGS[request.param]
+    system = make_system()
+    return request.param, system, build_pipeline(system, **kwargs)
+
+
+def roundtrip_digests(name, system, pipe):
+    """(stream digest, decode digest) per point, at the top scale."""
+    a, b = WINDOW
+    margin = pipe.decode_margin()
+    out = []
+    for point in _points(name, system):
+        stream = pipe.encode(point, pipe.kmax, (a - margin, b + margin))
+        out.append((_digest(stream.to_text()),
+                    _digest(_decode_text(pipe, stream, pipe.kmax))))
+    return out
+
+
+def verify_digest(pipe):
+    return _digest("\n".join(verify_pipeline(pipe, sample_count=6).lines()))
+
+
+PINNED_ROUNDTRIPS = {
+    "golden-k2": [
+        ("9b15d8670e5cb97d", "21c8dfea48cd2dd6"),
+        ("1bd4384eaadbdd6d", "f7ffcb1c4b4229d5"),
+        ("730e6b89c0318a32", "5e4eedfc0caec38c"),
+        ("b128fd294d7c0e4a", "7aadff0663796d73"),
+        ("a2a8b46b845390ca", "51a8afe22fd1ce57"),
+        ("c17bff1233cbcb04", "1cc0fc343f9c5fb6"),
+        ("17eb9c43bf3148e7", "2f8a868d2af39f10"),
+        ("37b10ee12ed80a79", "77c0005ed9cb13e2"),
+        ("bfc8bcf1f6ff0f5c", "14218199ce8ea467"),
+        ("2cca6c05ab252132", "895cf1c408748651"),
+        # DEFECT_POINT: "MalformedStreamError: scale-2 block [-2, 7) has
+        # impossible length"
+        ("6926afe9b9d9076d", "0730b718c3bae419"),
+    ],
+    "golden-k3": [
+        ("32b917a323069876", "b276a21193ad2970"),
+        ("cef47ef485d9a526", "a0aa744de0fbb8ec"),
+        ("cf44d7ed54337d86", "cc79127d2b0882fc"),
+        ("9c909ed128176d8c", "252405567dbe184e"),
+        ("f8fe1202ee508dbe", "fc4e69564c582f7c"),
+        ("e631324d58a3561e", "2c26e569a7432cab"),
+        ("020f8faba96dbf52", "5a7738163ab1b56c"),
+        ("99234512f960e48b", "836213f3d648c2cf"),
+        ("bd502459ab4077d7", "80a2cbb891485424"),
+        ("69c3df971ea7ed58", "93b01865f42de037"),
+    ],
+    "odometer": [
+        ("9b54766e91175468", "9042169dfdf3651c"),
+        ("40b4fd1cd9b0348c", "07c96688132a2d14"),
+        ("5420e37c3852d633", "d35f5203ae5db4d9"),
+        ("c61388459fce9a63", "4bea44147cf58230"),
+        ("3e5e468ac17da118", "1b7fc03975c74313"),
+        ("cec5fff4cefe6756", "f8b2fbe3975d16f2"),
+        ("b97ef66c150695b0", "3618137858d2d237"),
+        ("216d896db5aad120", "7673fb8659aa14ff"),
+        ("31d820946375336d", "8cbf5db6b7c17463"),
+        ("db0dec93ee998a17", "9c0baf8fd2a287f8"),
+    ],
+    # the sample cycles through the three phases of the orbit
+    "orbit001": [
+        ("155a9d285b57cd30", "ea902b8db79c2930"),
+        ("8321288f80b15c66", "590d4a8f803074ee"),
+        ("2ae81a66cbc7b1ee", "156a14f06e2ece55"),
+    ] * 3 + [("155a9d285b57cd30", "ea902b8db79c2930")],
+}
+
+PINNED_VERIFY = {
+    # the golden lines name no K-dependent figure and every record passes
+    # in both, so K=2 and K=3 coincide
+    "golden-k2": "ffc348e53ad0c1c4",
+    "golden-k3": "ffc348e53ad0c1c4",
+    "odometer": "e2e79aae7e6ba9ae",
+    "orbit001": "635999e93ab2d5d7",
+}
+
+
+def test_roundtrip_digests_pinned(config):
+    name, system, pipe = config
+    assert roundtrip_digests(name, system, pipe) == PINNED_ROUNDTRIPS[name]
+
+
+def test_verify_lines_pinned(config):
+    name, _, pipe = config
+    assert verify_digest(pipe) == PINNED_VERIFY[name]

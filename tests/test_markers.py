@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftembed.clopen import Clopen, OdoClopen
 from shiftembed.entropy import ScaleSchedule, build_schedule
@@ -11,7 +13,8 @@ from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points,
                                  save_pipeline)
 from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
                                 dyadic_odometer, full_shift, golden_mean)
-from shiftembed.words import necklace, periodic_window
+from shiftembed.words import (least_period_at_most, min_period, necklace,
+                              periodic_window)
 
 
 def small_schedule(n1, r1=None, m1=0, K=2, periodic=True):
@@ -235,6 +238,62 @@ class TestGoldenTowers:
         assert iv.orbit == "001"
         for t in (-3, 0, 4):
             assert p.letter(t) == iv.orbit[(t + iv.phase) % 3]
+
+
+def near_reference(tower, point, pos, w, runtime):
+    """The sweep TowerRuntime.near replaces."""
+    return any(tower.member(point, pos + i, runtime) for i in range(-(w - 1), w))
+
+
+class TestNearAReturn:
+    # the first query fixes the array's base; the rest grow it to the right
+    # and to the left, or fall inside what is already counted
+    POSITIONS = [0, 5, 40, -3, -50, 90, -120, 1, 200, -7] + list(range(-30, 31, 7))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_equals_sweep(self, pipe, k):
+        tower = pipe.stack[k]
+        for point in sample_points(golden_mean(), 6, seed=21) + [Point("01", "01", "01", 0)]:
+            fast = pipe.stack.runtime(point)
+            slow = pipe.stack.runtime(point)
+            for pos in self.POSITIONS:
+                for w in (tower.nprime, tower.n, 1):
+                    assert fast.near(tower, pos, w) == near_reference(tower, point, pos, w, slow)
+            base, right, left = fast._counts[k]
+            assert base - len(left) + 1 <= -120 - (tower.nprime - 1)
+            assert base + len(right) - 1 >= 200 + tower.nprime
+
+    def test_scales_count_separately(self, pipe):
+        point = Point("10", "00100101", "001", -3)
+        rt = pipe.stack.runtime(point)
+        rt.near(pipe.stack[2], 0, pipe.stack[2].nprime)   # reads scale 1 through the ranks
+        assert set(rt._counts) == {1, 2}
+        ref = pipe.stack.runtime(point)
+        for t in range(-60, 60):
+            for k in (1, 2):
+                tower = pipe.stack[k]
+                assert rt.near(tower, t, tower.nprime) == \
+                    near_reference(tower, point, t, tower.nprime, ref)
+
+
+def test_chase_order_is_the_sorted_offsets():
+    for n in range(1, 26):
+        stack = build_towers(golden_mean(), small_schedule(n), materialize=False)
+        assert stack[1].chase_order == [m for m in sorted(range(-(n - 1), n), key=abs)
+                                        if m != 0]
+
+
+periodic_words = st.builds(lambda root, reps, cut: (root * reps)[:max(1, len(root) * reps - cut)],
+                           st.text("01", min_size=1, max_size=9), st.integers(1, 9),
+                           st.integers(0, 8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(w=st.one_of(st.text("012", min_size=1, max_size=45), periodic_words),
+       n=st.integers(1, 30))
+def test_bounded_period_test_equals_min_period(w, n):
+    p = min_period(w)
+    assert least_period_at_most(w, n) == (p if p <= n else None)
 
 
 def test_periodic_neighborhood_wrapper():

@@ -5,9 +5,9 @@ import pytest
 from shiftembed.cli import main
 from shiftembed.entropy import ScaleSchedule
 from shiftembed.errors import ScheduleError
-from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points,
-                                 save_pipeline, verify_pipeline)
-from shiftembed.systems import golden_mean
+from shiftembed.pipeline import (CONTEXT_CACHE_SIZE, build_pipeline, load_pipeline,
+                                 sample_points, save_pipeline, verify_pipeline)
+from shiftembed.systems import OdometerPoint, Point, dyadic_odometer, golden_mean
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,34 @@ class TestPipeline:
         points = sample_points(golden_mean(), 8, seed=13)
         report = verify_pipeline(pipe, points=points, window=(-40, 40))
         assert report.passed, "\n".join(report.lines())
+
+    def test_context_cache_hits_an_equal_point(self, pipe):
+        window = (-30, 30)
+        ctx = pipe.context(Point("10", "00100", "001", -2), window)
+        assert pipe.context(Point("10", "00100", "001", -2), window) is ctx
+        assert pipe.context(Point("10", "00100", "001", -3), window) is not ctx
+        assert pipe.context(Point("10", "00100", "001", -2), (-31, 30)) is not ctx
+
+    def test_context_cache_hits_an_equal_odometer_point(self):
+        odo = dyadic_odometer(8)
+        opipe = build_pipeline(odo, K=2, kmax=3, N_cert=128)
+        digits = (1, 0, 1, 1, 0, 0, 1, 0)
+        ctx = opipe.context(OdometerPoint(odo, digits), (-10, 10))
+        assert opipe.context(OdometerPoint(odo, digits), (-10, 10)) is ctx
+
+    def test_context_cache_is_a_bounded_lru(self):
+        gpipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
+        window = (-10, 10)
+        first = gpipe.context(Point("0", "", "0", 0), window)
+        for i in range(CONTEXT_CACHE_SIZE + 5):
+            gpipe.context(Point("0", "", "0", 0), window)    # kept recent
+            gpipe.context(Point("0", "1", "0", i), window)
+            assert len(gpipe._contexts) <= CONTEXT_CACHE_SIZE
+        assert len(gpipe._contexts) == CONTEXT_CACHE_SIZE
+        assert gpipe.context(Point("0", "", "0", 0), window) is first
+        evicted = gpipe.context(Point("0", "1", "0", 0), window)
+        assert gpipe.context(Point("0", "1", "0", 0), window) is evicted
+        assert len(gpipe._contexts) == CONTEXT_CACHE_SIZE
 
     def test_sampler_deterministic(self):
         a = sample_points(golden_mean(), 10, seed=5)
@@ -135,6 +163,47 @@ class TestCli:
         pipe = load_pipeline(str(out))
         assert pipe.periodic_code is None
         assert not (out / "periodic_code.txt").exists()
+
+
+class TestMalformedInputExitsTwo:
+    """Malformed input files are parse errors: exit 2 with a one-line
+    message, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def orbit_pipe(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("malformed")
+        sysfile = tmp / "orbit.txt"
+        sysfile.write_text("kind: orbit\nalphabet: 2\nword: 001\n")
+        out = tmp / "pipe"
+        assert main(["build", "--system", str(sysfile), "--K", "2", "--kmax", "1",
+                     "--C", "0", "--m", "0", "--out", str(out)]) == 0
+        return out
+
+    def _exits_two(self, argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "garbage\n",
+        "window: 0:5\n",
+        "window: zero:5\nsymbols: 1 1 1 1 1 1\n",
+        "window: 0:5\nsymbols: 1 1\nresolution: 1 1\n",
+        "window: 0:1\nsymbols: 1 1\nresolution: 1 x\n",
+    ], ids=["one-line-garbage", "no-symbols", "bad-window", "count-mismatch",
+            "bad-resolution"])
+    def test_decode_malformed_stream(self, orbit_pipe, tmp_path, capsys, text):
+        stream = tmp_path / "stream.txt"
+        stream.write_text(text)
+        self._exits_two(["decode", "--pipeline", str(orbit_pipe), "--stream", str(stream)],
+                        capsys)
+
+    def test_build_non_integer_alphabet(self, tmp_path, capsys):
+        sysfile = tmp_path / "bad.txt"
+        sysfile.write_text("kind: sft\nalphabet: x\nforbidden: [11]\n")
+        self._exits_two(["build", "--system", str(sysfile), "--K", "2", "--kmax", "1",
+                         "--out", str(tmp_path / "nope")], capsys)
 
 
 class TestOrbitPipelineCli:

@@ -11,6 +11,7 @@ from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point,
                                 parse_point, parse_system, periodic_orbits,
                                 product_coding, serialize_point,
                                 serialize_system, validate_point)
+from shiftembed.words import periodic_window
 
 
 def brute_words(forbidden, n, A=2):
@@ -78,6 +79,68 @@ class TestParse:
     def test_syntax_error(self):
         with pytest.raises(SpecParseError):
             parse_system("kind: sft\nalphabet 2\n")
+
+    @pytest.mark.parametrize("doc", [
+        "kind: sft\nalphabet: x\nforbidden: [11]\n",
+        "kind: sft\nalphabet: 2\nmatrix: [[1,1],[1,z]]\n",
+        "kind: odometer\nbase: [2, two]\n",
+        "kind: orbit\nalphabet: 2.0\nword: 01\n",
+    ], ids=["alphabet", "matrix", "base", "orbit-alphabet"])
+    def test_non_integer_rejected(self, doc):
+        with pytest.raises(SpecParseError, match="must be an integer"):
+            parse_system(doc)
+
+    @pytest.mark.parametrize("doc,system", [
+        ("left: 0\ncore: 010@x\nright: 01\n", golden_mean()),
+        ("digits: [0, one, 0]\n", dyadic_odometer(3)),
+    ], ids=["anchor", "digits"])
+    def test_non_integer_point_rejected(self, doc, system):
+        with pytest.raises(SpecParseError, match="must be an integer"):
+            parse_point(doc, system)
+
+
+def letters(point, a, b):
+    """Reference for Point.word: one letter at a time."""
+    return "".join(point.letter(i) for i in range(a, b + 1))
+
+
+class TestPointWord:
+    POINT = Point("011", "10010", "0001", 3)   # core on coordinates 3..7
+
+    @pytest.mark.parametrize("a,b", [
+        (5, 4), (5, 1), (-4, -9),             # b < a: empty
+        (-20, 2), (-3, -3), (2, 2),           # wholly in the left tail
+        (3, 7), (4, 6), (7, 7),               # wholly in the core
+        (8, 30), (8, 8), (11, 19),            # wholly in the right tail
+        (-10, 5), (0, 3), (6, 12), (7, 8),    # across one boundary
+        (-10, 20), (2, 8), (-40, 40),         # across both
+    ])
+    def test_regions(self, a, b):
+        assert self.POINT.word(a, b) == letters(self.POINT, a, b)
+        assert len(self.POINT.word(a, b)) == max(0, b - a + 1)
+
+    def test_empty_core(self):
+        p = Point("01", "", "1", -2)
+        for a, b in ((-9, -3), (-2, 5), (-6, 4), (-1, 3), (-3, -2)):
+            assert p.word(a, b) == letters(p, a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=st.text("012", min_size=1, max_size=7), a=st.integers(-40, 40),
+           width=st.integers(-4, 60), phase=st.integers(-20, 20))
+    def test_periodic_window_equals_letter_by_letter(self, w, a, width, phase):
+        b = a + width
+        assert periodic_window(w, a, b, phase) == "".join(
+            w[(i + phase) % len(w)] for i in range(a, b + 1))
+
+    @settings(max_examples=400, deadline=None)
+    @given(left=st.text("012", min_size=1, max_size=6),
+           core=st.text("012", max_size=12),
+           right=st.text("012", min_size=1, max_size=6),
+           anchor=st.integers(-15, 15), a=st.integers(-45, 45),
+           width=st.integers(-4, 70))
+    def test_equals_letter_by_letter(self, left, core, right, anchor, a, width):
+        p = Point(left, core, right, anchor)
+        assert p.word(a, a + width) == letters(p, a, a + width)
 
 
 class TestCoordinate:
