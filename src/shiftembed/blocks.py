@@ -10,7 +10,8 @@ equivariantly, per-period conditional/identification slots, and marker
 progressions stepped by the smallest multiple of the orbit period
 reaching n_k.
 
-Budgets are exact rational arithmetic.  Capacity shortfalls raise with
+Every k-budget is ScaleSchedule.budget, exact integer arithmetic on
+alpha's numerator and denominator.  Capacity shortfalls raise with
 (scale, block) provenance, except where singular boundary subblocks
 legitimately eat slots: there the filling count clamps, which stays
 decodable because the decoder recomputes the same layout.
@@ -31,8 +32,6 @@ ROLE_FREE = "free"
 ROLE_SINGULAR_FILL = "singularFilling"
 ROLE_UNRESOLVED = "unresolvedBeyond"
 
-BRACKET_ROLES = (ROLE_BRACKET_OPEN, ROLE_BRACKET_CLOSE, ROLE_BRACKET_BOTH)
-
 
 @dataclass
 class LayoutBlock:
@@ -45,9 +44,6 @@ class LayoutBlock:
     phase: int = None
     m: int = None
     marker_pos: int = None
-    open_bracket: str = None    # "[" or "][" (periodic case, regular blocks)
-    close_pos: int = None       # position of the ']' terminating this block
-    closing: bool = False       # scale-1 closing marker present
     fill_positions: tuple = ()
     cond_positions: tuple = ()  # non-special singular: conditional-code slots
     ident_positions: tuple = () # non-special singular: identification slots
@@ -164,7 +160,6 @@ def _build_scale1(schedule, partition, window_range, periodic):
                 # prefix terminator: one mark right after the protected
                 # prefix anchors the stretch start for the decoder and never
                 # costs a block slot
-                blk.closing = True
                 pos = iv.start + n1
                 if lo <= pos <= hi:
                     role[pos] = ROLE_CLOSING
@@ -221,7 +216,6 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
                 budget = len(slots)
             if periodic:
                 prev_adj = idx > 0 and intervals[idx - 1].kind == "regular"
-                blk.open_bracket = "][" if prev_adj else "["
                 role[blk.marker_pos] = ROLE_BRACKET_BOTH if prev_adj else ROLE_BRACKET_OPEN
             else:
                 role[blk.marker_pos] = ROLE_MARKER_K
@@ -251,7 +245,6 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
             if intervals[idx].kind == "regular" and intervals[idx + 1].kind == "singular":
                 pos = _closing_bracket_pos(schedule, prev_layer, intervals[idx + 1].start)
                 if pos is not None and lo <= pos <= hi:
-                    blocks[idx].close_pos = pos
                     role[pos] = ROLE_BRACKET_CLOSE
     free = sorted(p for p, r in role.items() if r == ROLE_FREE)
     return LayoutLayer(k, blocks, role, free)
@@ -288,7 +281,7 @@ def _free_in_special_subblocks(schedule, prev_layer, blk, k):
         s, e = max(sub.start, blk.start), min(sub.end, blk.end)
         if s >= e:
             continue
-        step = int(schedule.alpha * (e - s) / 2 ** k)
+        step = schedule.budget(e - s, k)
         if step <= 0:
             continue
         p = 1
@@ -306,7 +299,7 @@ def _free_special_singular(schedule, blk, k, lo, hi):
     representative (unbounded blocks stay equivariant that way)."""
     n1 = schedule.n[0]
     m = blk.m
-    budget = int(schedule.alpha * m / 2 ** k)
+    budget = schedule.budget(m, k)
     if budget <= 0:
         return []
     freed = set()
@@ -430,16 +423,6 @@ def build_block_layout(schedule, partitions, window_range, periodic):
     for part in partitions:
         append_layer(layout, part)
     return layout
-
-
-def layout_aperiodic(schedule, partitions, window_range):
-    """Aperiodic grammar: strict capacity, plain markers, no brackets."""
-    return build_block_layout(schedule, partitions, window_range, periodic=False)
-
-
-def layout_periodic(schedule, partitions, window_range):
-    """Periodic grammar: brackets, closing markers, singular freeing rules."""
-    return build_block_layout(schedule, partitions, window_range, periodic=True)
 
 
 def next_scale_markers(layout, k):

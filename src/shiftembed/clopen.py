@@ -57,10 +57,6 @@ class Clopen:
         return cls(system, radius, system.words(2 * radius + 1),
                    width_cap=width_cap, check=False)
 
-    @classmethod
-    def empty(cls, system, radius=0, width_cap=DEFAULT_WIDTH_CAP):
-        return cls(system, radius, (), width_cap=width_cap, check=False)
-
     # -- canonical form ------------------------------------------------------
 
     def refine(self, radius):
@@ -189,10 +185,6 @@ class OdoClopen:
     @classmethod
     def whole_space(cls, system, depth=1):
         return cls(system, depth, range(system.modulus(depth)))
-
-    @classmethod
-    def empty(cls, system, depth=1):
-        return cls(system, depth, ())
 
     def refine(self, depth):
         if depth == self.depth:

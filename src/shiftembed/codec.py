@@ -21,11 +21,11 @@ apart; codewords are then inverted per context.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
                      ROLE_CLOSING, ROLE_FREE, ROLE_MARKER, ROLE_MARKER_K,
-                     ROLE_SINGULAR_FILL, ROLE_UNRESOLVED)
+                     ROLE_SINGULAR_FILL, ROLE_UNRESOLVED, LayoutBlock,
+                     _free_special_singular)
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
 from .markers import Interval, ReturnPartition, return_partition
@@ -47,6 +47,11 @@ _TOKEN_OUT = {SYM_M1: "B1", SYM_MK: "B2", SYM_LB: "LB", SYM_RB: "RB",
               SYM_DB: "DB", SYM_FREE: "FR", SYM_UNRESOLVED: "UN"}
 _TOKEN_IN = {v: k for k, v in _TOKEN_OUT.items()}
 
+# the stream symbol of each structural layout role
+_ROLE_SYMBOL = {ROLE_MARKER: SYM_M1, ROLE_CLOSING: SYM_TERM, ROLE_MARKER_K: SYM_MK,
+                ROLE_BRACKET_OPEN: SYM_LB, ROLE_BRACKET_CLOSE: SYM_RB,
+                ROLE_BRACKET_BOTH: SYM_DB}
+
 
 @dataclass
 class SymbolStream:
@@ -67,9 +72,6 @@ class SymbolStream:
         if not self.a <= t <= self.b:
             raise WindowError("position %d outside stream window [%d, %d]" % (t, self.a, self.b))
         return self.symbols[t - self.a]
-
-    def window(self):
-        return (self.a, self.b)
 
     def restrict(self, a, b):
         if a < self.a or b > self.b:
@@ -128,79 +130,43 @@ class SymbolStream:
 
 
 class Codebook:
-    """Injective lexicographic map from itinerary words to K-ary words."""
+    """Injective lexicographic map from itinerary words to K-ary words: a
+    key's codeword is the K-ary word of its index among the sorted keys.
+
+    A subclass that counts the keys instead of listing them supplies only
+    `_rank` and `_unrank`; the capacity check, the padding and the domain
+    and image errors live here.  Looked-up codewords are kept.
+    """
 
     def __init__(self, scale, n, length, keys, K, context=None):
-        if len(keys) > K ** length:
-            raise CapacityError("codebook domain %d exceeds K^%d" % (len(keys), length),
+        self._sorted = sorted(keys)
+        self._index = {key: i for i, key in enumerate(self._sorted)}
+        self._setup(scale, n, length, len(self._sorted), K, context)
+
+    def _setup(self, scale, n, length, size, K, context):
+        if size > K ** length:
+            raise CapacityError("codebook domain %d exceeds K^%d" % (size, length),
                                 scale=scale, block=n)
         self.scale = scale
         self.n = n
         self.length = length
+        self.size = size
         self.K = K
         self.context = context
-        self.encode_map = {key: kary_word(i, length, K) for i, key in enumerate(sorted(keys))}
-        self.decode_map = {v: k for k, v in self.encode_map.items()}
-
-    def encode(self, key, pad_to=None):
-        if key not in self.encode_map:
-            raise MalformedStreamError("itinerary word %r not in codebook domain" % (key,))
-        word = self.encode_map[key]
-        if pad_to is not None:
-            if pad_to < self.length:
-                raise CapacityError("codeword of length %d cannot fit %d slots"
-                                    % (self.length, pad_to), scale=self.scale, block=self.n)
-            word = word + "1" * (pad_to - self.length)
-        return word
-
-    def decode(self, word):
-        word = word[:self.length]
-        if word not in self.decode_map:
-            raise MalformedStreamError("codeword %r not in codebook image" % word)
-        return self.decode_map[word]
-
-    def __len__(self):
-        return len(self.encode_map)
-
-
-class RankedCodebook(Codebook):
-    """The scale-1 codebook of an SFT, computed per lookup.
-
-    Sliding windows of equal length compare as the word they slide over, so
-    the sorted itinerary keys are the sorted (n + 2m)-words and a key's index
-    is its word's rank among the admissible words, which the SFT counts on
-    its graph.  Every command starts with cold codebooks; this makes a
-    lookup cost the same whatever the block length, instead of a table of
-    all the words of that length.  Looked-up codewords are kept.
-    """
-
-    def __init__(self, system, m, n, length, K):
-        self.size = system.count_words(n + 2 * m)
-        if self.size > K ** length:
-            raise CapacityError("codebook domain %d exceeds K^%d" % (self.size, length),
-                                scale=1, block=n)
-        self.system = system
-        self.m = m
-        self.scale = 1
-        self.n = n
-        self.length = length
-        self.K = K
-        self.context = None
         self._words = {}            # key -> codeword, filled by encode
         self._keys = {}             # codeword -> key, filled by decode
 
-    def _key_of(self, w):
-        return tuple(w[i:i + 2 * self.m + 1] for i in range(self.n))
+    def _rank(self, key):
+        """Index of a key among the sorted keys; None outside the domain."""
+        return self._index.get(key)
+
+    def _unrank(self, index):
+        return self._sorted[index]
 
     def encode(self, key, pad_to=None):
         word = self._words.get(key)
         if word is None:
-            index = None
-            if isinstance(key, tuple) and len(key) == self.n and all(
-                    isinstance(lab, str) and len(lab) == 2 * self.m + 1 for lab in key):
-                w = key[0] + "".join(lab[-1] for lab in key[1:])
-                if self._key_of(w) == key:
-                    index = self.system.word_rank(w)
+            index = self._rank(key)
             if index is None:
                 raise MalformedStreamError("itinerary word %r not in codebook domain" % (key,))
             word = self._words[key] = kary_word(index, self.length, self.K)
@@ -221,21 +187,42 @@ class RankedCodebook(Codebook):
                 index = kary_index(word, self.K)
             if index >= self.size:
                 raise MalformedStreamError("codeword %r not in codebook image" % word)
-            w = self.system.word_at(index, self.n + 2 * self.m)
-            key = self._keys[word] = self._key_of(w)
+            key = self._keys[word] = self._unrank(index)
         return key
 
     def __len__(self):
         return self.size
 
-    @cached_property
-    def encode_map(self):
-        keys = itinerary_keys(self.system, self.m, self.n)
-        return {key: kary_word(i, self.length, self.K) for i, key in enumerate(sorted(keys))}
 
-    @cached_property
-    def decode_map(self):
-        return {v: k for k, v in self.encode_map.items()}
+class RankedCodebook(Codebook):
+    """The scale-1 codebook of an SFT, computed per lookup.
+
+    Sliding windows of equal length compare as the word they slide over, so
+    the sorted itinerary keys are the sorted (n + 2m)-words and a key's index
+    is its word's rank among the admissible words, which the SFT counts on
+    its graph.  Every command starts with cold codebooks; this makes a
+    lookup cost the same whatever the block length, instead of a table of
+    all the words of that length.
+    """
+
+    def __init__(self, system, m, n, length, K):
+        self.system = system
+        self.m = m
+        self._setup(1, n, length, system.count_words(n + 2 * m), K, None)
+
+    def _key_of(self, w):
+        return tuple(w[i:i + 2 * self.m + 1] for i in range(self.n))
+
+    def _rank(self, key):
+        if isinstance(key, tuple) and len(key) == self.n and all(
+                isinstance(lab, str) and len(lab) == 2 * self.m + 1 for lab in key):
+            w = key[0] + "".join(lab[-1] for lab in key[1:])
+            if self._key_of(w) == key:
+                return self.system.word_rank(w)
+        return None
+
+    def _unrank(self, index):
+        return self._key_of(self.system.word_at(index, self.n + 2 * self.m))
 
 
 def itinerary_keys(system, m, n):
@@ -515,18 +502,9 @@ def _render(pipeline, ctx, k):
                                               icb.encode(necklace(blk.orbit), pad_to=budget),
                                               budget, l)
         for pos, role in layer.role.items():
-            if role == ROLE_MARKER:
-                sym[pos] = (SYM_M1, l)
-            elif role == ROLE_CLOSING:
-                sym[pos] = (SYM_TERM, l)
-            elif role == ROLE_MARKER_K:
-                sym[pos] = (SYM_MK, l)
-            elif role == ROLE_BRACKET_OPEN:
-                sym[pos] = (SYM_LB, l)
-            elif role == ROLE_BRACKET_CLOSE:
-                sym[pos] = (SYM_RB, l)
-            elif role == ROLE_BRACKET_BOTH:
-                sym[pos] = (SYM_DB, l)
+            ch = _ROLE_SYMBOL.get(role)
+            if ch is not None:
+                sym[pos] = (ch, l)
     return sym
 
 
@@ -543,10 +521,9 @@ def _write_singular_codes(sym, blk, cond_word, ident_word, budget, scale):
             sym[pos] = (ch, scale)
 
 
-def encode_k(point, pipeline, k, window):
-    """The scale-k code of a point on an inclusive window."""
-    if not 1 <= k <= pipeline.schedule.kmax:
-        raise ValueError("scale %d out of range" % k)
+def _write_stream(point, pipeline, k, window, unresolved):
+    """The scale-k symbols of a point on an inclusive window; a position
+    still free at scale k is written as `unresolved`."""
     ctx = pipeline.context(point, window)
     sym = _render(pipeline, ctx, k)
     a, b = window
@@ -554,30 +531,25 @@ def encode_k(point, pipeline, k, window):
     for t in range(a, b + 1):
         ch, scale = sym.get(t, (SYM_FREE, None))
         if ch == SYM_FREE:
-            symbols.append(SYM_FREE)
+            symbols.append(unresolved)
             resolution.append(None)
         else:
             symbols.append(ch)
             resolution.append(scale)
     return SymbolStream(a, b, symbols, resolution)
+
+
+def encode_k(point, pipeline, k, window):
+    """The scale-k code of a point on an inclusive window."""
+    if not 1 <= k <= pipeline.schedule.kmax:
+        raise ValueError("scale %d out of range" % k)
+    return _write_stream(point, pipeline, k, window, SYM_FREE)
 
 
 def encode_limit(point, pipeline, window):
     """The pointwise-limit code at the pipeline depth: positions still free
     at k_max stay unresolved and are emitted as '?'."""
-    ctx = pipeline.context(point, window)
-    sym = _render(pipeline, ctx, pipeline.schedule.kmax)
-    a, b = window
-    symbols, resolution = [], []
-    for t in range(a, b + 1):
-        ch, scale = sym.get(t, (SYM_FREE, None))
-        if ch == SYM_FREE:
-            symbols.append(SYM_UNRESOLVED)
-            resolution.append(None)
-        else:
-            symbols.append(ch)
-            resolution.append(scale)
-    return SymbolStream(a, b, symbols, resolution)
+    return _write_stream(point, pipeline, pipeline.schedule.kmax, window, SYM_UNRESOLVED)
 
 
 # -- decoding -------------------------------------------------------------------
@@ -715,7 +687,8 @@ def _validate_stretch_content(stream, pipeline, s, e, orbit, phase):
     """Strict content check of a singular stretch: letters must match the
     orbit prediction; structural symbols only where the grammar places them
     (terminator at depth n_1, brackets and markers past the protected
-    prefix, freed slots on the arithmetic progressions)."""
+    prefix, freed slots where the layout's own freeing of a special
+    singular block puts them at scales 2..k_max)."""
     sched = pipeline.schedule
     code = pipeline.periodic_code
     K = sched.K
@@ -723,7 +696,11 @@ def _validate_stretch_content(stream, pipeline, s, e, orbit, phase):
     A, B = stream.a, stream.b
     lo_t = A if s is None else max(s, A)
     hi_t = B + 1 if e is None else min(e, B + 1)
-    freed = _stretch_freed_positions(sched, s, e, len(orbit), phase, (lo_t, hi_t - 1))
+    stretch = LayoutBlock(scale=1, start=s, end=e, kind="singular", special=True,
+                          orbit=orbit, phase=phase, m=len(orbit))
+    freed = set()
+    for k in range(2, sched.kmax + 1):
+        freed.update(_free_special_singular(sched, stretch, k, lo_t, hi_t - 1))
     n1 = sched.n[0]
     for t in range(lo_t, hi_t):
         ch = stream.get(t)
@@ -744,40 +721,6 @@ def _validate_stretch_content(stream, pipeline, s, e, orbit, phase):
                 raise MalformedStreamError("free slot inside a stretch at %d" % t)
         else:
             raise MalformedStreamError("alien symbol %r inside a stretch at %d" % (ch, t))
-
-
-def _stretch_freed_positions(sched, s, e, m, phase, span):
-    """Union over scales >= 2 of the freed positions of a special singular
-    stretch (same arithmetic the layout uses)."""
-    lo, hi = span
-    n1 = sched.n[0]
-    freed = set()
-    for k in range(2, sched.kmax + 1):
-        budget = int(sched.alpha * m / 2 ** k)
-        if budget <= 0:
-            continue
-        if s is not None:
-            j = 1
-            while s + n1 + j * m - budget <= hi:
-                for r in range(1, budget + 1):
-                    pos = s + n1 + j * m - r
-                    if lo <= pos <= hi and (e is None or pos < e):
-                        freed.add(pos)
-                j += 1
-        elif e is not None:
-            j = 1
-            while e - 1 - (n1 + j * m - budget) >= lo:
-                for r in range(1, budget + 1):
-                    pos = e - 1 - (n1 + j * m - r)
-                    if lo <= pos <= hi:
-                        freed.add(pos)
-                j += 1
-        else:
-            targets = {(-r) % m for r in range(1, budget + 1)}
-            for pos in range(lo, hi + 1):
-                if (pos + phase) % m in targets:
-                    freed.add(pos)
-    return freed
 
 
 def _put_label(labels, t, value):
@@ -1064,9 +1007,6 @@ def decode_k(stream, pipeline, k):
         orbits.extend(o for o in orbits_l if o not in orbits)
         labels_prev = labels_l
         intervals_prev = layout.layer(l).blocks
-        intervals_prev = [Interval(b.start, b.end, b.kind, special=b.special,
-                                   orbit=b.orbit, phase=b.phase, m=b.m)
-                          for b in layout.layer(l).blocks]
     # pi_k form: deeper-scale symbols revert to free slots, and brackets
     # written over singular content revert to the orbit letters
     structural = {SYM_LB, SYM_RB, SYM_DB, SYM_MK}

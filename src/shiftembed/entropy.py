@@ -121,27 +121,15 @@ def _moebius(n):
     return result
 
 
-def per_growth_in_cell(system, m, n, enumerate_cap=20):
-    """(1/n) log of the max per-cell count of least-period-n points.
+def per_growth_in_cell(system, m, n):
+    """(1/n) log of the max per-cell count of least-period-n points: 0.
 
     The radius-m itinerary over n steps spans n+2m >= n coordinates, so it
     pins an n-periodic point: the count per cell is at most one and the
-    value is zero by convention.  For small n the count is recomputed by
-    explicit enumeration as a cross-check.
+    value is zero by convention.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not system.is_word_system:
-        return 0.0
-    if n + 2 * m <= enumerate_cap or n <= enumerate_cap:
-        from .words import periodic_window
-        counts = {}
-        for w in system.least_period_words(n):
-            cell = periodic_window(w, -m, n - 1 + m)
-            counts[cell] = counts.get(cell, 0) + 1
-        worst = max(counts.values(), default=0)
-        if worst > 1:
-            return math.log(worst) / n
     return 0.0
 
 
@@ -459,11 +447,7 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64, periodic=None,
                 if (k == 1 and periodic and system.is_word_system
                         and least_period_count(system, n0) >= K ** (n0 - 1)):
                     continue
-                # the per-growth family does not depend on n0: decide it once
-                bound = af / 2 ** k
-                if not any(per_growth_in_cell(system, m[k - 1], nn) >= bound
-                           for nn in range(1, 13)):
-                    found = n0
+                found = n0
                 break
         if found is None:
             raise ScheduleError("no admissible n_%d within certified range %d" % (k, N_cert))

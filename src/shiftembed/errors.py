@@ -50,9 +50,5 @@ class MalformedStreamError(ShiftEmbedError):
     """Symbol stream admits no consistent block parse."""
 
 
-class AmbiguousStreamError(MalformedStreamError):
-    """Symbol stream admits more than one consistent block parse on the window."""
-
-
 class WindowError(ShiftEmbedError):
     """Window too small for the requested operation (caller must widen)."""

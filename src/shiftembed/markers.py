@@ -301,9 +301,6 @@ class TowerStack:
     def runtime(self, point):
         return TowerRuntime(self, point)
 
-    def member(self, k, point, pos, runtime):
-        return self.towers[k - 1].member(point, pos, runtime)
-
     def serialize(self):
         out = []
         for tower in self.towers:

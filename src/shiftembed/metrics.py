@@ -164,9 +164,6 @@ class EmpiricalMeasure:
     def __call__(self, word):
         return self.freqs.get(word, Fraction(0))
 
-    def support(self):
-        return sorted(self.freqs)
-
     def l1(self, other):
         keys = set(self.freqs) | set(other.freqs)
         return sum(abs(self(w) - other(w)) for w in keys)

@@ -393,8 +393,6 @@ class Point:
     period repeated beyond it, and the left period repeated before it.
     """
 
-    is_word_point = True
-
     def __init__(self, left, core, right, anchor=0):
         if not left or not right:
             raise InvalidPointError("left and right periods must be nonempty")
@@ -432,9 +430,6 @@ class Point:
     def core_span(self):
         return (self.anchor, self.anchor + len(self.core))
 
-    def tail_periods(self):
-        return (len(self.left), len(self.right))
-
     def __eq__(self, other):
         """Exact equality: agreement on one lcm window of the tails propagates."""
         if not isinstance(other, Point):
@@ -451,8 +446,6 @@ class Point:
 
 
 class OdometerPoint:
-    is_word_point = False
-
     def __init__(self, system, digits):
         digits = tuple(int(d) for d in digits)
         if len(digits) != system.depth:

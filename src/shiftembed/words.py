@@ -43,11 +43,6 @@ def least_period_at_most(s, n):
     return next((q for q in range(1, n + 1) if s[q:] == s[:-q]), None)
 
 
-def is_periodic_with(s, p):
-    """True when s has period p (possibly a partial final repetition)."""
-    return all(s[i] == s[i + p] for i in range(len(s) - p))
-
-
 def rotations(w):
     return [w[i:] + w[:i] for i in range(len(w))]
 
@@ -70,11 +65,6 @@ def primitive_root(w):
     if len(w) % p == 0:
         return w[:p]
     return w
-
-
-def periodic_lookup(s, w, phase=0):
-    """Letter of the bi-infinite word w^inf at coordinate s, phase-shifted."""
-    return w[(s + phase) % len(w)]
 
 
 def periodic_window(w, a, b, phase=0):
@@ -111,11 +101,6 @@ def kary_index(word, K):
     for c in word:
         idx = idx * K + letters.index(c)
     return idx
-
-
-def kary_words(length, K):
-    """All K-ary words of a length, lexicographically."""
-    return [kary_word(i, length, K) for i in range(K ** length)]
 
 
 def code_length_needed(count, K):

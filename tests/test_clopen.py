@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftembed.clopen import (Clopen, OdoClopen, clopen_complement,
+                               clopen_difference, clopen_intersection,
                                clopen_member, clopen_shift, clopen_union)
 from shiftembed.errors import WidthCapError
 from shiftembed.systems import (OdometerPoint, Point, dyadic_odometer,
@@ -38,6 +39,14 @@ class TestWordBackend:
         # all admissible width-3 words with center 0
         expected = {w for w in sys.words(3) if w[1] == "0"}
         assert comp.patterns == frozenset(expected)
+
+    def test_spec_names_wrap_the_methods(self):
+        sys = golden_mean()
+        a = cyl(sys, 0, "0").refine(1)
+        b = cyl(sys, 1, "0")
+        assert clopen_intersection(a, b).equals(a.intersection(b))
+        assert clopen_difference(a, b).equals(a.difference(b))
+        assert not clopen_difference(a, b).is_empty()
 
     def test_membership_at_time(self):
         sys = golden_mean()
@@ -92,6 +101,8 @@ class TestOdometerBackend:
         assert u.is_subset(v)
         assert u.union(u.complement()).equals(OdoClopen.whole_space(odo))
         assert v.difference(u).intersection(u).is_empty()
+        assert clopen_intersection(u, v).equals(u.intersection(v))
+        assert clopen_difference(v, u).equals(v.difference(u))
 
     def test_refinement_consistency(self):
         odo = dyadic_odometer(4)

@@ -33,7 +33,7 @@ class TestCodebooks:
 
     def test_first_codebook_injective(self, pipe):
         cb = build_first_codebook(golden_mean(), pipe.schedule, 10)
-        words = {cb.encode(k) for k in cb.encode_map}
+        words = {cb.encode(k) for k in itinerary_keys(golden_mean(), 0, 10)}
         assert len(words) == len(cb)
 
     @pytest.mark.parametrize("system", [golden_mean(), Sft(2, forbidden=("111", "00")),
@@ -70,9 +70,41 @@ class TestCodebooks:
     def test_first_codebook_ranked_on_sft(self, pipe):
         cb = build_first_codebook(golden_mean(), pipe.schedule, 9)
         assert isinstance(cb, RankedCodebook)
-        table = Codebook(1, 9, cb.length, itinerary_keys(golden_mean(), 0, 9), 2)
-        assert cb.encode_map == table.encode_map
-        assert cb.decode_map == table.decode_map
+        keys = itinerary_keys(golden_mean(), 0, 9)
+        table = Codebook(1, 9, cb.length, keys, 2)
+        assert len(cb) == len(table)
+        for key in keys:
+            word = table.encode(key)
+            assert cb.encode(key) == word
+            assert cb.decode(word) == table.decode(word)
+
+    def test_table_codebook_shares_the_ranked_rules(self):
+        """The key table pads, rejects and refuses exactly as the ranked
+        codebook does: both run the one encode and decode."""
+        system = Sft(3, forbidden=("22", "201"))
+        keys = itinerary_keys(system, 1, 4)
+        length = code_length_needed(len(keys), 2) + 1
+        table = Codebook(1, 4, length, keys, 2)
+        ranked = RankedCodebook(system, 1, 4, length, 2)
+        for key in keys:
+            assert table.encode(key, pad_to=length + 2) == \
+                ranked.encode(key, pad_to=length + 2)
+        for word in ([kary_word(i, length, 2) for i in range(2 ** length)]
+                     + ["3" * length, "1" * (length - 1)]):
+            outcomes = []
+            for cb in (table, ranked):
+                try:
+                    outcomes.append(cb.decode(word))
+                except MalformedStreamError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        for cb in (table, ranked):
+            with pytest.raises(MalformedStreamError, match="not in codebook domain"):
+                cb.encode(keys[0][:-1])
+            with pytest.raises(CapacityError, match="cannot fit"):
+                cb.encode(keys[0], pad_to=length - 1)
+        with pytest.raises(CapacityError, match="exceeds K"):
+            Codebook(1, 4, length - 2, keys, 2)
 
     def test_below_n1_rejected(self, pipe):
         with pytest.raises(ScheduleError):
@@ -293,3 +325,69 @@ class TestChangeDensityAndInjectivity:
             for q, sq in streams[i + 1:]:
                 if p.letter(0) != q.letter(0):
                     assert sp != sq
+
+
+@pytest.fixture(scope="module")
+def pipe3():
+    return build_pipeline(golden_mean(), K=3, kmax=2, C=0.0, m=(0, 0))
+
+
+def _roundtrip(pipe, point, window=(-200, 200)):
+    """Encode at the top scale with the decode margin, decode, and compare
+    every scale with the point's itinerary on the window."""
+    margin = pipe.decode_margin()
+    a, b = window
+    stream = pipe.encode(point, pipe.kmax, (a - margin, b + margin))
+    res = pipe.decode(stream, pipe.kmax)
+    for l in range(1, pipe.kmax + 1):
+        want = itinerary(pipe.system, point, pipe.schedule.m[l - 1], window)
+        assert res.itinerary_list(l, window) == want
+    return stream
+
+
+class TestStretchFreeing:
+    """The decoder checks a singular stretch against the layout's own
+    freeing of a special singular block (blocks._free_special_singular).
+    Three ways in which the layout frees, or anchors its freeing,
+    differently from that stretch are pinned below, to be fixed against
+    that one rule together with the boundary adjustment."""
+
+    def test_freed_slots_of_unbounded_stretch_roundtrip(self, pipe3):
+        """The left-unbounded period-7 stretch of this point holds the only
+        non-empty freed set the sampled configurations reach: 46 scale-2
+        slots, all of which the decoder accepts."""
+        p = Point("0010101", "0100010010", "01", 0)
+        stream = _roundtrip(pipe3, p)
+        frees = [t for t in range(stream.a, stream.b + 1) if stream.get(t) == "o"]
+        assert len(frees) == 46
+        assert all(t < -5 for t in frees)      # inside the stretch (-inf, -5)
+        t = frees[0]
+        swapped = list(stream.symbols)
+        i = t - stream.a
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        with pytest.raises(MalformedStreamError, match="free slot inside a stretch"):
+            pipe3.decode(SymbolStream(stream.a, stream.b, swapped, stream.resolution), 2)
+
+    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
+        "blocks._free_in_special_subblocks frees position 4: it lies in the "
+        "special scale-1 stretch [-6, 15), inside the regular scale-2 block "
+        "[-16, 25), which then writes a scale-2 filling letter there; the "
+        "decoder's stretch check has no counterpart to this freeing and raises "
+        "\"stretch content clashes with orbit '000010101' at 4\""))
+    def test_roundtrip_filling_in_freed_subblock_slot(self, pipe):
+        _roundtrip(pipe, Point("00100", "1010100001010100001010", "100000", -8))
+
+    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
+        "the layout anchors the scale-2 freeing of the special singular block "
+        "at its adjusted start 21, the decoder at the scale-1 stretch start 11, "
+        "so the freed slot 36 raises 'free slot inside a stretch at 36'"))
+    def test_roundtrip_freeing_anchored_at_adjusted_start(self, pipe3):
+        _roundtrip(pipe3, Point("01", "0100010010", "0010101", 0))
+
+    @pytest.mark.xfail(strict=True, raises=WindowError, reason=(
+        "a period-7 point frees a slot in every period, so no unbroken "
+        "n_1-digit prefix is left for the decoder to read: nothing is "
+        "certified and itinerary_list raises WindowError; all 140 golden "
+        "points of least period 7-9 behave this way"))
+    def test_roundtrip_periodic_point_with_freed_slot_every_period(self, pipe3):
+        _roundtrip(pipe3, Point("0010101", "", "0010101", 0))

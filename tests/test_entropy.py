@@ -91,6 +91,24 @@ class TestPerGrowth:
     def test_odometer_zero(self):
         assert per_growth_in_cell(dyadic_odometer(4), 0, 5) == 0.0
 
+    @pytest.mark.parametrize("system", [golden_mean(), full_shift(),
+                                        Sft(3, forbidden=("22", "201"))],
+                             ids=["golden", "full", "three-letter"])
+    def test_cell_pins_the_periodic_point(self, system):
+        """The proven 0: the radius-m itinerary over n steps spans n + 2m
+        letters, so no cell holds two points of least period n."""
+        from shiftembed.words import periodic_window
+        for n in range(1, 11):
+            points = system.least_period_words(n)
+            for m in range(3):
+                cells = [periodic_window(w, -m, n - 1 + m) for w in points]
+                assert len(set(cells)) == len(cells)
+                assert per_growth_in_cell(system, m, n) == 0.0
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError):
+            per_growth_in_cell(golden_mean(), 0, 0)
+
     def test_nonincreasing_in_m(self):
         for n in (2, 4, 6):
             vals = [per_growth_in_cell(golden_mean(), m, n) for m in range(3)]
