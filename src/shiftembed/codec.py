@@ -356,6 +356,53 @@ class PeriodicCode:
             lines.append("orbit: %s -> %s" % (v, self.orbit_code[v]))
         return "\n".join(lines) + "\n"
 
+    @classmethod
+    def parse(cls, text, system, n1, K):
+        """Read the serialize form back, checked against the system and the
+        schedule's n1 and K; SpecParseError on anything the greedy
+        assignment could not have written."""
+        lines = [line.strip() for line in text.splitlines() if line.strip()]
+        if len(lines) < 2 or lines[0] != "n1: %d" % n1 or lines[1] != "K: %d" % K:
+            raise SpecParseError("periodic code header must be 'n1: %d' and 'K: %d'"
+                                 % (n1, K))
+        orbit_code = {}
+        for line in lines[2:]:
+            key, _, rest = line.partition(":")
+            v, arrow, w = rest.strip().partition(" -> ")
+            if key != "orbit" or not arrow or v in orbit_code:
+                raise SpecParseError("periodic code line %r" % line)
+            orbit_code[v] = w
+        orbits = periodic_orbits(system, n1)
+        if set(orbit_code) != set(orbits):
+            raise SpecParseError("periodic code names %d orbits, the system has %d of "
+                                 "period <= %d" % (len(orbit_code), len(orbits), n1))
+        alphabet = set(kary_alphabet(K))
+        for v, w in orbit_code.items():
+            if len(w) != orbits[v]:
+                problem = "has length %d, not the orbit's %d" % (len(w), orbits[v])
+            elif not set(w) <= alphabet:
+                problem = "is not over the %d-letter code alphabet" % K
+            elif not is_primitive(w):
+                problem = "is not primitive"
+            elif not _shape_ok(w, n1):
+                problem = "repeats to an n1-prefix of period below its length"
+            else:
+                continue
+            raise SpecParseError("code word %r of orbit %r %s" % (w, v, problem))
+        try:
+            code = cls(n1, K, orbit_code)
+        except ShiftEmbedError as exc:
+            raise SpecParseError(str(exc)) from None
+        if not code.verify_injective():
+            raise SpecParseError("periodic code fails the injectivity check")
+        return code
+
+
+def _shape_ok(w, n1):
+    """The prefix-shape condition of the periodic-code lemma: a code word of
+    length n in (sqrt(n1), n1] has no n1-prefix of period below n."""
+    return len(w) <= n1 ** 0.5 or not has_short_period_prefix(w, n1, len(w))
+
 
 def build_periodic_code(system, K, n1):
     """Greedy lexicographic assignment satisfying the prefix-shape condition.
@@ -371,7 +418,6 @@ def build_periodic_code(system, K, n1):
     by_period = {}
     for v, n in periodic_orbits(system, n1).items():
         by_period.setdefault(n, []).append(v)
-    sqrt_n1 = n1 ** 0.5
     used_prefixes = set()
     used_necklaces = set()
     orbit_code = {}
@@ -388,7 +434,7 @@ def build_periodic_code(system, K, n1):
                     continue
                 if necklace(cand) in used_necklaces:
                     continue
-                if n > sqrt_n1 and has_short_period_prefix(cand, n1, n):
+                if not _shape_ok(cand, n1):
                     continue
                 prefixes = [repetition_prefix(cand[d:] + cand[:d], n1) for d in range(n)]
                 if len(set(prefixes)) != n or any(p in used_prefixes for p in prefixes):

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 from . import codec
 from .entropy import ScaleSchedule, build_schedule, check_layout_capacity, verify_schedule
-from .errors import ScheduleError, ShiftEmbedError
+from .errors import ScheduleError, ShiftEmbedError, SpecParseError
 from .markers import build_towers, verify_tower
-from .systems import (Point, parse_system, serialize_system, validate_point)
+from .systems import Point, itinerary, parse_system, serialize_system, validate_point
 
 DEFAULT_SEED = 17
 CONTEXT_CACHE_SIZE = 64   # point contexts kept, least recently used evicted first
@@ -291,41 +291,54 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
         for r in trep.records:
             report.add("markers", r.invariant + "(" + r.method + ")", r.scale, r.ok, r.detail)
 
+    # an encode, decode or read-back that raises fails its check, with the
+    # first error text as the record's detail, instead of ending the run
     a, b = window
     for k in range(1, sched.kmax + 1):
-        ok_eq = True
-        ok_rt = True
+        ok_eq, detail_eq = True, ""
         for p in points:
-            s0 = pipeline.encode(p, k, (a, b))
-            s1 = pipeline.encode(p.shifted(1), k, (a - 1, b - 1))
+            try:
+                s0 = pipeline.encode(p, k, (a, b))
+                s1 = pipeline.encode(p.shifted(1), k, (a - 1, b - 1))
+            except ShiftEmbedError as exc:
+                ok_eq, detail_eq = False, detail_eq or str(exc)
+                continue
             if s0.symbols != s1.symbols:
                 ok_eq = False
-        report.add("codec", "equivariance", k, ok_eq)
+        report.add("codec", "equivariance", k, ok_eq, detail_eq)
+        ok_rt, detail_rt = True, ""
         margin = pipeline.decode_margin()
         for p in points[: max(4, len(points) // 3)]:
-            stream = pipeline.encode(p, k, (a - margin, b + margin))
-            res = pipeline.decode(stream, k)
+            try:
+                stream = pipeline.encode(p, k, (a - margin, b + margin))
+                res = pipeline.decode(stream, k)
+            except ShiftEmbedError as exc:
+                ok_rt, detail_rt = False, detail_rt or str(exc)
+                continue
             for l in range(1, k + 1):
-                from .systems import itinerary
                 want = itinerary(system, p, sched.m[l - 1], (a, b))
                 try:
                     got = res.itinerary_list(l, (a, b))
-                except ShiftEmbedError:
-                    ok_rt = False
+                except ShiftEmbedError as exc:
+                    ok_rt, detail_rt = False, detail_rt or str(exc)
                     break
                 if got != want:
                     ok_rt = False
-        report.add("codec", "roundtrip", k, ok_rt)
+        report.add("codec", "roundtrip", k, ok_rt, detail_rt)
 
-    dn_ok = True
+    dn_ok, detail_dn = True, ""
     for p in points[:6]:
         N = sched.n[0] ** 2
-        s1 = pipeline.encode(p, 1, (-4 * N, 4 * N))
-        sK = pipeline.encode(p, sched.kmax, (-4 * N, 4 * N))
+        try:
+            s1 = pipeline.encode(p, 1, (-4 * N, 4 * N))
+            sK = pipeline.encode(p, sched.kmax, (-4 * N, 4 * N))
+        except ShiftEmbedError as exc:
+            dn_ok, detail_dn = False, detail_dn or str(exc)
+            continue
         val = metrics.stream_dN(s1, sK, N)
         if val > 3 * sched.alpha_float / 2 + 1e-9:
             dn_ok = False
-    report.add("codec", "dN-convergence", 1, dn_ok)
+    report.add("codec", "dN-convergence", 1, dn_ok, detail_dn)
     return report
 
 
@@ -351,9 +364,24 @@ def save_pipeline(pipeline, outdir):
 
 
 def load_pipeline(outdir):
+    """Rebuild a saved pipeline: the system and schedule are parsed, the
+    towers rebuilt, and the periodic code read from periodic_code.txt and
+    checked against both."""
     with open(os.path.join(outdir, "system.txt")) as fh:
         system = parse_system(fh.read())
     with open(os.path.join(outdir, "schedule.txt")) as fh:
         schedule = ScaleSchedule.parse(fh.read())
-    return build_pipeline(system, schedule.K, schedule.kmax, schedule=schedule,
-                          reverify_override=False)
+    periodic_code = None
+    if schedule.periodic:
+        path = os.path.join(outdir, "periodic_code.txt")
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SpecParseError("%s: %s" % (path, exc.strerror)) from None
+        try:
+            periodic_code = codec.PeriodicCode.parse(text, system, schedule.n[0],
+                                                     schedule.K)
+        except SpecParseError as exc:
+            raise SpecParseError("%s: %s" % (path, exc)) from None
+    return Pipeline(system, schedule, build_towers(system, schedule), periodic_code)

@@ -566,23 +566,57 @@ def enumerate_periodic(system, n):
 
 
 def periodic_orbits(system, nmax):
-    """necklace -> least period, for every orbit of least period <= nmax.
+    """necklace -> least period, for every orbit of least period <= nmax,
+    ordered by period and then by necklace.
 
-    The enumeration walks words(1..nmax), so it is refused up front, before
-    any word is listed, when the nmax-words alone exceed WORD_ENUM_BUDGET.
-    That is the same refusal words(nmax) would raise at the end of the walk:
-    every word of an essential graph extends, so count_words is
-    nondecreasing and no shorter length can hit the budget first.
+    The orbits are generated, not filtered from words, but the call is still
+    refused up front when the nmax-words alone exceed WORD_ENUM_BUDGET, the
+    refusal a walk over words(1..nmax) would raise: every word of an
+    essential graph extends, so count_words is nondecreasing and no shorter
+    length can hit the budget first.
     """
     count = system.count_words(nmax)
     if count > WORD_ENUM_BUDGET:
         raise EnumerationBudgetError(
             "orbits of period <= %d need the %d admissible %d-words, over "
             "WORD_ENUM_BUDGET = %d" % (nmax, count, nmax, WORD_ENUM_BUDGET))
+    if system.kind == "orbit":
+        return {necklace(system.word): system.period} if system.period <= nmax else {}
+    table = _lyndon_orbits(system, nmax)
+    return dict(sorted(table.items(), key=lambda kv: (kv[1], kv[0])))
+
+
+def _lyndon_orbits(system, nmax):
+    """Every cyclically admissible Lyndon word of an Sft of length <= nmax,
+    mapped to its length.
+
+    Walks the prenecklace tree of Fredricksen-Kessler-Maiorana: a node of
+    length t whose FKM period p equals t is a Lyndon word, and every Lyndon
+    word of length <= nmax is a node exactly once.  A Lyndon word is its own
+    least rotation, so it is the necklace of its orbit.  A child is kept
+    only while the prefix is a path of the essential graph; that pruning is
+    exact, because every prefix of a cyclically admissible word is one.
+    """
+    letters = system.letters
+    M = system.memory
+    states = system._state_index
     table = {}
-    for n in range(1, nmax + 1):
-        for w in system.least_period_words(n):
-            table.setdefault(necklace(w), n)
+
+    def grow(word, p):
+        t = len(word)
+        if t and p == t and system.is_cyclic_word(word):
+            table[word] = t
+        if t == nmax:
+            return
+        # FKM: the next letter repeats word[t - p] (period kept) or exceeds it
+        # (the prefix becomes Lyndon); the root takes every letter at period 1
+        low = letters.index(word[t - p]) if t else 0
+        for i in range(low, len(letters)):
+            child = word + letters[i]
+            if (t + 1 < M or child[-M:] in states) and system._clean_suffix(child):
+                grow(child, p if t and i == low else t + 1)
+
+    grow("", 0)
     return table
 
 

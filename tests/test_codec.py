@@ -5,7 +5,7 @@ from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream,
                               build_periodic_code, itinerary_keys)
 from shiftembed.errors import (CapacityError, MalformedStreamError,
                                ScheduleError, WindowError)
-from shiftembed.pipeline import build_pipeline, sample_points
+from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
 from shiftembed.systems import (Point, Sft, dyadic_odometer, enumerate_periodic,
                                 golden_mean, itinerary)
 from shiftembed.words import (code_length_needed, forbidden_shape_count_bound,
@@ -214,6 +214,18 @@ class TestStreams:
         for l in (1, 2):
             want = itinerary(golden_mean(), p, pipe.schedule.m[l - 1], (-200, 200))
             assert res.itinerary_list(l, (-200, 200)) == want
+
+    def test_verify_records_the_defect_as_a_fail(self, pipe):
+        # the point of the strict xfail above: verify reports the decode
+        # error as a failed round-trip instead of raising it
+        p = Point("10010", "101010010101010010010000010001000100100000", "010", -7)
+        report = verify_pipeline(pipe, points=[p])
+        roundtrip = {r.scale: r for r in report.records
+                     if (r.module, r.name) == ("codec", "roundtrip")}
+        assert roundtrip[1].ok
+        assert not roundtrip[2].ok
+        assert "impossible length" in roundtrip[2].detail
+        assert not report.passed
 
     def test_symbol_soup_rejected(self, pipe):
         soup = SymbolStream(-30, 30, (list("12") * 31)[:61])

@@ -6,15 +6,20 @@ of encoded streams (window, symbols and resolution), of decode results
 (certified windows, itineraries and orbits, or the exception type and
 text) and of the `verify_pipeline` lines, for sampled points on four
 configurations: golden mean K=2 and K=3, the dyadic odometer and the orbit
-system of "001".  A change that moves a digest changed the output.
+system of "001".  They also pin every file that `save_pipeline` writes for
+those configurations and for a CLI `build`.  A change that moves a digest
+changed the output.
 """
 
 import hashlib
+import os
 
 import pytest
 
+from shiftembed.cli import main
 from shiftembed.errors import ShiftEmbedError
-from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
+from shiftembed.pipeline import (build_pipeline, sample_points, save_pipeline,
+                                 verify_pipeline)
 from shiftembed.systems import OrbitSystem, Point, dyadic_odometer, golden_mean
 
 WINDOW = (-200, 200)
@@ -153,3 +158,62 @@ def test_roundtrip_digests_pinned(config):
 def test_verify_lines_pinned(config):
     name, _, pipe = config
     assert verify_digest(pipe) == PINNED_VERIFY[name]
+
+
+def artifact_digests(outdir):
+    """file name -> digest, for every file of a saved pipeline."""
+    out = {}
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            out[name] = hashlib.sha256(fh.read()).hexdigest()[:16]
+    return out
+
+
+GOLDEN_K2_ARTIFACTS = {
+    "codebooks.txt": "3ad6c2db729c6e52",
+    "periodic_code.txt": "0ddaf2eec2a119a1",
+    "schedule.txt": "48149db841ef9d93",
+    "system.txt": "a57b061aae642646",
+    "towers.txt": "59824a58f9774f27",
+}
+
+PINNED_ARTIFACTS = {
+    "golden-k2": GOLDEN_K2_ARTIFACTS,
+    "golden-k3": {
+        "codebooks.txt": "7752e43f4c386ac8",
+        "periodic_code.txt": "76f50d6fdea3c3d9",
+        "schedule.txt": "828ee8663f589b35",
+        "system.txt": "a57b061aae642646",
+        "towers.txt": "2492317203417faa",
+    },
+    # aperiodic: no periodic code is written
+    "odometer": {
+        "codebooks.txt": "84e5dce3c16c0ecd",
+        "schedule.txt": "33ea0c61a810d632",
+        "system.txt": "36d1ba06c37dc80f",
+        "towers.txt": "bfb1694aee90abf0",
+    },
+    "orbit001": {
+        "codebooks.txt": "c08dc4e7b6b79f40",
+        "periodic_code.txt": "314e0c2831213c23",
+        "schedule.txt": "d7569a4d0d78720f",
+        "system.txt": "33c7a86ea6237274",
+        "towers.txt": "336f009e227f97c6",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_saved_artifacts_pinned(name, tmp_path):
+    make_system, kwargs = CONFIGS[name]
+    save_pipeline(build_pipeline(make_system(), precheck=True, **kwargs), str(tmp_path))
+    assert artifact_digests(str(tmp_path)) == PINNED_ARTIFACTS[name]
+
+
+def test_cli_build_artifacts_pinned(tmp_path, capsys):
+    spec = tmp_path / "golden.txt"
+    spec.write_text("kind: sft\nalphabet: 2\nforbidden: [11]\n")
+    out = tmp_path / "pipe"
+    assert main(["build", "--system", str(spec), "--K", "2", "--kmax", "2",
+                 "--C", "0", "--m", "0,0", "--out", str(out)]) == 0
+    assert artifact_digests(str(out)) == GOLDEN_K2_ARTIFACTS

@@ -101,19 +101,25 @@ def test_lazy_match_equals_table(system, n, r):
 
 
 def test_load_enumerates_only_the_periodic_code(tmp_path, monkeypatch):
+    from shiftembed import codec, systems
     pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
     save_pipeline(pipe, str(tmp_path))
     asked = []
-    real = Sft.least_period_words
+    real = systems._lyndon_orbits
 
-    def recording(self, n):
-        asked.append(n)
-        return real(self, n)
+    def recording(system, nmax):
+        asked.append(nmax)
+        return real(system, nmax)
 
-    monkeypatch.setattr(Sft, "least_period_words", recording)
+    def refuse(*args):
+        raise AssertionError("load rebuilt the periodic code")
+
+    monkeypatch.setattr(systems, "_lyndon_orbits", recording)
+    monkeypatch.setattr(codec, "build_periodic_code", refuse)
     again = load_pipeline(str(tmp_path))
     assert again.schedule.n == (9, 19)
     assert asked and max(asked) <= 9
+    assert again.periodic_code.orbit_code == pipe.periodic_code.orbit_code
 
 
 def test_golden_towers_orbit_counts(pipe):

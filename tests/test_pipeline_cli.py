@@ -258,3 +258,78 @@ class TestReports:
         assert rc == 0
         body = capsys.readouterr().out
         assert body.startswith("point\tscale\tmetric")
+
+
+def _replace(old, new):
+    def corrupt(text):
+        assert old in text
+        return text.replace(old, new)
+    return corrupt
+
+
+class TestPeriodicCodeLoad:
+    """load_pipeline reads periodic_code.txt and refuses, as a parse error
+    naming the file, anything the greedy assignment could not have written."""
+
+    # name -> (corruption of the file text, fragment of the refusal)
+    CORRUPTIONS = {
+        "wrong-n1": (_replace("n1: 9\n", "n1: 8\n"), "header"),
+        "wrong-K": (_replace("K: 2\n", "K: 3\n"), "header"),
+        "dropped-orbit": (_replace("orbit: 01 -> 12\n", ""), "names 24 orbits"),
+        "added-non-orbit": (lambda text: text + "orbit: 0011 -> 1122\n",
+                            "names 26 orbits"),
+        "wrong-length": (_replace("orbit: 01 -> 12\n", "orbit: 01 -> 121\n"),
+                         "has length 3"),
+        "non-primitive": (_replace("orbit: 0001 -> 1112\n", "orbit: 0001 -> 1212\n"),
+                          "not primitive"),
+        "foreign-letter": (_replace("orbit: 01 -> 12\n", "orbit: 01 -> 13\n"),
+                           "code alphabet"),
+        # 21111 is a rotation of 11112, the code word of orbit 00001
+        "rotation-collision": (_replace("orbit: 00101 -> 11122\n",
+                                        "orbit: 00101 -> 21111\n"), "collision"),
+        # the 9-prefix of 1111221 repeated, 111122111, has period 6 < 7
+        "short-period-shape": (_replace("orbit: 0000001 -> 1111222\n",
+                                        "orbit: 0000001 -> 1111221\n"), "period below"),
+        "missing-file": (None, "No such file"),
+    }
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("pcode")
+        sysfile = tmp / "golden.txt"
+        sysfile.write_text("kind: sft\nalphabet: 2\nforbidden: [11]\n")
+        out = tmp / "pipe"
+        assert main(["build", "--system", str(sysfile), "--K", "2", "--kmax", "2",
+                     "--C", "0", "--m", "0,0", "--out", str(out)]) == 0
+        point = tmp / "point.txt"
+        point.write_text("left: 10\ncore: 00100@-2\nright: 001\n")
+        stream = tmp / "stream.txt"
+        assert main(["encode", "--pipeline", str(out), "--point", str(point),
+                     "--window=-40:40", "--out", str(stream)]) == 0
+        return out, stream
+
+    def test_untampered_file_loads_the_built_code(self, saved, pipe):
+        out, _ = saved
+        assert load_pipeline(str(out)).periodic_code.orbit_code == \
+            pipe.periodic_code.orbit_code
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_corrupted_file_refused(self, saved, tmp_path, capsys, name):
+        import shutil
+        from shiftembed.errors import SpecParseError
+        src, stream = saved
+        out = tmp_path / "pipe"
+        shutil.copytree(src, out)
+        path = out / "periodic_code.txt"
+        corrupt, fragment = self.CORRUPTIONS[name]
+        if corrupt is None:
+            path.unlink()
+        else:
+            path.write_text(corrupt(path.read_text()))
+        with pytest.raises(SpecParseError, match="periodic_code.txt: .*" + fragment):
+            load_pipeline(str(out))
+        capsys.readouterr()
+        assert main(["decode", "--pipeline", str(out), "--stream", str(stream)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "periodic_code.txt" in err
+        assert "Traceback" not in err

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftembed.entropy import least_period_count
 from shiftembed.errors import (EmptySubshiftError, EnumerationBudgetError,
                                InvalidPointError, SpecParseError)
 from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point,
@@ -11,7 +12,7 @@ from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point,
                                 parse_point, parse_system, periodic_orbits,
                                 product_coding, serialize_point,
                                 serialize_system, validate_point)
-from shiftembed.words import periodic_window
+from shiftembed.words import is_primitive, necklace, periodic_window
 
 
 def brute_words(forbidden, n, A=2):
@@ -34,6 +35,17 @@ def brute_cyclic(forbidden, n, A=2):
         if not any(f in big for f in forbidden):
             out.append(w)
     return out
+
+
+def filtered_orbits(system, nmax):
+    """Reference orbit list: the necklace of every cyclically admissible
+    primitive word of length <= nmax, found by filtering all words."""
+    table = {}
+    for n in range(1, nmax + 1):
+        for w in system.words(n):
+            if system.is_cyclic_word(w) and is_primitive(w):
+                table.setdefault(necklace(w), n)
+    return table
 
 
 class TestParse:
@@ -277,6 +289,20 @@ class TestPeriodic:
         table = periodic_orbits(golden_mean(), 4)
         assert table == {"0": 1, "01": 2, "001": 3, "0001": 4}
         assert periodic_orbits(OrbitSystem(2, "001"), 5) == {"001": 3}
+
+    @pytest.mark.parametrize("system,nmax", [
+        (golden_mean(), 19),
+        (Sft(2, forbidden=()), 14),
+        (Sft(3, forbidden=("22", "201")), 10),
+        (Sft(3, matrix=[[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 10),
+        (OrbitSystem(2, "001"), 5),
+    ], ids=["golden", "full", "sft3", "matrix3", "orbit001"])
+    def test_generated_orbits_equal_filtered(self, system, nmax):
+        table = periodic_orbits(system, nmax)
+        assert table == filtered_orbits(system, nmax)
+        for p in range(1, nmax + 1):
+            count = sum(1 for n in table.values() if n == p)
+            assert count * p == least_period_count(system, p), p
 
     def test_periodic_orbits_refused_before_enumerating(self):
         fs = Sft(2, forbidden=())
