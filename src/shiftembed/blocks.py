@@ -17,6 +17,7 @@ legitimately eat slots: there the filling count clamps, which stays
 decodable because the decoder recomputes the same layout.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import CapacityError
@@ -57,18 +58,47 @@ class LayoutBlock:
         return None if (self.start is None or self.end is None) else self.end - self.start
 
 
+def span_keys(spans):
+    """Bisect keys of spans (their starts, an unbounded start as -inf) when
+    the spans are nonempty, sorted and pairwise disjoint; None otherwise,
+    and lookups then scan the list."""
+    inf = float("inf")
+    keys = [-inf if s.start is None else s.start for s in spans]
+    ends = [inf if s.end is None else s.end for s in spans]
+    if all(k < e <= nxt for k, e, nxt in zip(keys, ends, keys[1:] + [inf])):
+        return keys
+    return None
+
+
+def span_at(spans, keys, t):
+    """The first span covering t, or None.  With keys only the last span
+    starting at or before t can cover it."""
+    if keys is None:
+        return next((s for s in spans if s.covers(t)), None)
+    i = bisect_right(keys, t) - 1
+    return spans[i] if i >= 0 and spans[i].covers(t) else None
+
+
 @dataclass
 class LayoutLayer:
     scale: int
     blocks: list
     role: dict                  # pos -> role str, decided at this scale
     free: list                  # positions free at this scale (sorted)
+    keys: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.keys = span_keys(self.blocks)
 
     def block_at(self, t):
-        for blk in self.blocks:
-            if blk.covers(t):
-                return blk
-        return None
+        return span_at(self.blocks, self.keys, t)
+
+    def blocks_near(self, a, b):
+        """The blocks, in order, or a run of them holding every block that
+        meets [a, b]."""
+        if self.keys is None:
+            return self.blocks
+        return self.blocks[max(bisect_right(self.keys, a) - 1, 0):bisect_right(self.keys, b)]
 
 
 @dataclass
@@ -121,9 +151,10 @@ class BlockLayout:
 
 
 def _slots_in(slots, start, end, lo, hi):
+    """The sorted slots in [start, end), an unbounded side cut at lo or hi."""
     s = lo if start is None else start
     e = hi + 1 if end is None else end
-    return [p for p in slots if s <= p < e]
+    return slots[bisect_left(slots, s):bisect_left(slots, e)]
 
 
 def _build_scale1(schedule, partition, window_range, periodic):
@@ -173,7 +204,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
     lo, hi = window_range
     role = {}
     blocks = []
-    base_free = list(prev_layer.free)
+    base_free = prev_layer.free
     intervals = partition.intervals
 
     for idx, iv in enumerate(intervals):
@@ -203,7 +234,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
             # singular subblocks and closing markers legitimately eat slots;
             # a block built purely from open regular subblocks must fit
             eaten = any(sub.kind == "singular"
-                        for sub in prev_layer.blocks
+                        for sub in prev_layer.blocks_near(min(start, end - 1), max(start, end - 1))
                         if sub.covers(start) or sub.covers(end - 1) or
                         (sub.start is not None and start <= sub.start and
                          sub.end is not None and sub.end <= end))
@@ -273,7 +304,7 @@ def _free_in_special_subblocks(schedule, prev_layer, blk, k):
     prefix (implemented literally; zero freed when the floor vanishes)."""
     n1 = schedule.n[0]
     freed = []
-    for sub in prev_layer.blocks:
+    for sub in prev_layer.blocks_near(blk.start, blk.end - 1):
         if sub.kind != "singular" or not sub.special:
             continue
         if sub.start is None or sub.end is None:

@@ -6,6 +6,7 @@ inputs produce byte-identical outputs.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -128,7 +129,10 @@ def cmd_report(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process; parse_args returns a
+    fresh Namespace on every call."""
     parser = argparse.ArgumentParser(prog="shiftembed",
                                      description="marker towers and block codes at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -178,9 +182,12 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int)
     p.set_defaults(func=cmd_report)
+    return parser
 
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit:
         return 2
     try:

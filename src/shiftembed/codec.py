@@ -20,6 +20,7 @@ re-runs the same layout arithmetic, so encoder and decoder cannot drift
 apart; codewords are then inverted per context.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
@@ -232,12 +233,7 @@ def itinerary_keys(system, m, n):
         for w in system.words(n + 2 * m):
             out.append(tuple(w[i:i + 2 * m + 1] for i in range(n)))
         return out
-    mod = system.modulus(m + 1)
-    out = []
-    for rho in range(mod):
-        out.append(tuple(system.digits_of_residue((rho + t) % mod, m + 1)
-                         for t in range(n)))
-    return sorted(set(out))
+    return sorted({system.cell_run(rho, m + 1, n) for rho in range(system.modulus(m + 1))})
 
 
 def refinement_keys(system, m, mp, n, coarse):
@@ -256,14 +252,8 @@ def refinement_keys(system, m, mp, n, coarse):
             if w[delta:len(w) - delta] == u:
                 out.append(tuple(w[i:i + 2 * mp + 1] for i in range(n)))
         return out
-    mod_c, mod_f = system.modulus(m + 1), system.modulus(mp + 1)
-    out = []
-    for rho in range(mod_f):
-        key_c = tuple(system.digits_of_residue((rho + t) % mod_c, m + 1) for t in range(n))
-        if key_c == coarse:
-            out.append(tuple(system.digits_of_residue((rho + t) % mod_f, mp + 1)
-                             for t in range(n)))
-    return sorted(set(out))
+    return sorted({system.cell_run(rho, mp + 1, n) for rho in range(system.modulus(mp + 1))
+                   if system.cell_run(rho, m + 1, n) == coarse})
 
 
 def build_first_codebook(system, schedule, n, length=None):
@@ -490,8 +480,10 @@ def build_point_context(pipeline, point, window):
 
 
 def _block_key(pipeline, point, blk, m):
-    return tuple(cell_label(pipeline.system, point, t, m)
-                 for t in range(blk.start, blk.end))
+    system = pipeline.system
+    if not system.is_word_system:
+        return system.cell_run(point.residue_at(blk.start, m + 1), m + 1, blk.end - blk.start)
+    return tuple(cell_label(system, point, t, m) for t in range(blk.start, blk.end))
 
 
 def _orbit_key(system, orbit, phase, m, span):
@@ -633,6 +625,12 @@ def _digit_run(stream, t, length, K):
     return "".join(out)
 
 
+def _next_after(values, x):
+    """The first of the sorted values above x, or None."""
+    i = bisect_right(values, x)
+    return values[i] if i < len(values) else None
+
+
 def _decode_scale1(stream, pipeline):
     """Segment the stream into scale-1 blocks and singular stretches.
 
@@ -666,7 +664,7 @@ def _decode_scale1(stream, pipeline):
     orbits = []
 
     for s in starts:
-        nxt = min((b for b in boundaries if b > s), default=None)
+        nxt = _next_after(boundaries, s)
         if nxt is None:
             continue  # cut by the window edge
         if not n1 <= nxt - s < 2 * np1:
@@ -684,8 +682,7 @@ def _decode_scale1(stream, pipeline):
 
     stretch_bounds = []
     for s in sorted(stretch_starts):
-        nxt = min((b for b in boundaries if b > s), default=None)
-        stretch_bounds.append((s, nxt))
+        stretch_bounds.append((s, _next_after(boundaries, s)))
     first_boundary = boundaries[0] if boundaries else None
     if periodic and (first_boundary is None or first_boundary > A):
         stretch_bounds.append((None, first_boundary))
@@ -828,11 +825,12 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
     intervals = []
     cert_parts = []
     if pipeline.periodic:
-        opens = [(b, ch) for _, b, ch in boundaries if ch in (SYM_LB, SYM_DB)]
+        # both sorted, as boundaries are sorted by boundary
+        opens = [b for _, b, ch in boundaries if ch in (SYM_LB, SYM_DB)]
         closes = [b for _, b, ch in boundaries if ch in (SYM_RB, SYM_DB)]
-        for i, (b, ch) in enumerate(opens):
-            nxt_open = opens[i + 1][0] if i + 1 < len(opens) else None
-            nxt_close = min((c for c in closes if c > b), default=None)
+        for i, b in enumerate(opens):
+            nxt_open = opens[i + 1] if i + 1 < len(opens) else None
+            nxt_close = _next_after(closes, b)
             if nxt_open is not None and (nxt_close is None or nxt_open <= nxt_close):
                 e, adjacent = nxt_open, True
             elif nxt_close is not None:
@@ -845,15 +843,13 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
             intervals.append(Interval(b, e, "regular"))
         # singular gaps between a close and the next open
         for c in closes:
-            nxt = min((b for b, ch in opens if b > c), default=None)
+            nxt = _next_after(opens, c)
             if nxt is None:
                 intervals.append(Interval(c, None, "singular"))
             elif nxt - c > 0:
                 intervals.append(Interval(c, nxt, "singular"))
-        if opens and (not closes or min(b for b, _ in opens) < min(closes)):
-            first_open = min(b for b, _ in opens)
-            if first_open > A:
-                intervals.append(Interval(None, first_open, "singular"))
+        if opens and opens[0] > A and (not closes or opens[0] < closes[0]):
+            intervals.append(Interval(None, opens[0], "singular"))
         if not opens and not closes:
             intervals.append(Interval(None, None, "singular"))
     else:

@@ -15,6 +15,7 @@ Odometer towers live on residues and are always exact and flat.
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .blocks import span_at, span_keys
 from .clopen import Clopen, OdoClopen
 from .errors import (EnumerationBudgetError, SeparationError,
                      ShiftEmbedError, WindowError)
@@ -246,6 +247,18 @@ class OdometerTower:
     def member(self, point, pos, runtime=None):
         return self.flat.member(point, pos)
 
+    def returns(self, point, lo, hi):
+        """Sorted times t in [lo, hi] with T^t(point) in the tower: the
+        residue at t is r0 + t, so each accepted residue a returns at
+        t = a - r0 (mod M), stepped by M."""
+        mod = self.system.modulus(self.depth)
+        r0 = point.residue_at(0, self.depth)
+        out = []
+        for a in self.flat.residues:
+            out.extend(range(lo + (a - r0 - lo) % mod, hi + 1, mod))
+        out.sort()
+        return out
+
     def rank(self, point, pos, runtime=None):
         return (1, point.residue_at(pos, self.depth)) if self.member(point, pos) else None
 
@@ -461,12 +474,16 @@ class ReturnPartition:
     intervals: list
     returns: list
     computed_range: tuple
+    keys: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.keys = span_keys(self.intervals)
 
     def interval_at(self, t):
-        for iv in self.intervals:
-            if iv.covers(t):
-                return iv
-        raise WindowError("time %d outside computed range %r" % (t, self.computed_range))
+        iv = span_at(self.intervals, self.keys, t)
+        if iv is None:
+            raise WindowError("time %d outside computed range %r" % (t, self.computed_range))
+        return iv
 
 
 def _tail_least_period(word):
@@ -524,7 +541,7 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
 
     if hasattr(point, "digits"):
         scan_lo, scan_hi = lo - 2 * tower.nprime, hi + 2 * tower.nprime
-        returns = [t for t in range(scan_lo, scan_hi + 1) if tower.member(point, t)]
+        returns = tower.returns(point, scan_lo, scan_hi)
         if not returns:
             raise WindowError("aperiodic tower produced no returns on %r" % ((scan_lo, scan_hi),))
         left_open = right_open = False

@@ -356,6 +356,7 @@ class Odometer:
         for p in base:
             m *= p
             self.moduli.append(m)
+        self._cells = {}        # depth -> cell table, at most `depth` entries
 
     def modulus(self, d):
         if d < 1 or d > self.depth:
@@ -368,6 +369,27 @@ class Odometer:
             residue, r = divmod(residue, p)
             out.append(r)
         return tuple(out)
+
+    def cell_table(self, d):
+        """The depth-d digit tuple of every residue below modulus(d)."""
+        table = self._cells.get(d)
+        if table is None:
+            table = self._cells[d] = tuple(self.digits_of_residue(r, d)
+                                           for r in range(self.modulus(d)))
+        return table
+
+    def cell_run(self, residue, d, n):
+        """Depth-d cells of n consecutive times from a residue: the orbit
+        steps r, r + 1, ... mod modulus(d), so the run is the cell table
+        read cyclically."""
+        table = self.cell_table(d)
+        mod = len(table)
+        residue %= mod
+        out = table[residue:residue + n]
+        if len(out) < n:
+            wraps, rest = divmod(n - len(out), mod)
+            out += table * wraps + table[:rest]
+        return out
 
     def residue_of_digits(self, digits):
         res = 0

@@ -3,10 +3,14 @@ from fractions import Fraction
 import pytest
 
 from shiftembed.blocks import (ROLE_CLOSING, ROLE_FILL, ROLE_FREE, ROLE_MARKER,
-                               build_block_layout, next_scale_markers)
+                               LayoutBlock, _slots_in, build_block_layout,
+                               next_scale_markers, span_keys)
+from shiftembed.codec import build_point_context
 from shiftembed.entropy import ScaleSchedule
-from shiftembed.errors import CapacityError
+from shiftembed.errors import CapacityError, WindowError
 from shiftembed.markers import Interval, ReturnPartition
+from shiftembed.pipeline import build_pipeline
+from shiftembed.systems import Point, golden_mean
 
 
 def schedule(alpha=Fraction(1, 5), m=(0, 0), n=(100, 1000), periodic=False):
@@ -181,3 +185,85 @@ class TestMirrors:
         assert lines[0].split() == ["0", "1", "marker1"]
         assert lines[1].split() == ["1", "1", "filling"]
         assert lines[950].split() == ["950", "1", "free"]
+
+
+def _scan(spans, t):
+    return next((s for s in spans if s.covers(t)), None)
+
+
+class TestBisectLookups:
+    """Layer and partition lookups bisect on the sorted starts; each answer
+    must equal a linear scan, inside blocks, in gaps and past both ends."""
+
+    @pytest.fixture(scope="class")
+    def pipe3(self):
+        return build_pipeline(golden_mean(), K=3, kmax=2, C=0.0, m=(0, 0))
+
+    @pytest.mark.parametrize("point, first_unbounded, last_unbounded", [
+        (Point("0010101", "0100010010", "0100100010001", 0), True, False),
+        (Point("0100100010001", "0100010010", "0010101", 0), False, True),
+        (Point("0100100010001", "01", "0010010001000101", 0), False, False),
+    ], ids=["left-stretch", "right-stretch", "bounded"])
+    def test_golden_k3_lookups_equal_scans(self, pipe3, point, first_unbounded,
+                                           last_unbounded):
+        # period-7 tails shadow a singular stretch, period-13 tails keep
+        # returning, so their edge blocks are cut by the resolved range
+        ctx = build_point_context(pipe3, point, (-60, 60))
+        for layer in ctx.layout.layers:
+            assert layer.keys is not None
+            assert (layer.blocks[0].start is None) == first_unbounded
+            assert (layer.blocks[-1].end is None) == last_unbounded
+            for t in range(ctx.lo - 5, ctx.hi + 6):
+                assert layer.block_at(t) is _scan(layer.blocks, t)
+            for a, b in ((ctx.lo, ctx.lo + 40), (-7, 30), (ctx.hi - 40, ctx.hi)):
+                near = layer.blocks_near(a, b)
+                assert [s for s in layer.blocks if any(s.covers(t) for t in range(a, b + 1))] \
+                    == [s for s in near if any(s.covers(t) for t in range(a, b + 1))]
+            for start, end in ((None, None), (None, 0), (0, None), (-30, 31), (5, 5)):
+                s = ctx.lo if start is None else start
+                e = ctx.hi + 1 if end is None else end
+                assert _slots_in(layer.free, start, end, ctx.lo, ctx.hi) == \
+                    [p for p in layer.free if s <= p < e]
+        for part in ctx.partitions:
+            assert part.keys is not None
+            lo, hi = part.computed_range
+            for t in range(lo - 5, hi + 6):
+                want = _scan(part.intervals, t)
+                if want is None:
+                    with pytest.raises(WindowError, match="outside computed range"):
+                        part.interval_at(t)
+                else:
+                    assert part.interval_at(t) is want
+
+    def test_gap_between_blocks(self):
+        sched = schedule()
+        part = partition(1, [(0, 100, "regular"), (150, 250, "regular")])
+        layer = build_block_layout(sched, [part], (-20, 300), periodic=False).layer(1)
+        assert layer.keys == [0, 150]
+        for t in range(-20, 301):
+            assert layer.block_at(t) is _scan(layer.blocks, t)
+        assert layer.block_at(120) is None and layer.block_at(-1) is None
+        assert layer.block_at(250) is None and layer.block_at(149) is None
+        for t in range(-20, 301):
+            want = _scan(part.intervals, t)
+            if want is None:
+                with pytest.raises(WindowError):
+                    part.interval_at(t)
+            else:
+                assert part.interval_at(t) is want
+
+    def test_overlapping_spans_fall_back_to_the_scan(self):
+        # the scale-k decoder can build a partition whose singular gap starts
+        # inside a regular block; the first covering span still answers
+        part = partition(2, [(None, -10, "singular"), (-10, 16, "regular"),
+                             (16, 35, "regular"), (16, None, "singular"),
+                             (35, None, "singular")])
+        assert part.keys is None
+        for t in range(-20, 60):
+            assert part.interval_at(t) is _scan(part.intervals, t)
+        assert part.interval_at(40).start == 16
+        assert span_keys([LayoutBlock(1, 5, 5, "regular")]) is None
+        touching = [LayoutBlock(1, 0, 10, "regular"), LayoutBlock(1, 10, 20, "regular")]
+        assert span_keys(touching) == [0, 10]
+        touching[0].end = 11
+        assert span_keys(touching) is None

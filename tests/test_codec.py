@@ -1,13 +1,17 @@
+from types import SimpleNamespace
+
 import pytest
 
-from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream,
+from shiftembed.blocks import LayoutBlock
+from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream, _block_key,
                               build_first_codebook, build_conditional_codebook,
-                              build_periodic_code, itinerary_keys)
+                              build_periodic_code, itinerary_keys, refinement_keys)
 from shiftembed.errors import (CapacityError, MalformedStreamError,
                                ScheduleError, WindowError)
 from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
-from shiftembed.systems import (Point, Sft, dyadic_odometer, enumerate_periodic,
-                                golden_mean, itinerary)
+from shiftembed.systems import (Odometer, OdometerPoint, Point, Sft, cell_label,
+                                dyadic_odometer, enumerate_periodic, golden_mean,
+                                itinerary)
 from shiftembed.words import (code_length_needed, forbidden_shape_count_bound,
                               has_short_period_prefix, kary_word,
                               repetition_prefix)
@@ -403,3 +407,49 @@ class TestStretchFreeing:
         "points of least period 7-9 behave this way"))
     def test_roundtrip_periodic_point_with_freed_slot_every_period(self, pipe3):
         _roundtrip(pipe3, Point("0010101", "", "0010101", 0))
+
+
+def _letter_keys(system, m, n, mod):
+    """Itinerary keys of every residue below mod, built letter by letter."""
+    return {rho: tuple(system.digits_of_residue((rho + t) % mod, m + 1) for t in range(n))
+            for rho in range(mod)}
+
+
+class TestOdometerKeys:
+    """Odometer keys are slices of the per-depth cell table; each must equal
+    the key built letter by letter through cell_label."""
+
+    ODOMETERS = [dyadic_odometer(8), Odometer([3, 2, 5])]
+
+    @pytest.mark.parametrize("odo", ODOMETERS, ids=["dyadic8", "base325"])
+    def test_block_key_equals_cell_labels(self, odo):
+        ctx = SimpleNamespace(system=odo)
+        top = odo.modulus(odo.depth)
+        for digits in ((0,) * odo.depth, tuple(p - 1 for p in odo.base),
+                       tuple(i % p for i, p in enumerate(odo.base))):
+            point = OdometerPoint(odo, digits)
+            for d in range(1, odo.depth + 1):
+                mod = odo.modulus(d)
+                # starts just before a wrap of the depth-d modulus, lengths
+                # from one letter to past the full modulus
+                for start in (-mod - 1, -1, 0, mod - point.residue % mod - 2, 5):
+                    for n in (1, mod - 1, mod, mod + 3, 2 * top + 1):
+                        blk = LayoutBlock(scale=1, start=start, end=start + n, kind="regular")
+                        want = tuple(cell_label(odo, point, t, d - 1)
+                                     for t in range(start, start + n))
+                        assert _block_key(ctx, point, blk, d - 1) == want
+
+    @pytest.mark.parametrize("odo", ODOMETERS, ids=["dyadic8", "base325"])
+    def test_itinerary_and_refinement_keys_equal_letter_reference(self, odo):
+        for m in range(min(odo.depth, 3)):
+            mod = odo.modulus(m + 1)
+            for n in (1, mod, mod + 2):
+                coarse_keys = _letter_keys(odo, m, n, mod)
+                assert itinerary_keys(odo, m, n) == sorted(set(coarse_keys.values()))
+                for mp in range(m + 1, min(odo.depth, m + 3)):
+                    mod_f = odo.modulus(mp + 1)
+                    fine_keys = _letter_keys(odo, mp, n, mod_f)
+                    for coarse in sorted(set(coarse_keys.values())):
+                        want = sorted({fine_keys[rho] for rho in range(mod_f)
+                                       if coarse_keys[rho % mod] == coarse})
+                        assert refinement_keys(odo, m, mp, n, coarse) == want

@@ -163,6 +163,26 @@ class TestOdometerTowers:
         assert all(iv.start % 2 == 0 for iv in regs)
         assert any(iv.covers(0) and iv.covers(1) for iv in regs)
 
+    def test_residue_returns_equal_member_scan(self):
+        # the bench odometer pipeline: returns found by residue arithmetic
+        # are exactly the times of a membership scan over the same range
+        odo = dyadic_odometer(8)
+        pipe = build_pipeline(odo, K=2, kmax=3, N_cert=128)
+        margin = pipe.decode_margin()
+        window = (-200 - margin, 200 + margin)
+        for p in sample_points(odo, 20, seed=12):
+            for k in (1, 2, 3):
+                tower = pipe.stack[k]
+                part = return_partition(p, pipe.stack, k, window)
+                lo, hi = part.computed_range
+                assert part.returns == [t for t in range(lo, hi + 1) if tower.member(p, t)]
+                # ranges that start or end exactly on a return keep it
+                mod = odo.modulus(tower.depth)
+                for t in part.returns[:3]:
+                    for a, b in ((t - mod, t), (t, t + mod), (t, t)):
+                        assert tower.returns(p, a, b) == \
+                            [u for u in range(a, b + 1) if tower.member(p, u)]
+
 
 class TestFullShiftTower:
     def test_greedy_avoids_fixed_points(self):
