@@ -58,23 +58,28 @@ class LayoutBlock:
         return None if (self.start is None or self.end is None) else self.end - self.start
 
 
+class SpanOrderError(ValueError):
+    """Spans that overlap or run backwards.  The decoder reports it as a
+    malformed stream; from an encode layout it is a broken invariant."""
+
+
 def span_keys(spans):
-    """Bisect keys of spans (their starts, an unbounded start as -inf) when
-    the spans are nonempty, sorted and pairwise disjoint; None otherwise,
-    and lookups then scan the list."""
+    """Bisect keys of sorted, pairwise disjoint spans: their starts, an
+    unbounded start as -inf.  A pair that breaks start <= end <= next start
+    raises SpanOrderError naming it."""
     inf = float("inf")
     keys = [-inf if s.start is None else s.start for s in spans]
     ends = [inf if s.end is None else s.end for s in spans]
-    if all(k < e <= nxt for k, e, nxt in zip(keys, ends, keys[1:] + [inf])):
-        return keys
-    return None
+    for i, (key, end, nxt) in enumerate(zip(keys, ends, keys[1:] + [inf])):
+        if not key <= end <= nxt:
+            raise SpanOrderError("spans overlap or run backwards: %s" % ", ".join(
+                "[%s, %s)" % (s.start, s.end) for s in spans[i:i + 2]))
+    return keys
 
 
 def span_at(spans, keys, t):
-    """The first span covering t, or None.  With keys only the last span
-    starting at or before t can cover it."""
-    if keys is None:
-        return next((s for s in spans if s.covers(t)), None)
+    """The span covering t, or None: only the last span starting at or
+    before t can cover it."""
     i = bisect_right(keys, t) - 1
     return spans[i] if i >= 0 and spans[i].covers(t) else None
 
@@ -94,10 +99,8 @@ class LayoutLayer:
         return span_at(self.blocks, self.keys, t)
 
     def blocks_near(self, a, b):
-        """The blocks, in order, or a run of them holding every block that
-        meets [a, b]."""
-        if self.keys is None:
-            return self.blocks
+        """A run of the blocks, in order, holding every block that meets
+        [a, b]."""
         return self.blocks[max(bisect_right(self.keys, a) - 1, 0):bisect_right(self.keys, b)]
 
 

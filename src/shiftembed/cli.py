@@ -7,7 +7,6 @@ inputs produce byte-identical outputs.
 
 import argparse
 import functools
-import os
 import sys
 
 from .codec import SymbolStream

@@ -20,20 +20,21 @@ re-runs the same layout arithmetic, so encoder and decoder cannot drift
 apart; codewords are then inverted per context.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
                      ROLE_CLOSING, ROLE_FREE, ROLE_MARKER, ROLE_MARKER_K,
-                     ROLE_SINGULAR_FILL, ROLE_UNRESOLVED, LayoutBlock,
+                     ROLE_SINGULAR_FILL, ROLE_UNRESOLVED, LayoutBlock, SpanOrderError,
                      _free_special_singular)
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
 from .markers import Interval, ReturnPartition, return_partition
 from .systems import cell_label, periodic_orbits
 from .words import (code_length_needed, has_short_period_prefix, is_primitive,
-                    kary_alphabet, kary_index, kary_word, necklace, periodic_window,
-                    repetition_prefix)
+                    kary_alphabet, kary_index, kary_word, min_period, necklace,
+                    periodic_window, repetition_prefix)
 
 SYM_M1 = "|"
 SYM_MK = "="
@@ -134,9 +135,9 @@ class Codebook:
     """Injective lexicographic map from itinerary words to K-ary words: a
     key's codeword is the K-ary word of its index among the sorted keys.
 
-    A subclass that counts the keys instead of listing them supplies only
-    `_rank` and `_unrank`; the capacity check, the padding and the domain
-    and image errors live here.  Looked-up codewords are kept.
+    This class lists its keys (an orbit's, at most p, or the one orbit of an
+    identification); a subclass counts them, supplying `_rank` and `_unrank`.
+    A length of None is the one the key count needs.
     """
 
     def __init__(self, scale, n, length, keys, K, context=None):
@@ -145,6 +146,8 @@ class Codebook:
         self._setup(scale, n, length, len(self._sorted), K, context)
 
     def _setup(self, scale, n, length, size, K, context):
+        if length is None:
+            length = code_length_needed(size, K)
         if size > K ** length:
             raise CapacityError("codebook domain %d exceeds K^%d" % (size, length),
                                 scale=scale, block=n)
@@ -154,8 +157,6 @@ class Codebook:
         self.size = size
         self.K = K
         self.context = context
-        self._words = {}            # key -> codeword, filled by encode
-        self._keys = {}             # codeword -> key, filled by decode
 
     def _rank(self, key):
         """Index of a key among the sorted keys; None outside the domain."""
@@ -165,12 +166,10 @@ class Codebook:
         return self._sorted[index]
 
     def encode(self, key, pad_to=None):
-        word = self._words.get(key)
-        if word is None:
-            index = self._rank(key)
-            if index is None:
-                raise MalformedStreamError("itinerary word %r not in codebook domain" % (key,))
-            word = self._words[key] = kary_word(index, self.length, self.K)
+        index = self._rank(key)
+        if index is None:
+            raise MalformedStreamError("itinerary word %r not in codebook domain" % (key,))
+        word = kary_word(index, self.length, self.K)
         if pad_to is not None:
             if pad_to < self.length:
                 raise CapacityError("codeword of length %d cannot fit %d slots"
@@ -180,19 +179,27 @@ class Codebook:
 
     def decode(self, word):
         word = word[:self.length]
-        key = self._keys.get(word)
-        if key is None:
-            letters = kary_alphabet(self.K)
-            index = self.size
-            if len(word) == self.length and all(c in letters for c in word):
-                index = kary_index(word, self.K)
-            if index >= self.size:
-                raise MalformedStreamError("codeword %r not in codebook image" % word)
-            key = self._keys[word] = self._unrank(index)
-        return key
+        letters = kary_alphabet(self.K)
+        index = self.size
+        if len(word) == self.length and all(c in letters for c in word):
+            index = kary_index(word, self.K)
+        if index >= self.size:
+            raise MalformedStreamError("codeword %r not in codebook image" % word)
+        return self._unrank(index)
 
     def __len__(self):
         return self.size
+
+
+def _window_key(w, m, n):
+    """The radius-m itinerary key of an (n + 2m)-word: its n windows."""
+    return tuple(w[i:i + 2 * m + 1] for i in range(n))
+
+
+def _spelled(key, m, n):
+    """The (n + 2m)-word whose radius-m windows the key is, or None."""
+    w = key[0] + "".join(lab[-1:] for lab in key[1:]) if len(key) == n else ""
+    return w if len(w) == n + 2 * m and _window_key(w, m, n) == key else None
 
 
 class RankedCodebook(Codebook):
@@ -200,10 +207,7 @@ class RankedCodebook(Codebook):
 
     Sliding windows of equal length compare as the word they slide over, so
     the sorted itinerary keys are the sorted (n + 2m)-words and a key's index
-    is its word's rank among the admissible words, which the SFT counts on
-    its graph.  Every command starts with cold codebooks; this makes a
-    lookup cost the same whatever the block length, instead of a table of
-    all the words of that length.
+    is its word's rank, which the SFT counts on its graph.
     """
 
     def __init__(self, system, m, n, length, K):
@@ -211,49 +215,88 @@ class RankedCodebook(Codebook):
         self.m = m
         self._setup(1, n, length, system.count_words(n + 2 * m), K, None)
 
-    def _key_of(self, w):
-        return tuple(w[i:i + 2 * self.m + 1] for i in range(self.n))
-
     def _rank(self, key):
-        if isinstance(key, tuple) and len(key) == self.n and all(
-                isinstance(lab, str) and len(lab) == 2 * self.m + 1 for lab in key):
-            w = key[0] + "".join(lab[-1] for lab in key[1:])
-            if self._key_of(w) == key:
-                return self.system.word_rank(w)
-        return None
+        w = _spelled(key, self.m, self.n)
+        return None if w is None else self.system.word_rank(w)
 
     def _unrank(self, index):
-        return self._key_of(self.system.word_at(index, self.n + 2 * self.m))
+        return _window_key(self.system.word_at(index, self.n + 2 * self.m), self.m, self.n)
 
 
-def itinerary_keys(system, m, n):
-    """All realized itinerary words of the radius-m partition over n steps."""
-    if system.is_word_system:
-        out = []
-        for w in system.words(n + 2 * m):
-            out.append(tuple(w[i:i + 2 * m + 1] for i in range(n)))
-        return out
-    return sorted({system.cell_run(rho, m + 1, n) for rho in range(system.modulus(m + 1))})
+class RefinementCodebook(Codebook):
+    """The scale-k codebook of an SFT given the word u its context spells:
+    the radius-m' windows of the words x + u + y, |x| = |y| = m' - m.
+
+    Every forbidden word fits in M + 1 letters (M the memory), so for
+    |u| >= M, x + u + y is admissible exactly when x + u[:M] and u[-M:] + y
+    are: L left extensions into one state times R right extensions out of
+    another.  With u fixed the words sort as the pairs (x, y), so a key's
+    index is rank_left * R + rank_right.
+    """
+
+    def __init__(self, system, k, m, mp, n, K, coarse, u):
+        M = system.memory
+        if len(u) < M:
+            raise ScheduleError("context %r is shorter than the memory" % (u,))
+        self.system = system
+        self.m = mp
+        self.u = u
+        self.into, self.out = u[:M], u[len(u) - M:]
+        self.ext = M + mp - m               # the length of x + u[:M] and of u[-M:] + y
+        self._right = system.count_words(self.ext, start=self.out)
+        self._setup(k, n, None, system.count_words(self.ext, end=self.into) * self._right,
+                    K, coarse)
+
+    def _rank(self, key):
+        w = _spelled(key, self.m, self.n)
+        d = self.ext - len(self.into)
+        if w is None or w[d:len(w) - d] != self.u:
+            return None
+        left = self.system.word_rank(w[:self.ext], end=self.into)
+        right = self.system.word_rank(w[len(w) - self.ext:], start=self.out)
+        return None if left is None or right is None else left * self._right + right
+
+    def _unrank(self, index):
+        left, right = divmod(index, self._right)
+        x = self.system.word_at(left, self.ext, end=self.into)
+        y = self.system.word_at(right, self.ext, start=self.out)
+        return _window_key(x[:len(x) - len(self.into)] + self.u + y[len(self.out):],
+                           self.m, self.n)
 
 
-def refinement_keys(system, m, mp, n, coarse):
-    """Realized radius-mp itinerary words refining one radius-m word."""
-    if system.is_word_system:
-        u = coarse[0] + "".join(lab[-1] for lab in coarse[1:])
-        if not system.is_admissible(u):
-            return []
-    if mp == m:
-        return [coarse]
-    if system.is_word_system:
-        u = coarse[0] + "".join(lab[-1] for lab in coarse[1:])
-        delta = mp - m
-        out = []
-        for w in system.words(n + 2 * mp):
-            if w[delta:len(w) - delta] == u:
-                out.append(tuple(w[i:i + 2 * mp + 1] for i in range(n)))
-        return out
-    return sorted({system.cell_run(rho, mp + 1, n) for rho in range(system.modulus(mp + 1))
-                   if system.cell_run(rho, m + 1, n) == coarse})
+class ResidueCodebook(Codebook):
+    """An odometer codebook in residue arithmetic, computed per lookup.
+
+    A key is the run of depth-d cells from the residue its first label
+    names, so keys sort as their first labels, digit 0 most significant.
+    The leading digits are the context's (none at scale 1), and a key's
+    index is the rest of its first label read as a mixed-radix number; the
+    key is in the domain when the run of that index is the key itself.
+    """
+
+    def __init__(self, system, scale, depth, n, length, K, context=None):
+        self.system = system
+        self.depth = depth
+        self.lo = len(context[0]) if context else 0
+        self.radix = system.base[self.lo:depth]
+        self.offset = system.residue_of_digits(context[0]) if context else 0
+        self._setup(scale, n, length, math.prod(self.radix), K, context)
+
+    def _rank(self, key):
+        if len(key) != self.n:
+            return None
+        index = 0
+        for digit, p in zip(key[0][self.lo:], self.radix):
+            index = index * p + digit
+        return index if 0 <= index < self.size and self._unrank(index) == key else None
+
+    def _unrank(self, index):
+        shift = 0                           # the ranked digits, digit lo least significant
+        for p in reversed(self.radix):
+            index, digit = divmod(index, p)
+            shift = shift * p + digit
+        step = self.system.moduli[self.lo - 1] if self.lo else 1
+        return self.system.cell_run(self.offset + step * shift, self.depth, self.n)
 
 
 def build_first_codebook(system, schedule, n, length=None):
@@ -263,9 +306,11 @@ def build_first_codebook(system, schedule, n, length=None):
     if length is None:
         length = schedule.fill1(n)
     m = schedule.m[0]
-    if system.kind == "sft" and n + 2 * m >= system.memory:
+    if system.kind == "sft":
         return RankedCodebook(system, m, n, length, schedule.K)
-    keys = itinerary_keys(system, m, n)
+    if system.kind == "odometer":
+        return ResidueCodebook(system, 1, m + 1, n, length, schedule.K)
+    keys = [_window_key(w, m, n) for w in system.words(n + 2 * m)]
     return Codebook(1, n, length, keys, schedule.K)
 
 
@@ -275,34 +320,44 @@ def build_conditional_codebook(system, schedule, k, n, coarse):
     if k < 2:
         raise ValueError("conditional codebooks start at scale 2")
     m, mp = schedule.m[k - 2], schedule.m[k - 1]
-    keys = refinement_keys(system, m, mp, n, coarse)
-    if not keys:
+    if system.kind == "odometer":
+        cb = ResidueCodebook(system, k, mp + 1, n, None, schedule.K, coarse)
+        known = system.cell_run(cb.offset, m + 1, n) == coarse
+    else:
+        u = coarse[0] + "".join(lab[-1] for lab in coarse[1:])
+        known = system.is_admissible(u)
+    if not known:
         raise MalformedStreamError("unknown context %r" % (coarse,))
-    length = code_length_needed(len(keys), schedule.K)
+    if system.kind == "sft":
+        cb = RefinementCodebook(system, k, m, mp, n, schedule.K, coarse, u)
+    elif system.kind == "orbit":
+        keys = [_window_key(w, mp, n) for w in system.words(n + 2 * mp)
+                if w[mp - m:len(w) - mp + m] == u]
+        cb = Codebook(k, n, None, keys, schedule.K, context=coarse)
     budget = schedule.budget(n, k)
-    if length > budget and mp != m:
+    if cb.length > budget and mp != m:
         raise CapacityError("conditional code needs %d letters, budget %d"
-                            % (length, budget), scale=k, block=n)
-    return Codebook(k, n, length, keys, schedule.K, context=coarse)
+                            % (cb.length, budget), scale=k, block=n)
+    return cb
 
 
 def build_identification_codebook(system, schedule, k, m_period, fine):
     """Identify the periodic orbit of a singular block among the orbits whose
-    scale-k itinerary over one period matches the conditional code content.
-    Cylinder partitions pin the orbit, so the code is usually empty."""
+    scale-k itinerary over one period is `fine`.
+
+    The radius-m' window at time t of the periodic point of a word w is w's
+    periodic window centred at t, so its middle letter is w[t mod p]: over
+    one period the middle letters of `fine` spell w itself.  At most one word
+    of least period p has the itinerary `fine`, so the domain is that word's
+    necklace alone and the code is empty.
+    """
     mp = schedule.m[k - 1]
-    candidates = []
-    for w in system.least_period_words(m_period):
-        key = tuple(periodic_window(w, t - mp, t + mp) for t in range(m_period))
-        if key == fine:
-            candidates.append(necklace(w))
-    candidates = sorted(set(candidates))
-    length = code_length_needed(len(candidates), schedule.K)
-    budget = schedule.budget(m_period, k)
-    if length > budget:
-        raise CapacityError("identification needs %d letters, budget %d"
-                            % (length, budget), scale=k, block=m_period)
-    return Codebook(k, m_period, length, candidates, schedule.K, context=fine)
+    w = "".join(lab[mp] for lab in fine)
+    keys = []
+    if (system.is_cyclic_word(w) and is_primitive(w)
+            and _orbit_key(w, mp, m_period) == fine):
+        keys = [necklace(w)]
+    return Codebook(k, m_period, 0, keys, schedule.K, context=fine)
 
 
 # -- the periodic code (prefix-injective orbit naming) --------------------------
@@ -486,16 +541,14 @@ def _block_key(pipeline, point, blk, m):
     return tuple(cell_label(system, point, t, m) for t in range(blk.start, blk.end))
 
 
-def _orbit_key(system, orbit, phase, m, span):
-    """Itinerary key of the shadowed periodic point over a span of times."""
-    lo, hi = span
-    return tuple(periodic_window(orbit, t - m, t + m, phase) for t in range(lo, hi))
+def _orbit_key(orbit, m, n):
+    """Itinerary key of the periodic point of a word over times 0..n-1."""
+    return tuple(periodic_window(orbit, t - m, t + m) for t in range(n))
 
 
 def _render(pipeline, ctx, k):
     """Symbols of psi_k over the context range: pos -> (symbol, scale)."""
     sched = pipeline.schedule
-    system = pipeline.system
     point = ctx.point
     sym = {}
 
@@ -530,15 +583,13 @@ def _render(pipeline, ctx, k):
                     for pos in blk.freed_positions:
                         sym[pos] = (SYM_FREE, l)
                     if not blk.special and blk.m > sched.n[l - 2]:
-                        span = (0, blk.m)
-                        coarse = _orbit_key(system, blk.orbit, 0, sched.m[l - 2], span)
-                        fine = _orbit_key(system, blk.orbit, 0, m_l, span)
+                        coarse = _orbit_key(blk.orbit, sched.m[l - 2], blk.m)
+                        fine = _orbit_key(blk.orbit, m_l, blk.m)
                         cb = pipeline.cond_codebook(l, blk.m, coarse)
                         icb = pipeline.ident_codebook(l, blk.m, fine)
                         budget = sched.budget(blk.m, l)
                         _write_singular_codes(sym, blk, cb.encode(fine, pad_to=budget),
-                                              icb.encode(necklace(blk.orbit), pad_to=budget),
-                                              budget, l)
+                                              icb.encode(necklace(blk.orbit), pad_to=budget), l)
         for pos, role in layer.role.items():
             ch = _ROLE_SYMBOL.get(role)
             if ch is not None:
@@ -546,7 +597,7 @@ def _render(pipeline, ctx, k):
     return sym
 
 
-def _write_singular_codes(sym, blk, cond_word, ident_word, budget, scale):
+def _write_singular_codes(sym, blk, cond_word, ident_word, scale):
     groups = {}
     for p in blk.cond_positions:
         groups.setdefault((p + blk.phase) // blk.m, [[], []])[0].append(p)
@@ -795,7 +846,6 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
     """Reconstruct scale-k structure from markers/brackets, re-run the layout,
     and invert the per-context codes."""
     sched = pipeline.schedule
-    system = pipeline.system
     A, B = stream.a, stream.b
     nk, npk = sched.n[k - 1], sched.nprime[k - 1]
     prev_layer = layout.layer(k - 1)
@@ -841,13 +891,13 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
                 raise MalformedStreamError("scale-%d block [%d, %d) has impossible length"
                                            % (k, b, e))
             intervals.append(Interval(b, e, "regular"))
-        # singular gaps between a close and the next open
+        # singular gaps between a close and the next open; a close that is
+        # also an open ("][") opens a regular block, so no gap starts there
+        open_set = set(opens)
         for c in closes:
-            nxt = _next_after(opens, c)
-            if nxt is None:
-                intervals.append(Interval(c, None, "singular"))
-            elif nxt - c > 0:
-                intervals.append(Interval(c, nxt, "singular"))
+            if c in open_set:
+                continue
+            intervals.append(Interval(c, _next_after(opens, c), "singular"))
         if opens and opens[0] > A and (not closes or opens[0] < closes[0]):
             intervals.append(Interval(None, opens[0], "singular"))
         if not opens and not closes:
@@ -896,10 +946,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
             iv.adj_start, iv.adj_end = iv.start, iv.end
             out_intervals.append(iv)
 
-    from .blocks import append_layer
-    part = ReturnPartition(scale=k, window=(A, B), intervals=out_intervals,
-                           returns=[], computed_range=(A - 1, B + 1))
-    layer = append_layer(layout, part)
+    layer = _append_decoded_layer(layout, k, (A, B), out_intervals)
 
     for blk in layer.blocks:
         if blk.kind != "regular":
@@ -1014,8 +1061,7 @@ def _extract_period(pipeline, k, labels_prev, s, e, window):
     if len(word) <= sched.n[k - 1]:
         return None
     text = "".join(word)
-    from .words import min_period as _mp
-    p = _mp(text)
+    p = min_period(text)
     if p > sched.n[k - 1]:
         raise MalformedStreamError("shadowed region content is not periodic")
     root = text[:p]
@@ -1023,6 +1069,19 @@ def _extract_period(pipeline, k, labels_prev, s, e, window):
     d = next(i for i in range(p) if v[i:] + v[:i] == root)
     phase = (d - lo) % p
     return v, phase
+
+
+def _append_decoded_layer(layout, k, window, intervals):
+    """Append the scale-k layer of intervals read off a stream.  Spans that
+    overlap or run backwards come from the stream, so they make it malformed."""
+    from .blocks import append_layer
+    A, B = window
+    try:
+        part = ReturnPartition(scale=k, window=window, intervals=intervals,
+                               returns=[], computed_range=(A - 1, B + 1))
+        return append_layer(layout, part)
+    except SpanOrderError as exc:
+        raise MalformedStreamError(str(exc)) from None
 
 
 def decode_k(stream, pipeline, k):
@@ -1034,10 +1093,7 @@ def decode_k(stream, pipeline, k):
     A, B = stream.a, stream.b
     intervals1, labels1, orbits, cert1_parts = _decode_scale1(stream, pipeline)
     layout = BlockLayout(schedule=sched, lo=A, hi=B, periodic=pipeline.periodic)
-    part1 = ReturnPartition(scale=1, window=(A, B), intervals=intervals1,
-                            returns=[], computed_range=(A - 1, B + 1))
-    from .blocks import append_layer
-    append_layer(layout, part1)
+    _append_decoded_layer(layout, 1, (A, B), intervals1)
     itineraries = {1: labels1}
     certified = {1: _covered_range(cert1_parts, (A, B))}
     labels_prev, intervals_prev = labels1, intervals1
@@ -1052,11 +1108,6 @@ def decode_k(stream, pipeline, k):
     # pi_k form: deeper-scale symbols revert to free slots, and brackets
     # written over singular content revert to the orbit letters
     structural = {SYM_LB, SYM_RB, SYM_DB, SYM_MK}
-    def orbit_letter(t):
-        for iv in intervals1:
-            if iv.kind == "singular" and iv.covers(t):
-                return pipeline.periodic_code.stream_letter(iv.orbit, iv.phase, t)
-        return None
     symbols = []
     for t in range(A, B + 1):
         role, scale = layout.role_at(t, upto=min(k, len(layout.layers)))
@@ -1064,7 +1115,8 @@ def decode_k(stream, pipeline, k):
         if role in (ROLE_FREE, ROLE_UNRESOLVED):
             symbols.append(SYM_FREE)
         elif role == ROLE_SINGULAR_FILL and ch in structural:
-            symbols.append(orbit_letter(t) or ch)
+            blk = layout.layer(1).block_at(t)       # the singular stretch holding t
+            symbols.append(pipeline.periodic_code.stream_letter(blk.orbit, blk.phase, t))
         else:
             symbols.append(ch)
     stream_k = SymbolStream(A, B, symbols)

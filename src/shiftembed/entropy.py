@@ -72,28 +72,21 @@ def conditional_count(system, m, mp, n):
         return 1
     if not system.is_word_system:
         return system.modulus(mp + 1) // system.modulus(m + 1)
-    delta = mp - m
-    return _max_extension_count(system, n + 2 * m, delta)
+    return _max_extension_count(system, n + 2 * m, mp - m)
 
 
 def _max_extension_count(system, length, delta):
-    """Max over admissible `length`-words of #(delta-letter two-sided extensions)."""
+    """Max over admissible `length`-words of #(delta-letter two-sided
+    extensions): the paths into the word's first state times the paths out
+    of its last, over the state pairs such a word joins."""
     if system.kind == "orbit":
         return 1  # every window of the single orbit extends uniquely
-    adj = system.adjacency
-    size = len(adj)
-    p = matpow_int(adj, delta)
-    left_into = [sum(p[i][j] for i in range(size)) for j in range(size)]   # paths ending at j
-    right_from = [sum(p[i][j] for j in range(size)) for i in range(size)]  # paths starting at i
     M = system.memory
-    span = max(length - M, 0)
-    reach = matpow_int(adj, span)
-    best = 0
-    for a in range(size):
-        for b in range(size):
-            if reach[a][b]:
-                best = max(best, left_into[a] * right_from[b])
-    return best
+    reach = matpow_int(system.adjacency, max(length - M, 0))
+    into = [system.count_words(M + delta, end=s) for s in system.states]
+    out = [system.count_words(M + delta, start=s) for s in system.states]
+    return max(into[i] * out[j] for i in range(len(into)) for j in range(len(out))
+               if reach[i][j])
 
 
 def least_period_count(system, n):
@@ -222,26 +215,12 @@ class ScaleSchedule:
 # -- inequality families -------------------------------------------------------
 
 
-def _word_counts(system, nmax):
-    """count_words(n) for n = 0..nmax: one transfer-matrix step per length
-    instead of one matrix power per call."""
-    if system.kind != "sft":
-        return [system.count_words(n) for n in range(nmax + 1)]
-    M = system.memory
-    counts = [system.count_words(n) for n in range(min(M, nmax + 1))]
-    walks = [1] * len(system.adjacency)  # walks[i]: paths of the current length from state i
-    for _ in range(M, nmax + 1):
-        counts.append(sum(walks))
-        walks = [sum(a * w for a, w in zip(row, walks)) for row in system.adjacency]
-    return counts
-
-
 def _scale1_counts(system, m1, N_cert):
     """Word counts #W_n for n <= N_cert + 2 m1 (None off word systems) and
     the scale-1 cell counts #V_1^n for n <= N_cert, each computed once."""
     if not system.is_word_system:
         return None, [cell_count(system, m1, n) for n in range(N_cert + 1)]
-    counts = _word_counts(system, N_cert + 2 * m1)
+    counts = [system.count_words(n) for n in range(N_cert + 2 * m1 + 1)]
     return counts, counts[2 * m1:]
 
 

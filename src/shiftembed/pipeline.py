@@ -1,8 +1,9 @@
 """Pipeline assembly: schedule, towers, codebooks, periodic code.
 
-A Pipeline owns everything the codec needs and caches codebooks and point
-contexts; building one runs the capacity checks up front so that encoding
-cannot fail later on admissible inputs.  Pipelines serialize to a directory
+A Pipeline owns everything the codec needs and caches point contexts;
+codebooks rank on the system's counts and are built per lookup.  Building
+one runs the capacity checks up front so that encoding cannot fail later on
+admissible inputs.  Pipelines serialize to a directory
 of flat text artifacts and rebuild deterministically.
 """
 
@@ -12,8 +13,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import codec
-from .entropy import ScaleSchedule, build_schedule, check_layout_capacity, verify_schedule
-from .errors import ScheduleError, ShiftEmbedError, SpecParseError
+from .entropy import (ScaleSchedule, build_schedule, check_layout_capacity,
+                      conditional_count, verify_schedule)
+from .errors import CapacityError, ScheduleError, ShiftEmbedError, SpecParseError
 from .markers import build_towers, verify_tower
 from .systems import Point, itinerary, parse_system, serialize_system, validate_point
 
@@ -28,9 +30,6 @@ class Pipeline:
         self.stack = stack
         self.periodic_code = periodic_code
         self.periodic = schedule.periodic
-        self._first = {}
-        self._cond = {}
-        self._ident = {}
         self._contexts = OrderedDict()
 
     @property
@@ -43,28 +42,16 @@ class Pipeline:
         base = (10 if self.periodic else 4) * n_top
         return base + 2 * self.schedule.nprime[-1]
 
-    # -- codebook caches ----------------------------------------------------
+    # -- codebooks, built per lookup from the system's counts -------------
 
     def first_codebook(self, n, length):
-        key = (n, length)
-        if key not in self._first:
-            self._first[key] = codec.build_first_codebook(self.system, self.schedule,
-                                                          n, length)
-        return self._first[key]
+        return codec.build_first_codebook(self.system, self.schedule, n, length)
 
     def cond_codebook(self, k, n, coarse):
-        key = (k, n, coarse)
-        if key not in self._cond:
-            self._cond[key] = codec.build_conditional_codebook(self.system, self.schedule,
-                                                               k, n, coarse)
-        return self._cond[key]
+        return codec.build_conditional_codebook(self.system, self.schedule, k, n, coarse)
 
     def ident_codebook(self, k, m, fine):
-        key = (k, m, fine)
-        if key not in self._ident:
-            self._ident[key] = codec.build_identification_codebook(self.system,
-                                                                   self.schedule, k, m, fine)
-        return self._ident[key]
+        return codec.build_identification_codebook(self.system, self.schedule, k, m, fine)
 
     # -- point contexts -----------------------------------------------------
 
@@ -127,9 +114,6 @@ def precheck_pipeline(pipeline):
     block lengths, the capacity of every higher-scale code, and the tower
     invariants.  Raises on any failure, so a built pipeline cannot fail
     later on admissible inputs."""
-    import math
-    from .entropy import conditional_count
-    from .errors import CapacityError
     sched = pipeline.schedule
     lo, hi = sched.block_bounds(1)
     for L in range(lo, hi):
@@ -355,12 +339,13 @@ def save_pipeline(pipeline, outdir):
     put("towers.txt", pipeline.stack.serialize())
     if pipeline.periodic_code is not None:
         put("periodic_code.txt", pipeline.periodic_code.serialize())
+    # one line per scale-1 block length of the schedule
+    sched = pipeline.schedule
     lines = []
-    for (n, length), cb in sorted(pipeline._first.items()):
-        lines.append("first n=%d len=%d size=%d" % (n, length, len(cb)))
-    for (k, n, _), cb in sorted(pipeline._cond.items(), key=lambda kv: kv[0][:2]):
-        lines.append("cond k=%d n=%d size=%d" % (k, n, len(cb)))
-    put("codebooks.txt", "\n".join(lines) + ("\n" if lines else ""))
+    for L in range(*sched.block_bounds(1)):
+        cb = pipeline.first_codebook(L, sched.fill1(L))
+        lines.append("first n=%d len=%d size=%d\n" % (L, cb.length, len(cb)))
+    put("codebooks.txt", "".join(lines))
 
 
 def load_pipeline(outdir):

@@ -94,7 +94,7 @@ class Sft:
         self.memory = max(1, maxlen - 1)
         self._build_graph()
         self._word_cache = {}
-        self._extensions = [{s: 1 for s in self.states}]
+        self._extensions = {}       # end state, or None for any -> counts by length
 
     # -- graph presentation ------------------------------------------------
 
@@ -185,54 +185,58 @@ class Sft:
         self._word_cache[n] = out
         return out
 
-    def count_words(self, n):
-        """Exact number of admissible n-words via the transfer matrix."""
-        if n == 0:
-            return 1
+    def count_words(self, n, start=None, end=None):
+        """Exact number of admissible n-words that start in state `start` and
+        end in state `end` (each only when given), from _extension_counts."""
         if n < self.memory:
             return len(self.words(n))
-        power = matpow_int(self.adjacency, n - self.memory)
-        return sum(sum(row) for row in power)
+        counts = self._extension_counts(n - self.memory, end)
+        return sum(counts.values()) if start is None else counts.get(start, 0)
 
-    def _extension_counts(self, r):
-        """state -> number of admissible (memory + r)-words starting with it."""
-        ext = self._extensions
-        while len(ext) <= r:
-            last = ext[-1]
-            ext.append({s: sum(last[t] for t in self._succ[s]) for s in self.states})
-        return ext[r]
+    def _extension_counts(self, r, end=None):
+        """state -> number of admissible (memory + r)-words starting with it,
+        counting only those that end in state `end` when one is given."""
+        table = self._extensions.get(end)
+        if table is None:
+            table = self._extensions[end] = [{s: int(end in (None, s)) for s in self.states}]
+        while len(table) <= r:
+            last = table[-1]
+            table.append({s: sum(last[t] for t in self._succ[s]) for s in self.states})
+        return table[r]
 
-    def word_rank(self, w):
-        """Index of w in words(len(w)), without listing them; None when w is
-        not admissible.  Only for len(w) >= memory."""
+    def word_rank(self, w, start=None, end=None):
+        """Index of w among the sorted admissible words of its length that
+        start in state `start` and end in state `end` (each only when given),
+        without listing them; None when w is not one of them.  Words shorter
+        than the memory span no state and rank in words(len(w))."""
         M = self.memory
-        if len(w) < M or w[:M] not in self._succ:
+        if len(w) < M:
+            short = self.words(len(w))
+            return short.index(w) if w in short else None
+        state = w[:M]
+        if state not in self._succ or start not in (None, state):
             return None
         r = len(w) - M
-        rank = sum(c for s, c in self._extension_counts(r).items() if s < w[:M])
-        state = w[:M]
-        for i in range(M, len(w)):
+        rank = 0 if start is not None else sum(
+            c for s, c in self._extension_counts(r, end).items() if s < state)
+        for letter in w[M:]:
             r -= 1
-            below = self._extension_counts(r)
-            nxt = None
-            for t in self._succ[state]:        # sorted, so by last letter
-                if t[-1] == w[i]:
-                    nxt = t
-                    break
-                if t[-1] > w[i]:
-                    break
-                rank += below[t]
-            if nxt is None:
+            below = self._extension_counts(r, end)
+            nxt = state[1:] + letter
+            if nxt not in self._succ[state]:
                 return None
+            rank += sum(below[t] for t in self._succ[state] if t < nxt)
             state = nxt
-        return rank
+        return rank if end in (None, state) else None
 
-    def word_at(self, index, n):
-        """words(n)[index], without listing them.  Only for n >= memory."""
+    def word_at(self, index, n, start=None, end=None):
+        """The n-word at that index in word_rank's order, without listing."""
         M = self.memory
+        if n < M:
+            return self.words(n)[index]
         r = n - M
-        for s in self.states:
-            c = self._extension_counts(r)[s]
+        for s in self.states if start is None else [start]:
+            c = self._extension_counts(r, end)[s]
             if index < c:
                 break
             index -= c
@@ -241,7 +245,7 @@ class Sft:
         w = s
         for _ in range(n - M):
             r -= 1
-            below = self._extension_counts(r)
+            below = self._extension_counts(r, end)
             for t in self._succ[w[-M:]]:
                 if index < below[t]:
                     break

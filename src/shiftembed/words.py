@@ -89,10 +89,10 @@ def kary_word(index, length, K):
         raise ValueError("index out of range for K^length")
     letters = kary_alphabet(K)
     out = []
-    for _ in range(length):
+    while index:                # the leading zero digits are the first letter
         index, r = divmod(index, K)
         out.append(letters[r])
-    return "".join(reversed(out))
+    return letters[0] * (length - len(out)) + "".join(reversed(out))
 
 
 def kary_index(word, K):

@@ -4,10 +4,10 @@ import pytest
 
 from shiftembed.blocks import (ROLE_CLOSING, ROLE_FILL, ROLE_FREE, ROLE_MARKER,
                                LayoutBlock, _slots_in, build_block_layout,
-                               next_scale_markers, span_keys)
-from shiftembed.codec import build_point_context
+                               SpanOrderError, next_scale_markers, span_keys)
+from shiftembed.codec import SymbolStream, build_point_context
 from shiftembed.entropy import ScaleSchedule
-from shiftembed.errors import CapacityError, WindowError
+from shiftembed.errors import CapacityError, MalformedStreamError, WindowError
 from shiftembed.markers import Interval, ReturnPartition
 from shiftembed.pipeline import build_pipeline
 from shiftembed.systems import Point, golden_mean
@@ -252,18 +252,36 @@ class TestBisectLookups:
             else:
                 assert part.interval_at(t) is want
 
-    def test_overlapping_spans_fall_back_to_the_scan(self):
-        # the scale-k decoder can build a partition whose singular gap starts
-        # inside a regular block; the first covering span still answers
-        part = partition(2, [(None, -10, "singular"), (-10, 16, "regular"),
-                             (16, 35, "regular"), (16, None, "singular"),
-                             (35, None, "singular")])
-        assert part.keys is None
-        for t in range(-20, 60):
-            assert part.interval_at(t) is _scan(part.intervals, t)
-        assert part.interval_at(40).start == 16
-        assert span_keys([LayoutBlock(1, 5, 5, "regular")]) is None
+    def test_overlapping_spans_are_refused(self):
+        # a singular gap that starts inside a regular block overlaps it: the
+        # partition is refused with the pair named, never scanned, and the
+        # refusal is not a stream error, since no stream was read
+        with pytest.raises(SpanOrderError,
+                           match=r"overlap or run backwards: \[16, 35\), \[16, None\)"):
+            partition(2, [(None, -10, "singular"), (-10, 16, "regular"),
+                          (16, 35, "regular"), (16, None, "singular"),
+                          (35, None, "singular")])
+        with pytest.raises(SpanOrderError, match=r"\[5, 4\)$"):
+            span_keys([LayoutBlock(1, 5, 4, "regular")])
+        assert span_keys([LayoutBlock(1, 5, 5, "regular")]) == [5]
         touching = [LayoutBlock(1, 0, 10, "regular"), LayoutBlock(1, 10, 20, "regular")]
         assert span_keys(touching) == [0, 10]
         touching[0].end = 11
-        assert span_keys(touching) is None
+        with pytest.raises(SpanOrderError, match=r"\[0, 11\), \[10, 20\)"):
+            span_keys(touching)
+        assert not issubclass(SpanOrderError, MalformedStreamError)
+
+    def test_overlapping_spans_read_off_a_stream_are_malformed(self):
+        # a stray close bracket at time 44 starts a second right-unbounded
+        # singular gap after the one at 28: the decoder refuses the stream
+        pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
+        point = Point("0001", "010101010010101010100100010000101010", "001010", -19)
+        margin = pipe.decode_margin()
+        stream = pipe.encode(point, 2, (-100 - margin, 100 + margin))
+        assert stream.a == -346 and stream.symbols[390] == "1"
+        symbols = list(stream.symbols)
+        symbols[390] = "]"
+        bad = SymbolStream(stream.a, stream.b, symbols, list(stream.resolution))
+        with pytest.raises(MalformedStreamError,
+                           match=r"^spans overlap or run backwards: \[28, None\), \[44, None\)$"):
+            pipe.decode(bad, 2)

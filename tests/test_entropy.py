@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftembed.entropy import (ScaleSchedule, _word_counts, appendix_fullness_check,
+from shiftembed.entropy import (ScaleSchedule, _scale1_counts, appendix_fullness_check,
                                 build_schedule, conditional_count,
                                 check_layout_capacity, complete_to_point,
                                 htop_estimate, layout_free_tables,
@@ -13,7 +13,7 @@ from shiftembed.entropy import (ScaleSchedule, _word_counts, appendix_fullness_c
 from shiftembed.errors import CapacityError, ScheduleError
 from shiftembed.pipeline import build_pipeline
 from shiftembed.systems import (OrbitSystem, Sft, dyadic_odometer, full_shift,
-                                golden_mean)
+                                golden_mean, matpow_int)
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -168,9 +168,19 @@ class TestSchedule:
         assert sched.budget(10000, 2) == 500
 
     def test_word_counts_match_count_words(self):
+        """The scale-1 counts are count_words, whose extension counts agree
+        with transfer-matrix powers, or with the words of an orbit."""
         for system in (golden_mean(), full_shift(3), Sft(2, forbidden=("111", "0101")),
                        OrbitSystem(2, "001")):
-            assert _word_counts(system, 40) == [system.count_words(n) for n in range(41)]
+            counts, cells = _scale1_counts(system, 1, 38)
+            assert counts == [system.count_words(n) for n in range(41)]
+            assert cells == counts[2:]
+            for n, count in enumerate(counts):
+                if system.kind == "sft" and n >= system.memory:
+                    power = matpow_int(system.adjacency, n - system.memory)
+                    assert count == sum(sum(row) for row in power)
+                else:
+                    assert count == len(system.words(n))
 
     def test_capacity_check_passes_for_golden(self):
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))

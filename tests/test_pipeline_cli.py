@@ -31,6 +31,21 @@ class TestPipeline:
         for name in os.listdir(out1):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_codebooks_file_does_not_depend_on_what_was_encoded(self, tmp_path):
+        """codebooks.txt is the schedule's scale-1 codebooks: the same bytes
+        before and after encoding, one line per scale-1 block length."""
+        fresh = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
+        before, after = tmp_path / "before", tmp_path / "after"
+        save_pipeline(fresh, str(before))
+        for point in sample_points(golden_mean(), 5, seed=3):
+            fresh.encode(point, 2, (-60, 60))
+        save_pipeline(fresh, str(after))
+        text = (before / "codebooks.txt").read_text()
+        assert (after / "codebooks.txt").read_text() == text
+        lo, hi = fresh.schedule.block_bounds(1)
+        assert [line.split()[1] for line in text.splitlines()] == \
+            ["n=%d" % L for L in range(lo, hi)]
+
     def test_override_reverified(self):
         bad = ScaleSchedule(K=2, alpha=pipefrac(), m=(0, 0), n=(5, 7),
                             nprime=(5, 12), r=(5, 7), periodic=True)

@@ -241,6 +241,31 @@ class TestWords:
             with pytest.raises(IndexError):
                 sys.word_at(len(words), n)
 
+    @pytest.mark.parametrize("sys", [golden_mean(), full_shift(),
+                                     Sft(2, forbidden=("111", "00")),
+                                     Sft(3, forbidden=("22", "201"))],
+                             ids=["golden", "full", "memory-2", "three-letter"])
+    def test_rank_and_unrank_with_fixed_end_states(self, sys):
+        """Right extensions out of a state and left extensions into one rank
+        in the order of the words they are, as do words below the memory."""
+        M = sys.memory
+        for n in range(0, M):
+            for i, w in enumerate(sys.words(n)):
+                assert sys.word_rank(w) == i and sys.word_at(i, n) == w
+        for r in range(0, 5):
+            words = sys.words(M + r)
+            for s in sys.states:
+                for start, end in ((s, None), (None, s), (s, s)):
+                    chosen = [w for w in words if start in (None, w[:M])
+                              and end in (None, w[-M:])]
+                    assert sys.count_words(M + r, start, end) == len(chosen)
+                    for i, w in enumerate(chosen):
+                        assert sys.word_rank(w, start, end) == i
+                        assert sys.word_at(i, M + r, start, end) == w
+                    for w in words:
+                        if w not in chosen:
+                            assert sys.word_rank(w, start, end) is None
+
     def test_rank_of_inadmissible_word_is_none(self):
         sys = Sft(3, forbidden=("22", "201"))
         assert sys.word_rank("0122") is None
