@@ -692,7 +692,8 @@ def _decode_scale1(stream, pipeline):
     """
     sched = pipeline.schedule
     periodic = pipeline.periodic
-    n1, np1 = sched.n[0], sched.nprime[0]
+    n1 = sched.n[0]
+    len_lo, len_hi = sched.block_bounds(1)
     K = sched.K
     A, B = stream.a, stream.b
     code = pipeline.periodic_code
@@ -718,7 +719,7 @@ def _decode_scale1(stream, pipeline):
         nxt = _next_after(boundaries, s)
         if nxt is None:
             continue  # cut by the window edge
-        if not n1 <= nxt - s < 2 * np1:
+        if not len_lo <= nxt - s < len_hi:
             raise MalformedStreamError("block [%d, %d) has impossible length" % (s, nxt))
         fill = sched.fill1(nxt - s)
         word = _digit_run(stream, s + 1, fill, K)
@@ -739,7 +740,7 @@ def _decode_scale1(stream, pipeline):
         stretch_bounds.append((None, first_boundary))
 
     for s, e in stretch_bounds:
-        if s is not None and e is not None and e - s < 2 * np1:
+        if s is not None and e is not None and e - s < len_hi:
             raise MalformedStreamError("singular stretch [%d, %d) too short" % (s, e))
         tag = None
         anchor = None
@@ -847,7 +848,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
     and invert the per-context codes."""
     sched = pipeline.schedule
     A, B = stream.a, stream.b
-    nk, npk = sched.n[k - 1], sched.nprime[k - 1]
+    len_lo, len_hi = sched.block_bounds(k)
     prev_layer = layout.layer(k - 1)
 
     boundaries = []   # (pos_of_symbol, boundary, type)
@@ -887,7 +888,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
                 e, adjacent = nxt_close, False
             else:
                 continue  # cut by the window edge
-            if not nk <= e - b < 2 * npk:
+            if not len_lo <= e - b < len_hi:
                 raise MalformedStreamError("scale-%d block [%d, %d) has impossible length"
                                            % (k, b, e))
             intervals.append(Interval(b, e, "regular"))
@@ -905,7 +906,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
     else:
         cands = [b for _, b, ch in boundaries if ch == SYM_MK]
         for b, e in zip(cands, cands[1:]):
-            if not nk <= e - b < 2 * npk:
+            if not len_lo <= e - b < len_hi:
                 raise MalformedStreamError("scale-%d gap %d out of range" % (k, e - b))
             intervals.append(Interval(b, e, "regular"))
         if not intervals:

@@ -5,9 +5,7 @@ the nested-marker construction: pieces are cylinders of one fixed width,
 ranked lexicographically by their window, and a point is accepted exactly
 when no strictly smaller-ranked piece is accepted within distance n_k - 1.
 Membership is evaluated lazily per point (the rank chase terminates because
-ranks strictly decrease), so no flat pattern set is ever required; systems
-small enough to enumerate are additionally materialized so the tower
-invariants can be checked by plain set algebra.
+ranks strictly decrease), so no flat pattern set is ever built.
 
 Odometer towers live on residues and are always exact and flat.
 """
@@ -20,7 +18,8 @@ from .clopen import Clopen, OdoClopen
 from .errors import (EnumerationBudgetError, SeparationError,
                      ShiftEmbedError, WindowError)
 from .systems import periodic_orbits
-from .words import least_period_at_most, min_period, necklace, periodic_window
+from .words import (least_period_at_most, min_period, necklace, periodic_window,
+                    primitive_root)
 
 FLAT_PATTERN_BUDGET = 300_000
 CHASE_LIMIT = 10_000
@@ -158,7 +157,6 @@ class WordTower:
         self.pernbhd = pernbhd
         self.parent = parent
         self.piece_halfwidth = self.r + self.prev_nprime
-        self.flat = None
         # offsets of the rank chase, nearest first
         self.chase_order = [m for m in sorted(range(-(self.n - 1), self.n), key=abs) if m]
 
@@ -324,12 +322,10 @@ class TowerStack:
             else:
                 orbits = sorted(tower.pernbhd.orbits) if tower.pernbhd else []
                 out.append("orbits: [%s]" % ", ".join(orbits))
-                if tower.flat is not None:
-                    out.append("patterns: [%s]" % ", ".join(sorted(tower.flat.patterns)))
         return "\n".join(out) + "\n"
 
 
-def build_towers(system, schedule, materialize=True):
+def build_towers(system, schedule):
     """Build the tower stack for every scale of the schedule."""
     towers = []
     parent = None
@@ -341,99 +337,9 @@ def build_towers(system, schedule, materialize=True):
             if schedule.periodic:
                 pernbhd = PeriodicNeighborhood(system, schedule.n[k - 1], schedule.r[k - 1])
             tower = WordTower(system, schedule, k, pernbhd, parent)
-            if materialize:
-                tower.flat = _try_materialize(tower)
         towers.append(tower)
         parent = tower
     return TowerStack(system, schedule, towers)
-
-
-def _try_materialize(tower, budget=FLAT_PATTERN_BUDGET):
-    """Flat pattern set of a word tower when the effective width enumerates.
-
-    Membership of x in U_k is decided by the window needed for the rank
-    chase.  We widen until every admissible context resolves under
-    three-valued evaluation, giving an exact canonical Clopen; systems where
-    this blows past the budget keep the lazy evaluator only.
-    """
-    system = tower.system
-    if tower.k > 1 and tower.parent.flat is None:
-        return None
-    base = 2 * tower.piece_halfwidth + 1
-    for extra in range(1, 9):
-        width = base + 2 * (tower.n - 1) * extra
-        try:
-            count = system.count_words(width)
-        except Exception:
-            return None
-        if count > budget:
-            return None
-        pats = set()
-        undecided = False
-        for w in system.words(width):
-            val = _flat_member(tower, w, width // 2)
-            if val is None:
-                undecided = True
-                break
-            if val:
-                pats.add(w)
-        if not undecided:
-            return Clopen(system, width // 2, pats, width_cap=max(65, width + 1), check=False)
-    return None
-
-
-def _flat_member(tower, word, center, _depth=0):
-    """Three-valued membership on a finite context: True/False/None(unknown)."""
-    rk = _flat_rank(tower, word, center)
-    if rk == "unknown":
-        return None
-    if rk is None:
-        return False
-    unknown = False
-    for m in tower.chase_order:
-        rk2 = _flat_rank(tower, word, center + m)
-        if rk2 == "unknown":
-            unknown = True
-            continue
-        if rk2 is not None and rk2 < rk:
-            sub = _flat_member(tower, word, center + m, _depth + 1)
-            if sub is True:
-                return False
-            if sub is None:
-                unknown = True
-    return None if unknown else True
-
-
-def _flat_rank(tower, word, pos):
-    R = tower.piece_halfwidth
-    lo, hi = pos - R, pos + R
-    if lo < 0 or hi >= len(word):
-        return "unknown"
-    window = word[lo:hi + 1]
-    if tower.k == 1:
-        if tower.pernbhd is None or tower.pernbhd.match_word(
-                window[R - tower.r: R + tower.r + 1]) is None:
-            return (1, window)
-        return None
-    if tower.parent.flat is None:
-        return "unknown"
-    prad = tower.parent.flat.radius
-    if pos - prad < 0 or pos + prad >= len(word):
-        return "unknown"
-    in_prev = word[pos - prad: pos + prad + 1] in tower.parent.flat.patterns
-    if in_prev:
-        merged = tower.pernbhd.match_word(window) if tower.pernbhd else None
-        return (1, window) if merged is None else None
-    for i in range(-(tower.prev_nprime - 1), tower.prev_nprime):
-        q = pos + i
-        if q - prad < 0 or q + prad >= len(word):
-            return "unknown"
-        if word[q - prad: q + prad + 1] in tower.parent.flat.patterns:
-            return None  # near the parent tower but outside it: in neither part
-    central = window[R - tower.r: R + tower.r + 1]
-    if tower.pernbhd is None or tower.pernbhd.match_word(central) is None:
-        return (2, window)
-    return None
 
 
 # -- return structure ----------------------------------------------------------
@@ -486,23 +392,16 @@ class ReturnPartition:
         return iv
 
 
-def _tail_least_period(word):
-    """Least period of the bi-infinite repetition of `word`."""
-    p = min_period(word)
-    return p if len(word) % p == 0 else len(word)
-
-
 def _side_has_returns_forever(tower, point, left):
     """Exact dichotomy: a tail keeps returning iff its least period exceeds n_k
     (otherwise the deep tail sits inside the periodic neighborhood and the
     rank of every deep position is None)."""
     if tower.pernbhd is None:
         return True  # aperiodic: the tower covers everything
-    word = point.left if left else point.right
-    p = _tail_least_period(word)
-    if p > tower.n:
+    root = primitive_root(point.left if left else point.right)
+    if len(root) > tower.n:
         return True
-    return not tower.pernbhd.has_orbit(necklace(word[:p] if len(word) % p == 0 else word))
+    return not tower.pernbhd.has_orbit(necklace(root))
 
 
 def _scan_for_return(tower, point, runtime, from_pos, direction, quiet_bound,
@@ -536,6 +435,7 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
     if runtime is None and isinstance(tower, WordTower):
         runtime = stack.runtime(point)
     a, b = window
+    len_lo, len_hi = stack.schedule.block_bounds(k)
     pad = 2 * tower.nprime
     lo, hi = a - pad, b + pad
 
@@ -571,12 +471,12 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
                                            point, stack, k, (scan_lo, scan_hi), runtime))
         for t0, t1 in zip(returns, returns[1:]):
             gap = t1 - t0
-            kind = "regular" if gap < 2 * tower.nprime else "singular"
+            kind = "regular" if gap < len_hi else "singular"
             iv = Interval(t0, t1, kind)
             if kind == "singular":
                 iv = _tag_singular(iv, point, stack, k, (scan_lo, scan_hi), runtime)
             else:
-                if not tower.n <= gap:
+                if gap < len_lo:
                     raise ShiftEmbedError("return gap %d below n_%d" % (gap, k))
             intervals.append(iv)
         if right_open:
@@ -659,14 +559,13 @@ def _check_special_nesting(part, prev_part):
 def verify_tower(stack, k, probe_points=None):
     """Exact verification of the three tower invariants at scale k.
 
-    Flat towers (odometer residues, materialized word towers) are checked by
-    plain set algebra.  Query towers are checked by the structural atoms
-    that imply the invariants (piece periodicity exclusion, orbit window
-    separation, Fine-and-Wilf overlap margins) plus deterministic probe
-    sweeps along supplied points.
+    Odometer towers are flat residue sets and are checked by plain set
+    algebra.  Word towers are evaluated lazily and are checked by the
+    structural atoms that imply the invariants (piece periodicity exclusion,
+    orbit window separation, Fine-and-Wilf overlap margins) plus
+    deterministic probe sweeps along supplied points.
     """
     tower = stack[k]
-    schedule = stack.schedule
     report = TowerReport()
 
     if isinstance(tower, OdometerTower):
@@ -687,38 +586,35 @@ def verify_tower(stack, k, probe_points=None):
         return report
 
     # word tower ---------------------------------------------------------------
-    if tower.flat is not None:
-        _verify_flat_word(stack, k, report)
+    w1 = 2 * tower.piece_halfwidth + 1
+    try:
+        count = tower.system.count_words(w1)
+    except Exception:
+        count = None
+    if count is not None and count <= FLAT_PATTERN_BUDGET and k == 1:
+        bad = []
+        for u in tower.system.words(w1):
+            p = min_period(u)
+            if p < tower.n and (tower.pernbhd is None or
+                                tower.pernbhd.match_word(u) is None):
+                bad.append(u)
+        report.add(k, "disjointness", "structural-exact", not bad,
+                   "short-period pieces escaping the neighborhood: %d" % len(bad))
     else:
-        w1 = 2 * tower.piece_halfwidth + 1
+        ok = (2 * tower.r + 1) >= 2 * tower.n - 1 and tower.n >= tower.system.memory
+        report.add(k, "disjointness", "structural-exact", ok,
+                   "width/periodicity exclusion margin")
+    if tower.pernbhd is not None:
         try:
-            count = tower.system.count_words(w1)
-        except Exception:
-            count = None
-        if count is not None and count <= FLAT_PATTERN_BUDGET and k == 1:
-            bad = []
-            for u in tower.system.words(w1):
-                p = min_period(u)
-                if p < tower.n and (tower.pernbhd is None or
-                                    tower.pernbhd.match_word(u) is None):
-                    bad.append(u)
-            report.add(k, "disjointness", "structural-exact", not bad,
-                       "short-period pieces escaping the neighborhood: %d" % len(bad))
-        else:
-            ok = (2 * tower.r + 1) >= 2 * tower.n - 1 and tower.n >= tower.system.memory
-            report.add(k, "disjointness", "structural-exact", ok,
-                       "width/periodicity exclusion margin")
-        if tower.pernbhd is not None:
-            try:
-                tower.pernbhd.separation_check()
-                report.add(k, "covering", "structural-exact", True,
-                           "orbit windows separated; merge margin holds")
-            except SeparationError as exc:
-                report.add(k, "covering", "structural-exact", False, str(exc))
-        else:
-            report.add(k, "covering", "structural-exact", True, "aperiodic: greedy covers")
-        report.add(k, "nesting", "structural-exact", True,
-                   "tier-1 pieces require parent membership by construction")
+            tower.pernbhd.separation_check()
+            report.add(k, "covering", "structural-exact", True,
+                       "orbit windows separated; merge margin holds")
+        except SeparationError as exc:
+            report.add(k, "covering", "structural-exact", False, str(exc))
+    else:
+        report.add(k, "covering", "structural-exact", True, "aperiodic: greedy covers")
+    report.add(k, "nesting", "structural-exact", True,
+               "tier-1 pieces require parent membership by construction")
 
     for point in probe_points or []:
         runtime = stack.runtime(point)
@@ -743,74 +639,6 @@ def verify_tower(stack, k, probe_points=None):
                     ok_nest = False
             report.add(k, "nesting", "probe", ok_nest, "point %r" % (point,))
     return report
-
-
-def _verify_flat_word(stack, k, report):
-    tower = stack[k]
-    flat = tower.flat
-    pats = flat.patterns
-    W = 2 * flat.radius + 1
-    by_prefix = {}
-    for v in pats:
-        for i in range(1, tower.n):
-            by_prefix.setdefault(v[:W - i], set()).add(v)
-    ok = True
-    detail = ""
-    for u in pats:
-        for i in range(1, tower.n):
-            for v in by_prefix.get(u[i:], ()):
-                joined = u + v[W - i:]
-                if tower.system.is_admissible(joined):
-                    ok = False
-                    detail = "patterns %r / %r overlap at shift %d" % (u, v, i)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(k, "disjointness", "flat-exact", ok, detail)
-
-    span = W + 2 * (tower.nprime - 1)
-    try:
-        big = tower.system.words(span)
-    except EnumerationBudgetError:
-        report.add(k, "covering", "flat-exact", True, "span too wide; see structural record")
-        return
-    mid = span // 2
-    ok = True
-    detail = ""
-    for w in big:
-        seen = False
-        for i in range(-(tower.nprime - 1), tower.nprime):
-            lo = mid + i - flat.radius
-            if 0 <= lo and lo + W <= len(w) and w[lo:lo + W] in pats:
-                seen = True
-                break
-        if not seen:
-            if tower.pernbhd is None:
-                ok, detail = False, "uncovered word %r" % w
-                break
-            central = w[mid - tower.r: mid + tower.r + 1]
-            if tower.pernbhd.match_word(central) is None:
-                ok, detail = False, "uncovered non-periodic word %r" % w
-                break
-    report.add(k, "covering", "flat-exact", ok, detail)
-
-    if k == 1:
-        report.add(k, "nesting", "flat-exact", True, "base scale")
-    else:
-        ok = True
-        for u in pats:
-            rk = _flat_rank(tower, u, len(u) // 2)
-            if rk in (None, "unknown"):
-                continue
-            if rk[0] == 1:
-                prad = tower.parent.flat.radius
-                c = len(u) // 2
-                if u[c - prad: c + prad + 1] not in tower.parent.flat.patterns:
-                    ok = False
-                    break
-        report.add(k, "nesting", "flat-exact", ok)
 
 
 def periodic_neighborhood(system, n, r):

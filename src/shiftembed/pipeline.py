@@ -137,7 +137,7 @@ def precheck_pipeline(pipeline):
 # -- deterministic point sampling ------------------------------------------------
 
 
-def sample_points(system, count, seed=DEFAULT_SEED, core_max=12, tail_max=6):
+def sample_points(system, count, seed=DEFAULT_SEED, core_max=12):
     """Seeded eventually-periodic sample points, mixing plain graph walks
     with points carrying long periodic cores (to exercise singular blocks)."""
     import random

@@ -457,6 +457,32 @@ class TestStretchFreeing:
         _roundtrip(pipe3, Point("0010101", "", "0010101", 0))
 
 
+class TestWindowEdge:
+    """Golden K=2 points whose tails are made of regular scale-1 blocks
+    (least period 13 > n_1 = 9).  The decoder raises on the cut block at the
+    stream's edge instead of leaving it uncertified, so whether a point
+    round-trips depends on where the window cuts its tail."""
+
+    EDGE_POINT = Point("0001000000000", "000100", "1001001000000", -1)
+
+    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
+        "the stream [-446, 446] cuts the left tail of least period 13 ten "
+        "positions from its edge, and decode raises \"stretch content clashes "
+        "with orbit '000010001' at -436\""))
+    def test_roundtrip_tail_cut_near_the_edge(self, pipe):
+        _roundtrip(pipe, Point("0010000010101", "001010", "1010100000010", -4))
+
+    def test_roundtrip_where_the_window_cut_is_harmless(self, pipe):
+        _roundtrip(pipe, self.EDGE_POINT)
+
+    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
+        "the same point on the wider stream [-546, 546]: the cut falls "
+        "elsewhere in the left tail, and decode raises \"stretch content "
+        "clashes with orbit '0000101' at -546\""))
+    def test_roundtrip_same_point_on_a_wider_window(self, pipe):
+        _roundtrip(pipe, self.EDGE_POINT, window=(-300, 300))
+
+
 def _letter_keys(system, m, n, mod):
     """Itinerary keys of every residue below mod, built letter by letter."""
     return {rho: tuple(system.digits_of_residue((rho + t) % mod, m + 1) for t in range(n))

@@ -184,34 +184,273 @@ class TestOdometerTowers:
                             [u for u in range(a, b + 1) if tower.member(p, u)]
 
 
-class TestFullShiftTower:
-    def test_greedy_avoids_fixed_points(self):
-        fs = full_shift()
-        sched = small_schedule(2, r1=2)
-        stack = build_towers(fs, sched)
-        tower = stack[1]
-        assert tower.flat is not None
-        fixed = Clopen.from_cylinder(fs, -2, "00000").refine(tower.flat.radius)
-        assert tower.flat.intersection(fixed).is_empty()
+# -- the flat reference -------------------------------------------------------
+#
+# The package decides word-tower membership only by the lazy rank chase
+# (WordTower.member).  The flat evaluator below runs the same greedy rule
+# three-valued on finite words and widens the words until every admissible
+# context resolves.  Where that fits the budget it gives the tower as one
+# pattern set, whose three invariants are plain set algebra.
 
-    def test_flat_verification_passes(self):
-        fs = full_shift()
-        sched = small_schedule(2, r1=2)
-        stack = build_towers(fs, sched)
+FLAT_BUDGET = 300_000
+UNKNOWN = "unknown"
+
+
+def flat_rank(tower, parent, word, pos):
+    """WordTower.rank of the piece at word[pos], read off the word alone:
+    UNKNOWN when the word is too short to tell.  `parent` is the flat set
+    of the previous scale."""
+    R = tower.piece_halfwidth
+    lo, hi = pos - R, pos + R
+    if lo < 0 or hi >= len(word):
+        return UNKNOWN
+    window = word[lo:hi + 1]
+    central = window[R - tower.r: R + tower.r + 1]
+
+    def outside_orbits(w):
+        return tower.pernbhd is None or tower.pernbhd.match_word(w) is None
+
+    if tower.k == 1:
+        return (1, window) if outside_orbits(central) else None
+    prad = parent.radius
+
+    def in_parent(q):
+        if q - prad < 0 or q + prad >= len(word):
+            return UNKNOWN
+        return word[q - prad: q + prad + 1] in parent.patterns
+
+    inside = in_parent(pos)
+    if inside == UNKNOWN:
+        return UNKNOWN
+    if inside:
+        return (1, window) if outside_orbits(window) else None
+    for i in range(-(tower.prev_nprime - 1), tower.prev_nprime):
+        near = in_parent(pos + i)
+        if near == UNKNOWN:
+            return UNKNOWN
+        if near:
+            return None  # near the parent tower but outside it: in neither tier
+    return (2, window) if outside_orbits(central) else None
+
+
+def flat_member(tower, parent, word, center):
+    """Three-valued greedy acceptance on a finite word: True, False, or None
+    when the word is too short to tell."""
+    rk = flat_rank(tower, parent, word, center)
+    if rk == UNKNOWN:
+        return None
+    if rk is None:
+        return False
+    unknown = False
+    for m in tower.chase_order:
+        rk2 = flat_rank(tower, parent, word, center + m)
+        if rk2 == UNKNOWN:
+            unknown = True
+        elif rk2 is not None and rk2 < rk:
+            sub = flat_member(tower, parent, word, center + m)
+            if sub is True:
+                return False
+            if sub is None:
+                unknown = True
+    return None if unknown else True
+
+
+def materialize(tower, parent=None):
+    """The tower as one exact pattern set: the narrowest width, in steps of
+    2(n_k - 1) beyond the piece width, on which every admissible word
+    decides its center; None when that passes FLAT_BUDGET words."""
+    system = tower.system
+    base = 2 * tower.piece_halfwidth + 1
+    for extra in range(1, 9):
+        width = base + 2 * (tower.n - 1) * extra
+        if system.count_words(width) > FLAT_BUDGET:
+            return None
+        pats = set()
+        for w in system.words(width):
+            val = flat_member(tower, parent, w, width // 2)
+            if val is None:
+                break
+            if val:
+                pats.add(w)
+        else:
+            return Clopen(system, width // 2, pats, width_cap=width + 1, check=False)
+    return None
+
+
+def flat_disjointness(tower, flat):
+    """None when no admissible word holds two patterns at distance below
+    n_k, else the first overlap found."""
+    W = 2 * flat.radius + 1
+    by_prefix = {}
+    for v in flat.patterns:
+        for i in range(1, tower.n):
+            by_prefix.setdefault(v[:W - i], set()).add(v)
+    for u in sorted(flat.patterns):
+        for i in range(1, tower.n):
+            for v in sorted(by_prefix.get(u[i:], ())):
+                if tower.system.is_admissible(u + v[W - i:]):
+                    return "patterns %r / %r overlap at shift %d" % (u, v, i)
+    return None
+
+
+def flat_covering(tower, flat):
+    """None when every admissible point has a pattern within distance
+    n'_k - 1 or sits in the periodic neighborhood, else an uncovered word."""
+    W = 2 * flat.radius + 1
+    span = W + 2 * (tower.nprime - 1)
+    mid = span // 2
+    for w in tower.system.words(span):
+        if any(w[mid + i - flat.radius: mid + i + flat.radius + 1] in flat.patterns
+               for i in range(-(tower.nprime - 1), tower.nprime)):
+            continue
+        central = w[mid - tower.r: mid + tower.r + 1]
+        if tower.pernbhd is None or tower.pernbhd.match_word(central) is None:
+            return "uncovered word %r" % w
+    return None
+
+
+def flat_nesting(tower, flat, parent):
+    """None when every pattern's center lies in the parent set or has no
+    parent member within distance n'_(k-1) - 1 (the two tiers), else the
+    first pattern that is near the parent set but outside it."""
+    c = flat.radius
+    assert c >= parent.radius + tower.prev_nprime - 1
+    for u in sorted(flat.patterns):
+        windows = {i: u[c + i - parent.radius: c + i + parent.radius + 1]
+                   for i in range(-(tower.prev_nprime - 1), tower.prev_nprime)}
+        if windows[0] in parent.patterns:
+            continue
+        if any(v in parent.patterns for v in windows.values()):
+            return "pattern %r is near the parent tower but outside it" % u
+    return None
+
+
+def flat_stack(system, schedule):
+    """(lazy stack, flat set per scale); a scale that does not resolve
+    within the budget, and every scale above it, has None."""
+    stack = build_towers(system, schedule)
+    flats = []
+    parent = None
+    for k in range(1, len(stack) + 1):
+        parent = materialize(stack[k], parent) if k == 1 or parent else None
+        flats.append(parent)
+    return stack, flats
+
+
+def lazy_equals_flat(stack, k, flat):
+    """Windows of the flat width whose lazy membership at their center
+    differs from the flat set.  Each window is embedded in a point with
+    letter 0 repeated on both sides, which is admissible in the golden mean
+    and the full shift."""
+    R = flat.radius
+    out = []
+    for w in stack.system.words(2 * R + 1):
+        point = Point("0", w, "0", -R)
+        if stack[k].member(point, 0, stack.runtime(point)) != (w in flat.patterns):
+            out.append(w)
+    return out
+
+
+@pytest.fixture(scope="module")
+def full_flat():
+    """The full shift's tower at n = n' = r = 2 with its flat set (radius 7,
+    13,340 patterns)."""
+    stack, (flat,) = flat_stack(full_shift(), small_schedule(2))
+    return stack, flat
+
+
+@pytest.fixture(scope="module")
+def golden_flats():
+    """n_1 -> (lazy stack, flat sets) of two golden scales with
+    n = n' = r = (n_1, 2), the smallest golden schedules whose scale-2
+    tower resolves within the budget.  With n_1 = 1 a tier-1 and a tier-2
+    piece can meet in the rank chase; with n_1 = 2 a piece beside a parent
+    member is in neither tier, which is what the nesting check reads."""
+    out = {}
+    for n1 in (1, 2):
+        schedule = ScaleSchedule(K=2, alpha=Fraction(1, 5), m=(0, 0), n=(n1, 2),
+                                 nprime=(n1, 2), r=(n1, 2), periodic=True)
+        out[n1] = flat_stack(golden_mean(), schedule)
+    return out
+
+
+class TestFullShiftTower:
+    def test_greedy_avoids_fixed_points(self, full_flat):
+        _, flat = full_flat
+        fixed = Clopen.from_cylinder(full_shift(), -2, "00000").refine(flat.radius)
+        assert flat.intersection(fixed).is_empty()
+
+    def test_flat_verification_passes(self, full_flat):
+        stack, flat = full_flat
+        assert flat_disjointness(stack[1], flat) is None
+        assert flat_covering(stack[1], flat) is None
         report = verify_tower(stack, 1)
         assert report.passed, report.lines()
 
-    def test_corrupted_tower_fails_disjointness(self):
-        fs = full_shift()
-        sched = small_schedule(2, r1=2)
-        stack = build_towers(fs, sched)
+    def test_corrupted_tower_fails_disjointness(self, full_flat):
+        _, flat = full_flat
+        stack = build_towers(full_shift(), small_schedule(2))
         tower = stack[1]
-        w = 2 * tower.flat.radius + 1
-        corrupt = tower.flat.union(Clopen(fs, tower.flat.radius, {"0" * w}, check=False))
-        tower.flat = corrupt
-        report = verify_tower(stack, 1)
-        dis = [r for r in report.records if r.invariant == "disjointness"]
-        assert any(not r.ok for r in dis)
+        w = 2 * flat.radius + 1
+        corrupt = flat.union(Clopen(full_shift(), flat.radius, {"0" * w}, check=False))
+        assert "overlap at shift 1" in flat_disjointness(tower, corrupt)
+        # the lazy tower, corrupted to chase smaller ranks on the right only:
+        # of two neighboring pieces, the smaller-ranked one no longer vetoes
+        # its right neighbor
+        probes = sample_points(full_shift(), 3, seed=5)
+        assert verify_tower(stack, 1, probe_points=probes).passed
+        tower.chase_order = [m for m in tower.chase_order if m > 0]
+        report = verify_tower(stack, 1, probe_points=probes)
+        dis = [r for r in report.records if (r.invariant, r.method) == ("disjointness", "probe")]
+        assert dis and not any(r.ok for r in dis)
+
+
+class TestFlatReference:
+    """The flat sets as the reference for lazy membership, and their
+    invariant checks against corrupted sets."""
+
+    def test_lazy_member_equals_flat_set_full_shift(self, full_flat):
+        stack, flat = full_flat
+        assert 2 * flat.radius + 1 == 15
+        assert lazy_equals_flat(stack, 1, flat) == []
+
+    def test_lazy_member_equals_flat_set_golden(self):
+        stack, (flat,) = flat_stack(golden_mean(), small_schedule(2))
+        assert 2 * flat.radius + 1 == 15
+        assert lazy_equals_flat(stack, 1, flat) == []
+
+    def test_lazy_member_equals_flat_set_at_scale_two(self, golden_flats):
+        assert {n1: [f.radius for f in flats] for n1, (_, flats) in golden_flats.items()} \
+            == {1: [1, 9], 2: [7, 9]}
+        for stack, flats in golden_flats.values():
+            for k in (1, 2):
+                assert lazy_equals_flat(stack, k, flats[k - 1]) == []
+
+    def test_invariants_hold_at_both_scales(self, golden_flats):
+        for stack, (flat1, flat2) in golden_flats.values():
+            for k, flat in ((1, flat1), (2, flat2)):
+                assert flat_disjointness(stack[k], flat) is None
+                assert flat_covering(stack[k], flat) is None
+            assert flat_nesting(stack[2], flat2, flat1) is None
+
+    def test_corrupted_sets_fail(self, golden_flats):
+        golden = golden_mean()
+        stack, (flat1, flat2) = golden_flats[2]
+        tower = stack[2]
+        W = 2 * flat2.radius + 1
+        doubled = flat2.union(Clopen(golden, flat2.radius, {"0" * W}, check=False))
+        assert "overlap at shift 1" in flat_disjointness(tower, doubled)
+        # with n' = n every member is the only one within distance n' - 1,
+        # so the points around a dropped pattern are uncovered
+        dropped = Clopen(golden, flat2.radius, sorted(flat2.patterns)[1:], check=False)
+        assert "uncovered word" in flat_covering(tower, dropped)
+        # a center just beside a parent member, outside the parent set
+        c, R1 = flat2.radius, flat1.radius
+        beside = next(w for w in golden.words(W)
+                      if w[c + 1 - R1: c + 2 + R1] in flat1.patterns
+                      and w[c - R1: c + R1 + 1] not in flat1.patterns)
+        near = flat2.union(Clopen(golden, flat2.radius, {beside}, check=False))
+        assert "near the parent tower" in flat_nesting(tower, near, flat1)
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +543,7 @@ class TestNearAReturn:
 
 def test_chase_order_is_the_sorted_offsets():
     for n in range(1, 26):
-        stack = build_towers(golden_mean(), small_schedule(n), materialize=False)
+        stack = build_towers(golden_mean(), small_schedule(n))
         assert stack[1].chase_order == [m for m in sorted(range(-(n - 1), n), key=abs)
                                         if m != 0]
 
