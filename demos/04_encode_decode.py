@@ -12,9 +12,8 @@ from shiftembed.systems import Point, golden_mean
 pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
 x = Point("10", "00100", "001", -2)
 
-s1 = pipe.encode(x, 1, (-40, 40))
-s2 = pipe.encode(x, 2, (-40, 40))
-sl = pipe.encode_limit(x, (-40, 40))
+s1, s2 = pipe.encode_scales(x, (-40, 40))     # one pass writes every scale
+sl = s2.unresolved()
 print("psi_1:", "".join(s1.symbols))
 print("psi_2:", "".join(s2.symbols))
 print("psi  :", "".join(sl.symbols))

@@ -4,7 +4,7 @@ diagnostics for symbolic embeddings of zero-dimensional systems."""
 from .clopen import Clopen, OdoClopen
 from .codec import (SymbolStream, build_first_codebook,
                     build_conditional_codebook, build_periodic_code,
-                    decode_k, encode_k, encode_limit, invert)
+                    decode_k, encode_k, encode_limit, encode_scales, invert)
 from .entropy import (ScaleSchedule, appendix_fullness_check, build_schedule,
                       conditional_count, htop_estimate, per_growth_in_cell,
                       verify_schedule)

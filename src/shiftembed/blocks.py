@@ -145,10 +145,10 @@ class BlockLayout:
     def marker_progression(self, blk, k):
         return _marker_progression(self.schedule, blk, k, self.lo, self.hi)
 
-    def dump_lines(self, upto=None):
+    def dump_lines(self):
         out = []
         for t in range(self.lo, self.hi + 1):
-            role, scale = self.role_at(t, upto)
+            role, scale = self.role_at(t)
             out.append("%d %d %s" % (t, scale, role))
         return out
 

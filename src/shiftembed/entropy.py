@@ -278,7 +278,7 @@ def _family2_tail_certified(system, K, alpha, m_prev, m_cur, k, N_cert):
     return math.log(cc) < (n0 * alpha / 2 ** k - 1) * math.log(K)
 
 
-def verify_schedule(system, schedule, full=True):
+def verify_schedule(system, schedule):
     """Re-run every inequality family over the certified range.
 
     Returns a list of (name, scale, ok) records; raises nothing.
@@ -299,7 +299,7 @@ def verify_schedule(system, schedule, full=True):
     for k in range(1, schedule.kmax + 1):
         bound = alpha / 2 ** k
         okp = all(per_growth_in_cell(system, m[k - 1], nn) < bound
-                  for nn in range(1, (14 if full else 8)))
+                  for nn in range(1, 14))
         records.append(("per-growth", k, okp))
     if schedule.periodic and system.is_word_system:
         lp = least_period_count(system, n[0])
@@ -372,8 +372,7 @@ def check_layout_capacity(schedule):
                 % (k, L, needed, free), scale=k, block=L)
 
 
-def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64, periodic=None,
-                   check_capacity=True):
+def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64, check_capacity=True):
     """Smallest-(n_k) schedule satisfying the three inequality families.
 
     n_k is the smallest threshold such that the scale-k family holds for
@@ -392,8 +391,7 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64, periodic=None,
         raise ScheduleError("infeasible: h_top = %.6f >= log K = %.6f" % (h, logK))
     alpha = _alpha_fraction(logK - h)
     af = float(alpha)
-    if periodic is None:
-        periodic = system.is_word_system  # every nonempty SFT/orbit carries periodic points
+    periodic = system.is_word_system  # every nonempty SFT/orbit carries periodic points
 
     counts, cells1 = _scale1_counts(system, m[0], N_cert)
     ns = []
@@ -423,7 +421,7 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64, periodic=None,
         found = None
         if start <= N_cert and tail():
             for n0 in range(start, N_cert + 1):
-                if (k == 1 and periodic and system.is_word_system
+                if (k == 1 and periodic
                         and least_period_count(system, n0) >= K ** (n0 - 1)):
                     continue
                 found = n0

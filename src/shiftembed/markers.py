@@ -23,6 +23,7 @@ from .words import (least_period_at_most, min_period, necklace, periodic_window,
 
 FLAT_PATTERN_BUDGET = 300_000
 CHASE_LIMIT = 10_000
+RETURN_SCAN_CAP = 200_000   # positions a return scan walks before it refuses
 
 
 class PeriodicNeighborhood:
@@ -89,7 +90,7 @@ class PeriodicNeighborhood:
         phase = (d - (t - self.r)) % len(key)
         return key, phase
 
-    def clopen(self, width_cap=None):
+    def clopen(self):
         """Explicit pattern form (small systems only)."""
         pats = set()
         for key, p in self.orbits.items():
@@ -98,8 +99,7 @@ class PeriodicNeighborhood:
         total = len(pats)
         if total > FLAT_PATTERN_BUDGET:
             raise EnumerationBudgetError("neighborhood too large to materialize")
-        kwargs = {} if width_cap is None else {"width_cap": width_cap}
-        return Clopen(self.system, self.r, pats, check=False, **kwargs)
+        return Clopen(self.system, self.r, pats, check=False)
 
     def separation_check(self):
         """Distinct orbits have disjoint window sets, with enough slack that
@@ -404,8 +404,7 @@ def _side_has_returns_forever(tower, point, left):
     return not tower.pernbhd.has_orbit(necklace(root))
 
 
-def _scan_for_return(tower, point, runtime, from_pos, direction, quiet_bound,
-                     cap=200_000):
+def _scan_for_return(tower, point, runtime, from_pos, direction, quiet_bound):
     """Nearest return at or beyond from_pos in one direction.
 
     None when the side is certified quiet (deep periodic tail) and no return
@@ -413,13 +412,13 @@ def _scan_for_return(tower, point, runtime, from_pos, direction, quiet_bound,
     return gaps are bounded once the tail structure repeats.
     """
     t = from_pos
-    for _ in range(cap):
+    for _ in range(RETURN_SCAN_CAP):
         if quiet_bound is not None and (t < quiet_bound if direction < 0 else t > quiet_bound):
             return None
         if tower.member(point, t, runtime):
             return t
         t += direction
-    raise WindowError("no return within %d steps from %d" % (cap, from_pos))
+    raise WindowError("no return within %d steps from %d" % (RETURN_SCAN_CAP, from_pos))
 
 
 def return_partition(point, stack, k, window, prev_layout=None, prev_partition=None,

@@ -109,17 +109,17 @@ def dN_distance(x, y, N, horizon=None):
     return max(best, limit)
 
 
-def besicovitch_estimate(x, y, horizon=None):
+def besicovitch_estimate(x, y):
     """(value, exact) for the Besicovitch pseudometric d_inf = lim d_N.
 
     Exact for eventually periodic points: the density of disagreements is
     the mean of the two tail densities.
     """
-    h, counts, rho_r, rho_l = disagreement_data(x, y)
+    _, _, rho_r, rho_l = disagreement_data(x, y)
     return (rho_r + rho_l) / 2, True
 
 
-def stream_dN(s1, s2, N, horizon=None):
+def stream_dN(s1, s2, N):
     """Finite-window d_N of two symbol streams around time zero.
 
     A horizon value, never exact: sup over n in [N, H] of the disagreement
@@ -128,8 +128,6 @@ def stream_dN(s1, s2, N, horizon=None):
     a = max(s1.a, s2.a)
     b = min(s1.b, s2.b)
     H = min(-a, b)
-    if horizon is not None:
-        H = min(H, horizon)
     if H < N:
         raise SpecParseError("streams too short for d_N at N = %d" % N)
     diffs = 0
@@ -254,14 +252,13 @@ def convergence_report(points, pipeline, depth=2, sample_n=160):
     argument.  Rows: (point index, scale, metric, value, exactness tag)."""
     rows = []
     sched = pipeline.schedule
-    kmax = sched.kmax
     N = sched.n[0] ** 2
     alphabet = "123456789"[:sched.K] + "|=[]o?"
     alpha = sched.alpha_float
     for idx, p in enumerate(points):
-        sK = pipeline.encode(p, kmax, (-4 * N, 4 * N))
-        for k in range(1, kmax + 1):
-            sk = pipeline.encode(p, k, (-4 * N, 4 * N))
+        streams = list(pipeline.encode_scales(p, (-4 * N, 4 * N)))
+        sK = streams[-1]
+        for k, sk in enumerate(streams, 1):
             val = stream_dN(sk, sK, N)
             rows.append((idx, k, "dN(psi_k, psi)", val, "horizon=%d" % (4 * N)))
             bound = Fraction(3) * Fraction(sched.alpha) / 2 ** k

@@ -1,15 +1,15 @@
 """Pipeline assembly: schedule, towers, codebooks, periodic code.
 
-A Pipeline owns everything the codec needs and caches point contexts;
-codebooks rank on the system's counts and are built per lookup.  Building
-one runs the capacity checks up front so that encoding cannot fail later on
-admissible inputs.  Pipelines serialize to a directory
-of flat text artifacts and rebuild deterministically.
+A Pipeline owns everything the codec needs and keeps nothing per point:
+a point context lives for one encode pass, and codebooks rank on the
+system's counts and are built per lookup.  Building one runs the capacity
+checks up front so that encoding cannot fail later on admissible inputs.
+Pipelines serialize to a directory of flat text artifacts and rebuild
+deterministically.
 """
 
 import itertools
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import codec
@@ -20,7 +20,7 @@ from .markers import build_towers, verify_tower
 from .systems import Point, itinerary, parse_system, serialize_system, validate_point
 
 DEFAULT_SEED = 17
-CONTEXT_CACHE_SIZE = 64   # point contexts kept, least recently used evicted first
+CORE_MAX = 12   # the sampler's short-core length scale
 
 
 class Pipeline:
@@ -30,7 +30,6 @@ class Pipeline:
         self.stack = stack
         self.periodic_code = periodic_code
         self.periodic = schedule.periodic
-        self._contexts = OrderedDict()
 
     @property
     def kmax(self):
@@ -56,24 +55,14 @@ class Pipeline:
     # -- point contexts -----------------------------------------------------
 
     def context(self, point, window):
-        """Partitions and layout of a point around a window, cached by the
-        point's representation, so an equal point built anew hits."""
-        if hasattr(point, "digits"):
-            key = (point.digits, window)
-        else:
-            key = (point.left, point.core, point.right, point.anchor, window)
-        ctx = self._contexts.get(key)
-        if ctx is None:
-            ctx = codec.build_point_context(self, point, window)
-            if len(self._contexts) >= CONTEXT_CACHE_SIZE:
-                self._contexts.popitem(last=False)
-            self._contexts[key] = ctx
-        else:
-            self._contexts.move_to_end(key)
-        return ctx
+        """Partitions and layout of a point around a window, built anew."""
+        return codec.build_point_context(self, point, window)
 
     def encode(self, point, k, window):
         return codec.encode_k(point, self, k, window)
+
+    def encode_scales(self, point, window):
+        return codec.encode_scales(point, self, window)
 
     def encode_limit(self, point, window):
         return codec.encode_limit(point, self, window)
@@ -86,19 +75,18 @@ class Pipeline:
 
 
 def build_pipeline(system, K, kmax, C=8.0, m=None, N_cert=64, schedule=None,
-                   reverify_override=True, precheck=False):
+                   precheck=False):
     """Assemble a pipeline: schedule (built or override), towers, periodic code."""
     if schedule is None:
         schedule = build_schedule(system, K, kmax, C=C, m=m, N_cert=N_cert)
     else:
-        if reverify_override:
-            records = verify_schedule(system, schedule, full=False)
-            # a layout-capacity failure is left to check_layout_capacity,
-            # whose CapacityError names the failing scale and block length
-            bad = [r for r in records if not r[2] and r[0] != "layout-capacity"]
-            if bad:
-                raise ScheduleError("override schedule fails re-verification: %r" % bad)
-            check_layout_capacity(schedule)
+        records = verify_schedule(system, schedule)
+        # a layout-capacity failure is left to check_layout_capacity,
+        # whose CapacityError names the failing scale and block length
+        bad = [r for r in records if not r[2] and r[0] != "layout-capacity"]
+        if bad:
+            raise ScheduleError("override schedule fails re-verification: %r" % bad)
+        check_layout_capacity(schedule)
     stack = build_towers(system, schedule)
     periodic_code = None
     if schedule.periodic:
@@ -137,7 +125,7 @@ def precheck_pipeline(pipeline):
 # -- deterministic point sampling ------------------------------------------------
 
 
-def sample_points(system, count, seed=DEFAULT_SEED, core_max=12):
+def sample_points(system, count, seed=DEFAULT_SEED):
     """Seeded eventually-periodic sample points, mixing plain graph walks
     with points carrying long periodic cores (to exercise singular blocks)."""
     import random
@@ -160,13 +148,13 @@ def sample_points(system, count, seed=DEFAULT_SEED, core_max=12):
         right = rng.choice(cycles)
         style = rng.random()
         if style < 0.35:
-            middle_len = rng.randrange(0, core_max + 1)
+            middle_len = rng.randrange(0, CORE_MAX + 1)
         elif style < 0.7:
             cyc = rng.choice(cycles)
             reps = rng.randrange(3, 9)
             middle_len = len(cyc) * reps
         else:
-            middle_len = rng.randrange(core_max, 3 * core_max)
+            middle_len = rng.randrange(CORE_MAX, 3 * CORE_MAX)
         point = _stitch_point(system, rng, left, right, middle_len)
         if point is not None:
             out.append(point)
@@ -275,55 +263,68 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
         for r in trep.records:
             report.add("markers", r.invariant + "(" + r.method + ")", r.scale, r.ok, r.detail)
 
-    # an encode, decode or read-back that raises fails its check, with the
-    # first error text as the record's detail, instead of ending the run
+    # one encode pass per (point, window) serves every scale; an encode,
+    # decode or read-back that raises fails its check at that scale, with
+    # the first error text as the record's detail, instead of ending the run
+    kmax = sched.kmax
     a, b = window
-    for k in range(1, sched.kmax + 1):
-        ok_eq, detail_eq = True, ""
-        for p in points:
-            try:
-                s0 = pipeline.encode(p, k, (a, b))
-                s1 = pipeline.encode(p.shifted(1), k, (a - 1, b - 1))
-            except ShiftEmbedError as exc:
-                ok_eq, detail_eq = False, detail_eq or str(exc)
+    equivariance, roundtrip = {}, {}        # failed scale -> first error text
+    for p in points:
+        s0, err0 = _encode_pass(pipeline, p, (a, b))
+        s1, err1 = _encode_pass(pipeline, p.shifted(1), (a - 1, b - 1))
+        for k in range(1, kmax + 1):
+            if k > len(s0) or k > len(s1):
+                _fail(equivariance, k, err0 if k > len(s0) else err1)
+            elif s0[k - 1].symbols != s1[k - 1].symbols:
+                _fail(equivariance, k)
+    margin = pipeline.decode_margin()
+    for p in points[: max(4, len(points) // 3)]:
+        streams, err = _encode_pass(pipeline, p, (a - margin, b + margin))
+        want = [itinerary(system, p, m, (a, b)) for m in sched.m]
+        for k in range(1, kmax + 1):
+            if k > len(streams):
+                _fail(roundtrip, k, err)
                 continue
-            if s0.symbols != s1.symbols:
-                ok_eq = False
-        report.add("codec", "equivariance", k, ok_eq, detail_eq)
-        ok_rt, detail_rt = True, ""
-        margin = pipeline.decode_margin()
-        for p in points[: max(4, len(points) // 3)]:
             try:
-                stream = pipeline.encode(p, k, (a - margin, b + margin))
-                res = pipeline.decode(stream, k)
+                res = pipeline.decode(streams[k - 1], k)
+                got = [res.itinerary_list(l, (a, b)) for l in range(1, k + 1)]
             except ShiftEmbedError as exc:
-                ok_rt, detail_rt = False, detail_rt or str(exc)
+                _fail(roundtrip, k, exc)
                 continue
-            for l in range(1, k + 1):
-                want = itinerary(system, p, sched.m[l - 1], (a, b))
-                try:
-                    got = res.itinerary_list(l, (a, b))
-                except ShiftEmbedError as exc:
-                    ok_rt, detail_rt = False, detail_rt or str(exc)
-                    break
-                if got != want:
-                    ok_rt = False
-        report.add("codec", "roundtrip", k, ok_rt, detail_rt)
+            if got != want[:k]:
+                _fail(roundtrip, k)
+    for k in range(1, kmax + 1):
+        report.add("codec", "equivariance", k, k not in equivariance, equivariance.get(k, ""))
+        report.add("codec", "roundtrip", k, k not in roundtrip, roundtrip.get(k, ""))
 
-    dn_ok, detail_dn = True, ""
+    dn = {}
+    N = sched.n[0] ** 2
     for p in points[:6]:
-        N = sched.n[0] ** 2
-        try:
-            s1 = pipeline.encode(p, 1, (-4 * N, 4 * N))
-            sK = pipeline.encode(p, sched.kmax, (-4 * N, 4 * N))
-        except ShiftEmbedError as exc:
-            dn_ok, detail_dn = False, detail_dn or str(exc)
-            continue
-        val = metrics.stream_dN(s1, sK, N)
-        if val > 3 * sched.alpha_float / 2 + 1e-9:
-            dn_ok = False
-    report.add("codec", "dN-convergence", 1, dn_ok, detail_dn)
+        streams, err = _encode_pass(pipeline, p, (-4 * N, 4 * N))
+        if err is not None:
+            _fail(dn, 1, err)
+        elif metrics.stream_dN(streams[0], streams[-1], N) > 3 * sched.alpha_float / 2 + 1e-9:
+            _fail(dn, 1)
+    report.add("codec", "dN-convergence", 1, 1 not in dn, dn.get(1, ""))
     return report
+
+
+def _encode_pass(pipeline, point, window):
+    """The streams psi_1, psi_2, ... of one encode pass, and the error that
+    ended it before k_max, or None."""
+    streams = []
+    try:
+        for stream in pipeline.encode_scales(point, window):
+            streams.append(stream)
+    except ShiftEmbedError as exc:
+        return streams, exc
+    return streams, None
+
+
+def _fail(failed, k, exc=None):
+    """Mark scale k failed; the first error text stays its detail."""
+    if not failed.get(k):
+        failed[k] = "" if exc is None else str(exc)
 
 
 # -- serialization --------------------------------------------------------------

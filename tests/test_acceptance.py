@@ -67,9 +67,8 @@ def test_criterion_02_equivariance(pipe, points):
     a, b = -80, 80
     bad = 0
     for p in points:
-        for k in (1, 2):
-            s0 = pipe.encode(p, k, (a + 1, b + 1))
-            s1 = pipe.encode(p.shifted(1), k, (a, b))
+        for s0, s1 in zip(pipe.encode_scales(p, (a + 1, b + 1)),
+                          pipe.encode_scales(p.shifted(1), (a, b))):
             if s0.symbols != s1.symbols:
                 bad += 1
     print("\n[2] equivariance: %d violations (zero tolerance): %s"
@@ -165,9 +164,8 @@ def test_criterion_06_dN_convergence(pipe, points):
     worst1 = Fraction(0)
     worst2 = Fraction(0)
     for p in points:
-        limit = pipe.encode_limit(p, (-H, H))
-        s1 = pipe.encode(p, 1, (-H, H))
-        s2 = pipe.encode(p, 2, (-H, H))
+        s1, s2 = pipe.encode_scales(p, (-H, H))
+        limit = s2.unresolved()
         worst1 = max(worst1, stream_dN(s1, limit, N))
         worst2 = max(worst2, stream_dN(s2, limit, pipe.schedule.n[1] ** 2 if
                                        pipe.schedule.n[1] ** 2 <= H else N))

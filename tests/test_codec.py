@@ -9,9 +9,9 @@ from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream, _block_key
 from shiftembed.errors import (CapacityError, EnumerationBudgetError,
                                MalformedStreamError, ScheduleError, WindowError)
 from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
-from shiftembed.systems import (Odometer, OdometerPoint, Point, Sft, cell_label,
-                                dyadic_odometer, enumerate_periodic, full_shift,
-                                golden_mean, itinerary)
+from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft,
+                                cell_label, dyadic_odometer, enumerate_periodic,
+                                full_shift, golden_mean, itinerary)
 from shiftembed.words import (code_length_needed, forbidden_shape_count_bound,
                               has_short_period_prefix, kary_index, kary_word,
                               repetition_prefix)
@@ -238,9 +238,8 @@ class TestStreams:
 
     def test_equivariance_all_scales(self, pipe):
         for p in sample_points(golden_mean(), 25, seed=23):
-            for k in (1, 2):
-                s0 = pipe.encode(p, k, (-40, 40))
-                s1 = pipe.encode(p.shifted(1), k, (-41, 39))
+            for s0, s1 in zip(pipe.encode_scales(p, (-40, 40)),
+                              pipe.encode_scales(p.shifted(1), (-41, 39))):
                 assert s0.symbols == s1.symbols
 
     def test_roundtrip_and_orbit_ids(self, pipe):
@@ -317,15 +316,14 @@ class TestConvergence:
         alpha = pipe.schedule.alpha_float
         worst = 0
         for p in sample_points(golden_mean(), 20, seed=41):
-            s1 = pipe.encode(p, 1, (-4 * N, 4 * N))
-            sK = pipe.encode_limit(p, (-4 * N, 4 * N))
+            s1, s2 = pipe.encode_scales(p, (-4 * N, 4 * N))
+            sK = s2.unresolved()
             worst = max(worst, stream_dN(s1, sK, N))
         assert worst <= 3 * alpha / 2
 
     def test_coordinate_changes_at_most_twice(self, pipe):
         for p in sample_points(golden_mean(), 12, seed=43):
-            s1 = pipe.encode(p, 1, (-60, 60))
-            s2 = pipe.encode(p, 2, (-60, 60))
+            s1, s2 = pipe.encode_scales(p, (-60, 60))
             changes = sum(1 for a, b in zip(s1.symbols, s2.symbols) if a != b)
             per_coord = [int(a != b) for a, b in zip(s1.symbols, s2.symbols)]
             assert max(per_coord) <= 2
@@ -374,8 +372,7 @@ class TestChangeDensityAndInjectivity:
         alpha = sched.alpha_float
         bound = alpha / 2 + 2 / n1 + 16 * n1 / (2 * L + 1)
         for p in sample_points(golden_mean(), 15, seed=53):
-            s1 = pipe.encode(p, 1, (-L, L))
-            s2 = pipe.encode(p, 2, (-L, L))
+            s1, s2 = pipe.encode_scales(p, (-L, L))
             diffs = sum(1 for a, b in zip(s1.symbols, s2.symbols) if a != b)
             assert diffs / (2 * L + 1) <= bound
 
@@ -407,6 +404,68 @@ def _roundtrip(pipe, point, window=(-200, 200)):
         want = itinerary(pipe.system, point, pipe.schedule.m[l - 1], window)
         assert res.itinerary_list(l, window) == want
     return stream
+
+
+class TestEncodeScales:
+    """One encode pass yields psi_1, ..., psi_kmax from one point context."""
+
+    @pytest.mark.parametrize("system, kwargs", [
+        (golden_mean(), dict(K=2, kmax=2, C=0.0, m=(0, 0))),
+        (golden_mean(), dict(K=3, kmax=2, C=0.0, m=(0, 0))),
+        (dyadic_odometer(8), dict(K=2, kmax=3, N_cert=128)),
+        (OrbitSystem(2, "001"), dict(K=2, kmax=2, C=0.0, m=(0, 0))),
+    ], ids=["golden-K2", "golden-K3", "odometer", "orbit001"])
+    def test_pass_equals_each_scale_and_the_limit(self, system, kwargs):
+        pipe = build_pipeline(system, **kwargs)
+        window = (-50, 50)
+        for point in sample_points(system, 4, seed=3):
+            streams = list(pipe.encode_scales(point, window))
+            assert [s.to_text() for s in streams] == \
+                [pipe.encode(point, k, window).to_text() for k in range(1, pipe.kmax + 1)]
+            assert streams[-1].unresolved().to_text() == \
+                pipe.encode_limit(point, window).to_text()
+
+    def test_a_scale_that_raises_ends_the_pass(self):
+        grow3 = build_pipeline(golden_mean(), K=3, kmax=2, C=0.0, m=(0, 1))
+        point = Point("010", "10010001010010010", "10000", -17)
+        margin = grow3.decode_margin()
+        window = (-60 - margin, 60 + margin)
+        scales = grow3.encode_scales(point, window)
+        assert next(scales) == grow3.encode(point, 1, window)
+        with pytest.raises(CapacityError, match="codeword of length 2 cannot fit 1 slots"):
+            next(scales)
+        assert next(scales, None) is None
+
+
+class TestNonSpecialSingular:
+    """Golden K=2 at n_2 = 19 has budget(19, 2) = 1: a singular scale-2
+    block of least period 19 is non-special and carries its conditional and
+    identification codes.  No sampled point reaches such a block."""
+
+    @pytest.mark.parametrize("shape", ["two-sided", "right-tail", "left-tail"])
+    def test_codes_written_and_read_back(self, pipe, shape):
+        for v in golden_mean().least_period_words(19)[:3]:
+            point = {"two-sided": Point(v, "", v, 0), "right-tail": Point("0", "", v, 0),
+                     "left-tail": Point(v, "", "0", 0)}[shape]
+            margin = pipe.decode_margin()
+            ctx = pipe.context(point, (-200 - margin, 200 + margin))
+            assert any(blk.kind == "singular" and not blk.special
+                       and blk.cond_positions and blk.ident_positions
+                       for blk in ctx.layout.layer(2).blocks)
+            _roundtrip(pipe, point)
+            for s0, s1 in zip(pipe.encode_scales(point, (-60, 60)),
+                              pipe.encode_scales(point.shifted(1), (-61, 59))):
+                assert s0.symbols == s1.symbols
+
+    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
+        "the scale-2 singular region (-2, inf) follows the special stretch "
+        "(-inf, -2) with no bracket between them; _split_singular_region "
+        "keeps the n'_k deep-zone margin only at bounded region ends, so "
+        "_extract_period reads [-2, B] with the junction letters and raises "
+        "'shadowed region content is not periodic'; 10 of the 11 orbits of "
+        "least period 10 = n_2 fail in this shape"))
+    def test_right_tail_at_n2_after_a_special_stretch(self, pipe3):
+        _roundtrip(pipe3, Point("0", "", "0000000101", 0))
 
 
 class TestStretchFreeing:
@@ -459,26 +518,20 @@ class TestStretchFreeing:
 
 class TestWindowEdge:
     """Golden K=2 points whose tails are made of regular scale-1 blocks
-    (least period 13 > n_1 = 9).  The decoder raises on the cut block at the
-    stream's edge instead of leaving it uncertified, so whether a point
-    round-trips depends on where the window cuts its tail."""
+    (least period 13 > n_1 = 9).  The region before the first boundary of
+    the stream is shorter than any regular block, so it is a block the left
+    edge cut, and the decoder leaves it uncertified whatever it holds."""
 
     EDGE_POINT = Point("0001000000000", "000100", "1001001000000", -1)
 
-    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
-        "the stream [-446, 446] cuts the left tail of least period 13 ten "
-        "positions from its edge, and decode raises \"stretch content clashes "
-        "with orbit '000010001' at -436\""))
     def test_roundtrip_tail_cut_near_the_edge(self, pipe):
+        # the stream [-446, 446] cuts a block of the left tail ten positions
+        # from its edge, and that block's letters clash with any orbit
         _roundtrip(pipe, Point("0010000010101", "001010", "1010100000010", -4))
 
     def test_roundtrip_where_the_window_cut_is_harmless(self, pipe):
         _roundtrip(pipe, self.EDGE_POINT)
 
-    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
-        "the same point on the wider stream [-546, 546]: the cut falls "
-        "elsewhere in the left tail, and decode raises \"stretch content "
-        "clashes with orbit '0000101' at -546\""))
     def test_roundtrip_same_point_on_a_wider_window(self, pipe):
         _roundtrip(pipe, self.EDGE_POINT, window=(-300, 300))
 

@@ -245,7 +245,7 @@ class TestLayoutCapacity:
     def test_verify_record_can_fail(self):
         sched = ScaleSchedule(K=2, alpha=Fraction(1, 5), m=(0, 0), n=(20, 100),
                               nprime=(20, 120), r=(20, 100), periodic=False)
-        records = verify_schedule(golden_mean(), sched, full=False)
+        records = verify_schedule(golden_mean(), sched)
         assert ("layout-capacity", 2, False) in records
 
     def test_verify_record_passes_for_golden(self):
@@ -255,7 +255,7 @@ class TestLayoutCapacity:
     def test_override_failing_only_capacity_raises_capacity_error(self):
         sched = build_schedule(golden_mean(), K=2, kmax=3, C=0.0, m=(0, 0, 0),
                                check_capacity=False)
-        records = verify_schedule(golden_mean(), sched, full=False)
+        records = verify_schedule(golden_mean(), sched)
         assert [r for r in records if not r[2]] == [("layout-capacity", 3, False)]
         with pytest.raises(CapacityError) as err:
             build_pipeline(golden_mean(), K=2, kmax=3, schedule=sched)

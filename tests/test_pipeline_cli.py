@@ -5,9 +5,9 @@ import pytest
 from shiftembed.cli import main
 from shiftembed.entropy import ScaleSchedule
 from shiftembed.errors import ScheduleError
-from shiftembed.pipeline import (CONTEXT_CACHE_SIZE, build_pipeline, load_pipeline,
-                                 sample_points, save_pipeline, verify_pipeline)
-from shiftembed.systems import OdometerPoint, Point, dyadic_odometer, golden_mean
+from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points, save_pipeline,
+                                 verify_pipeline)
+from shiftembed.systems import golden_mean
 
 
 @pytest.fixture(scope="module")
@@ -56,34 +56,6 @@ class TestPipeline:
         points = sample_points(golden_mean(), 8, seed=13)
         report = verify_pipeline(pipe, points=points, window=(-40, 40))
         assert report.passed, "\n".join(report.lines())
-
-    def test_context_cache_hits_an_equal_point(self, pipe):
-        window = (-30, 30)
-        ctx = pipe.context(Point("10", "00100", "001", -2), window)
-        assert pipe.context(Point("10", "00100", "001", -2), window) is ctx
-        assert pipe.context(Point("10", "00100", "001", -3), window) is not ctx
-        assert pipe.context(Point("10", "00100", "001", -2), (-31, 30)) is not ctx
-
-    def test_context_cache_hits_an_equal_odometer_point(self):
-        odo = dyadic_odometer(8)
-        opipe = build_pipeline(odo, K=2, kmax=3, N_cert=128)
-        digits = (1, 0, 1, 1, 0, 0, 1, 0)
-        ctx = opipe.context(OdometerPoint(odo, digits), (-10, 10))
-        assert opipe.context(OdometerPoint(odo, digits), (-10, 10)) is ctx
-
-    def test_context_cache_is_a_bounded_lru(self):
-        gpipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
-        window = (-10, 10)
-        first = gpipe.context(Point("0", "", "0", 0), window)
-        for i in range(CONTEXT_CACHE_SIZE + 5):
-            gpipe.context(Point("0", "", "0", 0), window)    # kept recent
-            gpipe.context(Point("0", "1", "0", i), window)
-            assert len(gpipe._contexts) <= CONTEXT_CACHE_SIZE
-        assert len(gpipe._contexts) == CONTEXT_CACHE_SIZE
-        assert gpipe.context(Point("0", "", "0", 0), window) is first
-        evicted = gpipe.context(Point("0", "1", "0", 0), window)
-        assert gpipe.context(Point("0", "1", "0", 0), window) is evicted
-        assert len(gpipe._contexts) == CONTEXT_CACHE_SIZE
 
     def test_sampler_deterministic(self):
         a = sample_points(golden_mean(), 10, seed=5)
