@@ -225,6 +225,9 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
             if start_sub is not None and start_sub.kind == "singular":
                 # the adjusted boundary sits at a marker-capable singular
                 # position: the bracket lands there, costing no free slot
+                if L <= 0:
+                    raise CapacityError("scale-%d block %r has no position for its marker"
+                                        % (k, (start, end)), scale=k, block=(start, end))
                 blk.marker_pos = start
                 slots = [p for p in slots if p != start]
             else:

@@ -47,6 +47,15 @@ def cmd_build(args):
     return 0
 
 
+def _emit(text, out):
+    """Write a command's output to the file named by --out, or to stdout."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _load(args):
     return load_pipeline(args.pipeline)
 
@@ -59,12 +68,7 @@ def cmd_encode(args):
     k = args.scale or pipeline.kmax
     stream = pipeline.encode_limit(point, (a, b)) if args.limit else \
         pipeline.encode(point, k, (a, b))
-    text = stream.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(stream.to_text(), args.out)
     return 0
 
 
@@ -85,12 +89,7 @@ def cmd_decode(args):
         lines.append("scale %d window %d:%d" % (l, lo, hi))
         lines.append("labels %s" % labels)
     lines.append("orbits %s" % " ".join(result.orbits))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

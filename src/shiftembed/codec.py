@@ -34,8 +34,8 @@ from .errors import (CapacityError, MalformedStreamError, ScheduleError,
 from .markers import Interval, ReturnPartition, return_partition
 from .systems import cell_label, periodic_orbits
 from .words import (code_length_needed, has_short_period_prefix, is_primitive,
-                    kary_alphabet, kary_index, kary_word, min_period, necklace,
-                    periodic_window, repetition_prefix)
+                    kary_alphabet, kary_index, kary_word, least_rotation, min_period,
+                    necklace, periodic_window, repetition_prefix)
 
 SYM_M1 = "|"
 SYM_MK = "="
@@ -184,13 +184,16 @@ class Codebook:
         return word
 
     def decode(self, word):
-        word = word[:self.length]
-        letters = kary_alphabet(self.K)
+        """The key of a codeword, given as a string or as its stream tokens
+        and read up to the code length; a token that is not one code letter
+        puts it outside the image."""
+        head = word[:self.length]
         index = self.size
-        if len(word) == self.length and all(c in letters for c in word):
-            index = kary_index(word, self.K)
+        if len(head) == self.length and set(kary_alphabet(self.K)).issuperset(head):
+            index = kary_index(head, self.K)
         if index >= self.size:
-            raise MalformedStreamError("codeword %r not in codebook image" % word)
+            raise MalformedStreamError("codeword %r not in codebook image"
+                                       % "".join(word)[:self.length])
         return self._unrank(index)
 
     def __len__(self):
@@ -519,24 +522,34 @@ class PointContext:
     layout: object
 
 
-def build_point_context(pipeline, point, window):
-    """Resolve return partitions and the layout chain around a window."""
+def _context_scales(pipeline, point, window):
+    """Resolve a point's context around a window one scale at a time,
+    yielding it after each scale's return partition and layer."""
     from .blocks import BlockLayout, append_layer
     sched = pipeline.schedule
     a, b = window
-    pad = pipeline.decode_margin() + 4 * sum(sched.nprime)
+    # room for a complete block of every scale on each side, so that every
+    # block meeting the window is laid out whole; callers that decode have
+    # already widened the window by the decode margin
+    pad = 4 * sum(sched.nprime)
     lo, hi = a - pad, b + pad
+    ctx = PointContext(point, lo, hi, [],
+                       BlockLayout(schedule=sched, lo=lo, hi=hi, periodic=pipeline.periodic))
     runtime = pipeline.stack.runtime(point)
-    layout = BlockLayout(schedule=sched, lo=lo, hi=hi, periodic=pipeline.periodic)
-    partitions = []
     for k in range(1, sched.kmax + 1):
         part = return_partition(point, pipeline.stack, k, (lo, hi),
-                                prev_layout=layout if k >= 2 else None,
-                                prev_partition=partitions[-1] if partitions else None,
+                                prev_layout=ctx.layout if k >= 2 else None,
+                                prev_partition=ctx.partitions[-1] if k >= 2 else None,
                                 runtime=runtime)
-        partitions.append(part)
-        append_layer(layout, part)
-    return PointContext(point, lo, hi, partitions, layout)
+        ctx.partitions.append(part)
+        append_layer(ctx.layout, part)
+        yield ctx
+
+
+def build_point_context(pipeline, point, window):
+    """Resolve return partitions and the layout chain around a window."""
+    *_, ctx = _context_scales(pipeline, point, window)
+    return ctx
 
 
 def _block_key(pipeline, point, blk, m):
@@ -551,6 +564,15 @@ def _orbit_key(orbit, m, n):
     return tuple(periodic_window(orbit, t - m, t + m) for t in range(n))
 
 
+def _block_codebook(pipeline, l, blk, coarse):
+    """The codebook of a regular l-block's codeword: at scale 1 the code of
+    its length and filling, above it the code conditioned on the block's
+    coarse itinerary."""
+    if l == 1:
+        return pipeline.first_codebook(blk.length(), len(blk.fill_positions))
+    return pipeline.cond_codebook(l, blk.length(), coarse)
+
+
 def _render_layer(pipeline, ctx, l, sym):
     """Write the scale-l layer over the context range into sym, which holds
     psi_{l-1} as pos -> (symbol, scale), a free slot's scale None, and then
@@ -560,40 +582,28 @@ def _render_layer(pipeline, ctx, l, sym):
     layer = ctx.layout.layer(l)
     m_l = sched.m[l - 1]
     for blk in layer.blocks:
+        for pos in blk.freed_positions:         # none at scale 1
+            sym[pos] = (SYM_FREE, None)
         if blk.kind == "regular":
-            if l == 1:
-                key = _block_key(pipeline, point, blk, m_l)
-                cb = pipeline.first_codebook(blk.length(), len(blk.fill_positions))
-                word = cb.encode(key)
-                for pos, ch in zip(blk.fill_positions, word):
-                    sym[pos] = (ch, 1)
-            else:
-                for pos in blk.freed_positions:
-                    sym[pos] = (SYM_FREE, None)
-                coarse = _block_key(pipeline, point, blk, sched.m[l - 2])
-                fine = _block_key(pipeline, point, blk, m_l)
-                cb = pipeline.cond_codebook(l, blk.length(), coarse)
-                word = cb.encode(fine, pad_to=len(blk.fill_positions))
-                for pos, ch in zip(blk.fill_positions, word):
-                    sym[pos] = (ch, l)
-        else:
-            if l == 1:
-                s = blk.start if blk.start is not None else ctx.lo
-                e = blk.end if blk.end is not None else ctx.hi + 1
-                for t in range(max(s, ctx.lo), min(e, ctx.hi + 1)):
-                    sym[t] = (pipeline.periodic_code.stream_letter(
-                        blk.orbit, blk.phase, t), 1)
-            else:
-                for pos in blk.freed_positions:
-                    sym[pos] = (SYM_FREE, None)
-                if not blk.special and blk.m > sched.n[l - 2]:
-                    coarse = _orbit_key(blk.orbit, sched.m[l - 2], blk.m)
-                    fine = _orbit_key(blk.orbit, m_l, blk.m)
-                    cb = pipeline.cond_codebook(l, blk.m, coarse)
-                    icb = pipeline.ident_codebook(l, blk.m, fine)
-                    budget = sched.budget(blk.m, l)
-                    _write_singular_codes(sym, blk, cb.encode(fine, pad_to=budget),
-                                          icb.encode(necklace(blk.orbit), pad_to=budget), l)
+            coarse = _block_key(pipeline, point, blk, sched.m[l - 2]) if l >= 2 else None
+            cb = _block_codebook(pipeline, l, blk, coarse)
+            word = cb.encode(_block_key(pipeline, point, blk, m_l),
+                             pad_to=len(blk.fill_positions))
+            for pos, ch in zip(blk.fill_positions, word):
+                sym[pos] = (ch, l)
+        elif l == 1:
+            s = blk.start if blk.start is not None else ctx.lo
+            e = blk.end if blk.end is not None else ctx.hi + 1
+            for t in range(max(s, ctx.lo), min(e, ctx.hi + 1)):
+                sym[t] = (pipeline.periodic_code.stream_letter(blk.orbit, blk.phase, t), 1)
+        elif not blk.special:
+            coarse = _orbit_key(blk.orbit, sched.m[l - 2], blk.m)
+            fine = _orbit_key(blk.orbit, m_l, blk.m)
+            cb = pipeline.cond_codebook(l, blk.m, coarse)
+            icb = pipeline.ident_codebook(l, blk.m, fine)
+            budget = sched.budget(blk.m, l)
+            _write_singular_codes(sym, blk, cb.encode(fine, pad_to=budget),
+                                  icb.encode(necklace(blk.orbit), pad_to=budget), l)
     for pos, role in layer.role.items():
         ch = _ROLE_SYMBOL.get(role)
         if ch is not None:
@@ -616,11 +626,11 @@ def _write_singular_codes(sym, blk, cond_word, ident_word, scale):
 def encode_scales(point, pipeline, window):
     """Yield psi_1, ..., psi_kmax of a point on an inclusive window from one
     context, psi_k writing scale k's layer into the slots psi_{k-1} left
-    free.  A layer that raises ends the iteration with its error."""
-    ctx = pipeline.context(point, window)
+    free.  Scale k is resolved right before it is rendered, and a scale
+    that raises ends the iteration with its error."""
     a, b = window
     sym = {}
-    for k in range(1, pipeline.schedule.kmax + 1):
+    for k, ctx in enumerate(_context_scales(pipeline, point, window), 1):
         _render_layer(pipeline, ctx, k, sym)
         cells = list(map(sym.get, range(a, b + 1), itertools.repeat((SYM_FREE, None))))
         yield SymbolStream(a, b, [ch for ch, _ in cells], [scale for _, scale in cells])
@@ -649,7 +659,6 @@ class DecodeResult:
     certified: dict            # scale -> (lo, hi) inclusive, or None
     orbits: list               # orbit necklaces read from singular blocks
     stream_k: SymbolStream     # the pi_k form of the input stream
-    layout: object = None
 
     def itinerary_list(self, k, window):
         lo, hi = window
@@ -663,7 +672,7 @@ class DecodeResult:
 
 def _digit_run(stream, t, length, K):
     """The word of `length` code letters starting at t, or None."""
-    letters = set("123456789"[:K])
+    letters = set(kary_alphabet(K))
     out = []
     for i in range(length):
         if not stream.a <= t + i <= stream.b:
@@ -687,7 +696,8 @@ def _decode_scale1(stream, pipeline):
     Block starts carry '|'; every bounded singular stretch carries one
     terminator symbol right after its protected n_1-prefix, so structure
     boundaries are the '|' positions plus (terminator - n_1) positions, and
-    classification is immediate.
+    classification is immediate.  Stretches are read here; the codewords of
+    the regular blocks are read from the laid-out layer.
     """
     sched = pipeline.schedule
     periodic = pipeline.periodic
@@ -720,16 +730,7 @@ def _decode_scale1(stream, pipeline):
             continue  # cut by the window edge
         if not len_lo <= nxt - s < len_hi:
             raise MalformedStreamError("block [%d, %d) has impossible length" % (s, nxt))
-        fill = sched.fill1(nxt - s)
-        word = _digit_run(stream, s + 1, fill, K)
-        if word is None:
-            raise MalformedStreamError("block at %d has non-letter filling content" % s)
-        cb = pipeline.first_codebook(nxt - s, fill)
-        key = cb.decode(word)
-        for t in range(s, nxt):
-            _put_label(labels, t, key[t - s])
         intervals.append(Interval(s, nxt, "regular"))
-        cert_parts.append((s, nxt - 1))
 
     stretch_bounds = []
     for s in sorted(stretch_starts):
@@ -790,8 +791,7 @@ def _validate_stretch_content(stream, pipeline, s, e, orbit, phase):
     singular block puts them at scales 2..k_max)."""
     sched = pipeline.schedule
     code = pipeline.periodic_code
-    K = sched.K
-    letters = set("123456789"[:K])
+    letters = set(kary_alphabet(sched.K))
     A, B = stream.a, stream.b
     lo_t = A if s is None else max(s, A)
     hi_t = B + 1 if e is None else min(e, B + 1)
@@ -847,9 +847,9 @@ def _covered_range(parts, within):
     return (best[0], best[1])
 
 
-def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
-    """Reconstruct scale-k structure from markers/brackets, re-run the layout,
-    and invert the per-context codes."""
+def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
+    """Reconstruct scale-k structure from markers/brackets above the
+    decoded layers, and read its singular regions."""
     sched = pipeline.schedule
     A, B = stream.a, stream.b
     len_lo, len_hi = sched.block_bounds(k)
@@ -925,7 +925,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
     for iv in sorted(intervals, key=lambda iv: iv.start if iv.start is not None else A - 1):
         if iv.kind == "singular":
             pieces = _split_singular_region(iv, pipeline, k, labels_prev,
-                                            intervals_prev, (A, B))
+                                            prev_layer.blocks, (A, B))
             for piece in pieces:
                 orbits.append(piece.orbit)
                 piece.adj_start, piece.adj_end = piece.start, piece.end
@@ -951,33 +951,36 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, intervals_prev):
             iv.adj_start, iv.adj_end = iv.start, iv.end
             out_intervals.append(iv)
 
-    layer = _append_decoded_layer(layout, k, (A, B), out_intervals)
+    return out_intervals, labels, orbits, cert_parts
 
+
+def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
+    """Invert the codeword of every regular block of a decoded layer into
+    its itinerary labels and certify the block.  A block is skipped when a
+    coarse label or a codeword slot lies outside what is decoded; above
+    scale 1 its marker slot must hold a marker."""
+    k = layer.scale
+    A, B = stream.a, stream.b
     for blk in layer.blocks:
         if blk.kind != "regular":
             continue
-        try:
-            coarse = tuple(labels_prev[t] for t in range(blk.start, blk.end))
-        except KeyError:
-            continue  # outside the previous certified region
-        cb = pipeline.cond_codebook(k, blk.length(), coarse)
-        letters = []
-        ok = True
-        for pos in blk.fill_positions[:cb.length]:
-            if not A <= pos <= B:
-                ok = False
-                break
-            letters.append(stream.get(pos))
-        if not ok:
+        coarse = None
+        if k >= 2:
+            try:
+                coarse = tuple(labels_prev[t] for t in range(blk.start, blk.end))
+            except KeyError:
+                continue  # outside the previous certified region
+        cb = _block_codebook(pipeline, k, blk, coarse)
+        slots = blk.fill_positions[:cb.length]
+        if not all(A <= pos <= B for pos in slots):
             continue
-        fine = cb.decode("".join(letters))
+        fine = cb.decode([stream.get(pos) for pos in slots])
         for t in range(blk.start, blk.end):
             _put_label(labels, t, fine[t - blk.start])
         cert_parts.append((blk.start, blk.end - 1))
-        if (stream.get(blk.marker_pos) if A <= blk.marker_pos <= B else None) not in (
-                SYM_MK, SYM_LB, SYM_DB):
+        if k >= 2 and (stream.get(blk.marker_pos) if A <= blk.marker_pos <= B else None) \
+                not in (SYM_MK, SYM_LB, SYM_DB):
             raise MalformedStreamError("marker slot %d lacks its symbol" % blk.marker_pos)
-    return labels, orbits, cert_parts
 
 
 def _refine_label(pipeline, labels_prev, t, m_prev, m_new):
@@ -996,7 +999,7 @@ def _refine_label(pipeline, labels_prev, t, m_prev, m_new):
     return "".join(letters)
 
 
-def _split_singular_region(iv, pipeline, k, labels_prev, intervals_prev, window):
+def _split_singular_region(iv, pipeline, k, labels_prev, blocks_prev, window):
     """Split a singular scale-k region along previous-scale stretch
     boundaries and identify the orbit of each part.
 
@@ -1014,7 +1017,7 @@ def _split_singular_region(iv, pipeline, k, labels_prev, intervals_prev, window)
     deep_hi = hi if iv.end is None else hi - npk
     if deep_lo >= deep_hi:
         return []
-    prevs = sorted((pv for pv in intervals_prev),
+    prevs = sorted((pv for pv in blocks_prev),
                    key=lambda pv: pv.start if pv.start is not None else A - 1)
     tagged = []
     for pv in prevs:
@@ -1044,7 +1047,7 @@ def _split_singular_region(iv, pipeline, k, labels_prev, intervals_prev, window)
     pieces[-1][1] = iv.end
     out = []
     for s, e, orbit, phase in pieces:
-        out.append(Interval(s, e, "singular", special=len(orbit) <= sched.n[k - 2],
+        out.append(Interval(s, e, "singular", special=sched.is_special(k, len(orbit)),
                             orbit=orbit, phase=phase % len(orbit), m=len(orbit)))
     return out
 
@@ -1069,11 +1072,9 @@ def _extract_period(pipeline, k, labels_prev, s, e, window):
     p = min_period(text)
     if p > sched.n[k - 1]:
         raise MalformedStreamError("shadowed region content is not periodic")
-    root = text[:p]
-    v = necklace(root)
-    d = next(i for i in range(p) if v[i:] + v[:i] == root)
-    phase = (d - lo) % p
-    return v, phase
+    root = text[:p]         # primitive: a shorter period of it would be one of the text
+    i = least_rotation(root)
+    return root[i:] + root[:i], (-i - lo) % p
 
 
 def _append_decoded_layer(layout, k, window, intervals):
@@ -1082,8 +1083,8 @@ def _append_decoded_layer(layout, k, window, intervals):
     from .blocks import append_layer
     A, B = window
     try:
-        part = ReturnPartition(scale=k, window=window, intervals=intervals,
-                               returns=[], computed_range=(A - 1, B + 1))
+        part = ReturnPartition(scale=k, intervals=intervals, returns=[],
+                               computed_range=(A - 1, B + 1))
         return append_layer(layout, part)
     except SpanOrderError as exc:
         raise MalformedStreamError(str(exc)) from None
@@ -1096,20 +1097,19 @@ def decode_k(stream, pipeline, k):
     if not 1 <= k <= sched.kmax:
         raise ValueError("scale %d out of range" % k)
     A, B = stream.a, stream.b
-    intervals1, labels1, orbits, cert1_parts = _decode_scale1(stream, pipeline)
     layout = BlockLayout(schedule=sched, lo=A, hi=B, periodic=pipeline.periodic)
-    _append_decoded_layer(layout, 1, (A, B), intervals1)
-    itineraries = {1: labels1}
-    certified = {1: _covered_range(cert1_parts, (A, B))}
-    labels_prev, intervals_prev = labels1, intervals1
-    for l in range(2, k + 1):
-        labels_l, orbits_l, cert_parts = _decode_scale_k(
-            stream, pipeline, l, layout, labels_prev, intervals_prev)
-        itineraries[l] = labels_l
+    itineraries, certified = {}, {}
+    for l in range(1, k + 1):
+        if l == 1:
+            intervals, labels, orbits, cert_parts = _decode_scale1(stream, pipeline)
+        else:
+            intervals, labels, orbits_l, cert_parts = _decode_scale_k(
+                stream, pipeline, l, layout, itineraries[l - 1])
+            orbits.extend(o for o in orbits_l if o not in orbits)
+        layer = _append_decoded_layer(layout, l, (A, B), intervals)
+        _read_codewords(stream, pipeline, layer, itineraries.get(l - 1), labels, cert_parts)
+        itineraries[l] = labels
         certified[l] = _covered_range(cert_parts, (A, B))
-        orbits.extend(o for o in orbits_l if o not in orbits)
-        labels_prev = labels_l
-        intervals_prev = layout.layer(l).blocks
     # pi_k form: deeper-scale symbols revert to free slots, and brackets
     # written over singular content revert to the orbit letters
     structural = {SYM_LB, SYM_RB, SYM_DB, SYM_MK}
@@ -1126,7 +1126,7 @@ def decode_k(stream, pipeline, k):
             symbols.append(ch)
     stream_k = SymbolStream(A, B, symbols)
     return DecodeResult(itineraries=itineraries, certified=certified,
-                        orbits=orbits, stream_k=stream_k, layout=layout)
+                        orbits=orbits, stream_k=stream_k)
 
 
 def invert(stream, pipeline, k):

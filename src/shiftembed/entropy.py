@@ -169,6 +169,11 @@ class ScaleSchedule:
     def free1(self, L):
         return L - 1 - self.fill1(L)
 
+    def is_special(self, k, m):
+        """Whether a singular k-block of orbit period m is special: every
+        scale-1 stretch is, and above scale 1 a period of at most n_{k-1}."""
+        return k == 1 or m <= self.n[k - 2]
+
     def block_bounds(self, k):
         """Half-open range of regular block lengths at scale k."""
         return self.n[k - 1], 2 * self.nprime[k - 1]

@@ -18,8 +18,8 @@ from .clopen import Clopen, OdoClopen
 from .errors import (EnumerationBudgetError, SeparationError,
                      ShiftEmbedError, WindowError)
 from .systems import periodic_orbits
-from .words import (least_period_at_most, min_period, necklace, periodic_window,
-                    primitive_root)
+from .words import (least_period_at_most, least_rotation, min_period, necklace,
+                    periodic_window, primitive_root)
 
 FLAT_PATTERN_BUDGET = 300_000
 CHASE_LIMIT = 10_000
@@ -70,11 +70,11 @@ class PeriodicNeighborhood:
         if p is None:
             return None
         root = window[:p]  # primitive: a shorter period of it would be one of the window
-        key = necklace(root)
+        i = least_rotation(root)
+        key = root[i:] + root[:i]
         if not self.has_orbit(key):
             return None
-        d = next(i for i in range(p) if key[i:] + key[:i] == root)
-        return key, d
+        return key, -i % p
 
     def member(self, point, t):
         """Match of T^t(point) against the neighborhood; None when outside.
@@ -376,7 +376,6 @@ class Interval:
 @dataclass
 class ReturnPartition:
     scale: int
-    window: tuple
     intervals: list
     returns: list
     computed_range: tuple
@@ -486,7 +485,7 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
         iv.adj_start, iv.adj_end = iv.start, iv.end
     if prev_layout is not None:
         _adjust_boundaries(intervals, prev_layout, stack.schedule, k)
-    part = ReturnPartition(scale=k, window=window, intervals=intervals,
+    part = ReturnPartition(scale=k, intervals=intervals,
                            returns=returns, computed_range=(scan_lo, scan_hi))
     if prev_partition is not None:
         _check_special_nesting(part, prev_partition)
@@ -514,8 +513,7 @@ def _tag_singular(iv, point, stack, k, comp_range, runtime):
         raise SeparationError("singular stretch matches several orbits: %r" % hits)
     key, phase = hits.pop()
     iv.orbit, iv.phase, iv.m = key, phase, len(key)
-    prev_n = stack.schedule.n[k - 2] if k >= 2 else 0
-    iv.special = (k == 1) or (iv.m <= prev_n)
+    iv.special = stack.schedule.is_special(k, iv.m)
     return iv
 
 

@@ -9,14 +9,12 @@ at an endpoint.  Everything else carries an explicit horizon and is never
 presented as a limit.
 """
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import SpecParseError
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
+from .words import kary_alphabet, periodic_window
 
 
 def _mismatch(x, y, i):
@@ -37,7 +35,7 @@ def _equality_horizon(x, y):
     a = min(x.anchor, y.anchor)
     b = max(x.anchor + len(x.core), y.anchor + len(y.core))
     span = max(abs(a), abs(b))
-    return span + _lcm(len(x.left), len(y.left)) + _lcm(len(x.right), len(y.right)) + 1
+    return span + lcm(len(x.left), len(y.left)) + lcm(len(x.right), len(y.right)) + 1
 
 
 def disagreement_data(x, y):
@@ -48,28 +46,28 @@ def disagreement_data(x, y):
     n modulo the tail lcm.
     """
     h = _equality_horizon(x, y)
-    pr = _lcm(len(x.right), len(y.right))
-    pl = _lcm(len(x.left), len(y.left))
+    pr = lcm(len(x.right), len(y.right))
+    pl = lcm(len(x.left), len(y.left))
     rho_r = sum(1 for i in range(h + 1, h + 1 + pr) if _mismatch(x, y, i))
     rho_l = sum(1 for i in range(h + 1, h + 1 + pl) if _mismatch(x, y, -i))
-    counts = []
-    c = 1 if _mismatch(x, y, 0) else 0
-    counts.append(c)
-    for n in range(1, h + 1):
-        c += (1 if _mismatch(x, y, n) else 0) + (1 if _mismatch(x, y, -n) else 0)
-        counts.append(c)
+    counts = _extend_counts(x, y, [int(_mismatch(x, y, 0))], h)
     return h, counts, Fraction(rho_r, pr), Fraction(rho_l, pl)
+
+
+def _extend_counts(x, y, counts, n):
+    """Extend the disagreement counts on [-i, i], i = 0, 1, ..., through
+    i = n, and return them."""
+    c = counts[-1]
+    for i in range(len(counts), n + 1):
+        c += _mismatch(x, y, i) + _mismatch(x, y, -i)
+        counts.append(c)
+    return counts
 
 
 def count_disagreements(x, y, n):
     """Exact number of coordinate disagreements on [-n, n]."""
-    h, counts, _, _ = disagreement_data(x, y)
-    if n <= h:
-        return counts[n]
-    total = counts[h]
-    for i in range(h + 1, n + 1):
-        total += (1 if _mismatch(x, y, i) else 0) + (1 if _mismatch(x, y, -i) else 0)
-    return total
+    _, counts, _, _ = disagreement_data(x, y)
+    return _extend_counts(x, y, counts, n)[n]
 
 
 def dN_distance(x, y, N, horizon=None):
@@ -83,25 +81,12 @@ def dN_distance(x, y, N, horizon=None):
     if N < 0:
         raise ValueError("N must be >= 0")
     h, counts, rho_r, rho_l = disagreement_data(x, y)
-    P = _lcm(rho_r.denominator if rho_r else 1, rho_l.denominator if rho_l else 1)
-    P = _lcm(P, _lcm(len(x.right), len(y.right)))
-    P = _lcm(P, _lcm(len(x.left), len(y.left)))
-    best = Fraction(0)
-    start = N
+    P = lcm(rho_r.denominator if rho_r else 1, rho_l.denominator if rho_l else 1,
+            len(x.right), len(y.right), len(x.left), len(y.left))
     stop = horizon if horizon is not None else max(h, N) + 2 * P
-    c = counts[min(h, len(counts) - 1)]
-    cache_n = h
-    for n in range(start, stop + 1):
-        cn = counts[n] if n <= h else None
-        if cn is None:
-            while cache_n < n:
-                cache_n += 1
-                c += (1 if _mismatch(x, y, cache_n) else 0) + \
-                     (1 if _mismatch(x, y, -cache_n) else 0)
-            cn = c
-        val = Fraction(cn, 2 * n + 1)
-        if val > best:
-            best = val
+    counts = _extend_counts(x, y, counts, stop)
+    best = max((Fraction(counts[n], 2 * n + 1) for n in range(N, stop + 1)),
+               default=Fraction(0))
     if horizon is not None:
         return best
     # beyond stop every class ratio moves monotonically toward the density
@@ -183,22 +168,18 @@ def empirical_measure(point, L, n):
     """Sliding-window frequency table of x_[k, k+L) for 0 <= k < n."""
     if n < 1 or L < 1:
         raise ValueError("need n >= 1 and L >= 1")
-    freqs = {}
-    for k in range(n):
-        w = point.word(k, k + L - 1)
-        freqs[w] = freqs.get(w, Fraction(0)) + Fraction(1, n)
-    return EmpiricalMeasure(L, freqs, n)
+    return _window_measure([point.word(k, k + L - 1) for k in range(n)], L)
+
+
+def _window_measure(windows, L):
+    """The measure giving each of the length-L windows equal weight."""
+    n = len(windows)
+    return EmpiricalMeasure(L, {w: Fraction(c, n) for w, c in Counter(windows).items()}, n)
 
 
 def periodic_orbit_measure(word, L):
     """Exact empirical measure of the periodic point word^inf (orbit average)."""
-    from .words import periodic_window
-    p = len(word)
-    freqs = {}
-    for k in range(p):
-        w = periodic_window(word, k, k + L - 1)
-        freqs[w] = freqs.get(w, Fraction(0)) + Fraction(1, p)
-    return EmpiricalMeasure(L, freqs, p)
+    return _window_measure([periodic_window(word, k, k + L - 1) for k in range(len(word))], L)
 
 
 def cylinder_enumeration(alphabet, depth):
@@ -253,7 +234,7 @@ def convergence_report(points, pipeline, depth=2, sample_n=160):
     rows = []
     sched = pipeline.schedule
     N = sched.n[0] ** 2
-    alphabet = "123456789"[:sched.K] + "|=[]o?"
+    alphabet = kary_alphabet(sched.K) + "|=[]o?"
     alpha = sched.alpha_float
     for idx, p in enumerate(points):
         streams = list(pipeline.encode_scales(p, (-4 * N, 4 * N)))
@@ -272,9 +253,5 @@ def convergence_report(points, pipeline, depth=2, sample_n=160):
 
 
 def _stream_measure(stream, L, n):
-    freqs = {}
-    n = min(n, stream.b - L + 1)
-    for k in range(n):
-        w = "".join(stream.get(k + j) for j in range(L))
-        freqs[w] = freqs.get(w, Fraction(0)) + Fraction(1, n)
-    return EmpiricalMeasure(L, freqs, n)
+    return _window_measure(["".join(stream.get(k + j) for j in range(L))
+                            for k in range(min(n, stream.b - L + 1))], L)

@@ -55,7 +55,9 @@ class Pipeline:
     # -- point contexts -----------------------------------------------------
 
     def context(self, point, window):
-        """Partitions and layout of a point around a window, built anew."""
+        """Partitions and layout of a point around a window at every scale,
+        built anew.  An encode pass does not call it: it resolves the same
+        scales one at a time, each right before rendering it."""
         return codec.build_point_context(self, point, window)
 
     def encode(self, point, k, window):

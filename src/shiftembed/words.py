@@ -43,13 +43,19 @@ def least_period_at_most(s, n):
     return next((q for q in range(1, n + 1) if s[q:] == s[:-q]), None)
 
 
-def rotations(w):
-    return [w[i:] + w[:i] for i in range(len(w))]
+def least_rotation(w):
+    """The start i of the lexicographically least rotation w[i:] + w[:i] of
+    a nonempty word, compared as the slices of w + w; the least such i when
+    w is a power, the only one when w is primitive."""
+    ww = w + w
+    p = len(w)
+    return ww.index(min([ww[i:i + p] for i in range(p)]))
 
 
 def necklace(w):
     """Canonical representative of the rotation class: lexicographically least rotation."""
-    return min(rotations(w))
+    i = least_rotation(w)
+    return w[i:] + w[:i]
 
 
 def is_primitive(w):

@@ -30,8 +30,8 @@ def partition(scale, intervals, rng=(-50, 1100)):
         iv = Interval(*spec[:3], **(spec[3] if len(spec) > 3 else {}))
         iv.adj_start, iv.adj_end = iv.start, iv.end
         ivs.append(iv)
-    return ReturnPartition(scale=scale, window=rng, intervals=ivs,
-                           returns=[], computed_range=(rng[0] - 1, rng[1] + 1))
+    return ReturnPartition(scale=scale, intervals=ivs, returns=[],
+                           computed_range=(rng[0] - 1, rng[1] + 1))
 
 
 class TestScaleOne:
@@ -115,6 +115,18 @@ class TestPeriodicGrammar:
                               dict(special=True, orbit="0", phase=0, m=1))])
         layout = build_block_layout(sched, [part], (0, 39), periodic=True)
         assert layout.layer(1).role[11 + 9] == ROLE_CLOSING
+
+    def test_block_adjusted_to_no_length_refused(self):
+        # both ends of a regular scale-2 interval move to one position of a
+        # singular 1-block: the block has no position for its bracket
+        sched = schedule(m=(0, 0), n=(9, 20), periodic=True)
+        part1 = partition(1, [(0, 40, "singular",
+                               dict(special=True, orbit="0", phase=0, m=1))])
+        part2 = partition(2, [(10, 30, "regular")])
+        part2.intervals[0].adj_start = 30
+        with pytest.raises(CapacityError, match="no position for its marker") as err:
+            build_block_layout(sched, [part1, part2], (0, 39), periodic=True)
+        assert (err.value.scale, err.value.block) == (2, (30, 30))
 
     def test_freeing_formula_literal(self):
         # unbounded special singular block: freed positions are jm - r in

@@ -2,12 +2,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from shiftembed import codec
 from shiftembed.blocks import LayoutBlock
 from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream, _block_key,
                               build_first_codebook, build_conditional_codebook,
                               build_periodic_code)
 from shiftembed.errors import (CapacityError, EnumerationBudgetError,
                                MalformedStreamError, ScheduleError, WindowError)
+from shiftembed.markers import return_partition
 from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
 from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft,
                                 cell_label, dyadic_odometer, enumerate_periodic,
@@ -278,6 +280,20 @@ class TestStreams:
         assert "impossible length" in roundtrip[2].detail
         assert not report.passed
 
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_two_letter_token_in_a_codeword_rejected(self, odo_pipe, scale):
+        """A stream file token such as "11" is no code letter, though each
+        of its characters is one."""
+        window = (-odo_pipe.decode_margin(), odo_pipe.decode_margin())
+        point = sample_points(dyadic_odometer(8), 1, seed=3)[0]
+        stream = odo_pipe.encode(point, 3, window)
+        blk = next(b for b in odo_pipe.context(point, window).layout.layer(scale).blocks
+                   if b.kind == "regular" and b.start >= -100)
+        symbols = list(stream.symbols)
+        symbols[blk.fill_positions[0] - stream.a] += "1"
+        with pytest.raises(MalformedStreamError, match="not in codebook image"):
+            odo_pipe.decode(SymbolStream(stream.a, stream.b, symbols), 3)
+
     def test_symbol_soup_rejected(self, pipe):
         soup = SymbolStream(-30, 30, (list("12") * 31)[:61])
         soup.symbols[5] = "|"
@@ -435,6 +451,20 @@ class TestEncodeScales:
         with pytest.raises(CapacityError, match="codeword of length 2 cannot fit 1 slots"):
             next(scales)
         assert next(scales, None) is None
+
+    def test_scale_k_resolves_no_deeper_scale(self, pipe, monkeypatch):
+        calls = []
+
+        def counted(point, stack, k, *args, **kwargs):
+            calls.append(k)
+            return return_partition(point, stack, k, *args, **kwargs)
+
+        monkeypatch.setattr(codec, "return_partition", counted)
+        point = Point("10", "00100", "001", -2)
+        pipe.encode(point, 1, (-40, 40))
+        assert calls == [1]
+        pipe.encode(point, 2, (-40, 40))
+        assert calls == [1, 1, 2]
 
 
 class TestNonSpecialSingular:

@@ -4,7 +4,8 @@ Performance work on the tower, layout and codec paths must not change a
 single output byte.  These tests pin SHA-256 digests (first 16 hex digits)
 of encoded streams (window, symbols and resolution), of decode results
 (certified windows, itineraries and orbits, or the exception type and
-text) and of the `verify_pipeline` lines, for sampled points on four
+text) of those streams and of seeded single-symbol mutations of them, and
+of the `verify_pipeline` lines, for sampled points on four
 configurations: golden mean K=2 and K=3, the dyadic odometer and the orbit
 system of "001".  They also pin every file that `save_pipeline` writes for
 those configurations and for a CLI `build`.  A change that moves a digest
@@ -13,14 +14,17 @@ changed the output.
 
 import hashlib
 import os
+import random
 
 import pytest
 
 from shiftembed.cli import main
+from shiftembed.codec import SymbolStream
 from shiftembed.errors import ShiftEmbedError
 from shiftembed.pipeline import (build_pipeline, sample_points, save_pipeline,
                                  verify_pipeline)
 from shiftembed.systems import OrbitSystem, Point, dyadic_odometer, golden_mean
+from shiftembed.words import kary_alphabet
 
 WINDOW = (-200, 200)
 SAMPLES = 10
@@ -88,6 +92,27 @@ def roundtrip_digests(name, system, pipe):
     return out
 
 
+MUTATIONS = 10
+
+
+def malformed_digest(name, system, pipe):
+    """One digest over the decode texts, error texts included, of seeded
+    single-symbol mutations of each point's top-scale stream."""
+    a, b = WINDOW
+    margin = pipe.decode_margin()
+    rng = random.Random(SEED)
+    tokens = list(kary_alphabet(pipe.schedule.K)) + ["|", "=", "[", "]", "][", "o", "?"]
+    texts = []
+    for point in _points(name, system):
+        stream = pipe.encode(point, pipe.kmax, (a - margin, b + margin))
+        for _ in range(MUTATIONS):
+            symbols = list(stream.symbols)
+            symbols[rng.randrange(len(symbols))] = rng.choice(tokens)
+            texts.append(_decode_text(pipe, SymbolStream(stream.a, stream.b, symbols),
+                                      pipe.kmax))
+    return _digest("\n".join(texts))
+
+
 def verify_digest(pipe):
     return _digest("\n".join(verify_pipeline(pipe, sample_count=6).lines()))
 
@@ -140,6 +165,15 @@ PINNED_ROUNDTRIPS = {
     ] * 3 + [("155a9d285b57cd30", "ea902b8db79c2930")],
 }
 
+PINNED_MALFORMED = {
+    "golden-k2": "e5d616793a571b40",
+    "golden-k3": "980057df4a097c47",
+    # 46 of its 100 texts are "codeword '...' not in codebook image" for a
+    # non-letter in a scale-1 filling, the text every scale raises
+    "odometer": "77264f9c5984cfb9",
+    "orbit001": "a452344178f4de89",
+}
+
 PINNED_VERIFY = {
     # the golden lines name no K-dependent figure and every record passes
     # in both, so K=2 and K=3 coincide
@@ -155,6 +189,11 @@ PINNED_VERIFY = {
 def test_roundtrip_digests_pinned(config):
     name, system, pipe = config
     assert roundtrip_digests(name, system, pipe) == PINNED_ROUNDTRIPS[name]
+
+
+def test_malformed_decodes_pinned(config):
+    name, system, pipe = config
+    assert malformed_digest(name, system, pipe) == PINNED_MALFORMED[name]
 
 
 def test_verify_lines_pinned(config):

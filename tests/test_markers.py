@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points,
                                  save_pipeline)
 from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
                                 dyadic_odometer, full_shift, golden_mean)
-from shiftembed.words import (least_period_at_most, min_period, necklace,
+from shiftembed.words import (is_primitive, least_period_at_most, min_period, necklace,
                               periodic_window)
 
 
@@ -58,6 +59,22 @@ def test_root_outside_the_system_rejected():
     orbit = PeriodicNeighborhood(OrbitSystem(2, "001"), 3, 3)
     assert orbit.match_word("0" * 7) is None
     assert orbit.match_word("0010010") == ("001", 0)
+
+
+@pytest.mark.parametrize("letters, longest", [("01", 12), ("012", 7)],
+                         ids=["two-letter", "three-letter"])
+def test_least_rotation_against_every_rotation(letters, longest):
+    """necklace is the least of all rotations of every word, and the
+    rotation that match_word returns with it rebuilds a primitive window."""
+    system = full_shift(len(letters))
+    for p in range(1, longest + 1):
+        nb = PeriodicNeighborhood(system, p, p)
+        for w in itertools.product(letters, repeat=p):
+            w = "".join(w)
+            assert necklace(w) == min(w[i:] + w[:i] for i in range(p)), w
+            if is_primitive(w):
+                v, d = nb.match_word(periodic_window(w, 0, 2 * p))
+                assert v == necklace(w) and w == v[d:] + v[:d], w
 
 
 def reference_window_map(system, n, r):
