@@ -45,6 +45,7 @@ SYM_DB = "]["
 SYM_TERM = "="   # stretch terminator in the periodic grammar
 SYM_FREE = "o"
 SYM_UNRESOLVED = "?"
+SYM_PAD = "1"      # the first code letter, written after a short codeword
 
 _TOKEN_OUT = {SYM_M1: "B1", SYM_MK: "B2", SYM_LB: "LB", SYM_RB: "RB",
               SYM_DB: "DB", SYM_FREE: "FR", SYM_UNRESOLVED: "UN"}
@@ -180,7 +181,7 @@ class Codebook:
             if pad_to < self.length:
                 raise CapacityError("codeword of length %d cannot fit %d slots"
                                     % (self.length, pad_to), scale=self.scale, block=self.n)
-            word = word + "1" * (pad_to - self.length)
+            word = word + SYM_PAD * (pad_to - self.length)
         return word
 
     def decode(self, word):
@@ -830,18 +831,19 @@ def _put_label(labels, t, value):
 
 
 def _covered_range(parts, within):
-    """The contiguous covered run with the largest overlap with `within`."""
-    if not parts:
-        return None
-    pts = set()
-    for lo, hi in parts:
-        pts.update(range(lo, hi + 1))
+    """The contiguous covered run with the largest overlap with `within`,
+    the first such run on a tie.  The inclusive parts merge in order of
+    their starts: a part that overlaps or touches the last run extends it."""
     runs = []
-    for t in sorted(pts):
-        if runs and t == runs[-1][1] + 1:
-            runs[-1][1] = t
+    for lo, hi in sorted(parts):
+        if lo > hi:
+            continue
+        if runs and lo <= runs[-1][1] + 1:
+            runs[-1][1] = max(runs[-1][1], hi)
         else:
-            runs.append([t, t])
+            runs.append([lo, hi])
+    if not runs:
+        return None
     lo0, hi0 = within
     best = max(runs, key=lambda r: min(r[1], hi0) - max(r[0], lo0))
     return (best[0], best[1])
@@ -957,7 +959,8 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
 def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
     """Invert the codeword of every regular block of a decoded layer into
     its itinerary labels and certify the block.  A block is skipped when a
-    coarse label or a codeword slot lies outside what is decoded; above
+    coarse label or a codeword slot lies outside what is decoded; every
+    padding slot inside the stream must hold the pad letter, and above
     scale 1 its marker slot must hold a marker."""
     k = layer.scale
     A, B = stream.a, stream.b
@@ -975,6 +978,10 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
         if not all(A <= pos <= B for pos in slots):
             continue
         fine = cb.decode([stream.get(pos) for pos in slots])
+        for pos in blk.fill_positions[cb.length:]:
+            if A <= pos <= B and stream.get(pos) != SYM_PAD:
+                raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
+                                           % (pos, k, stream.get(pos)))
         for t in range(blk.start, blk.end):
             _put_label(labels, t, fine[t - blk.start])
         cert_parts.append((blk.start, blk.end - 1))

@@ -76,20 +76,6 @@ class PeriodicNeighborhood:
             return None
         return key, -i % p
 
-    def member(self, point, t):
-        """Match of T^t(point) against the neighborhood; None when outside.
-
-        Returns (necklace, phase) with point.letter(i) == v[(i + phase) % p]
-        for every i within the matched window.
-        """
-        window = point.word(t - self.r, t + self.r)
-        hit = self.match_word(window)
-        if hit is None:
-            return None
-        key, d = hit
-        phase = (d - (t - self.r)) % len(key)
-        return key, phase
-
     def clopen(self):
         """Explicit pattern form (small systems only)."""
         pats = set()
@@ -163,26 +149,41 @@ class WordTower:
     # rank = (tier, window) or None; windows compare lexicographically
 
     def rank(self, point, pos, runtime):
+        """The piece of T^pos(point): its full window of width 2R + 1,
+        R = r + n'_(k-1), sliced from the runtime's letter text.
+
+        A tier-1 piece at k >= 2 needs the full window to match no orbit of
+        period <= n.  It matches exactly when the central radius-r window
+        matches, with least period p, and p is also a period of the full
+        window.  If the full window has least period q <= n, the central
+        window has period q and least period p <= q, so by Fine and Wilf
+        (1965) it has period gcd(p, q): p divides q.  The central window
+        holds a whole q-cycle of the full window, and that cycle has period
+        p, so the full window has period p and q = p, with the same root up
+        to rotation.  Conversely a full window of period p <= n over a
+        central window of least period p has least period p and the same
+        necklace.  So one slice comparison replaces a second match.
+        """
         cache = runtime.rank_cache[self.k]
         if pos in cache:
             return cache[pos]
         R = self.piece_halfwidth
-        window = point.word(pos - R, pos + R)
-        out = None
+        tier = None
         if self.k == 1:
-            if self.pernbhd is None or self.pernbhd.match_word(
-                    window[R - self.r: R + self.r + 1]) is None:
-                out = (1, window)
-        else:
-            in_prev = self.parent.member(point, pos, runtime)
-            if in_prev:
-                merged = self.pernbhd.match_word(window) if self.pernbhd else None
-                if merged is None:
-                    out = (1, window)
-            elif not runtime.near(self.parent, pos, self.prev_nprime):
-                central = window[R - self.r: R + self.r + 1]
-                if self.pernbhd is None or self.pernbhd.match_word(central) is None:
-                    out = (2, window)
+            if runtime.match(self, pos) is None:
+                tier = 1
+        elif self.parent.member(point, pos, runtime):
+            hit = runtime.match(self, pos)
+            if hit is None:
+                tier = 1
+            else:
+                window = runtime.window(pos - R, pos + R)
+                if window[hit[2]:] != window[:-hit[2]]:
+                    tier = 1
+        elif not runtime.near(self.parent, pos, self.prev_nprime):
+            if runtime.match(self, pos) is None:
+                tier = 2
+        out = None if tier is None else (tier, runtime.window(pos - R, pos + R))
         cache[pos] = out
         return out
 
@@ -265,7 +266,13 @@ class OdometerTower:
 
 
 class TowerRuntime:
-    """Per-point memo tables shared by all scales."""
+    """Per-point memo tables shared by all scales.
+
+    Word towers read the point through one letter text, the letters of
+    [_text_lo, _text_lo + len(_text)), which grows geometrically to
+    whatever range the towers ask for, and through one match table per
+    scale.
+    """
 
     def __init__(self, stack, point):
         self.stack = stack
@@ -273,9 +280,80 @@ class TowerRuntime:
         kmax = stack.schedule.kmax
         self.rank_cache = {k: {} for k in range(1, kmax + 1)}
         self.member_cache = {k: {} for k in range(1, kmax + 1)}
+        # scale -> {t: match of the central window at t, None for no match}
+        self._matches = {k: {} for k in range(1, kmax + 1)}
         # scale -> [base, right, left]: right[j] counts the members in
         # [base, base + j), left[j] those in [base - j, base)
         self._counts = {}
+        self._text = ""
+        self._text_lo = 0
+
+    def window(self, a, b):
+        """Letters a..b inclusive of the point, sliced from the text."""
+        lo = self._text_lo
+        if a < lo or b >= lo + len(self._text):
+            self._grow(a, b)
+            lo = self._text_lo
+        return self._text[a - lo: b - lo + 1]
+
+    def _grow(self, a, b):
+        """Extend the text to cover a..b, each grown side by at least the
+        text's own length, so the letters a sweep copies add up to a few
+        times the length it reaches."""
+        point = self.point
+        if not self._text:
+            self._text, self._text_lo = point.word(a, b), a
+            return
+        step = len(self._text)
+        lo = self._text_lo
+        if a < lo:
+            new_lo = min(a, lo - step)
+            self._text = point.word(new_lo, lo - 1) + self._text
+            self._text_lo = lo = new_lo
+        hi = lo + len(self._text)
+        if b >= hi:
+            self._text += point.word(hi, max(b, hi + step - 1))
+
+    def match(self, tower, t):
+        """Match of the central radius-r window of T^t(point) against the
+        tower's periodic neighborhood: (necklace, phase, p) with
+        point.letter(i) == necklace[(i + phase) % p] across the window, p
+        the window's least period; None outside the neighborhood.
+
+        A match slides from a matched neighbour at t -/+ 1 by one letter
+        comparison.  The two windows share 2r >= 2n letters.  If the
+        entering letter equals the letter p before it (inward), the new
+        window has period p; a shorter period q would give the shared part
+        periods p and q, hence period gcd(p, q) by Fine and Wilf (1965), and
+        the neighbour's window period gcd(p, q) < p.  So its least period is
+        p, with the neighbour's necklace and phase.  If the letters differ,
+        a period q <= n of the new window would again force p to divide q,
+        and then the entering letter would equal the letter q, hence p,
+        before it; so its least period exceeds n and it matches nothing.
+        `match_word` runs only where no neighbour has matched yet.
+        """
+        nb = tower.pernbhd
+        if nb is None:
+            return None
+        table = self._matches[tower.k]
+        if t in table:
+            return table[t]
+        r = nb.r
+        window = self.window(t - r, t + r)
+        for d in (1, -1):
+            hit = table.get(t - d)
+            if hit is not None:
+                enter = r + d * r           # offset of the entering letter
+                if window[enter] != window[enter - d * hit[2]]:
+                    hit = None
+                break
+        else:
+            hit = nb.match_word(window)
+            if hit is not None:
+                key, rot = hit
+                hit = (key, (rot - t + r) % len(key), len(key))
+        table[t] = hit
+        return hit
 
     def near(self, tower, pos, w):
         """Whether the tower has a member within distance w - 1 of pos."""
@@ -461,25 +539,25 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
 
     intervals = []
     if not returns:
-        intervals.append(_tag_singular(Interval(None, None, "singular"), point, stack,
-                                       k, (scan_lo, scan_hi), runtime))
+        intervals.append(_tag_singular(Interval(None, None, "singular"), stack, k,
+                                       (scan_lo, scan_hi), runtime))
     else:
         if left_open:
             intervals.append(_tag_singular(Interval(None, returns[0], "singular"),
-                                           point, stack, k, (scan_lo, scan_hi), runtime))
+                                           stack, k, (scan_lo, scan_hi), runtime))
         for t0, t1 in zip(returns, returns[1:]):
             gap = t1 - t0
             kind = "regular" if gap < len_hi else "singular"
             iv = Interval(t0, t1, kind)
             if kind == "singular":
-                iv = _tag_singular(iv, point, stack, k, (scan_lo, scan_hi), runtime)
+                iv = _tag_singular(iv, stack, k, (scan_lo, scan_hi), runtime)
             else:
                 if gap < len_lo:
                     raise ShiftEmbedError("return gap %d below n_%d" % (gap, k))
             intervals.append(iv)
         if right_open:
             intervals.append(_tag_singular(Interval(returns[-1], None, "singular"),
-                                           point, stack, k, (scan_lo, scan_hi), runtime))
+                                           stack, k, (scan_lo, scan_hi), runtime))
 
     for iv in intervals:
         iv.adj_start, iv.adj_end = iv.start, iv.end
@@ -492,7 +570,7 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
     return part
 
 
-def _tag_singular(iv, point, stack, k, comp_range, runtime):
+def _tag_singular(iv, stack, k, comp_range, runtime):
     """Identify the single periodic orbit a singular stretch shadows."""
     tower = stack[k]
     if tower.pernbhd is None:
@@ -502,11 +580,11 @@ def _tag_singular(iv, point, stack, k, comp_range, runtime):
     hits = set()
     for t in range(lo, hi):
         if not runtime.near(tower, t, tower.nprime):
-            hit = tower.pernbhd.member(point, t)
+            hit = runtime.match(tower, t)
             if hit is None:
                 raise ShiftEmbedError(
                     "covering violated: time %d of a singular stretch matches no orbit" % t)
-            hits.add(hit)
+            hits.add(hit[:2])
     if not hits:
         raise ShiftEmbedError("singular stretch %r has no interior points" % ((iv.start, iv.end),))
     if len(hits) > 1:
@@ -622,7 +700,7 @@ def verify_tower(stack, k, probe_points=None):
         ok_cov = True
         for t in range(lo + tower.nprime, hi - tower.nprime):
             if not runtime.near(tower, t, tower.nprime):
-                if tower.pernbhd is None or tower.pernbhd.member(point, t) is None:
+                if runtime.match(tower, t) is None:
                     ok_cov = False
                     break
         report.add(k, "covering", "probe", ok_cov, "point %r" % (point,))

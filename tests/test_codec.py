@@ -1,6 +1,8 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftembed import codec
 from shiftembed.blocks import LayoutBlock
@@ -293,6 +295,23 @@ class TestStreams:
         symbols[blk.fill_positions[0] - stream.a] += "1"
         with pytest.raises(MalformedStreamError, match="not in codebook image"):
             odo_pipe.decode(SymbolStream(stream.a, stream.b, symbols), 3)
+
+    def test_padding_letter_checked(self, pipe):
+        """Every scale-2 code of golden K=2, m=(0,0) has length 0, so a
+        scale-2 filling slot holds only padding; a foreign letter there puts
+        the stream outside the code's image."""
+        margin = pipe.decode_margin()
+        window = (-margin, margin)
+        point = sample_points(golden_mean(), 12, seed=3)[0]
+        stream = pipe.encode(point, 2, window)
+        blk = pipe.context(point, window).layout.block_at(2, -22)
+        assert (blk.start, blk.end, blk.kind) == (-22, 1, "regular")
+        assert codec._block_codebook(pipe, 2, blk, _block_key(pipe, point, blk, 0)).length == 0
+        symbols = list(stream.symbols)
+        assert symbols[blk.fill_positions[0] - stream.a] == codec.SYM_PAD
+        symbols[blk.fill_positions[0] - stream.a] = "2"
+        with pytest.raises(MalformedStreamError, match="padding slot 0 of a scale-2 block"):
+            pipe.decode(SymbolStream(stream.a, stream.b, symbols), 2)
 
     def test_symbol_soup_rejected(self, pipe):
         soup = SymbolStream(-30, 30, (list("12") * 31)[:61])
@@ -776,3 +795,44 @@ def test_top_scale_stream_k_equals_the_input(K):
         res = pipe.decode(stream, 2)
         lo, hi = res.certified[2]
         assert res.stream_k.restrict(lo, hi).symbols == stream.restrict(lo, hi).symbols
+
+
+def covered_range_reference(parts, within):
+    """The set-based merge `_covered_range` replaces: every covered
+    position, sorted into runs."""
+    pts = set()
+    for lo, hi in parts:
+        pts.update(range(lo, hi + 1))
+    runs = []
+    for t in sorted(pts):
+        if runs and t == runs[-1][1] + 1:
+            runs[-1][1] = t
+        else:
+            runs.append([t, t])
+    if not runs:
+        return None
+    lo0, hi0 = within
+    best = max(runs, key=lambda r: min(r[1], hi0) - max(r[0], lo0))
+    return (best[0], best[1])
+
+
+@pytest.mark.parametrize("parts, within, want", [
+    ([], (0, 10), None),
+    ([(0, 4), (5, 9)], (0, 20), (0, 9)),                 # adjacent
+    ([(3, 8), (0, 5), (6, 7)], (0, 20), (0, 8)),         # overlapping, unsorted
+    ([(0, 4), (10, 14)], (0, 20), (0, 4)),               # disjoint tie: the first
+    ([(0, 2), (10, 14)], (0, 20), (10, 14)),
+    ([(-30, -20), (-5, 5), (50, 90)], (-10, 10), (-5, 5)),
+    ([(0, 9), (2, 3), (10, 10), (12, 15)], (12, 30), (12, 15)),
+], ids=["empty", "adjacent", "overlapping", "tie", "larger", "inside", "nested"])
+def test_covered_range_merges_parts(parts, within, want):
+    assert codec._covered_range(parts, within) == want
+    assert covered_range_reference(parts, within) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans=st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 12)), max_size=8),
+       within=st.tuples(st.integers(-50, 0), st.integers(0, 50)))
+def test_covered_range_equals_set_merge(spans, within):
+    parts = [(lo, lo + n) for lo, n in spans]
+    assert codec._covered_range(parts, within) == covered_range_reference(parts, within)

@@ -166,11 +166,14 @@ PINNED_ROUNDTRIPS = {
 }
 
 PINNED_MALFORMED = {
-    "golden-k2": "e5d616793a571b40",
-    "golden-k3": "980057df4a097c47",
+    # a regular block's padding slots must hold the pad letter: 1, 1 and 17
+    # of the golden K=2, golden K=3 and odometer texts are the padding error
+    # for a mutation that used to decode
+    "golden-k2": "242dfda074f18560",
+    "golden-k3": "d6fdf5e16e24d64c",
     # 46 of its 100 texts are "codeword '...' not in codebook image" for a
     # non-letter in a scale-1 filling, the text every scale raises
-    "odometer": "77264f9c5984cfb9",
+    "odometer": "4ebf597feac67a7e",
     "orbit001": "a452344178f4de89",
 }
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from shiftembed.entropy import ScaleSchedule, build_schedule
 from shiftembed.errors import SeparationError
 from shiftembed.markers import (PeriodicNeighborhood, build_towers,
                                 return_partition, verify_tower)
-from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points,
-                                 save_pipeline)
+from shiftembed.pipeline import (_stitch_point, build_pipeline, load_pipeline,
+                                 sample_points, save_pipeline)
 from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
                                 dyadic_odometer, full_shift, golden_mean)
 from shiftembed.words import (is_primitive, least_period_at_most, min_period, necklace,
@@ -34,10 +35,10 @@ class TestPeriodicNeighborhood:
         assert nb.clopen().patterns == frozenset({"00000", "01010", "10101"})
 
     def test_tagging(self):
-        nb = PeriodicNeighborhood(golden_mean(), 2, 3)
+        stack = build_towers(golden_mean(), small_schedule(2, 3))
         p = Point("01", "01", "01", 0)
-        key, phase = nb.member(p, 0)
-        assert key == "01"
+        key, phase, period = stack.runtime(p).match(stack[1], 0)
+        assert (key, period) == ("01", 2)
         assert p.letter(5) == key[(5 + phase) % 2]
 
     def test_separation_failure_raises(self):
@@ -556,6 +557,88 @@ class TestNearAReturn:
                 tower = pipe.stack[k]
                 assert rt.near(tower, t, tower.nprime) == \
                     near_reference(tower, point, t, tower.nprime, ref)
+
+
+def _cyclic_golden_word(rng, p):
+    """A random golden-mean word of least period p whose period repeats
+    admissibly."""
+    while True:
+        w = "0"
+        while len(w) < p:
+            w += rng.choice("0" if w[-1] == "1" else "01")
+        if golden_mean().is_cyclic_word(w) and is_primitive(w):
+            return w
+
+
+def match_table_points():
+    """Tails of least period 1-6, plain and under sampled cores, and the
+    stitched points whose tails have least period 13, 20 or 31."""
+    system = golden_mean()
+    points = [Point(w, w, w, 0) for p in range(1, 7) for w in system.least_period_words(p)[:1]]
+    points += sample_points(system, 6, seed=21)
+    rng = random.Random(7)
+    for p in (13, 20, 31):
+        for _ in range(3):
+            point = _stitch_point(system, rng, _cyclic_golden_word(rng, p),
+                                  _cyclic_golden_word(rng, p), rng.randrange(0, 40))
+            assert point is not None
+            points.append(point)
+    return points
+
+
+def reference_match(tower, point, t):
+    """match_word of the rebuilt central window, with the phase found by
+    trying every rotation of the necklace against the window."""
+    r = tower.pernbhd.r
+    window = point.word(t - r, t + r)
+    hit = tower.pernbhd.match_word(window)
+    if hit is None:
+        return None
+    key = hit[0]
+    phase = next(c for c in range(len(key))
+                 if periodic_window(key, t - r, t + r, phase=c) == window)
+    return key, phase, len(key)
+
+
+class TestMatchTable:
+    """The runtime's slid match table against a match of every window
+    rebuilt from the point, whatever order the positions are asked in."""
+
+    POSITIONS = range(-150, 151)
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_equals_match_of_every_window(self, K):
+        pipe = build_pipeline(golden_mean(), K=K, kmax=2, C=0.0, m=(0, 0))
+        shuffled = list(self.POSITIONS)
+        random.Random(5).shuffle(shuffled)
+        orders = [list(self.POSITIONS), list(reversed(self.POSITIONS)), shuffled]
+        periods = set()
+        for point in match_table_points():
+            for k in (1, 2):
+                tower = pipe.stack[k]
+                expected = {t: reference_match(tower, point, t) for t in self.POSITIONS}
+                periods.update(hit and hit[2] for hit in expected.values())
+                for order in orders:
+                    runtime = pipe.stack.runtime(point)
+                    assert {t: runtime.match(tower, t) for t in order} == expected, point
+        # matches of every tail period 1-6 and windows that match nothing
+        assert {None, 1, 2, 3, 4, 5, 6} <= periods
+
+
+def test_match_word_runs_only_where_no_neighbour_matched(pipe, monkeypatch):
+    """These encodes ask for the match of 35,912 windows; sliding from
+    matched neighbours leaves about 3,000 of them to match_word."""
+    calls = []
+    real = PeriodicNeighborhood.match_word
+
+    def counting(self, window):
+        calls.append(window)
+        return real(self, window)
+
+    monkeypatch.setattr(PeriodicNeighborhood, "match_word", counting)
+    for point in sample_points(golden_mean(), 60, seed=11):
+        pipe.encode(point, 2, (-446, 446))
+    assert len(calls) <= 5000
 
 
 def test_chase_order_is_the_sorted_offsets():
