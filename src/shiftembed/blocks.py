@@ -124,31 +124,23 @@ class BlockLayout:
     def block_at(self, k, t):
         return self.layer(k).block_at(t)
 
-    def role_at(self, t, upto=None):
-        """(role, scale) of a position after the layers up to `upto`."""
-        upto = upto or self.kmax
-        out = None
-        for k in range(1, upto + 1):
-            hit = self.layers[k - 1].role.get(t)
-            if hit is not None:
-                out = (hit, k)
-        if out is None:
-            return (ROLE_UNRESOLVED, upto)
-        if out[0] == ROLE_FREE and out[1] < upto:
-            # freed at some scale and never promoted: still free at upto
-            for k in range(out[1] + 1, upto + 1):
-                hit = self.layers[k - 1].role.get(t)
-                if hit is not None:
-                    out = (hit, k)
-        return out
+    def roles(self):
+        """pos -> (role, scale) after every layer: the layers' role tables
+        merged in scale order, so a position takes the role of the last
+        layer that decides it."""
+        merged = {}
+        for k, layer in enumerate(self.layers, 1):
+            merged.update({t: (role, k) for t, role in layer.role.items()})
+        return merged
 
     def marker_progression(self, blk, k):
         return _marker_progression(self.schedule, blk, k, self.lo, self.hi)
 
     def dump_lines(self):
+        roles = self.roles()
         out = []
         for t in range(self.lo, self.hi + 1):
-            role, scale = self.role_at(t)
+            role, scale = roles.get(t, (ROLE_UNRESOLVED, self.kmax))
             out.append("%d %d %s" % (t, scale, role))
         return out
 
@@ -211,8 +203,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
     intervals = partition.intervals
 
     for idx, iv in enumerate(intervals):
-        start = iv.adj_start if iv.start is not None else None
-        end = iv.adj_end if iv.end is not None else None
+        start, end = iv.adj_start, iv.adj_end
         if iv.kind == "regular":
             if start < lo or end > hi + 1:
                 continue  # cut by the resolved range

@@ -379,21 +379,29 @@ class PeriodicCode:
     Each orbit necklace gets a primitive K-ary word of the same length; the
     induced point map sends phase c of orbit v to the shifted repetition of
     the code word.  The n_1-prefix map over all (orbit, rotation) pairs is
-    injective, verified exhaustively at construction.
+    injective: one prefix table holds every claimed word's rotation
+    prefixes, and a word with a taken prefix is refused.
     """
 
     def __init__(self, n1, K, orbit_code):
         self.n1 = n1
         self.K = K
-        self.orbit_code = dict(orbit_code)
+        self.orbit_code = {}
         self.prefix_table = {}
-        for v, w in self.orbit_code.items():
-            p = len(w)
-            for d in range(p):
-                prefix = repetition_prefix(w[d:] + w[:d], n1)
-                if prefix in self.prefix_table:
-                    raise ShiftEmbedError("periodic code prefix collision at %r" % prefix)
-                self.prefix_table[prefix] = (v, d)
+        for v, w in orbit_code.items():
+            if not self.claim(v, w):
+                raise ShiftEmbedError("periodic code prefix collision: code word %r of "
+                                      "orbit %r" % (w, v))
+
+    def claim(self, v, w):
+        """Name orbit v by the code word w, unless the n_1-prefix of one of
+        w's rotations is already taken: then change nothing and return False."""
+        prefixes = _rotation_prefixes(w, self.n1)
+        if not self.prefix_table.keys().isdisjoint(prefixes):
+            return False
+        self.orbit_code[v] = w
+        self.prefix_table.update((p, (v, d)) for d, p in enumerate(prefixes))
+        return True
 
     def stream_letter(self, orbit, phase, t):
         w = self.orbit_code[orbit]
@@ -403,7 +411,14 @@ class PeriodicCode:
         return self.prefix_table.get(word)
 
     def verify_injective(self):
-        return len(self.prefix_table) == sum(len(w) for w in self.orbit_code.values())
+        """Rebuild every rotation prefix from orbit_code: True when they are
+        pairwise distinct and prefix_table holds exactly them."""
+        rebuilt = {}
+        for v, w in self.orbit_code.items():
+            for d, p in enumerate(_rotation_prefixes(w, self.n1)):
+                if rebuilt.setdefault(p, (v, d)) != (v, d):
+                    return False
+        return rebuilt == self.prefix_table
 
     def serialize(self):
         lines = ["n1: %d" % self.n1, "K: %d" % self.K]
@@ -445,12 +460,16 @@ class PeriodicCode:
                 continue
             raise SpecParseError("code word %r of orbit %r %s" % (w, v, problem))
         try:
-            code = cls(n1, K, orbit_code)
+            return cls(n1, K, orbit_code)
         except ShiftEmbedError as exc:
             raise SpecParseError(str(exc)) from None
-        if not code.verify_injective():
-            raise SpecParseError("periodic code fails the injectivity check")
-        return code
+
+
+def _rotation_prefixes(w, n1):
+    """The n1-prefix of the repetition of each rotation w[d:] + w[:d], in
+    order of d: the n1-letter slices of w w w ... at 0, ..., len(w) - 1."""
+    text = repetition_prefix(w, n1 + len(w) - 1)
+    return [text[d:d + n1] for d in range(len(w))]
 
 
 def _shape_ok(w, n1):
@@ -463,9 +482,11 @@ def build_periodic_code(system, K, n1):
     """Greedy lexicographic assignment satisfying the prefix-shape condition.
 
     Orbits of least period n in (sqrt(n1), n1] must avoid code words whose
-    n1-fold repetition prefix has a period below n; shorter orbits take any
-    unused primitive necklace.  Global prefix injectivity is enforced during
-    assignment and re-verified exhaustively.
+    n1-fold repetition prefix has a period below n; every orbit takes the
+    first primitive word whose rotation prefixes the code has not taken.  A
+    rotation of a taken word is refused that way too: its prefixes are the
+    taken word's.  The n prefixes of one word are distinct, since each
+    starts with its rotation and a primitive word's rotations are distinct.
     """
     from .entropy import least_period_count
     if least_period_count(system, n1) >= K ** (n1 - 1):
@@ -473,39 +494,19 @@ def build_periodic_code(system, K, n1):
     by_period = {}
     for v, n in periodic_orbits(system, n1).items():
         by_period.setdefault(n, []).append(v)
-    used_prefixes = set()
-    used_necklaces = set()
-    orbit_code = {}
+    code = PeriodicCode(n1, K, {})
     for n in sorted(by_period):
-        orbits = sorted(by_period[n])
         cursor = 0
         top = K ** n
-        for v in orbits:
-            assigned = None
+        for v in sorted(by_period[n]):
             while cursor < top:
                 cand = kary_word(cursor, n, K)
                 cursor += 1
-                if not is_primitive(cand):
-                    continue
-                if necklace(cand) in used_necklaces:
-                    continue
-                if not _shape_ok(cand, n1):
-                    continue
-                prefixes = [repetition_prefix(cand[d:] + cand[:d], n1) for d in range(n)]
-                if len(set(prefixes)) != n or any(p in used_prefixes for p in prefixes):
-                    continue
-                assigned = cand
-                break
-            if assigned is None:
+                if is_primitive(cand) and _shape_ok(cand, n1) and code.claim(v, cand):
+                    break
+            if v not in code.orbit_code:
                 raise CapacityError("periodic code exhausted at period %d" % n,
                                     scale=1, block=n)
-            orbit_code[v] = assigned
-            used_necklaces.add(necklace(assigned))
-            used_prefixes.update(repetition_prefix(assigned[d:] + assigned[:d], n1)
-                                 for d in range(n))
-    code = PeriodicCode(n1, K, orbit_code)
-    if not code.verify_injective():
-        raise ShiftEmbedError("periodic code failed the exhaustive injectivity check")
     return code
 
 
@@ -779,8 +780,6 @@ def _decode_scale1(stream, pipeline):
         orbits.append(v)
         cert_parts.append((lo_t, hi_t - 1))
     intervals.sort(key=lambda iv: iv.start if iv.start is not None else A - 1)
-    for iv in intervals:
-        iv.adj_start, iv.adj_end = iv.start, iv.end
     return intervals, labels, orbits, cert_parts
 
 
@@ -930,7 +929,6 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
                                             prev_layer.blocks, (A, B))
             for piece in pieces:
                 orbits.append(piece.orbit)
-                piece.adj_start, piece.adj_end = piece.start, piece.end
                 out_intervals.append(piece)
             # labels come from the previous scale's letters, never from the
             # orbit extrapolated past where the point departs from it
@@ -950,7 +948,6 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
                 cert_parts.append((covered_lo,
                                    covered_hi if covered_hi is not None else hi_t - 1))
         else:
-            iv.adj_start, iv.adj_end = iv.start, iv.end
             out_intervals.append(iv)
 
     return out_intervals, labels, orbits, cert_parts
@@ -1120,10 +1117,10 @@ def decode_k(stream, pipeline, k):
     # pi_k form: deeper-scale symbols revert to free slots, and brackets
     # written over singular content revert to the orbit letters
     structural = {SYM_LB, SYM_RB, SYM_DB, SYM_MK}
+    roles = layout.roles()
     symbols = []
-    for t in range(A, B + 1):
-        role, scale = layout.role_at(t, upto=min(k, len(layout.layers)))
-        ch = stream.get(t)
+    for t, ch in enumerate(stream.symbols, A):
+        role, _ = roles.get(t, (ROLE_UNRESOLVED, k))
         if role in (ROLE_FREE, ROLE_UNRESOLVED):
             symbols.append(SYM_FREE)
         elif role == ROLE_SINGULAR_FILL and ch in structural:

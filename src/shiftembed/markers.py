@@ -258,12 +258,6 @@ class OdometerTower:
         out.sort()
         return out
 
-    def rank(self, point, pos, runtime=None):
-        return (1, point.residue_at(pos, self.depth)) if self.member(point, pos) else None
-
-    def accepted_tier(self, point, pos, runtime=None):
-        return 1 if self.member(point, pos) else None
-
 
 class TowerRuntime:
     """Per-point memo tables shared by all scales.
@@ -439,8 +433,14 @@ class Interval:
     orbit: str = None
     phase: int = None
     m: int = None
-    adj_start: object = None   # boundary after the inductive adjustment
-    adj_end: object = None
+    adj_start: object = None   # boundary after the inductive adjustment,
+    adj_end: object = None     # start and end unless given
+
+    def __post_init__(self):
+        if self.adj_start is None:
+            self.adj_start = self.start
+        if self.adj_end is None:
+            self.adj_end = self.end
 
     def length(self):
         if self.start is None or self.end is None:
@@ -559,8 +559,6 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
             intervals.append(_tag_singular(Interval(returns[-1], None, "singular"),
                                            stack, k, (scan_lo, scan_hi), runtime))
 
-    for iv in intervals:
-        iv.adj_start, iv.adj_end = iv.start, iv.end
     if prev_layout is not None:
         _adjust_boundaries(intervals, prev_layout, stack.schedule, k)
     part = ReturnPartition(scale=k, intervals=intervals,

@@ -25,11 +25,7 @@ def schedule(alpha=Fraction(1, 5), m=(0, 0), n=(100, 1000), periodic=False):
 
 
 def partition(scale, intervals, rng=(-50, 1100)):
-    ivs = []
-    for spec in intervals:
-        iv = Interval(*spec[:3], **(spec[3] if len(spec) > 3 else {}))
-        iv.adj_start, iv.adj_end = iv.start, iv.end
-        ivs.append(iv)
+    ivs = [Interval(*spec[:3], **(spec[3] if len(spec) > 3 else {})) for spec in intervals]
     return ReturnPartition(scale=scale, intervals=ivs, returns=[],
                            computed_range=(rng[0] - 1, rng[1] + 1))
 

@@ -211,6 +211,22 @@ class TestPeriodicCode:
             total, bound = forbidden_shape_count_bound(n, 2)
             assert total < bound
 
+    def test_injectivity_check_rebuilds_the_prefixes(self):
+        # two orbits of period 5 named by one code word keep one table entry
+        # per point: only prefixes rebuilt from the code words show the clash
+        code = build_periodic_code(golden_mean(), 2, 9)
+        assert code.verify_injective()
+        code.orbit_code["00101"] = code.orbit_code["00001"]
+        assert len(code.prefix_table) == sum(len(w) for w in code.orbit_code.values())
+        assert not code.verify_injective()
+
+    def test_claim_refuses_a_rotation_of_a_taken_word(self):
+        code = build_periodic_code(golden_mean(), 2, 9)
+        table = dict(code.prefix_table)
+        assert code.orbit_code["00001"] == "11112"
+        assert not code.claim("00101", "21111")
+        assert code.prefix_table == table and code.orbit_code["00101"] == "11122"
+
     def test_n1_sixteen_injective(self):
         code = build_periodic_code(golden_mean(), 2, 16)
         assert code.verify_injective()
@@ -332,16 +348,22 @@ class TestStreams:
             stream = pipe.encode(p, 1, (-margin, margin))
             assert pipe.invert(stream, 1) == p.letter(0)
 
-    def test_pi_k_form_reverts_deeper_scales(self, pipe):
-        margin = pipe.decode_margin()
-        p = Point("10", "00100", "001", -2)
-        s2 = pipe.encode(p, 2, (-margin, margin))
-        res = pipe.decode(s2, 1)
-        s1 = pipe.encode(p, 1, (-margin, margin))
-        a, b = -40, 40
-        got = res.stream_k.restrict(a, b)
-        want = s1.restrict(a, b)
-        assert got.symbols == want.symbols
+    def test_pi_k_form_reverts_deeper_scales(self, pipe, pipe3, odo_pipe):
+        """Decoding psi_kmax at a scale k < kmax gives psi_k back as its pi_k
+        stream on the certified scale-k window."""
+        cases = 0
+        for p in (pipe, pipe3, odo_pipe):
+            margin = p.decode_margin()
+            window = (-100 - margin, 100 + margin)
+            for point in sample_points(p.system, 25, seed=3):
+                *lower, top = p.encode_scales(point, window)
+                for k, psi_k in enumerate(lower, 1):
+                    res = p.decode(top, k)
+                    lo, hi = res.certified[k]
+                    assert res.stream_k.restrict(lo, hi).symbols == \
+                        psi_k.restrict(lo, hi).symbols
+                    cases += 1
+        assert cases == 25 + 25 + 50
 
 
 class TestConvergence:

@@ -8,8 +8,9 @@ text) of those streams and of seeded single-symbol mutations of them, and
 of the `verify_pipeline` lines, for sampled points on four
 configurations: golden mean K=2 and K=3, the dyadic odometer and the orbit
 system of "001".  They also pin every file that `save_pipeline` writes for
-those configurations and for a CLI `build`.  A change that moves a digest
-changed the output.
+those configurations and for a CLI `build`, and the greedy periodic code
+of five more (system, K, n_1).  A change that moves a digest changed the
+output.
 """
 
 import hashlib
@@ -19,11 +20,11 @@ import random
 import pytest
 
 from shiftembed.cli import main
-from shiftembed.codec import SymbolStream
+from shiftembed.codec import SymbolStream, build_periodic_code
 from shiftembed.errors import ShiftEmbedError
 from shiftembed.pipeline import (build_pipeline, sample_points, save_pipeline,
                                  verify_pipeline)
-from shiftembed.systems import OrbitSystem, Point, dyadic_odometer, golden_mean
+from shiftembed.systems import OrbitSystem, Point, Sft, dyadic_odometer, golden_mean
 from shiftembed.words import kary_alphabet
 
 WINDOW = (-200, 200)
@@ -262,3 +263,20 @@ def test_cli_build_artifacts_pinned(tmp_path, capsys):
     assert main(["build", "--system", str(spec), "--K", "2", "--kmax", "2",
                  "--C", "0", "--m", "0,0", "--out", str(out)]) == 0
     assert artifact_digests(str(out)) == GOLDEN_K2_ARTIFACTS
+
+
+# (system, K, n_1) -> digest of the greedy periodic code's serialize form,
+# beyond the codes the saved pipelines above write
+PINNED_PERIODIC_CODES = {
+    "golden-K2-16": (golden_mean, 2, 16, "d05b5ffd6e2fd867"),
+    "golden-K3-13": (golden_mean, 3, 13, "1dfe79acdaa051ee"),
+    "golden-K4-16": (golden_mean, 4, 16, "3c6982dbdc813d31"),
+    "golden-K3-19": (golden_mean, 3, 19, "7fa6cfa3ce9c222e"),
+    "sft22-201-K4-9": (lambda: Sft(3, ("22", "201")), 4, 9, "35fb312ebbdb6c52"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PERIODIC_CODES))
+def test_periodic_code_pinned(name):
+    make_system, K, n1, digest = PINNED_PERIODIC_CODES[name]
+    assert _digest(build_periodic_code(make_system(), K, n1).serialize()) == digest
