@@ -11,14 +11,14 @@ from shiftembed.pipeline import build_pipeline, sample_points
 from shiftembed.systems import OdometerPoint, Point, dyadic_odometer, golden_mean
 
 nb = PeriodicNeighborhood(golden_mean(), 2, 2)
-print("neighborhood of periods <= 2 at radius 2:", sorted(nb.clopen().patterns))
+print("orbits of period <= 2 (necklace, least period):", sorted(nb.orbits.items()))
 
 odo = dyadic_odometer(8)
 osched = build_schedule(odo, K=2, kmax=3, N_cert=128)
 stack = build_towers(odo, osched)
 for k in (1, 2, 3):
     print("odometer U_%d residues (mod %d):" % (k, odo.modulus(stack[k].depth)),
-          sorted(stack[k].flat.residues), "->", verify_tower(stack, k).passed)
+          sorted(stack[k].residues), "->", verify_tower(stack, k).passed)
 
 zero = OdometerPoint(odo, (0,) * 8)
 part = return_partition(zero, stack, 1, (0, 90))

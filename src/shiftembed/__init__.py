@@ -1,7 +1,6 @@
 """shiftembed: marker towers, hierarchical block codes and Besicovitch
 diagnostics for symbolic embeddings of zero-dimensional systems."""
 
-from .clopen import Clopen, OdoClopen
 from .codec import (SymbolStream, build_first_codebook,
                     build_conditional_codebook, build_periodic_code,
                     decode_k, encode_k, encode_limit, encode_scales, invert)

@@ -21,10 +21,6 @@ class InvalidPointError(ShiftEmbedError):
     """Point representation is not admissible for its system."""
 
 
-class WidthCapError(ShiftEmbedError):
-    """A clopen refinement would exceed the configured cylinder-width cap."""
-
-
 class EnumerationBudgetError(ShiftEmbedError):
     """A word enumeration would exceed the configured size budget."""
 

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .blocks import span_at, span_keys
-from .clopen import Clopen, OdoClopen
 from .errors import (EnumerationBudgetError, SeparationError,
                      ShiftEmbedError, WindowError)
 from .systems import periodic_orbits
 from .words import (least_period_at_most, least_rotation, min_period, necklace,
-                    periodic_window, primitive_root)
+                    primitive_root)
 
 FLAT_PATTERN_BUDGET = 300_000
 CHASE_LIMIT = 10_000
@@ -75,17 +74,6 @@ class PeriodicNeighborhood:
         if not self.has_orbit(key):
             return None
         return key, -i % p
-
-    def clopen(self):
-        """Explicit pattern form (small systems only)."""
-        pats = set()
-        for key, p in self.orbits.items():
-            for j in range(p):
-                pats.add(periodic_window(key, j - self.r, j + self.r))
-        total = len(pats)
-        if total > FLAT_PATTERN_BUDGET:
-            raise EnumerationBudgetError("neighborhood too large to materialize")
-        return Clopen(self.system, self.r, pats, check=False)
 
     def separation_check(self):
         """Distinct orbits have disjoint window sets, with enough slack that
@@ -216,9 +204,19 @@ class WordTower:
         return self.rank(point, pos, runtime)[0]
 
 
+def lift_residues(system, residues, depth, new_depth):
+    """The residues modulo the depth-`new_depth` modulus of the points whose
+    residue modulo the depth-`depth` modulus is in `residues`; new_depth >=
+    depth, and a deeper modulus is a multiple of a shallower one."""
+    mod = system.modulus(depth)
+    return {r + j * mod for r in residues
+            for j in range(system.modulus(new_depth) // mod)}
+
+
 class OdometerTower:
     """Exact residue tower: the greedy on residue pieces collapses to the
-    digit-prefix cylinder picked out by the nested construction."""
+    digit-prefix cylinder picked out by the nested construction.  The tower
+    is the set `residues` of residues modulo the depth-`depth` modulus."""
 
     def __init__(self, system, schedule, k, parent):
         self.system = system
@@ -235,16 +233,17 @@ class OdometerTower:
                 "odometer depth %d too shallow for n_%d = %d" % (system.depth, k, self.n))
         self.depth = depth
         mod = system.modulus(depth)
-        base = parent.flat.refine(depth).residues if parent else set(range(mod))
+        base = lift_residues(system, parent.residues, parent.depth, depth) if parent \
+            else range(mod)
         accepted = []
         for rho in sorted(base):
             if all(min((rho - a) % mod, (a - rho) % mod) >= self.n for a in accepted):
                 accepted.append(rho)
-        self.flat = OdoClopen(system, depth, accepted)
+        self.residues = frozenset(accepted)
         self.pernbhd = None
 
     def member(self, point, pos, runtime=None):
-        return self.flat.member(point, pos)
+        return point.residue_at(pos, self.depth) in self.residues
 
     def returns(self, point, lo, hi):
         """Sorted times t in [lo, hi] with T^t(point) in the tower: the
@@ -253,7 +252,7 @@ class OdometerTower:
         mod = self.system.modulus(self.depth)
         r0 = point.residue_at(0, self.depth)
         out = []
-        for a in self.flat.residues:
+        for a in self.residues:
             out.extend(range(lo + (a - r0 - lo) % mod, hi + 1, mod))
         out.sort()
         return out
@@ -390,7 +389,7 @@ class TowerStack:
             out.append("scale: %d" % tower.k)
             if isinstance(tower, OdometerTower):
                 out.append("depth: %d" % tower.depth)
-                out.append("residues: [%s]" % ", ".join(map(str, sorted(tower.flat.residues))))
+                out.append("residues: [%s]" % ", ".join(map(str, sorted(tower.residues))))
             else:
                 orbits = sorted(tower.pernbhd.orbits) if tower.pernbhd else []
                 out.append("orbits: [%s]" % ", ".join(orbits))
@@ -643,7 +642,7 @@ def verify_tower(stack, k, probe_points=None):
 
     if isinstance(tower, OdometerTower):
         mod = tower.system.modulus(tower.depth)
-        res = tower.flat.residues
+        res = tower.residues
         ok = all(not (res & {(r + i) % mod for r in res}) for i in range(1, tower.n))
         report.add(k, "disjointness", "flat-exact", ok)
         covered = set()
@@ -652,7 +651,10 @@ def verify_tower(stack, k, probe_points=None):
         report.add(k, "covering", "flat-exact", covered == set(range(mod)),
                    "uncovered=%d" % (mod - len(covered)))
         if tower.parent is not None:
-            ok = tower.flat.is_subset(tower.parent.flat)
+            parent = tower.parent
+            depth = max(tower.depth, parent.depth)
+            ok = lift_residues(tower.system, res, tower.depth, depth) <= \
+                lift_residues(tower.system, parent.residues, parent.depth, depth)
             report.add(k, "nesting", "flat-exact", ok)
         else:
             report.add(k, "nesting", "flat-exact", True, "base scale")
@@ -660,11 +662,7 @@ def verify_tower(stack, k, probe_points=None):
 
     # word tower ---------------------------------------------------------------
     w1 = 2 * tower.piece_halfwidth + 1
-    try:
-        count = tower.system.count_words(w1)
-    except Exception:
-        count = None
-    if count is not None and count <= FLAT_PATTERN_BUDGET and k == 1:
+    if k == 1 and tower.system.count_words(w1) <= FLAT_PATTERN_BUDGET:
         bad = []
         for u in tower.system.words(w1):
             p = min_period(u)
@@ -717,8 +715,8 @@ def verify_tower(stack, k, probe_points=None):
 def periodic_neighborhood(system, n, r):
     """Tagged neighborhood of the periodic points of period <= n.
 
-    Aperiodic systems (odometers) have none: an empty neighborhood object
-    whose clopen form is the empty set.
+    Aperiodic systems (odometers) have no periodic points, so they get no
+    neighborhood: None, which every tower reads as "no orbit matches".
     """
     if system.kind == "odometer":
         return None

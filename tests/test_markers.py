@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftembed.clopen import Clopen, OdoClopen
+from clopen_reference import Clopen, OdoClopen
 from shiftembed.entropy import ScaleSchedule, build_schedule
 from shiftembed.errors import SeparationError
 from shiftembed.markers import (PeriodicNeighborhood, build_towers,
@@ -25,14 +25,19 @@ def small_schedule(n1, r1=None, m1=0, K=2, periodic=True):
                          nprime=(n1,), r=(n1r,), periodic=periodic)
 
 
+def matched_windows(nb):
+    """The admissible width-(2r+1) words that the lazy membership test accepts."""
+    return {w for w in nb.system.words(2 * nb.r + 1) if nb.match_word(w)}
+
+
 class TestPeriodicNeighborhood:
     def test_golden_period_one(self):
         nb = PeriodicNeighborhood(golden_mean(), 1, 2)
-        assert nb.clopen().patterns == frozenset({"00000"})
+        assert matched_windows(nb) == {"00000"}
 
     def test_golden_period_two(self):
         nb = PeriodicNeighborhood(golden_mean(), 2, 2)
-        assert nb.clopen().patterns == frozenset({"00000", "01010", "10101"})
+        assert matched_windows(nb) == {"00000", "01010", "10101"}
 
     def test_tagging(self):
         stack = build_towers(golden_mean(), small_schedule(2, 3))
@@ -147,28 +152,70 @@ def test_golden_towers_orbit_counts(pipe):
     assert counts == [25, 1420]
 
 
+def residue_set(tower):
+    """The odometer tower as a reference residue set."""
+    return OdoClopen(tower.system, tower.depth, tower.residues)
+
+
+def dyadic_stack():
+    """Towers of the depth-8 dyadic odometer, K = 2, kmax = 3: each scale
+    holds the one residue 0, modulo 32, 64 and 128."""
+    odo = dyadic_odometer(8)
+    stack = build_towers(odo, build_schedule(odo, K=2, kmax=3, N_cert=128))
+    assert [(odo.modulus(stack[k].depth), stack[k].residues) for k in (1, 2, 3)] \
+        == [(32, {0}), (64, {0}), (128, {0})]
+    return stack
+
+
+def flat_exact_records(stack, k):
+    """invariant -> (ok, detail) of the records verify_tower gives scale k."""
+    report = verify_tower(stack, k)
+    assert {r.method for r in report.records} == {"flat-exact"}
+    return {r.invariant: (r.ok, r.detail) for r in report.records}
+
+
 class TestOdometerTowers:
     def test_dyadic_base_tower_is_digit_cylinder(self):
         odo = dyadic_odometer(4)
         sched = small_schedule(2, periodic=False)
         stack = build_towers(odo, sched)
-        u1 = stack[1].flat
+        u1 = residue_set(stack[1])
         assert u1.equals(OdoClopen.digit_cylinder(odo, (0,)))
 
     def test_three_scales_verify_exactly(self):
-        odo = dyadic_odometer(8)
-        sched = build_schedule(odo, K=2, kmax=3, N_cert=128)
-        stack = build_towers(odo, sched)
+        stack = dyadic_stack()
         for k in (1, 2, 3):
             report = verify_tower(stack, k)
             assert report.passed, report.lines()
 
     def test_nesting_is_exact_subset(self):
-        odo = dyadic_odometer(8)
-        sched = build_schedule(odo, K=2, kmax=3, N_cert=128)
-        stack = build_towers(odo, sched)
-        assert stack[2].flat.is_subset(stack[1].flat)
-        assert stack[3].flat.is_subset(stack[2].flat)
+        stack = dyadic_stack()
+        assert residue_set(stack[2]).is_subset(residue_set(stack[1]))
+        assert residue_set(stack[3]).is_subset(residue_set(stack[2]))
+
+    def test_residue_beside_a_member_fails_disjointness(self):
+        stack = dyadic_stack()
+        stack[1].residues |= {1}
+        assert flat_exact_records(stack, 1) == {"disjointness": (False, ""),
+                                                "covering": (True, "uncovered=0"),
+                                                "nesting": (True, "base scale")}
+
+    def test_dropped_residue_fails_covering(self):
+        stack = dyadic_stack()
+        stack[1].residues = frozenset()
+        assert flat_exact_records(stack, 1)["covering"] == (False, "uncovered=32")
+
+    def test_nesting_reads_the_parent_at_its_own_depth(self):
+        # scale 2 counts modulo 64 and scale 1 modulo 32: the residue 32 of
+        # scale 2 lies over the residue 0 of scale 1, and 16 over 16, which
+        # scale 1 does not hold
+        stack = dyadic_stack()
+        stack[2].residues = frozenset({32})
+        assert flat_exact_records(stack, 2)["nesting"] == (True, "")
+        stack[2].residues = frozenset({16})
+        assert flat_exact_records(stack, 2) == {"disjointness": (True, ""),
+                                                "covering": (True, "uncovered=0"),
+                                                "nesting": (False, "")}
 
     def test_return_partition_even_times(self):
         odo = dyadic_odometer(4)
@@ -291,7 +338,7 @@ def materialize(tower, parent=None):
             if val:
                 pats.add(w)
         else:
-            return Clopen(system, width // 2, pats, width_cap=width + 1, check=False)
+            return Clopen(system, width // 2, pats, width_cap=width + 1)
     return None
 
 
@@ -410,7 +457,7 @@ class TestFullShiftTower:
         stack = build_towers(full_shift(), small_schedule(2))
         tower = stack[1]
         w = 2 * flat.radius + 1
-        corrupt = flat.union(Clopen(full_shift(), flat.radius, {"0" * w}, check=False))
+        corrupt = flat.union(Clopen(full_shift(), flat.radius, {"0" * w}))
         assert "overlap at shift 1" in flat_disjointness(tower, corrupt)
         # the lazy tower, corrupted to chase smaller ranks on the right only:
         # of two neighboring pieces, the smaller-ranked one no longer vetoes
@@ -456,18 +503,18 @@ class TestFlatReference:
         stack, (flat1, flat2) = golden_flats[2]
         tower = stack[2]
         W = 2 * flat2.radius + 1
-        doubled = flat2.union(Clopen(golden, flat2.radius, {"0" * W}, check=False))
+        doubled = flat2.union(Clopen(golden, flat2.radius, {"0" * W}))
         assert "overlap at shift 1" in flat_disjointness(tower, doubled)
         # with n' = n every member is the only one within distance n' - 1,
         # so the points around a dropped pattern are uncovered
-        dropped = Clopen(golden, flat2.radius, sorted(flat2.patterns)[1:], check=False)
+        dropped = Clopen(golden, flat2.radius, sorted(flat2.patterns)[1:])
         assert "uncovered word" in flat_covering(tower, dropped)
         # a center just beside a parent member, outside the parent set
         c, R1 = flat2.radius, flat1.radius
         beside = next(w for w in golden.words(W)
                       if w[c + 1 - R1: c + 2 + R1] in flat1.patterns
                       and w[c - R1: c + R1 + 1] not in flat1.patterns)
-        near = flat2.union(Clopen(golden, flat2.radius, {beside}, check=False))
+        near = flat2.union(Clopen(golden, flat2.radius, {beside}))
         assert "near the parent tower" in flat_nesting(tower, near, flat1)
 
 
@@ -665,4 +712,4 @@ def test_periodic_neighborhood_wrapper():
     from shiftembed.markers import periodic_neighborhood
     assert periodic_neighborhood(dyadic_odometer(4), 3, 3) is None
     nb = periodic_neighborhood(golden_mean(), 1, 2)
-    assert nb.clopen().patterns == frozenset({"00000"})
+    assert matched_windows(nb) == {"00000"}
