@@ -7,8 +7,8 @@ from .codec import (SymbolStream, build_first_codebook,
 from .entropy import (ScaleSchedule, appendix_fullness_check, build_schedule,
                       conditional_count, htop_estimate, per_growth_in_cell,
                       verify_schedule)
-from .markers import (PeriodicNeighborhood, build_towers,
-                      periodic_neighborhood, return_partition, verify_tower)
+from .markers import (PeriodicNeighborhood, build_towers, return_partition,
+                      verify_tower)
 from .metrics import (besicovitch_estimate, cantor_distance, dN_distance,
                       empirical_measure, hausdorff_distance, measure_distance)
 from .pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline

@@ -208,6 +208,11 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
             if start < lo or end > hi + 1:
                 continue  # cut by the resolved range
             L = end - start
+            len_lo, len_hi = schedule.layout_bounds(k)
+            if not len_lo <= L < len_hi:
+                raise CapacityError("scale-%d block %r has length %d outside [%d, %d)"
+                                    % (k, (start, end), L, len_lo, len_hi),
+                                    scale=k, block=(start, end))
             blk = LayoutBlock(scale=k, start=start, end=end, kind="regular")
             freed = _free_in_special_subblocks(schedule, prev_layer, blk, k)
             blk.freed_positions = tuple(freed)
@@ -216,9 +221,6 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
             if start_sub is not None and start_sub.kind == "singular":
                 # the adjusted boundary sits at a marker-capable singular
                 # position: the bracket lands there, costing no free slot
-                if L <= 0:
-                    raise CapacityError("scale-%d block %r has no position for its marker"
-                                        % (k, (start, end)), scale=k, block=(start, end))
                 blk.marker_pos = start
                 slots = [p for p in slots if p != start]
             else:
@@ -231,7 +233,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
             # singular subblocks and closing markers legitimately eat slots;
             # a block built purely from open regular subblocks must fit
             eaten = any(sub.kind == "singular"
-                        for sub in prev_layer.blocks_near(min(start, end - 1), max(start, end - 1))
+                        for sub in prev_layer.blocks_near(start, end - 1)
                         if sub.covers(start) or sub.covers(end - 1) or
                         (sub.start is not None and start <= sub.start and
                          sub.end is not None and sub.end <= end))
@@ -443,26 +445,3 @@ def append_layer(layout, partition):
     layout.layers.append(layer)
     return layer
 
-
-def build_block_layout(schedule, partitions, window_range, periodic):
-    """Layout chain for return partitions at scales 1..k over one range."""
-    lo, hi = window_range
-    layout = BlockLayout(schedule=schedule, lo=lo, hi=hi, periodic=periodic)
-    for part in partitions:
-        append_layer(layout, part)
-    return layout
-
-
-def next_scale_markers(layout, k):
-    """Exact positions where scale-(k+1) markers would be placed."""
-    out = []
-    for blk in layout.layer(k).blocks:
-        if blk.kind == "regular":
-            if not blk.free_slots:
-                raise CapacityError("block %r has no free slot for the next marker"
-                                    % ((blk.start, blk.end),), scale=k,
-                                    block=(blk.start, blk.end))
-            out.append(blk.free_slots[0])
-        else:
-            out.extend(layout.marker_progression(blk, k))
-    return sorted(set(out))

@@ -17,7 +17,8 @@ Streams use one token per position.  Internal symbols:
 
 Decoding rebuilds the block structure scale by scale from the markers and
 re-runs the same layout arithmetic, so encoder and decoder cannot drift
-apart; codewords are then inverted per context.
+apart: lengths obey ScaleSchedule.layout_bounds and stretches the roles of
+the laid-out layers.  Codewords are then inverted per context.
 """
 
 import itertools
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 
 from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
                      ROLE_CLOSING, ROLE_FREE, ROLE_MARKER, ROLE_MARKER_K,
-                     ROLE_SINGULAR_FILL, ROLE_UNRESOLVED, LayoutBlock, SpanOrderError,
-                     _free_special_singular)
+                     ROLE_SINGULAR_FILL, SpanOrderError)
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
 from .markers import Interval, ReturnPartition, return_partition
@@ -698,13 +698,15 @@ def _decode_scale1(stream, pipeline):
     Block starts carry '|'; every bounded singular stretch carries one
     terminator symbol right after its protected n_1-prefix, so structure
     boundaries are the '|' positions plus (terminator - n_1) positions, and
-    classification is immediate.  Stretches are read here; the codewords of
-    the regular blocks are read from the laid-out layer.
+    classification is immediate.  Stretches are tagged here and checked
+    once every layer is laid out; codewords are read from the laid-out
+    layer.  A region before the first boundary, shorter than a regular
+    block and holding more than orbit letters and brackets, is dropped.
     """
     sched = pipeline.schedule
     periodic = pipeline.periodic
     n1 = sched.n[0]
-    len_lo, len_hi = sched.block_bounds(1)
+    len_lo, len_hi = sched.layout_bounds(1)
     K = sched.K
     A, B = stream.a, stream.b
     code = pipeline.periodic_code
@@ -765,12 +767,10 @@ def _decode_scale1(stream, pipeline):
             continue  # edge region too dirty to certify: drop it
         v, d = tag
         phase = (d - anchor) % len(v)
-        try:
-            _validate_stretch_content(stream, pipeline, s, e, v, phase)
-        except MalformedStreamError:
-            if s is None and e is not None and e - A < len_hi:
-                continue  # shorter than a regular block: one the left edge cut
-            raise
+        if s is None and e is not None and e - A < len_hi and any(
+                ch != code.stream_letter(v, phase, t) and ch not in (SYM_LB, SYM_RB, SYM_DB)
+                for t, ch in enumerate(stream.symbols[:e - A], A)):
+            continue  # a block the left edge cut
         lo_t = A if s is None else s
         hi_t = B + 1 if e is None else e
         for t in range(lo_t, hi_t):
@@ -783,43 +783,38 @@ def _decode_scale1(stream, pipeline):
     return intervals, labels, orbits, cert_parts
 
 
-def _validate_stretch_content(stream, pipeline, s, e, orbit, phase):
-    """Strict content check of a singular stretch: letters must match the
-    orbit prediction; structural symbols only where the grammar places them
-    (terminator at depth n_1, brackets and markers past the protected
-    prefix, freed slots where the layout's own freeing of a special
-    singular block puts them at scales 2..k_max)."""
+def _check_stretch(stream, pipeline, blk, roles, top, symbols):
+    """Check a singular stretch of the decoded scale-1 layer against the
+    merged roles of the laid-out layers (the rule is decode_k's), and write
+    its orbit letters into the pi_k symbols."""
     sched = pipeline.schedule
     code = pipeline.periodic_code
     letters = set(kary_alphabet(sched.K))
     A, B = stream.a, stream.b
-    lo_t = A if s is None else max(s, A)
-    hi_t = B + 1 if e is None else min(e, B + 1)
-    stretch = LayoutBlock(scale=1, start=s, end=e, kind="singular", special=True,
-                          orbit=orbit, phase=phase, m=len(orbit))
-    freed = set()
-    for k in range(2, sched.kmax + 1):
-        freed.update(_free_special_singular(sched, stretch, k, lo_t, hi_t - 1))
-    n1 = sched.n[0]
+    prefix_end = None if blk.start is None else blk.start + sched.n[0]
+    lo_t = A if blk.start is None else max(blk.start, A)
+    hi_t = B + 1 if blk.end is None else min(blk.end, B + 1)
     for t in range(lo_t, hi_t):
-        ch = stream.get(t)
-        if ch in letters:
-            if ch != code.stream_letter(orbit, phase, t):
-                raise MalformedStreamError(
-                    "stretch content clashes with orbit %r at %d" % (orbit, t))
-        elif ch == SYM_TERM:
-            if s is None or t != s + n1:
-                raise MalformedStreamError("unexpected terminator inside a stretch at %d" % t)
-        elif ch == SYM_M1:
-            raise MalformedStreamError("block marker inside a stretch at %d" % t)
-        elif ch in (SYM_LB, SYM_RB, SYM_DB):
-            if s is not None and t < s + n1 + 1:
-                raise MalformedStreamError("bracket inside a protected prefix at %d" % t)
-        elif ch in (SYM_FREE, SYM_UNRESOLVED):
-            if t not in freed:
-                raise MalformedStreamError("free slot inside a stretch at %d" % t)
-        else:
-            raise MalformedStreamError("alien symbol %r inside a stretch at %d" % (ch, t))
+        ch = stream.symbols[t - A]
+        role, _ = roles[t]
+        in_prefix = prefix_end is not None and t < prefix_end
+        if role == ROLE_FREE:
+            if top and ch not in (SYM_FREE, SYM_UNRESOLVED):
+                raise MalformedStreamError("freed slot %d of a stretch holds %r" % (t, ch))
+            continue
+        if role != ROLE_SINGULAR_FILL and not in_prefix:
+            continue        # the terminator, or a filling or bracket of a layer
+        letter = code.stream_letter(blk.orbit, blk.phase, t)
+        symbols[t - A] = letter
+        deeper = not top and (ch in letters or ch in (SYM_FREE, SYM_UNRESOLVED))
+        if ch == letter or not in_prefix and (ch in (SYM_LB, SYM_RB, SYM_DB) or deeper):
+            continue
+        raise MalformedStreamError(
+            "stretch content clashes with orbit %r at %d" % (blk.orbit, t) if ch in letters
+            else "unexpected terminator inside a stretch at %d" % t if ch == SYM_TERM
+            else "bracket inside a protected prefix at %d" % t if ch in (SYM_LB, SYM_RB, SYM_DB)
+            else "free slot inside a stretch at %d" % t if ch in (SYM_FREE, SYM_UNRESOLVED)
+            else "alien symbol %r inside a stretch at %d" % (ch, t))
 
 
 def _put_label(labels, t, value):
@@ -853,7 +848,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
     decoded layers, and read its singular regions."""
     sched = pipeline.schedule
     A, B = stream.a, stream.b
-    len_lo, len_hi = sched.block_bounds(k)
+    len_lo, len_hi = sched.layout_bounds(k)
     prev_layer = layout.layer(k - 1)
 
     boundaries = []   # (pos_of_symbol, boundary, type)
@@ -970,7 +965,11 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
                 coarse = tuple(labels_prev[t] for t in range(blk.start, blk.end))
             except KeyError:
                 continue  # outside the previous certified region
-        cb = _block_codebook(pipeline, k, blk, coarse)
+        try:
+            cb = _block_codebook(pipeline, k, blk, coarse)
+        except CapacityError as exc:    # a block the encoder refuses: no stream holds one
+            raise MalformedStreamError("scale-%d block [%d, %d): %s"
+                                       % (k, blk.start, blk.end, exc)) from None
         slots = blk.fill_positions[:cb.length]
         if not all(A <= pos <= B for pos in slots):
             continue
@@ -1083,19 +1082,28 @@ def _extract_period(pipeline, k, labels_prev, s, e, window):
 
 def _append_decoded_layer(layout, k, window, intervals):
     """Append the scale-k layer of intervals read off a stream.  Spans that
-    overlap or run backwards come from the stream, so they make it malformed."""
+    overlap or run backwards, or a block the layout refuses, come from the
+    stream, so they make it malformed: the encoder emits neither."""
     from .blocks import append_layer
     A, B = window
     try:
         part = ReturnPartition(scale=k, intervals=intervals, returns=[],
                                computed_range=(A - 1, B + 1))
         return append_layer(layout, part)
-    except SpanOrderError as exc:
+    except (SpanOrderError, CapacityError) as exc:
         raise MalformedStreamError(str(exc)) from None
 
 
 def decode_k(stream, pipeline, k):
-    """Invert the scale-k code: block structure, itineraries, orbit ids."""
+    """Invert the scale-k code: block structure, itineraries, orbit ids.
+
+    A singular stretch holds orbit letters in its protected n_1-prefix.
+    Past it, a position that a layer fills or brackets is that layer's to
+    read, one that a layer frees holds a free slot, and one that no layer
+    takes holds the orbit letter or a bracket (of a block the window edge
+    cut).  Below the top scale the deeper layers are not laid out, so past
+    the prefix any code letter or free slot may stand where they write.
+    """
     from .blocks import BlockLayout
     sched = pipeline.schedule
     if not 1 <= k <= sched.kmax:
@@ -1114,20 +1122,14 @@ def decode_k(stream, pipeline, k):
         _read_codewords(stream, pipeline, layer, itineraries.get(l - 1), labels, cert_parts)
         itineraries[l] = labels
         certified[l] = _covered_range(cert_parts, (A, B))
-    # pi_k form: deeper-scale symbols revert to free slots, and brackets
-    # written over singular content revert to the orbit letters
-    structural = {SYM_LB, SYM_RB, SYM_DB, SYM_MK}
+    # pi_k form: deeper-scale symbols revert to free slots, and a stretch
+    # position no layer takes to its orbit letter
     roles = layout.roles()
-    symbols = []
-    for t, ch in enumerate(stream.symbols, A):
-        role, _ = roles.get(t, (ROLE_UNRESOLVED, k))
-        if role in (ROLE_FREE, ROLE_UNRESOLVED):
-            symbols.append(SYM_FREE)
-        elif role == ROLE_SINGULAR_FILL and ch in structural:
-            blk = layout.layer(1).block_at(t)       # the singular stretch holding t
-            symbols.append(pipeline.periodic_code.stream_letter(blk.orbit, blk.phase, t))
-        else:
-            symbols.append(ch)
+    symbols = [ch if t in roles and roles[t][0] != ROLE_FREE else SYM_FREE
+               for t, ch in enumerate(stream.symbols, A)]
+    for blk in layout.layer(1).blocks:
+        if blk.kind == "singular":
+            _check_stretch(stream, pipeline, blk, roles, k == sched.kmax, symbols)
     stream_k = SymbolStream(A, B, symbols)
     return DecodeResult(itineraries=itineraries, certified=certified,
                         orbits=orbits, stream_k=stream_k)

@@ -178,6 +178,28 @@ class ScaleSchedule:
         """Half-open range of regular block lengths at scale k."""
         return self.n[k - 1], 2 * self.nprime[k - 1]
 
+    def layout_bounds(self, k):
+        """Half-open range of the lengths a laid-out regular k-block can have.
+
+        Its raw length, between two scale-k returns, is in block_bounds(k).
+        Above scale 1 markers._adjust_boundaries moves each end forward onto
+        the (k-1)-layer by at most d: not at all from a regular (k-1)-block,
+        whose start a tier-1 return sits on; at most n_1 + 1, past the
+        protected prefix, into a special singular (k-1)-block; and less than
+        the step m' = ceil(n_(k-1) / m) m of the marker progression of a
+        non-special one, of period n_(k-2) < m <= n_(k-1).  So the length
+        moves by at most d either way.  Scale-1 blocks are never adjusted,
+        and an aperiodic system has no singular blocks: there d = 0.
+        """
+        lo, hi = self.block_bounds(k)
+        if k == 1 or not self.periodic:
+            return lo, hi
+        d = self.n[0] + 1
+        if k >= 3:
+            n = self.n[k - 2]
+            d = max([d] + [-(-n // m) * m - 1 for m in range(self.n[k - 3] + 1, n + 1)])
+        return max(lo - d, 1), hi + d
+
     def serialize(self):
         lines = [
             "K: %d" % self.K,

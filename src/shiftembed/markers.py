@@ -711,13 +711,3 @@ def verify_tower(stack, k, probe_points=None):
             report.add(k, "nesting", "probe", ok_nest, "point %r" % (point,))
     return report
 
-
-def periodic_neighborhood(system, n, r):
-    """Tagged neighborhood of the periodic points of period <= n.
-
-    Aperiodic systems (odometers) have no periodic points, so they get no
-    neighborhood: None, which every tower reads as "no orbit matches".
-    """
-    if system.kind == "odometer":
-        return None
-    return PeriodicNeighborhood(system, n, r)

@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 
 from shiftembed.blocks import (ROLE_CLOSING, ROLE_FILL, ROLE_FREE, ROLE_MARKER,
-                               LayoutBlock, _slots_in, build_block_layout,
-                               SpanOrderError, next_scale_markers, span_keys)
-from shiftembed.codec import SymbolStream, build_point_context
+                               BlockLayout, LayoutBlock, _slots_in, append_layer,
+                               SpanOrderError, span_keys)
+from shiftembed.codec import SymbolStream, _append_decoded_layer, build_point_context
 from shiftembed.entropy import ScaleSchedule
 from shiftembed.errors import CapacityError, MalformedStreamError, WindowError
 from shiftembed.markers import Interval, ReturnPartition
-from shiftembed.pipeline import build_pipeline
-from shiftembed.systems import Point, golden_mean
+from shiftembed.pipeline import build_pipeline, sample_points
+from shiftembed.systems import Point, dyadic_odometer, golden_mean
 
 
 def schedule(alpha=Fraction(1, 5), m=(0, 0), n=(100, 1000), periodic=False):
@@ -22,6 +22,16 @@ def schedule(alpha=Fraction(1, 5), m=(0, 0), n=(100, 1000), periodic=False):
     return ScaleSchedule(K=2, alpha=alpha, m=m, n=tuple(n), nprime=tuple(nprime),
                          r=tuple(max(mk + nk, nk) for mk, nk in zip(m, n)),
                          periodic=periodic)
+
+
+def build_block_layout(sched, partitions, window_range, periodic):
+    """The layout chain of return partitions at scales 1..k over one range,
+    laid out layer by layer as encode and decode lay it out."""
+    layout = BlockLayout(schedule=sched, lo=window_range[0], hi=window_range[1],
+                         periodic=periodic)
+    for part in partitions:
+        append_layer(layout, part)
+    return layout
 
 
 def partition(scale, intervals, rng=(-50, 1100)):
@@ -69,8 +79,9 @@ class TestNextScaleMarkers:
     def test_regular_block_first_free(self):
         sched = schedule()
         part = partition(1, [(0, 1000, "regular")])
-        layout = build_block_layout(sched, [part], (0, 999), periodic=False)
-        assert next_scale_markers(layout, 1) == [901]
+        part2 = partition(2, [(0, 1000, "regular")])
+        layout = build_block_layout(sched, [part, part2], (0, 999), periodic=False)
+        assert layout.layer(2).blocks[0].marker_pos == 901
 
     def test_unbounded_singular_progression(self):
         # m'=12 is the smallest multiple of m=3 reaching n_k=10
@@ -114,13 +125,13 @@ class TestPeriodicGrammar:
 
     def test_block_adjusted_to_no_length_refused(self):
         # both ends of a regular scale-2 interval move to one position of a
-        # singular 1-block: the block has no position for its bracket
+        # singular 1-block: the block has no length, below layout_bounds(2)
         sched = schedule(m=(0, 0), n=(9, 20), periodic=True)
         part1 = partition(1, [(0, 40, "singular",
                                dict(special=True, orbit="0", phase=0, m=1))])
         part2 = partition(2, [(10, 30, "regular")])
         part2.intervals[0].adj_start = 30
-        with pytest.raises(CapacityError, match="no position for its marker") as err:
+        with pytest.raises(CapacityError, match=r"length 0 outside \[10, 68\)") as err:
             build_block_layout(sched, [part1, part2], (0, 39), periodic=True)
         assert (err.value.scale, err.value.block) == (2, (30, 30))
 
@@ -279,6 +290,15 @@ class TestBisectLookups:
             span_keys(touching)
         assert not issubclass(SpanOrderError, MalformedStreamError)
 
+    def test_block_the_layout_refuses_read_off_a_stream_is_malformed(self):
+        # the scale-2 block of test_capacity_error_reports_scale_and_block,
+        # read off a stream: the encoder never emits it
+        sched = schedule(n=(20, 100))
+        part1 = partition(1, [(i * 20, (i + 1) * 20, "regular") for i in range(5)])
+        layout = build_block_layout(sched, [part1], (0, 99), periodic=False)
+        with pytest.raises(MalformedStreamError, match=r"\(0, 100\): 5 filling slots needed"):
+            _append_decoded_layer(layout, 2, (0, 99), [Interval(0, 100, "regular")])
+
     def test_overlapping_spans_read_off_a_stream_are_malformed(self):
         # a stray close bracket at time 44 starts a second right-unbounded
         # singular gap after the one at 28: the decoder refuses the stream
@@ -293,3 +313,71 @@ class TestBisectLookups:
         with pytest.raises(MalformedStreamError,
                            match=r"^spans overlap or run backwards: \[28, None\), \[44, None\)$"):
             pipe.decode(bad, 2)
+
+
+class TestLayoutBounds:
+    """ScaleSchedule.layout_bounds is the one rule for the length of a
+    laid-out regular block: the layout refuses a block outside it, and the
+    decoder checks lengths against it."""
+
+    CONFIGS = {
+        "golden-k2": (golden_mean, dict(K=2, kmax=2, C=0.0, m=(0, 0))),
+        "golden-k3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 0))),
+        "growing-radius": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 1))),
+        "odometer": (lambda: dyadic_odometer(8), dict(K=2, kmax=3, N_cert=128)),
+    }
+    # its scale-2 block [-2, 7) starts n_1 + 1 = 10 into the stretch [-12, 7)
+    SHORT_BLOCK_POINT = Point("10010", "101010010101010010010000010001000100100000", "010", -7)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_laid_out_regular_blocks_are_inside_the_rule(self, name):
+        make_system, kwargs = self.CONFIGS[name]
+        system = make_system()
+        pipe = build_pipeline(system, **kwargs)
+        sched = pipe.schedule
+        margin = pipe.decode_margin()
+        points = sample_points(system, 20, seed=3)
+        if name == "golden-k2":
+            points.append(self.SHORT_BLOCK_POINT)
+        outside_raw = set()
+        for point in points:
+            layout = pipe.context(point, (-200 - margin, 200 + margin)).layout
+            for k in range(1, sched.kmax + 1):
+                lo, hi = sched.layout_bounds(k)
+                raw_lo, raw_hi = sched.block_bounds(k)
+                for blk in layout.layer(k).blocks:
+                    if blk.kind == "regular":
+                        assert lo <= blk.length() < hi
+                        if not raw_lo <= blk.length() < raw_hi:
+                            outside_raw.add((k, blk.start, blk.end))
+        if name == "golden-k2":
+            assert (2, -2, 7) in outside_raw
+        if name == "odometer":
+            assert not outside_raw
+
+    def test_displacement_bound(self):
+        # golden K=2: n = (9, 19), n' = (9, 28); scale-1 stretches are all
+        # special, so an end moves at most n_1 + 1 = 10
+        sched = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0)).schedule
+        assert sched.layout_bounds(1) == sched.block_bounds(1) == (9, 18)
+        assert sched.block_bounds(2) == (19, 56)
+        assert sched.layout_bounds(2) == (9, 66)
+        # at scale 3 a non-special scale-2 block of period m in (9, 20] steps
+        # by m' = ceil(20 / m) m, at most 38 at m = 19: an end moves at most 37
+        three = schedule(m=(0, 0, 0), n=(9, 20, 50), periodic=True)
+        assert three.layout_bounds(2) == (20 - 10, 2 * 29 + 10)
+        assert three.layout_bounds(3) == (50 - 37, 2 * 79 + 37)
+        # an aperiodic system has no singular block to move an end into
+        flat = schedule(n=(9, 20, 50), periodic=False)
+        assert [flat.layout_bounds(k) for k in (1, 2, 3)] == \
+            [flat.block_bounds(k) for k in (1, 2, 3)]
+
+    def test_block_outside_the_rule_refused(self):
+        # both ends of a regular scale-2 interval sit on regular 1-blocks and
+        # stay, so the block keeps its length 8 < n_2 - (n_1 + 1) = 10
+        sched = schedule(m=(0, 0), n=(9, 20), periodic=True)
+        part1 = partition(1, [(i * 8, (i + 1) * 8, "regular") for i in range(4)])
+        part2 = partition(2, [(8, 16, "regular")])
+        with pytest.raises(CapacityError, match=r"length 8 outside \[10, 68\)") as err:
+            build_block_layout(sched, [part1, part2], (0, 31), periodic=True)
+        assert (err.value.scale, err.value.block) == (2, (8, 16))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftembed import codec
-from shiftembed.blocks import LayoutBlock
+from shiftembed.blocks import ROLE_SINGULAR_FILL, LayoutBlock
 from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream, _block_key,
                               build_first_codebook, build_conditional_codebook,
                               build_periodic_code)
@@ -272,30 +272,31 @@ class TestStreams:
             want = itinerary(golden_mean(), p, pipe.schedule.m[l - 1], (-60, 60))
             assert res.itinerary_list(l, (-60, 60)) == want
 
-    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
-        "known encoder defect: the scale-2 return partition lays out a regular "
-        "block [-2, 7) of length 9 < n_2 = 19 inside the scale-1 singular block "
-        "[-12, 7), so decode rightly rejects the stream with 'scale-2 block "
-        "[-2, 7) has impossible length'"))
     def test_roundtrip_regular_block_inside_singular(self, pipe):
+        """The scale-2 return partition lays out the regular block [-2, 7):
+        its start moved n_1 + 1 = 10 into the scale-1 stretch [-12, 7), so
+        its length 9 is below n_2 = 19 but inside layout_bounds(2)."""
         margin = pipe.decode_margin()
         p = Point("10010", "101010010101010010010000010001000100100000", "010", -7)
-        stream = pipe.encode(p, 2, (-200 - margin, 200 + margin))
+        window = (-200 - margin, 200 + margin)
+        blk = pipe.context(p, window).layout.block_at(2, 0)
+        assert (blk.start, blk.end, blk.kind) == (-2, 7, "regular")
+        stream = pipe.encode(p, 2, window)
         res = pipe.decode(stream, 2)
         for l in (1, 2):
             want = itinerary(golden_mean(), p, pipe.schedule.m[l - 1], (-200, 200))
             assert res.itinerary_list(l, (-200, 200)) == want
 
-    def test_verify_records_the_defect_as_a_fail(self, pipe):
-        # the point of the strict xfail above: verify reports the decode
-        # error as a failed round-trip instead of raising it
-        p = Point("10010", "101010010101010010010000010001000100100000", "010", -7)
-        report = verify_pipeline(pipe, points=[p])
+    def test_verify_records_the_defect_as_a_fail(self, pipe3):
+        # verify reports the decode error of the strict xfail
+        # TestNonSpecialSingular::test_right_tail_at_n2_after_a_special_stretch
+        # as a failed round-trip instead of raising it
+        report = verify_pipeline(pipe3, points=[Point("0", "", "0000000101", 0)])
         roundtrip = {r.scale: r for r in report.records
                      if (r.module, r.name) == ("codec", "roundtrip")}
         assert roundtrip[1].ok
         assert not roundtrip[2].ok
-        assert "impossible length" in roundtrip[2].detail
+        assert "shadowed region content is not periodic" in roundtrip[2].detail
         assert not report.passed
 
     @pytest.mark.parametrize("scale", [1, 2, 3])
@@ -540,11 +541,16 @@ class TestNonSpecialSingular:
 
 
 class TestStretchFreeing:
-    """The decoder checks a singular stretch against the layout's own
-    freeing of a special singular block (blocks._free_special_singular).
-    Three ways in which the layout frees, or anchors its freeing,
-    differently from that stretch are pinned below, to be fixed against
-    that one rule together with the boundary adjustment."""
+    """The decoder checks a singular stretch against the roles of the layers
+    it lays out (BlockLayout.roles): a stretch position that a layer frees
+    holds a free slot, one that a layer fills or brackets is read by that
+    layer, and one that no layer takes holds the orbit letter.  The layout
+    frees stretch slots in two ways, both anchored where the layout puts
+    them: in a special singular block from its adjusted start, and in a
+    special subblock of a regular block (blocks._free_in_special_subblocks)."""
+
+    FILLED_IN_FREED_SLOT = Point("00100", "1010100001010100001010", "100000", -8)
+    ANCHORED_AT_ADJUSTED_START = Point("01", "0100010010", "0010101", 0)
 
     def test_freed_slots_of_unbounded_stretch_roundtrip(self, pipe3):
         """The left-unbounded period-7 stretch of this point holds the only
@@ -559,24 +565,44 @@ class TestStretchFreeing:
         swapped = list(stream.symbols)
         i = t - stream.a
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        with pytest.raises(MalformedStreamError, match="free slot inside a stretch"):
+        with pytest.raises(MalformedStreamError, match="freed slot %d of a stretch holds" % t):
             pipe3.decode(SymbolStream(stream.a, stream.b, swapped, stream.resolution), 2)
 
-    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
-        "blocks._free_in_special_subblocks frees position 4: it lies in the "
-        "special scale-1 stretch [-6, 15), inside the regular scale-2 block "
-        "[-16, 25), which then writes a scale-2 filling letter there; the "
-        "decoder's stretch check has no counterpart to this freeing and raises "
-        "\"stretch content clashes with orbit '000010101' at 4\""))
     def test_roundtrip_filling_in_freed_subblock_slot(self, pipe):
-        _roundtrip(pipe, Point("00100", "1010100001010100001010", "100000", -8))
+        """_free_in_special_subblocks frees position 4 of the special scale-1
+        stretch [-6, 15) inside the regular scale-2 block [-16, 25), which
+        writes a scale-2 filling letter there."""
+        _roundtrip(pipe, self.FILLED_IN_FREED_SLOT)
 
-    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
-        "the layout anchors the scale-2 freeing of the special singular block "
-        "at its adjusted start 21, the decoder at the scale-1 stretch start 11, "
-        "so the freed slot 36 raises 'free slot inside a stretch at 36'"))
     def test_roundtrip_freeing_anchored_at_adjusted_start(self, pipe3):
-        _roundtrip(pipe3, Point("01", "0100010010", "0010101", 0))
+        """The layout anchors the scale-2 freeing of the special singular
+        block at its adjusted start 21, not at the stretch start 11: slot 36
+        is freed."""
+        _roundtrip(pipe3, self.ANCHORED_AT_ADJUSTED_START)
+
+    @pytest.mark.parametrize("point, config, symbol, error", [
+        (FILLED_IN_FREED_SLOT, "pipe", "letter", "stretch content clashes with orbit"),
+        (ANCHORED_AT_ADJUSTED_START, "pipe3", "o", "free slot inside a stretch"),
+    ], ids=["clash", "free-slot"])
+    def test_untaken_stretch_position_holds_the_orbit_letter(self, request, point, config,
+                                                              symbol, error):
+        """A mutation at a stretch position past the protected prefix that
+        no layer frees, fills or brackets is refused."""
+        pipe = request.getfixturevalue(config)
+        margin = pipe.decode_margin()
+        window = (-200 - margin, 200 + margin)
+        stream = pipe.encode(point, 2, window)
+        layout = pipe.context(point, window).layout
+        roles = layout.roles()
+        stretch = next(blk for blk in layout.layer(1).blocks
+                       if blk.kind == "singular" and blk.start is not None and blk.start > 0)
+        t = next(t for t in range(stretch.start + pipe.schedule.n[0] + 1, stream.b)
+                 if roles[t] == (ROLE_SINGULAR_FILL, 1))
+        symbols = list(stream.symbols)
+        old = symbols[t - stream.a]
+        symbols[t - stream.a] = ("2" if old == "1" else "1") if symbol == "letter" else symbol
+        with pytest.raises(MalformedStreamError, match=error):
+            pipe.decode(SymbolStream(stream.a, stream.b, symbols), 2)
 
     @pytest.mark.xfail(strict=True, raises=WindowError, reason=(
         "a period-7 point frees a slot in every period, so no unbroken "

@@ -1,8 +1,10 @@
 """Dead-name guard: every function and class the package defines is used.
 
-A name counts as used when it occurs as a whole word anywhere in `src/`,
-`tests/` or `demos/` other than on its own `def`/`class` line.  Dunder
-methods are exempt, since Python calls them; nothing else is.
+A name counts as used when code in `src/`, `tests/` or `demos/` refers to
+it outside its own definition: as a name, an attribute or an imported
+name.  A docstring or a comment that mentions it does not count, and
+neither does a call from inside its own body.  Dunder methods are exempt,
+since Python calls them; nothing else is.
 
 A second guard holds the names that only tests and demos use to a pinned
 list, so that code nothing in the package reaches cannot stay in `src/`
@@ -11,7 +13,6 @@ just because a test mentions it.
 
 import ast
 import pathlib
-import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shiftembed"
@@ -20,8 +21,7 @@ PACKAGE = ROOT / "src" / "shiftembed"
 # in __init__.py: only tests and demos call them.  A new name here is
 # deliberate; one that the package starts to use leaves the list.
 TEST_ONLY_NAMES = {
-    "BlockLayout.dump_lines", "build_block_layout", "next_scale_markers",
-    "SymbolStream.restrict", "PeriodicCode.verify_injective",
+    "BlockLayout.dump_lines", "SymbolStream.restrict", "PeriodicCode.verify_injective",
     "count_disagreements", "EmpiricalMeasure.l1", "EmpiricalMeasure.marginal_left",
     "EmpiricalMeasure.marginal_right", "periodic_orbit_measure",
     "golden_mean", "full_shift", "dyadic_odometer", "forbidden_shape_count_bound",
@@ -29,16 +29,16 @@ TEST_ONLY_NAMES = {
 
 
 def _defined_names():
-    """(module path, qualified name, line) of every non-dunder def and class;
-    a name defined inside a class or function is qualified by it, as in
-    `Class.method`."""
+    """(module path, qualified name, first line, last line) of every
+    non-dunder def and class; a name defined inside a class or function is
+    qualified by it, as in `Class.method`."""
     out = []
 
     def visit(path, node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (child.name.startswith("__") and child.name.endswith("__")):
-                    out.append((path, prefix + child.name, child.lineno))
+                    out.append((path, prefix + child.name, child.lineno, child.end_lineno))
                 visit(path, child, prefix + child.name + ".")
             else:
                 visit(path, child, prefix)
@@ -48,21 +48,36 @@ def _defined_names():
     return out
 
 
-def _unused_names(folders):
-    """(path, qualified name, line) of every defined name that occurs as a
-    whole word nowhere in the folders but on its own def/class line."""
-    words = {}          # word -> {(path, line number)} where it occurs
+def _references(folders):
+    """word -> {(path, line)} of every name, attribute and imported name in
+    the code of the folders.  Docstrings, comments and strings are no code."""
+    refs = {}
     for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                for word in set(re.findall(r"\w+", line)):
-                    words.setdefault(word, set()).add((path, lineno))
-    return [(path, qualname, lineno) for path, qualname, lineno in _defined_names()
-            if not words.get(qualname.rpartition(".")[2], set()) - {(path, lineno)}]
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    word = node.id
+                elif isinstance(node, ast.Attribute):
+                    word = node.attr
+                elif isinstance(node, ast.alias):
+                    word = node.name.rpartition(".")[2]
+                else:
+                    continue
+                refs.setdefault(word, set()).add((path, node.lineno))
+    return refs
+
+
+def _unused_names(folders):
+    """(path, qualified name, line) of every defined name that no code in
+    the folders references outside its own definition."""
+    refs = _references(folders)
+    return [(path, qualname, first) for path, qualname, first, last in _defined_names()
+            if not {(p, line) for p, line in refs.get(qualname.rpartition(".")[2], ())
+                    if p != path or not first <= line <= last}]
 
 
 def test_guard_sees_the_package():
-    names = {qualname for _, qualname, _ in _defined_names()}
+    names = {qualname for _, qualname, _, _ in _defined_names()}
     assert {"encode_k", "decode_k", "Codebook", "append_layer", "BlockLayout.roles"} <= names
 
 

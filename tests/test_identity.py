@@ -38,10 +38,11 @@ CONFIGS = {
     "orbit001": (lambda: OrbitSystem(2, "001"), dict(K=2, kmax=1, C=0.0, m=(0,))),
 }
 
-# The known encoder defect pinned by the strict xfail
-# tests/test_codec.py::TestStreams::test_roundtrip_regular_block_inside_singular:
-# its stream keeps a pinned digest and its decode pins the MalformedStreamError
-# text, so the defect can only disappear on purpose.
+# The point of tests/test_codec.py::TestStreams::test_roundtrip_regular_block_inside_singular:
+# the layout moves the start of its scale-2 block [-2, 7) n_1 + 1 into a
+# singular stretch, so the block is shorter than n_2.  The decoder refused it
+# while it checked the raw return-gap range; its decode digest pins the
+# round-trip it has since it checks ScaleSchedule.layout_bounds.
 DEFECT_POINT = Point("10010", "101010010101010010010000010001000100100000", "010", -7)
 
 
@@ -130,9 +131,9 @@ PINNED_ROUNDTRIPS = {
         ("37b10ee12ed80a79", "77c0005ed9cb13e2"),
         ("bfc8bcf1f6ff0f5c", "14218199ce8ea467"),
         ("2cca6c05ab252132", "895cf1c408748651"),
-        # DEFECT_POINT: "MalformedStreamError: scale-2 block [-2, 7) has
-        # impossible length"
-        ("6926afe9b9d9076d", "0730b718c3bae419"),
+        # DEFECT_POINT: a round-trip, no longer "MalformedStreamError:
+        # scale-2 block [-2, 7) has impossible length"
+        ("6926afe9b9d9076d", "dbe99556d1ba03b4"),
     ],
     "golden-k3": [
         ("32b917a323069876", "b276a21193ad2970"),
@@ -169,8 +170,9 @@ PINNED_ROUNDTRIPS = {
 PINNED_MALFORMED = {
     # a regular block's padding slots must hold the pad letter: 1, 1 and 17
     # of the golden K=2, golden K=3 and odometer texts are the padding error
-    # for a mutation that used to decode
-    "golden-k2": "242dfda074f18560",
+    # for a mutation that used to decode.  8 of the 10 golden K=2 mutations
+    # of DEFECT_POINT decode, where each raised "impossible length"
+    "golden-k2": "8fe73eebd2b6f0b4",
     "golden-k3": "d6fdf5e16e24d64c",
     # 46 of its 100 texts are "codeword '...' not in codebook image" for a
     # non-letter in a scale-1 filling, the text every scale raises

@@ -709,7 +709,11 @@ def test_bounded_period_test_equals_min_period(w, n):
 
 
 def test_periodic_neighborhood_wrapper():
-    from shiftembed.markers import periodic_neighborhood
-    assert periodic_neighborhood(dyadic_odometer(4), 3, 3) is None
-    nb = periodic_neighborhood(golden_mean(), 1, 2)
+    """Each tower holds the periodic neighborhood of its scale; odometer
+    towers, having no periodic points, hold none."""
+    odo = build_towers(dyadic_odometer(8), small_schedule(3, 3))
+    assert all(tower.pernbhd is None for tower in odo)
+    nb = build_towers(golden_mean(), small_schedule(1, 2))[1].pernbhd
+    assert (nb.n, nb.r) == (1, 2)
     assert matched_windows(nb) == {"00000"}
+
