@@ -32,7 +32,7 @@ from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
 from .markers import Interval, ReturnPartition, return_partition
-from .systems import cell_label, periodic_orbits
+from .systems import OdometerPoint, cell_label, periodic_orbits
 from .words import (code_length_needed, has_short_period_prefix, is_primitive,
                     kary_alphabet, kary_index, kary_word, least_rotation, min_period,
                     necklace, periodic_window, repetition_prefix)
@@ -74,7 +74,8 @@ class SymbolStream:
 
     def get(self, t):
         if not self.a <= t <= self.b:
-            raise WindowError("position %d outside stream window [%d, %d]" % (t, self.a, self.b))
+            raise WindowError("position %d outside stream window [%d, %d]" % (t, self.a, self.b),
+                              position=t)
         return self.symbols[t - self.a]
 
     def restrict(self, a, b):
@@ -625,7 +626,7 @@ def _write_singular_codes(sym, blk, cond_word, ident_word, scale):
             sym[pos] = (ch, scale)
 
 
-def encode_scales(point, pipeline, window):
+def render_scales(point, pipeline, window):
     """Yield psi_1, ..., psi_kmax of a point on an inclusive window from one
     context, psi_k writing scale k's layer into the slots psi_{k-1} left
     free.  Scale k is resolved right before it is rendered, and a scale
@@ -636,6 +637,40 @@ def encode_scales(point, pipeline, window):
         _render_layer(pipeline, ctx, k, sym)
         cells = list(map(sym.get, range(a, b + 1), itertools.repeat((SYM_FREE, None))))
         yield SymbolStream(a, b, [ch for ch, _ in cells], [scale for _, scale in cells])
+
+
+def odometer_period(pipeline):
+    """psi_1, ..., psi_kmax of the residue-0 point on [0, P - 1], or () when
+    that pass raises.  P is the modulus of the deepest digit depth a scale
+    reads, a tower's or a key cell's, so the residue mod P is all the
+    encoder reads of an odometer point and every code is periodic in P."""
+    system, sched = pipeline.system, pipeline.schedule
+    try:
+        depth = max(max(tower.depth for tower in pipeline.stack.towers), max(sched.m) + 1)
+        zero = OdometerPoint(system, (0,) * system.depth)
+        return tuple(render_scales(zero, pipeline, (0, system.modulus(depth) - 1)))
+    except ShiftEmbedError:
+        return ()
+
+
+def _tile(seq, offset, n):
+    """n entries of seq read cyclically from offset."""
+    return (seq * -(-(offset + n) // len(seq)))[offset:offset + n]
+
+
+def encode_scales(point, pipeline, window):
+    """Yield psi_1, ..., psi_kmax of a point on an inclusive window.  An
+    odometer point's codes are its pipeline's period streams read from its
+    residue, unless the period pass raised: then, as for word systems, the
+    point's own window is rendered."""
+    if pipeline.system.kind != "odometer" or not pipeline.odometer_period:
+        yield from render_scales(point, pipeline, window)
+        return
+    a, b = window
+    for stream in pipeline.odometer_period:
+        offset = (point.residue + a) % len(stream.symbols)
+        yield SymbolStream(a, b, _tile(stream.symbols, offset, b - a + 1),
+                           _tile(stream.resolution, offset, b - a + 1))
 
 
 def encode_k(point, pipeline, k, window):
@@ -667,7 +702,7 @@ class DecodeResult:
         cert = self.certified.get(k)
         if cert is None or cert[0] > lo or cert[1] < hi:
             raise WindowError("window %r not certified at scale %d (have %r)"
-                              % (window, k, cert))
+                              % (window, k, cert), scale=k)
         table = self.itineraries[k]
         return [table[t] for t in range(lo, hi + 1)]
 
@@ -733,7 +768,8 @@ def _decode_scale1(stream, pipeline):
         if nxt is None:
             continue  # cut by the window edge
         if not len_lo <= nxt - s < len_hi:
-            raise MalformedStreamError("block [%d, %d) has impossible length" % (s, nxt))
+            raise MalformedStreamError("block [%d, %d) has impossible length" % (s, nxt),
+                                       scale=1, position=s)
         intervals.append(Interval(s, nxt, "regular"))
 
     stretch_bounds = []
@@ -745,7 +781,8 @@ def _decode_scale1(stream, pipeline):
 
     for s, e in stretch_bounds:
         if s is not None and e is not None and e - s < len_hi:
-            raise MalformedStreamError("singular stretch [%d, %d) too short" % (s, e))
+            raise MalformedStreamError("singular stretch [%d, %d) too short" % (s, e),
+                                       scale=1, position=s)
         tag = None
         anchor = None
         if s is not None:
@@ -763,7 +800,7 @@ def _decode_scale1(stream, pipeline):
         if tag is None:
             if s is not None and e is not None:
                 raise MalformedStreamError("singular stretch %r has no readable prefix"
-                                           % ((s, e),))
+                                           % ((s, e),), scale=1, position=s)
             continue  # edge region too dirty to certify: drop it
         v, d = tag
         phase = (d - anchor) % len(v)
@@ -800,7 +837,8 @@ def _check_stretch(stream, pipeline, blk, roles, top, symbols):
         in_prefix = prefix_end is not None and t < prefix_end
         if role == ROLE_FREE:
             if top and ch not in (SYM_FREE, SYM_UNRESOLVED):
-                raise MalformedStreamError("freed slot %d of a stretch holds %r" % (t, ch))
+                raise MalformedStreamError("freed slot %d of a stretch holds %r" % (t, ch),
+                                           scale=1, position=t)
             continue
         if role != ROLE_SINGULAR_FILL and not in_prefix:
             continue        # the terminator, or a filling or bracket of a layer
@@ -814,13 +852,14 @@ def _check_stretch(stream, pipeline, blk, roles, top, symbols):
             else "unexpected terminator inside a stretch at %d" % t if ch == SYM_TERM
             else "bracket inside a protected prefix at %d" % t if ch in (SYM_LB, SYM_RB, SYM_DB)
             else "free slot inside a stretch at %d" % t if ch in (SYM_FREE, SYM_UNRESOLVED)
-            else "alien symbol %r inside a stretch at %d" % (ch, t))
+            else "alien symbol %r inside a stretch at %d" % (ch, t), scale=1, position=t)
 
 
 def _put_label(labels, t, value):
     old = labels.get(t)
     if old is not None and old != value:
-        raise MalformedStreamError("inconsistent labels at %d: %r vs %r" % (t, old, value))
+        raise MalformedStreamError("inconsistent labels at %d: %r vs %r" % (t, old, value),
+                                   position=t)
     labels[t] = value
 
 
@@ -890,7 +929,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
                 continue  # cut by the window edge
             if not len_lo <= e - b < len_hi:
                 raise MalformedStreamError("scale-%d block [%d, %d) has impossible length"
-                                           % (k, b, e))
+                                           % (k, b, e), scale=k, position=b)
             intervals.append(Interval(b, e, "regular"))
         # singular gaps between a close and the next open; a close that is
         # also an open ("][") opens a regular block, so no gap starts there
@@ -907,10 +946,11 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
         cands = [b for _, b, ch in boundaries if ch == SYM_MK]
         for b, e in zip(cands, cands[1:]):
             if not len_lo <= e - b < len_hi:
-                raise MalformedStreamError("scale-%d gap %d out of range" % (k, e - b))
+                raise MalformedStreamError("scale-%d gap %d out of range" % (k, e - b),
+                                           scale=k, position=b)
             intervals.append(Interval(b, e, "regular"))
         if not intervals:
-            raise MalformedStreamError("no scale-%d markers found" % k)
+            raise MalformedStreamError("no scale-%d markers found" % k, scale=k)
 
     # tag singular intervals from the previous scale's content
     m_k = sched.m[k - 1]
@@ -969,7 +1009,8 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
             cb = _block_codebook(pipeline, k, blk, coarse)
         except CapacityError as exc:    # a block the encoder refuses: no stream holds one
             raise MalformedStreamError("scale-%d block [%d, %d): %s"
-                                       % (k, blk.start, blk.end, exc)) from None
+                                       % (k, blk.start, blk.end, exc),
+                                       scale=k, position=blk.start) from None
         slots = blk.fill_positions[:cb.length]
         if not all(A <= pos <= B for pos in slots):
             continue
@@ -977,13 +1018,14 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
         for pos in blk.fill_positions[cb.length:]:
             if A <= pos <= B and stream.get(pos) != SYM_PAD:
                 raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
-                                           % (pos, k, stream.get(pos)))
+                                           % (pos, k, stream.get(pos)), scale=k, position=pos)
         for t in range(blk.start, blk.end):
             _put_label(labels, t, fine[t - blk.start])
         cert_parts.append((blk.start, blk.end - 1))
         if k >= 2 and (stream.get(blk.marker_pos) if A <= blk.marker_pos <= B else None) \
                 not in (SYM_MK, SYM_LB, SYM_DB):
-            raise MalformedStreamError("marker slot %d lacks its symbol" % blk.marker_pos)
+            raise MalformedStreamError("marker slot %d lacks its symbol" % blk.marker_pos,
+                                       scale=k, position=blk.marker_pos)
 
 
 def _refine_label(pipeline, labels_prev, t, m_prev, m_new):
@@ -1091,7 +1133,7 @@ def _append_decoded_layer(layout, k, window, intervals):
                                computed_range=(A - 1, B + 1))
         return append_layer(layout, part)
     except (SpanOrderError, CapacityError) as exc:
-        raise MalformedStreamError(str(exc)) from None
+        raise MalformedStreamError(str(exc), scale=k) from None
 
 
 def decode_k(stream, pipeline, k):
@@ -1141,9 +1183,9 @@ def invert(stream, pipeline, k):
     margin = (10 if pipeline.periodic else 4) * sched.n[k - 1]
     if stream.a > -margin or stream.b < margin:
         raise WindowError("invert at scale %d needs the stream to cover [%d, %d]"
-                          % (k, -margin, margin))
+                          % (k, -margin, margin), scale=k)
     result = decode_k(stream, pipeline, k)
     cert = result.certified.get(k)
     if cert is None or not cert[0] <= 0 <= cert[1]:
-        raise WindowError("time zero not certified at scale %d" % k)
+        raise WindowError("time zero not certified at scale %d" % k, scale=k, position=0)
     return result.itineraries[k][0]

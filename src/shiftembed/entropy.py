@@ -465,7 +465,7 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64, check_capacity=Tru
     if not periodic:
         for k in range(1, kmax):
             if nprime[k - 1] >= ns[k]:
-                raise ScheduleError("aperiodic constraint n'_k < 2 n_{k+1} failed at k=%d" % k)
+                raise ScheduleError("aperiodic constraint n'_k < n_{k+1} failed at k=%d" % k)
     r = tuple(max(m[k - 1] + ns[k - 1], ns[k - 1]) for k in range(1, kmax + 1))
     schedule = ScaleSchedule(K=K, alpha=alpha, m=m, n=tuple(ns), nprime=tuple(nprime),
                              r=r, periodic=periodic, C=C, N_cert=N_cert)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on a structural failure carries enough provenance
-(scale, block, width) to locate the offending object.
+(scale, block or position) to locate the offending object.
 """
 
 
@@ -45,6 +45,16 @@ class CapacityError(ShiftEmbedError):
 class MalformedStreamError(ShiftEmbedError):
     """Symbol stream admits no consistent block parse."""
 
+    def __init__(self, message, scale=None, position=None):
+        super().__init__(message)
+        self.scale = scale
+        self.position = position
+
 
 class WindowError(ShiftEmbedError):
     """Window too small for the requested operation (caller must widen)."""
+
+    def __init__(self, message, scale=None, position=None):
+        super().__init__(message)
+        self.scale = scale
+        self.position = position

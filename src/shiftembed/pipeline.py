@@ -2,12 +2,15 @@
 
 A Pipeline owns everything the codec needs and keeps nothing per point:
 a point context lives for one encode pass, and codebooks rank on the
-system's counts and are built per lookup.  Building one runs the capacity
-checks up front so that encoding cannot fail later on admissible inputs.
+system's counts and are built per lookup.  An odometer pipeline keeps its
+codes over one period, which every odometer encode slices.  Building a
+pipeline runs the capacity checks up front so that encoding cannot fail
+later on admissible inputs.
 Pipelines serialize to a directory of flat text artifacts and rebuild
 deterministically.
 """
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -34,6 +37,12 @@ class Pipeline:
     @property
     def kmax(self):
         return self.schedule.kmax
+
+    @functools.cached_property
+    def odometer_period(self):
+        """An odometer's codes over one period, rendered on the first encode
+        (codec.odometer_period)."""
+        return codec.odometer_period(self)
 
     def decode_margin(self):
         """Stream inflation that certifies a requested window after decoding."""
@@ -272,8 +281,10 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
     a, b = window
     equivariance, roundtrip = {}, {}        # failed scale -> first error text
     for p in points:
-        s0, err0 = _encode_pass(pipeline, p, (a, b))
-        s1, err1 = _encode_pass(pipeline, p.shifted(1), (a - 1, b - 1))
+        # the shifted point is rendered on its own window: an odometer
+        # encode slices one period, so two encodes would agree by construction
+        s0, err0 = _encode_pass(pipeline.encode_scales(p, (a, b)))
+        s1, err1 = _encode_pass(codec.render_scales(p.shifted(1), pipeline, (a - 1, b - 1)))
         for k in range(1, kmax + 1):
             if k > len(s0) or k > len(s1):
                 _fail(equivariance, k, err0 if k > len(s0) else err1)
@@ -281,7 +292,7 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
                 _fail(equivariance, k)
     margin = pipeline.decode_margin()
     for p in points[: max(4, len(points) // 3)]:
-        streams, err = _encode_pass(pipeline, p, (a - margin, b + margin))
+        streams, err = _encode_pass(pipeline.encode_scales(p, (a - margin, b + margin)))
         want = [itinerary(system, p, m, (a, b)) for m in sched.m]
         for k in range(1, kmax + 1):
             if k > len(streams):
@@ -302,7 +313,7 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
     dn = {}
     N = sched.n[0] ** 2
     for p in points[:6]:
-        streams, err = _encode_pass(pipeline, p, (-4 * N, 4 * N))
+        streams, err = _encode_pass(pipeline.encode_scales(p, (-4 * N, 4 * N)))
         if err is not None:
             _fail(dn, 1, err)
         elif metrics.stream_dN(streams[0], streams[-1], N) > 3 * sched.alpha_float / 2 + 1e-9:
@@ -311,12 +322,12 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
     return report
 
 
-def _encode_pass(pipeline, point, window):
+def _encode_pass(scales):
     """The streams psi_1, psi_2, ... of one encode pass, and the error that
     ended it before k_max, or None."""
     streams = []
     try:
-        for stream in pipeline.encode_scales(point, window):
+        for stream in scales:
             streams.append(stream)
     except ShiftEmbedError as exc:
         return streams, exc

@@ -18,7 +18,7 @@ from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft
                                 full_shift, golden_mean, itinerary)
 from shiftembed.words import (code_length_needed, forbidden_shape_count_bound,
                               has_short_period_prefix, kary_index, kary_word,
-                              repetition_prefix)
+                              min_period, repetition_prefix)
 
 
 def itinerary_keys(system, m, n):
@@ -632,6 +632,43 @@ class TestWindowEdge:
     def test_roundtrip_same_point_on_a_wider_window(self, pipe):
         _roundtrip(pipe, self.EDGE_POINT, window=(-300, 300))
 
+    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
+        "_decode_scale1 reads a right-unbounded stretch up to the stream's "
+        "end, but a stretch whose terminator lies past the right edge can "
+        "start in the last n_1 positions: on [-446, 446] decode raises "
+        "\"stretch content clashes with orbit '000010001' at 444\""))
+    def test_roundtrip_stretch_starting_near_the_right_edge(self, pipe):
+        _roundtrip(pipe, Point("01001001001000000101", "01010100010000010101010100100",
+                               "00010001000010001010", -22))
+
+
+class TestDecodeErrorLocation:
+    """A decode error names the scale and the position of the fault as
+    attributes, as well as in its text."""
+
+    @pytest.mark.parametrize("t, symbol, scale, text", [
+        (-54, "|", 1, "block [-54, -22) has impossible length"),
+        (-309, "2", 1, "stretch content clashes with orbit '001' at -309"),
+        (-417, "][", 2, "scale-2 block [-417, -22) has impossible length"),
+    ], ids=["scale-1-block", "stretch", "scale-2-block"])
+    def test_mutated_stream(self, pipe, t, symbol, scale, text):
+        margin = pipe.decode_margin()
+        point = sample_points(golden_mean(), 1, seed=3)[0]
+        stream = pipe.encode(point, 2, (-200 - margin, 200 + margin))
+        symbols = list(stream.symbols)
+        symbols[t - stream.a] = symbol
+        with pytest.raises(MalformedStreamError) as info:
+            pipe.decode(SymbolStream(stream.a, stream.b, symbols), 2)
+        assert (str(info.value), info.value.scale, info.value.position) == (text, scale, t)
+
+    def test_uncertified_window(self, pipe):
+        margin = pipe.decode_margin()
+        point = sample_points(golden_mean(), 1, seed=3)[0]
+        res = pipe.decode(pipe.encode(point, 2, (-200 - margin, 200 + margin)), 2)
+        with pytest.raises(WindowError) as info:
+            res.itinerary_list(2, (-1000, 0))
+        assert (info.value.scale, info.value.position) == (2, None)
+
 
 def _letter_keys(system, m, n, mod):
     """Itinerary keys of every residue below mod, built letter by letter."""
@@ -677,6 +714,97 @@ class TestOdometerKeys:
                         want = sorted({fine_keys[rho] for rho in range(mod_f)
                                        if coarse_keys[rho % mod] == coarse})
                         assert refinement_keys(odo, m, mp, n, coarse) == want
+
+
+MIXED_BASE = ([3, 5, 2, 2, 3], dict(K=2, kmax=2, N_cert=180))
+
+
+@pytest.fixture(scope="module")
+def mixed_pipe():
+    base, kwargs = MIXED_BASE
+    return build_pipeline(Odometer(base), **kwargs)
+
+
+def _residue_point(odo, r):
+    return OdometerPoint(odo, odo.digits_of_residue(r, odo.depth))
+
+
+def _cells(stream):
+    return list(zip(stream.symbols, stream.resolution))
+
+
+class TestOdometerPeriod:
+    """An odometer point is one residue of a finite cyclic group, so at
+    every scale its code is one periodic word read from the residue.  The
+    reference is the per-window render, codec.render_scales."""
+
+    @pytest.mark.parametrize("config, periods", [
+        ("odo_pipe", [32, 64, 128]),
+        ("mixed_pipe", [30, 60]),
+    ], ids=["dyadic8", "base35223"])
+    def test_least_period_is_the_tower_modulus(self, request, config, periods):
+        pipe = request.getfixturevalue(config)
+        odo = pipe.system
+        assert [odo.modulus(tower.depth) for tower in pipe.stack.towers] == periods
+        P = periods[-1]
+        rendered = codec.render_scales(_residue_point(odo, 0), pipe, (0, 3 * P - 1))
+        assert [min_period(_cells(s)) for s in rendered] == periods
+        assert [len(s.symbols) for s in pipe.odometer_period] == [P] * len(periods)
+
+    @pytest.mark.parametrize("config", ["odo_pipe", "mixed_pipe"],
+                             ids=["dyadic8", "base35223"])
+    def test_every_residue_is_the_period_sliced(self, request, config):
+        pipe = request.getfixturevalue(config)
+        odo = pipe.system
+        a, b = window = (-8, 8)
+        top = odo.modulus(odo.depth)
+        zero = list(codec.render_scales(_residue_point(odo, 0), pipe, (a, b + top - 1)))
+        for r in range(top):
+            point = _residue_point(odo, r)
+            want = list(codec.render_scales(point, pipe, window))
+            assert [_cells(s) for s in want] == \
+                [_cells(s)[r:r + b - a + 1] for s in zero]
+            assert [s.to_text() for s in pipe.encode_scales(point, window)] == \
+                [s.to_text() for s in want]
+
+    def test_every_residue_roundtrips(self, mixed_pipe):
+        odo = mixed_pipe.system
+        for r in range(odo.modulus(odo.depth)):
+            _roundtrip(mixed_pipe, _residue_point(odo, r), window=(-10, 10))
+
+    def test_verify_equivariance_can_fail(self):
+        """verify_pipeline compares an encode with the shifted point's own
+        render, so a period read from the wrong offset fails its record."""
+        base, kwargs = MIXED_BASE
+        pipe = build_pipeline(Odometer(base), **kwargs)
+        pipe.odometer_period = tuple(
+            SymbolStream(s.a, s.b, s.symbols[1:] + s.symbols[:1],
+                         s.resolution[1:] + s.resolution[:1])
+            for s in codec.odometer_period(pipe))
+        report = verify_pipeline(pipe, sample_count=2)
+        assert [r.ok for r in report.records if (r.module, r.name) == ("codec", "equivariance")] \
+            == [False, False]
+
+    def test_a_period_pass_that_raises_renders_each_window(self, monkeypatch):
+        """The residue-0 render raises here, so no period is kept, and each
+        point's encode is its own render, the residue-0 error included."""
+        render_layer = codec._render_layer
+
+        def refuse_residue_zero(pipeline, ctx, l, sym):
+            if ctx.point.residue == 0:
+                raise CapacityError("refused at scale %d" % l, scale=l)
+            render_layer(pipeline, ctx, l, sym)
+
+        monkeypatch.setattr(codec, "_render_layer", refuse_residue_zero)
+        base, kwargs = MIXED_BASE
+        pipe = build_pipeline(Odometer(base), **kwargs)
+        odo = pipe.system
+        point = _residue_point(odo, 7)
+        assert [s.to_text() for s in pipe.encode_scales(point, (-8, 8))] == \
+            [s.to_text() for s in codec.render_scales(point, pipe, (-8, 8))]
+        assert pipe.odometer_period == ()
+        with pytest.raises(CapacityError, match="refused at scale 1"):
+            pipe.encode(_residue_point(odo, 0), 2, (-8, 8))
 
 
 def _schedule(m, mp, K=2, budget=10 ** 6):
