@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from shiftembed import codec
 from shiftembed.cli import main
 from shiftembed.codec import SymbolStream, build_periodic_code
 from shiftembed.errors import ShiftEmbedError
@@ -115,6 +116,36 @@ def malformed_digest(name, system, pipe):
     return _digest("\n".join(texts))
 
 
+# the window of the one point (sample_points(..., 1, seed=3)) whose every
+# single-symbol substitution the sweep decodes
+SWEEP_WINDOWS = {
+    "golden-k2": (-90, 90),
+    "golden-k3": (-90, 90),
+    "odometer": (-150, 150),
+}
+
+
+def mutation_sweep_digest(name):
+    """One digest over the decode texts of every substitution of every
+    position of one point's top-scale stream by every other token of the
+    code letters and the stream symbols."""
+    make_system, kwargs = CONFIGS[name]
+    system = make_system()
+    pipe = build_pipeline(system, **kwargs)
+    stream = pipe.encode(sample_points(system, 1, seed=3)[0], pipe.kmax, SWEEP_WINDOWS[name])
+    tokens = sorted(set(kary_alphabet(pipe.schedule.K))
+                    | {getattr(codec, attr) for attr in dir(codec) if attr.startswith("SYM_")})
+    texts = []
+    for i, ch in enumerate(stream.symbols):
+        for tok in tokens:
+            if tok != ch:
+                symbols = list(stream.symbols)
+                symbols[i] = tok
+                texts.append(_decode_text(pipe, SymbolStream(stream.a, stream.b, symbols),
+                                          pipe.kmax))
+    return _digest("\n".join(texts))
+
+
 def verify_digest(pipe):
     return _digest("\n".join(verify_pipeline(pipe, sample_count=6).lines()))
 
@@ -200,6 +231,17 @@ def test_roundtrip_digests_pinned(config):
 def test_malformed_decodes_pinned(config):
     name, system, pipe = config
     assert malformed_digest(name, system, pipe) == PINNED_MALFORMED[name]
+
+
+PINNED_SWEEP = {
+    "golden-k2": "072f3019b0980cc3",
+    "golden-k3": "67fc428009f6af31",
+    "odometer": "95badbe1f90a1cbb",
+}
+
+
+def test_mutation_sweep_pinned():
+    assert {name: mutation_sweep_digest(name) for name in SWEEP_WINDOWS} == PINNED_SWEEP
 
 
 def test_verify_lines_pinned(config):
