@@ -21,6 +21,7 @@ apart: lengths obey ScaleSchedule.layout_bounds and stretches the roles of
 the laid-out layers.  Codewords are then inverted per context.
 """
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -191,7 +192,7 @@ class Codebook:
         puts it outside the image."""
         head = word[:self.length]
         index = self.size
-        if len(head) == self.length and set(kary_alphabet(self.K)).issuperset(head):
+        if len(head) == self.length and _code_letters(self.K).issuperset(head):
             index = kary_index(head, self.K)
         if index >= self.size:
             raise MalformedStreamError("codeword %r not in codebook image"
@@ -200,6 +201,11 @@ class Codebook:
 
     def __len__(self):
         return self.size
+
+
+@functools.cache
+def _code_letters(K):
+    return frozenset(kary_alphabet(K))
 
 
 def _window_key(w, m, n):
@@ -707,20 +713,6 @@ class DecodeResult:
         return [table[t] for t in range(lo, hi + 1)]
 
 
-def _digit_run(stream, t, length, K):
-    """The word of `length` code letters starting at t, or None."""
-    letters = set(kary_alphabet(K))
-    out = []
-    for i in range(length):
-        if not stream.a <= t + i <= stream.b:
-            return None
-        ch = stream.get(t + i)
-        if ch not in letters:
-            return None
-        out.append(ch)
-    return "".join(out)
-
-
 def _next_after(values, x):
     """The first of the sorted values above x, or None."""
     i = bisect_right(values, x)
@@ -742,17 +734,18 @@ def _decode_scale1(stream, pipeline):
     periodic = pipeline.periodic
     n1 = sched.n[0]
     len_lo, len_hi = sched.layout_bounds(1)
-    K = sched.K
+    letters = _code_letters(sched.K)
     A, B = stream.a, stream.b
+    symbols = stream.symbols
     code = pipeline.periodic_code
-    starts = [t for t in range(A, B + 1) if stream.get(t) == SYM_M1]
-    terms = [t for t in range(A, B + 1) if stream.get(t) == SYM_TERM] if periodic else []
+    starts = [t for t, ch in enumerate(symbols, A) if ch == SYM_M1]
+    terms = [t for t, ch in enumerate(symbols, A) if ch == SYM_TERM] if periodic else []
 
     def lookup_at(s):
-        if s < A or s + n1 - 1 > B:
+        word = symbols[s - A:s - A + n1] if s >= A else ()
+        if len(word) < n1 or not letters.issuperset(word):
             return None
-        word = _digit_run(stream, s, n1, K)
-        return None if word is None else code.lookup_prefix(word)
+        return code.lookup_prefix("".join(word))
 
     boundaries = sorted(set(starts) | {u - n1 for u in terms})
     stretch_starts = {u - n1 for u in terms}
@@ -810,8 +803,8 @@ def _decode_scale1(stream, pipeline):
             continue  # a block the left edge cut
         lo_t = A if s is None else s
         hi_t = B + 1 if e is None else e
-        for t in range(lo_t, hi_t):
-            _put_label(labels, t, periodic_window(v, t - m1, t + m1, phase))
+        cycle = [periodic_window(v, t - m1, t + m1, phase) for t in range(lo_t, lo_t + len(v))]
+        _put_labels(labels, range(lo_t, hi_t), _tile(cycle, 0, hi_t - lo_t))
         intervals.append(Interval(s, e, "singular", special=True,
                                   orbit=v, phase=phase, m=len(v)))
         orbits.append(v)
@@ -825,16 +818,17 @@ def _check_stretch(stream, pipeline, blk, roles, top, symbols):
     merged roles of the laid-out layers (the rule is decode_k's), and write
     its orbit letters into the pi_k symbols."""
     sched = pipeline.schedule
-    code = pipeline.periodic_code
-    letters = set(kary_alphabet(sched.K))
+    letters = _code_letters(sched.K)
     A, B = stream.a, stream.b
-    prefix_end = None if blk.start is None else blk.start + sched.n[0]
+    prefix_end = A if blk.start is None else blk.start + sched.n[0]
     lo_t = A if blk.start is None else max(blk.start, A)
     hi_t = B + 1 if blk.end is None else min(blk.end, B + 1)
-    for t in range(lo_t, hi_t):
-        ch = stream.symbols[t - A]
+    word = pipeline.periodic_code.orbit_code[blk.orbit]
+    orbit_letters = _tile(word, (lo_t + blk.phase) % len(word), hi_t - lo_t)
+    for t, ch, letter in zip(range(lo_t, hi_t), stream.symbols[lo_t - A:hi_t - A],
+                             orbit_letters):
         role, _ = roles[t]
-        in_prefix = prefix_end is not None and t < prefix_end
+        in_prefix = t < prefix_end
         if role == ROLE_FREE:
             if top and ch not in (SYM_FREE, SYM_UNRESOLVED):
                 raise MalformedStreamError("freed slot %d of a stretch holds %r" % (t, ch),
@@ -842,7 +836,6 @@ def _check_stretch(stream, pipeline, blk, roles, top, symbols):
             continue
         if role != ROLE_SINGULAR_FILL and not in_prefix:
             continue        # the terminator, or a filling or bracket of a layer
-        letter = code.stream_letter(blk.orbit, blk.phase, t)
         symbols[t - A] = letter
         deeper = not top and (ch in letters or ch in (SYM_FREE, SYM_UNRESOLVED))
         if ch == letter or not in_prefix and (ch in (SYM_LB, SYM_RB, SYM_DB) or deeper):
@@ -855,12 +848,16 @@ def _check_stretch(stream, pipeline, blk, roles, top, symbols):
             else "alien symbol %r inside a stretch at %d" % (ch, t), scale=1, position=t)
 
 
-def _put_label(labels, t, value):
-    old = labels.get(t)
-    if old is not None and old != value:
-        raise MalformedStreamError("inconsistent labels at %d: %r vs %r" % (t, old, value),
-                                   position=t)
-    labels[t] = value
+def _put_labels(labels, span, values):
+    """Label the positions of span with values.  A position labelled
+    otherwise already makes the stream malformed, named at the first."""
+    if not labels.keys().isdisjoint(span):
+        for t, value in zip(span, values):
+            old = labels.get(t)
+            if old is not None and old != value:
+                raise MalformedStreamError("inconsistent labels at %d: %r vs %r"
+                                           % (t, old, value), position=t)
+    labels.update(zip(span, values))
 
 
 def _covered_range(parts, within):
@@ -890,25 +887,19 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
     len_lo, len_hi = sched.layout_bounds(k)
     prev_layer = layout.layer(k - 1)
 
+    marks = {SYM_LB, SYM_DB, SYM_RB} if pipeline.periodic else {SYM_LB, SYM_DB, SYM_RB, SYM_MK}
     boundaries = []   # (pos_of_symbol, boundary, type)
-    for t in range(A, B + 1):
-        ch = stream.get(t)
-        if ch in (SYM_LB, SYM_DB, SYM_RB):
-            blk = prev_layer.block_at(t)
-            if blk is None:
-                continue
+    for t, ch in [(t, ch) for t, ch in enumerate(stream.symbols, A) if ch in marks]:
+        blk = prev_layer.block_at(t)
+        if blk is None:
+            continue
+        if ch != SYM_MK:
             b = blk.start if blk.kind == "regular" else t
-            if b is None:
-                continue
-            boundaries.append((t, b, ch))
-        elif ch == SYM_MK and not pipeline.periodic:
+            if b is not None:
+                boundaries.append((t, b, ch))
+        elif blk.kind == "regular" and blk.free_slots and blk.free_slots[0] == t:
             # a scale-k marker occupies the first free slot of its block;
             # markers of deeper scales sit on later slots and are skipped
-            blk = prev_layer.block_at(t)
-            if blk is None or blk.kind != "regular":
-                continue
-            if not blk.free_slots or blk.free_slots[0] != t:
-                continue
             boundaries.append((t, blk.start, SYM_MK))
     boundaries.sort(key=lambda x: x[1])
 
@@ -967,21 +958,14 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
                 out_intervals.append(piece)
             # labels come from the previous scale's letters, never from the
             # orbit extrapolated past where the point departs from it
-            lo_t = A if iv.start is None else iv.start
-            hi_t = B + 1 if iv.end is None else iv.end
-            covered_lo, covered_hi = None, None
-            for t in range(lo_t, hi_t):
-                lab = _refine_label(pipeline, labels_prev, t, m_prev, m_k)
-                if lab is None:
-                    if covered_lo is not None and covered_hi is None:
-                        covered_hi = t - 1
-                    continue
-                if covered_lo is None:
-                    covered_lo = t
-                _put_label(labels, t, lab)
-            if covered_lo is not None:
-                cert_parts.append((covered_lo,
-                                   covered_hi if covered_hi is not None else hi_t - 1))
+            span = range(A if iv.start is None else iv.start, B + 1 if iv.end is None else iv.end)
+            labs = (list(map(labels_prev.get, span)) if m_k == m_prev else
+                    [_refine_label(pipeline, labels_prev, t, m_prev, m_k) for t in span])
+            known = [t for t, lab in zip(span, labs) if lab is not None]
+            _put_labels(labels, known, [lab for lab in labs if lab is not None])
+            if known:       # certified over the first run of known positions
+                run = next((i for i, t in enumerate(known) if t != known[0] + i), len(known))
+                cert_parts.append((known[0], known[0] + run - 1))
         else:
             out_intervals.append(iv)
 
@@ -996,43 +980,46 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
     scale 1 its marker slot must hold a marker."""
     k = layer.scale
     A, B = stream.a, stream.b
+    symbols = stream.symbols
+    codebooks = {}      # (length, filling or coarse itinerary) -> codebook
     for blk in layer.blocks:
         if blk.kind != "regular":
             continue
+        span = range(blk.start, blk.end)
         coarse = None
         if k >= 2:
             try:
-                coarse = tuple(labels_prev[t] for t in range(blk.start, blk.end))
+                coarse = tuple(map(labels_prev.__getitem__, span))
             except KeyError:
                 continue  # outside the previous certified region
-        try:
-            cb = _block_codebook(pipeline, k, blk, coarse)
-        except CapacityError as exc:    # a block the encoder refuses: no stream holds one
-            raise MalformedStreamError("scale-%d block [%d, %d): %s"
-                                       % (k, blk.start, blk.end, exc),
-                                       scale=k, position=blk.start) from None
-        slots = blk.fill_positions[:cb.length]
-        if not all(A <= pos <= B for pos in slots):
+        key = (len(span), len(blk.fill_positions) if k == 1 else coarse)
+        cb = codebooks.get(key)
+        if cb is None:
+            try:
+                cb = codebooks[key] = _block_codebook(pipeline, k, blk, coarse)
+            except CapacityError as exc:    # a block the encoder refuses: no stream holds one
+                raise MalformedStreamError("scale-%d block [%d, %d): %s"
+                                           % (k, blk.start, blk.end, exc),
+                                           scale=k, position=blk.start) from None
+        slots = blk.fill_positions[:cb.length]     # sorted, as every slot list
+        if slots and not (A <= slots[0] and slots[-1] <= B):
             continue
-        fine = cb.decode([stream.get(pos) for pos in slots])
+        fine = cb.decode([symbols[pos - A] for pos in slots])
         for pos in blk.fill_positions[cb.length:]:
-            if A <= pos <= B and stream.get(pos) != SYM_PAD:
+            if A <= pos <= B and symbols[pos - A] != SYM_PAD:
                 raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
-                                           % (pos, k, stream.get(pos)), scale=k, position=pos)
-        for t in range(blk.start, blk.end):
-            _put_label(labels, t, fine[t - blk.start])
+                                           % (pos, k, symbols[pos - A]), scale=k, position=pos)
+        _put_labels(labels, span, fine)
         cert_parts.append((blk.start, blk.end - 1))
-        if k >= 2 and (stream.get(blk.marker_pos) if A <= blk.marker_pos <= B else None) \
+        if k >= 2 and (symbols[blk.marker_pos - A] if A <= blk.marker_pos <= B else None) \
                 not in (SYM_MK, SYM_LB, SYM_DB):
             raise MalformedStreamError("marker slot %d lacks its symbol" % blk.marker_pos,
                                        scale=k, position=blk.marker_pos)
 
 
 def _refine_label(pipeline, labels_prev, t, m_prev, m_new):
-    """Radius-m_new cell label at t from radius-m_prev labels (word systems:
-    stitch center letters; identity refinement passes labels through)."""
-    if m_new == m_prev:
-        return labels_prev.get(t)
+    """Radius-m_new cell label at t from radius-m_prev labels, m_new > m_prev
+    (word systems: stitch center letters)."""
     if not pipeline.system.is_word_system:
         return None
     letters = []
@@ -1167,7 +1154,8 @@ def decode_k(stream, pipeline, k):
     # pi_k form: deeper-scale symbols revert to free slots, and a stretch
     # position no layer takes to its orbit letter
     roles = layout.roles()
-    symbols = [ch if t in roles and roles[t][0] != ROLE_FREE else SYM_FREE
+    free = (ROLE_FREE, None)
+    symbols = [SYM_FREE if roles.get(t, free)[0] == ROLE_FREE else ch
                for t, ch in enumerate(stream.symbols, A)]
     for blk in layout.layer(1).blocks:
         if blk.kind == "singular":

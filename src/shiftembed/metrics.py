@@ -115,19 +115,14 @@ def stream_dN(s1, s2, N):
     H = min(-a, b)
     if H < N:
         raise SpecParseError("streams too short for d_N at N = %d" % N)
+    x, y = s1.symbols, s2.symbols
     diffs = 0
-    best = Fraction(0)
-    for n in range(0, H + 1):
-        if n == 0:
-            diffs += 1 if s1.get(0) != s2.get(0) else 0
-        else:
-            diffs += (1 if s1.get(n) != s2.get(n) else 0) + \
-                     (1 if s1.get(-n) != s2.get(-n) else 0)
-        if n >= N:
-            val = Fraction(diffs, 2 * n + 1)
-            if val > best:
-                best = val
-    return best
+    num, den = 0, 1         # the best density so far
+    for n in range(H + 1):
+        diffs += (x[n - s1.a] != y[n - s2.a]) + (n > 0 and x[-n - s1.a] != y[-n - s2.a])
+        if n >= N and diffs * den > num * (2 * n + 1):
+            num, den = diffs, 2 * n + 1
+    return Fraction(num, den)
 
 
 # -- empirical measures -----------------------------------------------------------
@@ -253,5 +248,8 @@ def convergence_report(points, pipeline, depth=2, sample_n=160):
 
 
 def _stream_measure(stream, L, n):
-    return _window_measure(["".join(stream.get(k + j) for j in range(L))
-                            for k in range(min(n, stream.b - L + 1))], L)
+    count = min(n, stream.b - L + 1)
+    if count > 0:
+        stream.get(0)       # the windows start at time 0: WindowError if the stream does not
+    symbols = stream.symbols[-stream.a:]
+    return _window_measure(["".join(symbols[k:k + L]) for k in range(count)], L)
