@@ -7,9 +7,10 @@ of encoded streams (window, symbols and resolution), of decode results
 text) of those streams and of seeded single-symbol mutations of them, and
 of the `verify_pipeline` lines, for sampled points on four
 configurations: golden mean K=2 and K=3, the dyadic odometer and the orbit
-system of "001".  They also pin every file that `save_pipeline` writes for
-those configurations and for a CLI `build`, and the greedy periodic code
-of five more (system, K, n_1).  A change that moves a digest changed the
+system of "001"; and the streams of long-tail golden points.  They also
+pin every file that `save_pipeline` writes for those configurations and
+for a CLI `build`, and the greedy periodic code of five more (system, K,
+n_1).  A change that moves a digest changed the
 output.
 """
 
@@ -19,6 +20,7 @@ import random
 
 import pytest
 
+from encode_reference import long_tail_points
 from shiftembed import codec
 from shiftembed.cli import main
 from shiftembed.codec import SymbolStream, build_periodic_code
@@ -242,6 +244,35 @@ PINNED_SWEEP = {
 
 def test_mutation_sweep_pinned():
     assert {name: mutation_sweep_digest(name) for name in SWEEP_WINDOWS} == PINNED_SWEEP
+
+
+LONG_TAIL_PERIODS = (10, 13, 19, 20, 31, 40)
+
+
+def long_tail_digest(K):
+    """One digest over the scale-1 and scale-2 streams, and the text of the
+    error that ends an encode pass, of four long-tail golden points per
+    tail period: their tails hold regular blocks between returns, which no
+    sampled point's tail does."""
+    pipe = build_pipeline(golden_mean(), K=K, kmax=2, C=0.0, m=(0, 0))
+    a, b = WINDOW
+    margin = pipe.decode_margin()
+    texts = []
+    for point in long_tail_points(LONG_TAIL_PERIODS, 4):
+        try:
+            for stream in pipe.encode_scales(point, (a - margin, b + margin)):
+                texts.append(stream.to_text())
+        except ShiftEmbedError as exc:
+            texts.append("%s: %s" % (type(exc).__name__, exc))
+    return _digest("\n".join(texts))
+
+
+PINNED_LONG_TAILS = {2: "b27798b50fc75b17", 3: "7709ffd6d7fc1fac"}
+
+
+@pytest.mark.parametrize("K", sorted(PINNED_LONG_TAILS))
+def test_long_tail_streams_pinned(K):
+    assert long_tail_digest(K) == PINNED_LONG_TAILS[K]
 
 
 def test_verify_lines_pinned(config):

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clopen_reference import Clopen, OdoClopen
+from encode_reference import long_tail_points
 from shiftembed.entropy import ScaleSchedule, build_schedule
 from shiftembed.errors import SeparationError
 from shiftembed.markers import (PeriodicNeighborhood, build_towers,
                                 return_partition, verify_tower)
-from shiftembed.pipeline import (_stitch_point, build_pipeline, load_pipeline,
-                                 sample_points, save_pipeline)
+from shiftembed.pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline
 from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
                                 dyadic_odometer, full_shift, golden_mean)
 from shiftembed.words import (is_primitive, least_period_at_most, min_period, necklace,
@@ -606,31 +606,13 @@ class TestNearAReturn:
                     near_reference(tower, point, t, tower.nprime, ref)
 
 
-def _cyclic_golden_word(rng, p):
-    """A random golden-mean word of least period p whose period repeats
-    admissibly."""
-    while True:
-        w = "0"
-        while len(w) < p:
-            w += rng.choice("0" if w[-1] == "1" else "01")
-        if golden_mean().is_cyclic_word(w) and is_primitive(w):
-            return w
-
-
 def match_table_points():
     """Tails of least period 1-6, plain and under sampled cores, and the
     stitched points whose tails have least period 13, 20 or 31."""
     system = golden_mean()
     points = [Point(w, w, w, 0) for p in range(1, 7) for w in system.least_period_words(p)[:1]]
     points += sample_points(system, 6, seed=21)
-    rng = random.Random(7)
-    for p in (13, 20, 31):
-        for _ in range(3):
-            point = _stitch_point(system, rng, _cyclic_golden_word(rng, p),
-                                  _cyclic_golden_word(rng, p), rng.randrange(0, 40))
-            assert point is not None
-            points.append(point)
-    return points
+    return points + long_tail_points((13, 20, 31), 3)
 
 
 def reference_match(tower, point, t):
