@@ -582,54 +582,57 @@ def _block_codebook(pipeline, l, blk, coarse):
     return pipeline.cond_codebook(l, blk.length(), coarse)
 
 
-def _render_layer(pipeline, ctx, l, sym):
-    """Write the scale-l layer over the context range into sym, which holds
-    psi_{l-1} as pos -> (symbol, scale), a free slot's scale None, and then
-    holds psi_l."""
+def _render_layer(pipeline, ctx, l, syms, res):
+    """Write the scale-l layer over the context range into syms and res,
+    which hold psi_{l-1} on [ctx.lo, ctx.hi], a symbol and a resolution
+    scale per position (a free slot's None), and then hold psi_l."""
     sched = pipeline.schedule
-    point = ctx.point
+    point, lo = ctx.point, ctx.lo
     layer = ctx.layout.layer(l)
     m_l = sched.m[l - 1]
+
+    def put(positions, word):
+        for pos, ch in zip(positions, word):
+            syms[pos - lo], res[pos - lo] = ch, l
+
     for blk in layer.blocks:
         for pos in blk.freed_positions:         # none at scale 1
-            sym[pos] = (SYM_FREE, None)
+            syms[pos - lo], res[pos - lo] = SYM_FREE, None
         if blk.kind == "regular":
             coarse = _block_key(pipeline, point, blk, sched.m[l - 2]) if l >= 2 else None
             cb = _block_codebook(pipeline, l, blk, coarse)
-            word = cb.encode(_block_key(pipeline, point, blk, m_l),
-                             pad_to=len(blk.fill_positions))
-            for pos, ch in zip(blk.fill_positions, word):
-                sym[pos] = (ch, l)
+            put(blk.fill_positions, cb.encode(_block_key(pipeline, point, blk, m_l),
+                                              pad_to=len(blk.fill_positions)))
         elif l == 1:
-            s = blk.start if blk.start is not None else ctx.lo
-            e = blk.end if blk.end is not None else ctx.hi + 1
-            for t in range(max(s, ctx.lo), min(e, ctx.hi + 1)):
-                sym[t] = (pipeline.periodic_code.stream_letter(blk.orbit, blk.phase, t), 1)
+            s = lo if blk.start is None else max(blk.start, lo)
+            e = ctx.hi + 1 if blk.end is None else min(blk.end, ctx.hi + 1)
+            if s < e:
+                w = pipeline.periodic_code.orbit_code[blk.orbit]
+                syms[s - lo:e - lo] = _tile(w, (s + blk.phase) % len(w), e - s)
+                res[s - lo:e - lo] = [1] * (e - s)
         elif not blk.special:
             coarse = _orbit_key(blk.orbit, sched.m[l - 2], blk.m)
             fine = _orbit_key(blk.orbit, m_l, blk.m)
             cb = pipeline.cond_codebook(l, blk.m, coarse)
             icb = pipeline.ident_codebook(l, blk.m, fine)
             budget = sched.budget(blk.m, l)
-            _write_singular_codes(sym, blk, cb.encode(fine, pad_to=budget),
-                                  icb.encode(necklace(blk.orbit), pad_to=budget), l)
+            _write_singular_codes(put, blk, cb.encode(fine, pad_to=budget),
+                                  icb.encode(necklace(blk.orbit), pad_to=budget))
     for pos, role in layer.role.items():
         ch = _ROLE_SYMBOL.get(role)
         if ch is not None:
-            sym[pos] = (ch, l)
+            syms[pos - lo], res[pos - lo] = ch, l
 
 
-def _write_singular_codes(sym, blk, cond_word, ident_word, scale):
+def _write_singular_codes(put, blk, cond_word, ident_word):
     groups = {}
     for p in blk.cond_positions:
         groups.setdefault((p + blk.phase) // blk.m, [[], []])[0].append(p)
     for p in blk.ident_positions:
         groups.setdefault((p + blk.phase) // blk.m, [[], []])[1].append(p)
     for _, (cps, ips) in sorted(groups.items()):
-        for pos, ch in zip(sorted(cps), cond_word):
-            sym[pos] = (ch, scale)
-        for pos, ch in zip(sorted(ips), ident_word):
-            sym[pos] = (ch, scale)
+        put(sorted(cps), cond_word)
+        put(sorted(ips), ident_word)
 
 
 def render_scales(point, pipeline, window):
@@ -638,11 +641,12 @@ def render_scales(point, pipeline, window):
     free.  Scale k is resolved right before it is rendered, and a scale
     that raises ends the iteration with its error."""
     a, b = window
-    sym = {}
     for k, ctx in enumerate(_context_scales(pipeline, point, window), 1):
-        _render_layer(pipeline, ctx, k, sym)
-        cells = list(map(sym.get, range(a, b + 1), itertools.repeat((SYM_FREE, None))))
-        yield SymbolStream(a, b, [ch for ch, _ in cells], [scale for _, scale in cells])
+        if k == 1:
+            size = ctx.hi - ctx.lo + 1
+            syms, res = [SYM_FREE] * size, [None] * size
+        _render_layer(pipeline, ctx, k, syms, res)
+        yield SymbolStream(a, b, syms[a - ctx.lo:b - ctx.lo + 1], res[a - ctx.lo:b - ctx.lo + 1])
 
 
 def odometer_period(pipeline):

@@ -568,25 +568,35 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
 
 
 def _tag_singular(iv, stack, k, comp_range, runtime):
-    """Identify the single periodic orbit a singular stretch shadows."""
+    """Identify the single periodic orbit a singular stretch shadows.
+
+    The covering invariant puts every position with no member within
+    n'_k - 1 inside the periodic neighborhood.  The members are exactly the
+    returns, and none lies beyond an open side (the quiet zone), so those
+    positions form one run [u, v]: n'_k in from a bounded end, out to the
+    computed range at an open one.  The run's windows all match one (orbit,
+    phase) exactly when the letters over [u - r, v + r] keep the period p
+    of the match at u (the sliding argument of TowerRuntime.match), so one
+    slice comparison tags the stretch, and it cannot shadow several orbits.
+    A run that breaks is walked to the first window that matches nothing.
+    """
     tower = stack[k]
     if tower.pernbhd is None:
         raise ShiftEmbedError("singular stretch in an aperiodic system at scale %d" % k)
-    lo = comp_range[0] if iv.start is None else iv.start
-    hi = comp_range[1] if iv.end is None else iv.end
-    hits = set()
-    for t in range(lo, hi):
-        if not runtime.near(tower, t, tower.nprime):
-            hit = runtime.match(tower, t)
-            if hit is None:
-                raise ShiftEmbedError(
-                    "covering violated: time %d of a singular stretch matches no orbit" % t)
-            hits.add(hit[:2])
-    if not hits:
+    u = comp_range[0] if iv.start is None else iv.start + tower.nprime
+    v = comp_range[1] - 1 if iv.end is None else iv.end - tower.nprime
+    if u > v:
         raise ShiftEmbedError("singular stretch %r has no interior points" % ((iv.start, iv.end),))
-    if len(hits) > 1:
-        raise SeparationError("singular stretch matches several orbits: %r" % hits)
-    key, phase = hits.pop()
+    hit = runtime.match(tower, u)
+    if hit is not None:
+        text = runtime.window(u - tower.r, v + tower.r)
+        if text[hit[2]:] != text[:-hit[2]]:
+            hit = None
+    if hit is None:
+        t = next(t for t in range(u, v + 1) if runtime.match(tower, t) is None)
+        raise ShiftEmbedError(
+            "covering violated: time %d of a singular stretch matches no orbit" % t)
+    key, phase = hit[:2]
     iv.orbit, iv.phase, iv.m = key, phase, len(key)
     iv.special = stack.schedule.is_special(k, iv.m)
     return iv

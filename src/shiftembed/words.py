@@ -9,6 +9,7 @@ ALPHABET_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 # Code alphabet for stream payloads: the letters 1..K rendered as characters.
 CODE_CHARS = "123456789"
+_LETTER_DIGITS = str.maketrans(CODE_CHARS, "012345678")
 
 
 def kmp_border(s):
@@ -102,11 +103,12 @@ def kary_word(index, length, K):
 
 
 def kary_index(word, K):
-    letters = kary_alphabet(K)
-    idx = 0
-    for c in word:
-        idx = idx * K + letters.index(c)
-    return idx
+    """Index of a K-ary word (a string or a list of letters) in
+    lexicographic order: the word read as one base-K numeral, its letters
+    1..K shifted down to the digits 0..K-1.  The one word of each length
+    over one letter has index 0."""
+    word = "".join(word)
+    return int(word.translate(_LETTER_DIGITS), K) if K > 1 and word else 0
 
 
 def code_length_needed(count, K):

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
 from shiftembed import codec
 from shiftembed.blocks import ROLE_SINGULAR_FILL, LayoutBlock
 from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream, _block_key,
                               build_first_codebook, build_conditional_codebook,
                               build_periodic_code)
 from shiftembed.errors import (CapacityError, EnumerationBudgetError,
-                               MalformedStreamError, ScheduleError, WindowError)
+                               MalformedStreamError, ScheduleError, ShiftEmbedError,
+                               WindowError)
 from shiftembed.markers import return_partition
 from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
 from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft,
@@ -158,7 +160,7 @@ class TestCodebooks:
                     want.append("123456789"[digit])
                 word = kary_word(index, length, K)
                 assert word == "".join(reversed(want))
-                assert kary_index(word, K) == index
+                assert kary_index(word, K) == kary_index(list(word), K) == index
             with pytest.raises(ValueError, match="out of range"):
                 kary_word(K ** length, length, K)
 
@@ -509,6 +511,63 @@ class TestEncodeScales:
         assert calls == [1, 1, 2]
 
 
+def _render_texts(point, pipe, window):
+    """The to_text of each stream render_scales yields, then the error
+    text that ended the pass, if any."""
+    texts = []
+    try:
+        for stream in codec.render_scales(point, pipe, window):
+            texts.append(stream.to_text())
+    except ShiftEmbedError as exc:
+        texts.append("%s: %s" % (type(exc).__name__, exc))
+    return texts
+
+
+class TestListRender:
+    """render_scales writes psi_1, ..., psi_kmax into two lists over the
+    context range; the reference writes them into one dict of (symbol,
+    scale) pairs, which takes any position without wrapping it."""
+
+    CONFIGS = {
+        "golden-K2": (golden_mean, dict(K=2, kmax=2, C=0.0, m=(0, 0))),
+        "golden-K3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 0))),
+        "growing-K3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 1))),
+        "odometer": (lambda: dyadic_odometer(8), dict(K=2, kmax=3, N_cert=128)),
+        "orbit001": (lambda: OrbitSystem(2, "001"), dict(K=2, kmax=1, C=0.0, m=(0,))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_equals_dict_render(self, name):
+        make_system, kwargs = self.CONFIGS[name]
+        system = make_system()
+        pipe = build_pipeline(system, **kwargs)
+        points = sample_points(system, 6, seed=3)
+        if system.kind == "sft":
+            points += long_tail_points((10, 13, 19, 31), 1) + bounded_stretch_points()
+        margin = pipe.decode_margin()
+        window = (-200 - margin, 200 + margin)
+        coded = set()
+        for point in points:
+            texts, (lo, hi), written = dict_render_scales(point, pipe, window)
+            assert _render_texts(point, pipe, window) == texts, point
+            assert lo <= min(written) and max(written) <= hi
+            if not texts[-1].startswith("window"):
+                continue
+            for layer in pipe.context(point, window).layout.layers:
+                coded.update(blk.special for blk in layer.blocks
+                             if blk.kind == "singular" and blk.cond_positions)
+        if name in ("golden-K2", "golden-K3"):
+            # a non-special singular block writes its per-period codes
+            assert False in coded
+
+    def test_an_encode_error_ends_both_renders_alike(self):
+        grow3 = build_pipeline(golden_mean(), K=3, kmax=2, C=0.0, m=(0, 1))
+        point = Point("010", "10010001010010010", "10000", -17)
+        texts, _, _ = dict_render_scales(point, grow3, (-60, 60))
+        assert texts[-1] == "CapacityError: codeword of length 2 cannot fit 1 slots"
+        assert _render_texts(point, grow3, (-60, 60)) == texts
+
+
 class TestNonSpecialSingular:
     """Golden K=2 at n_2 = 19 has budget(19, 2) = 1: a singular scale-2
     block of least period 19 is non-special and carries its conditional and
@@ -790,10 +849,10 @@ class TestOdometerPeriod:
         point's encode is its own render, the residue-0 error included."""
         render_layer = codec._render_layer
 
-        def refuse_residue_zero(pipeline, ctx, l, sym):
+        def refuse_residue_zero(pipeline, ctx, l, *out):
             if ctx.point.residue == 0:
                 raise CapacityError("refused at scale %d" % l, scale=l)
-            render_layer(pipeline, ctx, l, sym)
+            render_layer(pipeline, ctx, l, *out)
 
         monkeypatch.setattr(codec, "_render_layer", refuse_residue_zero)
         base, kwargs = MIXED_BASE

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clopen_reference import Clopen, OdoClopen
-from encode_reference import long_tail_points
+from encode_reference import bounded_stretch_points, long_tail_points, reference_tag
 from shiftembed.entropy import ScaleSchedule, build_schedule
-from shiftembed.errors import SeparationError
-from shiftembed.markers import (PeriodicNeighborhood, build_towers,
+from shiftembed.errors import SeparationError, ShiftEmbedError
+from shiftembed.markers import (Interval, PeriodicNeighborhood, _tag_singular, build_towers,
                                 return_partition, verify_tower)
 from shiftembed.pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline
 from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
@@ -652,6 +652,89 @@ class TestMatchTable:
                     assert {t: runtime.match(tower, t) for t in order} == expected, point
         # matches of every tail period 1-6 and windows that match nothing
         assert {None, 1, 2, 3, 4, 5, 6} <= periods
+
+
+class TestTagSingular:
+    """_tag_singular checks one run of a stretch with one periodicity test;
+    the reference matches every position of it that has no member within
+    n'_k - 1."""
+
+    CONFIGS = {
+        "golden-K2": (golden_mean, dict(K=2, kmax=2, C=0.0, m=(0, 0))),
+        "golden-K3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 0))),
+        "orbit001": (lambda: OrbitSystem(2, "001"), dict(K=2, kmax=1, C=0.0, m=(0,))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_equals_reference_on_every_singular_stretch(self, name):
+        make_system, kwargs = self.CONFIGS[name]
+        system = make_system()
+        pipe = build_pipeline(system, **kwargs)
+        points = sample_points(system, 6, seed=3)
+        if system.kind == "sft":
+            points += long_tail_points((10, 13, 19, 31), 1) + bounded_stretch_points()
+        margin = pipe.decode_margin()
+        window = (-200 - margin, 200 + margin)
+        open_sides = set()
+        for point in points:
+            runtime = pipe.stack.runtime(point)
+            for part in pipe.context(point, window).partitions:
+                for iv in part.intervals:
+                    if iv.kind == "singular":
+                        assert (iv.orbit, iv.phase, iv.special) == reference_tag(
+                            Interval(iv.start, iv.end, "singular"), pipe.stack, part.scale,
+                            part.computed_range, runtime)
+                        open_sides.add((iv.start is None, iv.end is None))
+        if system.kind == "sft":
+            assert {(True, False), (False, True), (False, False)} <= open_sides
+        else:
+            assert open_sides == {(True, True)}
+
+    @staticmethod
+    def _bounded_stretch(pipe, point):
+        runtime = pipe.stack.runtime(point)
+        part = return_partition(point, pipe.stack, 1, (-60, 60), runtime=runtime)
+        iv = next(iv for iv in part.intervals if iv.kind == "singular"
+                  and iv.start is not None and iv.end is not None)
+        return runtime, part, iv
+
+    def test_a_corrupted_letter_breaks_the_run_at_the_same_time(self, pipe):
+        """A flipped letter in the run of a period-2 stretch: both taggers
+        name the first window that holds it.  The members are those of the
+        point before the flip."""
+        point = bounded_stretch_points()[1]
+        honest, part, iv = self._bounded_stretch(pipe, point)
+        tower = pipe.stack[1]
+        u, v = iv.start + tower.nprime, iv.end - tower.nprime
+        for j in (u - tower.r, u, (u + v) // 2, v + tower.r):
+            i = j - point.anchor
+            assert 0 <= i < len(point.core)
+            bad = Point(point.left, point.core[:i] + "10"[int(point.core[i])] + point.core[i + 1:],
+                        point.right, point.anchor)
+            texts = []
+            for tag in (_tag_singular, reference_tag):
+                runtime = pipe.stack.runtime(bad)
+                runtime.member_cache[1].update(honest.member_cache[1])
+                with pytest.raises(ShiftEmbedError) as exc:
+                    tag(Interval(iv.start, iv.end, "singular"), pipe.stack, 1,
+                        part.computed_range, runtime)
+                texts.append(str(exc.value))
+            t = max(u, j - tower.r)
+            assert texts == ["covering violated: time %d of a singular stretch matches no "
+                             "orbit" % t] * 2
+
+    def test_a_stretch_shorter_than_two_n_prime_has_no_interior_points(self, pipe):
+        """A regular gap tagged as a stretch: every position of it is within
+        n'_1 - 1 of one of its ends."""
+        point = bounded_stretch_points()[1]
+        runtime, part, _ = self._bounded_stretch(pipe, point)
+        iv = next(iv for iv in part.intervals if iv.kind == "regular")
+        assert iv.length() < 2 * pipe.stack[1].nprime
+        for tag in (_tag_singular, reference_tag):
+            with pytest.raises(ShiftEmbedError, match=r"singular stretch \(%d, %d\) has no "
+                               r"interior points" % (iv.start, iv.end)):
+                tag(Interval(iv.start, iv.end, "singular"), pipe.stack, 1,
+                    part.computed_range, runtime)
 
 
 def test_match_word_runs_only_where_no_neighbour_matched(pipe, monkeypatch):
