@@ -546,12 +546,13 @@ class TestListRender:
             points += long_tail_points((10, 13, 19, 31), 1) + bounded_stretch_points()
         margin = pipe.decode_margin()
         window = (-200 - margin, 200 + margin)
-        coded = set()
+        coded, errors = set(), []
         for point in points:
             texts, (lo, hi), written = dict_render_scales(point, pipe, window)
             assert _render_texts(point, pipe, window) == texts, point
             assert lo <= min(written) and max(written) <= hi
             if not texts[-1].startswith("window"):
+                errors.append(texts[-1])
                 continue
             for layer in pipe.context(point, window).layout.layers:
                 coded.update(blk.special for blk in layer.blocks
@@ -559,13 +560,25 @@ class TestListRender:
         if name in ("golden-K2", "golden-K3"):
             # a non-special singular block writes its per-period codes
             assert False in coded
+        # the eaten-block clamp ends a growing-radius pass at scale 2
+        assert errors == (["CapacityError: codeword of length 2 cannot fit 1 slots"]
+                          if name == "growing-K3" else [])
 
-    def test_an_encode_error_ends_both_renders_alike(self):
-        grow3 = build_pipeline(golden_mean(), K=3, kmax=2, C=0.0, m=(0, 1))
-        point = Point("010", "10010001010010010", "10000", -17)
-        texts, _, _ = dict_render_scales(point, grow3, (-60, 60))
-        assert texts[-1] == "CapacityError: codeword of length 2 cannot fit 1 slots"
-        assert _render_texts(point, grow3, (-60, 60)) == texts
+    def test_a_stretch_ending_at_the_context_range_writes_nothing(self, pipe):
+        """The layer keeps a scale-1 stretch that ends at or before the
+        context range's first position; its slice is empty, not one that
+        counts from the end of the lists."""
+        point = bounded_stretch_points()[1]
+        part = return_partition(point, pipe.stack, 1, (-60, 60))
+        s, e = next((iv.start, iv.end) for iv in part.intervals if iv.kind == "singular"
+                    and iv.start is not None and iv.end is not None)
+        pad = 4 * sum(pipe.schedule.nprime)
+        for lo in (e - 1, e, e + 1):
+            window = (lo + pad, lo + pad + 40)
+            layer = pipe.context(point, window).layout.layer(1)
+            assert any((blk.start, blk.end) == (s, e) for blk in layer.blocks)
+            assert _render_texts(point, pipe, window) == \
+                dict_render_scales(point, pipe, window)[0]
 
 
 class TestNonSpecialSingular:

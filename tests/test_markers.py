@@ -691,45 +691,59 @@ class TestTagSingular:
             assert open_sides == {(True, True)}
 
     @staticmethod
-    def _bounded_stretch(pipe, point):
-        runtime = pipe.stack.runtime(point)
-        part = return_partition(point, pipe.stack, 1, (-60, 60), runtime=runtime)
-        iv = next(iv for iv in part.intervals if iv.kind == "singular"
-                  and iv.start is not None and iv.end is not None)
-        return runtime, part, iv
+    def _flipped(point, j):
+        """The point with the letter at time j flipped: its core widened by
+        whole tail periods to reach j, every other letter unchanged."""
+        lo = point.anchor - len(point.left) * max(0, -(-(point.anchor - j) // len(point.left)))
+        c1 = point.anchor + len(point.core)
+        hi = c1 + len(point.right) * max(0, -(-(j + 1 - c1) // len(point.right)))
+        word = point.word(lo, hi - 1)
+        i = j - lo
+        return Point(point.left, word[:i] + "10"[int(word[i])] + word[i + 1:], point.right, lo)
 
-    def test_a_corrupted_letter_breaks_the_run_at_the_same_time(self, pipe):
-        """A flipped letter in the run of a period-2 stretch: both taggers
-        name the first window that holds it.  The members are those of the
-        point before the flip."""
-        point = bounded_stretch_points()[1]
-        honest, part, iv = self._bounded_stretch(pipe, point)
+    @pytest.mark.parametrize("side", ["bounded", "open-left", "open-right"])
+    def test_a_corrupted_letter_breaks_the_run_at_the_same_time(self, pipe, side):
+        """A flipped letter at either end or in the middle of a scale-1
+        stretch's run: both taggers name the first window that holds it.
+        The members are those of the point before the flip."""
+        if side == "bounded":
+            point = bounded_stretch_points()[1]     # a core of period 2
+        else:
+            point = Point("10", "00100101", "001", -3)
         tower = pipe.stack[1]
-        u, v = iv.start + tower.nprime, iv.end - tower.nprime
+        honest = pipe.stack.runtime(point)
+        part = return_partition(point, pipe.stack, 1, (-60, 60), runtime=honest)
+        lo, hi = part.computed_range
+        for t in range(lo - tower.nprime, hi + tower.nprime):
+            tower.member(point, t, honest)
+        iv = {"bounded": part.intervals[len(part.intervals) // 2],
+              "open-left": part.intervals[0], "open-right": part.intervals[-1]}[side]
+        assert iv.kind == "singular" and (iv.start is None, iv.end is None) == \
+            (side == "open-left", side == "open-right")
+        u = lo if iv.start is None else iv.start + tower.nprime
+        v = hi - 1 if iv.end is None else iv.end - tower.nprime
         for j in (u - tower.r, u, (u + v) // 2, v + tower.r):
-            i = j - point.anchor
-            assert 0 <= i < len(point.core)
-            bad = Point(point.left, point.core[:i] + "10"[int(point.core[i])] + point.core[i + 1:],
-                        point.right, point.anchor)
+            bad = self._flipped(point, j)
+            assert [bad.letter(i) != point.letter(i) for i in range(j - 99, j + 100)] == \
+                [i == 99 for i in range(199)]
             texts = []
             for tag in (_tag_singular, reference_tag):
                 runtime = pipe.stack.runtime(bad)
                 runtime.member_cache[1].update(honest.member_cache[1])
                 with pytest.raises(ShiftEmbedError) as exc:
-                    tag(Interval(iv.start, iv.end, "singular"), pipe.stack, 1,
-                        part.computed_range, runtime)
+                    tag(Interval(iv.start, iv.end, "singular"), pipe.stack, 1, (lo, hi), runtime)
                 texts.append(str(exc.value))
-            t = max(u, j - tower.r)
             assert texts == ["covering violated: time %d of a singular stretch matches no "
-                             "orbit" % t] * 2
+                             "orbit" % max(u, j - tower.r)] * 2
 
     def test_a_stretch_shorter_than_two_n_prime_has_no_interior_points(self, pipe):
-        """A regular gap tagged as a stretch: every position of it is within
-        n'_1 - 1 of one of its ends."""
-        point = bounded_stretch_points()[1]
-        runtime, part, _ = self._bounded_stretch(pipe, point)
-        iv = next(iv for iv in part.intervals if iv.kind == "regular")
-        assert iv.length() < 2 * pipe.stack[1].nprime
+        """The longest regular gap, 2 n'_1 - 1, tagged as a stretch: every
+        position of it is within n'_1 - 1 of one of its ends."""
+        point = bounded_stretch_points()[5]
+        runtime = pipe.stack.runtime(point)
+        part = return_partition(point, pipe.stack, 1, (-60, 60), runtime=runtime)
+        iv = max((iv for iv in part.intervals if iv.kind == "regular"), key=Interval.length)
+        assert iv.length() == 2 * pipe.stack[1].nprime - 1
         for tag in (_tag_singular, reference_tag):
             with pytest.raises(ShiftEmbedError, match=r"singular stretch \(%d, %d\) has no "
                                r"interior points" % (iv.start, iv.end)):
