@@ -7,7 +7,10 @@ of encoded streams (window, symbols and resolution), of decode results
 text) of those streams and of seeded single-symbol mutations of them, and
 of the `verify_pipeline` lines, for sampled points on four
 configurations: golden mean K=2 and K=3, the dyadic odometer and the orbit
-system of "001"; and the streams of long-tail golden points.  They also
+system of "001"; the streams of long-tail golden points; and the block
+layouts (the role of every position and each layer's free slots) that an
+encode context and a decode lay out for the golden, long-tail and
+odometer points and for golden K=3 with a growing radius.  They also
 pin every file that `save_pipeline` writes for those configurations and
 for a CLI `build`, and the greedy periodic code of five more (system, K,
 n_1).  A change that moves a digest changed the
@@ -21,7 +24,7 @@ import random
 import pytest
 
 from encode_reference import long_tail_points
-from shiftembed import codec
+from shiftembed import blocks, codec
 from shiftembed.cli import main
 from shiftembed.codec import SymbolStream, build_periodic_code
 from shiftembed.errors import ShiftEmbedError
@@ -273,6 +276,83 @@ PINNED_LONG_TAILS = {2: "b27798b50fc75b17", 3: "7709ffd6d7fc1fac"}
 @pytest.mark.parametrize("K", sorted(PINNED_LONG_TAILS))
 def test_long_tail_streams_pinned(K):
     assert long_tail_digest(K) == PINNED_LONG_TAILS[K]
+
+
+LAYOUT_CONFIGS = {
+    "golden-k2": CONFIGS["golden-k2"],
+    "golden-k3": CONFIGS["golden-k3"],
+    "growing-k3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 1))),
+    "long-tail-k2": CONFIGS["golden-k2"],
+    "long-tail-k3": CONFIGS["golden-k3"],
+    "odometer": CONFIGS["odometer"],
+}
+
+
+def _layout_text(layout):
+    """The role of every position of a layout, then each layer's free list."""
+    return "\n".join(layout.dump_lines() + [
+        "free %d: %s" % (layer.scale, " ".join(map(str, layer.free)))
+        for layer in layout.layers])
+
+
+def _laid_out(monkeypatch, fn, *args):
+    """The texts of the layouts that fn(*args) lays out, then the text of
+    the error it raises, if any."""
+    layouts = []
+
+    def append_layer(layout, partition):
+        if not any(layout is seen for seen in layouts):
+            layouts.append(layout)
+        return real(layout, partition)
+
+    real = blocks.append_layer
+    texts = []
+    with monkeypatch.context() as patch:
+        patch.setattr(blocks, "append_layer", append_layer)
+        try:
+            fn(*args)
+        except ShiftEmbedError as exc:
+            texts.append("%s: %s" % (type(exc).__name__, exc))
+    return [_layout_text(layout) for layout in layouts] + texts
+
+
+def layout_roles_digests(name, monkeypatch):
+    """(encode digest, decode digest): one over the layouts of every
+    point's encode context, one over the layouts decode_k rebuilds from the
+    point's top-scale stream."""
+    make_system, kwargs = LAYOUT_CONFIGS[name]
+    system = make_system()
+    pipe = build_pipeline(system, **kwargs)
+    a, b = WINDOW
+    margin = pipe.decode_margin()
+    window = (a - margin, b + margin)
+    points = (long_tail_points(LONG_TAIL_PERIODS, 4) if name.startswith("long-tail")
+              else sample_points(system, SAMPLES, seed=SEED))
+    enc, dec = [], []
+    for point in points:
+        enc += _laid_out(monkeypatch, codec.build_point_context, pipe, point, window)
+        try:
+            stream = pipe.encode(point, pipe.kmax, window)
+        except ShiftEmbedError as exc:
+            dec.append("%s: %s" % (type(exc).__name__, exc))
+            continue
+        dec += _laid_out(monkeypatch, pipe.decode, stream, pipe.kmax)
+    return _digest("\n".join(enc)), _digest("\n".join(dec))
+
+
+PINNED_LAYOUT_ROLES = {
+    "golden-k2": ("813fef37cb5b4376", "ba570e889ce744ad"),
+    "golden-k3": ("c5306c9832c93480", "d99cf060128d6fb5"),
+    "growing-k3": ("dbc08a48e316c0e8", "4b9f2c5f3ed1ee4a"),
+    "long-tail-k2": ("4a513bda420e89c2", "e36e3bd2ddc729a6"),
+    "long-tail-k3": ("52fa4322a3203b5b", "83f67c7125df6b1c"),
+    "odometer": ("d936ea0dd275a22a", "0cc30c42f54363b3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CONFIGS))
+def test_layout_roles_pinned(name, monkeypatch):
+    assert layout_roles_digests(name, monkeypatch) == PINNED_LAYOUT_ROLES[name]
 
 
 def test_verify_lines_pinned(config):
