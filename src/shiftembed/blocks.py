@@ -1,14 +1,17 @@
-"""The empty-block grammar: marker/filling/free roles at every scale.
+"""The empty-block grammar: the slots of every block at every scale.
 
-A layout layer at scale k assigns each position of a resolved range a role:
-marker, bracket, filling(k), free(k), or it inherits deeper roles from
-earlier scales.  Regular k-blocks spend their budgets out of the (k-1)-free
-slots: one marker slot, then floor(alpha L / 2^k) filling slots, the rest
-staying free for scale k+1.  Singular blocks follow the periodic-case
-rules: protected n_1-prefix, arithmetic-progression freeing anchored
-equivariantly, per-period conditional/identification slots, and marker
-progressions stepped by the smallest multiple of the orbit period
-reaching n_k.
+A layout layer at scale k holds its blocks in order, and each block holds
+its slots as runs: its marker slot, its filling slots and its free slots.
+At scale 1 a regular block's runs are ranges; above it they are sorted
+tuples taken out of the (k-1)-free slots inside the block.  Regular
+k-blocks spend their budgets out of those slots: one marker slot, then
+floor(alpha L / 2^k) filling slots, the rest staying free for scale k+1.
+Singular blocks follow the periodic-case rules: protected n_1-prefix,
+arithmetic-progression freeing anchored equivariantly, per-period
+conditional/identification slots, and marker progressions stepped by the
+smallest multiple of the orbit period reaching n_k.  A layer also holds
+its free slots, joined in block order, and its few structural positions
+(markers, brackets, stretch terminators) as (position, role) pairs.
 
 Every k-budget is ScaleSchedule.budget, exact integer arithmetic on
 alpha's numerator and denominator.  Capacity shortfalls raise with
@@ -19,6 +22,7 @@ decodable because the decoder recomputes the same layout.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import CapacityError
 
@@ -28,10 +32,6 @@ ROLE_MARKER_K = "markerK"
 ROLE_BRACKET_OPEN = "leftBracket"
 ROLE_BRACKET_CLOSE = "rightBracket"
 ROLE_BRACKET_BOTH = "bothBracket"
-ROLE_FILL = "filling"
-ROLE_FREE = "free"
-ROLE_SINGULAR_FILL = "singularFilling"
-ROLE_UNRESOLVED = "unresolvedBeyond"
 
 
 @dataclass
@@ -45,6 +45,7 @@ class LayoutBlock:
     phase: int = None
     m: int = None
     marker_pos: int = None
+    # slot runs, each sorted: ranges at scale 1, tuples above
     fill_positions: tuple = ()
     cond_positions: tuple = ()  # non-special singular: conditional-code slots
     ident_positions: tuple = () # non-special singular: identification slots
@@ -88,7 +89,7 @@ def span_at(spans, keys, t):
 class LayoutLayer:
     scale: int
     blocks: list
-    role: dict                  # pos -> role str, decided at this scale
+    marks: list                 # (pos, role) of the structural symbols; a later pair wins
     free: list                  # positions free at this scale (sorted)
     keys: list = field(init=False, repr=False, compare=False)
 
@@ -124,25 +125,8 @@ class BlockLayout:
     def block_at(self, k, t):
         return self.layer(k).block_at(t)
 
-    def roles(self):
-        """pos -> (role, scale) after every layer: the layers' role tables
-        merged in scale order, so a position takes the role of the last
-        layer that decides it."""
-        merged = {}
-        for k, layer in enumerate(self.layers, 1):
-            merged.update({t: (role, k) for t, role in layer.role.items()})
-        return merged
-
     def marker_progression(self, blk, k):
         return _marker_progression(self.schedule, blk, k, self.lo, self.hi)
-
-    def dump_lines(self):
-        roles = self.roles()
-        out = []
-        for t in range(self.lo, self.hi + 1):
-            role, scale = roles.get(t, (ROLE_UNRESOLVED, self.kmax))
-            out.append("%d %d %s" % (t, scale, role))
-        return out
 
 
 def _slots_in(slots, start, end, lo, hi):
@@ -155,52 +139,41 @@ def _slots_in(slots, start, end, lo, hi):
 def _build_scale1(schedule, partition, window_range, periodic):
     lo, hi = window_range
     n1 = schedule.n[0]
-    role = {}
-    blocks = []
+    blocks, marks, closings = [], [], []
     for iv in partition.intervals:
         if iv.kind == "regular":
             if iv.start < lo or iv.end > hi + 1:
                 continue  # cut by the resolved range: unusable for coding
-            L = iv.end - iv.start
-            fill = schedule.fill1(L)
-            blk = LayoutBlock(scale=1, start=iv.start, end=iv.end, kind="regular",
-                              marker_pos=iv.start)
-            role[iv.start] = ROLE_MARKER
-            fills = tuple(range(iv.start + 1, iv.start + 1 + fill))
-            for p in fills:
-                role[p] = ROLE_FILL
-            frees = tuple(range(iv.start + 1 + fill, iv.end))
-            for p in frees:
-                role[p] = ROLE_FREE
-            blk.fill_positions = fills
-            blk.free_slots = frees
-            blocks.append(blk)
+            fill_end = iv.start + 1 + schedule.fill1(iv.end - iv.start)
+            blocks.append(LayoutBlock(scale=1, start=iv.start, end=iv.end, kind="regular",
+                                      marker_pos=iv.start,
+                                      fill_positions=range(iv.start + 1, fill_end),
+                                      free_slots=range(fill_end, iv.end)))
+            marks.append((iv.start, ROLE_MARKER))
         else:
             blk = LayoutBlock(scale=1, start=iv.start, end=iv.end, kind="singular",
                               special=True, orbit=iv.orbit, phase=iv.phase, m=iv.m)
-            s = lo if iv.start is None else max(iv.start, lo)
-            e = hi + 1 if iv.end is None else min(iv.end, hi + 1)
-            for p in range(s, e):
-                role[p] = ROLE_SINGULAR_FILL
-            if periodic and iv.start is not None:
+            blocks.append(blk)
+            if periodic and iv.start is not None and lo <= iv.start + n1 <= hi:
                 # prefix terminator: one mark right after the protected
                 # prefix anchors the stretch start for the decoder and never
                 # costs a block slot
-                pos = iv.start + n1
-                if lo <= pos <= hi:
-                    role[pos] = ROLE_CLOSING
-            blocks.append(blk)
-    free = sorted(p for p, r in role.items() if r == ROLE_FREE)
-    return LayoutLayer(1, blocks, role, free)
+                closings.append((blk, iv.start + n1))
+    layer = LayoutLayer(1, blocks, marks, list(chain.from_iterable(b.free_slots for b in blocks)))
+    for blk, pos in closings:
+        owner = layer.block_at(pos)     # a later block laid out there takes it
+        if owner is blk or owner is None:
+            marks.append((pos, ROLE_CLOSING))
+    return layer
 
 
 def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
     k = partition.scale
     lo, hi = window_range
-    role = {}
-    blocks = []
+    blocks, marks = [], []
     base_free = prev_layer.free
     intervals = partition.intervals
+    len_lo, len_hi = schedule.layout_bounds(k)
 
     for idx, iv in enumerate(intervals):
         start, end = iv.adj_start, iv.adj_end
@@ -208,7 +181,6 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
             if start < lo or end > hi + 1:
                 continue  # cut by the resolved range
             L = end - start
-            len_lo, len_hi = schedule.layout_bounds(k)
             if not len_lo <= L < len_hi:
                 raise CapacityError("scale-%d block %r has length %d outside [%d, %d)"
                                     % (k, (start, end), L, len_lo, len_hi),
@@ -216,13 +188,16 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
             blk = LayoutBlock(scale=k, start=start, end=end, kind="regular")
             freed = _free_in_special_subblocks(schedule, prev_layer, blk, k)
             blk.freed_positions = tuple(freed)
-            slots = sorted(set(_slots_in(base_free, start, end, lo, hi)) | set(freed))
+            slots = _slots_in(base_free, start, end, lo, hi)
+            if freed:
+                slots = sorted(set(slots).union(freed))
             start_sub = prev_layer.block_at(start)
             if start_sub is not None and start_sub.kind == "singular":
                 # the adjusted boundary sits at a marker-capable singular
                 # position: the bracket lands there, costing no free slot
                 blk.marker_pos = start
-                slots = [p for p in slots if p != start]
+                if slots[:1] == [start]:
+                    slots = slots[1:]
             else:
                 if not slots:
                     raise CapacityError("scale-%d block %r has no slot for its marker"
@@ -230,14 +205,15 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
                 blk.marker_pos = slots[0]
                 slots = slots[1:]
             budget = schedule.budget(L, k)
-            # singular subblocks and closing markers legitimately eat slots;
-            # a block built purely from open regular subblocks must fit
-            eaten = any(sub.kind == "singular"
-                        for sub in prev_layer.blocks_near(start, end - 1)
-                        if sub.covers(start) or sub.covers(end - 1) or
-                        (sub.start is not None and start <= sub.start and
-                         sub.end is not None and sub.end <= end))
             if len(slots) < budget:
+                # singular subblocks and closing markers legitimately eat
+                # slots; a block built purely from open regular subblocks
+                # must fit
+                eaten = any(sub.kind == "singular"
+                            for sub in prev_layer.blocks_near(start, end - 1)
+                            if sub.covers(start) or sub.covers(end - 1) or
+                            (sub.start is not None and start <= sub.start and
+                             sub.end is not None and sub.end <= end))
                 if not eaten:
                     raise CapacityError(
                         "scale-%d block %r: %d filling slots needed, %d available"
@@ -246,38 +222,35 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
                 budget = len(slots)
             if periodic:
                 prev_adj = idx > 0 and intervals[idx - 1].kind == "regular"
-                role[blk.marker_pos] = ROLE_BRACKET_BOTH if prev_adj else ROLE_BRACKET_OPEN
+                marks.append((blk.marker_pos,
+                              ROLE_BRACKET_BOTH if prev_adj else ROLE_BRACKET_OPEN))
             else:
-                role[blk.marker_pos] = ROLE_MARKER_K
-            fills = tuple(slots[:budget])
-            for p in fills:
-                role[p] = ROLE_FILL
-            blk.fill_positions = fills
+                marks.append((blk.marker_pos, ROLE_MARKER_K))
+            blk.fill_positions = tuple(slots[:budget])
             blk.free_slots = tuple(slots[budget:])
-            for p in blk.free_slots:
-                role[p] = ROLE_FREE
             blocks.append(blk)
         else:
             blk = LayoutBlock(scale=k, start=start, end=end, kind="singular",
                               special=iv.special, orbit=iv.orbit, phase=iv.phase, m=iv.m)
             if iv.special:
-                freed = _free_special_singular(schedule, blk, k, lo, hi)
-                blk.freed_positions = tuple(freed)
-                blk.free_slots = tuple(freed)
-                for p in freed:
-                    role[p] = ROLE_FREE
+                blk.freed_positions = blk.free_slots = tuple(
+                    _free_special_singular(schedule, blk, k, lo, hi))
             else:
-                _lay_out_nonspecial_singular(schedule, blk, k, role, base_free, lo, hi)
+                _lay_out_nonspecial_singular(schedule, blk, k, base_free, lo, hi)
             blocks.append(blk)
 
+    free = list(chain.from_iterable(b.free_slots for b in blocks))   # in order, as the blocks
     if periodic:
         for idx in range(len(intervals) - 1):
             if intervals[idx].kind == "regular" and intervals[idx + 1].kind == "singular":
                 pos = _closing_bracket_pos(schedule, prev_layer, intervals[idx + 1].start)
                 if pos is not None and lo <= pos <= hi:
-                    role[pos] = ROLE_BRACKET_CLOSE
-    free = sorted(p for p, r in role.items() if r == ROLE_FREE)
-    return LayoutLayer(k, blocks, role, free)
+                    # the bracket wins over whatever a block made of pos
+                    marks.append((pos, ROLE_BRACKET_CLOSE))
+                    i = bisect_left(free, pos)
+                    if free[i:i + 1] == [pos]:
+                        del free[i]
+    return LayoutLayer(k, blocks, marks, free)
 
 
 def _closing_bracket_pos(schedule, prev_layer, boundary):
@@ -324,68 +297,52 @@ def _free_in_special_subblocks(schedule, prev_layer, blk, k):
 
 
 def _free_special_singular(schedule, blk, k, lo, hi):
-    """Freeing inside a special singular k-block: arithmetic progressions in
-    the orbit period, anchored at the bounded end or at the canonical orbit
-    representative (unbounded blocks stay equivariant that way)."""
+    """Freeing inside a special singular k-block: in every orbit period, the
+    budget positions before the period's end, the periods counted past the
+    n_1-prefix from the bounded end, or in canonical orbit coordinates when
+    both ends are unbounded (so that unbounded blocks stay equivariant).
+    The freed runs repeat every m, an arithmetic progression of runs."""
     n1 = schedule.n[0]
     m = blk.m
     budget = schedule.budget(m, k)
     if budget <= 0:
         return []
-    freed = set()
+    s = lo if blk.start is None else max(blk.start, lo)
+    e = hi + 1 if blk.end is None else min(blk.end, hi + 1)
+    low, stop = s - budget + 1, e       # the runs that meet [s, e) start in [low, stop)
     if blk.start is not None:
-        e = hi + 1 if blk.end is None else blk.end
-        j = 1
-        while blk.start + n1 + j * m - budget <= e:
-            for r in range(1, budget + 1):
-                pos = blk.start + n1 + j * m - r
-                if blk.covers(pos) and lo <= pos <= hi:
-                    freed.add(pos)
-            j += 1
+        anchor = blk.start + n1 + m - budget    # the first run
+        low = max(low, anchor)
     elif blk.end is not None:
-        j = 1
-        while blk.end - 1 - (n1 + j * m - budget) >= lo:
-            for r in range(1, budget + 1):
-                pos = blk.end - 1 - (n1 + j * m - r)
-                if blk.covers(pos) and lo <= pos <= hi:
-                    freed.add(pos)
-            j += 1
+        anchor = blk.end - n1 - m               # the last run
+        stop = min(stop, anchor + 1)
     else:
-        c = blk.phase
-        targets = {(-r) % m for r in range(1, budget + 1)}
-        for pos in range(lo, hi + 1):
-            if (pos + c) % m in targets:
-                freed.add(pos)
-    return sorted(freed)
+        anchor = -blk.phase - budget
+    first = low + (anchor - low) % m
+    return [p for q in range(first, stop, m) for p in range(max(q, s), min(q + budget, e))]
 
 
-def _lay_out_nonspecial_singular(schedule, blk, k, role, base_free, lo, hi):
+def _lay_out_nonspecial_singular(schedule, blk, k, base_free, lo, hi):
     """Per-period conditional and identification slots of a non-special
     singular k-block, taken from the inherited (k-1)-free slots of each
     repetition of the orbit word."""
     m = blk.m
     budget = schedule.budget(m, k)
     slots = _slots_in(base_free, blk.start, blk.end, lo, hi)
-    used = set()
     if budget > 0 and slots:
         c = blk.phase
         by_instance = {}
         for p in slots:
             by_instance.setdefault((p + c) // m, []).append(p)
         cond, ident = [], []
-        for inst in sorted(by_instance):
-            ps = sorted(by_instance[inst])
+        for ps in by_instance.values():         # in order, as the slots are
             cond.extend(ps[:budget])
             ident.extend(ps[budget:2 * budget])
         blk.cond_positions = tuple(cond)
         blk.ident_positions = tuple(ident)
         used = set(cond) | set(ident)
-        for p in used:
-            role[p] = ROLE_FILL
-    remaining = tuple(p for p in slots if p not in used)
-    blk.free_slots = remaining
-    for p in remaining:
-        role[p] = ROLE_FREE
+        slots = [p for p in slots if p not in used]
+    blk.free_slots = tuple(slots)
 
 
 def _marker_progression(schedule, blk, k, lo, hi):
@@ -397,41 +354,22 @@ def _marker_progression(schedule, blk, k, lo, hi):
     if blk.special:
         s = lo if blk.start is None else max(blk.start + schedule.n[0] + 1, lo)
         e = hi if blk.end is None else min(blk.end - 1, hi)
-        return list(range(s, e + 1))
-    n_k = schedule.n[k - 1]
+        return range(s, e + 1)
     m = blk.m
-    mprime = -(-n_k // m) * m
+    mprime = -(-schedule.n[k - 1] // m) * m
     frees = blk.free_slots
-    out = []
+    if not frees:
+        return range(0)
+    # one progression of step m' from an anchor, within the block and range
     if blk.start is not None:
-        if not frees:
-            return []
-        anchor = frees[0]
-        p = anchor
-        while p <= hi:
-            if blk.covers(p):
-                out.append(p)
-            p += mprime
+        anchor, s, e = frees[0], frees[0], hi + 1 if blk.end is None else min(blk.end, hi + 1)
     elif blk.end is not None:
-        if not frees:
-            return []
-        anchor = frees[-1]
-        p = anchor
-        while p >= lo:
-            if blk.covers(p):
-                out.append(p)
-            p -= mprime
+        anchor, s, e = frees[-1], lo, frees[-1] + 1
     else:
         # first free positive position in canonical orbit coordinates
-        c = blk.phase
-        residues = sorted({(p + c) % m for p in frees})
-        if not residues:
-            return []
-        l0 = min(f if f > 0 else f + m for f in residues)
-        for p in range(lo, hi + 1):
-            if (p + c - l0) % mprime == 0:
-                out.append(p)
-    return sorted(out)
+        l0 = min(f if f > 0 else f + m for f in {(p + blk.phase) % m for p in frees})
+        anchor, s, e = l0 - blk.phase, lo, hi + 1
+    return range(s + (anchor - s) % mprime, e, mprime)
 
 
 def append_layer(layout, partition):

@@ -17,19 +17,18 @@ Streams use one token per position.  Internal symbols:
 
 Decoding rebuilds the block structure scale by scale from the markers and
 re-runs the same layout arithmetic, so encoder and decoder cannot drift
-apart: lengths obey ScaleSchedule.layout_bounds and stretches the roles of
+apart: lengths obey ScaleSchedule.layout_bounds and stretches the slots of
 the laid-out layers.  Codewords are then inverted per context.
 """
 
 import functools
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
-                     ROLE_CLOSING, ROLE_FREE, ROLE_MARKER, ROLE_MARKER_K,
-                     ROLE_SINGULAR_FILL, SpanOrderError)
+                     ROLE_CLOSING, ROLE_MARKER, ROLE_MARKER_K, SpanOrderError)
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
 from .markers import Interval, ReturnPartition, return_partition
@@ -56,6 +55,7 @@ _TOKEN_IN = {v: k for k, v in _TOKEN_OUT.items()}
 _ROLE_SYMBOL = {ROLE_MARKER: SYM_M1, ROLE_CLOSING: SYM_TERM, ROLE_MARKER_K: SYM_MK,
                 ROLE_BRACKET_OPEN: SYM_LB, ROLE_BRACKET_CLOSE: SYM_RB,
                 ROLE_BRACKET_BOTH: SYM_DB}
+_STRUCTURE = frozenset(_ROLE_SYMBOL.values())
 
 
 @dataclass
@@ -618,10 +618,8 @@ def _render_layer(pipeline, ctx, l, syms, res):
             budget = sched.budget(blk.m, l)
             _write_singular_codes(put, blk, cb.encode(fine, pad_to=budget),
                                   icb.encode(necklace(blk.orbit), pad_to=budget))
-    for pos, role in layer.role.items():
-        ch = _ROLE_SYMBOL.get(role)
-        if ch is not None:
-            syms[pos - lo], res[pos - lo] = ch, l
+    for pos, role in layer.marks:
+        syms[pos - lo], res[pos - lo] = _ROLE_SYMBOL[role], l
 
 
 def _write_singular_codes(put, blk, cond_word, ident_word):
@@ -723,7 +721,7 @@ def _next_after(values, x):
     return values[i] if i < len(values) else None
 
 
-def _decode_scale1(stream, pipeline):
+def _decode_scale1(stream, pipeline, structure):
     """Segment the stream into scale-1 blocks and singular stretches.
 
     Block starts carry '|'; every bounded singular stretch carries one
@@ -733,6 +731,8 @@ def _decode_scale1(stream, pipeline):
     once every layer is laid out; codewords are read from the laid-out
     layer.  A region before the first boundary, shorter than a regular
     block and holding more than orbit letters and brackets, is dropped.
+    `structure` holds (position, symbol) of every marker, terminator and
+    bracket of the stream, in order.
     """
     sched = pipeline.schedule
     periodic = pipeline.periodic
@@ -742,8 +742,8 @@ def _decode_scale1(stream, pipeline):
     A, B = stream.a, stream.b
     symbols = stream.symbols
     code = pipeline.periodic_code
-    starts = [t for t, ch in enumerate(symbols, A) if ch == SYM_M1]
-    terms = [t for t, ch in enumerate(symbols, A) if ch == SYM_TERM] if periodic else []
+    starts = [t for t, ch in structure if ch == SYM_M1]
+    terms = [t for t, ch in structure if ch == SYM_TERM] if periodic else []
 
     def lookup_at(s):
         word = symbols[s - A:s - A + n1] if s >= A else ()
@@ -817,39 +817,66 @@ def _decode_scale1(stream, pipeline):
     return intervals, labels, orbits, cert_parts
 
 
-def _check_stretch(stream, pipeline, blk, roles, top, symbols):
+def _check_stretch(stream, pipeline, layout, blk, top, symbols):
     """Check a singular stretch of the decoded scale-1 layer against the
-    merged roles of the laid-out layers (the rule is decode_k's), and write
-    its orbit letters into the pi_k symbols."""
+    layers laid out over it (the rule is decode_k's), and write its orbit
+    letters into the pi_k symbols.  Between the positions that the layers
+    take, the stretch is compared with its tiled code word by slices."""
     sched = pipeline.schedule
     letters = _code_letters(sched.K)
     A, B = stream.a, stream.b
+    src = stream.symbols
     prefix_end = A if blk.start is None else blk.start + sched.n[0]
     lo_t = A if blk.start is None else max(blk.start, A)
     hi_t = B + 1 if blk.end is None else min(blk.end, B + 1)
     word = pipeline.periodic_code.orbit_code[blk.orbit]
-    orbit_letters = _tile(word, (lo_t + blk.phase) % len(word), hi_t - lo_t)
-    for t, ch, letter in zip(range(lo_t, hi_t), stream.symbols[lo_t - A:hi_t - A],
-                             orbit_letters):
-        role, _ = roles[t]
+    orbit_letters = list(_tile(word, (lo_t + blk.phase) % len(word), hi_t - lo_t))
+
+    def check(t):       # past the prefix a bracket or, below the top, a deeper symbol passes
+        ch, letter = src[t - A], orbit_letters[t - lo_t]
         in_prefix = t < prefix_end
-        if role == ROLE_FREE:
-            if top and ch not in (SYM_FREE, SYM_UNRESOLVED):
-                raise MalformedStreamError("freed slot %d of a stretch holds %r" % (t, ch),
-                                           scale=1, position=t)
-            continue
-        if role != ROLE_SINGULAR_FILL and not in_prefix:
-            continue        # the terminator, or a filling or bracket of a layer
-        symbols[t - A] = letter
         deeper = not top and (ch in letters or ch in (SYM_FREE, SYM_UNRESOLVED))
         if ch == letter or not in_prefix and (ch in (SYM_LB, SYM_RB, SYM_DB) or deeper):
-            continue
+            return
         raise MalformedStreamError(
             "stretch content clashes with orbit %r at %d" % (blk.orbit, t) if ch in letters
             else "unexpected terminator inside a stretch at %d" % t if ch == SYM_TERM
             else "bracket inside a protected prefix at %d" % t if ch in (SYM_LB, SYM_RB, SYM_DB)
             else "free slot inside a stretch at %d" % t if ch in (SYM_FREE, SYM_UNRESOLVED)
             else "alien symbol %r inside a stretch at %d" % (ch, t), scale=1, position=t)
+
+    # the terminator right after the protected prefix is the stretch's
+    terminator = {prefix_end: False} if blk.start is not None and lo_t <= prefix_end < hi_t \
+        else {}
+    u = lo_t
+    for t, free in _taken_in_stretch(layout, lo_t, hi_t, terminator) + [(hi_t, None)]:
+        if src[u - A:t - A] != orbit_letters[u - lo_t:t - lo_t]:
+            for v in range(u, t):
+                check(v)
+        symbols[u - A:t - A] = orbit_letters[u - lo_t:t - lo_t]
+        if free is None:
+            break
+        if free:
+            if top and src[t - A] not in (SYM_FREE, SYM_UNRESOLVED):
+                raise MalformedStreamError("freed slot %d of a stretch holds %r"
+                                           % (t, src[t - A]), scale=1, position=t)
+        elif t < prefix_end:
+            symbols[t - A] = orbit_letters[t - lo_t]
+            check(t)
+        u = t + 1
+
+
+def _taken_in_stretch(layout, lo_t, hi_t, taken):
+    """(t, free) in order for every t of [lo_t, hi_t) that `taken` holds or
+    a layer above scale 1 takes, free when the last such layer frees it."""
+    for layer in layout.layers[1:]:
+        for blk in layer.blocks_near(lo_t, hi_t - 1):
+            for run, free in ((blk.fill_positions, False), (blk.cond_positions, False),
+                              (blk.ident_positions, False), (blk.free_slots, True)):
+                for t in run[bisect_left(run, lo_t):bisect_left(run, hi_t)]:
+                    taken[t] = free
+        taken.update((t, False) for t, _ in layer.marks if lo_t <= t < hi_t)
+    return sorted(taken.items())
 
 
 def _put_labels(labels, span, values):
@@ -883,7 +910,7 @@ def _covered_range(parts, within):
     return (best[0], best[1])
 
 
-def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
+def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
     """Reconstruct scale-k structure from markers/brackets above the
     decoded layers, and read its singular regions."""
     sched = pipeline.schedule
@@ -893,7 +920,9 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
 
     marks = {SYM_LB, SYM_DB, SYM_RB} if pipeline.periodic else {SYM_LB, SYM_DB, SYM_RB, SYM_MK}
     boundaries = []   # (pos_of_symbol, boundary, type)
-    for t, ch in [(t, ch) for t, ch in enumerate(stream.symbols, A) if ch in marks]:
+    for t, ch in structure:
+        if ch not in marks:
+            continue
         blk = prev_layer.block_at(t)
         if blk is None:
             continue
@@ -955,8 +984,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev):
     m_prev = sched.m[k - 2]
     for iv in sorted(intervals, key=lambda iv: iv.start if iv.start is not None else A - 1):
         if iv.kind == "singular":
-            pieces = _split_singular_region(iv, pipeline, k, labels_prev,
-                                            prev_layer.blocks, (A, B))
+            pieces = _split_singular_region(iv, pipeline, k, labels_prev, prev_layer, (A, B))
             for piece in pieces:
                 orbits.append(piece.orbit)
                 out_intervals.append(piece)
@@ -1008,7 +1036,10 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
         slots = blk.fill_positions[:cb.length]     # sorted, as every slot list
         if slots and not (A <= slots[0] and slots[-1] <= B):
             continue
-        fine = cb.decode([symbols[pos - A] for pos in slots])
+        if slots and slots[-1] - slots[0] == len(slots) - 1:       # one run
+            fine = cb.decode(symbols[slots[0] - A:slots[-1] + 1 - A])
+        else:
+            fine = cb.decode([symbols[pos - A] for pos in slots])
         for pos in blk.fill_positions[cb.length:]:
             if A <= pos <= B and symbols[pos - A] != SYM_PAD:
                 raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
@@ -1035,7 +1066,7 @@ def _refine_label(pipeline, labels_prev, t, m_prev, m_new):
     return "".join(letters)
 
 
-def _split_singular_region(iv, pipeline, k, labels_prev, blocks_prev, window):
+def _split_singular_region(iv, pipeline, k, labels_prev, prev_layer, window):
     """Split a singular scale-k region along previous-scale stretch
     boundaries and identify the orbit of each part.
 
@@ -1053,10 +1084,8 @@ def _split_singular_region(iv, pipeline, k, labels_prev, blocks_prev, window):
     deep_hi = hi if iv.end is None else hi - npk
     if deep_lo >= deep_hi:
         return []
-    prevs = sorted((pv for pv in blocks_prev),
-                   key=lambda pv: pv.start if pv.start is not None else A - 1)
     tagged = []
-    for pv in prevs:
+    for pv in prev_layer.blocks_near(deep_lo, deep_hi - 1):
         if pv.kind != "singular" or pv.orbit is None:
             continue
         p_lo = deep_lo if pv.start is None else max(pv.start, deep_lo)
@@ -1127,6 +1156,40 @@ def _append_decoded_layer(layout, k, window, intervals):
         raise MalformedStreamError(str(exc), scale=k) from None
 
 
+def _pi_symbols(stream, pipeline, layout):
+    """The pi_k symbols of a stream over its decoded layout: a free slot at
+    every position that no layer decides or whose last deciding layer frees
+    (layer 1 decides every position of its blocks, a layer above it only
+    its slots and structural positions), and each singular stretch checked
+    and written with its orbit letters."""
+    A, B = stream.a, stream.b
+    src = stream.symbols
+    symbols = [SYM_FREE] * len(src)
+    for layer in layout.layers:
+        for blk in layer.blocks:
+            free = blk.free_slots
+            if layer.scale == 1:
+                s = A if blk.start is None else max(blk.start, A)
+                e = B + 1 if blk.end is None else min(blk.end, B + 1)
+                if s < e:
+                    symbols[s - A:e - A] = src[s - A:e - A]
+                if free:                    # one range
+                    symbols[free[0] - A:free[-1] + 1 - A] = [SYM_FREE] * len(free)
+                continue
+            for t in itertools.chain(blk.fill_positions, blk.cond_positions,
+                                     blk.ident_positions):
+                symbols[t - A] = src[t - A]
+            for t in free:
+                symbols[t - A] = SYM_FREE
+        for t, _ in layer.marks:
+            symbols[t - A] = src[t - A]
+    for blk in layout.layer(1).blocks:
+        if blk.kind == "singular":
+            _check_stretch(stream, pipeline, layout, blk,
+                           layout.kmax == pipeline.schedule.kmax, symbols)
+    return symbols
+
+
 def decode_k(stream, pipeline, k):
     """Invert the scale-k code: block structure, itineraries, orbit ids.
 
@@ -1143,13 +1206,14 @@ def decode_k(stream, pipeline, k):
         raise ValueError("scale %d out of range" % k)
     A, B = stream.a, stream.b
     layout = BlockLayout(schedule=sched, lo=A, hi=B, periodic=pipeline.periodic)
+    structure = [(t, ch) for t, ch in enumerate(stream.symbols, A) if ch in _STRUCTURE]
     itineraries, certified = {}, {}
     for l in range(1, k + 1):
         if l == 1:
-            intervals, labels, orbits, cert_parts = _decode_scale1(stream, pipeline)
+            intervals, labels, orbits, cert_parts = _decode_scale1(stream, pipeline, structure)
         else:
             intervals, labels, orbits_l, cert_parts = _decode_scale_k(
-                stream, pipeline, l, layout, itineraries[l - 1])
+                stream, pipeline, l, layout, itineraries[l - 1], structure)
             orbits.extend(o for o in orbits_l if o not in orbits)
         layer = _append_decoded_layer(layout, l, (A, B), intervals)
         _read_codewords(stream, pipeline, layer, itineraries.get(l - 1), labels, cert_parts)
@@ -1157,14 +1221,7 @@ def decode_k(stream, pipeline, k):
         certified[l] = _covered_range(cert_parts, (A, B))
     # pi_k form: deeper-scale symbols revert to free slots, and a stretch
     # position no layer takes to its orbit letter
-    roles = layout.roles()
-    free = (ROLE_FREE, None)
-    symbols = [SYM_FREE if roles.get(t, free)[0] == ROLE_FREE else ch
-               for t, ch in enumerate(stream.symbols, A)]
-    for blk in layout.layer(1).blocks:
-        if blk.kind == "singular":
-            _check_stretch(stream, pipeline, blk, roles, k == sched.kmax, symbols)
-    stream_k = SymbolStream(A, B, symbols)
+    stream_k = SymbolStream(A, B, _pi_symbols(stream, pipeline, layout))
     return DecodeResult(itineraries=itineraries, certified=certified,
                         orbits=orbits, stream_k=stream_k)
 

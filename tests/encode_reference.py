@@ -14,6 +14,7 @@ render that writes every scale into one dict of (symbol, scale) pairs.
 import itertools
 import random
 
+from layout_reference import layer_roles
 from shiftembed import codec
 from shiftembed.errors import SeparationError, ShiftEmbedError
 from shiftembed.pipeline import _stitch_point
@@ -123,7 +124,7 @@ def _dict_render_layer(pipeline, ctx, l, sym):
                     sym[pos] = (ch, l)
                 for pos, ch in zip(sorted(ips), ident):
                     sym[pos] = (ch, l)
-    for pos, role in layer.role.items():
+    for pos, role in layer_roles(ctx.layout, l).items():
         ch = codec._ROLE_SYMBOL.get(role)
         if ch is not None:
             sym[pos] = (ch, l)

@@ -1,13 +1,20 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 
-from shiftembed.blocks import (ROLE_CLOSING, ROLE_FILL, ROLE_FREE, ROLE_MARKER,
-                               BlockLayout, LayoutBlock, _slots_in, append_layer,
+from encode_reference import long_tail_points
+from layout_reference import (ROLE_FILL, ROLE_FREE, dump_lines, free_special_singular,
+                              layer_roles, marker_progression, record_layouts,
+                              reference_layers, reference_pi_symbols, roles)
+from shiftembed import codec
+from shiftembed.blocks import (ROLE_CLOSING, ROLE_MARKER, BlockLayout, LayoutBlock, _slots_in,
+                               _free_special_singular, _marker_progression, append_layer,
                                SpanOrderError, span_keys)
 from shiftembed.codec import SymbolStream, _append_decoded_layer, build_point_context
 from shiftembed.entropy import ScaleSchedule
-from shiftembed.errors import CapacityError, MalformedStreamError, WindowError
+from shiftembed.errors import CapacityError, MalformedStreamError, ShiftEmbedError, WindowError
 from shiftembed.markers import Interval, ReturnPartition
 from shiftembed.pipeline import build_pipeline, sample_points
 from shiftembed.systems import Point, dyadic_odometer, golden_mean
@@ -47,10 +54,10 @@ class TestScaleOne:
         layout = build_block_layout(sched, [part], (0, 999), periodic=False)
         blk = layout.layer(1).blocks[0]
         assert blk.marker_pos == 0
-        assert blk.fill_positions == tuple(range(1, 901))
-        assert blk.free_slots == tuple(range(901, 1000))
-        assert layout.layer(1).role[0] == ROLE_MARKER
-        assert layout.layer(1).role[901] == ROLE_FREE
+        assert blk.fill_positions == range(1, 901)
+        assert blk.free_slots == range(901, 1000)
+        assert layer_roles(layout, 1)[0] == ROLE_MARKER
+        assert layer_roles(layout, 1)[901] == ROLE_FREE
 
     def test_scale_two_budgets(self):
         # ten thousand-blocks concatenate into one scale-2 block:
@@ -121,7 +128,7 @@ class TestPeriodicGrammar:
                              (11, 40, "singular",
                               dict(special=True, orbit="0", phase=0, m=1))])
         layout = build_block_layout(sched, [part], (0, 39), periodic=True)
-        assert layout.layer(1).role[11 + 9] == ROLE_CLOSING
+        assert layer_roles(layout, 1)[11 + 9] == ROLE_CLOSING
 
     def test_block_adjusted_to_no_length_refused(self):
         # both ends of a regular scale-2 interval move to one position of a
@@ -176,9 +183,9 @@ class TestRoleMonotonicity:
         pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
         for p in sample_points(golden_mean(), 6, seed=21):
             ctx = pipe.context(p, (-40, 40))
-            l1, l2 = ctx.layout.layers[0], ctx.layout.layers[1]
-            for pos, role in l2.role.items():
-                prev = l1.role.get(pos)
+            l1, l2 = layer_roles(ctx.layout, 1), layer_roles(ctx.layout, 2)
+            for pos, role in l2.items():
+                prev = l1.get(pos)
                 if role == ROLE_FILL or role in ("leftBracket", "rightBracket",
                                                  "bothBracket", "markerK"):
                     # promotions must come from free or freed singular slots
@@ -200,7 +207,7 @@ class TestMirrors:
         sched = schedule()
         part = partition(1, [(0, 1000, "regular")])
         layout = build_block_layout(sched, [part], (0, 999), periodic=False)
-        lines = layout.dump_lines()
+        lines = dump_lines(layout)
         assert lines[0].split() == ["0", "1", "marker1"]
         assert lines[1].split() == ["1", "1", "filling"]
         assert lines[950].split() == ["950", "1", "free"]
@@ -381,3 +388,149 @@ class TestLayoutBounds:
         with pytest.raises(CapacityError, match=r"length 8 outside \[10, 68\)") as err:
             build_block_layout(sched, [part1, part2], (0, 31), periodic=True)
         assert (err.value.scale, err.value.block) == (2, (8, 16))
+
+
+def _slots(blk):
+    return (blk.marker_pos, tuple(blk.fill_positions), blk.cond_positions,
+            blk.ident_positions, blk.freed_positions, tuple(blk.free_slots))
+
+
+def _span_pi(stream, pipe, layout):
+    try:
+        return codec._pi_symbols(stream, pipe, layout)
+    except MalformedStreamError as exc:
+        return str(exc)
+
+
+REFERENCE_CONFIGS = dict(TestLayoutBounds.CONFIGS, **{
+    "long-tail-k2": TestLayoutBounds.CONFIGS["golden-k2"],
+    "long-tail-k3": TestLayoutBounds.CONFIGS["golden-k3"],
+})
+MUTATION_TOKENS = ["1", "2", "|", "=", "[", "]", "][", "o", "?"]
+
+
+@functools.lru_cache(maxsize=None)
+def recorded_layouts(name):
+    """(pipeline, [(layout, partitions, error, decoded stream or None)]) of
+    the encode contexts of a few points, and of the decodes of their
+    streams at every scale and of seeded mutations of their top streams."""
+    make_system, kwargs = REFERENCE_CONFIGS[name]
+    system = make_system()
+    pipe = build_pipeline(system, **kwargs)
+    margin = pipe.decode_margin()
+    window = (-200 - margin, 200 + margin)
+    points = (long_tail_points((10, 13, 19, 20, 31, 40), 1) if name.startswith("long-tail")
+              else sample_points(system, 6, seed=31))
+    rng = random.Random(31)
+    out = []
+
+    def record(stream, fn, *args):
+        seen, error = record_layouts(fn, *args)
+        out.extend((layout, parts, error, stream) for layout, parts in seen)
+
+    for point in points:
+        record(None, codec.build_point_context, pipe, point, window)
+        try:
+            streams = list(pipe.encode_scales(point, window))
+        except ShiftEmbedError:
+            continue
+        for k, stream in enumerate(streams, 1):
+            record(stream, pipe.decode, stream, k)
+        for _ in range(4):
+            top = streams[-1]
+            symbols = list(top.symbols)
+            symbols[rng.randrange(len(symbols))] = rng.choice(MUTATION_TOKENS)
+            mutated = SymbolStream(top.a, top.b, symbols)
+            record(mutated, pipe.decode, mutated, pipe.kmax)
+    return pipe, out
+
+
+class TestSpanLayoutAgainstReference:
+    """The span layout against the position-by-position one of
+    tests/layout_reference.py, laid out from the same partitions: equal
+    roles at every position of every layer, equal free lists and slots,
+    and the same refusal; pi_k and the stretch check against the merged
+    role dicts; and the freeing and marker progressions against per-position
+    scans."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_layouts_equal_the_reference(self, name):
+        _, recorded = recorded_layouts(name)
+        for layout, partitions, error, _ in recorded:
+            ref, ref_error = reference_layers(layout, partitions)
+            assert len(ref) == len(layout.layers)
+            for k, (role, free, ref_blocks) in enumerate(ref, 1):
+                assert layer_roles(layout, k) == role
+                assert layout.layer(k).free == free
+                assert [_slots(b) for b in layout.layer(k).blocks] == \
+                    [_slots(b) for b in ref_blocks]
+            if len(partitions) > len(layout.layers):    # the last one was refused
+                assert ref_error.partition(": ")[2] == error.partition(": ")[2]
+            else:
+                assert ref_error is None
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_pi_symbols_equal_the_reference(self, name):
+        pipe, recorded = recorded_layouts(name)
+        decoded = [(layout, partitions, stream) for layout, partitions, _, stream in recorded
+                   if stream is not None and len(layout.layers) == len(partitions)]
+        assert decoded
+        for layout, partitions, stream in decoded:
+            assert _span_pi(stream, pipe, layout) == \
+                reference_pi_symbols(stream, pipe, layout, partitions)
+
+    def test_free_after_the_top_layer_is_not_the_top_free_list(self):
+        # a special singular 2-block or a cut regular 2-block leaves the
+        # 1-free slots inside it free, so pi_k frees more than layer 2 does
+        _, recorded = recorded_layouts("golden-k3")
+        assert any({t for t, (role, _) in roles(layout).items() if role == ROLE_FREE}
+                   - set(layout.layer(2).free)
+                   for layout, *_ in recorded if layout.kmax == 2)
+
+    @pytest.mark.parametrize("hi", [99, 199], ids=["next-block-cut", "next-block-laid-out"])
+    def test_terminator_past_a_short_stretch(self, hi):
+        # the terminator 0 + n_1 = 9 of the stretch [0, 5) lies in the next
+        # regular block: that block takes it when it is laid out, and it
+        # stays a terminator when the range cuts the block
+        sched = schedule(m=(0,), n=(9,), periodic=True)
+        part = partition(1, [(0, 5, "singular", dict(special=True, orbit="0", phase=0, m=1)),
+                             (5, 150, "regular")])
+        layout = build_block_layout(sched, [part], (0, hi), periodic=True)
+        (role, free, _), = reference_layers(layout, [part])[0]
+        assert layer_roles(layout, 1) == role and layout.layer(1).free == free
+        assert (role[9] == ROLE_CLOSING) == (hi == 99)
+
+    def test_freeing_equals_the_position_scan(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            sched = schedule(alpha=Fraction(rng.randrange(1, 20), 20), m=(0, 0),
+                             n=(rng.randrange(2, 12), 40), periodic=True)
+            lo = rng.randrange(-60, 0)
+            hi = lo + rng.randrange(0, 150)
+            start = rng.choice([None, rng.randrange(lo - 30, hi + 10)])
+            end = rng.choice([None, (start if start is not None else lo) + rng.randrange(0, 150)])
+            blk = LayoutBlock(scale=2, start=start, end=end, kind="singular", special=True,
+                              phase=rng.randrange(0, 50), m=rng.randrange(1, 50))
+            k = rng.choice([2, 3])
+            assert _free_special_singular(sched, blk, k, lo, hi) == \
+                free_special_singular(sched, blk, k, lo, hi)
+
+    def test_marker_progression_equals_the_position_scan(self):
+        rng = random.Random(6)
+        for _ in range(3000):
+            sched = schedule(m=(0, 0), n=(rng.randrange(2, 12), rng.randrange(12, 40)),
+                             periodic=True)
+            lo = rng.randrange(-60, 0)
+            hi = lo + rng.randrange(0, 150)
+            start = rng.choice([None, rng.randrange(lo - 30, hi + 10)])
+            end = rng.choice([None, (start if start is not None else lo) + rng.randrange(1, 150)])
+            blk = LayoutBlock(scale=2, start=start, end=end, kind="singular",
+                              special=rng.random() < 0.3, phase=rng.randrange(0, 50),
+                              m=rng.randrange(1, 30))
+            s = lo if start is None else max(start, lo)
+            e = hi + 1 if end is None else min(end, hi + 1)
+            blk.free_slots = tuple(sorted(rng.sample(range(s, e), min(max(e - s, 0),
+                                                                     rng.randrange(0, 6)))))
+            k = rng.choice([1, 2])
+            assert list(_marker_progression(sched, blk, k, lo, hi)) == \
+                marker_progression(sched, blk, k, lo, hi)

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
+from layout_reference import ROLE_SINGULAR_FILL, roles
 from shiftembed import codec
-from shiftembed.blocks import ROLE_SINGULAR_FILL, LayoutBlock
+from shiftembed.blocks import LayoutBlock
 from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream, _block_key,
                               build_first_codebook, build_conditional_codebook,
                               build_periodic_code)
@@ -665,11 +666,11 @@ class TestStretchFreeing:
         window = (-200 - margin, 200 + margin)
         stream = pipe.encode(point, 2, window)
         layout = pipe.context(point, window).layout
-        roles = layout.roles()
+        merged = roles(layout)
         stretch = next(blk for blk in layout.layer(1).blocks
                        if blk.kind == "singular" and blk.start is not None and blk.start > 0)
         t = next(t for t in range(stretch.start + pipe.schedule.n[0] + 1, stream.b)
-                 if roles[t] == (ROLE_SINGULAR_FILL, 1))
+                 if merged[t] == (ROLE_SINGULAR_FILL, 1))
         symbols = list(stream.symbols)
         old = symbols[t - stream.a]
         symbols[t - stream.a] = ("2" if old == "1" else "1") if symbol == "letter" else symbol

@@ -21,7 +21,7 @@ PACKAGE = ROOT / "src" / "shiftembed"
 # in __init__.py: only tests and demos call them.  A new name here is
 # deliberate; one that the package starts to use leaves the list.
 TEST_ONLY_NAMES = {
-    "BlockLayout.dump_lines", "SymbolStream.restrict", "PeriodicCode.verify_injective",
+    "SymbolStream.restrict", "PeriodicCode.verify_injective",
     "count_disagreements", "EmpiricalMeasure.l1", "EmpiricalMeasure.marginal_left",
     "EmpiricalMeasure.marginal_right", "periodic_orbit_measure",
     "golden_mean", "full_shift", "dyadic_odometer", "forbidden_shape_count_bound",
@@ -78,7 +78,7 @@ def _unused_names(folders):
 
 def test_guard_sees_the_package():
     names = {qualname for _, qualname, _, _ in _defined_names()}
-    assert {"encode_k", "decode_k", "Codebook", "append_layer", "BlockLayout.roles"} <= names
+    assert {"encode_k", "decode_k", "Codebook", "append_layer", "LayoutLayer.blocks_near"} <= names
 
 
 def test_every_defined_name_is_used():

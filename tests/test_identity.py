@@ -24,7 +24,8 @@ import random
 import pytest
 
 from encode_reference import long_tail_points
-from shiftembed import blocks, codec
+from layout_reference import dump_lines, record_layouts
+from shiftembed import codec
 from shiftembed.cli import main
 from shiftembed.codec import SymbolStream, build_periodic_code
 from shiftembed.errors import ShiftEmbedError
@@ -290,33 +291,19 @@ LAYOUT_CONFIGS = {
 
 def _layout_text(layout):
     """The role of every position of a layout, then each layer's free list."""
-    return "\n".join(layout.dump_lines() + [
+    return "\n".join(dump_lines(layout) + [
         "free %d: %s" % (layer.scale, " ".join(map(str, layer.free)))
         for layer in layout.layers])
 
 
-def _laid_out(monkeypatch, fn, *args):
+def _laid_out(fn, *args):
     """The texts of the layouts that fn(*args) lays out, then the text of
     the error it raises, if any."""
-    layouts = []
-
-    def append_layer(layout, partition):
-        if not any(layout is seen for seen in layouts):
-            layouts.append(layout)
-        return real(layout, partition)
-
-    real = blocks.append_layer
-    texts = []
-    with monkeypatch.context() as patch:
-        patch.setattr(blocks, "append_layer", append_layer)
-        try:
-            fn(*args)
-        except ShiftEmbedError as exc:
-            texts.append("%s: %s" % (type(exc).__name__, exc))
-    return [_layout_text(layout) for layout in layouts] + texts
+    seen, error = record_layouts(fn, *args)
+    return [_layout_text(layout) for layout, _ in seen] + ([error] if error else [])
 
 
-def layout_roles_digests(name, monkeypatch):
+def layout_roles_digests(name):
     """(encode digest, decode digest): one over the layouts of every
     point's encode context, one over the layouts decode_k rebuilds from the
     point's top-scale stream."""
@@ -330,13 +317,13 @@ def layout_roles_digests(name, monkeypatch):
               else sample_points(system, SAMPLES, seed=SEED))
     enc, dec = [], []
     for point in points:
-        enc += _laid_out(monkeypatch, codec.build_point_context, pipe, point, window)
+        enc += _laid_out(codec.build_point_context, pipe, point, window)
         try:
             stream = pipe.encode(point, pipe.kmax, window)
         except ShiftEmbedError as exc:
             dec.append("%s: %s" % (type(exc).__name__, exc))
             continue
-        dec += _laid_out(monkeypatch, pipe.decode, stream, pipe.kmax)
+        dec += _laid_out(pipe.decode, stream, pipe.kmax)
     return _digest("\n".join(enc)), _digest("\n".join(dec))
 
 
@@ -351,8 +338,8 @@ PINNED_LAYOUT_ROLES = {
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_CONFIGS))
-def test_layout_roles_pinned(name, monkeypatch):
-    assert layout_roles_digests(name, monkeypatch) == PINNED_LAYOUT_ROLES[name]
+def test_layout_roles_pinned(name):
+    assert layout_roles_digests(name) == PINNED_LAYOUT_ROLES[name]
 
 
 def test_verify_lines_pinned(config):
