@@ -239,7 +239,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
                 _lay_out_nonspecial_singular(schedule, blk, k, base_free, lo, hi)
             blocks.append(blk)
 
-    free = list(chain.from_iterable(b.free_slots for b in blocks))   # in order, as the blocks
+    free = list(chain.from_iterable(b.free_slots for b in blocks))   # sorted: blocks in order
     if periodic:
         for idx in range(len(intervals) - 1):
             if intervals[idx].kind == "regular" and intervals[idx + 1].kind == "singular":
@@ -297,11 +297,11 @@ def _free_in_special_subblocks(schedule, prev_layer, blk, k):
 
 
 def _free_special_singular(schedule, blk, k, lo, hi):
-    """Freeing inside a special singular k-block: in every orbit period, the
-    budget positions before the period's end, the periods counted past the
+    """Freeing inside a special singular k-block: the last `budget`
+    positions of every orbit period, the periods counted past the
     n_1-prefix from the bounded end, or in canonical orbit coordinates when
-    both ends are unbounded (so that unbounded blocks stay equivariant).
-    The freed runs repeat every m, an arithmetic progression of runs."""
+    both ends are unbounded (unbounded blocks stay equivariant that way).
+    The freed runs start in an arithmetic progression of step m."""
     n1 = schedule.n[0]
     m = blk.m
     budget = schedule.budget(m, k)
