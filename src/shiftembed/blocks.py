@@ -112,7 +112,6 @@ class BlockLayout:
     schedule: object
     lo: int
     hi: int
-    periodic: bool
     layers: list = field(default_factory=list)
 
     @property
@@ -136,7 +135,7 @@ def _slots_in(slots, start, end, lo, hi):
     return slots[bisect_left(slots, s):bisect_left(slots, e)]
 
 
-def _build_scale1(schedule, partition, window_range, periodic):
+def _build_scale1(schedule, partition, window_range):
     lo, hi = window_range
     n1 = schedule.n[0]
     blocks, marks, closings = [], [], []
@@ -154,7 +153,7 @@ def _build_scale1(schedule, partition, window_range, periodic):
             blk = LayoutBlock(scale=1, start=iv.start, end=iv.end, kind="singular",
                               special=True, orbit=iv.orbit, phase=iv.phase, m=iv.m)
             blocks.append(blk)
-            if periodic and iv.start is not None and lo <= iv.start + n1 <= hi:
+            if schedule.periodic and iv.start is not None and lo <= iv.start + n1 <= hi:
                 # prefix terminator: one mark right after the protected
                 # prefix anchors the stretch start for the decoder and never
                 # costs a block slot
@@ -167,7 +166,7 @@ def _build_scale1(schedule, partition, window_range, periodic):
     return layer
 
 
-def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
+def _build_scale_k(schedule, partition, prev_layer, window_range):
     k = partition.scale
     lo, hi = window_range
     blocks, marks = [], []
@@ -220,7 +219,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
                         % (k, (start, end), budget, len(slots)),
                         scale=k, block=(start, end))
                 budget = len(slots)
-            if periodic:
+            if schedule.periodic:
                 prev_adj = idx > 0 and intervals[idx - 1].kind == "regular"
                 marks.append((blk.marker_pos,
                               ROLE_BRACKET_BOTH if prev_adj else ROLE_BRACKET_OPEN))
@@ -240,7 +239,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
             blocks.append(blk)
 
     free = list(chain.from_iterable(b.free_slots for b in blocks))   # sorted: blocks in order
-    if periodic:
+    if schedule.periodic:
         for idx in range(len(intervals) - 1):
             if intervals[idx].kind == "regular" and intervals[idx + 1].kind == "singular":
                 pos = _closing_bracket_pos(schedule, prev_layer, intervals[idx + 1].start)
@@ -377,9 +376,9 @@ def append_layer(layout, partition):
     prev = layout.layers[-1] if layout.layers else None
     rng = (layout.lo, layout.hi)
     if partition.scale == 1:
-        layer = _build_scale1(layout.schedule, partition, rng, layout.periodic)
+        layer = _build_scale1(layout.schedule, partition, rng)
     else:
-        layer = _build_scale_k(layout.schedule, partition, prev, rng, layout.periodic)
+        layer = _build_scale_k(layout.schedule, partition, prev, rng)
     layout.layers.append(layer)
     return layer
 

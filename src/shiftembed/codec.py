@@ -79,12 +79,6 @@ class SymbolStream:
                               position=t)
         return self.symbols[t - self.a]
 
-    def restrict(self, a, b):
-        if a < self.a or b > self.b:
-            raise WindowError("restriction exceeds stream window")
-        return SymbolStream(a, b, self.symbols[a - self.a: b - self.a + 1],
-                            self.resolution[a - self.a: b - self.a + 1])
-
     def to_text(self):
         toks = [_TOKEN_OUT.get(s, s) for s in self.symbols]
         res = " ".join("-" if r is None else str(r) for r in self.resolution)
@@ -417,16 +411,6 @@ class PeriodicCode:
     def lookup_prefix(self, word):
         return self.prefix_table.get(word)
 
-    def verify_injective(self):
-        """Rebuild every rotation prefix from orbit_code: True when they are
-        pairwise distinct and prefix_table holds exactly them."""
-        rebuilt = {}
-        for v, w in self.orbit_code.items():
-            for d, p in enumerate(_rotation_prefixes(w, self.n1)):
-                if rebuilt.setdefault(p, (v, d)) != (v, d):
-                    return False
-        return rebuilt == self.prefix_table
-
     def serialize(self):
         lines = ["n1: %d" % self.n1, "K: %d" % self.K]
         for v in sorted(self.orbit_code):
@@ -542,8 +526,7 @@ def _context_scales(pipeline, point, window):
     # already widened the window by the decode margin
     pad = 4 * sum(sched.nprime)
     lo, hi = a - pad, b + pad
-    ctx = PointContext(point, lo, hi, [],
-                       BlockLayout(schedule=sched, lo=lo, hi=hi, periodic=pipeline.periodic))
+    ctx = PointContext(point, lo, hi, [], BlockLayout(schedule=sched, lo=lo, hi=hi))
     runtime = pipeline.stack.runtime(point)
     for k in range(1, sched.kmax + 1):
         part = return_partition(point, pipeline.stack, k, (lo, hi),
@@ -735,7 +718,7 @@ def _decode_scale1(stream, pipeline, structure):
     bracket of the stream, in order.
     """
     sched = pipeline.schedule
-    periodic = pipeline.periodic
+    periodic = sched.periodic
     n1 = sched.n[0]
     len_lo, len_hi = sched.layout_bounds(1)
     letters = _code_letters(sched.K)
@@ -918,7 +901,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
     len_lo, len_hi = sched.layout_bounds(k)
     prev_layer = layout.layer(k - 1)
 
-    marks = {SYM_LB, SYM_DB, SYM_RB} if pipeline.periodic else {SYM_LB, SYM_DB, SYM_RB, SYM_MK}
+    marks = {SYM_LB, SYM_DB, SYM_RB} if sched.periodic else {SYM_LB, SYM_DB, SYM_RB, SYM_MK}
     boundaries = []   # (pos_of_symbol, boundary, type)
     for t, ch in structure:
         if ch not in marks:
@@ -938,7 +921,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
 
     intervals = []
     cert_parts = []
-    if pipeline.periodic:
+    if sched.periodic:
         # both sorted, as boundaries are sorted by boundary
         opens = [b for _, b, ch in boundaries if ch in (SYM_LB, SYM_DB)]
         closes = [b for _, b, ch in boundaries if ch in (SYM_RB, SYM_DB)]
@@ -992,7 +975,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
             # orbit extrapolated past where the point departs from it
             span = range(A if iv.start is None else iv.start, B + 1 if iv.end is None else iv.end)
             labs = (list(map(labels_prev.get, span)) if m_k == m_prev else
-                    [_refine_label(pipeline, labels_prev, t, m_prev, m_k) for t in span])
+                    [_refine_label(labels_prev, t, m_prev, m_k) for t in span])
             known = [t for t, lab in zip(span, labs) if lab is not None]
             _put_labels(labels, known, [lab for lab in labs if lab is not None])
             if known:       # certified over the first run of known positions
@@ -1052,11 +1035,9 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
                                        scale=k, position=blk.marker_pos)
 
 
-def _refine_label(pipeline, labels_prev, t, m_prev, m_new):
+def _refine_label(labels_prev, t, m_prev, m_new):
     """Radius-m_new cell label at t from radius-m_prev labels, m_new > m_prev
-    (word systems: stitch center letters)."""
-    if not pipeline.system.is_word_system:
-        return None
+    (stitch center letters: only word systems have singular regions)."""
     letters = []
     for i in range(t - m_new, t + m_new + 1):
         lab = labels_prev.get(i)
@@ -1121,8 +1102,6 @@ def _extract_period(pipeline, k, labels_prev, s, e, window):
     """Orbit of a regular-tiled shadowed zone from its decoded letters."""
     A, B = window
     sched = pipeline.schedule
-    if not pipeline.system.is_word_system:
-        return None
     m_prev = sched.m[k - 2]
     lo = A if s is None else s
     hi = B + 1 if e is None else e
@@ -1205,7 +1184,7 @@ def decode_k(stream, pipeline, k):
     if not 1 <= k <= sched.kmax:
         raise ValueError("scale %d out of range" % k)
     A, B = stream.a, stream.b
-    layout = BlockLayout(schedule=sched, lo=A, hi=B, periodic=pipeline.periodic)
+    layout = BlockLayout(schedule=sched, lo=A, hi=B)
     structure = [(t, ch) for t, ch in enumerate(stream.symbols, A) if ch in _STRUCTURE]
     itineraries, certified = {}, {}
     for l in range(1, k + 1):
@@ -1229,7 +1208,7 @@ def decode_k(stream, pipeline, k):
 def invert(stream, pipeline, k):
     """The radius-m_k cell of every preimage point at time zero."""
     sched = pipeline.schedule
-    margin = (10 if pipeline.periodic else 4) * sched.n[k - 1]
+    margin = (10 if sched.periodic else 4) * sched.n[k - 1]
     if stream.a > -margin or stream.b < margin:
         raise WindowError("invert at scale %d needs the stream to cover [%d, %d]"
                           % (k, -margin, margin), scale=k)

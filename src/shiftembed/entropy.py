@@ -399,7 +399,7 @@ def check_layout_capacity(schedule):
                 % (k, L, needed, free), scale=k, block=L)
 
 
-def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64, check_capacity=True):
+def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
     """Smallest-(n_k) schedule satisfying the three inequality families.
 
     n_k is the smallest threshold such that the scale-k family holds for
@@ -469,8 +469,7 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64, check_capacity=Tru
     r = tuple(max(m[k - 1] + ns[k - 1], ns[k - 1]) for k in range(1, kmax + 1))
     schedule = ScaleSchedule(K=K, alpha=alpha, m=m, n=tuple(ns), nprime=tuple(nprime),
                              r=r, periodic=periodic, C=C, N_cert=N_cert)
-    if check_capacity:
-        check_layout_capacity(schedule)
+    check_layout_capacity(schedule)
     return schedule
 
 

@@ -10,6 +10,7 @@ ranks strictly decrease), so no flat pattern set is ever built.
 Odometer towers live on residues and are always exact and flat.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -240,7 +241,6 @@ class OdometerTower:
             if all(min((rho - a) % mod, (a - rho) % mod) >= self.n for a in accepted):
                 accepted.append(rho)
         self.residues = frozenset(accepted)
-        self.pernbhd = None
 
     def member(self, point, pos, runtime=None):
         return point.residue_at(pos, self.depth) in self.residues
@@ -326,8 +326,6 @@ class TowerRuntime:
         `match_word` runs only where no neighbour has matched yet.
         """
         nb = tower.pernbhd
-        if nb is None:
-            return None
         table = self._matches[tower.k]
         if t in table:
             return table[t]
@@ -391,8 +389,7 @@ class TowerStack:
                 out.append("depth: %d" % tower.depth)
                 out.append("residues: [%s]" % ", ".join(map(str, sorted(tower.residues))))
             else:
-                orbits = sorted(tower.pernbhd.orbits) if tower.pernbhd else []
-                out.append("orbits: [%s]" % ", ".join(orbits))
+                out.append("orbits: [%s]" % ", ".join(sorted(tower.pernbhd.orbits)))
         return "\n".join(out) + "\n"
 
 
@@ -404,9 +401,7 @@ def build_towers(system, schedule):
         if system.kind == "odometer":
             tower = OdometerTower(system, schedule, k, parent)
         else:
-            pernbhd = None
-            if schedule.periodic:
-                pernbhd = PeriodicNeighborhood(system, schedule.n[k - 1], schedule.r[k - 1])
+            pernbhd = PeriodicNeighborhood(system, schedule.n[k - 1], schedule.r[k - 1])
             tower = WordTower(system, schedule, k, pernbhd, parent)
         towers.append(tower)
         parent = tower
@@ -441,11 +436,6 @@ class Interval:
         if self.adj_end is None:
             self.adj_end = self.end
 
-    def length(self):
-        if self.start is None or self.end is None:
-            return None
-        return self.end - self.start
-
     def covers(self, t):
         return (self.start is None or t >= self.start) and (self.end is None or t < self.end)
 
@@ -472,8 +462,6 @@ def _side_has_returns_forever(tower, point, left):
     """Exact dichotomy: a tail keeps returning iff its least period exceeds n_k
     (otherwise the deep tail sits inside the periodic neighborhood and the
     rank of every deep position is None)."""
-    if tower.pernbhd is None:
-        return True  # aperiodic: the tower covers everything
     root = primitive_root(point.left if left else point.right)
     if len(root) > tower.n:
         return True
@@ -581,8 +569,6 @@ def _tag_singular(iv, stack, k, comp_range, runtime):
     A run that breaks is walked to the first window that matches nothing.
     """
     tower = stack[k]
-    if tower.pernbhd is None:
-        raise ShiftEmbedError("singular stretch in an aperiodic system at scale %d" % k)
     u = comp_range[0] if iv.start is None else iv.start + tower.nprime
     v = comp_range[1] - 1 if iv.end is None else iv.end - tower.nprime
     if u > v:
@@ -617,9 +603,9 @@ def _adjust_boundaries(intervals, prev_layout, schedule, k):
                 setattr(iv, "adj_" + attr, blk.start)
             else:
                 marks = prev_layout.marker_progression(blk, k - 1)
-                nxt = [p for p in marks if p >= b]
-                if nxt:
-                    setattr(iv, "adj_" + attr, nxt[0])
+                i = bisect_left(marks, b)
+                if i < len(marks):
+                    setattr(iv, "adj_" + attr, marks[i])
 
 
 def _check_special_nesting(part, prev_part):
@@ -676,8 +662,7 @@ def verify_tower(stack, k, probe_points=None):
         bad = []
         for u in tower.system.words(w1):
             p = min_period(u)
-            if p < tower.n and (tower.pernbhd is None or
-                                tower.pernbhd.match_word(u) is None):
+            if p < tower.n and tower.pernbhd.match_word(u) is None:
                 bad.append(u)
         report.add(k, "disjointness", "structural-exact", not bad,
                    "short-period pieces escaping the neighborhood: %d" % len(bad))
@@ -685,15 +670,12 @@ def verify_tower(stack, k, probe_points=None):
         ok = (2 * tower.r + 1) >= 2 * tower.n - 1 and tower.n >= tower.system.memory
         report.add(k, "disjointness", "structural-exact", ok,
                    "width/periodicity exclusion margin")
-    if tower.pernbhd is not None:
-        try:
-            tower.pernbhd.separation_check()
-            report.add(k, "covering", "structural-exact", True,
-                       "orbit windows separated; merge margin holds")
-        except SeparationError as exc:
-            report.add(k, "covering", "structural-exact", False, str(exc))
-    else:
-        report.add(k, "covering", "structural-exact", True, "aperiodic: greedy covers")
+    try:
+        tower.pernbhd.separation_check()
+        report.add(k, "covering", "structural-exact", True,
+                   "orbit windows separated; merge margin holds")
+    except SeparationError as exc:
+        report.add(k, "covering", "structural-exact", False, str(exc))
     report.add(k, "nesting", "structural-exact", True,
                "tier-1 pieces require parent membership by construction")
 

@@ -64,13 +64,7 @@ def _extend_counts(x, y, counts, n):
     return counts
 
 
-def count_disagreements(x, y, n):
-    """Exact number of coordinate disagreements on [-n, n]."""
-    _, counts, _, _ = disagreement_data(x, y)
-    return _extend_counts(x, y, counts, n)[n]
-
-
-def dN_distance(x, y, N, horizon=None):
+def dN_distance(x, y, N):
     """sup over n >= N of the disagreement density on [-n, n], exact.
 
     The sup splits into the enumerated range up to the tail horizon and, per
@@ -83,15 +77,11 @@ def dN_distance(x, y, N, horizon=None):
     h, counts, rho_r, rho_l = disagreement_data(x, y)
     P = lcm(rho_r.denominator if rho_r else 1, rho_l.denominator if rho_l else 1,
             len(x.right), len(y.right), len(x.left), len(y.left))
-    stop = horizon if horizon is not None else max(h, N) + 2 * P
+    stop = max(h, N) + 2 * P
     counts = _extend_counts(x, y, counts, stop)
-    best = max((Fraction(counts[n], 2 * n + 1) for n in range(N, stop + 1)),
-               default=Fraction(0))
-    if horizon is not None:
-        return best
+    best = max(Fraction(counts[n], 2 * n + 1) for n in range(N, stop + 1))
     # beyond stop every class ratio moves monotonically toward the density
-    limit = (rho_r + rho_l) / 2
-    return max(best, limit)
+    return max(best, (rho_r + rho_l) / 2)
 
 
 def besicovitch_estimate(x, y):
@@ -141,22 +131,6 @@ class EmpiricalMeasure:
 
     def __call__(self, word):
         return self.freqs.get(word, Fraction(0))
-
-    def l1(self, other):
-        keys = set(self.freqs) | set(other.freqs)
-        return sum(abs(self(w) - other(w)) for w in keys)
-
-    def marginal_left(self):
-        out = {}
-        for w, f in self.freqs.items():
-            out[w[:-1]] = out.get(w[:-1], Fraction(0)) + f
-        return out
-
-    def marginal_right(self):
-        out = {}
-        for w, f in self.freqs.items():
-            out[w[1:]] = out.get(w[1:], Fraction(0)) + f
-        return out
 
 
 def empirical_measure(point, L, n):

@@ -32,7 +32,6 @@ class Pipeline:
         self.schedule = schedule
         self.stack = stack
         self.periodic_code = periodic_code
-        self.periodic = schedule.periodic
 
     @property
     def kmax(self):
@@ -47,7 +46,7 @@ class Pipeline:
     def decode_margin(self):
         """Stream inflation that certifies a requested window after decoding."""
         n_top = self.schedule.n[-1]
-        base = (10 if self.periodic else 4) * n_top
+        base = (10 if self.schedule.periodic else 4) * n_top
         return base + 2 * self.schedule.nprime[-1]
 
     # -- codebooks, built per lookup from the system's counts -------------
@@ -91,6 +90,7 @@ def build_pipeline(system, K, kmax, C=8.0, m=None, N_cert=64, schedule=None,
     if schedule is None:
         schedule = build_schedule(system, K, kmax, C=C, m=m, N_cert=N_cert)
     else:
+        _check_periodic_flag(system, schedule)
         records = verify_schedule(system, schedule)
         # a layout-capacity failure is left to check_layout_capacity,
         # whose CapacityError names the failing scale and block length
@@ -106,6 +106,14 @@ def build_pipeline(system, K, kmax, C=8.0, m=None, N_cert=64, schedule=None,
     if precheck:
         precheck_pipeline(pipeline)
     return pipeline
+
+
+def _check_periodic_flag(system, schedule):
+    """Refuse a schedule whose periodic flag is not the system's: word
+    systems have periodic points, odometers have none."""
+    if schedule.periodic != system.is_word_system:
+        raise SpecParseError("schedule has periodic: %d, but the %s system needs periodic: %d"
+                             % (schedule.periodic, system.kind, system.is_word_system))
 
 
 def precheck_pipeline(pipeline):
@@ -370,6 +378,7 @@ def load_pipeline(outdir):
         system = parse_system(fh.read())
     with open(os.path.join(outdir, "schedule.txt")) as fh:
         schedule = ScaleSchedule.parse(fh.read())
+    _check_periodic_flag(system, schedule)
     periodic_code = None
     if schedule.periodic:
         path = os.path.join(outdir, "periodic_code.txt")

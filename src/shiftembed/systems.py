@@ -406,12 +406,6 @@ class Odometer:
             mult *= p
         return res
 
-    def fix_count(self, n):
-        return 0
-
-    def spectral_log(self):
-        return 0.0
-
 
 class Point:
     """Bi-infinite symbolic point, eventually periodic on both sides.

@@ -3,8 +3,6 @@
 Words are plain Python strings over a small alphabet of single characters.
 """
 
-from fractions import Fraction
-
 ALPHABET_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 # Code alphabet for stream payloads: the letters 1..K rendered as characters.
@@ -135,9 +133,3 @@ def has_short_period_prefix(w, prefix_len, bound):
     """
     pref = repetition_prefix(w, prefix_len)
     return min_period(pref) < bound
-
-
-def forbidden_shape_count_bound(n, K):
-    """(sum_{l<n} K^l, K^n / (K-1)) as exact numbers for the counting bound."""
-    total = sum(K ** l for l in range(n))
-    return total, Fraction(K ** n, K - 1)

@@ -102,9 +102,9 @@ def reference_layers(layout, partitions):
     try:
         for part in partitions:
             if part.scale == 1:
-                prev = _build_scale1(layout.schedule, part, rng, layout.periodic)
+                prev = _build_scale1(layout.schedule, part, rng)
             else:
-                prev = _build_scale_k(layout.schedule, part, prev, rng, layout.periodic)
+                prev = _build_scale_k(layout.schedule, part, prev, rng)
             out.append((prev.role, prev.free, prev.blocks))
     except (CapacityError, blocks.SpanOrderError) as exc:
         return out, "%s: %s" % (type(exc).__name__, exc)
@@ -117,7 +117,7 @@ def _layer(k, block_list, role):
     return layer
 
 
-def _build_scale1(schedule, partition, window_range, periodic):
+def _build_scale1(schedule, partition, window_range):
     lo, hi = window_range
     n1 = schedule.n[0]
     role = {}
@@ -144,13 +144,13 @@ def _build_scale1(schedule, partition, window_range, periodic):
             e = hi + 1 if iv.end is None else min(iv.end, hi + 1)
             for p in range(s, e):
                 role[p] = ROLE_SINGULAR_FILL
-            if periodic and iv.start is not None and lo <= iv.start + n1 <= hi:
+            if schedule.periodic and iv.start is not None and lo <= iv.start + n1 <= hi:
                 role[iv.start + n1] = ROLE_CLOSING
             block_list.append(blk)
     return _layer(1, block_list, role)
 
 
-def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
+def _build_scale_k(schedule, partition, prev_layer, window_range):
     k = partition.scale
     lo, hi = window_range
     role = {}
@@ -192,7 +192,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
                     raise CapacityError("scale-%d block %r: %d filling slots needed, "
                                         "%d available" % (k, (start, end), budget, len(slots)))
                 budget = len(slots)
-            if periodic:
+            if schedule.periodic:
                 prev_adj = idx > 0 and intervals[idx - 1].kind == "regular"
                 role[blk.marker_pos] = ROLE_BRACKET_BOTH if prev_adj else ROLE_BRACKET_OPEN
             else:
@@ -215,7 +215,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range, periodic):
             else:
                 _lay_out_nonspecial_singular(schedule, blk, k, role, prev_layer.free, lo, hi)
             block_list.append(blk)
-    if periodic:
+    if schedule.periodic:
         for idx in range(len(intervals) - 1):
             if intervals[idx].kind == "regular" and intervals[idx + 1].kind == "singular":
                 pos = blocks._closing_bracket_pos(schedule, prev_layer,

@@ -31,11 +31,10 @@ def schedule(alpha=Fraction(1, 5), m=(0, 0), n=(100, 1000), periodic=False):
                          periodic=periodic)
 
 
-def build_block_layout(sched, partitions, window_range, periodic):
+def build_block_layout(sched, partitions, window_range):
     """The layout chain of return partitions at scales 1..k over one range,
     laid out layer by layer as encode and decode lay it out."""
-    layout = BlockLayout(schedule=sched, lo=window_range[0], hi=window_range[1],
-                         periodic=periodic)
+    layout = BlockLayout(schedule=sched, lo=window_range[0], hi=window_range[1])
     for part in partitions:
         append_layer(layout, part)
     return layout
@@ -51,7 +50,7 @@ class TestScaleOne:
     def test_thousand_block_budget(self):
         sched = schedule()
         part = partition(1, [(0, 1000, "regular")])
-        layout = build_block_layout(sched, [part], (0, 999), periodic=False)
+        layout = build_block_layout(sched, [part], (0, 999))
         blk = layout.layer(1).blocks[0]
         assert blk.marker_pos == 0
         assert blk.fill_positions == range(1, 901)
@@ -65,7 +64,7 @@ class TestScaleOne:
         sched = schedule(n=(100, 10000))
         part1 = partition(1, [(i * 1000, (i + 1) * 1000, "regular") for i in range(10)])
         part2 = partition(2, [(0, 10000, "regular")])
-        layout = build_block_layout(sched, [part1, part2], (0, 9999), periodic=False)
+        layout = build_block_layout(sched, [part1, part2], (0, 9999))
         blk = layout.layer(2).blocks[0]
         assert blk.marker_pos == 901
         assert len(blk.fill_positions) == 500
@@ -77,7 +76,7 @@ class TestScaleOne:
         part1 = partition(1, [(i * 20, (i + 1) * 20, "regular") for i in range(5)])
         part2 = partition(2, [(0, 100, "regular")])
         with pytest.raises(CapacityError) as err:
-            build_block_layout(sched, [part1, part2], (0, 99), periodic=False)
+            build_block_layout(sched, [part1, part2], (0, 99))
         assert err.value.scale == 2
         assert err.value.block == (0, 100)
 
@@ -87,7 +86,7 @@ class TestNextScaleMarkers:
         sched = schedule()
         part = partition(1, [(0, 1000, "regular")])
         part2 = partition(2, [(0, 1000, "regular")])
-        layout = build_block_layout(sched, [part, part2], (0, 999), periodic=False)
+        layout = build_block_layout(sched, [part, part2], (0, 999))
         assert layout.layer(2).blocks[0].marker_pos == 901
 
     def test_unbounded_singular_progression(self):
@@ -115,7 +114,7 @@ class TestNextScaleMarkers:
         sched = schedule(m=(0,), n=(9,), periodic=True)
         part = partition(1, [(0, 40, "singular",
                               dict(special=True, orbit="0", phase=0, m=1))])
-        layout = build_block_layout(sched, [part], (0, 39), periodic=True)
+        layout = build_block_layout(sched, [part], (0, 39))
         blk = layout.layer(1).blocks[0]
         marks = layout.marker_progression(blk, 1)
         assert min(marks) == 0 + 9 + 1
@@ -127,7 +126,7 @@ class TestPeriodicGrammar:
         part = partition(1, [(0, 11, "regular"),
                              (11, 40, "singular",
                               dict(special=True, orbit="0", phase=0, m=1))])
-        layout = build_block_layout(sched, [part], (0, 39), periodic=True)
+        layout = build_block_layout(sched, [part], (0, 39))
         assert layer_roles(layout, 1)[11 + 9] == ROLE_CLOSING
 
     def test_block_adjusted_to_no_length_refused(self):
@@ -139,7 +138,7 @@ class TestPeriodicGrammar:
         part2 = partition(2, [(10, 30, "regular")])
         part2.intervals[0].adj_start = 30
         with pytest.raises(CapacityError, match=r"length 0 outside \[10, 68\)") as err:
-            build_block_layout(sched, [part1, part2], (0, 39), periodic=True)
+            build_block_layout(sched, [part1, part2], (0, 39))
         assert (err.value.scale, err.value.block) == (2, (30, 30))
 
     def test_freeing_formula_literal(self):
@@ -206,7 +205,7 @@ class TestMirrors:
     def test_layout_dump_format(self):
         sched = schedule()
         part = partition(1, [(0, 1000, "regular")])
-        layout = build_block_layout(sched, [part], (0, 999), periodic=False)
+        layout = build_block_layout(sched, [part], (0, 999))
         lines = dump_lines(layout)
         assert lines[0].split() == ["0", "1", "marker1"]
         assert lines[1].split() == ["1", "1", "filling"]
@@ -264,7 +263,7 @@ class TestBisectLookups:
     def test_gap_between_blocks(self):
         sched = schedule()
         part = partition(1, [(0, 100, "regular"), (150, 250, "regular")])
-        layer = build_block_layout(sched, [part], (-20, 300), periodic=False).layer(1)
+        layer = build_block_layout(sched, [part], (-20, 300)).layer(1)
         assert layer.keys == [0, 150]
         for t in range(-20, 301):
             assert layer.block_at(t) is _scan(layer.blocks, t)
@@ -302,7 +301,7 @@ class TestBisectLookups:
         # read off a stream: the encoder never emits it
         sched = schedule(n=(20, 100))
         part1 = partition(1, [(i * 20, (i + 1) * 20, "regular") for i in range(5)])
-        layout = build_block_layout(sched, [part1], (0, 99), periodic=False)
+        layout = build_block_layout(sched, [part1], (0, 99))
         with pytest.raises(MalformedStreamError, match=r"\(0, 100\): 5 filling slots needed"):
             _append_decoded_layer(layout, 2, (0, 99), [Interval(0, 100, "regular")])
 
@@ -386,7 +385,7 @@ class TestLayoutBounds:
         part1 = partition(1, [(i * 8, (i + 1) * 8, "regular") for i in range(4)])
         part2 = partition(2, [(8, 16, "regular")])
         with pytest.raises(CapacityError, match=r"length 8 outside \[10, 68\)") as err:
-            build_block_layout(sched, [part1, part2], (0, 31), periodic=True)
+            build_block_layout(sched, [part1, part2], (0, 31))
         assert (err.value.scale, err.value.block) == (2, (8, 16))
 
 
@@ -495,7 +494,7 @@ class TestSpanLayoutAgainstReference:
         sched = schedule(m=(0,), n=(9,), periodic=True)
         part = partition(1, [(0, 5, "singular", dict(special=True, orbit="0", phase=0, m=1)),
                              (5, 150, "regular")])
-        layout = build_block_layout(sched, [part], (0, hi), periodic=True)
+        layout = build_block_layout(sched, [part], (0, hi))
         (role, free, _), = reference_layers(layout, [part])[0]
         assert layer_roles(layout, 1) == role and layout.layer(1).free == free
         assert (role[9] == ROLE_CLOSING) == (hi == 99)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from check_reference import forbidden_shape_count_bound, restrict, verify_injective
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
 from layout_reference import ROLE_SINGULAR_FILL, roles
 from shiftembed import codec
@@ -19,9 +20,8 @@ from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
 from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft,
                                 cell_label, dyadic_odometer, enumerate_periodic,
                                 full_shift, golden_mean, itinerary)
-from shiftembed.words import (code_length_needed, forbidden_shape_count_bound,
-                              has_short_period_prefix, kary_index, kary_word,
-                              min_period, repetition_prefix)
+from shiftembed.words import (code_length_needed, has_short_period_prefix, kary_index,
+                              kary_word, min_period, repetition_prefix)
 
 
 def itinerary_keys(system, m, n):
@@ -199,7 +199,7 @@ class TestPeriodicCode:
 
     def test_prefix_injective_exhaustive(self, pipe):
         code = pipe.periodic_code
-        assert code.verify_injective()
+        assert verify_injective(code)
         total_points = sum(len(w) for w in code.orbit_code.values())
         assert len(code.prefix_table) == total_points
 
@@ -218,10 +218,10 @@ class TestPeriodicCode:
         # two orbits of period 5 named by one code word keep one table entry
         # per point: only prefixes rebuilt from the code words show the clash
         code = build_periodic_code(golden_mean(), 2, 9)
-        assert code.verify_injective()
+        assert verify_injective(code)
         code.orbit_code["00101"] = code.orbit_code["00001"]
         assert len(code.prefix_table) == sum(len(w) for w in code.orbit_code.values())
-        assert not code.verify_injective()
+        assert not verify_injective(code)
 
     def test_claim_refuses_a_rotation_of_a_taken_word(self):
         code = build_periodic_code(golden_mean(), 2, 9)
@@ -232,7 +232,7 @@ class TestPeriodicCode:
 
     def test_n1_sixteen_injective(self):
         code = build_periodic_code(golden_mean(), 2, 16)
-        assert code.verify_injective()
+        assert verify_injective(code)
 
     def test_repetition_prefix(self):
         assert repetition_prefix("0001", 9) == "000100010"
@@ -364,8 +364,8 @@ class TestStreams:
                 for k, psi_k in enumerate(lower, 1):
                     res = p.decode(top, k)
                     lo, hi = res.certified[k]
-                    assert res.stream_k.restrict(lo, hi).symbols == \
-                        psi_k.restrict(lo, hi).symbols
+                    assert restrict(res.stream_k, lo, hi).symbols == \
+                        restrict(psi_k, lo, hi).symbols
                     cases += 1
         assert cases == 25 + 25 + 50
 
@@ -1043,7 +1043,7 @@ def test_top_scale_stream_k_equals_the_input(K):
         stream = pipe.encode(point, 2, (-100 - margin, 100 + margin))
         res = pipe.decode(stream, 2)
         lo, hi = res.certified[2]
-        assert res.stream_k.restrict(lo, hi).symbols == stream.restrict(lo, hi).symbols
+        assert restrict(res.stream_k, lo, hi).symbols == restrict(stream, lo, hi).symbols
 
 
 def covered_range_reference(parts, within):

@@ -6,26 +6,28 @@ name.  A docstring or a comment that mentions it does not count, and
 neither does a call from inside its own body.  Dunder methods are exempt,
 since Python calls them; nothing else is.
 
-A second guard holds the names that only tests and demos use to a pinned
-list, so that code nothing in the package reaches cannot stay in `src/`
+A second guard holds the names that the package never reaches itself to a
+pinned set of public names, each used by the code of the README or of a
+demo, so that code nothing in the package reaches cannot stay in `src/`
 just because a test mentions it.
+
+Both guards match bare names, so they are blind to a name that another
+definition or attribute shares: a call of `system.fix_count` counts as a
+use of every `fix_count` the package defines, whichever class the call can
+reach.  Such a name stays unseen until its callers are read.
 """
 
 import ast
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shiftembed"
 
 # Names the package defines and never reaches itself, not even by an export
-# in __init__.py: only tests and demos call them.  A new name here is
-# deliberate; one that the package starts to use leaves the list.
-TEST_ONLY_NAMES = {
-    "SymbolStream.restrict", "PeriodicCode.verify_injective",
-    "count_disagreements", "EmpiricalMeasure.l1", "EmpiricalMeasure.marginal_left",
-    "EmpiricalMeasure.marginal_right", "periodic_orbit_measure",
-    "golden_mean", "full_shift", "dyadic_odometer", "forbidden_shape_count_bound",
-}
+# in __init__.py: public API that the README or the demos call.  A new name
+# here is deliberate; one that the package starts to use leaves the set.
+PUBLIC_NAMES = {"golden_mean", "full_shift", "dyadic_odometer", "periodic_orbit_measure"}
 
 
 def _defined_names():
@@ -48,22 +50,25 @@ def _defined_names():
     return out
 
 
+def _words(source):
+    """(word, line) of every name, attribute and imported name in the
+    source.  Docstrings, comments and strings are no code."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+
+
 def _references(folders):
-    """word -> {(path, line)} of every name, attribute and imported name in
-    the code of the folders.  Docstrings, comments and strings are no code."""
+    """word -> {(path, line)} of every word in the code of the folders."""
     refs = {}
     for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    word = node.id
-                elif isinstance(node, ast.Attribute):
-                    word = node.attr
-                elif isinstance(node, ast.alias):
-                    word = node.name.rpartition(".")[2]
-                else:
-                    continue
-                refs.setdefault(word, set()).add((path, node.lineno))
+            for word, line in _words(path.read_text()):
+                refs.setdefault(word, set()).add((path, line))
     return refs
 
 
@@ -86,5 +91,13 @@ def test_every_defined_name_is_used():
             for path, qualname, lineno in _unused_names(("src", "tests", "demos"))] == []
 
 
-def test_test_only_names_are_pinned():
-    assert {qualname for _, qualname, _ in _unused_names(("src",))} == TEST_ONLY_NAMES
+def test_names_the_package_never_reaches_are_public():
+    assert {qualname for _, qualname, _ in _unused_names(("src",))} == PUBLIC_NAMES
+
+
+def test_public_names_are_used_by_the_readme_or_the_demos():
+    readme = (ROOT / "README.md").read_text()
+    used = set(_references(("demos",))) | {
+        word for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+        for word, _ in _words(block)}
+    assert sorted(PUBLIC_NAMES - used) == []

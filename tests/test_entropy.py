@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from shiftembed import entropy
 from shiftembed.entropy import (ScaleSchedule, _scale1_counts, appendix_fullness_check,
                                 build_schedule, conditional_count,
                                 check_layout_capacity, complete_to_point,
@@ -252,9 +253,10 @@ class TestLayoutCapacity:
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
         assert ("layout-capacity", 2, True) in verify_schedule(golden_mean(), sched)
 
-    def test_override_failing_only_capacity_raises_capacity_error(self):
-        sched = build_schedule(golden_mean(), K=2, kmax=3, C=0.0, m=(0, 0, 0),
-                               check_capacity=False)
+    def test_override_failing_only_capacity_raises_capacity_error(self, monkeypatch):
+        with monkeypatch.context() as patch:     # a schedule built unchecked
+            patch.setattr(entropy, "check_layout_capacity", lambda schedule: None)
+            sched = build_schedule(golden_mean(), K=2, kmax=3, C=0.0, m=(0, 0, 0))
         records = verify_schedule(golden_mean(), sched)
         assert [r for r in records if not r[2]] == [("layout-capacity", 3, False)]
         with pytest.raises(CapacityError) as err:

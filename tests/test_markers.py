@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from clopen_reference import Clopen, OdoClopen
 from encode_reference import bounded_stretch_points, long_tail_points, reference_tag
+from shiftembed.blocks import LayoutBlock
 from shiftembed.entropy import ScaleSchedule, build_schedule
 from shiftembed.errors import SeparationError, ShiftEmbedError
-from shiftembed.markers import (Interval, PeriodicNeighborhood, _tag_singular, build_towers,
-                                return_partition, verify_tower)
+from shiftembed.markers import (Interval, PeriodicNeighborhood, _adjust_boundaries,
+                                _tag_singular, build_towers, return_partition, verify_tower)
 from shiftembed.pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline
 from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
                                 dyadic_odometer, full_shift, golden_mean)
@@ -273,7 +274,7 @@ def flat_rank(tower, parent, word, pos):
     central = window[R - tower.r: R + tower.r + 1]
 
     def outside_orbits(w):
-        return tower.pernbhd is None or tower.pernbhd.match_word(w) is None
+        return tower.pernbhd.match_word(w) is None
 
     if tower.k == 1:
         return (1, window) if outside_orbits(central) else None
@@ -369,7 +370,7 @@ def flat_covering(tower, flat):
                for i in range(-(tower.nprime - 1), tower.nprime)):
             continue
         central = w[mid - tower.r: mid + tower.r + 1]
-        if tower.pernbhd is None or tower.pernbhd.match_word(central) is None:
+        if tower.pernbhd.match_word(central) is None:
             return "uncovered word %r" % w
     return None
 
@@ -742,8 +743,9 @@ class TestTagSingular:
         point = bounded_stretch_points()[5]
         runtime = pipe.stack.runtime(point)
         part = return_partition(point, pipe.stack, 1, (-60, 60), runtime=runtime)
-        iv = max((iv for iv in part.intervals if iv.kind == "regular"), key=Interval.length)
-        assert iv.length() == 2 * pipe.stack[1].nprime - 1
+        iv = max((iv for iv in part.intervals if iv.kind == "regular"),
+                 key=lambda iv: iv.end - iv.start)
+        assert iv.end - iv.start == 2 * pipe.stack[1].nprime - 1
         for tag in (_tag_singular, reference_tag):
             with pytest.raises(ShiftEmbedError, match=r"singular stretch \(%d, %d\) has no "
                                r"interior points" % (iv.start, iv.end)):
@@ -767,6 +769,35 @@ def test_match_word_runs_only_where_no_neighbour_matched(pipe, monkeypatch):
     assert len(calls) <= 5000
 
 
+class ProgressionLayout:
+    """A previous layout whose every position lies in one singular block
+    with the given marker progression."""
+
+    def __init__(self, marks):
+        self.marks = marks
+
+    def block_at(self, k, t):
+        return LayoutBlock(scale=k, start=None, end=None, kind="singular")
+
+    def marker_progression(self, blk, k):
+        return self.marks
+
+
+def test_boundary_adjustment_bisects_the_progression():
+    """A boundary in a singular block moves to the first marker position at
+    or after it, the one a walk over the whole progression finds, and stays
+    put when there is none."""
+    rng = random.Random(7)
+    for _ in range(2000):
+        s = rng.randrange(-80, 80)
+        marks = range(s, s + rng.randrange(0, 120), rng.randrange(1, 25))
+        b, e = sorted(rng.sample(range(-100, 100), 2))
+        iv = Interval(b, e, "singular")
+        _adjust_boundaries([iv], ProgressionLayout(marks), None, 2)
+        assert (iv.adj_start, iv.adj_end) == tuple(
+            next((p for p in marks if p >= t), t) for t in (b, e))
+
+
 def test_chase_order_is_the_sorted_offsets():
     for n in range(1, 26):
         stack = build_towers(golden_mean(), small_schedule(n))
@@ -788,10 +819,10 @@ def test_bounded_period_test_equals_min_period(w, n):
 
 
 def test_periodic_neighborhood_wrapper():
-    """Each tower holds the periodic neighborhood of its scale; odometer
-    towers, having no periodic points, hold none."""
+    """Each word tower holds the periodic neighborhood of its scale;
+    odometer towers, having no periodic points, hold none."""
     odo = build_towers(dyadic_odometer(8), small_schedule(3, 3))
-    assert all(tower.pernbhd is None for tower in odo)
+    assert not any(hasattr(tower, "pernbhd") for tower in odo)
     nb = build_towers(golden_mean(), small_schedule(1, 2))[1].pernbhd
     assert (nb.n, nb.r) == (1, 2)
     assert matched_windows(nb) == {"00000"}

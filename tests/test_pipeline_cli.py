@@ -3,11 +3,11 @@ import os
 import pytest
 
 from shiftembed.cli import main
-from shiftembed.entropy import ScaleSchedule
-from shiftembed.errors import ScheduleError
+from shiftembed.entropy import ScaleSchedule, build_schedule
+from shiftembed.errors import ScheduleError, SpecParseError
 from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points, save_pipeline,
                                  verify_pipeline)
-from shiftembed.systems import golden_mean
+from shiftembed.systems import dyadic_odometer, golden_mean
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +171,7 @@ class TestMalformedInputExitsTwo:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize("text", [
         "garbage\n",
@@ -191,6 +192,35 @@ class TestMalformedInputExitsTwo:
         sysfile.write_text("kind: sft\nalphabet: x\nforbidden: [11]\n")
         self._exits_two(["build", "--system", str(sysfile), "--K", "2", "--kmax", "1",
                          "--out", str(tmp_path / "nope")], capsys)
+
+
+    def test_build_refuses_an_odometer_schedule_marked_periodic(self, tmp_path, capsys):
+        sysfile = tmp_path / "odo.txt"
+        sysfile.write_text("kind: odometer\nbase: [2, 2, 2, 2, 2, 2, 2, 2]\n")
+        schedule = build_schedule(dyadic_odometer(8), K=2, kmax=2, N_cert=128).serialize()
+        schedfile = tmp_path / "schedule.txt"
+        schedfile.write_text(schedule.replace("periodic: 0\n", "periodic: 1\n"))
+        err = self._exits_two(["build", "--system", str(sysfile), "--K", "2", "--kmax", "2",
+                               "--N-cert", "128", "--schedule", str(schedfile),
+                               "--out", str(tmp_path / "nope")], capsys)
+        assert err == ("error: schedule has periodic: 1, but the odometer system needs "
+                       "periodic: 0\n")
+        assert not (tmp_path / "nope").exists()
+
+    def test_load_refuses_a_golden_schedule_marked_aperiodic(self, pipe, tmp_path, capsys):
+        out = tmp_path / "pipe"
+        save_pipeline(pipe, str(out))
+        schedfile = out / "schedule.txt"
+        schedfile.write_text(schedfile.read_text().replace("periodic: 1\n", "periodic: 0\n"))
+        with pytest.raises(SpecParseError, match="periodic: 0, but the sft system needs "
+                                                 "periodic: 1"):
+            load_pipeline(str(out))
+        point = tmp_path / "point.txt"
+        point.write_text("left: 10\ncore: 00100@-2\nright: 001\n")
+        err = self._exits_two(["encode", "--pipeline", str(out), "--point", str(point),
+                               "--window=-40:40", "--out", str(tmp_path / "stream.txt")],
+                              capsys)
+        assert err.count("\n") == 1
 
 
 class TestOrbitPipelineCli:
@@ -303,7 +333,6 @@ class TestPeriodicCodeLoad:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_corrupted_file_refused(self, saved, tmp_path, capsys, name):
         import shutil
-        from shiftembed.errors import SpecParseError
         src, stream = saved
         out = tmp_path / "pipe"
         shutil.copytree(src, out)

@@ -3,6 +3,8 @@ and the honest desk-scale walls."""
 
 import pytest
 
+from shiftembed import codec
+from shiftembed.codec import Codebook
 from shiftembed.errors import EnumerationBudgetError
 from shiftembed.pipeline import build_pipeline, sample_points
 from shiftembed.systems import (OrbitSystem, Point, full_shift, golden_mean,
@@ -37,6 +39,35 @@ def test_pure_orbit_system_pipeline():
     res = pipe.decode(pipe.encode(p, 1, (-margin, margin)), 1)
     assert res.orbits == ["001"]
     assert all(res.itineraries[1][t] == p.letter(t) for t in range(-10, 11))
+
+
+def test_long_orbit_round_trips_through_conditional_codes(monkeypatch):
+    """An orbit of period 33 > n_1 has no singular stretch: its points lay
+    out regular blocks at both scales, and every scale-2 block is coded by
+    the orbit system's conditional codebook, whose keys are the orbit's
+    words that refine the block's coarse itinerary."""
+    orb = OrbitSystem(2, "0" + "".join(format(i, "04b") for i in range(1, 9)))
+    pipe = build_pipeline(orb, K=2, kmax=2, C=0.0)
+    assert (orb.period, pipe.schedule.n) == (33, (21, 22))
+    built = []
+    build = codec.build_conditional_codebook
+
+    def spy(system, schedule, k, n, coarse):
+        built.append(build(system, schedule, k, n, coarse))
+        return built[-1]
+
+    monkeypatch.setattr(codec, "build_conditional_codebook", spy)
+    margin = pipe.decode_margin()
+    points = sample_points(orb, 4, seed=3)
+    for p in points:
+        s = pipe.encode(p, 2, (-60 - margin, 60 + margin))
+        assert s.symbols.count("|") > 0
+        res = pipe.decode(s, 2)
+        for l in (1, 2):
+            want = itinerary(orb, p, pipe.schedule.m[l - 1], (-60, 60))
+            assert res.itinerary_list(l, (-60, 60)) == want
+    assert len(points) == 4 and built
+    assert all(type(cb) is Codebook and cb.context is not None for cb in built)
 
 
 def test_full_shift_periodic_machinery_hits_honest_wall():
