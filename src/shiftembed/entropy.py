@@ -231,9 +231,12 @@ class ScaleSchedule:
             for key in ("m", "n", "nprime", "r"):
                 inner = kv[key].strip()[1:-1]
                 lists[key] = tuple(int(v) for v in inner.split(",")) if inner else ()
+            if kv["periodic"] not in ("0", "1"):
+                raise SpecParseError("schedule periodic flag must be 0 or 1, not %r"
+                                     % kv["periodic"])
             return cls(K=int(kv["K"]), alpha=Fraction(int(num), int(den)),
                        m=lists["m"], n=lists["n"], nprime=lists["nprime"],
-                       r=lists["r"], periodic=bool(int(kv["periodic"])),
+                       r=lists["r"], periodic=kv["periodic"] == "1",
                        C=float(kv["C"]), N_cert=int(kv["N_cert"]))
         except (KeyError, ValueError) as exc:
             raise SpecParseError("bad schedule document: %s" % exc)

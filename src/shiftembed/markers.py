@@ -659,11 +659,13 @@ def verify_tower(stack, k, probe_points=None):
     # word tower ---------------------------------------------------------------
     w1 = 2 * tower.piece_halfwidth + 1
     if k == 1 and tower.system.count_words(w1) <= FLAT_PATTERN_BUDGET:
-        bad = []
-        for u in tower.system.words(w1):
-            p = min_period(u)
-            if p < tower.n and tower.pernbhd.match_word(u) is None:
-                bad.append(u)
+        # a piece of least period p < n is the periodic extension of its
+        # first p letters, so extending every p-word lists them all
+        system = tower.system
+        pieces = {(v * (w1 // p + 1))[:w1]
+                  for p in range(1, tower.n) for v in system.words(p)}
+        bad = [u for u in pieces if system.is_admissible(u)
+               and min_period(u) < tower.n and tower.pernbhd.match_word(u) is None]
         report.add(k, "disjointness", "structural-exact", not bad,
                    "short-period pieces escaping the neighborhood: %d" % len(bad))
     else:

@@ -617,15 +617,27 @@ def _lyndon_orbits(system, nmax):
     least rotation, so it is the necklace of its orbit.  A child is kept
     only while the prefix is a path of the essential graph; that pruning is
     exact, because every prefix of a cyclically admissible word is one.
+
+    A kept node's linear windows are already clean and in the graph, so a
+    Lyndon node of length t > X closes when the windows across its end do:
+    with X one less than the longest forbidden word or state, those all lie
+    in the wrap word[t - X:] + word[:X].  Shorter nodes wrap around more
+    than once and take is_cyclic_word.
     """
     letters = system.letters
     M = system.memory
     states = system._state_index
+    X = max(system._forbidden_lengths + [M]) - 1
     table = {}
+
+    def closes(word, t):
+        if t > X:
+            return system.is_admissible(word[t - X:] + word[:X])
+        return system.is_cyclic_word(word)
 
     def grow(word, p):
         t = len(word)
-        if t and p == t and system.is_cyclic_word(word):
+        if t and p == t and closes(word, t):
             table[word] = t
         if t == nmax:
             return

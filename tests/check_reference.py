@@ -8,7 +8,9 @@ a code that a test has corrupted.  `count_disagreements` reads the exact
 disagreement count on [-n, n] from the running table that `dN_distance`
 extends.  `l1`, `marginal_left` and `marginal_right` compare and project the
 frequency tables of empirical measures, and `forbidden_shape_count_bound`
-is the counting bound of the periodic-code lemma.
+is the counting bound of the periodic-code lemma.  `escaping_pieces` is the
+full scan over every piece-width word that the scale-1 disjointness record
+of `verify_tower` replaces with the periodic extensions of shorter words.
 """
 
 from fractions import Fraction
@@ -16,6 +18,7 @@ from fractions import Fraction
 from shiftembed.codec import SymbolStream, _rotation_prefixes
 from shiftembed.errors import WindowError
 from shiftembed.metrics import _extend_counts, disagreement_data
+from shiftembed.words import min_period
 
 
 def restrict(stream, a, b):
@@ -68,3 +71,11 @@ def forbidden_shape_count_bound(n, K):
     """(sum_{l<n} K^l, K^n / (K-1)) as exact numbers for the counting bound."""
     total = sum(K ** l for l in range(n))
     return total, Fraction(K ** n, K - 1)
+
+
+def escaping_pieces(tower):
+    """The scale-1 pieces of least period below n that the periodic
+    neighborhood does not match, from every admissible piece-width word."""
+    w1 = 2 * tower.piece_halfwidth + 1
+    return [u for u in tower.system.words(w1)
+            if min_period(u) < tower.n and tower.pernbhd.match_word(u) is None]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from check_reference import escaping_pieces
 from clopen_reference import Clopen, OdoClopen
 from encode_reference import bounded_stretch_points, long_tail_points, reference_tag
 from shiftembed.blocks import LayoutBlock
@@ -569,6 +570,58 @@ class TestGoldenTowers:
         assert iv.orbit == "001"
         for t in (-3, 0, 4):
             assert p.letter(t) == iv.orbit[(t + iv.phase) % 3]
+
+
+def short_period_record(stack):
+    """(ok, count) of the scale-1 structural-exact disjointness record."""
+    (record,) = [r for r in verify_tower(stack, 1).records
+                 if (r.invariant, r.method) == ("disjointness", "structural-exact")]
+    prefix = "short-period pieces escaping the neighborhood: "
+    assert record.detail.startswith(prefix)
+    return record.ok, int(record.detail[len(prefix):])
+
+
+class TestShortPeriodPieces:
+    """The disjointness record lists the pieces of least period below n_1
+    as periodic extensions of shorter words; the full scan over every
+    piece-width word is the reference."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_towers(golden_mean(), build_schedule(
+            golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))),
+        lambda: build_towers(golden_mean(), build_schedule(
+            golden_mean(), K=3, kmax=2, C=0.0, m=(0, 0))),
+        lambda: build_towers(full_shift(), small_schedule(2)),
+    ], ids=["golden-K2", "golden-K3", "full-shift"])
+    def test_count_equals_the_full_scan(self, make):
+        stack = make()
+        assert short_period_record(stack) == (True, len(escaping_pieces(stack[1])))
+
+    @pytest.mark.parametrize("orbit", ["01", "00000001"])
+    def test_a_dropped_orbit_fails_the_record(self, orbit):
+        """Each of the orbit's rotations, extended to the piece width, is
+        a piece the neighborhood no longer matches; n_1 = 9, so the
+        period-8 orbit is the longest the record has to list."""
+        stack = build_towers(golden_mean(), build_schedule(
+            golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0)))
+        stack[1].pernbhd._is_orbit[orbit] = False
+        escaping = escaping_pieces(stack[1])
+        assert sorted(escaping) == sorted(periodic_window(orbit, d, d + 18)
+                                          for d in range(len(orbit)))
+        assert short_period_record(stack) == (False, len(escaping))
+
+    def test_the_build_never_lists_the_piece_width(self, monkeypatch):
+        asked = set()
+        real = Sft.words
+
+        def recording(self, n):
+            asked.add(n)
+            return real(self, n)
+
+        monkeypatch.setattr(Sft, "words", recording)
+        pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0, m=(0, 0), precheck=True)
+        assert 2 * pipe.stack[1].piece_halfwidth + 1 == 19
+        assert asked and 19 not in asked
 
 
 def near_reference(tower, point, pos, w, runtime):

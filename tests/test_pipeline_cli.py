@@ -222,6 +222,35 @@ class TestMalformedInputExitsTwo:
                               capsys)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["7", "-1"])
+    def test_build_refuses_a_periodic_flag_other_than_0_or_1(self, pipe, tmp_path, capsys,
+                                                             flag):
+        sysfile = tmp_path / "golden.txt"
+        sysfile.write_text("kind: sft\nalphabet: 2\nforbidden: [11]\n")
+        schedfile = tmp_path / "schedule.txt"
+        schedfile.write_text(pipe.schedule.serialize().replace("periodic: 1\n",
+                                                                "periodic: %s\n" % flag))
+        err = self._exits_two(["build", "--system", str(sysfile), "--K", "2", "--kmax", "2",
+                               "--C", "0", "--m", "0,0", "--schedule", str(schedfile),
+                               "--out", str(tmp_path / "nope")], capsys)
+        assert "periodic flag must be 0 or 1, not '%s'" % flag in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("flag", ["7", "-1"])
+    def test_load_refuses_a_periodic_flag_other_than_0_or_1(self, pipe, tmp_path, capsys,
+                                                            flag):
+        out = tmp_path / "pipe"
+        save_pipeline(pipe, str(out))
+        schedfile = out / "schedule.txt"
+        schedfile.write_text(schedfile.read_text().replace("periodic: 1\n",
+                                                           "periodic: %s\n" % flag))
+        with pytest.raises(SpecParseError, match="periodic flag must be 0 or 1, not '%s'"
+                                                 % flag):
+            load_pipeline(str(out))
+        err = self._exits_two(["verify", "--pipeline", str(out), "--samples", "1"], capsys)
+        assert "not '%s'" % flag in err
+
 
 class TestOrbitPipelineCli:
     @pytest.fixture

@@ -6,7 +6,7 @@ from shiftembed.entropy import least_period_count
 from shiftembed.errors import (EmptySubshiftError, EnumerationBudgetError,
                                InvalidPointError, SpecParseError)
 from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point,
-                                Sft, coordinate, dyadic_odometer,
+                                Sft, _lyndon_orbits, coordinate, dyadic_odometer,
                                 enumerate_periodic, enumerate_words,
                                 full_shift, golden_mean, itinerary,
                                 parse_point, parse_system, periodic_orbits,
@@ -328,6 +328,29 @@ class TestPeriodic:
         for p in range(1, nmax + 1):
             count = sum(1 for n in table.values() if n == p)
             assert count * p == least_period_count(system, p), p
+
+    @pytest.mark.parametrize("system", [
+        golden_mean(),
+        Sft(3, forbidden=("11", "22", "012")),
+        Sft(2, forbidden=("111", "0101")),
+        Sft(2, forbidden=("000", "0011", "111", "110")),
+        Sft(2, forbidden=("100", "0110")),
+        Sft(3, forbidden=("10", "20", "111")),
+    ], ids=["golden", "sft3", "memory3", "pruned-state", "wrap-refuses", "wrap-refuses3"])
+    def test_wrap_closure_equals_least_period_words(self, system):
+        """Lyndon nodes closed at the wrap, and below its width by
+        is_cyclic_word, give exactly the necklaces of the least-period
+        words, for every nmax up to 12.  A Lyndon word starts with its
+        least letter, so in the first four systems no linearly clean node
+        fails at the wrap; in the last two, forbidden words that fall to a
+        smaller letter make the wrap refuse some."""
+        necklaces = {necklace(w): n for n in range(1, 13)
+                     for w in system.least_period_words(n)}
+        wrap = max(system._forbidden_lengths + [system.memory]) - 1
+        assert 1 <= wrap < 12
+        for nmax in range(1, 13):
+            assert _lyndon_orbits(system, nmax) == \
+                {v: n for v, n in necklaces.items() if n <= nmax}, nmax
 
     def test_periodic_orbits_refused_before_enumerating(self):
         fs = Sft(2, forbidden=())
