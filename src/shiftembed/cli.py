@@ -10,36 +10,37 @@ import functools
 import sys
 
 from .codec import SymbolStream
+from .entropy import ScaleSchedule
 from .errors import ShiftEmbedError, SpecParseError
 from .metrics import convergence_report
-from .pipeline import (DEFAULT_SEED, build_pipeline, load_pipeline,
+from .pipeline import (DEFAULT_SEED, _read, build_pipeline, load_pipeline,
                        sample_points, save_pipeline, verify_pipeline)
-from .systems import parse_point, parse_system
-
-
-def _window(text):
-    try:
-        a, b = text.split(":")
-        return int(a), int(b)
-    except ValueError:
-        raise SpecParseError("window must look like a:b")
+from .systems import _parse_int, _parse_window, parse_point, parse_system
+from .words import CODE_CHARS
 
 
 def _label_text(label):
-    if isinstance(label, tuple):
-        return ".".join(str(d) for d in label)
-    return label
+    return ".".join(map(str, label)) if isinstance(label, tuple) else label
+
+
+def _scale(args, pipeline):
+    """The --scale of a command on a pipeline, k_max when it is not given."""
+    k = pipeline.kmax if args.scale is None else args.scale
+    if not 1 <= k <= pipeline.kmax:
+        raise SpecParseError("--scale must be in 1..%d, not %d" % (pipeline.kmax, k))
+    return k
 
 
 def cmd_build(args):
-    with open(args.system) as fh:
-        system = parse_system(fh.read())
-    m = tuple(int(v) for v in args.m.split(",")) if args.m else None
-    schedule = None
-    if args.schedule:
-        from .entropy import ScaleSchedule
-        with open(args.schedule) as fh:
-            schedule = ScaleSchedule.parse(fh.read())
+    if not 2 <= args.K <= len(CODE_CHARS):
+        raise SpecParseError("--K must be in 2..%d, not %d" % (len(CODE_CHARS), args.K))
+    if args.kmax < 1:
+        raise SpecParseError("--kmax must be at least 1, not %d" % args.kmax)
+    if args.N_cert < 2:
+        raise SpecParseError("--N-cert must be at least 2, not %d" % args.N_cert)
+    m = tuple(_parse_int(v, "--m entry") for v in args.m.split(",")) if args.m else None
+    system = _read(args.system, parse_system)
+    schedule = _read(args.schedule, ScaleSchedule.parse) if args.schedule else None
     pipeline = build_pipeline(system, K=args.K, kmax=args.kmax, C=args.C, m=m,
                               N_cert=args.N_cert, schedule=schedule, precheck=True)
     save_pipeline(pipeline, args.out)
@@ -56,16 +57,11 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _load(args):
-    return load_pipeline(args.pipeline)
-
-
 def cmd_encode(args):
-    pipeline = _load(args)
-    with open(args.point) as fh:
-        point = parse_point(fh.read(), pipeline.system)
-    a, b = _window(args.window)
-    k = args.scale or pipeline.kmax
+    pipeline = load_pipeline(args.pipeline)
+    point = _read(args.point, parse_point, pipeline.system)
+    a, b = _parse_window(args.window, "--window")
+    k = _scale(args, pipeline)
     stream = pipeline.encode_limit(point, (a, b)) if args.limit else \
         pipeline.encode(point, k, (a, b))
     _emit(stream.to_text(), args.out)
@@ -73,10 +69,9 @@ def cmd_encode(args):
 
 
 def cmd_decode(args):
-    pipeline = _load(args)
-    with open(args.stream) as fh:
-        stream = SymbolStream.from_text(fh.read())
-    k = args.scale or pipeline.kmax
+    pipeline = load_pipeline(args.pipeline)
+    stream = _read(args.stream, SymbolStream.from_text)
+    k = _scale(args, pipeline)
     result = pipeline.decode(stream, k)
     lines = []
     for l in sorted(result.itineraries):
@@ -94,21 +89,20 @@ def cmd_decode(args):
 
 
 def cmd_invert(args):
-    pipeline = _load(args)
-    with open(args.stream) as fh:
-        stream = SymbolStream.from_text(fh.read())
-    k = args.scale or pipeline.kmax
+    pipeline = load_pipeline(args.pipeline)
+    stream = _read(args.stream, SymbolStream.from_text)
+    k = _scale(args, pipeline)
     cell = pipeline.invert(stream, k)
     print(_label_text(cell))
     return 0
 
 
 def cmd_verify(args):
-    pipeline = _load(args)
+    pipeline = load_pipeline(args.pipeline)
     points = None
     if args.samples:
         points = sample_points(pipeline.system, args.samples, seed=args.seed)
-    window = _window(args.window) if args.window else (-60, 60)
+    window = _parse_window(args.window, "--window") if args.window else (-60, 60)
     report = verify_pipeline(pipeline, points=points, seed=args.seed, window=window)
     for line in report.lines():
         print(line)
@@ -118,7 +112,7 @@ def cmd_verify(args):
 
 
 def cmd_report(args):
-    pipeline = _load(args)
+    pipeline = load_pipeline(args.pipeline)
     points = sample_points(pipeline.system, args.samples or 8, seed=args.seed)
     rows = convergence_report(points, pipeline)
     print("point\tscale\tmetric\tvalue\ttag")
@@ -190,7 +184,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except (SpecParseError, FileNotFoundError, OSError) as exc:
+    except (SpecParseError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ShiftEmbedError as exc:

@@ -32,7 +32,8 @@ from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
 from .markers import Interval, ReturnPartition, return_partition
-from .systems import OdometerPoint, cell_label, periodic_orbits
+from .systems import (OdometerPoint, _parse_int, _parse_kv, _parse_window, cell_label,
+                      periodic_orbits)
 from .words import (code_length_needed, has_short_period_prefix, is_primitive,
                     kary_alphabet, kary_index, kary_word, least_rotation, min_period,
                     necklace, periodic_window, repetition_prefix)
@@ -88,34 +89,18 @@ class SymbolStream:
     @classmethod
     def from_text(cls, text):
         """Parse the to_text form; SpecParseError on anything else."""
-        kv = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise SpecParseError("stream line %d: expected 'key: value'" % lineno)
-            key, val = line.split(":", 1)
-            kv[key.strip()] = val.strip()
-        for key in ("window", "symbols"):
-            if key not in kv:
-                raise SpecParseError("stream needs '%s'" % key)
-        try:
-            a, b = (int(v) for v in kv["window"].split(":"))
-        except ValueError:
-            raise SpecParseError("stream window must look like a:b, not %r"
-                                 % kv["window"]) from None
+        kv = dict(_parse_kv(text, "stream"))
+        if "window" not in kv or "symbols" not in kv:
+            raise SpecParseError("stream needs 'window' and 'symbols'")
+        a, b = _parse_window(kv["window"], "stream window")
         syms = [_TOKEN_IN.get(tok, tok) for tok in kv["symbols"].split()]
         if len(syms) != b - a + 1:
             raise SpecParseError("stream has %d symbols for window %d:%d"
                                  % (len(syms), a, b))
         res = None
         if "resolution" in kv:
-            try:
-                res = [None if tok == "-" else int(tok) for tok in kv["resolution"].split()]
-            except ValueError:
-                raise SpecParseError("stream resolution entries must be integers or '-'") \
-                    from None
+            res = [None if tok == "-" else _parse_int(tok, "stream resolution entry")
+                   for tok in kv["resolution"].split()]
             if len(res) != len(syms):
                 raise SpecParseError("stream has %d resolution entries for %d symbols"
                                      % (len(res), len(syms)))
@@ -422,16 +407,15 @@ class PeriodicCode:
         """Read the serialize form back, checked against the system and the
         schedule's n1 and K; SpecParseError on anything the greedy
         assignment could not have written."""
-        lines = [line.strip() for line in text.splitlines() if line.strip()]
-        if len(lines) < 2 or lines[0] != "n1: %d" % n1 or lines[1] != "K: %d" % K:
+        pairs = _parse_kv(text, "periodic code")
+        if pairs[:2] != [("n1", str(n1)), ("K", str(K))]:
             raise SpecParseError("periodic code header must be 'n1: %d' and 'K: %d'"
                                  % (n1, K))
         orbit_code = {}
-        for line in lines[2:]:
-            key, _, rest = line.partition(":")
-            v, arrow, w = rest.strip().partition(" -> ")
+        for key, value in pairs[2:]:
+            v, arrow, w = value.partition(" -> ")
             if key != "orbit" or not arrow or v in orbit_code:
-                raise SpecParseError("periodic code line %r" % line)
+                raise SpecParseError("periodic code line '%s: %s'" % (key, value))
             orbit_code[v] = w
         orbits = periodic_orbits(system, n1)
         if set(orbit_code) != set(orbits):
@@ -591,7 +575,7 @@ def _render_layer(pipeline, ctx, l, syms, res):
             e = ctx.hi + 1 if blk.end is None else min(blk.end, ctx.hi + 1)
             if s < e:
                 w = pipeline.periodic_code.orbit_code[blk.orbit]
-                syms[s - lo:e - lo] = _tile(w, (s + blk.phase) % len(w), e - s)
+                syms[s - lo:e - lo] = periodic_window(w, s, e - 1, blk.phase)
                 res[s - lo:e - lo] = [1] * (e - s)
         elif not blk.special:
             coarse = _orbit_key(blk.orbit, sched.m[l - 2], blk.m)
@@ -644,11 +628,6 @@ def odometer_period(pipeline):
         return ()
 
 
-def _tile(seq, offset, n):
-    """n entries of seq read cyclically from offset."""
-    return (seq * -(-(offset + n) // len(seq)))[offset:offset + n]
-
-
 def encode_scales(point, pipeline, window):
     """Yield psi_1, ..., psi_kmax of a point on an inclusive window.  An
     odometer point's codes are its pipeline's period streams read from its
@@ -659,9 +638,8 @@ def encode_scales(point, pipeline, window):
         return
     a, b = window
     for stream in pipeline.odometer_period:
-        offset = (point.residue + a) % len(stream.symbols)
-        yield SymbolStream(a, b, _tile(stream.symbols, offset, b - a + 1),
-                           _tile(stream.resolution, offset, b - a + 1))
+        yield SymbolStream(a, b, periodic_window(stream.symbols, a, b, point.residue),
+                           periodic_window(stream.resolution, a, b, point.residue))
 
 
 def encode_k(point, pipeline, k, window):
@@ -791,7 +769,7 @@ def _decode_scale1(stream, pipeline, structure):
         lo_t = A if s is None else s
         hi_t = B + 1 if e is None else e
         cycle = [periodic_window(v, t - m1, t + m1, phase) for t in range(lo_t, lo_t + len(v))]
-        _put_labels(labels, range(lo_t, hi_t), _tile(cycle, 0, hi_t - lo_t))
+        _put_labels(labels, range(lo_t, hi_t), periodic_window(cycle, 0, hi_t - lo_t - 1))
         intervals.append(Interval(s, e, "singular", special=True,
                                   orbit=v, phase=phase, m=len(v)))
         orbits.append(v)
@@ -813,7 +791,7 @@ def _check_stretch(stream, pipeline, layout, blk, top, symbols):
     lo_t = A if blk.start is None else max(blk.start, A)
     hi_t = B + 1 if blk.end is None else min(blk.end, B + 1)
     word = pipeline.periodic_code.orbit_code[blk.orbit]
-    orbit_letters = list(_tile(word, (lo_t + blk.phase) % len(word), hi_t - lo_t))
+    orbit_letters = list(periodic_window(word, lo_t, hi_t - 1, blk.phase))
 
     def check(t):       # past the prefix a bracket or, below the top, a deeper symbol passes
         ch, letter = src[t - A], orbit_letters[t - lo_t]
@@ -1169,6 +1147,27 @@ def _pi_symbols(stream, pipeline, layout):
     return symbols
 
 
+def _check_block_ends(pipeline, layout, itineraries):
+    """Refuse labels that no point has: at the end t of every block, the
+    labels at t - 1 and t must be the cells of one point at consecutive
+    times.  A word label's window slides by one letter; an odometer orbit
+    reads its cell table cyclically, so its next cell is the table's next."""
+    system, m = pipeline.system, pipeline.schedule.m
+    for layer in layout.layers:
+        k = layer.scale
+        labels = itineraries[k]
+        cells = None if system.is_word_system else system.cell_table(m[k - 1] + 1)
+        for t in (blk.end for blk in layer.blocks if blk.end is not None):
+            a, b = labels.get(t - 1), labels.get(t)
+            if a is None or b is None:
+                continue
+            after = a[1:] + b[-1] if cells is None else cells[(cells.index(a) + 1) % len(cells)]
+            if b != after:
+                raise MalformedStreamError("scale-%d labels %r at %d and %r at %d "
+                                           "describe no point" % (k, a, t - 1, b, t),
+                                           scale=k, position=t)
+
+
 def decode_k(stream, pipeline, k):
     """Invert the scale-k code: block structure, itineraries, orbit ids.
 
@@ -1198,6 +1197,7 @@ def decode_k(stream, pipeline, k):
         _read_codewords(stream, pipeline, layer, itineraries.get(l - 1), labels, cert_parts)
         itineraries[l] = labels
         certified[l] = _covered_range(cert_parts, (A, B))
+    _check_block_ends(pipeline, layout, itineraries)
     # pi_k form: deeper-scale symbols revert to free slots, and a stretch
     # position no layer takes to its orbit letter
     stream_k = SymbolStream(A, B, _pi_symbols(stream, pipeline, layout))

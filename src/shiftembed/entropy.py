@@ -11,12 +11,13 @@ Natural logarithms throughout; capacities compare exact integer counts
 against K-ary budgets.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapacityError, ScheduleError, SpecParseError
-from .systems import matpow_int
+from .systems import _parse_fraction, _parse_int, _parse_kv, _parse_list, matpow_int
 
 ALPHA_DENOM = 2 ** 32
 
@@ -216,30 +217,31 @@ class ScaleSchedule:
 
     @classmethod
     def parse(cls, text):
-        kv = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise SpecParseError("schedule line %r" % raw)
-            key, val = line.split(":", 1)
-            kv[key.strip()] = val.strip()
+        """Read the serialize form back; SpecParseError on anything else."""
+        kv = dict(_parse_kv(text, "schedule"))
+        for key in ("K", "alpha", "periodic", "C", "N_cert", "m", "n", "nprime", "r"):
+            if key not in kv:
+                raise SpecParseError("schedule needs '%s'" % key)
+        if kv["periodic"] not in ("0", "1"):
+            raise SpecParseError("schedule periodic flag must be 0 or 1, not %r"
+                                 % kv["periodic"])
+        lists = {key: tuple(_parse_int(v, "schedule %s entry" % key)
+                            for v in _parse_list(kv[key], "schedule " + key))
+                 for key in ("m", "n", "nprime", "r")}
+        if not lists["n"] or len(set(map(len, lists.values()))) != 1:
+            raise SpecParseError("schedule lists m, n, nprime and r must be nonempty "
+                                 "and of one length")
+        if lists["nprime"] != tuple(itertools.accumulate(lists["n"])):
+            raise SpecParseError("schedule nprime %s is not the running sums of n %s"
+                                 % (list(lists["nprime"]), list(lists["n"])))
         try:
-            num, den = kv["alpha"].split("/")
-            lists = {}
-            for key in ("m", "n", "nprime", "r"):
-                inner = kv[key].strip()[1:-1]
-                lists[key] = tuple(int(v) for v in inner.split(",")) if inner else ()
-            if kv["periodic"] not in ("0", "1"):
-                raise SpecParseError("schedule periodic flag must be 0 or 1, not %r"
-                                     % kv["periodic"])
-            return cls(K=int(kv["K"]), alpha=Fraction(int(num), int(den)),
-                       m=lists["m"], n=lists["n"], nprime=lists["nprime"],
-                       r=lists["r"], periodic=kv["periodic"] == "1",
-                       C=float(kv["C"]), N_cert=int(kv["N_cert"]))
-        except (KeyError, ValueError) as exc:
-            raise SpecParseError("bad schedule document: %s" % exc)
+            C = float(kv["C"])
+        except ValueError:
+            raise SpecParseError("schedule C must be a number, not %r" % kv["C"]) from None
+        return cls(K=_parse_int(kv["K"], "schedule K"),
+                   alpha=_parse_fraction(kv["alpha"], "schedule alpha"),
+                   periodic=kv["periodic"] == "1", C=C,
+                   N_cert=_parse_int(kv["N_cert"], "schedule N_cert"), **lists)
 
 
 # -- inequality families -------------------------------------------------------
@@ -294,10 +296,6 @@ def _family1_tail_certified(system, K, alpha, m1, N_cert, counts):
 
 def _family2_tail_certified(system, K, alpha, m_prev, m_cur, k, N_cert):
     """Conditional counts stabilize in n; compare the plateau at N_cert+1."""
-    if not system.is_word_system:
-        cc = system.modulus(m_cur + 1) // system.modulus(m_prev + 1)
-        n0 = N_cert + 1
-        return math.log(cc) < (n0 * alpha / 2 ** k - 1) * math.log(K)
     window = 8
     tail_counts = {conditional_count(system, m_prev, m_cur, n)
                    for n in range(max(1, N_cert - window), N_cert + 1)}
@@ -460,17 +458,13 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
             raise ScheduleError("no admissible n_%d within certified range %d" % (k, N_cert))
         ns.append(found)
 
-    nprime = []
-    acc = 0
-    for nk in ns:
-        acc += nk
-        nprime.append(acc)
+    nprime = tuple(itertools.accumulate(ns))
     if not periodic:
         for k in range(1, kmax):
             if nprime[k - 1] >= ns[k]:
                 raise ScheduleError("aperiodic constraint n'_k < n_{k+1} failed at k=%d" % k)
     r = tuple(max(m[k - 1] + ns[k - 1], ns[k - 1]) for k in range(1, kmax + 1))
-    schedule = ScaleSchedule(K=K, alpha=alpha, m=m, n=tuple(ns), nprime=tuple(nprime),
+    schedule = ScaleSchedule(K=K, alpha=alpha, m=m, n=tuple(ns), nprime=nprime,
                              r=r, periodic=periodic, C=C, N_cert=N_cert)
     check_layout_capacity(schedule)
     return schedule

@@ -641,9 +641,7 @@ def verify_tower(stack, k, probe_points=None):
         res = tower.residues
         ok = all(not (res & {(r + i) % mod for r in res}) for i in range(1, tower.n))
         report.add(k, "disjointness", "flat-exact", ok)
-        covered = set()
-        for i in range(-(tower.nprime - 1), tower.nprime):
-            covered |= {(r + i) % mod for r in res}
+        covered = {(r + i) % mod for r in res for i in range(-(tower.nprime - 1), tower.nprime)}
         report.add(k, "covering", "flat-exact", covered == set(range(mod)),
                    "uncovered=%d" % (mod - len(covered)))
         if tower.parent is not None:
@@ -687,20 +685,15 @@ def verify_tower(stack, k, probe_points=None):
         members = [t for t in range(lo, hi + 1) if tower.member(point, t, runtime)]
         ok_dis = all(t1 - t0 >= tower.n for t0, t1 in zip(members, members[1:]))
         report.add(k, "disjointness", "probe", ok_dis, "point %r" % (point,))
-        ok_cov = True
-        for t in range(lo + tower.nprime, hi - tower.nprime):
-            if not runtime.near(tower, t, tower.nprime):
-                if runtime.match(tower, t) is None:
-                    ok_cov = False
-                    break
+        ok_cov = all(runtime.near(tower, t, tower.nprime) or runtime.match(tower, t) is not None
+                     for t in range(lo + tower.nprime, hi - tower.nprime))
         report.add(k, "covering", "probe", ok_cov, "point %r" % (point,))
         if k >= 2:
             ok_nest = True
             for t in members:
                 tier = tower.accepted_tier(point, t, runtime)
-                if tier == 1 and not tower.parent.member(point, t, runtime):
-                    ok_nest = False
-                if tier == 2 and runtime.near(tower.parent, t, tower.prev_nprime):
+                if tier == 1 and not tower.parent.member(point, t, runtime) or \
+                        tier == 2 and runtime.near(tower.parent, t, tower.prev_nprime):
                     ok_nest = False
             report.add(k, "nesting", "probe", ok_nest, "point %r" % (point,))
     return report

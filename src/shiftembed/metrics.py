@@ -11,6 +11,7 @@ presented as a limit.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from .errors import SpecParseError
@@ -153,13 +154,8 @@ def periodic_orbit_measure(word, L):
 
 def cylinder_enumeration(alphabet, depth):
     """The fixed enumeration of cylinder words: by length, lexicographic."""
-    out = []
-    for L in range(1, depth + 1):
-        frontier = [""]
-        for _ in range(L):
-            frontier = [w + c for w in frontier for c in alphabet]
-        out.extend(sorted(frontier))
-    return out
+    return [w for L in range(1, depth + 1)
+            for w in sorted(map("".join, product(alphabet, repeat=L)))]
 
 
 def measure_distance(mu, nu, alphabet, depth=3):
@@ -196,6 +192,12 @@ def hausdorff_distance(S, T, alphabet, depth=3):
 # -- convergence diagnostics -------------------------------------------------------
 
 
+def dN_bound(schedule, k):
+    """The bound 3 alpha / 2^k on d_N(psi_k, psi) from the uniform-convergence
+    argument, exact."""
+    return Fraction(3) * Fraction(schedule.alpha) / 2 ** k
+
+
 def convergence_report(points, pipeline, depth=2, sample_n=160):
     """Per point and scale: d_N of the codes, empirical-measure pushforward
     distances, and the window bound N * d_N from the uniform-convergence
@@ -204,14 +206,13 @@ def convergence_report(points, pipeline, depth=2, sample_n=160):
     sched = pipeline.schedule
     N = sched.n[0] ** 2
     alphabet = kary_alphabet(sched.K) + "|=[]o?"
-    alpha = sched.alpha_float
     for idx, p in enumerate(points):
         streams = list(pipeline.encode_scales(p, (-4 * N, 4 * N)))
         sK = streams[-1]
         for k, sk in enumerate(streams, 1):
             val = stream_dN(sk, sK, N)
             rows.append((idx, k, "dN(psi_k, psi)", val, "horizon=%d" % (4 * N)))
-            bound = Fraction(3) * Fraction(sched.alpha) / 2 ** k
+            bound = dN_bound(sched, k)
             rows.append((idx, k, "dN-bound-ok", int(val <= bound), "bound=%s" % bound))
             mu_k = _stream_measure(sk, depth, sample_n)
             mu_K = _stream_measure(sK, depth, sample_n)

@@ -20,7 +20,8 @@ from .entropy import (ScaleSchedule, build_schedule, check_layout_capacity,
                       conditional_count, verify_schedule)
 from .errors import CapacityError, ScheduleError, ShiftEmbedError, SpecParseError
 from .markers import build_towers, verify_tower
-from .systems import Point, itinerary, parse_system, serialize_system, validate_point
+from .systems import (OdometerPoint, Point, itinerary, parse_system, serialize_system,
+                      validate_point)
 
 DEFAULT_SEED = 17
 CORE_MAX = 12   # the sampler's short-core length scale
@@ -150,12 +151,8 @@ def sample_points(system, count, seed=DEFAULT_SEED):
     import random
     rng = random.Random(seed)
     if system.kind == "odometer":
-        out = []
-        for _ in range(count):
-            digits = [rng.randrange(p) for p in system.base]
-            from .systems import OdometerPoint
-            out.append(OdometerPoint(system, digits))
-        return out
+        return [OdometerPoint(system, [rng.randrange(p) for p in system.base])
+                for _ in range(count)]
     if system.kind == "orbit":
         # a finite orbit has no graph to walk: its points are its phases
         phases = system.least_period_words(system.period)
@@ -182,10 +179,7 @@ def sample_points(system, count, seed=DEFAULT_SEED):
 
 def _cycle_words(system):
     """Cyclically admissible primitive words of small period."""
-    out = []
-    for n in range(1, 7):
-        out.extend(system.least_period_words(n))
-    return sorted(set(out))
+    return sorted({w for n in range(1, 7) for w in system.least_period_words(n)})
 
 
 def _stitch_point(system, rng, left, right, middle_len):
@@ -324,7 +318,7 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
         streams, err = _encode_pass(pipeline.encode_scales(p, (-4 * N, 4 * N)))
         if err is not None:
             _fail(dn, 1, err)
-        elif metrics.stream_dN(streams[0], streams[-1], N) > 3 * sched.alpha_float / 2 + 1e-9:
+        elif metrics.stream_dN(streams[0], streams[-1], N) > metrics.dN_bound(sched, 1):
             _fail(dn, 1)
     report.add("codec", "dN-convergence", 1, 1 not in dn, dn.get(1, ""))
     return report
@@ -370,26 +364,27 @@ def save_pipeline(pipeline, outdir):
     put("codebooks.txt", "".join(lines))
 
 
+def _read(path, parse, *args):
+    """The document at path, read by one of the package's parsers."""
+    with open(path) as fh:
+        return parse(fh.read(), *args)
+
+
 def load_pipeline(outdir):
     """Rebuild a saved pipeline: the system and schedule are parsed, the
     towers rebuilt, and the periodic code read from periodic_code.txt and
     checked against both."""
-    with open(os.path.join(outdir, "system.txt")) as fh:
-        system = parse_system(fh.read())
-    with open(os.path.join(outdir, "schedule.txt")) as fh:
-        schedule = ScaleSchedule.parse(fh.read())
+    system = _read(os.path.join(outdir, "system.txt"), parse_system)
+    schedule = _read(os.path.join(outdir, "schedule.txt"), ScaleSchedule.parse)
     _check_periodic_flag(system, schedule)
     periodic_code = None
     if schedule.periodic:
         path = os.path.join(outdir, "periodic_code.txt")
         try:
-            with open(path) as fh:
-                text = fh.read()
+            periodic_code = _read(path, codec.PeriodicCode.parse, system, schedule.n[0],
+                                  schedule.K)
         except OSError as exc:
             raise SpecParseError("%s: %s" % (path, exc.strerror)) from None
-        try:
-            periodic_code = codec.PeriodicCode.parse(text, system, schedule.n[0],
-                                                     schedule.K)
         except SpecParseError as exc:
             raise SpecParseError("%s: %s" % (path, exc)) from None
     return Pipeline(system, schedule, build_towers(system, schedule), periodic_code)

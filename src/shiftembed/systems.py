@@ -16,6 +16,8 @@ lists (the first D digits of a point are closed under the map).
 """
 
 import itertools
+import re
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -656,14 +658,16 @@ def _lyndon_orbits(system, nmax):
 # -- parsing / serialization --------------------------------------------------
 
 
-def _parse_kv(text):
+def _parse_kv(text, what):
+    """The (key, value) pairs of a document named `what`, in order: one
+    'key: value' per line, '#' starting a comment, blank lines skipped."""
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if ":" not in line:
-            raise SpecParseError("line %d: expected 'key: value'" % lineno)
+            raise SpecParseError("%s line %d: expected 'key: value'" % (what, lineno))
         key, value = line.split(":", 1)
         pairs.append((key.strip(), value.strip()))
     return pairs
@@ -677,13 +681,36 @@ def _parse_int(value, what):
 
 
 def _parse_list(value, what):
+    """The items of a list '[a, b, ...]'.  An item may be a list itself: a
+    comma inside it is followed by its ']' before any '[', so it does not
+    split."""
     value = value.strip()
     if not (value.startswith("[") and value.endswith("]")):
-        raise SpecParseError("%s must be a [..] list" % what)
+        raise SpecParseError("%s must be a [..] list, not %r" % (what, value))
     inner = value[1:-1].strip()
-    if not inner:
-        return []
-    return [item.strip() for item in inner.split(",")]
+    return [item.strip() for item in re.split(r",(?![^[]*\])", inner)] if inner else []
+
+
+def _parse_window(value, what):
+    """An inclusive window 'a:b' of integers a <= b."""
+    try:
+        a, b = map(int, value.split(":"))
+    except ValueError:
+        a, b = 1, 0         # refused below
+    if a > b:
+        raise SpecParseError("%s must be a:b with integers a <= b, not %r" % (what, value))
+    return a, b
+
+
+def _parse_fraction(value, what):
+    """An exact rational 'p/q' of integers, q > 0."""
+    try:
+        p, q = map(int, value.split("/"))
+    except ValueError:
+        q = 0               # refused below
+    if q <= 0:
+        raise SpecParseError("%s must be p/q with integers p and q > 0, not %r" % (what, value))
+    return Fraction(p, q)
 
 
 def parse_system(text):
@@ -698,32 +725,25 @@ def parse_system(text):
         base: [p1, p2, ...]              (odometer)
         word: <word>                     (orbit)
     """
-    kv = dict(_parse_kv(text))
+    kv = dict(_parse_kv(text, "system spec"))
     kind = kv.get("kind")
-    if kind == "sft":
-        if "alphabet" not in kv:
-            raise SpecParseError("sft spec needs 'alphabet'")
-        A = _parse_int(kv["alphabet"], "alphabet")
-        if "matrix" in kv:
-            rows = kv["matrix"].strip()
-            if not (rows.startswith("[[") and rows.endswith("]]")):
-                raise SpecParseError("matrix must look like [[0,1],[1,0]]")
-            body = rows[2:-2]
-            matrix = [[_parse_int(v, "matrix entry") for v in row.split(",")]
-                      for row in body.split("],[")]
-            return Sft(A, matrix=matrix)
-        if "forbidden" in kv:
-            return Sft(A, forbidden=_parse_list(kv["forbidden"], "forbidden"))
-        raise SpecParseError("sft spec needs 'forbidden' or 'matrix'")
+    needs = {"sft": ("alphabet",), "odometer": ("base",), "orbit": ("alphabet", "word")}
+    if kind not in needs:
+        raise SpecParseError("unknown kind %r" % kind)
+    for key in needs[kind]:
+        if key not in kv:
+            raise SpecParseError("%s spec needs '%s'" % (kind, key))
     if kind == "odometer":
-        if "base" not in kv:
-            raise SpecParseError("odometer spec needs 'base'")
         return Odometer([_parse_int(v, "base entry") for v in _parse_list(kv["base"], "base")])
+    A = _parse_int(kv["alphabet"], "alphabet")
     if kind == "orbit":
-        if "alphabet" not in kv or "word" not in kv:
-            raise SpecParseError("orbit spec needs 'alphabet' and 'word'")
-        return OrbitSystem(_parse_int(kv["alphabet"], "alphabet"), kv["word"])
-    raise SpecParseError("unknown kind %r" % kind)
+        return OrbitSystem(A, kv["word"])
+    if "matrix" in kv:
+        rows = [_parse_list(row, "matrix row") for row in _parse_list(kv["matrix"], "matrix")]
+        return Sft(A, matrix=[[_parse_int(v, "matrix entry") for v in row] for row in rows])
+    if "forbidden" in kv:
+        return Sft(A, forbidden=_parse_list(kv["forbidden"], "forbidden"))
+    raise SpecParseError("sft spec needs 'forbidden' or 'matrix'")
 
 
 def serialize_system(system):
@@ -754,7 +774,7 @@ def parse_point(text, system):
 
         digits: [d1, d2, ...]
     """
-    kv = dict(_parse_kv(text))
+    kv = dict(_parse_kv(text, "point spec"))
     if "digits" in kv:
         if system.kind != "odometer":
             raise SpecParseError("digits given for a word system")

@@ -743,6 +743,33 @@ class TestDecodeErrorLocation:
         assert (info.value.scale, info.value.position) == (2, None)
 
 
+class TestLabelsAtBlockEnds:
+    """A one-letter mutation of a codeword can decode to labels that no
+    point has: at a block end the labels at t - 1 and t are not one point's
+    cells at consecutive times.  Such a stream is malformed."""
+
+    def _mutated_decode(self, pipe, point, k, t, symbol):
+        margin = 100 + pipe.decode_margin()
+        stream = pipe.encode(point, k, (-margin, margin))
+        pipe.decode(stream, k)
+        symbols = list(stream.symbols)
+        symbols[t - stream.a] = symbol
+        with pytest.raises(MalformedStreamError) as info:
+            pipe.decode(SymbolStream(stream.a, stream.b, symbols), k)
+        return str(info.value), info.value.scale, info.value.position
+
+    def test_word_labels_that_do_not_overlap(self):
+        pipe = build_pipeline(golden_mean(), K=3, kmax=2, C=0.0, m=(0, 1))
+        point = Point("0100", "01000010010000100100010000000010000", "010100", -12)
+        assert self._mutated_decode(pipe, point, 2, -7, "2") == (
+            "scale-2 labels '000' at -17 and '101' at -16 describe no point", 2, -16)
+
+    def test_odometer_cells_that_do_not_step_by_one(self, odo_pipe):
+        point = OdometerPoint(dyadic_odometer(8), (1, 1, 0, 1, 0, 0, 0, 0))
+        assert self._mutated_decode(odo_pipe, point, 3, 651, "2") == (
+            "scale-2 labels (1, 1) at 628 and (0, 1) at 629 describe no point", 2, 629)
+
+
 def _letter_keys(system, m, n, mod):
     """Itinerary keys of every residue below mod, built letter by letter."""
     return {rho: tuple(system.digits_of_residue((rho + t) % mod, m + 1) for t in range(n))

@@ -242,7 +242,9 @@ def test_malformed_decodes_pinned(config):
 PINNED_SWEEP = {
     "golden-k2": "072f3019b0980cc3",
     "golden-k3": "67fc428009f6af31",
-    "odometer": "95badbe1f90a1cbb",
+    # 3 of the 2,408 odometer texts, decodes before, refuse labels at a
+    # block end that are not one point's consecutive cells
+    "odometer": "f58bbfe186974ca7",
 }
 
 

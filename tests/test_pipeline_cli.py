@@ -170,7 +170,7 @@ class TestMalformedInputExitsTwo:
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and "Traceback" not in err and err.count("\n") == 1
         return err
 
     @pytest.mark.parametrize("text", [
@@ -179,8 +179,9 @@ class TestMalformedInputExitsTwo:
         "window: zero:5\nsymbols: 1 1 1 1 1 1\n",
         "window: 0:5\nsymbols: 1 1\nresolution: 1 1\n",
         "window: 0:1\nsymbols: 1 1\nresolution: 1 x\n",
+        "window: 5:4\nsymbols:\n",
     ], ids=["one-line-garbage", "no-symbols", "bad-window", "count-mismatch",
-            "bad-resolution"])
+            "bad-resolution", "reversed-window"])
     def test_decode_malformed_stream(self, orbit_pipe, tmp_path, capsys, text):
         stream = tmp_path / "stream.txt"
         stream.write_text(text)
@@ -251,6 +252,114 @@ class TestMalformedInputExitsTwo:
         err = self._exits_two(["verify", "--pipeline", str(out), "--samples", "1"], capsys)
         assert "not '%s'" % flag in err
 
+    # every document and CLI value is read by the one set of readers in
+    # shiftembed.systems, so what they refuse is refused the same way
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("grammar")
+        sysfile = tmp / "golden.txt"
+        sysfile.write_text("kind: sft\nalphabet: 2\nforbidden: [11]\n")
+        out = tmp / "pipe"
+        assert main(["build", "--system", str(sysfile), "--K", "2", "--kmax", "2",
+                     "--C", "0", "--m", "0,0", "--out", str(out)]) == 0
+        point = tmp / "point.txt"
+        point.write_text("left: 10\ncore: 00100@-2\nright: 001\n")
+        stream = tmp / "stream.txt"
+        assert main(["encode", "--pipeline", str(out), "--point", str(point),
+                     "--window=-40:40", "--out", str(stream)]) == 0
+        return tmp
+
+    def _edited_pipeline(self, saved, tmp_path, old, new):
+        import shutil
+        out = tmp_path / "pipe"
+        shutil.copytree(saved / "pipe", out)
+        path = out / "schedule.txt"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        return out
+
+    # name -> (edit of the golden K=2 schedule.txt, fragment of the refusal)
+    SCHEDULE_EDITS = {
+        "unclosed-list": (("n: [9, 19]\n", "n: [9, 19\n"), "schedule n must be a [..] list"),
+        "zero-denominator": (("alpha: 227563855/1073741824\n", "alpha: 1/0\n"),
+                             "schedule alpha must be p/q"),
+        "nprime-not-running-sums": (("nprime: [9, 28]\n", "nprime: [9, 20]\n"),
+                                    "nprime [9, 20] is not the running sums of n [9, 19]"),
+        "lists-of-unequal-length": (("r: [9, 19]\n", "r: [9]\n"),
+                                    "must be nonempty and of one length"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_EDITS))
+    def test_load_refuses_a_malformed_schedule(self, saved, tmp_path, capsys, name):
+        (old, new), fragment = self.SCHEDULE_EDITS[name]
+        out = self._edited_pipeline(saved, tmp_path, old, new)
+        with pytest.raises(SpecParseError, match=fragment.replace("[", r"\[")):
+            load_pipeline(str(out))
+        err = self._exits_two(["encode", "--pipeline", str(out), "--point",
+                               str(saved / "point.txt"), "--window=-40:40"], capsys)
+        assert fragment in err
+        assert fragment in self._exits_two(["verify", "--pipeline", str(out),
+                                            "--samples", "1"], capsys)
+
+    def test_build_refuses_an_nprime_that_is_not_the_running_sums(self, pipe, saved,
+                                                                   tmp_path, capsys):
+        schedfile = tmp_path / "schedule.txt"
+        schedfile.write_text(pipe.schedule.serialize().replace("nprime: [9, 28]",
+                                                                "nprime: [9, 20]"))
+        err = self._exits_two(["build", "--system", str(saved / "golden.txt"), "--K", "2",
+                               "--kmax", "2", "--C", "0", "--m", "0,0", "--schedule",
+                               str(schedfile), "--out", str(tmp_path / "nope")], capsys)
+        assert "nprime [9, 20] is not the running sums of n [9, 19]" in err
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("extra, fragment", [
+        (["--kmax", "0"], "--kmax must be at least 1, not 0"),
+        (["--kmax", "2", "--K", "0"], "--K must be in 2..9, not 0"),
+        (["--kmax", "2", "--N-cert", "1"], "--N-cert must be at least 2, not 1"),
+        (["--kmax", "2", "--m", "0,x"], "--m entry must be an integer, not 'x'"),
+    ], ids=["kmax-0", "K-0", "N-cert-1", "m-not-integer"])
+    def test_build_refuses_a_bad_integer_argument(self, saved, tmp_path, capsys, extra,
+                                                  fragment):
+        err = self._exits_two(["build", "--system", str(saved / "golden.txt"), "--K", "2",
+                               "--out", str(tmp_path / "nope")] + extra, capsys)
+        assert fragment in err
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("command, extra, fragment", [
+        ("encode", ["--window=-40:40", "--scale", "5"], "--scale must be in 1..2, not 5"),
+        ("invert", ["--scale", "3"], "--scale must be in 1..2, not 3"),
+        ("decode", ["--scale", "0"], "--scale must be in 1..2, not 0"),
+        ("encode", ["--window=40:-40"], "--window must be a:b with integers a <= b"),
+        ("verify", ["--window=5:-5"], "--window must be a:b with integers a <= b"),
+    ], ids=["encode-scale-5", "invert-scale-3", "decode-scale-0", "encode-window-reversed",
+            "verify-window-reversed"])
+    def test_command_refuses_a_bad_argument(self, saved, capsys, command, extra, fragment):
+        inputs = {"encode": ["--point", str(saved / "point.txt")],
+                  "decode": ["--stream", str(saved / "stream.txt")],
+                  "invert": ["--stream", str(saved / "stream.txt")],
+                  "verify": ["--samples", "1"]}[command]
+        err = self._exits_two([command, "--pipeline", str(saved / "pipe")] + inputs + extra,
+                              capsys)
+        assert fragment in err
+
+    def test_comments_are_allowed_in_every_document(self, saved, tmp_path, capsys):
+        import shutil
+        out = tmp_path / "pipe"
+        shutil.copytree(saved / "pipe", out)
+        for name in ("system.txt", "schedule.txt", "periodic_code.txt"):
+            path = out / name
+            path.write_text("# %s\n" % name + path.read_text().replace("\n", "  # note\n", 1))
+        stream = tmp_path / "stream.txt"
+        stream.write_text("# a golden K=2 stream\n" + (saved / "stream.txt").read_text()
+                          .replace("\nsymbols", "  # the window\nsymbols"))
+        capsys.readouterr()
+        assert main(["decode", "--pipeline", str(saved / "pipe"), "--stream",
+                     str(saved / "stream.txt")]) == 0
+        want = capsys.readouterr().out
+        assert main(["decode", "--pipeline", str(out), "--stream", str(stream)]) == 0
+        assert capsys.readouterr().out == want
+
 
 class TestOrbitPipelineCli:
     @pytest.fixture
@@ -292,6 +401,19 @@ class TestReports:
         names = {r[2] for r in rows}
         assert "dN(psi_k, psi)" in names and "dN-bound-ok" in names
         assert all(r[3] == 1 for r in rows if r[2] == "dN-bound-ok")
+
+    def test_verify_and_report_read_one_dN_bound(self, pipe, monkeypatch):
+        """The dN-convergence record and the dN-bound-ok rows compare with
+        the one bound metrics.dN_bound: a bound of -1 fails both."""
+        from shiftembed import metrics
+        pts = sample_points(golden_mean(), 1, seed=3)
+        assert metrics.dN_bound(pipe.schedule, 2) == 3 * pipe.schedule.alpha / 4
+        monkeypatch.setattr(metrics, "dN_bound", lambda schedule, k: -1)
+        rows = metrics.convergence_report(pts, pipe, depth=2, sample_n=80)
+        assert [r[3] for r in rows if r[2] == "dN-bound-ok"] == [0, 0]
+        report = verify_pipeline(pipe, points=pts, window=(-40, 40))
+        assert [line for line in report.lines() if "dN-convergence" in line
+                and "FAIL" in line]
 
     def test_report_command(self, tmp_path, capsys):
         sysfile = tmp_path / "golden.txt"

@@ -65,6 +65,14 @@ class TestParse:
         s = parse_system("kind: sft\nalphabet: 2\nmatrix: [[1,1],[1,0]]\n")
         assert s.adjacency == [[1, 1], [1, 0]]
 
+    def test_matrix_is_a_list_of_lists(self):
+        """A matrix reads by the list grammar of every document: spaces and
+        comments are free, and each row is a bracketed list."""
+        s = parse_system("kind: sft  # golden\nalphabet: 2\nmatrix: [ [1, 1], [1,0] ]\n")
+        assert s.adjacency == [[1, 1], [1, 0]]
+        with pytest.raises(SpecParseError, match="matrix row must be a"):
+            parse_system("kind: sft\nalphabet: 2\nmatrix: [[1,1],[1,0]\n")
+
     def test_roundtrip_bit_exact(self):
         docs = [
             "kind: sft\nalphabet: 2\nforbidden: [11]\n",
@@ -155,6 +163,22 @@ class TestPointWord:
         assert p.word(a, a + width) == letters(p, a, a + width)
 
 
+class TestPointEquality:
+    @pytest.mark.parametrize("p, q, equal", [
+        (Point("01", "", "01", 0), Point("10", "", "10", 1), True),
+        (Point("0", "1", "0", 0), Point("0", "01", "0", -1), True),
+        (Point("01", "", "01", 0), Point("01", "", "01", 1), False),
+        (Point("0", "1", "0", 0), Point("0", "1", "0", 1), False),
+        (Point("0", "", "1", 0), Point("0", "", "1", 0), True),
+    ])
+    def test_equal_when_every_letter_agrees(self, p, q, equal):
+        assert (p == q) is equal and (q == p) is equal
+        assert (p.word(-30, 30) == q.word(-30, 30)) is equal
+
+    def test_not_equal_to_another_type(self):
+        assert Point("0", "", "0", 0) != "0"
+
+
 class TestCoordinate:
     def test_all_zero(self):
         p = Point("0", "0", "0", 0)
@@ -211,6 +235,17 @@ class TestWords:
 
     def test_full_shift(self):
         assert len(enumerate_words(full_shift(), 5)) == 32
+
+    def test_a_state_with_no_predecessor_is_pruned(self):
+        """No letter may precede 0, so no bi-infinite sequence holds
+        it: state '0' has successors but no predecessors and is pruned."""
+        forbidden = ("00", "10", "20")
+        s = Sft(3, forbidden=forbidden)
+        assert s.states == ["1", "2"]
+        # brute force: the words that a clean word holds with a letter on each side
+        middles = [{w[1:-1] for w in brute_words(forbidden, n + 2, A=3)} for n in range(1, 6)]
+        assert [s.count_words(n) for n in range(1, 6)] == list(map(len, middles)) == \
+            [2, 4, 8, 16, 32]
 
     def test_transfer_matrix_count_agrees(self):
         sys = golden_mean()
