@@ -23,7 +23,7 @@ print("per-cell periodic growth (pinned by cylinders):",
 
 sched = build_schedule(gm, K=2, kmax=2, C=0.0, m=(0, 0))
 print("\ngolden schedule: n =", sched.n, " r =", sched.r, " alpha = %.5f" % sched.alpha_float)
-print("re-verification:", all(ok for _, _, ok in verify_schedule(gm, sched)))
+print("re-verification:", verify_schedule(gm, sched).passed)
 
 odo = dyadic_odometer(8)
 osched = build_schedule(odo, K=2, kmax=3, N_cert=128)

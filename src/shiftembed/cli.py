@@ -15,7 +15,7 @@ from .errors import ShiftEmbedError, SpecParseError
 from .metrics import convergence_report
 from .pipeline import (DEFAULT_SEED, _read, build_pipeline, load_pipeline,
                        sample_points, save_pipeline, verify_pipeline)
-from .systems import _parse_int, _parse_window, parse_point, parse_system
+from .systems import _parse_finite, _parse_int, _parse_window, parse_point, parse_system
 from .words import CODE_CHARS
 
 
@@ -31,6 +31,13 @@ def _scale(args, pipeline):
     return k
 
 
+def _samples(args):
+    """The --samples of a command, refused below 1."""
+    if args.samples < 1:
+        raise SpecParseError("--samples must be at least 1, not %d" % args.samples)
+    return args.samples
+
+
 def cmd_build(args):
     if not 2 <= args.K <= len(CODE_CHARS):
         raise SpecParseError("--K must be in 2..%d, not %d" % (len(CODE_CHARS), args.K))
@@ -38,10 +45,11 @@ def cmd_build(args):
         raise SpecParseError("--kmax must be at least 1, not %d" % args.kmax)
     if args.N_cert < 2:
         raise SpecParseError("--N-cert must be at least 2, not %d" % args.N_cert)
+    C = _parse_finite(args.C, "--C")
     m = tuple(_parse_int(v, "--m entry") for v in args.m.split(",")) if args.m else None
     system = _read(args.system, parse_system)
     schedule = _read(args.schedule, ScaleSchedule.parse) if args.schedule else None
-    pipeline = build_pipeline(system, K=args.K, kmax=args.kmax, C=args.C, m=m,
+    pipeline = build_pipeline(system, K=args.K, kmax=args.kmax, C=C, m=m,
                               N_cert=args.N_cert, schedule=schedule, precheck=True)
     save_pipeline(pipeline, args.out)
     print("pipeline written to %s (n = %s)" % (args.out, list(pipeline.schedule.n)))
@@ -99,21 +107,17 @@ def cmd_invert(args):
 
 def cmd_verify(args):
     pipeline = load_pipeline(args.pipeline)
-    points = None
-    if args.samples:
-        points = sample_points(pipeline.system, args.samples, seed=args.seed)
+    points = sample_points(pipeline.system, _samples(args), seed=args.seed)
     window = _parse_window(args.window, "--window") if args.window else (-60, 60)
-    report = verify_pipeline(pipeline, points=points, seed=args.seed, window=window)
+    report = verify_pipeline(pipeline, points=points, window=window)
     for line in report.lines():
         print(line)
-    if not report.records:
-        print("vacuous: no checks ran")
     return 0 if report.passed else 1
 
 
 def cmd_report(args):
     pipeline = load_pipeline(args.pipeline)
-    points = sample_points(pipeline.system, args.samples or 8, seed=args.seed)
+    points = sample_points(pipeline.system, _samples(args), seed=args.seed)
     rows = convergence_report(points, pipeline)
     print("point\tscale\tmetric\tvalue\ttag")
     for idx, k, metric, value, tag in rows:
@@ -133,7 +137,7 @@ def _parser():
     p.add_argument("--system", required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--C", type=float, default=8.0)
+    p.add_argument("--C", default="8.0")
     p.add_argument("--m", help="comma-separated partition radii")
     p.add_argument("--N-cert", type=int, default=64)
     p.add_argument("--schedule", help="explicit schedule override file")
@@ -165,14 +169,14 @@ def _parser():
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--pipeline", required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, default=12)
     p.add_argument("--window")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="convergence diagnostics as TSV")
     p.add_argument("--pipeline", required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, default=8)
     p.set_defaults(func=cmd_report)
     return parser
 

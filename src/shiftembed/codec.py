@@ -1207,8 +1207,7 @@ def decode_k(stream, pipeline, k):
 
 def invert(stream, pipeline, k):
     """The radius-m_k cell of every preimage point at time zero."""
-    sched = pipeline.schedule
-    margin = (10 if sched.periodic else 4) * sched.n[k - 1]
+    margin = pipeline.schedule.decode_radius(k)
     if stream.a > -margin or stream.b < margin:
         raise WindowError("invert at scale %d needs the stream to cover [%d, %d]"
                           % (k, -margin, margin), scale=k)

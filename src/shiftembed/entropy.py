@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CapacityError, ScheduleError, SpecParseError
-from .systems import _parse_fraction, _parse_int, _parse_kv, _parse_list, matpow_int
+from .errors import CapacityError, ScheduleError, SpecParseError, VerifyReport
+from .systems import (_parse_finite, _parse_fraction, _parse_int, _parse_kv, _parse_list,
+                      matpow_int)
 
 ALPHA_DENOM = 2 ** 32
 
@@ -175,6 +176,11 @@ class ScaleSchedule:
         scale-1 stretch is, and above scale 1 a period of at most n_{k-1}."""
         return k == 1 or m <= self.n[k - 2]
 
+    def decode_radius(self, k):
+        """The stream radius around time zero that inverting at scale k
+        needs: 10 n_k on a periodic schedule, 4 n_k otherwise."""
+        return (10 if self.periodic else 4) * self.n[k - 1]
+
     def block_bounds(self, k):
         """Half-open range of regular block lengths at scale k."""
         return self.n[k - 1], 2 * self.nprime[k - 1]
@@ -234,13 +240,9 @@ class ScaleSchedule:
         if lists["nprime"] != tuple(itertools.accumulate(lists["n"])):
             raise SpecParseError("schedule nprime %s is not the running sums of n %s"
                                  % (list(lists["nprime"]), list(lists["n"])))
-        try:
-            C = float(kv["C"])
-        except ValueError:
-            raise SpecParseError("schedule C must be a number, not %r" % kv["C"]) from None
         return cls(K=_parse_int(kv["K"], "schedule K"),
                    alpha=_parse_fraction(kv["alpha"], "schedule alpha"),
-                   periodic=kv["periodic"] == "1", C=C,
+                   periodic=kv["periodic"] == "1", C=_parse_finite(kv["C"], "schedule C"),
                    N_cert=_parse_int(kv["N_cert"], "schedule N_cert"), **lists)
 
 
@@ -309,36 +311,37 @@ def _family2_tail_certified(system, K, alpha, m_prev, m_cur, k, N_cert):
 def verify_schedule(system, schedule):
     """Re-run every inequality family over the certified range.
 
-    Returns a list of (name, scale, ok) records; raises nothing.
+    Returns a VerifyReport of one "entropy" record per family and scale;
+    raises nothing.
     """
-    records = []
+    report = VerifyReport()
     K, alpha = schedule.K, schedule.alpha_float
     N = schedule.N_cert
     m, n = schedule.m, schedule.n
     counts, cells1 = _scale1_counts(system, m[0], N)
     ok1 = all(_family1_holds(K, alpha, cells1[nn], nn) for nn in range(n[0], N + 1))
     ok1 = ok1 and _family1_tail_certified(system, K, alpha, m[0], N, counts)
-    records.append(("scale1-capacity", 1, ok1))
+    report.add("entropy", "scale1-capacity", 1, ok1)
     for k in range(2, schedule.kmax + 1):
         okk = all(_family2_holds(system, K, alpha, m[k - 2], m[k - 1], nn, k)
                   for nn in range(n[k - 1], N + 1))
         okk = okk and _family2_tail_certified(system, K, alpha, m[k - 2], m[k - 1], k, N)
-        records.append(("conditional-capacity", k, okk))
+        report.add("entropy", "conditional-capacity", k, okk)
     for k in range(1, schedule.kmax + 1):
         bound = alpha / 2 ** k
         okp = all(per_growth_in_cell(system, m[k - 1], nn) < bound
                   for nn in range(1, 14))
-        records.append(("per-growth", k, okp))
+        report.add("entropy", "per-growth", k, okp)
     if schedule.periodic and system.is_word_system:
         lp = least_period_count(system, n[0])
-        records.append(("periodic-code", 1, lp < K ** (n[0] - 1)))
+        report.add("entropy", "periodic-code", 1, lp < K ** (n[0] - 1))
     for k in range(1, schedule.kmax + 1):
-        records.append(("tower-radius", k, schedule.r[k - 1] >= schedule.n[k - 1]))
+        report.add("entropy", "tower-radius", k, schedule.r[k - 1] >= schedule.n[k - 1])
     tables = layout_free_tables(schedule)
     for k in range(2, schedule.kmax + 1):
-        records.append(("layout-capacity", k,
-                        _capacity_shortfall(schedule, k, tables[k]) is None))
-    return records
+        report.add("entropy", "layout-capacity", k,
+                   _capacity_shortfall(schedule, k, tables[k]) is None)
+    return report
 
 
 def layout_free_tables(schedule):
@@ -412,6 +415,8 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
     m = tuple(m)
     if len(m) != kmax or any(m[i + 1] < m[i] for i in range(kmax - 1)):
         raise ScheduleError("m must be nondecreasing of length kmax")
+    if not math.isfinite(C):
+        raise ScheduleError("headroom C must be finite, not %r" % C)
     est = htop_estimate(system, min(N_cert, 24)) if system.is_word_system else None
     h = est.spectral if est else 0.0
     logK = math.log(K)

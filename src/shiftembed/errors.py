@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and verification record shared across the package.
 
 Every error raised on a structural failure carries enough provenance
-(scale, block or position) to locate the offending object.
+(scale, block or position) to locate the offending object.  Every check
+that reports instead of raising (schedule, tower and pipeline verification)
+gives one `VerifyRecord` per check, collected in a `VerifyReport`.
 """
+
+from dataclasses import dataclass, field
 
 
 class ShiftEmbedError(Exception):
@@ -58,3 +62,31 @@ class WindowError(ShiftEmbedError):
         super().__init__(message)
         self.scale = scale
         self.position = position
+
+
+@dataclass
+class VerifyRecord:
+    module: str
+    name: str
+    scale: object
+    ok: bool
+    detail: str = ""
+
+    def line(self):
+        return "%s %s scale=%s %s %s" % (self.module, self.name, self.scale,
+                                         "PASS" if self.ok else "FAIL", self.detail)
+
+
+@dataclass
+class VerifyReport:
+    records: list = field(default_factory=list)
+
+    def add(self, module, name, scale, ok, detail=""):
+        self.records.append(VerifyRecord(module, name, scale, ok, detail))
+
+    @property
+    def passed(self):
+        return all(r.ok for r in self.records)
+
+    def lines(self):
+        return [r.line() for r in self.records]

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .blocks import span_at, span_keys
 from .errors import (EnumerationBudgetError, SeparationError,
-                     ShiftEmbedError, WindowError)
+                     ShiftEmbedError, VerifyReport, WindowError)
 from .systems import periodic_orbits
 from .words import (least_period_at_most, least_rotation, min_period, necklace,
                     primitive_root)
@@ -90,32 +90,6 @@ class PeriodicNeighborhood:
         """
         if self.r < self.n:
             raise SeparationError("radius %d below period bound %d" % (self.r, self.n))
-
-
-@dataclass
-class TowerReportRecord:
-    scale: int
-    invariant: str
-    method: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class TowerReport:
-    records: list = field(default_factory=list)
-
-    def add(self, scale, invariant, method, ok, detail=""):
-        self.records.append(TowerReportRecord(scale, invariant, method, ok, detail))
-
-    @property
-    def passed(self):
-        return all(r.ok for r in self.records)
-
-    def lines(self):
-        return ["scale=%d %s [%s] %s %s" % (r.scale, r.invariant, r.method,
-                                            "PASS" if r.ok else "FAIL", r.detail)
-                for r in self.records]
 
 
 class WordTower:
@@ -631,27 +605,28 @@ def verify_tower(stack, k, probe_points=None):
     algebra.  Word towers are evaluated lazily and are checked by the
     structural atoms that imply the invariants (piece periodicity exclusion,
     orbit window separation, Fine-and-Wilf overlap margins) plus
-    deterministic probe sweeps along supplied points.
+    deterministic probe sweeps along supplied points.  Each check is one
+    "markers" record named invariant(method), e.g. disjointness(probe).
     """
     tower = stack[k]
-    report = TowerReport()
+    report = VerifyReport()
 
     if isinstance(tower, OdometerTower):
         mod = tower.system.modulus(tower.depth)
         res = tower.residues
         ok = all(not (res & {(r + i) % mod for r in res}) for i in range(1, tower.n))
-        report.add(k, "disjointness", "flat-exact", ok)
+        report.add("markers", "disjointness(flat-exact)", k, ok)
         covered = {(r + i) % mod for r in res for i in range(-(tower.nprime - 1), tower.nprime)}
-        report.add(k, "covering", "flat-exact", covered == set(range(mod)),
+        report.add("markers", "covering(flat-exact)", k, covered == set(range(mod)),
                    "uncovered=%d" % (mod - len(covered)))
         if tower.parent is not None:
             parent = tower.parent
             depth = max(tower.depth, parent.depth)
             ok = lift_residues(tower.system, res, tower.depth, depth) <= \
                 lift_residues(tower.system, parent.residues, parent.depth, depth)
-            report.add(k, "nesting", "flat-exact", ok)
+            report.add("markers", "nesting(flat-exact)", k, ok)
         else:
-            report.add(k, "nesting", "flat-exact", True, "base scale")
+            report.add("markers", "nesting(flat-exact)", k, True, "base scale")
         return report
 
     # word tower ---------------------------------------------------------------
@@ -664,19 +639,19 @@ def verify_tower(stack, k, probe_points=None):
                   for p in range(1, tower.n) for v in system.words(p)}
         bad = [u for u in pieces if system.is_admissible(u)
                and min_period(u) < tower.n and tower.pernbhd.match_word(u) is None]
-        report.add(k, "disjointness", "structural-exact", not bad,
+        report.add("markers", "disjointness(structural-exact)", k, not bad,
                    "short-period pieces escaping the neighborhood: %d" % len(bad))
     else:
         ok = (2 * tower.r + 1) >= 2 * tower.n - 1 and tower.n >= tower.system.memory
-        report.add(k, "disjointness", "structural-exact", ok,
+        report.add("markers", "disjointness(structural-exact)", k, ok,
                    "width/periodicity exclusion margin")
     try:
         tower.pernbhd.separation_check()
-        report.add(k, "covering", "structural-exact", True,
+        report.add("markers", "covering(structural-exact)", k, True,
                    "orbit windows separated; merge margin holds")
     except SeparationError as exc:
-        report.add(k, "covering", "structural-exact", False, str(exc))
-    report.add(k, "nesting", "structural-exact", True,
+        report.add("markers", "covering(structural-exact)", k, False, str(exc))
+    report.add("markers", "nesting(structural-exact)", k, True,
                "tier-1 pieces require parent membership by construction")
 
     for point in probe_points or []:
@@ -684,10 +659,10 @@ def verify_tower(stack, k, probe_points=None):
         lo, hi = -4 * tower.nprime, 4 * tower.nprime
         members = [t for t in range(lo, hi + 1) if tower.member(point, t, runtime)]
         ok_dis = all(t1 - t0 >= tower.n for t0, t1 in zip(members, members[1:]))
-        report.add(k, "disjointness", "probe", ok_dis, "point %r" % (point,))
+        report.add("markers", "disjointness(probe)", k, ok_dis, "point %r" % (point,))
         ok_cov = all(runtime.near(tower, t, tower.nprime) or runtime.match(tower, t) is not None
                      for t in range(lo + tower.nprime, hi - tower.nprime))
-        report.add(k, "covering", "probe", ok_cov, "point %r" % (point,))
+        report.add("markers", "covering(probe)", k, ok_cov, "point %r" % (point,))
         if k >= 2:
             ok_nest = True
             for t in members:
@@ -695,6 +670,6 @@ def verify_tower(stack, k, probe_points=None):
                 if tier == 1 and not tower.parent.member(point, t, runtime) or \
                         tier == 2 and runtime.near(tower.parent, t, tower.prev_nprime):
                     ok_nest = False
-            report.add(k, "nesting", "probe", ok_nest, "point %r" % (point,))
+            report.add("markers", "nesting(probe)", k, ok_nest, "point %r" % (point,))
     return report
 

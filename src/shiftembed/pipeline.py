@@ -13,7 +13,6 @@ deterministically.
 import functools
 import itertools
 import os
-from dataclasses import dataclass, field
 
 from . import codec
 from .entropy import (ScaleSchedule, build_schedule, check_layout_capacity,
@@ -46,9 +45,7 @@ class Pipeline:
 
     def decode_margin(self):
         """Stream inflation that certifies a requested window after decoding."""
-        n_top = self.schedule.n[-1]
-        base = (10 if self.schedule.periodic else 4) * n_top
-        return base + 2 * self.schedule.nprime[-1]
+        return self.schedule.decode_radius(self.kmax) + 2 * self.schedule.nprime[-1]
 
     # -- codebooks, built per lookup from the system's counts -------------
 
@@ -92,12 +89,13 @@ def build_pipeline(system, K, kmax, C=8.0, m=None, N_cert=64, schedule=None,
         schedule = build_schedule(system, K, kmax, C=C, m=m, N_cert=N_cert)
     else:
         _check_periodic_flag(system, schedule)
-        records = verify_schedule(system, schedule)
         # a layout-capacity failure is left to check_layout_capacity,
         # whose CapacityError names the failing scale and block length
-        bad = [r for r in records if not r[2] and r[0] != "layout-capacity"]
+        bad = [r.line() for r in verify_schedule(system, schedule).records
+               if not r.ok and r.name != "layout-capacity"]
         if bad:
-            raise ScheduleError("override schedule fails re-verification: %r" % bad)
+            raise ScheduleError("override schedule fails re-verification:\n%s"
+                                % "\n".join(bad))
         check_layout_capacity(schedule)
     stack = build_towers(system, schedule)
     periodic_code = None
@@ -136,10 +134,10 @@ def precheck_pipeline(pipeline):
                     "conditional capacity fails at scale %d, length %d: %d > K^%d"
                     % (k, L, cc, budget), scale=k, block=L)
     for k in range(1, sched.kmax + 1):
-        report = verify_tower(pipeline.stack, k)
-        if not report.passed:
+        bad = [r.line() for r in verify_tower(pipeline.stack, k).records if not r.ok]
+        if bad:
             raise ScheduleError("tower verification failed at scale %d:\n%s"
-                                % (k, "\n".join(report.lines())))
+                                % (k, "\n".join(bad)))
 
 
 # -- deterministic point sampling ------------------------------------------------
@@ -226,43 +224,12 @@ def _joins(system, word, right):
 # -- verify harness ----------------------------------------------------------------
 
 
-@dataclass
-class VerifyRecord:
-    module: str
-    name: str
-    scale: object
-    ok: bool
-    detail: str = ""
-
-    def line(self):
-        return "%s %s scale=%s %s %s" % (self.module, self.name, self.scale,
-                                         "PASS" if self.ok else "FAIL", self.detail)
-
-
-@dataclass
-class VerifyReport:
-    records: list = field(default_factory=list)
-
-    def add(self, module, name, scale, ok, detail=""):
-        self.records.append(VerifyRecord(module, name, scale, ok, detail))
-
-    @property
-    def passed(self):
-        return all(r.ok for r in self.records)
-
-    def lines(self):
-        return [r.line() for r in self.records]
-
-
 def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
                     window=(-60, 60)):
     """Run the cross-module invariant suites; report one record per check."""
     from . import metrics
-    report = VerifyReport()
     system, sched = pipeline.system, pipeline.schedule
-
-    for name, scale, ok in verify_schedule(system, sched):
-        report.add("entropy", name, scale, ok)
+    report = verify_schedule(system, sched)
 
     if points is None:
         points = sample_points(system, sample_count, seed=seed)
@@ -272,9 +239,7 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
 
     probe = points[: max(2, min(4, len(points)))]
     for k in range(1, sched.kmax + 1):
-        trep = verify_tower(pipeline.stack, k, probe_points=probe)
-        for r in trep.records:
-            report.add("markers", r.invariant + "(" + r.method + ")", r.scale, r.ok, r.detail)
+        report.records += verify_tower(pipeline.stack, k, probe_points=probe).records
 
     # one encode pass per (point, window) serves every scale; an encode,
     # decode or read-back that raises fails its check at that scale, with

@@ -16,6 +16,7 @@ lists (the first D digits of a point are closed under the map).
 """
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -678,6 +679,17 @@ def _parse_int(value, what):
         return int(value)
     except ValueError:
         raise SpecParseError("%s must be an integer, not %r" % (what, value)) from None
+
+
+def _parse_finite(value, what):
+    """A finite decimal number; inf and nan are refused."""
+    try:
+        x = float(value)
+    except ValueError:
+        x = math.nan        # refused below
+    if not math.isfinite(x):
+        raise SpecParseError("%s must be a finite number, not %r" % (what, value))
+    return x
 
 
 def _parse_list(value, what):

@@ -11,8 +11,12 @@ frequency tables of empirical measures, and `forbidden_shape_count_bound`
 is the counting bound of the periodic-code lemma.  `escaping_pieces` is the
 full scan over every piece-width word that the scale-1 disjointness record
 of `verify_tower` replaces with the periodic extensions of shorter words.
+`within_seconds` fails a block that outlives its time limit, so that a call
+which used to loop forever fails its test instead of stalling the suite.
 """
 
+import contextlib
+import signal
 from fractions import Fraction
 
 from shiftembed.codec import SymbolStream, _rotation_prefixes
@@ -79,3 +83,18 @@ def escaping_pieces(tower):
     w1 = 2 * tower.piece_halfwidth + 1
     return [u for u in tower.system.words(w1)
             if min_period(u) < tower.n and tower.pernbhd.match_word(u) is None]
+
+
+@contextlib.contextmanager
+def within_seconds(seconds):
+    """Raise AssertionError in the block once it has run `seconds` (a
+    SIGALRM timer, so only on the main thread)."""
+    def expire(signum, frame):
+        raise AssertionError("still running after %g s" % seconds)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from check_reference import within_seconds
 from shiftembed import entropy
 from shiftembed.entropy import (ScaleSchedule, _scale1_counts, appendix_fullness_check,
                                 build_schedule, conditional_count,
@@ -11,7 +12,7 @@ from shiftembed.entropy import (ScaleSchedule, _scale1_counts, appendix_fullness
                                 htop_estimate, layout_free_tables,
                                 least_period_count, per_growth_in_cell,
                                 verify_schedule)
-from shiftembed.errors import CapacityError, ScheduleError
+from shiftembed.errors import CapacityError, ScheduleError, VerifyRecord
 from shiftembed.pipeline import build_pipeline
 from shiftembed.systems import (OrbitSystem, Sft, dyadic_odometer, full_shift,
                                 golden_mean, matpow_int)
@@ -134,11 +135,17 @@ class TestSchedule:
 
     def test_reverification_passes(self):
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
-        assert all(ok for _, _, ok in verify_schedule(golden_mean(), sched))
+        assert all(r.ok for r in verify_schedule(golden_mean(), sched).records)
 
     def test_full_shift_k2_rejected(self):
         with pytest.raises(ScheduleError):
             build_schedule(full_shift(), K=2, kmax=1)
+
+    @pytest.mark.parametrize("C", [math.inf, math.nan, -math.inf], ids=["inf", "nan", "-inf"])
+    def test_headroom_must_be_finite(self, C):
+        # an infinite C used to keep the growth loop alpha n_k < C 2^k running
+        with within_seconds(10), pytest.raises(ScheduleError, match="C must be finite"):
+            build_schedule(golden_mean(), K=2, kmax=1, C=C)
 
     def test_single_orbit_small_n1(self):
         sched = build_schedule(OrbitSystem(2, "0"), K=2, kmax=1, C=0.0, m=(0,))
@@ -150,7 +157,7 @@ class TestSchedule:
         assert not sched.periodic
         assert all(sched.alpha_float * sched.n[k - 1] >= 8 * 2 ** k - 1e-9
                    for k in range(1, 4))
-        assert all(ok for _, _, ok in verify_schedule(odo, sched))
+        assert all(r.ok for r in verify_schedule(odo, sched).records)
 
     def test_alpha_value(self):
         sched = build_schedule(golden_mean(), K=2, kmax=1, C=0.0, m=(0,))
@@ -246,19 +253,21 @@ class TestLayoutCapacity:
     def test_verify_record_can_fail(self):
         sched = ScaleSchedule(K=2, alpha=Fraction(1, 5), m=(0, 0), n=(20, 100),
                               nprime=(20, 120), r=(20, 100), periodic=False)
-        records = verify_schedule(golden_mean(), sched)
-        assert ("layout-capacity", 2, False) in records
+        records = verify_schedule(golden_mean(), sched).records
+        assert VerifyRecord("entropy", "layout-capacity", 2, False) in records
 
     def test_verify_record_passes_for_golden(self):
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
-        assert ("layout-capacity", 2, True) in verify_schedule(golden_mean(), sched)
+        assert VerifyRecord("entropy", "layout-capacity", 2, True) \
+            in verify_schedule(golden_mean(), sched).records
 
     def test_override_failing_only_capacity_raises_capacity_error(self, monkeypatch):
         with monkeypatch.context() as patch:     # a schedule built unchecked
             patch.setattr(entropy, "check_layout_capacity", lambda schedule: None)
             sched = build_schedule(golden_mean(), K=2, kmax=3, C=0.0, m=(0, 0, 0))
-        records = verify_schedule(golden_mean(), sched)
-        assert [r for r in records if not r[2]] == [("layout-capacity", 3, False)]
+        records = verify_schedule(golden_mean(), sched).records
+        assert [r for r in records if not r.ok] == [VerifyRecord("entropy", "layout-capacity",
+                                                                 3, False)]
         with pytest.raises(CapacityError) as err:
             build_pipeline(golden_mean(), K=2, kmax=3, schedule=sched)
         assert (err.value.scale, err.value.block) == (3, 38)

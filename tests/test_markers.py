@@ -11,7 +11,7 @@ from clopen_reference import Clopen, OdoClopen
 from encode_reference import bounded_stretch_points, long_tail_points, reference_tag
 from shiftembed.blocks import LayoutBlock
 from shiftembed.entropy import ScaleSchedule, build_schedule
-from shiftembed.errors import SeparationError, ShiftEmbedError
+from shiftembed.errors import ScheduleError, SeparationError, ShiftEmbedError
 from shiftembed.markers import (Interval, PeriodicNeighborhood, _adjust_boundaries,
                                 _tag_singular, build_towers, return_partition, verify_tower)
 from shiftembed.pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline
@@ -171,9 +171,9 @@ def dyadic_stack():
 
 def flat_exact_records(stack, k):
     """invariant -> (ok, detail) of the records verify_tower gives scale k."""
-    report = verify_tower(stack, k)
-    assert {r.method for r in report.records} == {"flat-exact"}
-    return {r.invariant: (r.ok, r.detail) for r in report.records}
+    records = verify_tower(stack, k).records
+    assert {r.name.partition("(")[2] for r in records} == {"flat-exact)"}
+    return {r.name.partition("(")[0]: (r.ok, r.detail) for r in records}
 
 
 class TestOdometerTowers:
@@ -468,7 +468,7 @@ class TestFullShiftTower:
         assert verify_tower(stack, 1, probe_points=probes).passed
         tower.chase_order = [m for m in tower.chase_order if m > 0]
         report = verify_tower(stack, 1, probe_points=probes)
-        dis = [r for r in report.records if (r.invariant, r.method) == ("disjointness", "probe")]
+        dis = [r for r in report.records if r.name == "disjointness(probe)"]
         assert dis and not any(r.ok for r in dis)
 
 
@@ -575,7 +575,7 @@ class TestGoldenTowers:
 def short_period_record(stack):
     """(ok, count) of the scale-1 structural-exact disjointness record."""
     (record,) = [r for r in verify_tower(stack, 1).records
-                 if (r.invariant, r.method) == ("disjointness", "structural-exact")]
+                 if r.name == "disjointness(structural-exact)"]
     prefix = "short-period pieces escaping the neighborhood: "
     assert record.detail.startswith(prefix)
     return record.ok, int(record.detail[len(prefix):])
@@ -609,6 +609,26 @@ class TestShortPeriodPieces:
         assert sorted(escaping) == sorted(periodic_window(orbit, d, d + 18)
                                           for d in range(len(orbit)))
         assert short_period_record(stack) == (False, len(escaping))
+
+    @pytest.mark.parametrize("orbit", ["01", "00000001"])
+    def test_a_dropped_orbit_fails_the_precheck(self, monkeypatch, orbit):
+        """The build-time precheck refuses the same towers, naming the
+        failing record by its verify line."""
+        from shiftembed import pipeline as pipeline_module
+        real = pipeline_module.build_towers
+
+        def dropping(system, schedule):
+            stack = real(system, schedule)
+            stack[1].pernbhd._is_orbit[orbit] = False
+            return stack
+
+        monkeypatch.setattr(pipeline_module, "build_towers", dropping)
+        with pytest.raises(ScheduleError) as err:
+            build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0), precheck=True)
+        assert str(err.value).splitlines() == [
+            "tower verification failed at scale 1:",
+            "markers disjointness(structural-exact) scale=1 FAIL short-period pieces "
+            "escaping the neighborhood: %d" % len(orbit)]
 
     def test_the_build_never_lists_the_piece_width(self, monkeypatch):
         asked = set()

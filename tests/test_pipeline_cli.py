@@ -2,9 +2,10 @@ import os
 
 import pytest
 
+from check_reference import within_seconds
 from shiftembed.cli import main
 from shiftembed.entropy import ScaleSchedule, build_schedule
-from shiftembed.errors import ScheduleError, SpecParseError
+from shiftembed.errors import CapacityError, ScheduleError, SpecParseError
 from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points, save_pipeline,
                                  verify_pipeline)
 from shiftembed.systems import dyadic_odometer, golden_mean
@@ -51,6 +52,14 @@ class TestPipeline:
                             nprime=(5, 12), r=(5, 7), periodic=True)
         with pytest.raises(ScheduleError):
             build_pipeline(golden_mean(), K=2, kmax=2, schedule=bad)
+
+    def test_precheck_refuses_a_conditional_count_over_capacity(self, monkeypatch):
+        from shiftembed import pipeline as pipeline_module
+        monkeypatch.setattr(pipeline_module, "conditional_count",
+                            lambda system, m_prev, m_cur, n: 2 ** n)
+        with pytest.raises(CapacityError, match="conditional capacity fails at scale 2") as err:
+            build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0), precheck=True)
+        assert (err.value.scale, err.value.block) == (2, 19)
 
     def test_verify_harness_passes(self, pipe):
         points = sample_points(golden_mean(), 8, seed=13)
@@ -125,6 +134,20 @@ class TestCli:
         rc = main(["build", "--system", str(tmp_path / "missing.txt"),
                    "--K", "2", "--kmax", "1", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_decode_reports_an_uncertified_scale(self, tmp_path, capsys):
+        # a scale-2 stream on -15:15 is too short to certify any scale-2 window
+        out = self._build(tmp_path)
+        point = tmp_path / "point.txt"
+        point.write_text("left: 10\ncore: 00100@-2\nright: 001\n")
+        stream = tmp_path / "stream.txt"
+        assert main(["encode", "--pipeline", str(out), "--point", str(point),
+                     "--window=-15:15", "--out", str(stream)]) == 0
+        capsys.readouterr()
+        assert main(["decode", "--pipeline", str(out), "--stream", str(stream)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "scale 1 window -10:-1", "labels 1 0 1 0 1 0 1 0 0 0",
+            "scale 2 uncertified", "orbits "]
 
     def test_verify_command(self, tmp_path, capsys):
         out = self._build(tmp_path)
@@ -288,6 +311,7 @@ class TestMalformedInputExitsTwo:
                                     "nprime [9, 20] is not the running sums of n [9, 19]"),
         "lists-of-unequal-length": (("r: [9, 19]\n", "r: [9]\n"),
                                     "must be nonempty and of one length"),
+        "C-not-finite": (("C: 0.0\n", "C: nan\n"), "schedule C must be a finite number"),
     }
 
     @pytest.mark.parametrize("name", sorted(SCHEDULE_EDITS))
@@ -312,6 +336,33 @@ class TestMalformedInputExitsTwo:
                                str(schedfile), "--out", str(tmp_path / "nope")], capsys)
         assert "nprime [9, 20] is not the running sums of n [9, 19]" in err
         assert not (tmp_path / "nope").exists()
+
+    def test_build_refuses_a_schedule_C_that_is_not_finite(self, pipe, saved, tmp_path,
+                                                           capsys):
+        schedfile = tmp_path / "schedule.txt"
+        schedfile.write_text(pipe.schedule.serialize().replace("C: 0.0", "C: nan"))
+        err = self._exits_two(["build", "--system", str(saved / "golden.txt"), "--K", "2",
+                               "--kmax", "2", "--schedule", str(schedfile),
+                               "--out", str(tmp_path / "nope")], capsys)
+        assert "schedule C must be a finite number, not 'nan'" in err
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("C", ["inf", "nan", "-inf"])
+    def test_build_refuses_a_C_that_is_not_finite(self, saved, tmp_path, capsys, C):
+        # --C inf used to loop forever in build_schedule
+        with within_seconds(10):
+            err = self._exits_two(["build", "--system", str(saved / "golden.txt"), "--K", "2",
+                                   "--kmax", "2", "--C=" + C, "--out", str(tmp_path / "nope")],
+                                  capsys)
+        assert "--C must be a finite number, not %r" % C in err
+        assert not (tmp_path / "nope").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_command_refuses_samples_below_one(self, saved, capsys, command, samples):
+        err = self._exits_two([command, "--pipeline", str(saved / "pipe"),
+                               "--samples", samples], capsys)
+        assert "--samples must be at least 1, not %s" % samples in err
 
     @pytest.mark.parametrize("extra, fragment", [
         (["--kmax", "0"], "--kmax must be at least 1, not 0"),
