@@ -5,7 +5,11 @@ the nested-marker construction: pieces are cylinders of one fixed width,
 ranked lexicographically by their window, and a point is accepted exactly
 when no strictly smaller-ranked piece is accepted within distance n_k - 1.
 Membership is evaluated lazily per point (the rank chase terminates because
-ranks strictly decrease), so no flat pattern set is ever built.
+ranks strictly decrease, and CHASE_LIMIT bounds its depth), so no flat
+pattern set is ever built.  A tail of least period at most n_k lies in the
+scale-k periodic neighborhood, so no position past its quiet bound
+(TowerRuntime.quiet_bounds) is in a piece: a rank there is None without
+matching its window, and members are sought between the quiet bounds only.
 
 Odometer towers live on residues and are always exact and flat.
 """
@@ -22,7 +26,7 @@ from .words import (least_period_at_most, least_rotation, min_period, necklace,
                     primitive_root)
 
 FLAT_PATTERN_BUDGET = 300_000
-CHASE_LIMIT = 10_000
+CHASE_LIMIT = 200          # nested rank-chase frames, far below the recursion limit
 RETURN_SCAN_CAP = 200_000   # positions a return scan walks before it refuses
 
 
@@ -130,6 +134,9 @@ class WordTower:
         cache = runtime.rank_cache[self.k]
         if pos in cache:
             return cache[pos]
+        left, right = runtime.quiet_bounds(self)
+        if left is not None and pos < left or right is not None and pos > right:
+            return None
         R = self.piece_halfwidth
         tier = None
         if self.k == 1:
@@ -151,7 +158,11 @@ class WordTower:
         return out
 
     def member(self, point, pos, runtime):
-        """Greedy acceptance: in a piece, and no smaller-ranked accepted neighbor."""
+        """Greedy acceptance: in a piece, and no smaller-ranked accepted neighbor.
+
+        Each nested call is one frame of the runtime's chase depth, across
+        scales; a chase deeper than CHASE_LIMIT is refused by name.
+        """
         cache = runtime.member_cache[self.k]
         if pos in cache:
             return cache[pos]
@@ -160,14 +171,20 @@ class WordTower:
             cache[pos] = False
             return False
         result = True
-        guard = 0
         for m in self.chase_order:
             rk2 = self.rank(point, pos + m, runtime)
             if rk2 is not None and rk2 < rk:
-                guard += 1
-                if guard > CHASE_LIMIT:
-                    raise ShiftEmbedError("rank chase exceeded limit at scale %d" % self.k)
-                if self.member(point, pos + m, runtime):
+                depth = runtime.chase_depth = runtime.chase_depth + 1
+                try:
+                    if depth > runtime.chase_depth_max:
+                        if depth > CHASE_LIMIT:
+                            raise ShiftEmbedError("rank chase deeper than %d frames at scale %d"
+                                                  % (CHASE_LIMIT, self.k))
+                        runtime.chase_depth_max = depth
+                    accepted = self.member(point, pos + m, runtime)
+                finally:
+                    runtime.chase_depth = depth - 1
+                if accepted:
                     result = False
                     break
         cache[pos] = result
@@ -238,7 +255,8 @@ class TowerRuntime:
     Word towers read the point through one letter text, the letters of
     [_text_lo, _text_lo + len(_text)), which grows geometrically to
     whatever range the towers ask for, and through one match table per
-    scale.
+    scale.  chase_depth counts the nested rank-chase frames under way and
+    chase_depth_max the deepest reached.
     """
 
     def __init__(self, stack, point):
@@ -252,6 +270,9 @@ class TowerRuntime:
         # scale -> [base, right, left]: right[j] counts the members in
         # [base, base + j), left[j] those in [base - j, base)
         self._counts = {}
+        # scale -> (quiet_left, quiet_right)
+        self._quiet = {}
+        self.chase_depth = self.chase_depth_max = 0
         self._text = ""
         self._text_lo = 0
 
@@ -280,6 +301,21 @@ class TowerRuntime:
         hi = lo + len(self._text)
         if b >= hi:
             self._text += point.word(hi, max(b, hi + step - 1))
+
+    def quiet_bounds(self, tower):
+        """(quiet_left, quiet_right) of a word tower's scale: no position
+        below quiet_left or above quiet_right has a piece, by the tail
+        dichotomy of _side_has_returns_forever; None on a side that returns
+        forever.  Each piece window past a bound lies inside its tail."""
+        bounds = self._quiet.get(tower.k)
+        if bounds is None:
+            point = self.point
+            core_lo, core_hi = point.core_span()
+            H = tower.piece_halfwidth
+            bounds = self._quiet[tower.k] = (
+                None if _side_has_returns_forever(tower, point, left=True) else core_lo - H - 1,
+                None if _side_has_returns_forever(tower, point, left=False) else core_hi + H)
+        return bounds
 
     def match(self, tower, t):
         """Match of the central radius-r window of T^t(point) against the
@@ -433,9 +469,18 @@ class ReturnPartition:
 
 
 def _side_has_returns_forever(tower, point, left):
-    """Exact dichotomy: a tail keeps returning iff its least period exceeds n_k
-    (otherwise the deep tail sits inside the periodic neighborhood and the
-    rank of every deep position is None)."""
+    """Exact dichotomy: a tail keeps returning iff its least period exceeds
+    n_k or its root names no orbit.
+
+    Otherwise every position t whose piece window [t - R, t + R] lies inside
+    the tail has rank None, at every scale.  Let p <= n_k be the tail's least
+    period.  The central window has width 2r + 1 > 2n_k >= 2p, so its least
+    period is p (a shorter one q would give it period gcd(p, q) by Fine and
+    Wilf (1965), and the tail a root shorter than p), and match_word matches
+    it.  At k = 1 that is the rank None.  At k >= 2 tier 1 needs the full
+    window to break the match's period p, which the tail keeps; tier 2 needs
+    a central window that matches nothing.
+    """
     root = primitive_root(point.left if left else point.right)
     if len(root) > tower.n:
         return True
@@ -467,6 +512,10 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
     the inflated window are resolved exactly using the eventual periodicity
     of the point (deep periodic tails admit no returns once their windows
     are fully periodic, and non-periodic tails return within every 2 n'_k).
+    Members are sought between the quiet bounds only (from the first return
+    to the last one, or to the quiet bound of a side with none left); the
+    computed range keeps a margin of 2 n'_k past the quiet bound of an open
+    side, where the singular stretch is tagged.
     """
     tower = stack[k]
     if runtime is None and isinstance(tower, WordTower):
@@ -483,20 +532,16 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
             raise WindowError("aperiodic tower produced no returns on %r" % ((scan_lo, scan_hi),))
         left_open = right_open = False
     else:
-        core_lo, core_hi = point.core_span()
-        H = tower.piece_halfwidth
-        quiet_left = None if _side_has_returns_forever(tower, point, left=True) \
-            else core_lo - H - 1
-        quiet_right = None if _side_has_returns_forever(tower, point, left=False) \
-            else core_hi + H
+        quiet_left, quiet_right = runtime.quiet_bounds(tower)
         first = _scan_for_return(tower, point, runtime, lo, -1, quiet_left)
         last = _scan_for_return(tower, point, runtime, hi, +1, quiet_right)
         left_open = first is None
         right_open = last is None
-        scan_lo = (quiet_left - 2 * tower.nprime if left_open else first) - 1
-        scan_hi = (quiet_right + 2 * tower.nprime if right_open else last) + 1
-        returns = [t for t in range(scan_lo + 1, scan_hi)
-                   if tower.member(point, t, runtime)]
+        first = quiet_left if left_open else first
+        last = quiet_right if right_open else last
+        scan_lo = (first - 2 * tower.nprime if left_open else first) - 1
+        scan_hi = (last + 2 * tower.nprime if right_open else last) + 1
+        returns = [t for t in range(first, last + 1) if tower.member(point, t, runtime)]
 
     intervals = []
     if not returns:

@@ -12,7 +12,8 @@ from encode_reference import bounded_stretch_points, long_tail_points, reference
 from shiftembed.blocks import LayoutBlock
 from shiftembed.entropy import ScaleSchedule, build_schedule
 from shiftembed.errors import ScheduleError, SeparationError, ShiftEmbedError
-from shiftembed.markers import (Interval, PeriodicNeighborhood, _adjust_boundaries,
+from shiftembed import markers
+from shiftembed.markers import (Interval, PeriodicNeighborhood, TowerStack, _adjust_boundaries,
                                 _tag_singular, build_towers, return_partition, verify_tower)
 from shiftembed.pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline
 from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
@@ -827,8 +828,9 @@ class TestTagSingular:
 
 
 def test_match_word_runs_only_where_no_neighbour_matched(pipe, monkeypatch):
-    """These encodes ask for the match of 35,912 windows; sliding from
-    matched neighbours leaves about 3,000 of them to match_word."""
+    """These encodes ask for the match of 4,774 windows, most of them at
+    scattered chase positions; sliding from matched neighbours leaves
+    3,176 of them to match_word."""
     calls = []
     real = PeriodicNeighborhood.match_word
 
@@ -840,6 +842,97 @@ def test_match_word_runs_only_where_no_neighbour_matched(pipe, monkeypatch):
     for point in sample_points(golden_mean(), 60, seed=11):
         pipe.encode(point, 2, (-446, 446))
     assert len(calls) <= 5000
+
+
+@pytest.fixture
+def runtimes(monkeypatch):
+    """Every TowerRuntime the stacks create while the test runs."""
+    made = []
+    real = TowerStack.runtime
+
+    def recording(self, point):
+        made.append(real(self, point))
+        return made[-1]
+
+    monkeypatch.setattr(TowerStack, "runtime", recording)
+    return made
+
+
+def test_encode_matches_central_windows_only_between_the_quiet_bounds(pipe, runtimes):
+    """These encodes match 850 central windows at scale 1 and 763 at scale 2.
+    Evaluating the quiet tails 2 n'_k past their bounds matched 4,135 and
+    2,987; a change that walks them again fails here."""
+    for point in sample_points(golden_mean(), 20, seed=11):
+        pipe.encode(point, 2, (-446, 446))
+    assert [sum(len(rt._matches[k]) for rt in runtimes) for k in (1, 2)] == [850, 763]
+
+
+class TestQuietTails:
+    """Past the quiet bound of a tail of least period at most n_k, each of
+    the 2 n'_k positions that the computed range reaches has its piece
+    window inside the tail, a central window that match_word matches and,
+    at k >= 2, a full window that keeps the match's period: no tier of the
+    rank holds there, so the towers skip those positions.  Computed from
+    the point's letters, not through rank."""
+
+    CONFIGS = {
+        "golden-K2": (golden_mean, dict(K=2, kmax=2, C=0.0, m=(0, 0))),
+        "golden-K3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 0))),
+        "sft-00-111-K3": (lambda: Sft(2, ("00", "111")), dict(K=3, kmax=2, C=0.0, m=(0, 0))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_every_position_past_a_quiet_bound_is_in_no_piece(self, name):
+        make_system, kwargs = self.CONFIGS[name]
+        system = make_system()
+        stack = build_towers(system, build_schedule(system, **kwargs))
+        points = sample_points(system, 20, seed=11)
+        sides = 0
+        for point in points:
+            core_lo, core_hi = point.core_span()
+            runtime = stack.runtime(point)
+            for tower in stack.towers:
+                H, r, span = tower.piece_halfwidth, tower.r, 2 * tower.nprime
+                left, right = runtime.quiet_bounds(tower)
+                past = []
+                if left is not None:
+                    past += [(t, t + H < core_lo) for t in range(left - span, left)]
+                if right is not None:
+                    past += [(t, t - H >= core_hi) for t in range(right + 1, right + span + 1)]
+                sides += (left is not None) + (right is not None)
+                for t, in_tail in past:
+                    assert in_tail, (point, tower.k, t)
+                    hit = tower.pernbhd.match_word(point.word(t - r, t + r))
+                    assert hit is not None, (point, tower.k, t)
+                    if tower.k >= 2:
+                        full, p = point.word(t - H, t + H), len(hit[0])
+                        assert full[p:] == full[:-p], (point, tower.k, t)
+        # the sampler draws tails of least period 1-6, all quiet at every scale
+        assert sides == 2 * len(points) * len(stack)
+
+
+def test_a_chase_deeper_than_the_limit_is_refused_by_name(pipe, runtimes, monkeypatch):
+    """The limit bounds the nested chase frames a runtime records: an
+    encode that reaches depth d passes at CHASE_LIMIT = d and is refused at
+    d - 1."""
+    point = Point("10", "00100101", "001", -3)
+    pipe.encode(point, 2, (-446, 446))
+    depth = runtimes[-1].chase_depth_max
+    assert depth >= 2 and runtimes[-1].chase_depth == 0
+    monkeypatch.setattr(markers, "CHASE_LIMIT", depth)
+    pipe.encode(point, 2, (-446, 446))
+    monkeypatch.setattr(markers, "CHASE_LIMIT", depth - 1)
+    with pytest.raises(ShiftEmbedError, match="rank chase deeper than %d frames" % (depth - 1)):
+        pipe.encode(point, 2, (-446, 446))
+
+
+def test_a_radius_below_the_period_bound_fails_covering():
+    stack = build_towers(golden_mean(), build_schedule(
+        golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0)))
+    stack[2].pernbhd.r = stack[2].n - 1
+    (record,) = [r for r in verify_tower(stack, 2).records
+                 if r.name == "covering(structural-exact)"]
+    assert (record.ok, record.detail) == (False, "radius 18 below period bound 19")
 
 
 class ProgressionLayout:
