@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapacityError, ScheduleError, SpecParseError, VerifyReport
-from .systems import (_parse_finite, _parse_fraction, _parse_int, _parse_kv, _parse_list,
-                      matpow_int)
+from .systems import (Point, _parse_finite, _parse_fraction, _parse_int, _parse_kv,
+                      _parse_list)
 
 ALPHA_DENOM = 2 ** 32
 
@@ -63,8 +63,8 @@ def conditional_count(system, m, mp, n):
     """Max number of radius-mp itinerary words refining one radius-m word.
 
     For word systems this equals the max over admissible (n+2m)-words of the
-    number of admissible two-sided (mp-m)-extensions, computed from matrix
-    powers: extensions factor through the boundary blocks of the word.
+    number of admissible two-sided (mp-m)-extensions, computed from the
+    count tables: extensions factor through the boundary blocks of the word.
     """
     if mp < m or m < 0:
         raise ValueError("need mp >= m >= 0")
@@ -84,11 +84,12 @@ def _max_extension_count(system, length, delta):
     if system.kind == "orbit":
         return 1  # every window of the single orbit extends uniquely
     M = system.memory
-    reach = matpow_int(system.adjacency, max(length - M, 0))
-    into = [system.count_words(M + delta, end=s) for s in system.states]
-    out = [system.count_words(M + delta, start=s) for s in system.states]
-    return max(into[i] * out[j] for i in range(len(into)) for j in range(len(out))
-               if reach[i][j])
+    states = system.states
+    into = {s: system.count_words(M + delta, end=s) for s in states}
+    out = {s: system.count_words(M + delta, start=s) for s in states}
+    span = max(length, M)
+    return max(into[s] * out[t] for t in states for s in states
+               if system.count_words(span, start=s, end=t))
 
 
 def least_period_count(system, n):
@@ -100,6 +101,12 @@ def least_period_count(system, n):
         if n % d == 0:
             total += _moebius(n // d) * system.fix_count(d)
     return total
+
+
+def periodic_code_fits(system, K, n1):
+    """The periodic-code precondition #Per_{n1} < K^{n1-1}: the points of
+    least period n1 leave room for a K-ary code of primitive n1-words."""
+    return least_period_count(system, n1) < K ** (n1 - 1)
 
 
 def _moebius(n):
@@ -333,8 +340,7 @@ def verify_schedule(system, schedule):
                   for nn in range(1, 14))
         report.add("entropy", "per-growth", k, okp)
     if schedule.periodic and system.is_word_system:
-        lp = least_period_count(system, n[0])
-        report.add("entropy", "periodic-code", 1, lp < K ** (n[0] - 1))
+        report.add("entropy", "periodic-code", 1, periodic_code_fits(system, K, n[0]))
     for k in range(1, schedule.kmax + 1):
         report.add("entropy", "tower-radius", k, schedule.r[k - 1] >= schedule.n[k - 1])
     tables = layout_free_tables(schedule)
@@ -408,7 +414,8 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
 
     n_k is the smallest threshold such that the scale-k family holds for
     every n >= n_k on the certified range plus tail.  The growth condition
-    alpha*n_k >= C*2^k is applied with the caller's headroom C.
+    alpha*n_k >= C*2^k is applied with the caller's headroom C, and the
+    growth inequality n'_k < n_{k+1} is refused at every scale.
     """
     if m is None:
         m = tuple(k - 1 for k in range(1, kmax + 1))
@@ -454,8 +461,7 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
         found = None
         if start <= N_cert and tail():
             for n0 in range(start, N_cert + 1):
-                if (k == 1 and periodic
-                        and least_period_count(system, n0) >= K ** (n0 - 1)):
+                if k == 1 and periodic and not periodic_code_fits(system, K, n0):
                     continue
                 found = n0
                 break
@@ -464,10 +470,9 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
         ns.append(found)
 
     nprime = tuple(itertools.accumulate(ns))
-    if not periodic:
-        for k in range(1, kmax):
-            if nprime[k - 1] >= ns[k]:
-                raise ScheduleError("aperiodic constraint n'_k < n_{k+1} failed at k=%d" % k)
+    for k in range(1, kmax):
+        if nprime[k - 1] >= ns[k]:
+            raise ScheduleError("growth inequality n'_k < n_{k+1} fails at k=%d" % k)
     r = tuple(max(m[k - 1] + ns[k - 1], ns[k - 1]) for k in range(1, kmax + 1))
     schedule = ScaleSchedule(K=K, alpha=alpha, m=m, n=tuple(ns), nprime=nprime,
                              r=r, periodic=periodic, C=C, N_cert=N_cert)
@@ -501,7 +506,6 @@ def complete_to_point(system, word, anchor):
     predecessor) until an M-block repeats; the repeated stretch becomes the
     tail period, so the result is admissible by construction.
     """
-    from .systems import Point
     if not system.is_admissible(word):
         raise ValueError("target word %r is not admissible" % word)
     M = system.memory

@@ -385,6 +385,9 @@ class TowerStack:
     def __getitem__(self, k):
         return self.towers[k - 1]
 
+    def __iter__(self):
+        return iter(self.towers)
+
     def __len__(self):
         return len(self.towers)
 

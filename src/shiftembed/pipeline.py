@@ -19,8 +19,8 @@ from .entropy import (ScaleSchedule, build_schedule, check_layout_capacity,
                       conditional_count, verify_schedule)
 from .errors import CapacityError, ScheduleError, ShiftEmbedError, SpecParseError
 from .markers import build_towers, verify_tower
-from .systems import (OdometerPoint, Point, itinerary, parse_system, serialize_system,
-                      validate_point)
+from .systems import (OdometerPoint, Point, itinerary, least_period_words, parse_system,
+                      serialize_system, validate_point)
 
 DEFAULT_SEED = 17
 CORE_MAX = 12   # the sampler's short-core length scale
@@ -153,7 +153,7 @@ def sample_points(system, count, seed=DEFAULT_SEED):
                 for _ in range(count)]
     if system.kind == "orbit":
         # a finite orbit has no graph to walk: its points are its phases
-        phases = system.least_period_words(system.period)
+        phases = least_period_words(system, system.period)
         return [Point(w, w, w, 0) for w in itertools.islice(itertools.cycle(phases), count)]
     cycles = _cycle_words(system)
     out = []
@@ -177,7 +177,7 @@ def sample_points(system, count, seed=DEFAULT_SEED):
 
 def _cycle_words(system):
     """Cyclically admissible primitive words of small period."""
-    return sorted({w for n in range(1, 7) for w in system.least_period_words(n)})
+    return sorted({w for n in range(1, 7) for w in least_period_words(system, n)})
 
 
 def _stitch_point(system, rng, left, right, middle_len):

@@ -25,38 +25,9 @@ import numpy as np
 
 from .errors import (EmptySubshiftError, EnumerationBudgetError,
                      InvalidPointError, SpecParseError)
-from .words import (ALPHABET_CHARS, is_primitive, min_period, necklace,
-                    periodic_window, primitive_root)
+from .words import ALPHABET_CHARS, min_period, necklace, periodic_window, primitive_root
 
 WORD_ENUM_BUDGET = 4_000_000
-
-
-def _matmul_int(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[0] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            if ai[k]:
-                bk = b[k]
-                f = ai[k]
-                for j in range(p):
-                    oi[j] += f * bk[j]
-    return out
-
-
-def matpow_int(mat, n):
-    """Exact integer power of a square matrix (list of lists)."""
-    size = len(mat)
-    result = [[int(i == j) for j in range(size)] for i in range(size)]
-    base = [row[:] for row in mat]
-    while n:
-        if n & 1:
-            result = _matmul_int(result, base)
-        base = _matmul_int(base, base)
-        n >>= 1
-    return result
 
 
 class Sft:
@@ -258,9 +229,9 @@ class Sft:
         return w
 
     def fix_count(self, n):
-        """Number of points fixed by the n-th shift power: trace of the matrix power."""
-        power = matpow_int(self.adjacency, n)
-        return sum(power[i][i] for i in range(len(power)))
+        """Number of points fixed by the n-th shift power, tr A^n: the closed
+        paths of length n, each a (memory + n)-word from a state to itself."""
+        return sum(self._extension_counts(n, s)[s] for s in self.states)
 
     def spectral_log(self):
         eig = np.linalg.eigvals(np.array(self.adjacency, dtype=float))
@@ -279,15 +250,6 @@ class Sft:
         M = self.memory
         ext = w * max(2, -(-M // len(w)) + 1)
         return all(ext[i:i + M] in self._state_index for i in range(len(w)))
-
-    def least_period_words(self, n):
-        """Words w of length n whose bi-infinite repetition has least period exactly n.
-
-        A proper power u^k always shows a border period dividing n, so the
-        primitivity test on the word itself is exact.
-        """
-        return [w for w in self.words(n)
-                if self.is_cyclic_word(w) and is_primitive(w)]
 
 
 class OrbitSystem:
@@ -334,11 +296,6 @@ class OrbitSystem:
         root = w[:p] if len(w) % p == 0 else w
         return len(root) == self.period and root in (
             self.word[i:] + self.word[:i] for i in range(self.period))
-
-    def least_period_words(self, n):
-        if n != self.period:
-            return []
-        return sorted(self.word[i:] + self.word[:i] for i in range(self.period))
 
 
 class Odometer:
@@ -458,11 +415,10 @@ class Point:
         """Exact equality: agreement on one lcm window of the tails propagates."""
         if not isinstance(other, Point):
             return NotImplemented
-        from math import lcm
         a = min(self.anchor, other.anchor)
         b = max(self.anchor + len(self.core), other.anchor + len(other.core))
-        lo = a - lcm(len(self.left), len(other.left)) - 1
-        hi = b + lcm(len(self.right), len(other.right)) + 1
+        lo = a - math.lcm(len(self.left), len(other.left)) - 1
+        hi = b + math.lcm(len(self.right), len(other.right)) + 1
         return self.word(lo, hi) == other.word(lo, hi)
 
     def __repr__(self):
@@ -523,10 +479,9 @@ def validate_point(system, point):
     else:
         # Orbit system: the point must match some phase of the orbit word on a
         # window wide enough that tail periodicity propagates the agreement.
-        from math import lcm
         p = system.period
-        lo = a - lcm(p, len(point.left)) - 1
-        hi = b + lcm(p, len(point.right)) + 1
+        lo = a - math.lcm(p, len(point.left)) - 1
+        hi = b + math.lcm(p, len(point.right)) + 1
         ok = any(all(point.letter(i) == system.word[(i + phase) % p]
                      for i in range(lo, hi + 1))
                  for phase in range(p))
@@ -585,8 +540,16 @@ def enumerate_periodic(system, n):
         raise ValueError("n must be >= 1")
     if not system.is_word_system:
         return [], 0
-    points = [Point(w, w, w, 0) for w in system.least_period_words(n)]
+    points = [Point(w, w, w, 0) for w in least_period_words(system, n)]
     return points, system.fix_count(n)
+
+
+def least_period_words(system, n):
+    """Words of length n whose bi-infinite repetition has least period
+    exactly n, sorted: the rotations of the period-n orbits that
+    periodic_orbits generates."""
+    return sorted(v[i:] + v[:i] for v, p in periodic_orbits(system, n).items()
+                  if p == n for i in range(n))
 
 
 def periodic_orbits(system, nmax):

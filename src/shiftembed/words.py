@@ -13,7 +13,6 @@ _LETTER_DIGITS = str.maketrans(CODE_CHARS, "012345678")
 def kmp_border(s):
     """Length of the longest proper border of s (KMP prefix function value)."""
     n = len(s)
-    pi = 0
     table = [0] * n
     for i in range(1, n):
         k = table[i - 1]

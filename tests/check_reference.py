@@ -13,6 +13,12 @@ full scan over every piece-width word that the scale-1 disjointness record
 of `verify_tower` replaces with the periodic extensions of shorter words.
 `within_seconds` fails a block that outlives its time limit, so that a call
 which used to loop forever fails its test instead of stalling the suite.
+`matpow_int` is the exact transfer-matrix power, the independent oracle for
+the count tables: Fix(sigma^n) = tr A^n, and (A^n)[s][t] > 0 when a path of
+length n joins s to t; `count_oracle_systems` are the SFTs it is checked on.
+`filtered_least_period_words` lists the primitive cyclically admissible
+n-words by filtering every n-word, the reference for the orbit walk's
+least-period words.
 """
 
 import contextlib
@@ -22,7 +28,52 @@ from fractions import Fraction
 from shiftembed.codec import SymbolStream, _rotation_prefixes
 from shiftembed.errors import WindowError
 from shiftembed.metrics import _extend_counts, disagreement_data
-from shiftembed.words import min_period
+from shiftembed.systems import Sft, full_shift, golden_mean
+from shiftembed.words import is_primitive, min_period
+
+
+def _matmul_int(a, b):
+    n, m, p = len(a), len(b), len(b[0])
+    out = [[0] * p for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for k in range(m):
+            if ai[k]:
+                bk = b[k]
+                f = ai[k]
+                for j in range(p):
+                    oi[j] += f * bk[j]
+    return out
+
+
+def matpow_int(mat, n):
+    """Exact integer power of a square matrix (list of lists)."""
+    size = len(mat)
+    result = [[int(i == j) for j in range(size)] for i in range(size)]
+    base = [row[:] for row in mat]
+    while n:
+        if n & 1:
+            result = _matmul_int(result, base)
+        base = _matmul_int(base, base)
+        n >>= 1
+    return result
+
+
+def count_oracle_systems():
+    """id -> SFT: memories 1-3, up to 8 states, pruned and matrix-given."""
+    return {"golden": golden_mean(), "full3": full_shift(3),
+            "sft3": Sft(3, forbidden=("22", "201")),
+            "matrix3": Sft(3, matrix=[[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+            "memory3": Sft(2, forbidden=("111", "0101")),
+            "pruned-state": Sft(2, forbidden=("000", "0011", "111", "110")),
+            "wrap-refuses3": Sft(3, forbidden=("10", "20", "111"))}
+
+
+def filtered_least_period_words(system, n):
+    """The n-words whose bi-infinite repetition has least period exactly n,
+    by filtering every admissible n-word."""
+    return [w for w in system.words(n) if system.is_cyclic_word(w) and is_primitive(w)]
 
 
 def restrict(stream, a, b):

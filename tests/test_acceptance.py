@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from check_reference import forbidden_shape_count_bound, l1, verify_injective
+from check_reference import (filtered_least_period_words, forbidden_shape_count_bound, l1,
+                             matpow_int, verify_injective)
 from shiftembed.entropy import (appendix_fullness_check, build_schedule,
                                 per_growth_in_cell, verify_schedule)
 from shiftembed.errors import ScheduleError
@@ -143,7 +144,7 @@ def test_criterion_05_periodic_code(pipe):
         orbits = 0
         for n in range(1, n1 + 1):
             orbits += len({min(w[i:] + w[:i] for i in range(n))
-                           for w in golden_mean().least_period_words(n)})
+                           for w in filtered_least_period_words(golden_mean(), n)})
         assert len(code.orbit_code) == orbits
         if not verify_injective(code):
             ok = False
@@ -210,8 +211,9 @@ def test_criterion_07_metric_laws(pipe):
 
 
 def test_criterion_08_counting_oracles():
-    """Word counts vs transfer matrix (n <= 20), Fix vs trace (n <= 12),
-    per-cell periodic growth of the full shift (n <= 10)."""
+    """Word counts vs transfer matrix (n <= 20), Fix vs the matrix trace and
+    vs the least-period points over the divisors (n <= 12), per-cell
+    periodic growth of the full shift (n <= 10)."""
     gm = golden_mean()
     ok = True
     for n in range(1, 21):
@@ -222,7 +224,10 @@ def test_criterion_08_counting_oracles():
         if gm.count_words(n) != c:
             ok = False
     for n in range(1, 13):
-        if enumerate_periodic(gm, n)[1] != gm.fix_count(n):
+        power = matpow_int(gm.adjacency, n)
+        trace = sum(power[i][i] for i in range(len(power)))
+        least = sum(len(enumerate_periodic(gm, d)[0]) for d in range(1, n + 1) if n % d == 0)
+        if not gm.fix_count(n) == trace == least:
             ok = False
     fs = full_shift()
     for n in range(1, 11):

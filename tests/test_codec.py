@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from check_reference import forbidden_shape_count_bound, restrict, verify_injective
+from check_reference import (filtered_least_period_words, forbidden_shape_count_bound,
+                             restrict, verify_injective)
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
 from layout_reference import ROLE_SINGULAR_FILL, roles
 from shiftembed import codec
@@ -19,7 +20,7 @@ from shiftembed.markers import return_partition
 from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
 from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft,
                                 cell_label, dyadic_odometer, enumerate_periodic,
-                                full_shift, golden_mean, itinerary)
+                                full_shift, golden_mean, itinerary, least_period_words)
 from shiftembed.words import (code_length_needed, has_short_period_prefix, kary_index,
                               kary_word, min_period, repetition_prefix)
 
@@ -416,7 +417,7 @@ class TestIdentification:
         from shiftembed.codec import build_identification_codebook
         from shiftembed.words import periodic_window
         sched = pipe.schedule
-        w = golden_mean().least_period_words(12)[0]
+        w = least_period_words(golden_mean(), 12)[0]
         fine = tuple(periodic_window(w, t, t) for t in range(12))
         cb = build_identification_codebook(golden_mean(), sched, 2, 12, fine)
         assert cb.length == 0 and len(cb) == 1
@@ -589,7 +590,7 @@ class TestNonSpecialSingular:
 
     @pytest.mark.parametrize("shape", ["two-sided", "right-tail", "left-tail"])
     def test_codes_written_and_read_back(self, pipe, shape):
-        for v in golden_mean().least_period_words(19)[:3]:
+        for v in least_period_words(golden_mean(), 19)[:3]:
             point = {"two-sided": Point(v, "", v, 0), "right-tail": Point("0", "", v, 0),
                      "left-tail": Point(v, "", "0", 0)}[shape]
             margin = pipe.decode_margin()
@@ -1016,7 +1017,7 @@ class TestCountedCodebooksAgainstReference:
         for mp in range(3):
             sched = _schedule(0, mp)
             for p in range(1, 9):
-                period_words = system.least_period_words(p)
+                period_words = filtered_least_period_words(system, p)
                 reference = {}
                 for v in period_words:
                     fine = tuple(periodic_window(v, t - mp, t + mp) for t in range(p))

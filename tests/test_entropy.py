@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from check_reference import within_seconds
+from check_reference import count_oracle_systems, matpow_int, within_seconds
 from shiftembed import entropy
 from shiftembed.entropy import (ScaleSchedule, _scale1_counts, appendix_fullness_check,
                                 build_schedule, conditional_count,
@@ -15,7 +15,7 @@ from shiftembed.entropy import (ScaleSchedule, _scale1_counts, appendix_fullness
 from shiftembed.errors import CapacityError, ScheduleError, VerifyRecord
 from shiftembed.pipeline import build_pipeline
 from shiftembed.systems import (OrbitSystem, Sft, dyadic_odometer, full_shift,
-                                golden_mean, matpow_int)
+                                golden_mean, least_period_words)
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -81,6 +81,22 @@ class TestConditional:
         odo = dyadic_odometer(5)
         assert conditional_count(odo, 0, 2, 7) == 4
 
+    @pytest.mark.parametrize("name", sorted(count_oracle_systems()))
+    def test_extension_count_equals_matrix_reach(self, name):
+        """The count-table reach equals the reach read off the matrix power
+        A^(length - M): a pair of states joins when its entry is nonzero."""
+        system = count_oracle_systems()[name]
+        M, states = system.memory, system.states
+        for length in range(1, 30):
+            reach = matpow_int(system.adjacency, max(length - M, 0))
+            for delta in range(1, 5):
+                into = [system.count_words(M + delta, end=s) for s in states]
+                out = [system.count_words(M + delta, start=s) for s in states]
+                want = max(into[i] * out[j] for i in range(len(states))
+                           for j in range(len(states)) if reach[i][j])
+                assert entropy._max_extension_count(system, length, delta) == want, \
+                    (length, delta)
+
 
 class TestPerGrowth:
     def test_full_shift_zero(self):
@@ -101,7 +117,7 @@ class TestPerGrowth:
         letters, so no cell holds two points of least period n."""
         from shiftembed.words import periodic_window
         for n in range(1, 11):
-            points = system.least_period_words(n)
+            points = least_period_words(system, n)
             for m in range(3):
                 cells = [periodic_window(w, -m, n - 1 + m) for w in points]
                 assert len(set(cells)) == len(cells)
@@ -189,6 +205,11 @@ class TestSchedule:
                     assert count == sum(sum(row) for row in power)
                 else:
                     assert count == len(system.words(n))
+
+    def test_growth_inequality_refused_on_periodic_systems(self):
+        # golden K=4 schedules n = (27, 28, 29), so n'_2 = 55 >= n_3
+        with pytest.raises(ScheduleError, match=r"growth inequality n'_k < n_\{k\+1\} fails at k=2"):
+            build_schedule(golden_mean(), K=4, kmax=3, C=0.0)
 
     def test_capacity_check_passes_for_golden(self):
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from check_reference import escaping_pieces
+from check_reference import escaping_pieces, filtered_least_period_words
 from clopen_reference import Clopen, OdoClopen
 from encode_reference import bounded_stretch_points, long_tail_points, reference_tag
 from shiftembed.blocks import LayoutBlock
@@ -17,7 +17,7 @@ from shiftembed.markers import (Interval, PeriodicNeighborhood, TowerStack, _adj
                                 _tag_singular, build_towers, return_partition, verify_tower)
 from shiftembed.pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline
 from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
-                                dyadic_odometer, full_shift, golden_mean)
+                                dyadic_odometer, full_shift, golden_mean, least_period_words)
 from shiftembed.words import (is_primitive, least_period_at_most, min_period, necklace,
                               periodic_window)
 
@@ -92,7 +92,7 @@ def reference_window_map(system, n, r):
     orbits would break the separation the lazy test relies on."""
     table = {}
     for p in range(1, n + 1):
-        for w in system.least_period_words(p):
+        for w in filtered_least_period_words(system, p):
             table.setdefault(necklace(w), p)
     windows = {}
     for key, p in table.items():
@@ -685,7 +685,7 @@ def match_table_points():
     """Tails of least period 1-6, plain and under sampled cores, and the
     stitched points whose tails have least period 13, 20 or 31."""
     system = golden_mean()
-    points = [Point(w, w, w, 0) for p in range(1, 7) for w in system.least_period_words(p)[:1]]
+    points = [Point(w, w, w, 0) for p in range(1, 7) for w in least_period_words(system, p)[:1]]
     points += sample_points(system, 6, seed=21)
     return points + long_tail_points((13, 20, 31), 3)
 
@@ -982,6 +982,15 @@ periodic_words = st.builds(lambda root, reps, cut: (root * reps)[:max(1, len(roo
 def test_bounded_period_test_equals_min_period(w, n):
     p = min_period(w)
     assert least_period_at_most(w, n) == (p if p <= n else None)
+
+
+def test_iterating_a_stack_yields_its_towers():
+    golden = build_towers(golden_mean(), build_schedule(golden_mean(), K=2, kmax=2, C=0.0,
+                                                        m=(0, 0)))
+    odo = build_towers(dyadic_odometer(8), build_schedule(dyadic_odometer(8), K=2, kmax=3,
+                                                          N_cert=128))
+    for stack, scales in ((golden, 2), (odo, 3)):
+        assert len(stack) == scales and list(stack) == stack.towers
 
 
 def test_periodic_neighborhood_wrapper():

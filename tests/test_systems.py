@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from check_reference import count_oracle_systems, filtered_least_period_words, matpow_int
 from shiftembed.entropy import least_period_count
 from shiftembed.errors import (EmptySubshiftError, EnumerationBudgetError,
                                InvalidPointError, SpecParseError)
@@ -9,10 +10,10 @@ from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point,
                                 Sft, _lyndon_orbits, coordinate, dyadic_odometer,
                                 enumerate_periodic, enumerate_words,
                                 full_shift, golden_mean, itinerary,
-                                parse_point, parse_system, periodic_orbits,
+                                least_period_words, parse_point, parse_system, periodic_orbits,
                                 product_coding, serialize_point,
                                 serialize_system, validate_point)
-from shiftembed.words import is_primitive, necklace, periodic_window
+from shiftembed.words import necklace, periodic_window
 
 
 def brute_words(forbidden, n, A=2):
@@ -42,9 +43,8 @@ def filtered_orbits(system, nmax):
     primitive word of length <= nmax, found by filtering all words."""
     table = {}
     for n in range(1, nmax + 1):
-        for w in system.words(n):
-            if system.is_cyclic_word(w) and is_primitive(w):
-                table.setdefault(necklace(w), n)
+        for w in filtered_least_period_words(system, n):
+            table.setdefault(necklace(w), n)
     return table
 
 
@@ -335,11 +335,33 @@ class TestPeriodic:
                         for d in range(1, n + 1) if n % d == 0)
             assert total == sys.fix_count(n)
 
+    @pytest.mark.parametrize("name", sorted(count_oracle_systems()))
+    def test_fix_count_equals_matrix_trace(self, name):
+        system = count_oracle_systems()[name]
+        for n in range(1, 40):
+            power = matpow_int(system.adjacency, n)
+            assert system.fix_count(n) == sum(power[i][i] for i in range(len(power))), n
+
+    @pytest.mark.parametrize("name", sorted(count_oracle_systems()))
+    def test_least_period_words_equal_filter(self, name):
+        system = count_oracle_systems()[name]
+        # the filter reads every n-word: 3^12 of them on full3, seconds per system
+        nmax = 10 if name in ("full3", "sft3") else 12
+        for n in range(1, nmax + 1):
+            assert least_period_words(system, n) == filtered_least_period_words(system, n), n
+
+    def test_least_period_words_golden_19_and_orbit(self):
+        gm, orb = golden_mean(), OrbitSystem(2, "001")
+        assert least_period_words(gm, 19) == filtered_least_period_words(gm, 19)
+        assert least_period_words(orb, 3) == filtered_least_period_words(orb, 3) == \
+            ["001", "010", "100"]
+        assert least_period_words(orb, 4) == filtered_least_period_words(orb, 4) == []
+
     def test_orbit_system(self):
         orb = OrbitSystem(2, "01")
         assert orb.fix_count(2) == 2
         assert orb.fix_count(3) == 0
-        assert orb.least_period_words(2) == ["01", "10"]
+        assert least_period_words(orb, 2) == ["01", "10"]
         assert orb.count_words(5) == 2
 
     def test_odometer_has_no_periodic_points(self):
@@ -380,7 +402,7 @@ class TestPeriodic:
         fails at the wrap; in the last two, forbidden words that fall to a
         smaller letter make the wrap refuse some."""
         necklaces = {necklace(w): n for n in range(1, 13)
-                     for w in system.least_period_words(n)}
+                     for w in filtered_least_period_words(system, n)}
         wrap = max(system._forbidden_lengths + [system.memory]) - 1
         assert 1 <= wrap < 12
         for nmax in range(1, 13):
