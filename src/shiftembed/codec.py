@@ -33,7 +33,7 @@ from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
 from .entropy import periodic_code_fits
 from .markers import Interval, ReturnPartition, return_partition
-from .systems import (OdometerPoint, _parse_int, _parse_kv, _parse_window, cell_label,
+from .systems import (OdometerPoint, _parse_int, _parse_kv, _parse_window,
                       periodic_orbits)
 from .words import (code_length_needed, has_short_period_prefix, is_primitive,
                     kary_alphabet, kary_index, kary_word, least_rotation, min_period,
@@ -532,12 +532,12 @@ def _block_key(pipeline, point, blk, m):
     system = pipeline.system
     if not system.is_word_system:
         return system.cell_run(point.residue_at(blk.start, m + 1), m + 1, blk.end - blk.start)
-    return tuple(cell_label(system, point, t, m) for t in range(blk.start, blk.end))
+    return _window_key(point.word(blk.start - m, blk.end - 1 + m), m, blk.end - blk.start)
 
 
 def _orbit_key(orbit, m, n):
     """Itinerary key of the periodic point of a word over times 0..n-1."""
-    return tuple(periodic_window(orbit, t - m, t + m) for t in range(n))
+    return _window_key(periodic_window(orbit, -m, n - 1 + m), m, n)
 
 
 def _block_codebook(pipeline, l, blk, coarse):
@@ -768,7 +768,8 @@ def _decode_scale1(stream, pipeline, structure):
             continue  # a block the left edge cut
         lo_t = A if s is None else s
         hi_t = B + 1 if e is None else e
-        cycle = [periodic_window(v, t - m1, t + m1, phase) for t in range(lo_t, lo_t + len(v))]
+        cycle = _window_key(periodic_window(v, lo_t - m1, lo_t + len(v) - 1 + m1, phase),
+                            m1, len(v))
         _put_labels(labels, range(lo_t, hi_t), periodic_window(cycle, 0, hi_t - lo_t - 1))
         intervals.append(Interval(s, e, "singular", special=True,
                                   orbit=v, phase=phase, m=len(v)))
@@ -968,11 +969,12 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
 def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
     """Invert the codeword of every regular block of a decoded layer into
     its itinerary labels and certify the block.  A block is skipped when a
-    coarse label or a codeword slot lies outside what is decoded; every
-    padding slot inside the stream must hold the pad letter, and above
-    scale 1 its marker slot must hold a marker."""
+    coarse label lies outside what is decoded.  The layout drops every
+    regular block that the stream's range cuts, so a block's slots and
+    marker lie in the stream: every padding slot must hold the pad letter,
+    and above scale 1 the marker slot must hold a marker."""
     k = layer.scale
-    A, B = stream.a, stream.b
+    A = stream.a
     symbols = stream.symbols
     codebooks = {}      # (length, filling or coarse itinerary) -> codebook
     for blk in layer.blocks:
@@ -995,20 +997,17 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
                                            % (k, blk.start, blk.end, exc),
                                            scale=k, position=blk.start) from None
         slots = blk.fill_positions[:cb.length]     # sorted, as every slot list
-        if slots and not (A <= slots[0] and slots[-1] <= B):
-            continue
         if slots and slots[-1] - slots[0] == len(slots) - 1:       # one run
             fine = cb.decode(symbols[slots[0] - A:slots[-1] + 1 - A])
         else:
             fine = cb.decode([symbols[pos - A] for pos in slots])
         for pos in blk.fill_positions[cb.length:]:
-            if A <= pos <= B and symbols[pos - A] != SYM_PAD:
+            if symbols[pos - A] != SYM_PAD:
                 raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
                                            % (pos, k, symbols[pos - A]), scale=k, position=pos)
         _put_labels(labels, span, fine)
         cert_parts.append((blk.start, blk.end - 1))
-        if k >= 2 and (symbols[blk.marker_pos - A] if A <= blk.marker_pos <= B else None) \
-                not in (SYM_MK, SYM_LB, SYM_DB):
+        if k >= 2 and symbols[blk.marker_pos - A] not in (SYM_MK, SYM_LB, SYM_DB):
             raise MalformedStreamError("marker slot %d lacks its symbol" % blk.marker_pos,
                                        scale=k, position=blk.marker_pos)
 

@@ -315,6 +315,18 @@ def _family2_tail_certified(system, K, alpha, m_prev, m_cur, k, N_cert):
     return math.log(cc) < (n0 * alpha / 2 ** k - 1) * math.log(K)
 
 
+def _family(system, K, alpha, m, k, N_cert, scale1):
+    """The scale-k inequality family as (holds, tail): holds(n) tests one n
+    and tail() certifies the plateau past N_cert.  scale1 is the pair
+    _scale1_counts gives for m[0] and N_cert."""
+    if k == 1:
+        counts, cells1 = scale1
+        return (lambda nn: _family1_holds(K, alpha, cells1[nn], nn),
+                lambda: _family1_tail_certified(system, K, alpha, m[0], N_cert, counts))
+    return (lambda nn: _family2_holds(system, K, alpha, m[k - 2], m[k - 1], nn, k),
+            lambda: _family2_tail_certified(system, K, alpha, m[k - 2], m[k - 1], k, N_cert))
+
+
 def verify_schedule(system, schedule):
     """Re-run every inequality family over the certified range.
 
@@ -325,15 +337,11 @@ def verify_schedule(system, schedule):
     K, alpha = schedule.K, schedule.alpha_float
     N = schedule.N_cert
     m, n = schedule.m, schedule.n
-    counts, cells1 = _scale1_counts(system, m[0], N)
-    ok1 = all(_family1_holds(K, alpha, cells1[nn], nn) for nn in range(n[0], N + 1))
-    ok1 = ok1 and _family1_tail_certified(system, K, alpha, m[0], N, counts)
-    report.add("entropy", "scale1-capacity", 1, ok1)
-    for k in range(2, schedule.kmax + 1):
-        okk = all(_family2_holds(system, K, alpha, m[k - 2], m[k - 1], nn, k)
-                  for nn in range(n[k - 1], N + 1))
-        okk = okk and _family2_tail_certified(system, K, alpha, m[k - 2], m[k - 1], k, N)
-        report.add("entropy", "conditional-capacity", k, okk)
+    scale1 = _scale1_counts(system, m[0], N)
+    for k in range(1, schedule.kmax + 1):
+        holds, tail = _family(system, K, alpha, m, k, N, scale1)
+        ok = all(holds(nn) for nn in range(n[k - 1], N + 1)) and tail()
+        report.add("entropy", "scale1-capacity" if k == 1 else "conditional-capacity", k, ok)
     for k in range(1, schedule.kmax + 1):
         bound = alpha / 2 ** k
         okp = all(per_growth_in_cell(system, m[k - 1], nn) < bound
@@ -424,8 +432,7 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
         raise ScheduleError("m must be nondecreasing of length kmax")
     if not math.isfinite(C):
         raise ScheduleError("headroom C must be finite, not %r" % C)
-    est = htop_estimate(system, min(N_cert, 24)) if system.is_word_system else None
-    h = est.spectral if est else 0.0
+    h = system.spectral_log() if system.is_word_system else 0.0
     logK = math.log(K)
     if h >= logK - 1e-12:
         raise ScheduleError("infeasible: h_top = %.6f >= log K = %.6f" % (h, logK))
@@ -433,24 +440,13 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
     af = float(alpha)
     periodic = system.is_word_system  # every nonempty SFT/orbit carries periodic points
 
-    counts, cells1 = _scale1_counts(system, m[0], N_cert)
+    scale1 = _scale1_counts(system, m[0], N_cert)
     ns = []
     for k in range(1, kmax + 1):
         lower = 1 if k == 1 else ns[-1] + 1
         while af * lower < C * 2 ** k:
             lower += 1
-        if k == 1:
-            def holds(nn):
-                return _family1_holds(K, af, cells1[nn], nn)
-
-            def tail():
-                return _family1_tail_certified(system, K, af, m[0], N_cert, counts)
-        else:
-            def holds(nn):
-                return _family2_holds(system, K, af, m[k - 2], m[k - 1], nn, k)
-
-            def tail():
-                return _family2_tail_certified(system, K, af, m[k - 2], m[k - 1], k, N_cert)
+        holds, tail = _family(system, K, af, m, k, N_cert, scale1)
         # n0 must see the family hold on all of [n0, N_cert]: one pass down
         # from N_cert finds the last failure, and every n0 past it qualifies.
         start = lower

@@ -546,27 +546,17 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
         scan_hi = (last + 2 * tower.nprime if right_open else last) + 1
         returns = [t for t in range(first, last + 1) if tower.member(point, t, runtime)]
 
+    # a side that returns nowhere is open, so no returns give (None, None)
+    bounds = [None] * left_open + returns + [None] * right_open
     intervals = []
-    if not returns:
-        intervals.append(_tag_singular(Interval(None, None, "singular"), stack, k,
-                                       (scan_lo, scan_hi), runtime))
-    else:
-        if left_open:
-            intervals.append(_tag_singular(Interval(None, returns[0], "singular"),
-                                           stack, k, (scan_lo, scan_hi), runtime))
-        for t0, t1 in zip(returns, returns[1:]):
-            gap = t1 - t0
-            kind = "regular" if gap < len_hi else "singular"
-            iv = Interval(t0, t1, kind)
-            if kind == "singular":
-                iv = _tag_singular(iv, stack, k, (scan_lo, scan_hi), runtime)
-            else:
-                if gap < len_lo:
-                    raise ShiftEmbedError("return gap %d below n_%d" % (gap, k))
-            intervals.append(iv)
-        if right_open:
-            intervals.append(_tag_singular(Interval(returns[-1], None, "singular"),
-                                           stack, k, (scan_lo, scan_hi), runtime))
+    for t0, t1 in zip(bounds, bounds[1:]):
+        if t0 is not None and t1 is not None and t1 - t0 < len_hi:
+            if t1 - t0 < len_lo:
+                raise ShiftEmbedError("return gap %d below n_%d" % (t1 - t0, k))
+            intervals.append(Interval(t0, t1, "regular"))
+        else:
+            intervals.append(_tag_singular(Interval(t0, t1, "singular"), stack, k,
+                                           (scan_lo, scan_hi), runtime))
 
     if prev_layout is not None:
         _adjust_boundaries(intervals, prev_layout, stack.schedule, k)

@@ -20,7 +20,7 @@ from .entropy import (ScaleSchedule, build_schedule, check_layout_capacity,
 from .errors import CapacityError, ScheduleError, ShiftEmbedError, SpecParseError
 from .markers import build_towers, verify_tower
 from .systems import (OdometerPoint, Point, itinerary, least_period_words, parse_system,
-                      serialize_system, validate_point)
+                      periodic_orbits, serialize_system, validate_point)
 
 DEFAULT_SEED = 17
 CORE_MAX = 12   # the sampler's short-core length scale
@@ -176,8 +176,10 @@ def sample_points(system, count, seed=DEFAULT_SEED):
 
 
 def _cycle_words(system):
-    """Cyclically admissible primitive words of small period."""
-    return sorted({w for n in range(1, 7) for w in least_period_words(system, n)})
+    """Cyclically admissible primitive words of period at most 6: the
+    rotations of one orbit walk, sorted."""
+    return sorted(v[i:] + v[:i] for v, p in periodic_orbits(system, 6).items()
+                  for i in range(p))
 
 
 def _stitch_point(system, rng, left, right, middle_len):

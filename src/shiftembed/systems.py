@@ -67,6 +67,8 @@ class Sft:
         self._forbidden_lengths = sorted({len(w) for w in self.forbidden})
         maxlen = max((len(w) for w in self.forbidden), default=1)
         self.memory = max(1, maxlen - 1)
+        # letters past one period that hold every window across its end
+        self.wrap = max(maxlen, self.memory + 1) - 1
         self._build_graph()
         self._word_cache = {}
         self._extensions = {}       # end state, or None for any -> counts by length
@@ -137,8 +139,7 @@ class Sft:
             if any(w[i:i + M] not in self._state_index for i in range(len(w) - M + 1)):
                 return False
             return self._clean(w)
-        return any(w in s[i:i + len(w)] or s[i:i + len(w)] == w
-                   for s in self.states for i in range(M - len(w) + 1))
+        return any(w in s for s in self.states)
 
     def words(self, n):
         """All admissible n-words, sorted (explicit enumeration, budget-guarded)."""
@@ -239,17 +240,10 @@ class Sft:
         return float(np.log(lam)) if lam > 0 else float("-inf")
 
     def is_cyclic_word(self, w):
-        """True when the bi-infinite repetition of w is admissible."""
-        reps = max(2, -(-max(self._forbidden_lengths, default=1) // len(w)) + 1)
-        doubled = w * reps
-        for L in self._forbidden_lengths:
-            for i in range(len(w)):
-                if i + L <= len(doubled) and doubled[i:i + L] in self._forbidden_set:
-                    return False
-        # every window must also sit inside the essential graph
-        M = self.memory
-        ext = w * max(2, -(-M // len(w)) + 1)
-        return all(ext[i:i + M] in self._state_index for i in range(len(w)))
+        """True when the bi-infinite repetition of w is admissible: every
+        forbidden word and state fits in wrap + 1 letters, so each window of
+        the repetition is a factor of one period followed by wrap more."""
+        return self.is_admissible(periodic_window(w, 0, len(w) - 1 + self.wrap))
 
 
 class OrbitSystem:
@@ -477,15 +471,9 @@ def validate_point(system, point):
         if not system.is_admissible(window):
             raise InvalidPointError("point window %r leaves the essential subshift" % window)
     else:
-        # Orbit system: the point must match some phase of the orbit word on a
-        # window wide enough that tail periodicity propagates the agreement.
-        p = system.period
-        lo = a - math.lcm(p, len(point.left)) - 1
-        hi = b + math.lcm(p, len(point.right)) + 1
-        ok = any(all(point.letter(i) == system.word[(i + phase) % p]
-                     for i in range(lo, hi + 1))
-                 for phase in range(p))
-        if not ok:
+        # Orbit system: the point must equal some phase of the orbit.
+        w = system.word
+        if not any(point == Point(w, "", w, -phase) for phase in range(system.period)):
             raise InvalidPointError("point is not on the finite orbit")
 
 
@@ -586,14 +574,13 @@ def _lyndon_orbits(system, nmax):
 
     A kept node's linear windows are already clean and in the graph, so a
     Lyndon node of length t > X closes when the windows across its end do:
-    with X one less than the longest forbidden word or state, those all lie
-    in the wrap word[t - X:] + word[:X].  Shorter nodes wrap around more
-    than once and take is_cyclic_word.
+    with X = system.wrap, those all lie in the wrap word[t - X:] + word[:X].
+    Shorter nodes wrap around more than once and take is_cyclic_word.
     """
     letters = system.letters
     M = system.memory
     states = system._state_index
-    X = max(system._forbidden_lengths + [M]) - 1
+    X = system.wrap
     table = {}
 
     def closes(word, t):
