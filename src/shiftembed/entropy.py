@@ -327,11 +327,16 @@ def _family(system, K, alpha, m, k, N_cert, scale1):
             lambda: _family2_tail_certified(system, K, alpha, m[k - 2], m[k - 1], k, N_cert))
 
 
+def _growth_holds(n, nprime, k):
+    """The growth inequality n'_k < n_{k+1}."""
+    return nprime[k - 1] < n[k]
+
+
 def verify_schedule(system, schedule):
     """Re-run every inequality family over the certified range.
 
-    Returns a VerifyReport of one "entropy" record per family and scale;
-    raises nothing.
+    Returns a VerifyReport of one "entropy" record per family and scale,
+    and one growth record per k < kmax; raises nothing.
     """
     report = VerifyReport()
     K, alpha = schedule.K, schedule.alpha_float
@@ -342,6 +347,9 @@ def verify_schedule(system, schedule):
         holds, tail = _family(system, K, alpha, m, k, N, scale1)
         ok = all(holds(nn) for nn in range(n[k - 1], N + 1)) and tail()
         report.add("entropy", "scale1-capacity" if k == 1 else "conditional-capacity", k, ok)
+    for k in range(1, schedule.kmax):
+        report.add("entropy", "growth", k, _growth_holds(n, schedule.nprime, k),
+                   "n'_%d = %d, n_%d = %d" % (k, schedule.nprime[k - 1], k + 1, n[k]))
     for k in range(1, schedule.kmax + 1):
         bound = alpha / 2 ** k
         okp = all(per_growth_in_cell(system, m[k - 1], nn) < bound
@@ -467,7 +475,7 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
 
     nprime = tuple(itertools.accumulate(ns))
     for k in range(1, kmax):
-        if nprime[k - 1] >= ns[k]:
+        if not _growth_holds(ns, nprime, k):
             raise ScheduleError("growth inequality n'_k < n_{k+1} fails at k=%d" % k)
     r = tuple(max(m[k - 1] + ns[k - 1], ns[k - 1]) for k in range(1, kmax + 1))
     schedule = ScaleSchedule(K=K, alpha=alpha, m=m, n=tuple(ns), nprime=nprime,

@@ -211,6 +211,19 @@ class TestSchedule:
         with pytest.raises(ScheduleError, match=r"growth inequality n'_k < n_\{k\+1\} fails at k=2"):
             build_schedule(golden_mean(), K=4, kmax=3, C=0.0)
 
+    def test_growth_inequality_is_a_verify_record(self):
+        # the same n = (27, 28, 29) as an override passes every other record
+        two = build_schedule(golden_mean(), K=4, kmax=2, C=0.0)
+        assert two.n == (27, 28)
+        sched = ScaleSchedule(K=4, alpha=two.alpha, m=(0, 1, 2), n=(27, 28, 29),
+                              nprime=(27, 55, 84), r=(27, 29, 31), periodic=True, C=0.0)
+        records = verify_schedule(golden_mean(), sched).records
+        assert [r.ok for r in records if r.name == "growth"] == [True, False]
+        assert [r.line() for r in records if not r.ok] == [
+            "entropy growth scale=2 FAIL n'_2 = 55, n_3 = 29"]
+        with pytest.raises(ScheduleError, match="re-verification:\nentropy growth scale=2 FAIL"):
+            build_pipeline(golden_mean(), K=4, kmax=3, schedule=sched)
+
     def test_capacity_check_passes_for_golden(self):
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
         check_layout_capacity(sched)

@@ -218,11 +218,11 @@ PINNED_MALFORMED = {
 }
 
 PINNED_VERIFY = {
-    # the golden lines name no K-dependent figure and every record passes
-    # in both, so K=2 and K=3 coincide
-    "golden-k2": "ffc348e53ad0c1c4",
-    "golden-k3": "ffc348e53ad0c1c4",
-    "odometer": "e2e79aae7e6ba9ae",
+    # every record passes; the golden lines differ only in the growth
+    # record's n_2, 19 at K=2 and 10 at K=3
+    "golden-k2": "43a2997db7ee16fe",
+    "golden-k3": "e14aef34c937b85b",
+    "odometer": "3e6c5fb9730b42ea",
     # the orbit's tower is checked by its structural records: no flat
     # pattern set of a word tower is built
     "orbit001": "b2054c6efc041428",
