@@ -770,7 +770,7 @@ def _decode_scale1(stream, pipeline, structure):
         hi_t = B + 1 if e is None else e
         cycle = _window_key(periodic_window(v, lo_t - m1, lo_t + len(v) - 1 + m1, phase),
                             m1, len(v))
-        _put_labels(labels, range(lo_t, hi_t), periodic_window(cycle, 0, hi_t - lo_t - 1))
+        labels.update(zip(range(lo_t, hi_t), periodic_window(cycle, 0, hi_t - lo_t - 1)))
         intervals.append(Interval(s, e, "singular", special=True,
                                   orbit=v, phase=phase, m=len(v)))
         orbits.append(v)
@@ -839,18 +839,6 @@ def _taken_in_stretch(layout, lo_t, hi_t, taken):
                     taken[t] = free
         taken.update((t, False) for t, _ in layer.marks if lo_t <= t < hi_t)
     return sorted(taken.items())
-
-
-def _put_labels(labels, span, values):
-    """Label the positions of span with values.  A position labelled
-    otherwise already makes the stream malformed, named at the first."""
-    if not labels.keys().isdisjoint(span):
-        for t, value in zip(span, values):
-            old = labels.get(t)
-            if old is not None and old != value:
-                raise MalformedStreamError("inconsistent labels at %d: %r vs %r"
-                                           % (t, old, value), position=t)
-    labels.update(zip(span, values))
 
 
 def _covered_range(parts, within):
@@ -951,12 +939,13 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
                 orbits.append(piece.orbit)
                 out_intervals.append(piece)
             # labels come from the previous scale's letters, never from the
-            # orbit extrapolated past where the point departs from it
+            # orbit extrapolated past where the point departs from it, so
+            # regions that overlap label their common positions alike
             span = range(A if iv.start is None else iv.start, B + 1 if iv.end is None else iv.end)
             labs = (list(map(labels_prev.get, span)) if m_k == m_prev else
                     [_refine_label(labels_prev, t, m_prev, m_k) for t in span])
             known = [t for t, lab in zip(span, labs) if lab is not None]
-            _put_labels(labels, known, [lab for lab in labs if lab is not None])
+            labels.update((t, lab) for t, lab in zip(span, labs) if lab is not None)
             if known:       # certified over the first run of known positions
                 run = next((i for i, t in enumerate(known) if t != known[0] + i), len(known))
                 cert_parts.append((known[0], known[0] + run - 1))
@@ -968,8 +957,9 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
 
 def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
     """Invert the codeword of every regular block of a decoded layer into
-    its itinerary labels and certify the block.  A block is skipped when a
-    coarse label lies outside what is decoded.  The layout drops every
+    its itinerary labels and certify the block.  The layer's spans are
+    disjoint, so no other span of the layer labels a block's positions.  A
+    block is skipped when a coarse label lies outside what is decoded.  The layout drops every
     regular block that the stream's range cuts, so a block's slots and
     marker lie in the stream: every padding slot must hold the pad letter,
     and above scale 1 the marker slot must hold a marker."""
@@ -1005,7 +995,7 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
             if symbols[pos - A] != SYM_PAD:
                 raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
                                            % (pos, k, symbols[pos - A]), scale=k, position=pos)
-        _put_labels(labels, span, fine)
+        labels.update(zip(span, fine))
         cert_parts.append((blk.start, blk.end - 1))
         if k >= 2 and symbols[blk.marker_pos - A] not in (SYM_MK, SYM_LB, SYM_DB):
             raise MalformedStreamError("marker slot %d lacks its symbol" % blk.marker_pos,

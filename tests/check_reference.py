@@ -18,17 +18,27 @@ the count tables: Fix(sigma^n) = tr A^n, and (A^n)[s][t] > 0 when a path of
 length n joins s to t; `count_oracle_systems` are the SFTs it is checked on.
 `filtered_least_period_words` lists the primitive cyclically admissible
 n-words by filtering every n-word, the reference for the orbit walk's
-least-period words.
+least-period words; on an SFT it filters with `doubled_window_cyclic`, the
+doubled-window test that `Sft.is_cyclic_word` replaced.
+`lcm_window_on_orbit` is the orbit-system membership test that
+`validate_point` replaced with point equality, and `orbit_probe_points`
+draws points on and next to an orbit to compare the two.
+`roundtrip_or_named` round-trips a point and lets an error through only
+when its text is the one a strict xfail names.
 """
 
 import contextlib
+import math
+import random
 import signal
 from fractions import Fraction
 
+import pytest
+
 from shiftembed.codec import SymbolStream, _rotation_prefixes
-from shiftembed.errors import WindowError
+from shiftembed.errors import ShiftEmbedError, WindowError
 from shiftembed.metrics import _extend_counts, disagreement_data
-from shiftembed.systems import Sft, full_shift, golden_mean
+from shiftembed.systems import Point, Sft, full_shift, golden_mean, itinerary
 from shiftembed.words import is_primitive, min_period
 
 
@@ -73,7 +83,77 @@ def count_oracle_systems():
 def filtered_least_period_words(system, n):
     """The n-words whose bi-infinite repetition has least period exactly n,
     by filtering every admissible n-word."""
-    return [w for w in system.words(n) if system.is_cyclic_word(w) and is_primitive(w)]
+    cyclic = system.is_cyclic_word if system.kind == "orbit" else (
+        lambda w: doubled_window_cyclic(system, w))
+    return [w for w in system.words(n) if cyclic(w) and is_primitive(w)]
+
+
+def doubled_window_cyclic(system, w):
+    """Whether the bi-infinite repetition of w is admissible for an Sft: no
+    forbidden word starts in the first period of w repeated past the longest
+    one, and every memory-window starting there is a state of the essential
+    graph."""
+    reps = max(2, -(-max(system._forbidden_lengths, default=1) // len(w)) + 1)
+    doubled = w * reps
+    for L in system._forbidden_lengths:
+        for i in range(len(w)):
+            if i + L <= len(doubled) and doubled[i:i + L] in system._forbidden_set:
+                return False
+    M = system.memory
+    ext = w * max(2, -(-M // len(w)) + 1)
+    return all(ext[i:i + M] in system._state_index for i in range(len(w)))
+
+
+def lcm_window_on_orbit(system, point):
+    """Whether a word point lies on an orbit system's orbit: it matches some
+    phase of the orbit word on a window wide enough that tail periodicity
+    propagates the agreement."""
+    p = system.period
+    a, b = point.core_span()
+    lo = a - math.lcm(p, len(point.left)) - 1
+    hi = b + math.lcm(p, len(point.right)) + 1
+    return any(all(point.letter(i) == system.word[(i + phase) % p] for i in range(lo, hi + 1))
+               for phase in range(p))
+
+
+def orbit_probe_points(system, count, seed):
+    """Points of an orbit system's orbit, written with tails of one or two
+    periods and a short core at a random anchor, half of them with one
+    letter of a tail or the core flipped."""
+    rng = random.Random(seed)
+    w, p = system.word, system.period
+    out = []
+    for _ in range(count):
+        x = Point(w, "", w, -rng.randrange(p))
+        a = rng.randrange(-p - 3, p + 3)
+        b = a + rng.randrange(0, 6)
+        parts = [x.word(a - p * rng.randrange(1, 3), a - 1), x.word(a, b - 1),
+                 x.word(b, b + p * rng.randrange(1, 3) - 1)]
+        if rng.random() < 0.5:
+            i = rng.choice([j for j, part in enumerate(parts) if part])
+            pos = rng.randrange(len(parts[i]))
+            flip = rng.choice([c for c in system.letters if c != parts[i][pos]])
+            parts[i] = parts[i][:pos] + flip + parts[i][pos + 1:]
+        out.append(Point(parts[0], parts[1], parts[2], a))
+    return out
+
+
+def roundtrip_or_named(pipe, point, k, window, text):
+    """Encode the point at scale k on the window plus the decode margin,
+    decode it at scale k and compare every scale's labels over the window
+    with the itinerary.  An error whose text is not `text` fails the test
+    outright, so a strict xfail passes only on the error it names."""
+    a, b = window
+    margin = pipe.decode_margin()
+    try:
+        res = pipe.decode(pipe.encode(point, k, (a - margin, b + margin)), k)
+    except ShiftEmbedError as exc:
+        if str(exc) != text:
+            pytest.fail("raised %r, not %r" % (str(exc), text))
+        raise
+    for l in range(1, k + 1):
+        assert res.itinerary_list(l, window) == itinerary(
+            pipe.system, point, pipe.schedule.m[l - 1], window)
 
 
 def restrict(stream, a, b):

@@ -22,7 +22,7 @@ from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft
                                 cell_label, dyadic_odometer, enumerate_periodic,
                                 full_shift, golden_mean, itinerary, least_period_words)
 from shiftembed.words import (code_length_needed, has_short_period_prefix, kary_index,
-                              kary_word, min_period, repetition_prefix)
+                              kary_word, min_period, periodic_window, repetition_prefix)
 
 
 def itinerary_keys(system, m, n):
@@ -771,6 +771,40 @@ class TestLabelsAtBlockEnds:
             "scale-2 labels (1, 1) at 628 and (0, 1) at 629 describe no point", 2, 629)
 
 
+class TestMovedBracket:
+    """Two decoder refusals that no single substitution reaches: a scale-2
+    bracket trades places with another symbol of its stream."""
+
+    POINT = Point("010", "0010001010001000010101010010001010101010", "001", -21)
+
+    def _swapped_decode(self, pipe, s, t):
+        margin = 100 + pipe.decode_margin()
+        stream = pipe.encode(self.POINT, 2, (-margin, margin))
+        pipe.decode(stream, 2)
+        symbols = list(stream.symbols)
+        symbols[s - stream.a], symbols[t - stream.a] = symbols[t - stream.a], symbols[s - stream.a]
+        with pytest.raises(MalformedStreamError) as info:
+            pipe.decode(SymbolStream(stream.a, stream.b, symbols), 2)
+        return str(info.value), info.value.scale, info.value.position
+
+    def test_bracket_moved_to_a_later_free_slot(self, pipe3):
+        # the scale-1 block [-13, 1) has free slots -3..0: the scale-2 '['
+        # at -3, two filling slots and a free 'o' at 0.  Moved to 0, the
+        # '[' marks the same boundary, so the decoder lays out the same
+        # block, whose marker slot -3 now holds the 'o'
+        assert self._swapped_decode(pipe3, -3, 0) == (
+            "marker slot -3 lacks its symbol", 2, -3)
+
+    def test_block_too_short_for_its_conditional_code(self):
+        # the '[' of the scale-2 block [-33, -13) sits in a scale-1 stretch;
+        # moved to -25 in the same stretch it opens the block there, whose
+        # length 12 is in layout_bounds(2) but whose budget of 1 letter
+        # cannot hold the conditional code at m = (0, 1)
+        pipe = build_pipeline(golden_mean(), K=3, kmax=2, C=0.0, m=(0, 1))
+        assert self._swapped_decode(pipe, -33, -25) == (
+            "scale-2 block [-25, -13): conditional code needs 2 letters, budget 1", 2, -25)
+
+
 def _letter_keys(system, m, n, mod):
     """Itinerary keys of every residue below mod, built letter by letter."""
     return {rho: tuple(system.digits_of_residue((rho + t) % mod, m + 1) for t in range(n))
@@ -815,6 +849,36 @@ class TestOdometerKeys:
                         want = sorted({fine_keys[rho] for rho in range(mod_f)
                                        if coarse_keys[rho % mod] == coarse})
                         assert refinement_keys(odo, m, mp, n, coarse) == want
+
+
+class TestWordKeys:
+    """Word keys are the windows of one slice (codec._window_key); each must
+    equal the key built position by position through cell_label, or through
+    periodic_window for an orbit."""
+
+    @pytest.mark.parametrize("system, K", [(golden_mean(), 2), (Sft(2, ("00", "111")), 3)],
+                             ids=["golden", "sft00-111"])
+    def test_block_key_equals_cell_labels(self, system, K):
+        pipe = build_pipeline(system, K=K, kmax=2, C=0.0, m=(0, 0))
+        blocks = {1: 0, 2: 0}
+        for point in sample_points(system, 20, seed=3):
+            for layer in pipe.context(point, (-200, 200)).layout.layers:
+                for blk in layer.blocks:
+                    if blk.kind != "regular":
+                        continue
+                    blocks[layer.scale] += 1
+                    for m in (0, 1, 2):
+                        want = tuple(cell_label(system, point, t, m)
+                                     for t in range(blk.start, blk.end))
+                        assert _block_key(pipe, point, blk, m) == want
+        assert min(blocks.values()) >= 20
+
+    def test_orbit_key_equals_periodic_windows(self):
+        for orbit in ("0", "01", "0010101", "0001000000000"):
+            for m in (0, 1, 3):
+                for n in (1, len(orbit), 2 * len(orbit) + 1):
+                    want = tuple(periodic_window(orbit, t - m, t + m) for t in range(n))
+                    assert codec._orbit_key(orbit, m, n) == want
 
 
 MIXED_BASE = ([3, 5, 2, 2, 3], dict(K=2, kmax=2, N_cert=180))

@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from check_reference import count_oracle_systems, filtered_least_period_words, matpow_int
+from check_reference import (count_oracle_systems, doubled_window_cyclic,
+                             filtered_least_period_words, lcm_window_on_orbit, matpow_int,
+                             orbit_probe_points)
 from shiftembed.entropy import least_period_count
 from shiftembed.errors import (EmptySubshiftError, EnumerationBudgetError,
                                InvalidPointError, SpecParseError)
@@ -414,6 +418,40 @@ class TestPeriodic:
         with pytest.raises(EnumerationBudgetError, match="WORD_ENUM_BUDGET = 4000000"):
             periodic_orbits(fs, 22)
         assert fs._word_cache == {}
+
+
+class TestReplacedRules:
+    """Sft.is_cyclic_word and validate_point's orbit test against the rules
+    they replaced, kept in tests/check_reference.py."""
+
+    @pytest.mark.parametrize("name", sorted(count_oracle_systems()))
+    def test_is_cyclic_word_equals_doubled_window(self, name):
+        system = count_oracle_systems()[name]
+        nmax = 8 if system.alphabet_size == 3 else 10
+        cyclic = 0
+        for n in range(1, nmax + 1):
+            for w in map("".join, itertools.product(system.letters, repeat=n)):
+                got = system.is_cyclic_word(w)
+                assert got == doubled_window_cyclic(system, w), w
+                cyclic += got
+        assert 0 < cyclic
+
+    @pytest.mark.parametrize("word", ["0", "01", "001",
+                                      "0" + "".join(format(i, "04b") for i in range(1, 9))],
+                             ids=["period1", "period2", "period3", "period33"])
+    def test_orbit_membership_equals_lcm_window(self, word):
+        orb = OrbitSystem(2, word)
+        accepted = 0
+        for point in orbit_probe_points(orb, 300, seed=5):
+            try:
+                validate_point(orb, point)
+                got = True
+            except InvalidPointError as exc:
+                assert str(exc) == "point is not on the finite orbit"
+                got = False
+            assert got == lcm_window_on_orbit(orb, point), point
+            accepted += got
+        assert 100 < accepted < 300
 
 
 class TestProductCoding:

@@ -3,11 +3,12 @@ and the honest desk-scale walls."""
 
 import pytest
 
+from check_reference import roundtrip_or_named
 from shiftembed import codec
 from shiftembed.codec import Codebook
-from shiftembed.errors import EnumerationBudgetError
+from shiftembed.errors import EnumerationBudgetError, MalformedStreamError
 from shiftembed.pipeline import build_pipeline, sample_points
-from shiftembed.systems import (OrbitSystem, Point, full_shift, golden_mean,
+from shiftembed.systems import (OrbitSystem, Point, Sft, full_shift, golden_mean,
                                 itinerary, validate_point)
 
 
@@ -76,3 +77,24 @@ def test_full_shift_periodic_machinery_hits_honest_wall():
     from the word count, before any word is listed, rather than truncating."""
     with pytest.raises(EnumerationBudgetError):
         build_pipeline(full_shift(), K=4, kmax=1, C=0.0, m=(0,))
+
+
+def small_sft_texts():
+    """Three decoder texts that two-letter SFTs with K=3 and n_2 = n_1 + 1
+    reach and no other test does (ROADMAP item 16), each at its point."""
+    cases = [
+        (("00", "111"), Point("101", "1010", "11010", -3), "freed slot 10 of a stretch holds '1'"),
+        (("00", "111"), Point("01011", "011010110101", "10101", 0),
+         "free slot inside a stretch at -170"),
+        (("001", "010"), Point("111101", "", "1110", 0), "codeword '11o12' not in codebook image"),
+    ]
+    return [pytest.param(forbidden, point, text, id="-".join(forbidden) + ":" + text.split()[0],
+                         marks=pytest.mark.xfail(strict=True, raises=MalformedStreamError,
+                                                 reason=text))
+            for forbidden, point, text in cases]
+
+
+@pytest.mark.parametrize("forbidden, point, text", small_sft_texts())
+def test_small_sft_roundtrip_at_scale_two(forbidden, point, text):
+    pipe = build_pipeline(Sft(2, forbidden), K=3, kmax=2, C=0.0, m=(0, 0))
+    roundtrip_or_named(pipe, point, 2, (-60, 60), text)
