@@ -959,10 +959,11 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
     """Invert the codeword of every regular block of a decoded layer into
     its itinerary labels and certify the block.  The layer's spans are
     disjoint, so no other span of the layer labels a block's positions.  A
-    block is skipped when a coarse label lies outside what is decoded.  The layout drops every
-    regular block that the stream's range cuts, so a block's slots and
-    marker lie in the stream: every padding slot must hold the pad letter,
-    and above scale 1 the marker slot must hold a marker."""
+    block is skipped when a coarse label lies outside what is decoded.  The
+    layout drops every regular block that the stream's range cuts, so a
+    block's slots and marker lie in the stream: every padding slot must
+    hold the pad letter, and above scale 1 the marker slot must hold a
+    marker."""
     k = layer.scale
     A = stream.a
     symbols = stream.symbols
