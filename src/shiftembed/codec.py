@@ -35,9 +35,9 @@ from .entropy import periodic_code_fits
 from .markers import Interval, ReturnPartition, return_partition
 from .systems import (OdometerPoint, _parse_int, _parse_kv, _parse_window,
                       periodic_orbits)
-from .words import (code_length_needed, has_short_period_prefix, is_primitive,
-                    kary_alphabet, kary_index, kary_word, least_rotation, min_period,
-                    necklace, periodic_window, repetition_prefix)
+from .words import (CODE_CHARS, code_length_needed, is_primitive, kary_alphabet,
+                    kary_index, kary_word, least_period_at_most, necklace, periodic_name,
+                    periodic_window)
 
 SYM_M1 = "|"
 SYM_MK = "="
@@ -51,7 +51,8 @@ SYM_PAD = "1"      # the first code letter, written after a short codeword
 
 _TOKEN_OUT = {SYM_M1: "B1", SYM_MK: "B2", SYM_LB: "LB", SYM_RB: "RB",
               SYM_DB: "DB", SYM_FREE: "FR", SYM_UNRESOLVED: "UN"}
-_TOKEN_IN = {v: k for k, v in _TOKEN_OUT.items()}
+# every token a stream file may hold: the structural names and the code letters
+_TOKEN_IN = {**{v: k for k, v in _TOKEN_OUT.items()}, **{c: c for c in CODE_CHARS}}
 
 # the stream symbol of each structural layout role
 _ROLE_SYMBOL = {ROLE_MARKER: SYM_M1, ROLE_CLOSING: SYM_TERM, ROLE_MARKER_K: SYM_MK,
@@ -94,7 +95,11 @@ class SymbolStream:
         if "window" not in kv or "symbols" not in kv:
             raise SpecParseError("stream needs 'window' and 'symbols'")
         a, b = _parse_window(kv["window"], "stream window")
-        syms = [_TOKEN_IN.get(tok, tok) for tok in kv["symbols"].split()]
+        try:
+            syms = [_TOKEN_IN[tok] for tok in kv["symbols"].split()]
+        except KeyError as exc:
+            raise SpecParseError("stream token %r is not one of B1 B2 LB RB DB FR UN "
+                                 "or a code letter" % exc.args[0]) from None
         if len(syms) != b - a + 1:
             raise SpecParseError("stream has %d symbols for window %d:%d"
                                  % (len(syms), a, b))
@@ -428,10 +433,9 @@ class PeriodicCode:
                 problem = "has length %d, not the orbit's %d" % (len(w), orbits[v])
             elif not set(w) <= alphabet:
                 problem = "is not over the %d-letter code alphabet" % K
-            elif not is_primitive(w):
-                problem = "is not primitive"
-            elif not _shape_ok(w, n1):
-                problem = "repeats to an n1-prefix of period below its length"
+            elif not _code_word_ok(w, n1):
+                problem = ("is not primitive" if not is_primitive(w) else
+                           "repeats to an n1-prefix of period below its length")
             else:
                 continue
             raise SpecParseError("code word %r of orbit %r %s" % (w, v, problem))
@@ -444,25 +448,36 @@ class PeriodicCode:
 def _rotation_prefixes(w, n1):
     """The n1-prefix of the repetition of each rotation w[d:] + w[:d], in
     order of d: the n1-letter slices of w w w ... at 0, ..., len(w) - 1."""
-    text = repetition_prefix(w, n1 + len(w) - 1)
+    text = periodic_window(w, 0, n1 + len(w) - 2)
     return [text[d:d + n1] for d in range(len(w))]
 
 
-def _shape_ok(w, n1):
-    """The prefix-shape condition of the periodic-code lemma: a code word of
-    length n in (sqrt(n1), n1] has no n1-prefix of period below n."""
-    return len(w) <= n1 ** 0.5 or not has_short_period_prefix(w, n1, len(w))
+def _code_word_ok(w, n1):
+    """The code-word rule of the periodic-code lemma for 1 <= len(w) <= n1:
+    the n1-letter prefix of w w w ... has least period len(w).
+
+    This is the lemma's pair of conditions, w primitive and, when len(w) >
+    sqrt(n1), no n1-prefix of period below len(w), read as one test.  Above
+    sqrt(n1) it is the shape condition, which implies primitivity: w = u^j
+    with j >= 2 gives the prefix the period len(u) < len(w).  Up to sqrt(n1)
+    it is primitivity, by Fine and Wilf (1965): a prefix of length n1 >=
+    len(w)^2 >= len(w) + q - 1 with periods q < len(w) and len(w) has the
+    period g = gcd(q, len(w)), which divides len(w), so w = w[:g]^(len(w)/g)
+    is a power; and a power w = u^j gives the prefix the period len(u).
+    """
+    return least_period_at_most(periodic_window(w, 0, n1 - 1), len(w) - 1) is None
 
 
 def build_periodic_code(system, K, n1):
-    """Greedy lexicographic assignment satisfying the prefix-shape condition.
+    """Greedy lexicographic assignment satisfying the code-word rule.
 
-    Orbits of least period n in (sqrt(n1), n1] must avoid code words whose
-    n1-fold repetition prefix has a period below n; every orbit takes the
-    first primitive word whose rotation prefixes the code has not taken.  A
-    rotation of a taken word is refused that way too: its prefixes are the
-    taken word's.  The n prefixes of one word are distinct, since each
-    starts with its rotation and a primitive word's rotations are distinct.
+    The orbits of least period n, in necklace order, share one stream of
+    the K-ary n-words in lexicographic order; every orbit takes the next
+    word that passes _code_word_ok and whose rotation prefixes the code has
+    not taken.  A rotation of a taken word is refused that way too: its
+    prefixes are the taken word's.  The n prefixes of one word are
+    distinct, since each starts with its rotation and a primitive word's
+    rotations are distinct.
     """
     if not periodic_code_fits(system, K, n1):
         raise ScheduleError("periodic-code precondition #Per_{n1} < K^{n1-1} fails")
@@ -471,15 +486,12 @@ def build_periodic_code(system, K, n1):
         by_period.setdefault(n, []).append(v)
     code = PeriodicCode(n1, K, {})
     for n in sorted(by_period):
-        cursor = 0
-        top = K ** n
+        candidates = map("".join, itertools.product(kary_alphabet(K), repeat=n))
         for v in sorted(by_period[n]):
-            while cursor < top:
-                cand = kary_word(cursor, n, K)
-                cursor += 1
-                if is_primitive(cand) and _shape_ok(cand, n1) and code.claim(v, cand):
+            for cand in candidates:
+                if _code_word_ok(cand, n1) and code.claim(v, cand):
                     break
-            if v not in code.orbit_code:
+            else:
                 raise CapacityError("periodic code exhausted at period %d" % n,
                                     scale=1, block=n)
     return code
@@ -1080,13 +1092,11 @@ def _extract_period(pipeline, k, labels_prev, s, e, window):
         t += 1
     if len(word) <= sched.n[k - 1]:
         return None
-    text = "".join(word)
-    p = min_period(text)
-    if p > sched.n[k - 1]:
+    hit = periodic_name("".join(word), sched.n[k - 1])
+    if hit is None:
         raise MalformedStreamError("shadowed region content is not periodic")
-    root = text[:p]         # primitive: a shorter period of it would be one of the text
-    i = least_rotation(root)
-    return root[i:] + root[:i], (-i - lo) % p
+    v, shift = hit
+    return v, (shift - lo) % len(v)
 
 
 def _append_decoded_layer(layout, k, window, intervals):

@@ -21,7 +21,7 @@ class EmptySubshiftError(ShiftEmbedError):
     """Forbidden words kill every bi-infinite sequence."""
 
 
-class InvalidPointError(ShiftEmbedError):
+class InvalidPointError(SpecParseError):
     """Point representation is not admissible for its system."""
 
 

@@ -22,8 +22,7 @@ from .blocks import span_at, span_keys
 from .errors import (EnumerationBudgetError, SeparationError,
                      ShiftEmbedError, VerifyReport, WindowError)
 from .systems import periodic_orbits
-from .words import (least_period_at_most, least_rotation, min_period, necklace,
-                    primitive_root)
+from .words import necklace, periodic_name, primitive_root
 
 FLAT_PATTERN_BUDGET = 300_000
 CHASE_LIMIT = 200          # nested rank-chase frames, far below the recursion limit
@@ -70,15 +69,10 @@ class PeriodicNeighborhood:
 
         rotation d means window[j] == v[(j + d) % p] for the canonical word v.
         """
-        p = least_period_at_most(window, self.n)
-        if p is None:
+        hit = periodic_name(window, self.n)
+        if hit is None or not self.has_orbit(hit[0]):
             return None
-        root = window[:p]  # primitive: a shorter period of it would be one of the window
-        i = least_rotation(root)
-        key = root[i:] + root[:i]
-        if not self.has_orbit(key):
-            return None
-        return key, -i % p
+        return hit
 
     def separation_check(self):
         """Distinct orbits have disjoint window sets, with enough slack that
@@ -395,14 +389,18 @@ class TowerStack:
         return TowerRuntime(self, point)
 
     def serialize(self):
+        """Each scale's residues or orbits; every scale's orbit list comes
+        from the one orbit walk of the tower with the largest n."""
         out = []
+        top = max(self.towers, key=lambda tower: tower.n)
         for tower in self.towers:
             out.append("scale: %d" % tower.k)
             if isinstance(tower, OdometerTower):
                 out.append("depth: %d" % tower.depth)
                 out.append("residues: [%s]" % ", ".join(map(str, sorted(tower.residues))))
             else:
-                out.append("orbits: [%s]" % ", ".join(sorted(tower.pernbhd.orbits)))
+                out.append("orbits: [%s]" % ", ".join(
+                    sorted(v for v, p in top.pernbhd.orbits.items() if p <= tower.n)))
         return "\n".join(out) + "\n"
 
 
@@ -671,12 +669,13 @@ def verify_tower(stack, k, probe_points=None):
     w1 = 2 * tower.piece_halfwidth + 1
     if k == 1 and tower.system.count_words(w1) <= FLAT_PATTERN_BUDGET:
         # a piece of least period p < n is the periodic extension of its
-        # first p letters, so extending every p-word lists them all
+        # first p letters, so extending every p-word lists exactly the
+        # pieces of least period below n
         system = tower.system
         pieces = {(v * (w1 // p + 1))[:w1]
                   for p in range(1, tower.n) for v in system.words(p)}
-        bad = [u for u in pieces if system.is_admissible(u)
-               and min_period(u) < tower.n and tower.pernbhd.match_word(u) is None]
+        bad = [u for u in pieces
+               if system.is_admissible(u) and tower.pernbhd.match_word(u) is None]
         report.add("markers", "disjointness(structural-exact)", k, not bad,
                    "short-period pieces escaping the neighborhood: %d" % len(bad))
     else:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (EmptySubshiftError, EnumerationBudgetError,
                      InvalidPointError, SpecParseError)
-from .words import ALPHABET_CHARS, min_period, necklace, periodic_window, primitive_root
+from .words import ALPHABET_CHARS, necklace, periodic_window, primitive_root
 
 WORD_ENUM_BUDGET = 4_000_000
 
@@ -286,8 +286,7 @@ class OrbitSystem:
         return w in self.words(len(w)) if w else True
 
     def is_cyclic_word(self, w):
-        p = min_period(w)
-        root = w[:p] if len(w) % p == 0 else w
+        root = primitive_root(w)
         return len(root) == self.period and root in (
             self.word[i:] + self.word[:i] for i in range(self.period))
 

@@ -10,29 +10,8 @@ CODE_CHARS = "123456789"
 _LETTER_DIGITS = str.maketrans(CODE_CHARS, "012345678")
 
 
-def kmp_border(s):
-    """Length of the longest proper border of s (KMP prefix function value)."""
-    n = len(s)
-    table = [0] * n
-    for i in range(1, n):
-        k = table[i - 1]
-        while k and s[i] != s[k]:
-            k = table[k - 1]
-        if s[i] == s[k]:
-            k += 1
-        table[i] = k
-    return table[n - 1] if n else 0
-
-
-def min_period(s):
-    """Smallest p with s[i] == s[i+p] for all valid i (p = len(s) for border-free s)."""
-    if not s:
-        return 0
-    return len(s) - kmp_border(s)
-
-
 def least_period_at_most(s, n):
-    """min_period(s) of a nonempty word s when it is at most n, else None.
+    """The least period of a nonempty word s when it is at most n, else None.
 
     Exact without computing the least period: a q with s[q:] == s[:-q] is a
     period of s, so when the least period is at most n it is the first such
@@ -50,6 +29,20 @@ def least_rotation(w):
     return ww.index(min([ww[i:i + p] for i in range(p)]))
 
 
+def periodic_name(s, n):
+    """(necklace, shift) of a nonempty word s whose least period p is at
+    most n, else None: s[j] == v[(j + shift) % p] for the necklace v.
+
+    The root s[:p] is primitive: a shorter period of it would be one of s.
+    """
+    p = least_period_at_most(s, n)
+    if p is None:
+        return None
+    root = s[:p]
+    i = least_rotation(root)
+    return root[i:] + root[:i], -i % p
+
+
 def necklace(w):
     """Canonical representative of the rotation class: lexicographically least rotation."""
     i = least_rotation(w)
@@ -57,18 +50,15 @@ def necklace(w):
 
 
 def is_primitive(w):
-    """True when w is not a power of a strictly shorter word."""
-    n = len(w)
-    p = min_period(w)
-    return p == n or n % p != 0
+    """True when the nonempty word w is not a power of a strictly shorter
+    word: w occurs in w w only at 0 and len(w)."""
+    return (w + w).find(w, 1) == len(w)
 
 
 def primitive_root(w):
-    """Shortest u with w = u^k."""
-    p = min_period(w)
-    if len(w) % p == 0:
-        return w[:p]
-    return w
+    """Shortest u with w = u^k: the first shift at which the nonempty word w
+    occurs in w w is the length of its primitive root."""
+    return w[:(w + w).find(w, 1)]
 
 
 def periodic_window(w, a, b, phase=0):
@@ -116,19 +106,3 @@ def code_length_needed(count, K):
         cap *= K
         L += 1
     return L
-
-
-def repetition_prefix(w, length):
-    """First `length` letters of w w w ..."""
-    reps = -(-length // len(w))
-    return (w * reps)[:length]
-
-
-def has_short_period_prefix(w, prefix_len, bound):
-    """True when the prefix_len-prefix of w^inf has a period strictly below bound.
-
-    This is the forbidden shape of the periodic-code lemma: a prefix of the
-    form u...u ubar with |u| < bound.
-    """
-    pref = repetition_prefix(w, prefix_len)
-    return min_period(pref) < bound

@@ -1,16 +1,21 @@
 """Reference checks for the tests: plain functions that the package never
 runs.
 
-`restrict` cuts a symbol stream to a sub-window.  `verify_injective`
-rebuilds a periodic code's rotation prefixes from its code words, which
-`PeriodicCode.claim` already refuses to let collide, so it can fail only on
-a code that a test has corrupted.  `count_disagreements` reads the exact
-disagreement count on [-n, n] from the running table that `dN_distance`
-extends.  `l1`, `marginal_left` and `marginal_right` compare and project the
-frequency tables of empirical measures, and `forbidden_shape_count_bound`
-is the counting bound of the periodic-code lemma.  `escaping_pieces` is the
-full scan over every piece-width word that the scale-1 disjointness record
-of `verify_tower` replaces with the periodic extensions of shorter words.
+`min_period` is the least period by the KMP border table, the oracle for
+the package's slice tests of periods and powers.  `restrict` cuts a symbol
+stream to a sub-window.  `verify_injective` rebuilds a periodic code's
+rotation prefixes from its code words, which `PeriodicCode.claim` already
+refuses to let collide, so it can fail only on a code that a test has
+corrupted.  `count_disagreements` reads the exact disagreement count on
+[-n, n] from the running table that `dN_distance` extends.  `l1`,
+`marginal_left` and `marginal_right` compare and project the frequency
+tables of empirical measures, and `forbidden_shape_count_bound` is the
+counting bound of the periodic-code lemma.  `primitive_and_shaped` is the
+lemma's code-word rule as its two tests, primitivity and, above sqrt(n1),
+the prefix-shape condition, which `codec._code_word_ok` reads as one.
+`escaping_pieces` is the full scan over every piece-width word that the
+scale-1 disjointness record of `verify_tower` replaces with the periodic
+extensions of shorter words.
 `within_seconds` fails a block that outlives its time limit, so that a call
 which used to loop forever fails its test instead of stalling the suite.
 `matpow_int` is the exact transfer-matrix power, the independent oracle for
@@ -39,7 +44,22 @@ from shiftembed.codec import SymbolStream, _rotation_prefixes
 from shiftembed.errors import ShiftEmbedError, WindowError
 from shiftembed.metrics import _extend_counts, disagreement_data
 from shiftembed.systems import Point, Sft, full_shift, golden_mean, itinerary
-from shiftembed.words import is_primitive, min_period
+from shiftembed.words import is_primitive, periodic_window
+
+
+def min_period(s):
+    """Least period of s, 0 for the empty word: len(s) minus its longest
+    proper border, read off the KMP prefix table."""
+    n = len(s)
+    table = [0] * n
+    for i in range(1, n):
+        k = table[i - 1]
+        while k and s[i] != s[k]:
+            k = table[k - 1]
+        if s[i] == s[k]:
+            k += 1
+        table[i] = k
+    return n - table[n - 1] if n else 0
 
 
 def _matmul_int(a, b):
@@ -206,6 +226,15 @@ def forbidden_shape_count_bound(n, K):
     """(sum_{l<n} K^l, K^n / (K-1)) as exact numbers for the counting bound."""
     total = sum(K ** l for l in range(n))
     return total, Fraction(K ** n, K - 1)
+
+
+def primitive_and_shaped(w, n1):
+    """w is primitive (its least period is len(w) or does not divide it)
+    and, when len(w) > sqrt(n1), the n1-prefix of its repetition has no
+    period below len(w)."""
+    p = min_period(w)
+    return (p == len(w) or len(w) % p != 0) and (
+        len(w) ** 2 <= n1 or min_period(periodic_window(w, 0, n1 - 1)) >= len(w))
 
 
 def escaping_pieces(tower):

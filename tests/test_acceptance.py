@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from check_reference import (filtered_least_period_words, forbidden_shape_count_bound, l1,
-                             matpow_int, verify_injective)
+                             matpow_int, min_period, verify_injective)
 from shiftembed.entropy import (appendix_fullness_check, build_schedule,
                                 per_growth_in_cell, verify_schedule)
 from shiftembed.errors import ScheduleError
@@ -23,7 +23,6 @@ from shiftembed.pipeline import build_pipeline, sample_points
 from shiftembed.systems import (Point, dyadic_odometer, enumerate_periodic,
                                 enumerate_words, full_shift, golden_mean,
                                 itinerary, validate_point)
-from shiftembed.words import min_period
 
 WINDOW = (-200, 200)
 SAMPLES = 200

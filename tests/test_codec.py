@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from check_reference import (filtered_least_period_words, forbidden_shape_count_bound,
-                             restrict, verify_injective)
+                             min_period, primitive_and_shaped, restrict, verify_injective)
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
 from layout_reference import ROLE_SINGULAR_FILL, roles
 from shiftembed import codec
@@ -21,8 +22,8 @@ from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
 from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft,
                                 cell_label, dyadic_odometer, enumerate_periodic,
                                 full_shift, golden_mean, itinerary, least_period_words)
-from shiftembed.words import (code_length_needed, has_short_period_prefix, kary_index,
-                              kary_word, min_period, periodic_window, repetition_prefix)
+from shiftembed.words import (code_length_needed, kary_alphabet, kary_index, kary_word,
+                              periodic_window)
 
 
 def itinerary_keys(system, m, n):
@@ -206,9 +207,23 @@ class TestPeriodicCode:
 
     def test_shape_condition_beyond_sqrt(self, pipe):
         code = pipe.periodic_code
-        for orbit, w in code.orbit_code.items():
-            if len(w) > 3:  # sqrt(9)
-                assert not has_short_period_prefix(w, 9, len(w))
+        assert any(len(w) > 3 for w in code.orbit_code.values())    # sqrt(9)
+        for w in code.orbit_code.values():
+            assert primitive_and_shaped(w, 9)
+
+    @pytest.mark.parametrize("K, n1max", [(2, 12), (3, 8)])
+    def test_code_word_rule_equals_the_lemma_pair(self, K, n1max):
+        """_code_word_ok is primitivity and the prefix-shape condition, on
+        every word of length 1..n1 for every n1 up to n1max."""
+        checked = rejected = 0
+        for n in range(1, n1max + 1):
+            for w in map("".join, itertools.product(kary_alphabet(K), repeat=n)):
+                for n1 in range(n, n1max + 1):
+                    ok = codec._code_word_ok(w, n1)
+                    assert ok == primitive_and_shaped(w, n1), (w, n1)
+                    checked += 1
+                    rejected += not ok
+        assert 0 < rejected < checked
 
     def test_count_bound_numeric(self):
         for n in range(1, 17):
@@ -234,9 +249,6 @@ class TestPeriodicCode:
     def test_n1_sixteen_injective(self):
         code = build_periodic_code(golden_mean(), 2, 16)
         assert verify_injective(code)
-
-    def test_repetition_prefix(self):
-        assert repetition_prefix("0001", 9) == "000100010"
 
 
 class TestStreams:
@@ -395,7 +407,6 @@ class TestConvergence:
         for p in pts:
             s = pipe.encode_limit(p, (-40, 40))
             word = "".join(s.symbols)
-            from shiftembed.words import min_period
             assert min_period(word) == 4
 
     def test_epsilon_injectivity_exhaustive(self, pipe):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from check_reference import escaping_pieces, filtered_least_period_words
+from check_reference import escaping_pieces, filtered_least_period_words, min_period
 from clopen_reference import Clopen, OdoClopen
 from encode_reference import bounded_stretch_points, long_tail_points, reference_tag
 from shiftembed.blocks import LayoutBlock
@@ -18,8 +18,8 @@ from shiftembed.markers import (Interval, PeriodicNeighborhood, TowerStack, _adj
 from shiftembed.pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline
 from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
                                 dyadic_odometer, full_shift, golden_mean, least_period_words)
-from shiftembed.words import (is_primitive, least_period_at_most, min_period, necklace,
-                              periodic_window)
+from shiftembed.words import (is_primitive, least_period_at_most, necklace, periodic_name,
+                              periodic_window, primitive_root)
 
 
 def small_schedule(n1, r1=None, m1=0, K=2, periodic=True):
@@ -982,6 +982,32 @@ periodic_words = st.builds(lambda root, reps, cut: (root * reps)[:max(1, len(roo
 def test_bounded_period_test_equals_min_period(w, n):
     p = min_period(w)
     assert least_period_at_most(w, n) == (p if p <= n else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.one_of(st.text("012", min_size=1, max_size=45), periodic_words))
+def test_primitive_root_equals_the_least_period_rule(w):
+    """The first shift at which w occurs in w w is its least period when
+    that divides len(w), and len(w) otherwise."""
+    p = min_period(w)
+    root = w[:p] if len(w) % p == 0 else w
+    assert primitive_root(w) == root
+    assert is_primitive(w) == (root == w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.one_of(st.text("012", min_size=1, max_size=45), periodic_words),
+       n=st.integers(1, 30))
+def test_periodic_name_rebuilds_the_word(w, n):
+    """The necklace of the least-period root and the shift that lays it
+    back over the word, or None when the least period exceeds n."""
+    p = min_period(w)
+    hit = periodic_name(w, n)
+    if p > n:
+        assert hit is None
+    else:
+        v, shift = hit
+        assert v == necklace(w[:p]) and periodic_window(v, 0, len(w) - 1, shift) == w
 
 
 def test_iterating_a_stack_yields_its_towers():

@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 
 import pytest
 
@@ -174,6 +175,22 @@ class TestCli:
         assert pipe.periodic_code is None
         assert not (out / "periodic_code.txt").exists()
 
+    def test_build_walks_the_orbit_tree_once_per_length(self, tmp_path, monkeypatch):
+        """The periodic code walks n_1 = 9; the orbit lists of towers.txt
+        come from the one walk of n_2 = 19."""
+        from shiftembed import systems
+        walks = Counter()
+        real = systems._lyndon_orbits
+
+        def counting(system, nmax):
+            walks[nmax] += 1
+            return real(system, nmax)
+
+        monkeypatch.setattr(systems, "_lyndon_orbits", counting)
+        out = self._build(tmp_path)
+        assert walks == {9: 1, 19: 1}
+        assert (out / "towers.txt").read_text().count("orbits: [") == 2
+
 
 class TestMalformedInputExitsTwo:
     """Malformed input files are parse errors: exit 2 with a one-line
@@ -203,13 +220,53 @@ class TestMalformedInputExitsTwo:
         "window: 0:5\nsymbols: 1 1\nresolution: 1 1\n",
         "window: 0:1\nsymbols: 1 1\nresolution: 1 x\n",
         "window: 5:4\nsymbols:\n",
+        "window: 0:2\nsymbols: B1 foo 1\n",
+        "window: 0:2\nsymbols: B1 12 1\n",
+        "window: 0:2\nsymbols: B1 | 1\n",
     ], ids=["one-line-garbage", "no-symbols", "bad-window", "count-mismatch",
-            "bad-resolution", "reversed-window"])
+            "bad-resolution", "reversed-window", "unknown-token", "two-letter-token",
+            "raw-marker"])
     def test_decode_malformed_stream(self, orbit_pipe, tmp_path, capsys, text):
         stream = tmp_path / "stream.txt"
         stream.write_text(text)
         self._exits_two(["decode", "--pipeline", str(orbit_pipe), "--stream", str(stream)],
                         capsys)
+
+    @pytest.fixture(scope="class")
+    def odometer_pipe(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("malformed-odometer")
+        sysfile = tmp / "odo.txt"
+        sysfile.write_text("kind: odometer\nbase: [2, 2, 2, 2, 2, 2, 2, 2]\n")
+        out = tmp / "pipe"
+        assert main(["build", "--system", str(sysfile), "--K", "2", "--kmax", "2",
+                     "--N-cert", "128", "--out", str(out)]) == 0
+        return out
+
+    # id -> (pipeline, point file, fragment of the refusal)
+    POINT_FILES = {
+        "odometer-too-few-digits": ("odometer", "digits: [0, 1]\n",
+                                    "expected 8 digits, got 2"),
+        "odometer-digit-out-of-base": ("odometer", "digits: [5, 0, 0, 0, 0, 0, 0, 0]\n",
+                                       "digit 5 out of range for base 2"),
+        "empty-left": ("golden", "left:\ncore: 0@0\nright: 0\n",
+                       "left and right periods must be nonempty"),
+        "left-outside-alphabet": ("golden", "left: 2\ncore: 0@0\nright: 0\n",
+                                  "left period uses letters outside the alphabet"),
+        "left-not-cyclic": ("golden", "left: 1\ncore: 0@0\nright: 0\n",
+                            "left period '1' is not cyclically admissible"),
+        "word-point-on-odometer": ("odometer", "left: 0\ncore: 0@0\nright: 0\n",
+                                   "word point supplied for a non-word system"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POINT_FILES))
+    def test_encode_malformed_point(self, saved, odometer_pipe, tmp_path, capsys, name):
+        system, text, fragment = self.POINT_FILES[name]
+        out = odometer_pipe if system == "odometer" else saved / "pipe"
+        point = tmp_path / "point.txt"
+        point.write_text(text)
+        err = self._exits_two(["encode", "--pipeline", str(out), "--point", str(point),
+                               "--window=-40:40"], capsys)
+        assert fragment in err
 
     def test_build_non_integer_alphabet(self, tmp_path, capsys):
         sysfile = tmp_path / "bad.txt"
