@@ -88,7 +88,7 @@ def cmd_decode(args):
             lines.append("scale %d uncertified" % l)
             continue
         lo, hi = cert
-        labels = " ".join(_label_text(result.itineraries[l][t]) for t in range(lo, hi + 1))
+        labels = " ".join(map(_label_text, result.itinerary_list(l, cert)))
         lines.append("scale %d window %d:%d" % (l, lo, hi))
         lines.append("labels %s" % labels)
     lines.append("orbits %s" % " ".join(result.orbits))

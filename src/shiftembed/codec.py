@@ -673,7 +673,7 @@ def encode_limit(point, pipeline, window):
 
 @dataclass
 class DecodeResult:
-    itineraries: dict          # scale -> {t: cell label}
+    itineraries: dict          # scale -> cell labels over [stream_k.a, stream_k.b], None undecoded
     certified: dict            # scale -> (lo, hi) inclusive, or None
     orbits: list               # orbit necklaces read from singular blocks
     stream_k: SymbolStream     # the pi_k form of the input stream
@@ -684,8 +684,8 @@ class DecodeResult:
         if cert is None or cert[0] > lo or cert[1] < hi:
             raise WindowError("window %r not certified at scale %d (have %r)"
                               % (window, k, cert), scale=k)
-        table = self.itineraries[k]
-        return [table[t] for t in range(lo, hi + 1)]
+        A = self.stream_k.a
+        return self.itineraries[k][lo - A:hi + 1 - A]
 
 
 def _next_after(values, x):
@@ -728,7 +728,7 @@ def _decode_scale1(stream, pipeline, structure):
     stretch_starts = {u - n1 for u in terms}
 
     intervals = []
-    labels = {}
+    labels = [None] * (B - A + 1)
     m1 = sched.m[0]
     cert_parts = []
     orbits = []
@@ -778,11 +778,11 @@ def _decode_scale1(stream, pipeline, structure):
                 ch != code.stream_letter(v, phase, t) and ch not in (SYM_LB, SYM_RB, SYM_DB)
                 for t, ch in enumerate(stream.symbols[:e - A], A)):
             continue  # a block the left edge cut
-        lo_t = A if s is None else s
+        lo_t = A if s is None else max(s, A)    # a stretch is read inside the stream only
         hi_t = B + 1 if e is None else e
         cycle = _window_key(periodic_window(v, lo_t - m1, lo_t + len(v) - 1 + m1, phase),
                             m1, len(v))
-        labels.update(zip(range(lo_t, hi_t), periodic_window(cycle, 0, hi_t - lo_t - 1)))
+        labels[lo_t - A:hi_t - A] = periodic_window(cycle, 0, hi_t - lo_t - 1)
         intervals.append(Interval(s, e, "singular", special=True,
                                   orbit=v, phase=phase, m=len(v)))
         orbits.append(v)
@@ -940,7 +940,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
 
     # tag singular intervals from the previous scale's content
     m_k = sched.m[k - 1]
-    labels = {}
+    labels = [None] * len(labels_prev)
     orbits = []
     out_intervals = []
     m_prev = sched.m[k - 2]
@@ -953,14 +953,17 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
             # labels come from the previous scale's letters, never from the
             # orbit extrapolated past where the point departs from it, so
             # regions that overlap label their common positions alike
-            span = range(A if iv.start is None else iv.start, B + 1 if iv.end is None else iv.end)
-            labs = (list(map(labels_prev.get, span)) if m_k == m_prev else
-                    [_refine_label(labels_prev, t, m_prev, m_k) for t in span])
-            known = [t for t, lab in zip(span, labs) if lab is not None]
-            labels.update((t, lab) for t, lab in zip(span, labs) if lab is not None)
-            if known:       # certified over the first run of known positions
-                run = next((i for i, t in enumerate(known) if t != known[0] + i), len(known))
-                cert_parts.append((known[0], known[0] + run - 1))
+            s = 0 if iv.start is None else iv.start - A
+            e = len(labels) if iv.end is None else iv.end - A
+            labels[s:e] = (labels_prev[s:e] if m_k == m_prev else
+                           [_refine_label(labels_prev, i, m_prev, m_k) for i in range(s, e)])
+            i = next((i for i in range(s, e) if labels[i] is not None), e)
+            if i < e:       # certified over the first run of known positions
+                try:
+                    run_end = labels.index(None, i, e)
+                except ValueError:
+                    run_end = e
+                cert_parts.append((A + i, A + run_end - 1))
         else:
             out_intervals.append(iv)
 
@@ -971,7 +974,7 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
     """Invert the codeword of every regular block of a decoded layer into
     its itinerary labels and certify the block.  The layer's spans are
     disjoint, so no other span of the layer labels a block's positions.  A
-    block is skipped when a coarse label lies outside what is decoded.  The
+    block is skipped when a coarse label is not decoded.  The
     layout drops every regular block that the stream's range cuts, so a
     block's slots and marker lie in the stream: every padding slot must
     hold the pad letter, and above scale 1 the marker slot must hold a
@@ -983,14 +986,14 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
     for blk in layer.blocks:
         if blk.kind != "regular":
             continue
-        span = range(blk.start, blk.end)
+        s, e = blk.start - A, blk.end - A
         coarse = None
         if k >= 2:
-            try:
-                coarse = tuple(map(labels_prev.__getitem__, span))
-            except KeyError:
-                continue  # outside the previous certified region
-        key = (len(span), len(blk.fill_positions) if k == 1 else coarse)
+            coarse = labels_prev[s:e]
+            if None in coarse:
+                continue  # outside the previous decoded labels
+            coarse = tuple(coarse)
+        key = (e - s, len(blk.fill_positions) if k == 1 else coarse)
         cb = codebooks.get(key)
         if cb is None:
             try:
@@ -1008,19 +1011,21 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
             if symbols[pos - A] != SYM_PAD:
                 raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
                                            % (pos, k, symbols[pos - A]), scale=k, position=pos)
-        labels.update(zip(span, fine))
+        labels[s:e] = fine
         cert_parts.append((blk.start, blk.end - 1))
         if k >= 2 and symbols[blk.marker_pos - A] not in (SYM_MK, SYM_LB, SYM_DB):
             raise MalformedStreamError("marker slot %d lacks its symbol" % blk.marker_pos,
                                        scale=k, position=blk.marker_pos)
 
 
-def _refine_label(labels_prev, t, m_prev, m_new):
-    """Radius-m_new cell label at t from radius-m_prev labels, m_new > m_prev
-    (stitch center letters: only word systems have singular regions)."""
+def _refine_label(labels_prev, i, m_prev, m_new):
+    """Radius-m_new cell label at index i of a label list from its radius-
+    m_prev labels, m_new > m_prev (stitch center letters: only word systems
+    have singular regions); None when a label it needs is not decoded."""
+    if i < m_new or i + m_new >= len(labels_prev):
+        return None
     letters = []
-    for i in range(t - m_new, t + m_new + 1):
-        lab = labels_prev.get(i)
+    for lab in labels_prev[i - m_new:i + m_new + 1]:
         if lab is None:
             return None
         letters.append(lab[m_prev])
@@ -1086,10 +1091,10 @@ def _extract_period(pipeline, k, labels_prev, s, e, window):
     lo = A if s is None else s
     hi = B + 1 if e is None else e
     word = []
-    t = lo
-    while t < hi and t in labels_prev:
-        word.append(labels_prev[t][m_prev])
-        t += 1
+    for lab in labels_prev[max(lo - A, 0):max(hi - A, 0)]:
+        if lab is None:
+            break
+        word.append(lab[m_prev])
     if len(word) <= sched.n[k - 1]:
         return None
     hit = periodic_name("".join(word), sched.n[k - 1])
@@ -1151,14 +1156,18 @@ def _check_block_ends(pipeline, layout, itineraries):
     """Refuse labels that no point has: at the end t of every block, the
     labels at t - 1 and t must be the cells of one point at consecutive
     times.  A word label's window slides by one letter; an odometer orbit
-    reads its cell table cyclically, so its next cell is the table's next."""
+    reads its cell table cyclically, so its next cell is the table's next.
+    The label lists start at the layout's lo, the stream's first position."""
     system, m = pipeline.system, pipeline.schedule.m
+    A = layout.lo
     for layer in layout.layers:
         k = layer.scale
         labels = itineraries[k]
         cells = None if system.is_word_system else system.cell_table(m[k - 1] + 1)
         for t in (blk.end for blk in layer.blocks if blk.end is not None):
-            a, b = labels.get(t - 1), labels.get(t)
+            if not A < t < A + len(labels):
+                continue
+            a, b = labels[t - 1 - A], labels[t - A]
             if a is None or b is None:
                 continue
             after = a[1:] + b[-1] if cells is None else cells[(cells.index(a) + 1) % len(cells)]
@@ -1215,4 +1224,4 @@ def invert(stream, pipeline, k):
     cert = result.certified.get(k)
     if cert is None or not cert[0] <= 0 <= cert[1]:
         raise WindowError("time zero not certified at scale %d" % k, scale=k, position=0)
-    return result.itineraries[k][0]
+    return result.itineraries[k][-stream.a]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from check_reference import (filtered_least_period_words, forbidden_shape_count_bound,
                              min_period, primitive_and_shaped, restrict, verify_injective)
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
-from layout_reference import ROLE_SINGULAR_FILL, roles
+from layout_reference import ROLE_SINGULAR_FILL, record_layouts, roles
 from shiftembed import codec
 from shiftembed.blocks import LayoutBlock
 from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream, _block_key,
@@ -1134,6 +1134,50 @@ class TestGrowingRadius:
         "'codeword of length 2 cannot fit 1 slots'"))
     def test_roundtrip_block_eaten_by_a_stretch(self, grow3):
         _roundtrip(grow3, Point("010", "10010001010010010", "10000", -17), window=(-60, 60))
+
+
+class TestSharedLabels:
+    """With m_k = m_{k-1} a scale-k singular region's labels are the
+    scale-(k-1) labels on its span, undecoded positions included."""
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_singular_regions_copy_the_previous_scale(self, K):
+        pipe = build_pipeline(golden_mean(), K=K, kmax=2, C=0.0, m=(0, 0))
+        margin = pipe.decode_margin()
+        window = (-200 - margin, 200 + margin)
+        regions = known = 0
+        errors = []
+        for point in sample_points(golden_mean(), 20, seed=3) + bounded_stretch_points():
+            stream = pipe.encode(point, 2, window)
+            seen, error = record_layouts(pipe.decode, stream, 2)
+            if error:
+                errors.append(error)
+                continue
+            res = pipe.decode(stream, 2)
+            labels1, labels2 = res.itineraries[1], res.itineraries[2]
+            assert len(labels1) == len(labels2) == stream.b - stream.a + 1
+            (layout, _), = seen
+            for blk in layout.layer(2).blocks:
+                if blk.kind != "singular":
+                    continue
+                s = 0 if blk.start is None else blk.start - stream.a
+                e = len(labels2) if blk.end is None else blk.end - stream.a
+                assert labels2[s:e] == labels1[s:e]
+                regions += 1
+                known += any(lab is not None for lab in labels2[s:e])
+        assert regions >= 10 and known == regions
+        # the one refusal is test_roundtrip_bounded_stretch_of_period_7's
+        assert errors == ([] if K == 2 else
+                          ["MalformedStreamError: codeword '1o2123' not in codebook image"])
+
+    @pytest.mark.xfail(strict=True, raises=MalformedStreamError, reason=(
+        "golden K=3: the scale-2 stream of a point whose core has least "
+        "period 7, a bounded scale-1 stretch, holds a free slot among the "
+        "filling slots of a scale-1 block that the decoder lays out, so "
+        "decode raises \"codeword '1o2123' not in codebook image\"; the "
+        "scale-1 stream of the point round-trips"))
+    def test_roundtrip_bounded_stretch_of_period_7(self, pipe3):
+        _roundtrip(pipe3, bounded_stretch_points()[4])
 
 
 @pytest.mark.parametrize("K", [2, 3])

@@ -75,7 +75,7 @@ def _decode_text(pipe, stream, k):
             continue
         lo, hi = cert
         lines.append("scale %d window %d:%d %r" % (
-            l, lo, hi, [res.itineraries[l][t] for t in range(lo, hi + 1)]))
+            l, lo, hi, res.itinerary_list(l, cert)))
     lines.append("orbits %r" % (res.orbits,))
     return "\n".join(lines)
 
@@ -252,8 +252,11 @@ def test_malformed_decodes_pinned(config):
 
 
 PINNED_SWEEP = {
-    "golden-k2": "072f3019b0980cc3",
-    "golden-k3": "67fc428009f6af31",
+    # 9 texts of each golden config, "=" at position 0..8, certify scale 1
+    # from -90 on: the stretch before the substituted terminator is labelled
+    # inside the stream only, not from -99 + i on, extrapolated from its orbit
+    "golden-k2": "5cdc64dba62b67cb",
+    "golden-k3": "b364d51fe87b5185",
     # 3 of the 2,408 odometer texts, decodes before, refuse labels at a
     # block end that are not one point's consecutive cells
     "odometer": "f58bbfe186974ca7",
@@ -262,6 +265,35 @@ PINNED_SWEEP = {
 
 def test_mutation_sweep_pinned():
     assert {name: mutation_sweep_digest(name) for name in SWEEP_WINDOWS} == PINNED_SWEEP
+
+
+def _certified_inside(res, a, b):
+    return all(cert is None or a <= cert[0] <= cert[1] <= b for cert in res.certified.values())
+
+
+def test_certified_windows_lie_in_the_stream():
+    """A decode certifies only positions of its stream: the sampled round
+    trips of every configuration, and the sweep's substitutions of a
+    terminator at positions 0..8 of the golden streams, which cut the
+    stretch before it at the stream's left edge."""
+    for name, (make_system, kwargs) in CONFIGS.items():
+        system = make_system()
+        pipe = build_pipeline(system, **kwargs)
+        a, b = WINDOW
+        margin = pipe.decode_margin()
+        for point in _points(name, system):
+            stream = pipe.encode(point, pipe.kmax, (a - margin, b + margin))
+            assert _certified_inside(pipe.decode(stream, pipe.kmax), stream.a, stream.b)
+        if name not in ("golden-k2", "golden-k3"):
+            continue
+        stream = pipe.encode(sample_points(system, 1, seed=3)[0], pipe.kmax,
+                             SWEEP_WINDOWS[name])
+        for i in range(9):
+            symbols = list(stream.symbols)
+            symbols[i] = codec.SYM_TERM
+            res = pipe.decode(SymbolStream(stream.a, stream.b, symbols), pipe.kmax)
+            assert res.certified[1] == (stream.a, stream.b)
+            assert _certified_inside(res, stream.a, stream.b)
 
 
 LONG_TAIL_PERIODS = (10, 13, 19, 20, 31, 40)

@@ -5,6 +5,7 @@ import pytest
 
 from check_reference import within_seconds
 from shiftembed.cli import main
+from shiftembed.codec import SymbolStream
 from shiftembed.entropy import ScaleSchedule, build_schedule
 from shiftembed.errors import CapacityError, ScheduleError, SpecParseError
 from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points, save_pipeline,
@@ -107,6 +108,28 @@ class TestCli:
         rc = main(["invert", "--pipeline", str(out), "--stream", str(stream)])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "1"  # x_0 = core[2]
+
+    def test_decode_and_invert_print_the_labels_of_itinerary_list(self, tmp_path, capsys):
+        out = self._build(tmp_path)
+        pipe = load_pipeline(str(out))
+        margin = pipe.decode_margin()
+        point = tmp_path / "point.txt"
+        point.write_text("left: 10\ncore: 00100@-2\nright: 001\n")
+        stream = tmp_path / "stream.txt"
+        assert main(["encode", "--pipeline", str(out), "--point", str(point),
+                     "--window=%d:%d" % (-margin, margin), "--out", str(stream)]) == 0
+        res = pipe.decode(SymbolStream.from_text(stream.read_text()), 2)
+        want = []
+        for l in (1, 2):
+            lo, hi = res.certified[l]
+            want += ["scale %d window %d:%d" % (l, lo, hi),
+                     "labels " + " ".join(res.itinerary_list(l, (lo, hi)))]
+        want.append("orbits " + " ".join(res.orbits))
+        capsys.readouterr()
+        assert main(["decode", "--pipeline", str(out), "--stream", str(stream)]) == 0
+        assert capsys.readouterr().out.splitlines() == want
+        assert main(["invert", "--pipeline", str(out), "--stream", str(stream)]) == 0
+        assert capsys.readouterr().out.splitlines() == res.itinerary_list(2, (0, 0))
 
     def test_cli_roundtrip_byte_exact(self, tmp_path):
         out = self._build(tmp_path)

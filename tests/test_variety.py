@@ -39,7 +39,7 @@ def test_pure_orbit_system_pipeline():
     margin = pipe.decode_margin()
     res = pipe.decode(pipe.encode(p, 1, (-margin, margin)), 1)
     assert res.orbits == ["001"]
-    assert all(res.itineraries[1][t] == p.letter(t) for t in range(-10, 11))
+    assert res.itinerary_list(1, (-10, 10)) == [p.letter(t) for t in range(-10, 11)]
 
 
 def test_long_orbit_round_trips_through_conditional_codes(monkeypatch):
