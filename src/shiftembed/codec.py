@@ -640,25 +640,41 @@ def odometer_period(pipeline):
         return ()
 
 
+def _period_streams(pipeline):
+    """An odometer pipeline's period streams, or () for a word system or
+    when the period pass raised."""
+    return pipeline.odometer_period if pipeline.system.kind == "odometer" else ()
+
+
+def _period_slice(stream, point, window):
+    """A period stream read on an inclusive window from a point's residue."""
+    a, b = window
+    return SymbolStream(a, b, periodic_window(stream.symbols, a, b, point.residue),
+                        periodic_window(stream.resolution, a, b, point.residue))
+
+
 def encode_scales(point, pipeline, window):
     """Yield psi_1, ..., psi_kmax of a point on an inclusive window.  An
     odometer point's codes are its pipeline's period streams read from its
     residue, unless the period pass raised: then, as for word systems, the
     point's own window is rendered."""
-    if pipeline.system.kind != "odometer" or not pipeline.odometer_period:
+    periods = _period_streams(pipeline)
+    if not periods:
         yield from render_scales(point, pipeline, window)
         return
-    a, b = window
-    for stream in pipeline.odometer_period:
-        yield SymbolStream(a, b, periodic_window(stream.symbols, a, b, point.residue),
-                           periodic_window(stream.resolution, a, b, point.residue))
+    for stream in periods:
+        yield _period_slice(stream, point, window)
 
 
 def encode_k(point, pipeline, k, window):
-    """The scale-k code of a point on an inclusive window."""
+    """The scale-k code of a point on an inclusive window; of an odometer
+    point, one slice of the scale-k period stream."""
     if not 1 <= k <= pipeline.schedule.kmax:
         raise ValueError("scale %d out of range" % k)
-    return next(itertools.islice(encode_scales(point, pipeline, window), k - 1, None))
+    periods = _period_streams(pipeline)
+    if periods:
+        return _period_slice(periods[k - 1], point, window)
+    return next(itertools.islice(render_scales(point, pipeline, window), k - 1, None))
 
 
 def encode_limit(point, pipeline, window):

@@ -4,19 +4,24 @@ The tower at scale k is the greedy union, over ranked clopen pieces, from
 the nested-marker construction: pieces are cylinders of one fixed width,
 ranked lexicographically by their window, and a point is accepted exactly
 when no strictly smaller-ranked piece is accepted within distance n_k - 1.
-Membership is evaluated lazily per point (the rank chase terminates because
-ranks strictly decrease, and CHASE_LIMIT bounds its depth), so no flat
-pattern set is ever built.  A tail of least period at most n_k lies in the
-scale-k periodic neighborhood, so no position past its quiet bound
-(TowerRuntime.quiet_bounds) is in a piece: a rank there is None without
-matching its window, and members are sought between the quiet bounds only.
+Membership is decided per point, never through a flat pattern set.  Over
+the range a return partition scans, WordTower.members decides every
+position in increasing rank order, so each test reads only members already
+decided.  Anywhere else, and for neighbours past that range's edges, the
+recursive WordTower.member is the definition: its rank chase terminates
+because ranks strictly decrease, and CHASE_LIMIT bounds its depth.  A tail
+of least period at most n_k lies in the scale-k periodic neighborhood, so
+no position past its quiet bound (TowerRuntime.quiet_bounds) is in a piece:
+a rank there is None without matching its window, and members are sought
+between the quiet bounds only.
 
 Odometer towers live on residues and are always exact and flat.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .blocks import span_at, span_keys
 from .errors import (EnumerationBudgetError, SeparationError,
@@ -25,7 +30,8 @@ from .systems import periodic_orbits
 from .words import necklace, periodic_name, primitive_root
 
 FLAT_PATTERN_BUDGET = 300_000
-CHASE_LIMIT = 200          # nested rank-chase frames, far below the recursion limit
+CHASE_LIMIT = 200          # nested lazy rank-chase frames, as at a swept range's edges;
+                           # far below the recursion limit
 RETURN_SCAN_CAP = 200_000   # positions a return scan walks before it refuses
 
 
@@ -161,28 +167,61 @@ class WordTower:
         if pos in cache:
             return cache[pos]
         rk = self.rank(point, pos, runtime)
-        if rk is None:
-            cache[pos] = False
-            return False
-        result = True
-        for m in self.chase_order:
-            rk2 = self.rank(point, pos + m, runtime)
-            if rk2 is not None and rk2 < rk:
-                depth = runtime.chase_depth = runtime.chase_depth + 1
-                try:
-                    if depth > runtime.chase_depth_max:
-                        if depth > CHASE_LIMIT:
-                            raise ShiftEmbedError("rank chase deeper than %d frames at scale %d"
-                                                  % (CHASE_LIMIT, self.k))
-                        runtime.chase_depth_max = depth
-                    accepted = self.member(point, pos + m, runtime)
-                finally:
-                    runtime.chase_depth = depth - 1
-                if accepted:
-                    result = False
-                    break
+        result = rk is not None and not any(
+            self._beaten_by(point, pos + m, rk, runtime) for m in self.chase_order)
         cache[pos] = result
         return result
+
+    def _beaten_by(self, point, u, rk, runtime):
+        """Whether u ranks below rk and is a member, u's membership decided
+        by the lazy chase as one more frame."""
+        rk2 = self.rank(point, u, runtime)
+        if rk2 is None or not rk2 < rk:
+            return False
+        depth = runtime.chase_depth = runtime.chase_depth + 1
+        try:
+            if depth > runtime.chase_depth_max:
+                if depth > CHASE_LIMIT:
+                    raise ShiftEmbedError("rank chase deeper than %d frames at scale %d"
+                                          % (CHASE_LIMIT, self.k))
+                runtime.chase_depth_max = depth
+            return self.member(point, u, runtime)
+        finally:
+            runtime.chase_depth = depth - 1
+
+    def members(self, point, lo, hi, runtime):
+        """The sorted members in [lo, hi], decided in increasing rank order.
+
+        When t comes up, every position of the range that ranks below it is
+        decided, so the ones within the chase neighbourhood of t are read by
+        one bisection of the accepted list.  Two positions closer than n_k
+        never tie in rank: equal windows at shift d < n_k have period d, so
+        they lie in the periodic neighbourhood and their rank is None.
+        Neighbours outside [lo, hi] go through the lazy member.  Writes the
+        member cache, and the result for TowerRuntime.near.
+        """
+        cache = runtime.member_cache[self.k]
+        ranked = []
+        for t in range(lo, hi + 1):
+            rk = self.rank(point, t, runtime)
+            if rk is None:
+                cache[t] = False
+            else:
+                ranked.append((rk, t))
+        ranked.sort()
+        d_lo, d_hi = min(self.chase_order, default=0), max(self.chase_order, default=0)
+        accepted = []
+        for rk, t in ranked:
+            i = bisect_left(accepted, t + d_lo)
+            ok = i == len(accepted) or accepted[i] > t + d_hi
+            if ok and (t + d_lo < lo or t + d_hi > hi):
+                ok = not any(self._beaten_by(point, t + m, rk, runtime)
+                             for m in self.chase_order if not lo <= t + m <= hi)
+            cache[t] = ok
+            if ok:
+                insort(accepted, t)
+        runtime.swept[self.k] = (lo, hi, accepted)
+        return accepted
 
     def accepted_tier(self, point, pos, runtime):
         if not self.member(point, pos, runtime):
@@ -249,8 +288,9 @@ class TowerRuntime:
     Word towers read the point through one letter text, the letters of
     [_text_lo, _text_lo + len(_text)), which grows geometrically to
     whatever range the towers ask for, and through one match table per
-    scale.  chase_depth counts the nested rank-chase frames under way and
-    chase_depth_max the deepest reached.
+    scale.  swept holds, per scale, the last range WordTower.members
+    decided and its members.  chase_depth counts the nested rank-chase
+    frames under way and chase_depth_max the deepest reached.
     """
 
     def __init__(self, stack, point):
@@ -261,9 +301,8 @@ class TowerRuntime:
         self.member_cache = {k: {} for k in range(1, kmax + 1)}
         # scale -> {t: match of the central window at t, None for no match}
         self._matches = {k: {} for k in range(1, kmax + 1)}
-        # scale -> [base, right, left]: right[j] counts the members in
-        # [base, base + j), left[j] those in [base - j, base)
-        self._counts = {}
+        # scale -> (lo, hi, sorted members in [lo, hi])
+        self.swept = {}
         # scale -> (quiet_left, quiet_right)
         self._quiet = {}
         self.chase_depth = self.chase_depth_max = 0
@@ -351,23 +390,26 @@ class TowerRuntime:
         return hit
 
     def near(self, tower, pos, w):
-        """Whether the tower has a member within distance w - 1 of pos."""
-        return self._count_below(tower, pos + w) > self._count_below(tower, pos - w + 1)
+        """Whether the tower has a member within distance w - 1 of pos.
 
-    def _count_below(self, tower, x):
-        """Members in [base, x) of the tower's scale, negated for x < base;
-        grows the count arrays to reach x."""
-        counts = self._counts.get(tower.k)
-        if counts is None:
-            counts = self._counts[tower.k] = [x, [0], [0]]
-        base, right, left = counts
-        if x >= base:
-            for t in range(base + len(right) - 1, x):
-                right.append(right[-1] + tower.member(self.point, t, self))
-            return right[x - base]
-        for t in range(base - len(left), x - 1, -1):
-            left.append(left[-1] + tower.member(self.point, t, self))
-        return -left[base - x]
+        Members of the swept range are read by bisection, and none lies
+        past a quiet bound; only the positions outside both are decided
+        one by one.  A scale with no swept range reads as an empty one.
+        """
+        a, b = pos - w + 1, pos + w - 1
+        lo, hi, members = self.swept.get(tower.k, (0, -1, ()))
+        i = bisect_left(members, a)
+        if i < len(members) and members[i] <= b:
+            return True
+        left, right = self.quiet_bounds(tower)
+        if left is not None:
+            a = max(a, left)
+        if right is not None:
+            b = min(b, right)
+        if lo <= a and b <= hi:
+            return False
+        rest = chain(range(a, min(b, lo - 1) + 1), range(max(a, hi + 1), b + 1))
+        return any(tower.member(self.point, u, self) for u in rest)
 
 
 class TowerStack:
@@ -513,10 +555,12 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
     the inflated window are resolved exactly using the eventual periodicity
     of the point (deep periodic tails admit no returns once their windows
     are fully periodic, and non-periodic tails return within every 2 n'_k).
-    Members are sought between the quiet bounds only (from the first return
-    to the last one, or to the quiet bound of a side with none left); the
-    computed range keeps a margin of 2 n'_k past the quiet bound of an open
-    side, where the singular stretch is tagged.
+    Members are sought between the quiet bounds only: a lazy scan out of
+    the inflated window finds the first and the last return, or the quiet
+    bound of a side with none left, and WordTower.members sweeps the range
+    between them in rank order.  The computed range keeps a margin of
+    2 n'_k past the quiet bound of an open side, where the singular stretch
+    is tagged.
     """
     tower = stack[k]
     if runtime is None and isinstance(tower, WordTower):
@@ -542,7 +586,7 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
         last = quiet_right if right_open else last
         scan_lo = (first - 2 * tower.nprime if left_open else first) - 1
         scan_hi = (last + 2 * tower.nprime if right_open else last) + 1
-        returns = [t for t in range(first, last + 1) if tower.member(point, t, runtime)]
+        returns = tower.members(point, first, last, runtime)
 
     # a side that returns nowhere is open, so no returns give (None, None)
     bounds = [None] * left_open + returns + [None] * right_open

@@ -15,9 +15,18 @@ def least_period_at_most(s, n):
 
     Exact without computing the least period: a q with s[q:] == s[:-q] is a
     period of s, so when the least period is at most n it is the first such
-    q in 1..n.
+    q in 1..n.  When len(s) >= 2n that q is the first recurrence q of s[:n]:
+    a least period p <= n puts s[:n] at p, so q <= p, and the length-(n + q)
+    prefix has periods p and q, hence period gcd(p, q) by Fine and Wilf
+    (1965), which p being least makes p itself; so q = p.
     """
-    return next((q for q in range(1, n + 1) if s[q:] == s[:-q]), None)
+    if n and 2 * n <= len(s):
+        q = s.find(s[:n], 1, 2 * n)
+        return q if q > 0 and s[q:] == s[:-q] else None
+    for q in range(1, n + 1):
+        if s[q:] == s[:-q]:
+            return q
+    return None
 
 
 def least_rotation(w):

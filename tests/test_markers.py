@@ -646,39 +646,101 @@ class TestShortPeriodPieces:
 
 
 def near_reference(tower, point, pos, w, runtime):
-    """The sweep TowerRuntime.near replaces."""
+    """The member-by-member test TowerRuntime.near replaces."""
     return any(tower.member(point, pos + i, runtime) for i in range(-(w - 1), w))
 
 
 class TestNearAReturn:
-    # the first query fixes the array's base; the rest grow it to the right
-    # and to the left, or fall inside what is already counted
+    # -120 and 200 lie past the quiet bounds of these points, outside any
+    # swept range; the rest meet the cores
     POSITIONS = [0, 5, 40, -3, -50, 90, -120, 1, 200, -7] + list(range(-30, 31, 7))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_equals_sweep(self, pipe, k):
+        self._check(pipe, k, swept=False)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_equals_sweep_after_a_return_partition(self, pipe, k):
+        self._check(pipe, k, swept=True)
+
+    def _check(self, pipe, k, swept):
         tower = pipe.stack[k]
         for point in sample_points(golden_mean(), 6, seed=21) + [Point("01", "01", "01", 0)]:
             fast = pipe.stack.runtime(point)
             slow = pipe.stack.runtime(point)
+            if swept:
+                return_partition(point, pipe.stack, k, (-60, 60), runtime=fast)
+                lo, hi, _ = fast.swept[k]
+                assert -120 < lo and hi < 200
             for pos in self.POSITIONS:
                 for w in (tower.nprime, tower.n, 1):
                     assert fast.near(tower, pos, w) == near_reference(tower, point, pos, w, slow)
-            base, right, left = fast._counts[k]
-            assert base - len(left) + 1 <= -120 - (tower.nprime - 1)
-            assert base + len(right) - 1 >= 200 + tower.nprime
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_across_the_edge_of_the_swept_range(self, pipe, k):
+        """Sides that keep returning put members on both sides of each edge
+        of the swept range: a query window that straddles an edge reads one
+        part by bisection and decides the other member by member."""
+        tower = pipe.stack[k]
+        straddled = 0
+        for point in long_tail_points((23, 31), 2):
+            fast = pipe.stack.runtime(point)
+            slow = pipe.stack.runtime(point)
+            return_partition(point, pipe.stack, k, (-30, 30), runtime=fast)
+            lo, hi, members = fast.swept[k]
+            assert members and lo == members[0] and hi == members[-1]
+            for edge in (lo, hi):
+                for pos in range(edge - 2 * tower.nprime, edge + 2 * tower.nprime):
+                    for w in (tower.nprime, tower.n):
+                        a, b = pos - w + 1, pos + w - 1
+                        straddled += a < lo <= b or a <= hi < b
+                        assert fast.near(tower, pos, w) == \
+                            near_reference(tower, point, pos, w, slow)
+        assert straddled
 
     def test_scales_count_separately(self, pipe):
         point = Point("10", "00100101", "001", -3)
         rt = pipe.stack.runtime(point)
+        return_partition(point, pipe.stack, 1, (-30, 30), runtime=rt)
         rt.near(pipe.stack[2], 0, pipe.stack[2].nprime)   # reads scale 1 through the ranks
-        assert set(rt._counts) == {1, 2}
+        assert set(rt.swept) == {1}
         ref = pipe.stack.runtime(point)
         for t in range(-60, 60):
             for k in (1, 2):
                 tower = pipe.stack[k]
                 assert rt.near(tower, t, tower.nprime) == \
                     near_reference(tower, point, t, tower.nprime, ref)
+
+
+class TestRankOrderSweep:
+    """WordTower.members decides a range in rank order; on a fresh runtime
+    it lists exactly the positions the recursive member accepts."""
+
+    CONFIGS = {
+        "golden-K2": (golden_mean, dict(K=2, kmax=2, C=0.0, m=(0, 0))),
+        "golden-K3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 0))),
+        "golden-K3-kmax3": (golden_mean, dict(K=3, kmax=3, C=4.0, N_cert=128)),
+        "sft-111-0101": (lambda: Sft(2, ("111", "0101")), dict(K=2, kmax=2, C=0.0, m=(0, 0))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_sweep_equals_the_recursive_rule(self, name):
+        make_system, kwargs = self.CONFIGS[name]
+        system = make_system()
+        stack = build_pipeline(system, **kwargs).stack
+        points = sample_points(system, 6, seed=13)
+        if name.startswith("golden"):
+            points += long_tail_points((7, 13, 29), 1)
+        for point in points:
+            for tower in stack:
+                lo, hi = -3 * tower.nprime, 3 * tower.nprime
+                lazy = stack.runtime(point)
+                runtime = stack.runtime(point)
+                assert tower.members(point, lo, hi, runtime) == \
+                    [t for t in range(lo, hi + 1) if tower.member(point, t, lazy)], \
+                    (name, point, tower.k)
+                assert {t: runtime.member_cache[tower.k][t] for t in range(lo, hi + 1)} == \
+                    {t: lazy.member_cache[tower.k][t] for t in range(lo, hi + 1)}
 
 
 def match_table_points():
@@ -914,8 +976,10 @@ class TestQuietTails:
 def test_a_chase_deeper_than_the_limit_is_refused_by_name(pipe, runtimes, monkeypatch):
     """The limit bounds the nested chase frames a runtime records: an
     encode that reaches depth d passes at CHASE_LIMIT = d and is refused at
-    d - 1."""
-    point = Point("10", "00100101", "001", -3)
+    d - 1.  Inside a swept range no member is chased, so the point's sides
+    keep returning at scale 1 (tail periods 10 and 11 above n_1 = 9), and
+    the lazy chase nests past the range's edges."""
+    point = Point("0100100010", "0010010100101", "00100010001", 0)
     pipe.encode(point, 2, (-446, 446))
     depth = runtimes[-1].chase_depth_max
     assert depth >= 2 and runtimes[-1].chase_depth == 0
@@ -924,6 +988,14 @@ def test_a_chase_deeper_than_the_limit_is_refused_by_name(pipe, runtimes, monkey
     monkeypatch.setattr(markers, "CHASE_LIMIT", depth - 1)
     with pytest.raises(ShiftEmbedError, match="rank chase deeper than %d frames" % (depth - 1)):
         pipe.encode(point, 2, (-446, 446))
+
+
+def test_sampled_golden_encodes_chase_nothing(pipe, runtimes):
+    """The sampled points' tails are quiet at both scales, so the swept
+    ranges reach the quiet bounds and no member is decided by a chase."""
+    for point in sample_points(golden_mean(), 20, seed=3):
+        pipe.encode(point, 2, (-446, 446))
+    assert {rt.chase_depth_max for rt in runtimes} == {0}
 
 
 def test_a_radius_below_the_period_bound_fails_covering():
@@ -982,6 +1054,22 @@ periodic_words = st.builds(lambda root, reps, cut: (root * reps)[:max(1, len(roo
 def test_bounded_period_test_equals_min_period(w, n):
     p = min_period(w)
     assert least_period_at_most(w, n) == (p if p <= n else None)
+
+
+@pytest.mark.parametrize("letters, longest", [("01", 16), ("012", 9)],
+                         ids=["two-letter", "three-letter"])
+def test_bounded_period_test_on_every_short_word(letters, longest):
+    """Every word up to the length and every n <= len + 2, on both sides of
+    2n = len, where the test switches from the loop to one recurrence."""
+    wrong = []
+    for length in range(1, longest + 1):
+        for letter_tuple in itertools.product(letters, repeat=length):
+            w = "".join(letter_tuple)
+            p = min_period(w)
+            if [least_period_at_most(w, n) for n in range(length + 3)] != \
+                    [None] * p + [p] * (length + 3 - p):
+                wrong.append(w)
+    assert wrong == []
 
 
 @settings(max_examples=300, deadline=None)
