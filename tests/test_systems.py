@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from check_reference import (count_oracle_systems, doubled_window_cyclic,
                              filtered_least_period_words, lcm_window_on_orbit, matpow_int,
                              orbit_probe_points)
-from shiftembed.entropy import least_period_count
+from shiftembed.entropy import (EntropyEstimate, appendix_fullness_check, htop_estimate,
+                               least_period_count)
 from shiftembed.errors import (EmptySubshiftError, EnumerationBudgetError,
                                InvalidPointError, SpecParseError)
 from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point,
@@ -483,3 +484,49 @@ def test_itinerary_shift_equivariance_property(t, m):
     validate_point(sys, p)
     a, b = t, t + 5
     assert itinerary(sys, p, m, (a + 1, b + 1)) == itinerary(sys, p.shifted(1), m, (a, b))
+
+
+_DYADIC4 = Odometer([2] * 4)
+
+# What each system kind answers on the calls that branch on it: a value, or
+# the error that refuses the call (any message when it has none).
+KIND_ANSWERS = {
+    "odometer-point-on-golden": (
+        lambda: validate_point(golden_mean(), OdometerPoint(_DYADIC4, (1, 0, 1, 0))),
+        InvalidPointError("odometer point bound to a different system")),
+    "odometer-point-on-another-odometer": (
+        lambda: validate_point(Odometer([2] * 4), OdometerPoint(_DYADIC4, (1, 0, 1, 0))),
+        InvalidPointError("odometer point bound to a different system")),
+    "word-point-on-odometer": (
+        lambda: validate_point(_DYADIC4, Point("0", "", "0", 0)),
+        InvalidPointError("word point supplied for a non-word system")),
+    "core-letter-outside-alphabet": (
+        lambda: validate_point(golden_mean(), Point("0", "2", "0", 0)),
+        InvalidPointError("core uses letters outside the alphabet")),
+    "coordinate-of-odometer-point": (
+        lambda: coordinate(OdometerPoint(_DYADIC4, (1, 0, 1, 0)), 3),
+        InvalidPointError("odometer points have digits, not letters; use itinerary")),
+    "odometer-entropy": (
+        lambda: (lambda est: (est, est.per_n))(htop_estimate(_DYADIC4, 6)),
+        (EntropyEstimate(0.0, 0.0, {}), {})),
+    "odometer-least-period-count": (
+        lambda: [least_period_count(_DYADIC4, n) for n in range(1, 9)], [0] * 8),
+    "odometer-periodic-points": (
+        lambda: [enumerate_periodic(_DYADIC4, n) for n in (1, 2, 5)], [([], 0)] * 3),
+    "odometer-fullness-check": (
+        lambda: appendix_fullness_check(_DYADIC4, 2, 4), ValueError()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIND_ANSWERS))
+def test_each_kind_answers_as_pinned(case):
+    """The answers of the calls that differ by system kind: the odometer
+    has no words, no periodic points and entropy 0, and a point of one
+    system is refused by another."""
+    call, want = KIND_ANSWERS[case]
+    if not isinstance(want, Exception):
+        assert call() == want
+        return
+    with pytest.raises(type(want)) as info:
+        call()
+    assert not want.args or str(info.value) == str(want)
