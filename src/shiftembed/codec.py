@@ -35,9 +35,9 @@ from .entropy import periodic_code_fits
 from .markers import Interval, ReturnPartition, return_partition
 from .systems import (OdometerPoint, _parse_int, _parse_kv, _parse_window,
                       periodic_orbits)
-from .words import (CODE_CHARS, code_length_needed, is_primitive, kary_alphabet,
-                    kary_index, kary_word, least_period_at_most, necklace, periodic_name,
-                    periodic_window)
+from .words import (CODE_CHARS, _window_key, code_length_needed, is_primitive,
+                    kary_alphabet, kary_index, kary_word, least_period_at_most, necklace,
+                    periodic_name, periodic_window)
 
 SYM_M1 = "|"
 SYM_MK = "="
@@ -191,11 +191,6 @@ class Codebook:
 @functools.cache
 def _code_letters(K):
     return frozenset(kary_alphabet(K))
-
-
-def _window_key(w, m, n):
-    """The radius-m itinerary key of an (n + 2m)-word: its n windows."""
-    return tuple(w[i:i + 2 * m + 1] for i in range(n))
 
 
 def _spelled(key, m, n):
@@ -540,13 +535,6 @@ def build_point_context(pipeline, point, window):
     return ctx
 
 
-def _block_key(pipeline, point, blk, m):
-    system = pipeline.system
-    if not system.is_word_system:
-        return system.cell_run(point.residue_at(blk.start, m + 1), m + 1, blk.end - blk.start)
-    return _window_key(point.word(blk.start - m, blk.end - 1 + m), m, blk.end - blk.start)
-
-
 def _orbit_key(orbit, m, n):
     """Itinerary key of the periodic point of a word over times 0..n-1."""
     return _window_key(periodic_window(orbit, -m, n - 1 + m), m, n)
@@ -565,7 +553,7 @@ def _render_layer(pipeline, ctx, l, syms, res):
     """Write the scale-l layer over the context range into syms and res,
     which hold psi_{l-1} on [ctx.lo, ctx.hi], a symbol and a resolution
     scale per position (a free slot's None), and then hold psi_l."""
-    sched = pipeline.schedule
+    sched, system = pipeline.schedule, pipeline.system
     point, lo = ctx.point, ctx.lo
     layer = ctx.layout.layer(l)
     m_l = sched.m[l - 1]
@@ -578,9 +566,10 @@ def _render_layer(pipeline, ctx, l, syms, res):
         for pos in blk.freed_positions:         # none at scale 1
             syms[pos - lo], res[pos - lo] = SYM_FREE, None
         if blk.kind == "regular":
-            coarse = _block_key(pipeline, point, blk, sched.m[l - 2]) if l >= 2 else None
+            n = blk.length()
+            coarse = system.labels(point, blk.start, sched.m[l - 2], n) if l >= 2 else None
             cb = _block_codebook(pipeline, l, blk, coarse)
-            put(blk.fill_positions, cb.encode(_block_key(pipeline, point, blk, m_l),
+            put(blk.fill_positions, cb.encode(system.labels(point, blk.start, m_l, n),
                                               pad_to=len(blk.fill_positions)))
         elif l == 1:
             s = lo if blk.start is None else max(blk.start, lo)
@@ -1170,24 +1159,20 @@ def _pi_symbols(stream, pipeline, layout):
 
 def _check_block_ends(pipeline, layout, itineraries):
     """Refuse labels that no point has: at the end t of every block, the
-    labels at t - 1 and t must be the cells of one point at consecutive
-    times.  A word label's window slides by one letter; an odometer orbit
-    reads its cell table cyclically, so its next cell is the table's next.
-    The label lists start at the layout's lo, the stream's first position."""
-    system, m = pipeline.system, pipeline.schedule.m
+    labels at t - 1 and t must be cells of one point at consecutive times
+    (system.follows).  The label lists start at layout.lo, the stream's a."""
+    system = pipeline.system
     A = layout.lo
     for layer in layout.layers:
         k = layer.scale
         labels = itineraries[k]
-        cells = None if system.is_word_system else system.cell_table(m[k - 1] + 1)
         for t in (blk.end for blk in layer.blocks if blk.end is not None):
             if not A < t < A + len(labels):
                 continue
             a, b = labels[t - 1 - A], labels[t - A]
             if a is None or b is None:
                 continue
-            after = a[1:] + b[-1] if cells is None else cells[(cells.index(a) + 1) % len(cells)]
-            if b != after:
+            if not system.follows(a, b):
                 raise MalformedStreamError("scale-%d labels %r at %d and %r at %d "
                                            "describe no point" % (k, a, t - 1, b, t),
                                            scale=k, position=t)

@@ -8,7 +8,8 @@ submultiplicativity tail bound (left family), an affine comparison (right
 family) and a stabilization argument (conditional family).
 
 Natural logarithms throughout; capacities compare exact integer counts
-against K-ary budgets.
+against K-ary budgets.  Every count is asked of the system, so the
+odometer's answers (no words, bounded cell counts, entropy 0) are its own.
 """
 
 import itertools
@@ -38,64 +39,30 @@ class EntropyEstimate:
 
 
 def htop_estimate(system, nmax):
-    """Entropy upper bound from word counts, plus the spectral value."""
+    """Entropy upper bound from word counts, plus the spectral value; a
+    system without words gives its spectral value for both."""
     if nmax < 2:
         raise ValueError("nmax must be >= 2")
-    if not system.is_word_system:
-        return EntropyEstimate(0.0, 0.0, {})
-    per_n = {}
-    best = math.inf
-    for n in range(1, nmax + 1):
-        val = math.log(system.count_words(n)) / n
-        per_n[n] = val
-        best = min(best, val)
-    return EntropyEstimate(best, system.spectral_log(), per_n)
-
-
-def cell_count(system, m, n):
-    """Number of length-n itinerary words of the radius-m partition."""
-    if system.is_word_system:
-        return system.count_words(n + 2 * m)
-    return system.modulus(m + 1)
+    counts = system.word_counts(nmax)
+    per_n = {n: math.log(counts[n]) / n for n in range(1, len(counts))}
+    spectral = system.spectral_log()
+    return EntropyEstimate(min(per_n.values(), default=spectral), spectral, per_n)
 
 
 def conditional_count(system, m, mp, n):
-    """Max number of radius-mp itinerary words refining one radius-m word.
-
-    For word systems this equals the max over admissible (n+2m)-words of the
-    number of admissible two-sided (mp-m)-extensions, computed from the
-    count tables: extensions factor through the boundary blocks of the word.
-    """
+    """Max number of radius-mp itinerary words refining one radius-m word
+    (the system's conditional_count, after checking the arguments)."""
     if mp < m or m < 0:
         raise ValueError("need mp >= m >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     if mp == m:
         return 1
-    if not system.is_word_system:
-        return system.modulus(mp + 1) // system.modulus(m + 1)
-    return _max_extension_count(system, n + 2 * m, mp - m)
-
-
-def _max_extension_count(system, length, delta):
-    """Max over admissible `length`-words of #(delta-letter two-sided
-    extensions): the paths into the word's first state times the paths out
-    of its last, over the state pairs such a word joins."""
-    if system.kind == "orbit":
-        return 1  # every window of the single orbit extends uniquely
-    M = system.memory
-    states = system.states
-    into = {s: system.count_words(M + delta, end=s) for s in states}
-    out = {s: system.count_words(M + delta, start=s) for s in states}
-    span = max(length, M)
-    return max(into[s] * out[t] for t in states for s in states
-               if system.count_words(span, start=s, end=t))
+    return system.conditional_count(m, mp, n)
 
 
 def least_period_count(system, n):
     """Number of points of least period exactly n (Moebius over fixed points)."""
-    if not system.is_word_system:
-        return 0
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
@@ -257,12 +224,10 @@ class ScaleSchedule:
 
 
 def _scale1_counts(system, m1, N_cert):
-    """Word counts #W_n for n <= N_cert + 2 m1 (None off word systems) and
-    the scale-1 cell counts #V_1^n for n <= N_cert, each computed once."""
-    if not system.is_word_system:
-        return None, [cell_count(system, m1, n) for n in range(N_cert + 1)]
-    counts = [system.count_words(n) for n in range(N_cert + 2 * m1 + 1)]
-    return counts, counts[2 * m1:]
+    """Word counts #W_n for n <= N_cert + 2 m1 (none for a system without
+    words) and the scale-1 cell counts #V_1^n for n <= N_cert."""
+    return (system.word_counts(N_cert + 2 * m1),
+            [system.cell_count(m1, n) for n in range(N_cert + 1)])
 
 
 def _family1_holds(K, alpha, cells, n):
@@ -279,11 +244,11 @@ def _family2_holds(system, K, alpha, m_prev, m_cur, n, k):
     return math.log(cc) < (n * alpha / 2 ** k - 1) * math.log(K) - 1e-12
 
 
-def _family1_tail_certified(system, K, alpha, m1, N_cert, counts):
+def _family1_tail_certified(K, alpha, m1, N_cert, counts):
     """Certify both scale-1 inequalities for all n > N_cert (counts[n] = #W_n)."""
     h = math.log(K) - alpha
-    if not system.is_word_system:
-        return True  # cell counts are bounded; both sides grow linearly in n
+    if not counts:
+        return True  # no words: cell counts are bounded, both sides grow linearly in n
     best = None
     for N0 in range(1, N_cert + 1):
         g0 = math.log(counts[N0]) / N0
@@ -322,7 +287,7 @@ def _family(system, K, alpha, m, k, N_cert, scale1):
     if k == 1:
         counts, cells1 = scale1
         return (lambda nn: _family1_holds(K, alpha, cells1[nn], nn),
-                lambda: _family1_tail_certified(system, K, alpha, m[0], N_cert, counts))
+                lambda: _family1_tail_certified(K, alpha, m[0], N_cert, counts))
     return (lambda nn: _family2_holds(system, K, alpha, m[k - 2], m[k - 1], nn, k),
             lambda: _family2_tail_certified(system, K, alpha, m[k - 2], m[k - 1], k, N_cert))
 
@@ -355,7 +320,7 @@ def verify_schedule(system, schedule):
         okp = all(per_growth_in_cell(system, m[k - 1], nn) < bound
                   for nn in range(1, 14))
         report.add("entropy", "per-growth", k, okp)
-    if schedule.periodic and system.is_word_system:
+    if schedule.periodic and system.periodic:
         report.add("entropy", "periodic-code", 1, periodic_code_fits(system, K, n[0]))
     for k in range(1, schedule.kmax + 1):
         report.add("entropy", "tower-radius", k, schedule.r[k - 1] >= schedule.n[k - 1])
@@ -440,13 +405,13 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
         raise ScheduleError("m must be nondecreasing of length kmax")
     if not math.isfinite(C):
         raise ScheduleError("headroom C must be finite, not %r" % C)
-    h = system.spectral_log() if system.is_word_system else 0.0
+    h = system.spectral_log()
     logK = math.log(K)
     if h >= logK - 1e-12:
         raise ScheduleError("infeasible: h_top = %.6f >= log K = %.6f" % (h, logK))
     alpha = _alpha_fraction(logK - h)
     af = float(alpha)
-    periodic = system.is_word_system  # every nonempty SFT/orbit carries periodic points
+    periodic = system.periodic
 
     scale1 = _scale1_counts(system, m[0], N_cert)
     ns = []
@@ -491,12 +456,13 @@ def appendix_fullness_check(system, K, nmax, target=None):
     admissible point matching the target on its window; on failure, detail
     is the first n where the count falls short.
     """
-    if not system.is_word_system:
+    counts = system.word_counts(nmax)
+    if not counts:
         raise ValueError("fullness check requires a word system")
     if system.alphabet_size != K:
         raise ValueError("precondition A == K violated")
     for n in range(1, nmax + 1):
-        if system.count_words(n) != K ** n:
+        if counts[n] != K ** n:
             return False, n
     if target is None:
         return True, None

@@ -563,20 +563,19 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
     is tagged.
     """
     tower = stack[k]
-    if runtime is None and isinstance(tower, WordTower):
-        runtime = stack.runtime(point)
     a, b = window
     len_lo, len_hi = stack.schedule.block_bounds(k)
     pad = 2 * tower.nprime
     lo, hi = a - pad, b + pad
 
-    if hasattr(point, "digits"):
+    if isinstance(tower, OdometerTower):
         scan_lo, scan_hi = lo - 2 * tower.nprime, hi + 2 * tower.nprime
         returns = tower.returns(point, scan_lo, scan_hi)
         if not returns:
             raise WindowError("aperiodic tower produced no returns on %r" % ((scan_lo, scan_hi),))
         left_open = right_open = False
     else:
+        runtime = stack.runtime(point) if runtime is None else runtime
         quiet_left, quiet_right = runtime.quiet_bounds(tower)
         first = _scan_for_return(tower, point, runtime, lo, -1, quiet_left)
         last = _scan_for_return(tower, point, runtime, hi, +1, quiet_right)

@@ -110,9 +110,9 @@ def build_pipeline(system, K, kmax, C=8.0, m=None, N_cert=64, schedule=None,
 def _check_periodic_flag(system, schedule):
     """Refuse a schedule whose periodic flag is not the system's: word
     systems have periodic points, odometers have none."""
-    if schedule.periodic != system.is_word_system:
+    if schedule.periodic != system.periodic:
         raise SpecParseError("schedule has periodic: %d, but the %s system needs periodic: %d"
-                             % (schedule.periodic, system.kind, system.is_word_system))
+                             % (schedule.periodic, system.kind, system.periodic))
 
 
 def precheck_pipeline(pipeline):

@@ -10,6 +10,12 @@ Three kinds of zero-dimensional system are supported:
   Its marker towers are residue sets modulo a digit-prefix modulus, not
   word sets.
 
+Each kind answers for itself what the schedule and the codec ask of it:
+``periodic`` (the paper's case split), ``labels``, ``follows``,
+``cell_count``, ``conditional_count``, ``word_counts``, ``fix_count`` and
+``spectral_log``.  The word systems share their answers; the odometer's
+are the aperiodic case.
+
 Points are finitely described and exactly evaluable everywhere: symbolic
 points are eventually periodic on both sides, odometer points are digit
 lists (the first D digits of a point are closed under the map).
@@ -25,16 +31,37 @@ import numpy as np
 
 from .errors import (EmptySubshiftError, EnumerationBudgetError,
                      InvalidPointError, SpecParseError)
-from .words import ALPHABET_CHARS, necklace, periodic_window, primitive_root
+from .words import ALPHABET_CHARS, _window_key, necklace, periodic_window, primitive_root
 
 WORD_ENUM_BUDGET = 4_000_000
 
 
-class Sft:
+class _WordSystem:
+    """The answers Sft and OrbitSystem share: a radius-m cell is a (2m + 1)-word."""
+
+    periodic = True     # every nonempty word system carries periodic points
+
+    def labels(self, point, t, m, n):
+        """The radius-m cells at times t .. t + n - 1: the windows of one slice."""
+        return _window_key(point.word(t - m, t + n - 1 + m), m, n)
+
+    def follows(self, a, b):
+        """Whether cell b can be the cell after a: the window slides by one letter."""
+        return b == a[1:] + b[-1]
+
+    def cell_count(self, m, n):
+        """Number of length-n itinerary words of the radius-m partition."""
+        return self.count_words(n + 2 * m)
+
+    def word_counts(self, nmax):
+        """#W_n for every n <= nmax."""
+        return [self.count_words(n) for n in range(nmax + 1)]
+
+
+class Sft(_WordSystem):
     """Subshift of finite type with a cached essential block-graph presentation."""
 
     kind = "sft"
-    is_word_system = True
 
     def __init__(self, alphabet_size, forbidden=None, matrix=None):
         if alphabet_size < 1 or alphabet_size > len(ALPHABET_CHARS):
@@ -239,6 +266,17 @@ class Sft:
         lam = max(abs(eig))
         return float(np.log(lam)) if lam > 0 else float("-inf")
 
+    def conditional_count(self, m, mp, n):
+        """Max over admissible (n + 2m)-words of their (mp - m)-letter
+        two-sided extensions: the paths into a word's first state times the
+        paths out of its last, over the state pairs such a word joins."""
+        M, states = self.memory, self.states
+        into = {s: self.count_words(M + mp - m, end=s) for s in states}
+        out = {s: self.count_words(M + mp - m, start=s) for s in states}
+        span = max(n + 2 * m, M)
+        return max(into[s] * out[t] for t in states for s in states
+                   if self.count_words(span, start=s, end=t))
+
     def is_cyclic_word(self, w):
         """True when the bi-infinite repetition of w is admissible: every
         forbidden word and state fits in wrap + 1 letters, so each window of
@@ -246,11 +284,10 @@ class Sft:
         return self.is_admissible(periodic_window(w, 0, len(w) - 1 + self.wrap))
 
 
-class OrbitSystem:
+class OrbitSystem(_WordSystem):
     """The orbit closure of a single periodic word: a finite cyclic system."""
 
     kind = "orbit"
-    is_word_system = True
 
     def __init__(self, alphabet_size, word):
         if alphabet_size < 1 or alphabet_size > len(ALPHABET_CHARS):
@@ -282,6 +319,9 @@ class OrbitSystem:
     def spectral_log(self):
         return 0.0
 
+    def conditional_count(self, m, mp, n):
+        return 1  # every window of the single orbit extends uniquely
+
     def is_admissible(self, w):
         return w in self.words(len(w)) if w else True
 
@@ -297,11 +337,12 @@ class Odometer:
     The induced action on the first D digits is exact: adding one never
     propagates information downward, so depth-D digit lists are closed
     under the map and every digit-prefix query is computable.  The system
-    models the infinite odometer and is treated as aperiodic.
+    models the infinite odometer and is treated as aperiodic: it has no
+    words, no periodic points and entropy 0, and cell counts bounded in n.
     """
 
     kind = "odometer"
-    is_word_system = False
+    periodic = False
 
     def __init__(self, base):
         base = list(map(int, base))
@@ -348,6 +389,31 @@ class Odometer:
             wraps, rest = divmod(n - len(out), mod)
             out += table * wraps + table[:rest]
         return out
+
+    def labels(self, point, t, m, n):
+        """The radius-m cells (m + 1 digits) at times t .. t + n - 1: one cell run."""
+        return self.cell_run(point.residue_at(t, m + 1), m + 1, n)
+
+    def follows(self, a, b):
+        """Whether cell b can be the cell after a: the orbit reads the cell table cyclically."""
+        table = self.cell_table(len(a))
+        return b == table[(table.index(a) + 1) % len(table)]
+
+    def cell_count(self, m, n):
+        """A radius-m cell run is fixed by its first cell, whatever n."""
+        return self.modulus(m + 1)
+
+    def conditional_count(self, m, mp, n):
+        return self.modulus(mp + 1) // self.modulus(m + 1)
+
+    def word_counts(self, nmax):
+        return []
+
+    def fix_count(self, n):
+        return 0
+
+    def spectral_log(self):
+        return 0.0
 
     def residue_of_digits(self, digits):
         res = 0
@@ -431,9 +497,6 @@ class OdometerPoint:
         """Residue of T^t(point) modulo the depth-d modulus."""
         return (self.residue + t) % self.system.modulus(d)
 
-    def cell(self, t, d):
-        return self.system.digits_of_residue(self.residue_at(t, d), d)
-
     def shifted(self, k):
         res = (self.residue + k) % self.system.moduli[-1]
         return OdometerPoint(self.system, self.system.digits_of_residue(res, self.system.depth))
@@ -451,7 +514,7 @@ def validate_point(system, point):
         if system.kind != "odometer" or point.system is not system:
             raise InvalidPointError("odometer point bound to a different system")
         return
-    if not system.is_word_system:
+    if not isinstance(system, _WordSystem):
         raise InvalidPointError("word point supplied for a non-word system")
     for w, side in ((point.left, "left"), (point.right, "right")):
         if any(c not in system.letters for c in w):
@@ -492,9 +555,7 @@ def cell_label(system, point, t, m):
     Word systems: the word x_{t-m} .. x_{t+m}.  Odometer: the first m+1
     digits of T^t(point) as a tuple.
     """
-    if system.is_word_system:
-        return point.word(t - m, t + m)
-    return point.cell(t, m + 1)
+    return system.labels(point, t, m, 1)[0]
 
 
 def itinerary(system, point, m, window):
@@ -502,7 +563,7 @@ def itinerary(system, point, m, window):
     a, b = window
     if b < a:
         raise ValueError("empty window")
-    return [cell_label(system, point, t, m) for t in range(a, b + 1)]
+    return list(system.labels(point, a, m, b - a + 1))
 
 
 def product_coding(system, point, radii, window):
@@ -525,7 +586,7 @@ def enumerate_periodic(system, n):
     """(points of least period exactly n, number of points fixed by sigma^n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not system.is_word_system:
+    if not isinstance(system, _WordSystem):
         return [], 0
     points = [Point(w, w, w, 0) for w in least_period_words(system, n)]
     return points, system.fix_count(n)

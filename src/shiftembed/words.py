@@ -80,6 +80,11 @@ def periodic_window(w, a, b, phase=0):
     return (w * ((s + b - a) // n + 1))[s: s + b - a + 1]
 
 
+def _window_key(w, m, n):
+    """The radius-m itinerary key of an (n + 2m)-word: its n windows."""
+    return tuple(w[i:i + 2 * m + 1] for i in range(n))
+
+
 def kary_alphabet(K):
     if not 1 <= K <= len(CODE_CHARS):
         raise ValueError("K out of supported range 1..%d" % len(CODE_CHARS))

@@ -88,7 +88,7 @@ def reference_tag(iv, stack, k, comp_range, runtime):
 
 
 def _dict_render_layer(pipeline, ctx, l, sym):
-    sched = pipeline.schedule
+    sched, system = pipeline.schedule, pipeline.system
     point = ctx.point
     layer = ctx.layout.layer(l)
     m_l = sched.m[l - 1]
@@ -96,9 +96,10 @@ def _dict_render_layer(pipeline, ctx, l, sym):
         for pos in blk.freed_positions:
             sym[pos] = (codec.SYM_FREE, None)
         if blk.kind == "regular":
-            coarse = codec._block_key(pipeline, point, blk, sched.m[l - 2]) if l >= 2 else None
+            n = blk.length()
+            coarse = system.labels(point, blk.start, sched.m[l - 2], n) if l >= 2 else None
             cb = codec._block_codebook(pipeline, l, blk, coarse)
-            word = cb.encode(codec._block_key(pipeline, point, blk, m_l),
+            word = cb.encode(system.labels(point, blk.start, m_l, n),
                              pad_to=len(blk.fill_positions))
             for pos, ch in zip(blk.fill_positions, word):
                 sym[pos] = (ch, l)

@@ -10,8 +10,7 @@ from check_reference import (filtered_least_period_words, forbidden_shape_count_
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
 from layout_reference import ROLE_SINGULAR_FILL, record_layouts, roles
 from shiftembed import codec
-from shiftembed.blocks import LayoutBlock
-from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream, _block_key,
+from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream,
                               build_first_codebook, build_conditional_codebook,
                               build_periodic_code)
 from shiftembed.errors import (CapacityError, EnumerationBudgetError,
@@ -29,7 +28,7 @@ from shiftembed.words import (code_length_needed, kary_alphabet, kary_index, kar
 def itinerary_keys(system, m, n):
     """Reference: every realized itinerary word of the radius-m partition
     over n steps, listed."""
-    if system.is_word_system:
+    if not isinstance(system, Odometer):
         out = []
         for w in system.words(n + 2 * m):
             out.append(tuple(w[i:i + 2 * m + 1] for i in range(n)))
@@ -40,13 +39,13 @@ def itinerary_keys(system, m, n):
 def refinement_keys(system, m, mp, n, coarse):
     """Reference: the realized radius-mp itinerary words refining one
     radius-m word, listed."""
-    if system.is_word_system:
+    if not isinstance(system, Odometer):
         u = coarse[0] + "".join(lab[-1] for lab in coarse[1:])
         if not system.is_admissible(u):
             return []
     if mp == m:
         return [coarse]
-    if system.is_word_system:
+    if not isinstance(system, Odometer):
         u = coarse[0] + "".join(lab[-1] for lab in coarse[1:])
         delta = mp - m
         out = []
@@ -339,7 +338,8 @@ class TestStreams:
         stream = pipe.encode(point, 2, window)
         blk = pipe.context(point, window).layout.block_at(2, -22)
         assert (blk.start, blk.end, blk.kind) == (-22, 1, "regular")
-        assert codec._block_codebook(pipe, 2, blk, _block_key(pipe, point, blk, 0)).length == 0
+        coarse = pipe.system.labels(point, blk.start, 0, blk.length())
+        assert codec._block_codebook(pipe, 2, blk, coarse).length == 0
         symbols = list(stream.symbols)
         assert symbols[blk.fill_positions[0] - stream.a] == codec.SYM_PAD
         symbols[blk.fill_positions[0] - stream.a] = "2"
@@ -824,13 +824,13 @@ def _letter_keys(system, m, n, mod):
 
 class TestOdometerKeys:
     """Odometer keys are slices of the per-depth cell table; each must equal
-    the key built letter by letter through cell_label."""
+    the key built letter by letter from the digits of the point's residue at
+    each time."""
 
     ODOMETERS = [dyadic_odometer(8), Odometer([3, 2, 5])]
 
     @pytest.mark.parametrize("odo", ODOMETERS, ids=["dyadic8", "base325"])
     def test_block_key_equals_cell_labels(self, odo):
-        ctx = SimpleNamespace(system=odo)
         top = odo.modulus(odo.depth)
         for digits in ((0,) * odo.depth, tuple(p - 1 for p in odo.base),
                        tuple(i % p for i, p in enumerate(odo.base))):
@@ -841,10 +841,10 @@ class TestOdometerKeys:
                 # from one letter to past the full modulus
                 for start in (-mod - 1, -1, 0, mod - point.residue % mod - 2, 5):
                     for n in (1, mod - 1, mod, mod + 3, 2 * top + 1):
-                        blk = LayoutBlock(scale=1, start=start, end=start + n, kind="regular")
-                        want = tuple(cell_label(odo, point, t, d - 1)
+                        want = tuple(odo.digits_of_residue(point.residue_at(t, d), d)
                                      for t in range(start, start + n))
-                        assert _block_key(ctx, point, blk, d - 1) == want
+                        assert odo.labels(point, start, d - 1, n) == want
+                        assert cell_label(odo, point, start, d - 1) == want[0]
 
     @pytest.mark.parametrize("odo", ODOMETERS, ids=["dyadic8", "base325"])
     def test_itinerary_and_refinement_keys_equal_letter_reference(self, odo):
@@ -863,9 +863,9 @@ class TestOdometerKeys:
 
 
 class TestWordKeys:
-    """Word keys are the windows of one slice (codec._window_key); each must
-    equal the key built position by position through cell_label, or through
-    periodic_window for an orbit."""
+    """Word keys are the windows of one slice (words._window_key); each must
+    equal the key built position by position from the point's letters, or
+    through periodic_window for an orbit."""
 
     @pytest.mark.parametrize("system, K", [(golden_mean(), 2), (Sft(2, ("00", "111")), 3)],
                              ids=["golden", "sft00-111"])
@@ -879,9 +879,9 @@ class TestWordKeys:
                         continue
                     blocks[layer.scale] += 1
                     for m in (0, 1, 2):
-                        want = tuple(cell_label(system, point, t, m)
-                                     for t in range(blk.start, blk.end))
-                        assert _block_key(pipe, point, blk, m) == want
+                        want = tuple(point.word(t - m, t + m) for t in range(blk.start, blk.end))
+                        assert system.labels(point, blk.start, m, blk.length()) == want
+                        assert cell_label(system, point, blk.start, m) == want[0]
         assert min(blocks.values()) >= 20
 
     def test_orbit_key_equals_periodic_windows(self):

@@ -101,3 +101,69 @@ def test_public_names_are_used_by_the_readme_or_the_demos():
         word for block in re.findall(r"```python\n(.*?)```", readme, re.S)
         for word, _ in _words(block)}
     assert sorted(PUBLIC_NAMES - used) == []
+
+
+# The functions outside systems.py that pick their own module's per-kind
+# implementation; every other question about a kind is the system's to answer.
+KIND_CHOOSERS = {("codec", "build_first_codebook"), ("codec", "build_conditional_codebook"),
+                 ("codec", "_period_streams"), ("markers", "build_towers"),
+                 ("pipeline", "sample_points")}
+KIND_NAMES = {"sft", "orbit", "odometer"}
+KIND_CLASSES = {"Sft", "OrbitSystem", "Odometer", "Point", "OdometerPoint"}
+
+
+def _names(node):
+    """The bare names of a name, an attribute or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return {name for elt in node.elts for name in _names(elt)}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return {node.attr} if isinstance(node, ast.Attribute) else set()
+
+
+def _is_kind_test(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr == "is_word_system"
+    if isinstance(node, ast.Compare):
+        sides = [node.left] + node.comparators
+        return (any(isinstance(s, ast.Attribute) and s.attr == "kind" for s in sides)
+                and any(isinstance(s, ast.Constant) and s.value in KIND_NAMES for s in sides))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 2:
+        if node.func.id == "isinstance":
+            return bool(_names(node.args[1]) & KIND_CLASSES)
+        if node.func.id == "hasattr":
+            return isinstance(node.args[1], ast.Constant) and node.args[1].value == "digits"
+    return False
+
+
+def _kind_tests():
+    """'module:line' of every line outside systems.py and KIND_CHOOSERS that
+    tests the kind of a system or a point."""
+    out = set()
+
+    def visit(module, node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
+            function = node.name
+        if (module, function) in KIND_CHOOSERS:
+            return
+        if _is_kind_test(node):
+            out.add("%s:%d" % (module, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "systems":
+            visit(path.stem, ast.parse(path.read_text()), None)
+    return sorted(out)
+
+
+def test_only_the_systems_answer_for_their_kind():
+    """Outside systems.py only KIND_CHOOSERS test the kind of a system or a
+    point: no read of `is_word_system`, no comparison of `.kind` with a kind
+    name, no `isinstance` against a system or point class and no
+    `hasattr(..., "digits")`.  Reading `kind` for a message stays allowed,
+    and so do markers' tests of its own tower classes.  Like the dead-name
+    guards, this one matches bare names: a class of another module that
+    shares one of these names is flagged too, and a test spelled another
+    way (a `type(...) is` check, an alias of the class) is not seen."""
+    assert _kind_tests() == []

@@ -94,7 +94,7 @@ class TestConditional:
                 out = [system.count_words(M + delta, start=s) for s in states]
                 want = max(into[i] * out[j] for i in range(len(states))
                            for j in range(len(states)) if reach[i][j])
-                assert entropy._max_extension_count(system, length, delta) == want, \
+                assert system.conditional_count(0, delta, length) == want, \
                     (length, delta)
 
 

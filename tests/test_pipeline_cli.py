@@ -68,6 +68,30 @@ class TestPipeline:
         report = verify_pipeline(pipe, points=points, window=(-40, 40))
         assert report.passed, "\n".join(report.lines())
 
+    def test_verify_harness_records_an_encode_that_raises(self, pipe, monkeypatch):
+        """A scale-2 render that raises fails the scale-2 codec records and
+        the dN record, each with the error text as its detail, and leaves
+        the scale-1 records passing: the harness reports, it does not raise."""
+        from shiftembed import codec
+        render_layer = codec._render_layer
+
+        def refuse_scale_two(pipeline, ctx, l, *out):
+            if l == 2:
+                raise CapacityError("refused at scale 2", scale=2)
+            render_layer(pipeline, ctx, l, *out)
+
+        monkeypatch.setattr(codec, "_render_layer", refuse_scale_two)
+        report = verify_pipeline(pipe, points=sample_points(golden_mean(), 4, seed=13),
+                                 window=(-40, 40))
+        codec_records = {(r.name, r.scale): (r.ok, r.detail)
+                         for r in report.records if r.module == "codec"}
+        assert codec_records == {("equivariance", 1): (True, ""),
+                                 ("roundtrip", 1): (True, ""),
+                                 ("equivariance", 2): (False, "refused at scale 2"),
+                                 ("roundtrip", 2): (False, "refused at scale 2"),
+                                 ("dN-convergence", 1): (False, "refused at scale 2")}
+        assert all(r.ok for r in report.records if r.module != "codec")
+
     def test_sampler_deterministic(self):
         a = sample_points(golden_mean(), 10, seed=5)
         b = sample_points(golden_mean(), 10, seed=5)
