@@ -7,8 +7,7 @@ smallest threshold past which the capacity chain
 
 import math
 
-from shiftembed import (build_schedule, conditional_count, htop_estimate,
-                        per_growth_in_cell, verify_schedule)
+from shiftembed import build_schedule, conditional_count, htop_estimate, verify_schedule
 from shiftembed.systems import dyadic_odometer, full_shift, golden_mean
 
 gm = golden_mean()
@@ -18,8 +17,6 @@ print("golden mean: upper %.5f  spectral %.5f  (log phi = %.5f)"
 
 print("conditional_count radius 0 -> 1:",
       [conditional_count(gm, 0, 1, n) for n in (2, 3, 5, 8)])
-print("per-cell periodic growth (pinned by cylinders):",
-      [per_growth_in_cell(gm, 0, n) for n in (2, 4, 6)])
 
 sched = build_schedule(gm, K=2, kmax=2, C=0.0, m=(0, 0))
 print("\ngolden schedule: n =", sched.n, " r =", sched.r, " alpha = %.5f" % sched.alpha_float)

@@ -5,8 +5,7 @@ from .codec import (SymbolStream, build_first_codebook,
                     build_conditional_codebook, build_periodic_code,
                     decode_k, encode_k, encode_limit, encode_scales, invert)
 from .entropy import (ScaleSchedule, appendix_fullness_check, build_schedule,
-                      conditional_count, htop_estimate, per_growth_in_cell,
-                      verify_schedule)
+                      conditional_count, htop_estimate, verify_schedule)
 from .markers import (PeriodicNeighborhood, build_towers, return_partition,
                       verify_tower)
 from .metrics import (besicovitch_estimate, cantor_distance, dN_distance,

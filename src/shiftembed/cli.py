@@ -19,10 +19,6 @@ from .systems import _parse_finite, _parse_int, _parse_window, parse_point, pars
 from .words import CODE_CHARS
 
 
-def _label_text(label):
-    return ".".join(map(str, label)) if isinstance(label, tuple) else label
-
-
 def _scale(args, pipeline):
     """The --scale of a command on a pipeline, k_max when it is not given."""
     k = pipeline.kmax if args.scale is None else args.scale
@@ -88,7 +84,7 @@ def cmd_decode(args):
             lines.append("scale %d uncertified" % l)
             continue
         lo, hi = cert
-        labels = " ".join(map(_label_text, result.itinerary_list(l, cert)))
+        labels = " ".join(map(pipeline.system.label_text, result.itinerary_list(l, cert)))
         lines.append("scale %d window %d:%d" % (l, lo, hi))
         lines.append("labels %s" % labels)
     lines.append("orbits %s" % " ".join(result.orbits))
@@ -101,7 +97,7 @@ def cmd_invert(args):
     stream = _read(args.stream, SymbolStream.from_text)
     k = _scale(args, pipeline)
     cell = pipeline.invert(stream, k)
-    print(_label_text(cell))
+    print(pipeline.system.label_text(cell))
     return 0
 
 

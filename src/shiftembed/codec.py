@@ -860,12 +860,11 @@ def _taken_in_stretch(layout, lo_t, hi_t, taken):
 
 def _covered_range(parts, within):
     """The contiguous covered run with the largest overlap with `within`,
-    the first such run on a tie.  The inclusive parts merge in order of
-    their starts: a part that overlaps or touches the last run extends it."""
+    the first such run on a tie.  The inclusive parts, each nonempty, merge
+    in order of their starts: a part that overlaps or touches the last run
+    extends it."""
     runs = []
     for lo, hi in sorted(parts):
-        if lo > hi:
-            continue
         if runs and lo <= runs[-1][1] + 1:
             runs[-1][1] = max(runs[-1][1], hi)
         else:
@@ -1160,15 +1159,14 @@ def _pi_symbols(stream, pipeline, layout):
 def _check_block_ends(pipeline, layout, itineraries):
     """Refuse labels that no point has: at the end t of every block, the
     labels at t - 1 and t must be cells of one point at consecutive times
-    (system.follows).  The label lists start at layout.lo, the stream's a."""
+    (system.follows).  The label lists start at layout.lo, the stream's a,
+    and every bounded block end t of a decoded layout has a < t <= b."""
     system = pipeline.system
     A = layout.lo
     for layer in layout.layers:
         k = layer.scale
         labels = itineraries[k]
         for t in (blk.end for blk in layer.blocks if blk.end is not None):
-            if not A < t < A + len(labels):
-                continue
             a, b = labels[t - 1 - A], labels[t - A]
             if a is None or b is None:
                 continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapacityError, ScheduleError, SpecParseError, VerifyReport
-from .systems import (Point, _parse_finite, _parse_fraction, _parse_int, _parse_kv,
+from .systems import (_parse_finite, _parse_fraction, _parse_int, _parse_kv,
                       _parse_list)
 
 ALPHA_DENOM = 2 ** 32
@@ -88,18 +88,6 @@ def _moebius(n):
     if n > 1:
         result = -result
     return result
-
-
-def per_growth_in_cell(system, m, n):
-    """(1/n) log of the max per-cell count of least-period-n points: 0.
-
-    The radius-m itinerary over n steps spans n+2m >= n coordinates, so it
-    pins an n-periodic point: the count per cell is at most one and the
-    value is zero by convention.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 0.0
 
 
 def _trunc_div(num, den):
@@ -244,22 +232,29 @@ def _family2_holds(system, K, alpha, m_prev, m_cur, n, k):
     return math.log(cc) < (n * alpha / 2 ** k - 1) * math.log(K) - 1e-12
 
 
-def _family1_tail_certified(K, alpha, m1, N_cert, counts):
-    """Certify both scale-1 inequalities for all n > N_cert (counts[n] = #W_n)."""
+def _family1_tail_certified(K, alpha, m1, N_cert, counts, cells):
+    """Certify both scale-1 inequalities for all n > N_cert (counts[n] = #W_n,
+    cells[n] = #V_1^n).
+
+    The left-hand side needs a submultiplicative tail only for a system
+    with words.  Without words the cell counts do not grow with n, so the
+    left-hand side holds past N_cert once it holds at N_cert + 1."""
     h = math.log(K) - alpha
     if not counts:
-        return True  # no words: cell counts are bounded, both sides grow linearly in n
-    best = None
-    for N0 in range(1, N_cert + 1):
-        g0 = math.log(counts[N0]) / N0
-        if g0 >= h + alpha / 4:
-            continue
-        cstar = max(math.log(counts[r]) - r * g0 for r in range(0, N0))
-        threshold = (2 * m1 * g0 + cstar) / (h + alpha / 4 - g0)
-        if best is None or threshold < best:
-            best = threshold
-    if best is None or best > N_cert:
-        return False
+        if math.log(cells[N_cert]) > (N_cert + 1) * (h + alpha / 4) + 1e-12:
+            return False
+    else:
+        best = None
+        for N0 in range(1, N_cert + 1):
+            g0 = math.log(counts[N0]) / N0
+            if g0 >= h + alpha / 4:
+                continue
+            cstar = max(math.log(counts[r]) - r * g0 for r in range(0, N0))
+            threshold = (2 * m1 * g0 + cstar) / (h + alpha / 4 - g0)
+            if best is None or threshold < best:
+                best = threshold
+        if best is None or best > N_cert:
+            return False
     # right-hand side: affine comparison, positive slope required
     slope = (1 - alpha / 2) * math.log(K) - (h + alpha / 4)
     if slope <= 0:
@@ -287,7 +282,7 @@ def _family(system, K, alpha, m, k, N_cert, scale1):
     if k == 1:
         counts, cells1 = scale1
         return (lambda nn: _family1_holds(K, alpha, cells1[nn], nn),
-                lambda: _family1_tail_certified(K, alpha, m[0], N_cert, counts))
+                lambda: _family1_tail_certified(K, alpha, m[0], N_cert, counts, cells1))
     return (lambda nn: _family2_holds(system, K, alpha, m[k - 2], m[k - 1], nn, k),
             lambda: _family2_tail_certified(system, K, alpha, m[k - 2], m[k - 1], k, N_cert))
 
@@ -315,11 +310,6 @@ def verify_schedule(system, schedule):
     for k in range(1, schedule.kmax):
         report.add("entropy", "growth", k, _growth_holds(n, schedule.nprime, k),
                    "n'_%d = %d, n_%d = %d" % (k, schedule.nprime[k - 1], k + 1, n[k]))
-    for k in range(1, schedule.kmax + 1):
-        bound = alpha / 2 ** k
-        okp = all(per_growth_in_cell(system, m[k - 1], nn) < bound
-                  for nn in range(1, 14))
-        report.add("entropy", "per-growth", k, okp)
     if schedule.periodic and system.periodic:
         report.add("entropy", "periodic-code", 1, periodic_code_fits(system, K, n[0]))
     for k in range(1, schedule.kmax + 1):
@@ -470,38 +460,8 @@ def appendix_fullness_check(system, K, nmax, target=None):
 
 
 def complete_to_point(system, word, anchor):
-    """Extend an admissible word at `anchor` to an eventually periodic point.
-
-    Both tails are grown deterministically (first graph successor or
-    predecessor) until an M-block repeats; the repeated stretch becomes the
-    tail period, so the result is admissible by construction.
-    """
+    """Extend an admissible word at `anchor` to an eventually periodic point
+    of the system (system.point_through)."""
     if not system.is_admissible(word):
         raise ValueError("target word %r is not admissible" % word)
-    M = system.memory
-    if len(word) < M:
-        for s in system.states:
-            i = s.find(word)
-            if i >= 0:
-                anchor -= i
-                word = s
-                break
-    seen = {}
-    ext = word
-    while ext[-M:] not in seen:
-        seen[ext[-M:]] = len(ext)
-        ext = ext + system._succ[ext[-M:]][0][-1]
-    first = seen[ext[-M:]]
-    right_period = ext[first:]
-    core_right = ext[len(word):first]
-    seen = {}
-    ext2 = word
-    while ext2[:M] not in seen:
-        seen[ext2[:M]] = len(ext2)
-        ext2 = system._pred[ext2[:M]][0][0] + ext2
-    first2 = seen[ext2[:M]]
-    cyc = len(ext2) - first2
-    left_period = ext2[:cyc]
-    core_left = ext2[cyc:len(ext2) - len(word)]
-    core = core_left + word + core_right
-    return Point(left_period, core, right_period, anchor - len(core_left))
+    return system.point_through(word, anchor)

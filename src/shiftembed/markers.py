@@ -704,8 +704,6 @@ def verify_tower(stack, k, probe_points=None):
             ok = lift_residues(tower.system, res, tower.depth, depth) <= \
                 lift_residues(tower.system, parent.residues, parent.depth, depth)
             report.add("markers", "nesting(flat-exact)", k, ok)
-        else:
-            report.add("markers", "nesting(flat-exact)", k, True, "base scale")
         return report
 
     # word tower ---------------------------------------------------------------
@@ -727,12 +725,10 @@ def verify_tower(stack, k, probe_points=None):
                    "width/periodicity exclusion margin")
     try:
         tower.pernbhd.separation_check()
-        report.add("markers", "covering(structural-exact)", k, True,
-                   "orbit windows separated; merge margin holds")
+        ok, detail = True, "orbit windows separated; merge margin holds"
     except SeparationError as exc:
-        report.add("markers", "covering(structural-exact)", k, False, str(exc))
-    report.add("markers", "nesting(structural-exact)", k, True,
-               "tier-1 pieces require parent membership by construction")
+        ok, detail = False, str(exc)
+    report.add("markers", "covering(structural-exact)", k, ok, detail)
 
     for point in probe_points or []:
         runtime = stack.runtime(point)

@@ -228,16 +228,15 @@ def _joins(system, word, right):
 
 def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
                     window=(-60, 60)):
-    """Run the cross-module invariant suites; report one record per check."""
+    """Run the cross-module invariant suites; report one record per check.
+    An empty point list raises ValueError: no record may pass vacuously."""
     from . import metrics
     system, sched = pipeline.system, pipeline.schedule
-    report = verify_schedule(system, sched)
-
     if points is None:
         points = sample_points(system, sample_count, seed=seed)
     if not points:
-        report.add("pipeline", "samples", "-", True, "vacuous: empty sample set")
-        return report
+        raise ValueError("verify_pipeline needs at least one sample point")
+    report = verify_schedule(system, sched)
 
     probe = points[: max(2, min(4, len(points)))]
     for k in range(1, sched.kmax + 1):

@@ -57,6 +57,10 @@ class _WordSystem:
         """#W_n for every n <= nmax."""
         return [self.count_words(n) for n in range(nmax + 1)]
 
+    def label_text(self, label):
+        """A cell label as printed: the word itself."""
+        return label
+
 
 class Sft(_WordSystem):
     """Subshift of finite type with a cached essential block-graph presentation."""
@@ -283,6 +287,41 @@ class Sft(_WordSystem):
         the repetition is a factor of one period followed by wrap more."""
         return self.is_admissible(periodic_window(w, 0, len(w) - 1 + self.wrap))
 
+    def point_through(self, word, anchor):
+        """An eventually periodic point with the admissible `word` at `anchor`.
+
+        Both tails are grown deterministically (first graph successor or
+        predecessor) until an M-block repeats; the repeated stretch becomes the
+        tail period, so the result is admissible by construction.
+        """
+        M = self.memory
+        if len(word) < M:
+            for s in self.states:
+                i = s.find(word)
+                if i >= 0:
+                    anchor -= i
+                    word = s
+                    break
+        seen = {}
+        ext = word
+        while ext[-M:] not in seen:
+            seen[ext[-M:]] = len(ext)
+            ext = ext + self._succ[ext[-M:]][0][-1]
+        first = seen[ext[-M:]]
+        right_period = ext[first:]
+        core_right = ext[len(word):first]
+        seen = {}
+        ext2 = word
+        while ext2[:M] not in seen:
+            seen[ext2[:M]] = len(ext2)
+            ext2 = self._pred[ext2[:M]][0][0] + ext2
+        first2 = seen[ext2[:M]]
+        cyc = len(ext2) - first2
+        left_period = ext2[:cyc]
+        core_left = ext2[cyc:len(ext2) - len(word)]
+        core = core_left + word + core_right
+        return Point(left_period, core, right_period, anchor - len(core_left))
+
 
 class OrbitSystem(_WordSystem):
     """The orbit closure of a single periodic word: a finite cyclic system."""
@@ -329,6 +368,13 @@ class OrbitSystem(_WordSystem):
         root = primitive_root(w)
         return len(root) == self.period and root in (
             self.word[i:] + self.word[:i] for i in range(self.period))
+
+    def point_through(self, word, anchor):
+        """The orbit's point with the admissible `word` at `anchor`."""
+        j = next(j for j in range(self.period)
+                 if periodic_window(self.word, j, j + len(word) - 1) == word)
+        phase = self.word[j:] + self.word[:j]
+        return Point(phase, "", phase, anchor)
 
 
 class Odometer:
@@ -414,6 +460,10 @@ class Odometer:
 
     def spectral_log(self):
         return 0.0
+
+    def label_text(self, label):
+        """A cell label as printed: its digits joined by dots."""
+        return ".".join(map(str, label))
 
     def residue_of_digits(self, digits):
         res = 0

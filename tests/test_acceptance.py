@@ -12,8 +12,7 @@ import pytest
 
 from check_reference import (filtered_least_period_words, forbidden_shape_count_bound, l1,
                              matpow_int, min_period, verify_injective)
-from shiftembed.entropy import (appendix_fullness_check, build_schedule,
-                                per_growth_in_cell, verify_schedule)
+from shiftembed.entropy import appendix_fullness_check, build_schedule, verify_schedule
 from shiftembed.errors import ScheduleError
 from shiftembed.markers import verify_tower
 from shiftembed.metrics import (besicovitch_estimate, dN_distance,
@@ -22,7 +21,8 @@ from shiftembed.metrics import (besicovitch_estimate, dN_distance,
 from shiftembed.pipeline import build_pipeline, sample_points
 from shiftembed.systems import (Point, dyadic_odometer, enumerate_periodic,
                                 enumerate_words, full_shift, golden_mean,
-                                itinerary, validate_point)
+                                itinerary, least_period_words, validate_point)
+from shiftembed.words import periodic_window
 
 WINDOW = (-200, 200)
 SAMPLES = 200
@@ -211,8 +211,9 @@ def test_criterion_07_metric_laws(pipe):
 
 def test_criterion_08_counting_oracles():
     """Word counts vs transfer matrix (n <= 20), Fix vs the matrix trace and
-    vs the least-period points over the divisors (n <= 12), per-cell
-    periodic growth of the full shift (n <= 10)."""
+    vs the least-period points over the divisors (n <= 12), and one n-step
+    cell per point of least period n on the full shift (n <= 10): the
+    per-cell periodic growth is 0."""
     gm = golden_mean()
     ok = True
     for n in range(1, 21):
@@ -230,7 +231,8 @@ def test_criterion_08_counting_oracles():
             ok = False
     fs = full_shift()
     for n in range(1, 11):
-        if per_growth_in_cell(fs, 0, n) != 0.0:
+        cells = [periodic_window(w, 0, n - 1) for w in least_period_words(fs, n)]
+        if len(set(cells)) != len(cells):
             ok = False
     print("\n[8] counting oracles: %s" % ("PASS" if ok else "FAIL"))
     assert ok

@@ -822,6 +822,35 @@ def _letter_keys(system, m, n, mod):
             for rho in range(mod)}
 
 
+class TestGapBetweenStretches:
+    """A scale-2 singular region whose deep zone holds two scale-1
+    stretches with scale-1 blocks between them: _split_singular_region
+    names the gap by its own decoded period, as a piece between the two
+    stretch pieces.  No encoded stream has one (a scale-2 region shadows one
+    orbit); three substitutions in a golden K=3 stream make one, and the
+    decode then refuses the stream at a freed slot of the first stretch."""
+
+    def test_gap_is_its_own_piece(self, pipe3, monkeypatch):
+        stream = pipe3.encode(Point("00001", "0000101001", "001010", -2), 2, (-85, 87))
+        symbols = list(stream.symbols)
+        for t, old, new in [(38, "1", "o"), (63, "1", "="), (42, "3", "|")]:
+            assert symbols[t + 85] == old
+            symbols[t + 85] = new
+        split = codec._split_singular_region
+        regions = {}
+
+        def recording(iv, *args):
+            pieces = split(iv, *args)
+            regions[iv.start, iv.end] = [(q.start, q.end, q.orbit) for q in pieces]
+            return pieces
+
+        monkeypatch.setattr(codec, "_split_singular_region", recording)
+        with pytest.raises(MalformedStreamError, match="free slot inside a stretch at 38"):
+            pipe3.decode(SymbolStream(-85, 87, symbols), 2)
+        assert regions[7, None] == [(7, 42, "000101"), (42, 54, "0000100101"),
+                                    (54, None, "000101")]
+
+
 class TestOdometerKeys:
     """Odometer keys are slices of the per-depth cell table; each must equal
     the key built letter by letter from the digits of the point's residue at

@@ -109,7 +109,8 @@ KIND_CHOOSERS = {("codec", "build_first_codebook"), ("codec", "build_conditional
                  ("codec", "_period_streams"), ("markers", "build_towers"),
                  ("pipeline", "sample_points")}
 KIND_NAMES = {"sft", "orbit", "odometer"}
-KIND_CLASSES = {"Sft", "OrbitSystem", "Odometer", "Point", "OdometerPoint"}
+# a cell label's type tells the kind too: an odometer label is a tuple
+KIND_CLASSES = {"Sft", "OrbitSystem", "Odometer", "Point", "OdometerPoint", "tuple"}
 
 
 def _names(node):
@@ -160,8 +161,9 @@ def _kind_tests():
 def test_only_the_systems_answer_for_their_kind():
     """Outside systems.py only KIND_CHOOSERS test the kind of a system or a
     point: no read of `is_word_system`, no comparison of `.kind` with a kind
-    name, no `isinstance` against a system or point class and no
-    `hasattr(..., "digits")`.  Reading `kind` for a message stays allowed,
+    name, no `isinstance` against a system or point class or `tuple` (the
+    type of an odometer label) and no `hasattr(..., "digits")`.  Reading
+    `kind` for a message stays allowed,
     and so do markers' tests of its own tower classes.  Like the dead-name
     guards, this one matches bare names: a class of another module that
     shares one of these names is flagged too, and a test spelled another

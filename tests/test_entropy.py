@@ -10,8 +10,7 @@ from shiftembed.entropy import (ScaleSchedule, _scale1_counts, appendix_fullness
                                 build_schedule, conditional_count,
                                 check_layout_capacity, complete_to_point,
                                 htop_estimate, layout_free_tables,
-                                least_period_count, per_growth_in_cell,
-                                verify_schedule)
+                                least_period_count, verify_schedule)
 from shiftembed.errors import CapacityError, ScheduleError, VerifyRecord
 from shiftembed.pipeline import build_pipeline
 from shiftembed.systems import (OrbitSystem, Sft, dyadic_odometer, full_shift,
@@ -98,16 +97,32 @@ class TestConditional:
                     (length, delta)
 
 
+def least_period_cells(system, n, m):
+    """The radius-m cells over n steps from time 0, one per point of least
+    period n."""
+    from shiftembed.words import periodic_window
+    return [periodic_window(w, -m, n - 1 + m) for w in least_period_words(system, n)]
+
+
 class TestPerGrowth:
+    """The per-cell growth of least-period-n points is 0: no radius-m cell
+    over n steps holds two of them."""
+
     def test_full_shift_zero(self):
+        # one cell per point, so the cells number the points (Moebius count)
+        fs = full_shift()
         for n in range(1, 11):
-            assert per_growth_in_cell(full_shift(), 0, n) == 0.0
+            assert len(set(least_period_cells(fs, n, 0))) == least_period_count(fs, n)
 
     def test_golden_zero(self):
-        assert per_growth_in_cell(golden_mean(), 0, 4) == 0.0
+        gm = golden_mean()
+        for m in range(3):
+            assert len(set(least_period_cells(gm, 4, m))) == least_period_count(gm, 4) == 4
 
     def test_odometer_zero(self):
-        assert per_growth_in_cell(dyadic_odometer(4), 0, 5) == 0.0
+        # the odometer has no periodic points, so no cell holds one
+        odo = dyadic_odometer(4)
+        assert [least_period_count(odo, n) for n in range(1, 17)] == [0] * 16
 
     @pytest.mark.parametrize("system", [golden_mean(), full_shift(),
                                         Sft(3, forbidden=("22", "201"))],
@@ -115,22 +130,10 @@ class TestPerGrowth:
     def test_cell_pins_the_periodic_point(self, system):
         """The proven 0: the radius-m itinerary over n steps spans n + 2m
         letters, so no cell holds two points of least period n."""
-        from shiftembed.words import periodic_window
         for n in range(1, 11):
-            points = least_period_words(system, n)
             for m in range(3):
-                cells = [periodic_window(w, -m, n - 1 + m) for w in points]
+                cells = least_period_cells(system, n, m)
                 assert len(set(cells)) == len(cells)
-                assert per_growth_in_cell(system, m, n) == 0.0
-
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            per_growth_in_cell(golden_mean(), 0, 0)
-
-    def test_nonincreasing_in_m(self):
-        for n in (2, 4, 6):
-            vals = [per_growth_in_cell(golden_mean(), m, n) for m in range(3)]
-            assert vals == sorted(vals, reverse=True)
 
     def test_least_period_counts(self):
         lp = [least_period_count(golden_mean(), n) for n in range(1, 10)]
@@ -223,6 +226,17 @@ class TestSchedule:
             "entropy growth scale=2 FAIL n'_2 = 55, n_3 = 29"]
         with pytest.raises(ScheduleError, match="re-verification:\nentropy growth scale=2 FAIL"):
             build_pipeline(golden_mean(), K=4, kmax=3, schedule=sched)
+
+    def test_wordless_scale1_tail_checks_the_cells_past_n_cert(self):
+        # the dyadic odometer's radius-7 cells number 256 at every n, and
+        # log 256 <= n (h + alpha/4) = n log(2)/4 needs n >= 32: n_1 = 20
+        # past N_cert = 16 fails, n_1 = 40 past N_cert = 32 passes
+        def record(n1, N_cert):
+            sched = ScaleSchedule(K=2, alpha=ODOMETER_ALPHA, m=(7,), n=(n1,), nprime=(n1,),
+                                  r=(n1 + 7,), periodic=False, N_cert=N_cert)
+            return verify_schedule(dyadic_odometer(8), sched).records[0]
+        assert record(20, 16) == VerifyRecord("entropy", "scale1-capacity", 1, False)
+        assert record(40, 32) == VerifyRecord("entropy", "scale1-capacity", 1, True)
 
     def test_capacity_check_passes_for_golden(self):
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
@@ -337,6 +351,17 @@ class TestAppendix:
         assert ok
         with pytest.raises(ValueError):
             appendix_fullness_check(full_shift(3), 2, 4)
+
+    def test_orbit_gives_its_point_through_the_target(self):
+        from shiftembed.systems import validate_point
+        ok, point = appendix_fullness_check(OrbitSystem(1, "0"), 1, 4, target="00")
+        assert ok and point.word(-1, 0) == "00"
+        orbit = OrbitSystem(2, "011")
+        point = complete_to_point(orbit, "1011", 3)
+        validate_point(orbit, point)
+        assert point.word(3, 6) == "1011" and point.word(0, 8) == "101101101"
+        with pytest.raises(ValueError):
+            complete_to_point(orbit, "00", 0)
 
     def test_completion_is_admissible(self):
         sys = golden_mean()

@@ -232,12 +232,12 @@ PINNED_MALFORMED = {
 PINNED_VERIFY = {
     # every record passes; the golden lines differ only in the growth
     # record's n_2, 19 at K=2 and 10 at K=3
-    "golden-k2": "43a2997db7ee16fe",
-    "golden-k3": "e14aef34c937b85b",
-    "odometer": "3e6c5fb9730b42ea",
+    "golden-k2": "739f6aca2c59063a",
+    "golden-k3": "37c96f7b4cfc61b5",
+    "odometer": "689cb8db039f1a0c",
     # the orbit's tower is checked by its structural records: no flat
     # pattern set of a word tower is built
-    "orbit001": "b2054c6efc041428",
+    "orbit001": "953c75c61bb7c032",
 }
 
 

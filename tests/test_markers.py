@@ -200,8 +200,7 @@ class TestOdometerTowers:
         stack = dyadic_stack()
         stack[1].residues |= {1}
         assert flat_exact_records(stack, 1) == {"disjointness": (False, ""),
-                                                "covering": (True, "uncovered=0"),
-                                                "nesting": (True, "base scale")}
+                                                "covering": (True, "uncovered=0")}
 
     def test_dropped_residue_fails_covering(self):
         stack = dyadic_stack()

@@ -68,6 +68,10 @@ class TestPipeline:
         report = verify_pipeline(pipe, points=points, window=(-40, 40))
         assert report.passed, "\n".join(report.lines())
 
+    def test_verify_harness_refuses_an_empty_sample_set(self, pipe):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            verify_pipeline(pipe, points=[])
+
     def test_verify_harness_records_an_encode_that_raises(self, pipe, monkeypatch):
         """A scale-2 render that raises fails the scale-2 codec records and
         the dN record, each with the error text as its detail, and leaves
@@ -221,6 +225,25 @@ class TestCli:
         pipe = load_pipeline(str(out))
         assert pipe.periodic_code is None
         assert not (out / "periodic_code.txt").exists()
+
+    def test_odometer_labels_print_as_dotted_digits(self, tmp_path, capsys):
+        sysfile = tmp_path / "odo.txt"
+        sysfile.write_text("kind: odometer\nbase: [2, 2, 2, 2, 2, 2, 2, 2]\n")
+        out = tmp_path / "opipe"
+        assert main(["build", "--system", str(sysfile), "--K", "2", "--kmax", "2",
+                     "--N-cert", "128", "--out", str(out)]) == 0
+        point = tmp_path / "point.txt"
+        point.write_text("digits: [1, 1, 0, 1, 0, 0, 0, 0]\n")
+        margin = load_pipeline(str(out)).decode_margin()
+        stream = tmp_path / "stream.txt"
+        assert main(["encode", "--pipeline", str(out), "--point", str(point),
+                     "--window=%d:%d" % (-margin, margin), "--out", str(stream)]) == 0
+        capsys.readouterr()
+        assert main(["invert", "--pipeline", str(out), "--stream", str(stream)]) == 0
+        assert capsys.readouterr().out == "1.1\n"      # m_2 = 1: two digits at time 0
+        assert main(["decode", "--pipeline", str(out), "--stream", str(stream)]) == 0
+        labels = capsys.readouterr().out.splitlines()[1].split()
+        assert labels[0] == "labels" and {len(x.split(".")) for x in labels[1:]} == {1}
 
     def test_build_walks_the_orbit_tree_once_per_length(self, tmp_path, monkeypatch):
         """The periodic code walks n_1 = 9; the orbit lists of towers.txt

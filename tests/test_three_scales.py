@@ -13,6 +13,7 @@ import re
 import pytest
 
 from check_reference import roundtrip_or_named
+from shiftembed.codec import SymbolStream
 from shiftembed.errors import CapacityError, MalformedStreamError, ShiftEmbedError
 from shiftembed.pipeline import build_pipeline, sample_points
 from shiftembed.systems import Point, golden_mean
@@ -79,6 +80,21 @@ SEED3_CENSUS = {
     ("decode", "spans overlap or run backwards: [N, None), [N, None)"): (16, 12),
     ("decode", "codeword '[' not in codebook image"): (75, 1),
 }
+
+
+def test_a_block_over_undecoded_labels_is_skipped(pipe):
+    """A '][' in place of the terminator at 15 leaves the scale-1 block
+    from the '|' at -13 without an end: the window edge cuts it, so no
+    scale-1 or scale-2 label from -13 on is decoded.  The brackets at -2,
+    15 and 19 still open scale-3 blocks over those positions.
+    _read_codewords skips them instead of reading a None label, and the
+    decode certifies left of -13."""
+    stream = pipe.encode(Point("00010", "1", "001000", 0), 3, (-60, 80))
+    symbols = list(stream.symbols)
+    assert symbols[15 + 60] == "="
+    symbols[15 + 60] = "]["
+    res = pipe.decode(SymbolStream(-60, 80, symbols), 3)
+    assert res.certified == {1: (-60, -14), 2: (-59, -15), 3: (-57, -17)}
 
 
 def test_seed3_census(pipe):
