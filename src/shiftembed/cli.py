@@ -10,8 +10,8 @@ import functools
 import sys
 
 from .codec import SymbolStream
-from .entropy import ScaleSchedule
-from .errors import ShiftEmbedError, SpecParseError
+from .entropy import ScaleSchedule, check_radii
+from .errors import ScheduleError, ShiftEmbedError, SpecParseError
 from .metrics import convergence_report
 from .pipeline import (DEFAULT_SEED, _read, build_pipeline, load_pipeline,
                        sample_points, save_pipeline, verify_pipeline)
@@ -43,6 +43,11 @@ def cmd_build(args):
         raise SpecParseError("--N-cert must be at least 2, not %d" % args.N_cert)
     C = _parse_finite(args.C, "--C")
     m = tuple(_parse_int(v, "--m entry") for v in args.m.split(",")) if args.m else None
+    if m is not None:
+        try:
+            check_radii(m, args.kmax)
+        except ScheduleError as exc:
+            raise SpecParseError(str(exc)) from None
     system = _read(args.system, parse_system)
     schedule = _read(args.schedule, ScaleSchedule.parse) if args.schedule else None
     pipeline = build_pipeline(system, K=args.K, kmax=args.kmax, C=C, m=m,

@@ -380,6 +380,16 @@ def check_layout_capacity(schedule):
                 % (k, L, needed, free), scale=k, block=L)
 
 
+def check_radii(m, kmax):
+    """The partition radii m as a tuple; ScheduleError unless they are kmax
+    nondecreasing integers >= 0."""
+    m = tuple(m)
+    if len(m) != kmax or list(m) != sorted(m) or min(m, default=0) < 0:
+        raise ScheduleError("m must be %d nondecreasing radii >= 0, not %s"
+                            % (kmax, ",".join(map(str, m))))
+    return m
+
+
 def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
     """Smallest-(n_k) schedule satisfying the three inequality families.
 
@@ -388,11 +398,7 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
     alpha*n_k >= C*2^k is applied with the caller's headroom C, and the
     growth inequality n'_k < n_{k+1} is refused at every scale.
     """
-    if m is None:
-        m = tuple(k - 1 for k in range(1, kmax + 1))
-    m = tuple(m)
-    if len(m) != kmax or any(m[i + 1] < m[i] for i in range(kmax - 1)):
-        raise ScheduleError("m must be nondecreasing of length kmax")
+    m = tuple(range(kmax)) if m is None else check_radii(m, kmax)
     if not math.isfinite(C):
         raise ScheduleError("headroom C must be finite, not %r" % C)
     h = system.spectral_log()

@@ -4,7 +4,8 @@ Three kinds of zero-dimensional system are supported:
 
 * ``Sft`` -- subshift of finite type over letters ``0..A-1``, described by a
   forbidden-word list or a 0/1 transition matrix.  Internally presented as a
-  graph on (maxlen-1)-blocks, pruned to its essential part.
+  graph on (maxlen-1)-blocks, pruned to its essential part, whose transition
+  table its word tests step through.
 * ``OrbitSystem`` -- the finite orbit of one periodic word.
 * ``Odometer`` -- adding machine on a truncated product of cyclic groups.
   Its marker towers are residue sets modulo a digit-prefix modulus, not
@@ -98,8 +99,6 @@ class Sft(_WordSystem):
         self._forbidden_lengths = sorted({len(w) for w in self.forbidden})
         maxlen = max((len(w) for w in self.forbidden), default=1)
         self.memory = max(1, maxlen - 1)
-        # letters past one period that hold every window across its end
-        self.wrap = max(maxlen, self.memory + 1) - 1
         self._build_graph()
         self._word_cache = {}
         self._extensions = {}       # end state, or None for any -> counts by length
@@ -108,13 +107,8 @@ class Sft(_WordSystem):
 
     def _clean(self, w):
         """No forbidden factor occurs in w."""
-        for L in self._forbidden_lengths:
-            if L > len(w):
-                break
-            for i in range(len(w) - L + 1):
-                if w[i:i + L] in self._forbidden_set:
-                    return False
-        return True
+        return not any(w[i:i + L] in self._forbidden_set
+                       for L in self._forbidden_lengths for i in range(len(w) - L + 1))
 
     def _clean_suffix(self, w):
         """No forbidden factor ends at the last letter of w."""
@@ -132,11 +126,10 @@ class Sft(_WordSystem):
         states = [s for s in states if self._clean(s)]
         succ = {s: [] for s in states}
         pred = {s: [] for s in states}
-        state_set = set(states)
         for s in states:
             for c in self.letters:
                 t = s[1:] + c
-                if t in state_set and self._clean_suffix(s + c):
+                if t in succ and self._clean_suffix(s + c):
                     succ[s].append(t)
                     pred[t].append(s)
         # essential part: every state on a bi-infinite path
@@ -155,22 +148,30 @@ class Sft(_WordSystem):
         self.states = sorted(succ)
         self._succ = {s: sorted(succ[s]) for s in self.states}
         self._pred = {s: sorted(pred[s]) for s in self.states}
-        idx = {s: i for i, s in enumerate(self.states)}
-        self._state_index = idx
-        self.adjacency = [[0] * len(self.states) for _ in self.states]
-        for s in self.states:
-            for t in self._succ[s]:
-                self.adjacency[idx[s]][idx[t]] = 1
+        # the transition table: state -> letter -> next state, one entry per edge
+        self._step = {s: {t[-1]: t for t in self._succ[s]} for s in self.states}
+        self.adjacency = [[int(t in self._succ[s]) for t in self.states] for s in self.states]
 
     # -- word level ---------------------------------------------------------
 
     def is_admissible(self, w):
+        """Whether w is a word of the essential subshift.  Every forbidden word
+        fits in M + 1 letters (M the memory), so a word of length >= M is clean
+        when each (M + 1)-window is an edge: w[:M] is a state and the table
+        steps through the rest.  A shorter word must be a factor of a state."""
         M = self.memory
         if len(w) >= M:
-            if any(w[i:i + M] not in self._state_index for i in range(len(w) - M + 1)):
-                return False
-            return self._clean(w)
+            return w[:M] in self._step and self._walk(w[:M], w[M:]) is not None
         return any(w in s for s in self.states)
+
+    def _walk(self, state, letters):
+        """The state reached by reading `letters` from `state`; None if one has no step."""
+        step = self._step
+        for c in letters:
+            state = step[state].get(c)
+            if state is None:
+                break
+        return state
 
     def words(self, n):
         """All admissible n-words, sorted (explicit enumeration, budget-guarded)."""
@@ -283,9 +284,9 @@ class Sft(_WordSystem):
 
     def is_cyclic_word(self, w):
         """True when the bi-infinite repetition of w is admissible: every
-        forbidden word and state fits in wrap + 1 letters, so each window of
-        the repetition is a factor of one period followed by wrap more."""
-        return self.is_admissible(periodic_window(w, 0, len(w) - 1 + self.wrap))
+        forbidden word and state fits in memory + 1 letters, so each window of
+        the repetition is a factor of one period followed by memory more."""
+        return self.is_admissible(periodic_window(w, 0, len(w) - 1 + self.memory))
 
     def point_through(self, word, anchor):
         """An eventually periodic point with the admissible `word` at `anchor`.
@@ -682,37 +683,36 @@ def _lyndon_orbits(system, nmax):
     only while the prefix is a path of the essential graph; that pruning is
     exact, because every prefix of a cyclically admissible word is one.
 
-    A kept node's linear windows are already clean and in the graph, so a
-    Lyndon node of length t > X closes when the windows across its end do:
-    with X = system.wrap, those all lie in the wrap word[t - X:] + word[:X].
-    Shorter nodes wrap around more than once and take is_cyclic_word.
+    Every forbidden word fits in M + 1 letters (M the memory), so a prefix
+    is a path when its (M + 1)-windows are edges.  A node of length >= M
+    carries its end state, and its children are that state's steps in the
+    transition table; a Lyndon node of length t > M closes when its first
+    M letters continue its end state through the table.  Shorter nodes
+    wrap around more than once and take is_cyclic_word.
     """
-    letters = system.letters
     M = system.memory
-    states = system._state_index
-    X = system.wrap
+    step = system._step
     table = {}
 
-    def closes(word, t):
-        if t > X:
-            return system.is_admissible(word[t - X:] + word[:X])
-        return system.is_cyclic_word(word)
-
-    def grow(word, p):
+    def grow(word, p, state):
         t = len(word)
-        if t and p == t and closes(word, t):
+        if t and p == t and (system._walk(state, word[:M]) is not None if t > M
+                             else system.is_cyclic_word(word)):
             table[word] = t
         if t == nmax:
             return
+        # below the memory a child is its own state-to-be
+        kids = step[state] if t >= M else {
+            c: word + c for c in system.letters
+            if (word + c in step if t + 1 == M else system._clean_suffix(word + c))}
         # FKM: the next letter repeats word[t - p] (period kept) or exceeds it
         # (the prefix becomes Lyndon); the root takes every letter at period 1
-        low = letters.index(word[t - p]) if t else 0
-        for i in range(low, len(letters)):
-            child = word + letters[i]
-            if (t + 1 < M or child[-M:] in states) and system._clean_suffix(child):
-                grow(child, p if t and i == low else t + 1)
+        low = word[t - p] if t else ""
+        for c, nxt in kids.items():
+            if c >= low:
+                grow(word + c, p if c == low else t + 1, nxt)
 
-    grow("", 0)
+    grow("", 0, None)
     return table
 
 

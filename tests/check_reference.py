@@ -25,6 +25,9 @@ length n joins s to t; `count_oracle_systems` are the SFTs it is checked on.
 n-words by filtering every n-word, the reference for the orbit walk's
 least-period words; on an SFT it filters with `doubled_window_cyclic`, the
 doubled-window test that `Sft.is_cyclic_word` replaced.
+`scanned_admissible` and `scanned_cyclic` are the string scans for
+forbidden factors and non-states that `Sft.is_admissible` and
+`Sft.is_cyclic_word` replaced with steps through the transition table.
 `lcm_window_on_orbit` is the orbit-system membership test that
 `validate_point` replaced with point equality, and `orbit_probe_points`
 draws points on and next to an orbit to compare the two.
@@ -121,7 +124,27 @@ def doubled_window_cyclic(system, w):
                 return False
     M = system.memory
     ext = w * max(2, -(-M // len(w)) + 1)
-    return all(ext[i:i + M] in system._state_index for i in range(len(w)))
+    return all(ext[i:i + M] in system.states for i in range(len(w)))
+
+
+def scanned_admissible(system, w):
+    """Whether w is a word of an Sft's essential subshift, by scanning
+    strings: every memory-window of w is a state of the essential graph and
+    no forbidden word is a factor of w; a word shorter than the memory must
+    be a factor of a state."""
+    M = system.memory
+    if len(w) < M:
+        return any(w in s for s in system.states)
+    return (all(w[i:i + M] in system.states for i in range(len(w) - M + 1))
+            and not any(f in w for f in system.forbidden))
+
+
+def scanned_cyclic(system, w):
+    """Whether the bi-infinite repetition of a nonempty w is admissible, by
+    the string scan of enough repetitions that every window of the
+    repetition, of length up to the longest forbidden word, is a factor."""
+    longest = max(map(len, system.forbidden), default=1)
+    return scanned_admissible(system, w * (max(longest, system.memory) // len(w) + 2))
 
 
 def lcm_window_on_orbit(system, point):

@@ -10,12 +10,12 @@ from check_reference import (filtered_least_period_words, forbidden_shape_count_
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
 from layout_reference import ROLE_SINGULAR_FILL, record_layouts, roles
 from shiftembed import codec
-from shiftembed.codec import (Codebook, RankedCodebook, SymbolStream,
+from shiftembed.codec import (Codebook, PeriodicCode, RankedCodebook, SymbolStream,
                               build_first_codebook, build_conditional_codebook,
                               build_periodic_code)
 from shiftembed.errors import (CapacityError, EnumerationBudgetError,
                                MalformedStreamError, ScheduleError, ShiftEmbedError,
-                               WindowError)
+                               SpecParseError, WindowError)
 from shiftembed.markers import return_partition
 from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
 from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft,
@@ -753,6 +753,74 @@ class TestDecodeErrorLocation:
         with pytest.raises(WindowError) as info:
             res.itinerary_list(2, (-1000, 0))
         assert (info.value.scale, info.value.position) == (2, None)
+
+
+class TestRefusalTexts:
+    """Each refusal of the codec's entry points fires with its text."""
+
+    def test_invert_refuses_an_uncertified_time_zero(self, pipe):
+        # one code letter, '2', over the whole window invert asks for: no
+        # orbit's code and no marker, so the decode certifies no window
+        margin = pipe.schedule.decode_radius(1)
+        stream = SymbolStream(-margin, margin, ["2"] * (2 * margin + 1))
+        with pytest.raises(WindowError, match="^time zero not certified at scale 1$") as info:
+            pipe.invert(stream, 1)
+        assert (info.value.scale, info.value.position) == (1, 0)
+
+    def test_periodic_code_refuses_n1_below_its_precondition(self):
+        # golden K=2 n_1 = 2: two points of least period 2, not below 2^1
+        with pytest.raises(ScheduleError, match=r"^periodic-code precondition "
+                           r"#Per_\{n1\} < K\^\{n1-1\} fails$"):
+            build_periodic_code(golden_mean(), 2, 2)
+
+    def test_periodic_code_exhausted(self):
+        # two orbits of least period 2 and no point of least period 6, so the
+        # precondition holds at n_1 = 6; but "01" is the only primitive
+        # binary necklace of length 2, and the second orbit finds no word
+        two_cycles = Sft(4, matrix=[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        with pytest.raises(CapacityError, match="^periodic code exhausted at period 2$") as info:
+            build_periodic_code(two_cycles, 2, 6)
+        assert (info.value.scale, info.value.block) == (1, 2)
+
+    @pytest.mark.parametrize("line", ["orbits: 0 -> 1", "orbit: 0 1", "orbit: 0 -> 1"],
+                             ids=["key", "arrow", "repeated"])
+    def test_periodic_code_parse_refuses_a_line(self, pipe, line):
+        text = pipe.periodic_code.serialize().replace("orbit: 0 -> 1", "orbit: 0 -> 1\n" + line)
+        with pytest.raises(SpecParseError, match="^periodic code line '%s'$" % line):
+            PeriodicCode.parse(text, golden_mean(), 9, 2)
+
+    def test_stream_text_refuses_a_resolution_count(self):
+        with pytest.raises(SpecParseError,
+                           match="^stream has 1 resolution entries for 2 symbols$"):
+            SymbolStream.from_text("window: 0:1\nsymbols: 1 2\nresolution: 1\n")
+
+    def test_stream_refuses_a_symbol_count(self):
+        with pytest.raises(ValueError, match="^symbol count does not match window$"):
+            SymbolStream(0, 2, ["1"])
+
+    def test_stream_get_refuses_a_position_outside(self):
+        with pytest.raises(WindowError,
+                           match=r"^position 3 outside stream window \[0, 2\]$") as info:
+            SymbolStream(0, 2, ["1", "2", "1"]).get(3)
+        assert info.value.position == 3
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_encode_and_decode_refuse_a_scale(self, pipe, k):
+        stream = pipe.encode(Point("0", "", "0"), 2, (-5, 5))
+        with pytest.raises(ValueError, match="^scale %d out of range$" % k):
+            pipe.encode(Point("0", "", "0"), k, (-5, 5))
+        with pytest.raises(ValueError, match="^scale %d out of range$" % k):
+            pipe.decode(stream, k)
+
+    def test_conditional_codebook_refuses_scale_1(self, pipe):
+        with pytest.raises(ValueError, match="^conditional codebooks start at scale 2$"):
+            build_conditional_codebook(golden_mean(), pipe.schedule, 1, 9, ("0",) * 9)
+
+    def test_refinement_refuses_a_context_shorter_than_the_memory(self):
+        # memory 3: the one-letter context of a block of length 1 spans no state
+        with pytest.raises(ScheduleError, match="^context '0' is shorter than the memory$"):
+            build_conditional_codebook(Sft(2, forbidden=("111", "0101")), _schedule(0, 1),
+                                       2, 1, ("0",))
 
 
 class TestLabelsAtBlockEnds:

@@ -156,6 +156,18 @@ class TestSchedule:
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
         assert all(r.ok for r in verify_schedule(golden_mean(), sched).records)
 
+    @pytest.mark.parametrize("system, m", [
+        (golden_mean(), (-1, 0)), (golden_mean(), (0,)), (golden_mean(), (1, 0)),
+        (dyadic_odometer(8), (-1, 0)),
+    ], ids=["negative", "too-short", "decreasing", "odometer-negative"])
+    def test_bad_radii_are_refused_by_name(self, system, m):
+        # refused before any count is taken: (-1, 0) used to reach
+        # counts[N0] with N0 = -1 and end in IndexError, and the odometer
+        # refused depth 0 instead of naming m
+        text = "m must be 2 nondecreasing radii >= 0, not %s" % ",".join(map(str, m))
+        with pytest.raises(ScheduleError, match="^%s$" % text):
+            build_schedule(system, 2, 2, m=m)
+
     def test_full_shift_k2_rejected(self):
         with pytest.raises(ScheduleError):
             build_schedule(full_shift(), K=2, kmax=1)

@@ -409,6 +409,7 @@ class TestMalformedInputExitsTwo:
         tmp = tmp_path_factory.mktemp("grammar")
         sysfile = tmp / "golden.txt"
         sysfile.write_text("kind: sft\nalphabet: 2\nforbidden: [11]\n")
+        (tmp / "odometer.txt").write_text("kind: odometer\nbase: [2, 2, 2, 2, 2, 2, 2, 2]\n")
         out = tmp / "pipe"
         assert main(["build", "--system", str(sysfile), "--K", "2", "--kmax", "2",
                      "--C", "0", "--m", "0,0", "--out", str(out)]) == 0
@@ -491,15 +492,23 @@ class TestMalformedInputExitsTwo:
                                "--samples", samples], capsys)
         assert "--samples must be at least 1, not %s" % samples in err
 
-    @pytest.mark.parametrize("extra, fragment", [
-        (["--kmax", "0"], "--kmax must be at least 1, not 0"),
-        (["--kmax", "2", "--K", "0"], "--K must be in 2..9, not 0"),
-        (["--kmax", "2", "--N-cert", "1"], "--N-cert must be at least 2, not 1"),
-        (["--kmax", "2", "--m", "0,x"], "--m entry must be an integer, not 'x'"),
-    ], ids=["kmax-0", "K-0", "N-cert-1", "m-not-integer"])
-    def test_build_refuses_a_bad_integer_argument(self, saved, tmp_path, capsys, extra,
+    @pytest.mark.parametrize("system, extra, fragment", [
+        ("golden", ["--kmax", "0"], "--kmax must be at least 1, not 0"),
+        ("golden", ["--kmax", "2", "--K", "0"], "--K must be in 2..9, not 0"),
+        ("golden", ["--kmax", "2", "--N-cert", "1"], "--N-cert must be at least 2, not 1"),
+        ("golden", ["--kmax", "2", "--m", "0,x"], "--m entry must be an integer, not 'x'"),
+        ("golden", ["--kmax", "2", "--C", "0", "--m=-1,0"],
+         "m must be 2 nondecreasing radii >= 0, not -1,0"),
+        ("odometer", ["--kmax", "3", "--m=-1,0,1"],
+         "m must be 3 nondecreasing radii >= 0, not -1,0,1"),
+        ("golden", ["--kmax", "2", "--m", "0"], "m must be 2 nondecreasing radii >= 0, not 0"),
+        ("golden", ["--kmax", "2", "--m", "1,0"],
+         "m must be 2 nondecreasing radii >= 0, not 1,0"),
+    ], ids=["kmax-0", "K-0", "N-cert-1", "m-not-integer", "m-negative", "odometer-m-negative",
+            "m-too-short", "m-decreasing"])
+    def test_build_refuses_a_bad_integer_argument(self, saved, tmp_path, capsys, system, extra,
                                                   fragment):
-        err = self._exits_two(["build", "--system", str(saved / "golden.txt"), "--K", "2",
+        err = self._exits_two(["build", "--system", str(saved / (system + ".txt")), "--K", "2",
                                "--out", str(tmp_path / "nope")] + extra, capsys)
         assert fragment in err
         assert not (tmp_path / "nope").exists()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from check_reference import (count_oracle_systems, doubled_window_cyclic,
                              filtered_least_period_words, lcm_window_on_orbit, matpow_int,
-                             orbit_probe_points)
+                             orbit_probe_points, scanned_admissible, scanned_cyclic)
 from shiftembed.entropy import (EntropyEstimate, appendix_fullness_check, htop_estimate,
                                least_period_count)
 from shiftembed.errors import (EmptySubshiftError, EnumerationBudgetError,
@@ -18,7 +18,7 @@ from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point,
                                 least_period_words, parse_point, parse_system, periodic_orbits,
                                 product_coding, serialize_point,
                                 serialize_system, validate_point)
-from shiftembed.words import necklace, periodic_window
+from shiftembed.words import ALPHABET_CHARS, necklace, periodic_window
 
 
 def brute_words(forbidden, n, A=2):
@@ -422,8 +422,28 @@ class TestPeriodic:
 
 
 class TestReplacedRules:
-    """Sft.is_cyclic_word and validate_point's orbit test against the rules
+    """Sft's word tests and validate_point's orbit test against the rules
     they replaced, kept in tests/check_reference.py."""
+
+    @pytest.mark.parametrize("name", sorted(count_oracle_systems()))
+    def test_word_tests_equal_the_string_scan(self, name):
+        """Every word over the alphabet and one letter outside it, from the
+        empty word up, so words shorter than the memory are among them."""
+        system = count_oracle_systems()[name]
+        letters = system.letters + ALPHABET_CHARS[system.alphabet_size]
+        nmax = 7 if system.alphabet_size == 3 else 8
+        seen = set()
+        for n in range(nmax + 1):
+            for w in map("".join, itertools.product(letters, repeat=n)):
+                got = system.is_admissible(w)
+                assert got == scanned_admissible(system, w), w
+                seen.add(("admissible", n < system.memory, got))
+                if w:
+                    got = system.is_cyclic_word(w)
+                    assert got == scanned_cyclic(system, w), w
+                    seen.add(("cyclic", got))
+        assert {("admissible", False, True), ("admissible", False, False),
+                ("cyclic", True), ("cyclic", False)} <= seen
 
     @pytest.mark.parametrize("name", sorted(count_oracle_systems()))
     def test_is_cyclic_word_equals_doubled_window(self, name):
