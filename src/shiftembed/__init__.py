@@ -11,7 +11,7 @@ from .markers import (PeriodicNeighborhood, build_towers, return_partition,
 from .metrics import (besicovitch_estimate, cantor_distance, dN_distance,
                       empirical_measure, hausdorff_distance, measure_distance)
 from .pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline
-from .systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft,
+from .systems import (Odometer, OdometerPoint, Point, Sft, orbit_system,
                       coordinate, enumerate_periodic, enumerate_words,
                       itinerary, parse_point, parse_system, product_coding,
                       serialize_point, serialize_system)

@@ -11,7 +11,7 @@ import sys
 
 from .codec import SymbolStream
 from .entropy import ScaleSchedule, check_radii
-from .errors import ScheduleError, ShiftEmbedError, SpecParseError
+from .errors import PeriodicPointsError, ScheduleError, ShiftEmbedError, SpecParseError
 from .metrics import convergence_report
 from .pipeline import (DEFAULT_SEED, _read, build_pipeline, load_pipeline,
                        sample_points, save_pipeline, verify_pipeline)
@@ -50,8 +50,11 @@ def cmd_build(args):
             raise SpecParseError(str(exc)) from None
     system = _read(args.system, parse_system)
     schedule = _read(args.schedule, ScaleSchedule.parse) if args.schedule else None
-    pipeline = build_pipeline(system, K=args.K, kmax=args.kmax, C=C, m=m,
-                              N_cert=args.N_cert, schedule=schedule, precheck=True)
+    try:
+        pipeline = build_pipeline(system, K=args.K, kmax=args.kmax, C=C, m=m,
+                                  N_cert=args.N_cert, schedule=schedule, precheck=True)
+    except PeriodicPointsError as exc:
+        raise SpecParseError(str(exc)) from None
     save_pipeline(pipeline, args.out)
     print("pipeline written to %s (n = %s)" % (args.out, list(pipeline.schedule.n)))
     return 0

@@ -31,7 +31,7 @@ from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
                      ROLE_CLOSING, ROLE_MARKER, ROLE_MARKER_K, SpanOrderError)
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
-from .entropy import periodic_code_fits
+from .entropy import least_period_count
 from .markers import Interval, ReturnPartition, return_partition
 from .systems import (OdometerPoint, _parse_int, _parse_kv, _parse_window,
                       periodic_orbits)
@@ -129,8 +129,8 @@ class Codebook:
     """Injective lexicographic map from itinerary words to K-ary words: a
     key's codeword is the K-ary word of its index among the sorted keys.
 
-    This class lists its keys (an orbit's, at most p, or the one orbit of an
-    identification); a subclass counts them, supplying `_rank` and `_unrank`.
+    This class lists its keys (the one orbit of an identification); a
+    subclass counts them, supplying `_rank` and `_unrank`.
     A length of None is the one the key count needs.
     """
 
@@ -303,12 +303,9 @@ def build_first_codebook(system, schedule, n, length=None):
     if length is None:
         length = schedule.fill1(n)
     m = schedule.m[0]
-    if system.kind == "sft":
-        return RankedCodebook(system, m, n, length, schedule.K)
     if system.kind == "odometer":
         return ResidueCodebook(system, 1, m + 1, n, length, schedule.K)
-    keys = [_window_key(w, m, n) for w in system.words(n + 2 * m)]
-    return Codebook(1, n, length, keys, schedule.K)
+    return RankedCodebook(system, m, n, length, schedule.K)
 
 
 def build_conditional_codebook(system, schedule, k, n, coarse):
@@ -327,10 +324,6 @@ def build_conditional_codebook(system, schedule, k, n, coarse):
         raise MalformedStreamError("unknown context %r" % (coarse,))
     if system.kind == "sft":
         cb = RefinementCodebook(system, k, m, mp, n, schedule.K, coarse, u)
-    elif system.kind == "orbit":
-        keys = [_window_key(w, mp, n) for w in system.words(n + 2 * mp)
-                if w[mp - m:len(w) - mp + m] == u]
-        cb = Codebook(k, n, None, keys, schedule.K, context=coarse)
     budget = schedule.budget(n, k)
     if cb.length > budget and mp != m:
         raise CapacityError("conditional code needs %d letters, budget %d"
@@ -472,9 +465,11 @@ def build_periodic_code(system, K, n1):
     not taken.  A rotation of a taken word is refused that way too: its
     prefixes are the taken word's.  The n prefixes of one word are
     distinct, since each starts with its rotation and a primitive word's
-    rotations are distinct.
+    rotations are distinct.  The precondition checked here is the one at
+    n1; more points of a shorter least period than the K-shift has (which
+    build_schedule refuses) exhaust that period's words.
     """
-    if not periodic_code_fits(system, K, n1):
+    if least_period_count(system, n1) >= K ** (n1 - 1):
         raise ScheduleError("periodic-code precondition #Per_{n1} < K^{n1-1} fails")
     by_period = {}
     for v, n in periodic_orbits(system, n1).items():

@@ -37,6 +37,10 @@ class ScheduleError(ShiftEmbedError):
     """No admissible scale schedule (e.g. h_top >= log K), or invalid override."""
 
 
+class PeriodicPointsError(ScheduleError):
+    """More points of some least period below n_1 than the full K-shift has."""
+
+
 class CapacityError(ShiftEmbedError):
     """Codebook domain exceeds K**length, or a block is too short for its budgets."""
 

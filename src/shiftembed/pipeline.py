@@ -19,8 +19,8 @@ from .entropy import (ScaleSchedule, build_schedule, check_layout_capacity,
                       conditional_count, verify_schedule)
 from .errors import CapacityError, ScheduleError, ShiftEmbedError, SpecParseError
 from .markers import build_towers, verify_tower
-from .systems import (OdometerPoint, Point, itinerary, least_period_words, parse_system,
-                      periodic_orbits, serialize_system, validate_point)
+from .systems import (OdometerPoint, Point, itinerary, parse_system, periodic_orbits,
+                      serialize_system, validate_point)
 
 DEFAULT_SEED = 17
 CORE_MAX = 12   # the sampler's short-core length scale
@@ -145,17 +145,19 @@ def precheck_pipeline(pipeline):
 
 def sample_points(system, count, seed=DEFAULT_SEED):
     """Seeded eventually-periodic sample points, mixing plain graph walks
-    with points carrying long periodic cores (to exercise singular blocks)."""
+    with points carrying long periodic cores (to exercise singular blocks);
+    a finite system's points in turn."""
     import random
     rng = random.Random(seed)
     if system.kind == "odometer":
         return [OdometerPoint(system, [rng.randrange(p) for p in system.base])
                 for _ in range(count)]
-    if system.kind == "orbit":
-        # a finite orbit has no graph to walk: its points are its phases
-        phases = least_period_words(system, system.period)
+    if all(len(succ) == 1 for succ in system._succ.values()):
+        # a graph of disjoint cycles is a finite system: its points are the
+        # rotations of its orbits, and a walk has nothing to choose
+        phases = _cycle_words(system, len(system.states))
         return [Point(w, w, w, 0) for w in itertools.islice(itertools.cycle(phases), count)]
-    cycles = _cycle_words(system)
+    cycles = _cycle_words(system, 6)
     out = []
     while len(out) < count:
         left = rng.choice(cycles)
@@ -175,10 +177,10 @@ def sample_points(system, count, seed=DEFAULT_SEED):
     return out
 
 
-def _cycle_words(system):
-    """Cyclically admissible primitive words of period at most 6: the
+def _cycle_words(system, nmax):
+    """Cyclically admissible primitive words of period at most nmax: the
     rotations of one orbit walk, sorted."""
-    return sorted(v[i:] + v[:i] for v, p in periodic_orbits(system, 6).items()
+    return sorted(v[i:] + v[:i] for v, p in periodic_orbits(system, nmax).items()
                   for i in range(p))
 
 

@@ -1,12 +1,12 @@
 """Symbolic systems, points and itineraries.
 
-Three kinds of zero-dimensional system are supported:
+Two kinds of zero-dimensional system are supported:
 
 * ``Sft`` -- subshift of finite type over letters ``0..A-1``, described by a
   forbidden-word list or a 0/1 transition matrix.  Internally presented as a
   graph on (maxlen-1)-blocks, pruned to its essential part, whose transition
-  table its word tests step through.
-* ``OrbitSystem`` -- the finite orbit of one periodic word.
+  table its word tests step through.  ``orbit_system`` builds the finite
+  orbit of one periodic word as an Sft whose essential graph is one cycle.
 * ``Odometer`` -- adding machine on a truncated product of cyclic groups.
   Its marker towers are residue sets modulo a digit-prefix modulus, not
   word sets.
@@ -14,8 +14,7 @@ Three kinds of zero-dimensional system are supported:
 Each kind answers for itself what the schedule and the codec ask of it:
 ``periodic`` (the paper's case split), ``labels``, ``follows``,
 ``cell_count``, ``conditional_count``, ``word_counts``, ``fix_count`` and
-``spectral_log``.  The word systems share their answers; the odometer's
-are the aperiodic case.
+``spectral_log``.  The odometer's answers are the aperiodic case.
 
 Points are finitely described and exactly evaluable everywhere: symbolic
 points are eventually periodic on both sides, odometer points are digit
@@ -32,41 +31,16 @@ import numpy as np
 
 from .errors import (EmptySubshiftError, EnumerationBudgetError,
                      InvalidPointError, SpecParseError)
-from .words import ALPHABET_CHARS, _window_key, necklace, periodic_window, primitive_root
+from .words import ALPHABET_CHARS, _window_key, periodic_window, primitive_root
 
 WORD_ENUM_BUDGET = 4_000_000
 
 
-class _WordSystem:
-    """The answers Sft and OrbitSystem share: a radius-m cell is a (2m + 1)-word."""
-
-    periodic = True     # every nonempty word system carries periodic points
-
-    def labels(self, point, t, m, n):
-        """The radius-m cells at times t .. t + n - 1: the windows of one slice."""
-        return _window_key(point.word(t - m, t + n - 1 + m), m, n)
-
-    def follows(self, a, b):
-        """Whether cell b can be the cell after a: the window slides by one letter."""
-        return b == a[1:] + b[-1]
-
-    def cell_count(self, m, n):
-        """Number of length-n itinerary words of the radius-m partition."""
-        return self.count_words(n + 2 * m)
-
-    def word_counts(self, nmax):
-        """#W_n for every n <= nmax."""
-        return [self.count_words(n) for n in range(nmax + 1)]
-
-    def label_text(self, label):
-        """A cell label as printed: the word itself."""
-        return label
-
-
-class Sft(_WordSystem):
+class Sft:
     """Subshift of finite type with a cached essential block-graph presentation."""
 
     kind = "sft"
+    periodic = True     # every nonempty Sft carries periodic points
 
     def __init__(self, alphabet_size, forbidden=None, matrix=None):
         if alphabet_size < 1 or alphabet_size > len(ALPHABET_CHARS):
@@ -76,6 +50,7 @@ class Sft(_WordSystem):
         if (forbidden is None) == (matrix is None):
             raise SpecParseError("exactly one of forbidden/matrix must be given")
         self.matrix_input = None
+        self.orbit_word = None      # set by orbit_system, to serialize the spec back
         if matrix is not None:
             matrix = [list(map(int, row)) for row in matrix]
             if len(matrix) != alphabet_size or any(len(r) != alphabet_size for r in matrix):
@@ -151,6 +126,28 @@ class Sft(_WordSystem):
         # the transition table: state -> letter -> next state, one entry per edge
         self._step = {s: {t[-1]: t for t in self._succ[s]} for s in self.states}
         self.adjacency = [[int(t in self._succ[s]) for t in self.states] for s in self.states]
+
+    # -- cells ----------------------------------------------------------------
+
+    def labels(self, point, t, m, n):
+        """The radius-m cells at times t .. t + n - 1: the windows of one slice."""
+        return _window_key(point.word(t - m, t + n - 1 + m), m, n)
+
+    def follows(self, a, b):
+        """Whether cell b can be the cell after a: the window slides by one letter."""
+        return b == a[1:] + b[-1]
+
+    def cell_count(self, m, n):
+        """Number of length-n itinerary words of the radius-m partition."""
+        return self.count_words(n + 2 * m)
+
+    def word_counts(self, nmax):
+        """#W_n for every n <= nmax."""
+        return [self.count_words(n) for n in range(nmax + 1)]
+
+    def label_text(self, label):
+        """A cell label as printed: the word itself."""
+        return label
 
     # -- word level ---------------------------------------------------------
 
@@ -278,9 +275,9 @@ class Sft(_WordSystem):
         M, states = self.memory, self.states
         into = {s: self.count_words(M + mp - m, end=s) for s in states}
         out = {s: self.count_words(M + mp - m, start=s) for s in states}
-        span = max(n + 2 * m, M)
-        return max(into[s] * out[t] for t in states for s in states
-                   if self.count_words(span, start=s, end=t))
+        r = max(n + 2 * m - M, 0)
+        return max(into[s] * out[t] for t in states
+                   for s, joins in self._extension_counts(r, t).items() if joins)
 
     def is_cyclic_word(self, w):
         """True when the bi-infinite repetition of w is admissible: every
@@ -324,58 +321,29 @@ class Sft(_WordSystem):
         return Point(left_period, core, right_period, anchor - len(core_left))
 
 
-class OrbitSystem(_WordSystem):
-    """The orbit closure of a single periodic word: a finite cyclic system."""
-
-    kind = "orbit"
-
-    def __init__(self, alphabet_size, word):
-        if alphabet_size < 1 or alphabet_size > len(ALPHABET_CHARS):
-            raise SpecParseError("alphabet size out of range")
-        self.alphabet_size = alphabet_size
-        self.letters = ALPHABET_CHARS[:alphabet_size]
-        if not word or any(c not in self.letters for c in word):
-            raise SpecParseError("orbit word must be a nonempty word over the alphabet")
-        self.word = primitive_root(word)
-        self.period = len(self.word)
-        self.forbidden = ()
-        self.memory = 1
-        self._word_cache = {}
-
-    def words(self, n):
-        if n == 0:
-            return [""]
-        if n not in self._word_cache:
-            self._word_cache[n] = sorted({periodic_window(self.word, j, j + n - 1)
-                                          for j in range(self.period)})
-        return self._word_cache[n]
-
-    def count_words(self, n):
-        return len(self.words(n))
-
-    def fix_count(self, n):
-        return self.period if n % self.period == 0 else 0
-
-    def spectral_log(self):
-        return 0.0
-
-    def conditional_count(self, m, mp, n):
-        return 1  # every window of the single orbit extends uniquely
-
-    def is_admissible(self, w):
-        return w in self.words(len(w)) if w else True
-
-    def is_cyclic_word(self, w):
-        root = primitive_root(w)
-        return len(root) == self.period and root in (
-            self.word[i:] + self.word[:i] for i in range(self.period))
-
-    def point_through(self, word, anchor):
-        """The orbit's point with the admissible `word` at `anchor`."""
-        j = next(j for j in range(self.period)
-                 if periodic_window(self.word, j, j + len(word) - 1) == word)
-        phase = self.word[j:] + self.word[:j]
-        return Point(phase, "", phase, anchor)
+def orbit_system(alphabet_size, word):
+    """The orbit closure of one periodic word: the Sft that forbids every
+    L-word off the orbit of the word's primitive root.  L is the least
+    length whose (L - 1)-windows of the orbit are distinct, so the essential
+    graph is one cycle through them.  The root is kept as `orbit_word` to
+    serialize the system back as an orbit spec."""
+    if alphabet_size < 1 or alphabet_size > len(ALPHABET_CHARS):
+        raise SpecParseError("alphabet size out of range")
+    letters = ALPHABET_CHARS[:alphabet_size]
+    if not word or any(c not in letters for c in word):
+        raise SpecParseError("orbit word must be a nonempty word over the alphabet")
+    root = primitive_root(word)
+    p = len(root)
+    L = next(L for L in range(1, p + 2)
+             if len({periodic_window(root, j, j + L - 2) for j in range(p)}) == p)
+    if alphabet_size ** L > WORD_ENUM_BUDGET:
+        raise EnumerationBudgetError("orbit of period %d forbids %d-words: A^L = %d"
+                                     % (p, L, alphabet_size ** L))
+    on_orbit = {periodic_window(root, j, j + L - 1) for j in range(p)}
+    system = Sft(alphabet_size, forbidden=[
+        w for w in map("".join, itertools.product(letters, repeat=L)) if w not in on_orbit])
+    system.orbit_word = root
+    return system
 
 
 class Odometer:
@@ -565,12 +533,12 @@ def validate_point(system, point):
         if system.kind != "odometer" or point.system is not system:
             raise InvalidPointError("odometer point bound to a different system")
         return
-    if not isinstance(system, _WordSystem):
+    if not isinstance(system, Sft):
         raise InvalidPointError("word point supplied for a non-word system")
     for w, side in ((point.left, "left"), (point.right, "right")):
         if any(c not in system.letters for c in w):
             raise InvalidPointError("%s period uses letters outside the alphabet" % side)
-        if not system.is_cyclic_word(w) and system.kind == "sft":
+        if not system.is_cyclic_word(w):
             raise InvalidPointError("%s period %r is not cyclically admissible" % (side, w))
     if any(c not in system.letters for c in point.core):
         raise InvalidPointError("core uses letters outside the alphabet")
@@ -578,16 +546,10 @@ def validate_point(system, point):
         (len(w) for w in system.forbidden), default=1) + 1
     a, b = point.core_span()
     window = point.word(a - pad, b + pad)
-    if system.kind == "sft":
-        if not system._clean(window):
-            raise InvalidPointError("point window %r hits a forbidden word" % window)
-        if not system.is_admissible(window):
-            raise InvalidPointError("point window %r leaves the essential subshift" % window)
-    else:
-        # Orbit system: the point must equal some phase of the orbit.
-        w = system.word
-        if not any(point == Point(w, "", w, -phase) for phase in range(system.period)):
-            raise InvalidPointError("point is not on the finite orbit")
+    if not system._clean(window):
+        raise InvalidPointError("point window %r hits a forbidden word" % window)
+    if not system.is_admissible(window):
+        raise InvalidPointError("point window %r leaves the essential subshift" % window)
 
 
 # -- spec-level operations ----------------------------------------------------
@@ -637,7 +599,7 @@ def enumerate_periodic(system, n):
     """(points of least period exactly n, number of points fixed by sigma^n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not isinstance(system, _WordSystem):
+    if not system.periodic:
         return [], 0
     points = [Point(w, w, w, 0) for w in least_period_words(system, n)]
     return points, system.fix_count(n)
@@ -666,8 +628,6 @@ def periodic_orbits(system, nmax):
         raise EnumerationBudgetError(
             "orbits of period <= %d need the %d admissible %d-words, over "
             "WORD_ENUM_BUDGET = %d" % (nmax, count, nmax, WORD_ENUM_BUDGET))
-    if system.kind == "orbit":
-        return {necklace(system.word): system.period} if system.period <= nmax else {}
     table = _lyndon_orbits(system, nmax)
     return dict(sorted(table.items(), key=lambda kv: (kv[1], kv[0])))
 
@@ -808,8 +768,8 @@ def parse_system(text):
     if kind == "odometer":
         return Odometer([_parse_int(v, "base entry") for v in _parse_list(kv["base"], "base")])
     A = _parse_int(kv["alphabet"], "alphabet")
-    if kind == "orbit":
-        return OrbitSystem(A, kv["word"])
+    if "word" in needs[kind]:
+        return orbit_system(A, kv["word"])
     if "matrix" in kv:
         rows = [_parse_list(row, "matrix row") for row in _parse_list(kv["matrix"], "matrix")]
         return Sft(A, matrix=[[_parse_int(v, "matrix entry") for v in row] for row in rows])
@@ -820,17 +780,16 @@ def parse_system(text):
 
 def serialize_system(system):
     """Canonical text form; parse(serialize(s)) reproduces s bit-exactly."""
-    if system.kind == "sft":
-        if system.matrix_input is not None:
-            rows = "],[".join(",".join(str(v) for v in row) for row in system.matrix_input)
-            return "kind: sft\nalphabet: %d\nmatrix: [[%s]]\n" % (system.alphabet_size, rows)
-        return "kind: sft\nalphabet: %d\nforbidden: [%s]\n" % (
-            system.alphabet_size, ", ".join(system.forbidden))
     if system.kind == "odometer":
         return "kind: odometer\nbase: [%s]\n" % ", ".join(str(p) for p in system.base)
-    if system.kind == "orbit":
-        return "kind: orbit\nalphabet: %d\nword: %s\n" % (system.alphabet_size, system.word)
-    raise SpecParseError("unknown system kind %r" % system.kind)
+    if system.orbit_word is not None:
+        return "kind: orbit\nalphabet: %d\nword: %s\n" % (system.alphabet_size,
+                                                           system.orbit_word)
+    if system.matrix_input is not None:
+        rows = "],[".join(",".join(str(v) for v in row) for row in system.matrix_input)
+        return "kind: sft\nalphabet: %d\nmatrix: [[%s]]\n" % (system.alphabet_size, rows)
+    return "kind: sft\nalphabet: %d\nforbidden: [%s]\n" % (
+        system.alphabet_size, ", ".join(system.forbidden))
 
 
 def parse_point(text, system):

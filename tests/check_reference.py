@@ -23,14 +23,16 @@ the count tables: Fix(sigma^n) = tr A^n, and (A^n)[s][t] > 0 when a path of
 length n joins s to t; `count_oracle_systems` are the SFTs it is checked on.
 `filtered_least_period_words` lists the primitive cyclically admissible
 n-words by filtering every n-word, the reference for the orbit walk's
-least-period words; on an SFT it filters with `doubled_window_cyclic`, the
+least-period words; it filters with `doubled_window_cyclic`, the
 doubled-window test that `Sft.is_cyclic_word` replaced.
 `scanned_admissible` and `scanned_cyclic` are the string scans for
 forbidden factors and non-states that `Sft.is_admissible` and
 `Sft.is_cyclic_word` replaced with steps through the transition table.
-`lcm_window_on_orbit` is the orbit-system membership test that
-`validate_point` replaced with point equality, and `orbit_probe_points`
-draws points on and next to an orbit to compare the two.
+`lcm_window_on_orbit` tests membership of a finite orbit on one window per
+phase, the oracle for `validate_point` on an `orbit_system`, and
+`orbit_probe_points` draws points on and next to an orbit to compare the
+two; `listed_orbit_words` lists an orbit's n-words as its windows at every
+phase, the words of a finite orbit read off the word alone.
 `roundtrip_or_named` round-trips a point and lets an error through only
 when its text is the one a strict xfail names.
 """
@@ -106,9 +108,7 @@ def count_oracle_systems():
 def filtered_least_period_words(system, n):
     """The n-words whose bi-infinite repetition has least period exactly n,
     by filtering every admissible n-word."""
-    cyclic = system.is_cyclic_word if system.kind == "orbit" else (
-        lambda w: doubled_window_cyclic(system, w))
-    return [w for w in system.words(n) if cyclic(w) and is_primitive(w)]
+    return [w for w in system.words(n) if doubled_window_cyclic(system, w) and is_primitive(w)]
 
 
 def doubled_window_cyclic(system, w):
@@ -148,23 +148,31 @@ def scanned_cyclic(system, w):
 
 
 def lcm_window_on_orbit(system, point):
-    """Whether a word point lies on an orbit system's orbit: it matches some
-    phase of the orbit word on a window wide enough that tail periodicity
-    propagates the agreement."""
-    p = system.period
+    """Whether a word point lies on the orbit of an orbit_system: it matches
+    some phase of the orbit word on a window wide enough that tail
+    periodicity propagates the agreement."""
+    w = system.orbit_word
+    p = len(w)
     a, b = point.core_span()
     lo = a - math.lcm(p, len(point.left)) - 1
     hi = b + math.lcm(p, len(point.right)) + 1
-    return any(all(point.letter(i) == system.word[(i + phase) % p] for i in range(lo, hi + 1))
+    return any(all(point.letter(i) == w[(i + phase) % p] for i in range(lo, hi + 1))
                for phase in range(p))
 
 
+def listed_orbit_words(word, n):
+    """The n-words of the orbit of a primitive word: its n-windows at every
+    phase, sorted."""
+    return sorted({periodic_window(word, j, j + n - 1) for j in range(len(word))})
+
+
 def orbit_probe_points(system, count, seed):
-    """Points of an orbit system's orbit, written with tails of one or two
-    periods and a short core at a random anchor, half of them with one
+    """Points of the orbit of an orbit_system, written with tails of one or
+    two periods and a short core at a random anchor, half of them with one
     letter of a tail or the core flipped."""
     rng = random.Random(seed)
-    w, p = system.word, system.period
+    w = system.orbit_word
+    p = len(w)
     out = []
     for _ in range(count):
         x = Point(w, "", w, -rng.randrange(p))

@@ -18,9 +18,9 @@ from shiftembed.errors import (CapacityError, EnumerationBudgetError,
                                SpecParseError, WindowError)
 from shiftembed.markers import return_partition
 from shiftembed.pipeline import build_pipeline, sample_points, verify_pipeline
-from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point, Sft,
-                                cell_label, dyadic_odometer, enumerate_periodic,
-                                full_shift, golden_mean, itinerary, least_period_words)
+from shiftembed.systems import (Odometer, OdometerPoint, Point, Sft, cell_label,
+                                dyadic_odometer, enumerate_periodic, full_shift,
+                                golden_mean, itinerary, least_period_words, orbit_system)
 from shiftembed.words import (code_length_needed, kary_alphabet, kary_index, kary_word,
                               periodic_window)
 
@@ -486,7 +486,7 @@ class TestEncodeScales:
         (golden_mean(), dict(K=2, kmax=2, C=0.0, m=(0, 0))),
         (golden_mean(), dict(K=3, kmax=2, C=0.0, m=(0, 0))),
         (dyadic_odometer(8), dict(K=2, kmax=3, N_cert=128)),
-        (OrbitSystem(2, "001"), dict(K=2, kmax=2, C=0.0, m=(0, 0))),
+        (orbit_system(2, "001"), dict(K=2, kmax=2, C=0.0, m=(0, 0))),
     ], ids=["golden-K2", "golden-K3", "odometer", "orbit001"])
     def test_pass_equals_each_scale_and_the_limit(self, system, kwargs):
         pipe = build_pipeline(system, **kwargs)
@@ -546,7 +546,7 @@ class TestListRender:
         "golden-K3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 0))),
         "growing-K3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 1))),
         "odometer": (lambda: dyadic_odometer(8), dict(K=2, kmax=3, N_cert=128)),
-        "orbit001": (lambda: OrbitSystem(2, "001"), dict(K=2, kmax=1, C=0.0, m=(0,))),
+        "orbit001": (lambda: orbit_system(2, "001"), dict(K=2, kmax=1, C=0.0, m=(0,))),
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -555,7 +555,7 @@ class TestListRender:
         system = make_system()
         pipe = build_pipeline(system, **kwargs)
         points = sample_points(system, 6, seed=3)
-        if system.kind == "sft":
+        if make_system is golden_mean:
             points += long_tail_points((10, 13, 19, 31), 1) + bounded_stretch_points()
         margin = pipe.decode_margin()
         window = (-200 - margin, 200 + margin)

@@ -110,7 +110,7 @@ KIND_CHOOSERS = {("codec", "build_first_codebook"), ("codec", "build_conditional
                  ("pipeline", "sample_points")}
 KIND_NAMES = {"sft", "orbit", "odometer"}
 # a cell label's type tells the kind too: an odometer label is a tuple
-KIND_CLASSES = {"Sft", "OrbitSystem", "Odometer", "Point", "OdometerPoint", "tuple"}
+KIND_CLASSES = {"Sft", "Odometer", "Point", "OdometerPoint", "tuple"}
 
 
 def _names(node):
@@ -122,13 +122,19 @@ def _names(node):
     return {node.attr} if isinstance(node, ast.Attribute) else set()
 
 
+def _kinds_compared(node):
+    """The kind names that a comparison of `.kind` tests against."""
+    sides = [node.left] + node.comparators if isinstance(node, ast.Compare) else []
+    if not any(isinstance(s, ast.Attribute) and s.attr == "kind" for s in sides):
+        return set()
+    return {s.value for s in sides if isinstance(s, ast.Constant)} & KIND_NAMES
+
+
 def _is_kind_test(node):
     if isinstance(node, ast.Attribute):
         return node.attr == "is_word_system"
     if isinstance(node, ast.Compare):
-        sides = [node.left] + node.comparators
-        return (any(isinstance(s, ast.Attribute) and s.attr == "kind" for s in sides)
-                and any(isinstance(s, ast.Constant) and s.value in KIND_NAMES for s in sides))
+        return bool(_kinds_compared(node))
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 2:
         if node.func.id == "isinstance":
             return bool(_names(node.args[1]) & KIND_CLASSES)
@@ -169,3 +175,11 @@ def test_only_the_systems_answer_for_their_kind():
     shares one of these names is flagged too, and a test spelled another
     way (a `type(...) is` check, an alias of the class) is not seen."""
     assert _kind_tests() == []
+
+
+def test_no_system_kind_is_orbit():
+    """A finite orbit is an Sft (orbit_system): nowhere in the package,
+    systems.py included, is a `.kind` compared with "orbit"."""
+    assert ["%s:%d" % (path.stem, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if "orbit" in _kinds_compared(node)] == []

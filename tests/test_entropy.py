@@ -11,10 +11,10 @@ from shiftembed.entropy import (ScaleSchedule, _scale1_counts, appendix_fullness
                                 check_layout_capacity, complete_to_point,
                                 htop_estimate, layout_free_tables,
                                 least_period_count, verify_schedule)
-from shiftembed.errors import CapacityError, ScheduleError, VerifyRecord
+from shiftembed.errors import CapacityError, PeriodicPointsError, ScheduleError, VerifyRecord
 from shiftembed.pipeline import build_pipeline
-from shiftembed.systems import (OrbitSystem, Sft, dyadic_odometer, full_shift,
-                                golden_mean, least_period_words)
+from shiftembed.systems import (Sft, dyadic_odometer, full_shift, golden_mean,
+                                least_period_words, orbit_system)
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -43,7 +43,7 @@ class TestHtop:
         assert est.upper == pytest.approx(0.4943, abs=2e-3)
 
     def test_single_orbit(self):
-        est = htop_estimate(OrbitSystem(2, "0"), 6)
+        est = htop_estimate(orbit_system(2, "0"), 6)
         assert est.upper == 0.0 and est.spectral == 0.0
 
     def test_upper_nonincreasing_along_doubling(self):
@@ -178,9 +178,22 @@ class TestSchedule:
         with within_seconds(10), pytest.raises(ScheduleError, match="C must be finite"):
             build_schedule(golden_mean(), K=2, kmax=1, C=C)
 
+    def test_periodic_points_checked_below_n1(self):
+        """Two disjoint 2-cycles have 4 points of least period 2, the
+        2-shift 2: build_schedule refuses them by name, and the verify record
+        fails them at an n_1 whose own bound holds."""
+        two_cycles = Sft(4, matrix=[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        with pytest.raises(PeriodicPointsError,
+                           match="^4 points of least period 2, more than the full 2-shift's 2$"):
+            build_schedule(two_cycles, K=2, kmax=1, C=0.0)
+        sched = build_schedule(golden_mean(), K=2, kmax=1, C=0.0, m=(0,))
+        assert least_period_count(two_cycles, sched.n[0]) < 2 ** (sched.n[0] - 1)
+        assert [r.ok for r in verify_schedule(two_cycles, sched).records
+                if r.name == "periodic-code"] == [False]
+
     def test_single_orbit_small_n1(self):
-        sched = build_schedule(OrbitSystem(2, "0"), K=2, kmax=1, C=0.0, m=(0,))
-        assert least_period_count(OrbitSystem(2, "0"), sched.n[0]) < 2 ** (sched.n[0] - 1)
+        sched = build_schedule(orbit_system(2, "0"), K=2, kmax=1, C=0.0, m=(0,))
+        assert least_period_count(orbit_system(2, "0"), sched.n[0]) < 2 ** (sched.n[0] - 1)
 
     def test_odometer_default_headroom(self):
         odo = dyadic_odometer(8)
@@ -208,14 +221,14 @@ class TestSchedule:
 
     def test_word_counts_match_count_words(self):
         """The scale-1 counts are count_words, whose extension counts agree
-        with transfer-matrix powers, or with the words of an orbit."""
+        with transfer-matrix powers, and below the memory with the words."""
         for system in (golden_mean(), full_shift(3), Sft(2, forbidden=("111", "0101")),
-                       OrbitSystem(2, "001")):
+                       orbit_system(2, "001")):
             counts, cells = _scale1_counts(system, 1, 38)
             assert counts == [system.count_words(n) for n in range(41)]
             assert cells == counts[2:]
             for n, count in enumerate(counts):
-                if system.kind == "sft" and n >= system.memory:
+                if n >= system.memory:
                     power = matpow_int(system.adjacency, n - system.memory)
                     assert count == sum(sum(row) for row in power)
                 else:
@@ -366,9 +379,9 @@ class TestAppendix:
 
     def test_orbit_gives_its_point_through_the_target(self):
         from shiftembed.systems import validate_point
-        ok, point = appendix_fullness_check(OrbitSystem(1, "0"), 1, 4, target="00")
+        ok, point = appendix_fullness_check(orbit_system(1, "0"), 1, 4, target="00")
         assert ok and point.word(-1, 0) == "00"
-        orbit = OrbitSystem(2, "011")
+        orbit = orbit_system(2, "011")
         point = complete_to_point(orbit, "1011", 3)
         validate_point(orbit, point)
         assert point.word(3, 6) == "1011" and point.word(0, 8) == "101101101"

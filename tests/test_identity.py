@@ -32,7 +32,7 @@ from shiftembed.codec import SymbolStream, build_periodic_code
 from shiftembed.errors import ShiftEmbedError
 from shiftembed.pipeline import (build_pipeline, sample_points, save_pipeline,
                                  verify_pipeline)
-from shiftembed.systems import OrbitSystem, Point, Sft, dyadic_odometer, golden_mean
+from shiftembed.systems import Point, Sft, dyadic_odometer, golden_mean, orbit_system
 from shiftembed.words import kary_alphabet
 
 WINDOW = (-200, 200)
@@ -43,7 +43,7 @@ CONFIGS = {
     "golden-k2": (golden_mean, dict(K=2, kmax=2, C=0.0, m=(0, 0))),
     "golden-k3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 0))),
     "odometer": (lambda: dyadic_odometer(8), dict(K=2, kmax=3, N_cert=128)),
-    "orbit001": (lambda: OrbitSystem(2, "001"), dict(K=2, kmax=1, C=0.0, m=(0,))),
+    "orbit001": (lambda: orbit_system(2, "001"), dict(K=2, kmax=1, C=0.0, m=(0,))),
 }
 
 # golden K=3 with a growing radius, m = (0, 1): the one pinned decode whose

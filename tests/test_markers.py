@@ -16,8 +16,8 @@ from shiftembed import markers
 from shiftembed.markers import (Interval, PeriodicNeighborhood, TowerStack, _adjust_boundaries,
                                 _tag_singular, build_towers, return_partition, verify_tower)
 from shiftembed.pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline
-from shiftembed.systems import (OdometerPoint, OrbitSystem, Point, Sft,
-                                dyadic_odometer, full_shift, golden_mean, least_period_words)
+from shiftembed.systems import (OdometerPoint, Point, Sft, dyadic_odometer, full_shift,
+                                golden_mean, least_period_words, orbit_system)
 from shiftembed.words import (is_primitive, least_period_at_most, necklace, periodic_name,
                               periodic_window, primitive_root)
 
@@ -65,7 +65,7 @@ class TestPeriodicNeighborhood:
 
 def test_root_outside_the_system_rejected():
     assert PeriodicNeighborhood(golden_mean(), 2, 2).match_word("11111") is None
-    orbit = PeriodicNeighborhood(OrbitSystem(2, "001"), 3, 3)
+    orbit = PeriodicNeighborhood(orbit_system(2, "001"), 3, 3)
     assert orbit.match_word("0" * 7) is None
     assert orbit.match_word("0010010") == ("001", 0)
 
@@ -111,7 +111,7 @@ LAZY_CASES = (_lazy_cases("golden", golden_mean(), range(1, 9), lambda n: (n, n 
               + _lazy_cases("full", full_shift(), range(1, 6), lambda n: (n,))
               + _lazy_cases("sft3", Sft(3, forbidden=("22", "201")), range(1, 6),
                             lambda n: (n,))
-              + _lazy_cases("orbit001", OrbitSystem(2, "001"), range(1, 6),
+              + _lazy_cases("orbit001", orbit_system(2, "001"), range(1, 6),
                             lambda n: (n, n + 1)))
 
 
@@ -798,7 +798,7 @@ class TestTagSingular:
     CONFIGS = {
         "golden-K2": (golden_mean, dict(K=2, kmax=2, C=0.0, m=(0, 0))),
         "golden-K3": (golden_mean, dict(K=3, kmax=2, C=0.0, m=(0, 0))),
-        "orbit001": (lambda: OrbitSystem(2, "001"), dict(K=2, kmax=1, C=0.0, m=(0,))),
+        "orbit001": (lambda: orbit_system(2, "001"), dict(K=2, kmax=1, C=0.0, m=(0,))),
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -806,8 +806,9 @@ class TestTagSingular:
         make_system, kwargs = self.CONFIGS[name]
         system = make_system()
         pipe = build_pipeline(system, **kwargs)
+        golden = make_system is golden_mean
         points = sample_points(system, 6, seed=3)
-        if system.kind == "sft":
+        if golden:
             points += long_tail_points((10, 13, 19, 31), 1) + bounded_stretch_points()
         margin = pipe.decode_margin()
         window = (-200 - margin, 200 + margin)
@@ -821,7 +822,7 @@ class TestTagSingular:
                             Interval(iv.start, iv.end, "singular"), pipe.stack, part.scale,
                             part.computed_range, runtime)
                         open_sides.add((iv.start is None, iv.end is None))
-        if system.kind == "sft":
+        if golden:
             assert {(True, False), (False, True), (False, False)} <= open_sides
         else:
             assert open_sides == {(True, True)}

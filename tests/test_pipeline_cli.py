@@ -358,6 +358,16 @@ class TestMalformedInputExitsTwo:
                        "periodic: 0\n")
         assert not (tmp_path / "nope").exists()
 
+    def test_build_refuses_more_periodic_points_than_the_k_shift(self, tmp_path, capsys):
+        # two disjoint 2-cycles have 4 points of least period 2, the 2-shift 2
+        sysfile = tmp_path / "two_cycles.txt"
+        sysfile.write_text("kind: sft\nalphabet: 4\n"
+                           "matrix: [[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,1,0]]\n")
+        err = self._exits_two(["build", "--system", str(sysfile), "--K", "2", "--kmax", "1",
+                               "--C", "0", "--out", str(tmp_path / "nope")], capsys)
+        assert err == "error: 4 points of least period 2, more than the full 2-shift's 2\n"
+        assert not (tmp_path / "nope").exists()
+
     def test_load_refuses_a_golden_schedule_marked_aperiodic(self, pipe, tmp_path, capsys):
         out = tmp_path / "pipe"
         save_pipeline(pipe, str(out))
@@ -559,8 +569,8 @@ class TestOrbitPipelineCli:
         return out
 
     def test_sample_points_are_the_phases(self):
-        from shiftembed.systems import OrbitSystem
-        pts = sample_points(OrbitSystem(2, "001"), 5)
+        from shiftembed.systems import orbit_system
+        pts = sample_points(orbit_system(2, "001"), 5)
         assert [p.right for p in pts] == ["001", "010", "100", "001", "010"]
 
     def test_verify_all_pass(self, orbit_pipe, capsys):

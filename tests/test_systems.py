@@ -1,24 +1,29 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from check_reference import (count_oracle_systems, doubled_window_cyclic,
-                             filtered_least_period_words, lcm_window_on_orbit, matpow_int,
-                             orbit_probe_points, scanned_admissible, scanned_cyclic)
+                             filtered_least_period_words, lcm_window_on_orbit,
+                             listed_orbit_words, matpow_int, orbit_probe_points,
+                             scanned_admissible, scanned_cyclic)
 from shiftembed.entropy import (EntropyEstimate, appendix_fullness_check, htop_estimate,
                                least_period_count)
 from shiftembed.errors import (EmptySubshiftError, EnumerationBudgetError,
                                InvalidPointError, SpecParseError)
-from shiftembed.systems import (Odometer, OdometerPoint, OrbitSystem, Point,
+from shiftembed.systems import (Odometer, OdometerPoint, Point,
                                 Sft, _lyndon_orbits, coordinate, dyadic_odometer,
                                 enumerate_periodic, enumerate_words,
                                 full_shift, golden_mean, itinerary,
-                                least_period_words, parse_point, parse_system, periodic_orbits,
-                                product_coding, serialize_point,
+                                least_period_words, orbit_system, parse_point, parse_system,
+                                periodic_orbits, product_coding, serialize_point,
                                 serialize_system, validate_point)
-from shiftembed.words import ALPHABET_CHARS, necklace, periodic_window
+from shiftembed.words import ALPHABET_CHARS, necklace, periodic_window, primitive_root
+
+# an orbit of period 33, longer than any n_k its schedules pick
+ORBIT33 = "0" + "".join(format(i, "04b") for i in range(1, 9))
 
 
 def brute_words(forbidden, n, A=2):
@@ -84,9 +89,16 @@ class TestParse:
             "kind: sft\nalphabet: 2\nmatrix: [[1,1],[1,0]]\n",
             "kind: odometer\nbase: [2, 2, 2]\n",
             "kind: orbit\nalphabet: 2\nword: 01\n",
+            "kind: orbit\nalphabet: 1\nword: 0\n",
+            "kind: orbit\nalphabet: 2\nword: 0\n",
+            "kind: orbit\nalphabet: 2\nword: 001\n",
+            "kind: orbit\nalphabet: 2\nword: %s\n" % ORBIT33,
         ]
         for doc in docs:
             assert serialize_system(parse_system(doc)) == doc
+        # an orbit is written back by its primitive root
+        assert serialize_system(parse_system("kind: orbit\nalphabet: 2\nword: 0101\n")) == \
+            "kind: orbit\nalphabet: 2\nword: 01\n"
 
     def test_point_roundtrip(self):
         sys = golden_mean()
@@ -356,18 +368,38 @@ class TestPeriodic:
             assert least_period_words(system, n) == filtered_least_period_words(system, n), n
 
     def test_least_period_words_golden_19_and_orbit(self):
-        gm, orb = golden_mean(), OrbitSystem(2, "001")
+        gm, orb = golden_mean(), orbit_system(2, "001")
         assert least_period_words(gm, 19) == filtered_least_period_words(gm, 19)
         assert least_period_words(orb, 3) == filtered_least_period_words(orb, 3) == \
             ["001", "010", "100"]
         assert least_period_words(orb, 4) == filtered_least_period_words(orb, 4) == []
 
     def test_orbit_system(self):
-        orb = OrbitSystem(2, "01")
+        orb = orbit_system(2, "01")
         assert orb.fix_count(2) == 2
         assert orb.fix_count(3) == 0
         assert least_period_words(orb, 2) == ["01", "10"]
         assert orb.count_words(5) == 2
+
+    @pytest.mark.parametrize("A, word", [(1, "0"), (2, "0"), (2, "01"), (2, "0101"),
+                                         (2, "001"), (2, ORBIT33)],
+                             ids=["period1-A1", "period1", "period2", "power", "period3",
+                                  "period33"])
+    def test_orbit_counts_equal_the_listed_orbit(self, A, word):
+        """An orbit_system's words, counts, fixed points and orbits are those
+        of its word's orbit, listed phase by phase; its graph is one cycle."""
+        orb = orbit_system(A, word)
+        root = primitive_root(word)
+        p = len(root)
+        assert len(orb.states) == p and all(len(orb._succ[s]) == 1 for s in orb.states)
+        for n in range(3 * p + 4):
+            assert orb.words(n) == listed_orbit_words(root, n), n
+            assert orb.count_words(n) == len(listed_orbit_words(root, n)), n
+        assert orb.word_counts(2 * p) == [orb.count_words(n) for n in range(2 * p + 1)]
+        assert [orb.fix_count(n) for n in range(1, 3 * p + 1)] == \
+            [p if n % p == 0 else 0 for n in range(1, 3 * p + 1)]
+        for nmax in (p - 1, p, 2 * p):
+            assert periodic_orbits(orb, nmax) == ({necklace(root): p} if p <= nmax else {})
 
     def test_odometer_has_no_periodic_points(self):
         assert enumerate_periodic(dyadic_odometer(3), 4) == ([], 0)
@@ -375,14 +407,14 @@ class TestPeriodic:
     def test_periodic_orbits_golden(self):
         table = periodic_orbits(golden_mean(), 4)
         assert table == {"0": 1, "01": 2, "001": 3, "0001": 4}
-        assert periodic_orbits(OrbitSystem(2, "001"), 5) == {"001": 3}
+        assert periodic_orbits(orbit_system(2, "001"), 5) == {"001": 3}
 
     @pytest.mark.parametrize("system,nmax", [
         (golden_mean(), 19),
         (Sft(2, forbidden=()), 14),
         (Sft(3, forbidden=("22", "201")), 10),
         (Sft(3, matrix=[[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 10),
-        (OrbitSystem(2, "001"), 5),
+        (orbit_system(2, "001"), 5),
     ], ids=["golden", "full", "sft3", "matrix3", "orbit001"])
     def test_generated_orbits_equal_filtered(self, system, nmax):
         table = periodic_orbits(system, nmax)
@@ -457,18 +489,18 @@ class TestReplacedRules:
                 cyclic += got
         assert 0 < cyclic
 
-    @pytest.mark.parametrize("word", ["0", "01", "001",
-                                      "0" + "".join(format(i, "04b") for i in range(1, 9))],
+    @pytest.mark.parametrize("word", ["0", "01", "001", ORBIT33],
                              ids=["period1", "period2", "period3", "period33"])
     def test_orbit_membership_equals_lcm_window(self, word):
-        orb = OrbitSystem(2, word)
+        orb = orbit_system(2, word)
         accepted = 0
         for point in orbit_probe_points(orb, 300, seed=5):
             try:
                 validate_point(orb, point)
                 got = True
             except InvalidPointError as exc:
-                assert str(exc) == "point is not on the finite orbit"
+                assert re.fullmatch(r"(left|right) period '[01]+' is not cyclically admissible"
+                                    r"|point window '[01]+' hits a forbidden word", str(exc))
                 got = False
             assert got == lcm_window_on_orbit(orb, point), point
             accepted += got

@@ -5,11 +5,11 @@ import pytest
 
 from check_reference import roundtrip_or_named
 from shiftembed import codec
-from shiftembed.codec import Codebook
+from shiftembed.codec import RefinementCodebook
 from shiftembed.errors import EnumerationBudgetError, MalformedStreamError
 from shiftembed.pipeline import build_pipeline, sample_points
-from shiftembed.systems import (OrbitSystem, Point, Sft, full_shift, golden_mean,
-                                itinerary, validate_point)
+from shiftembed.systems import (Point, Sft, full_shift, golden_mean, itinerary,
+                                orbit_system, validate_point)
 
 
 def test_golden_mean_ternary_codes():
@@ -29,7 +29,7 @@ def test_golden_mean_ternary_codes():
 
 
 def test_pure_orbit_system_pipeline():
-    orb = OrbitSystem(2, "001")
+    orb = orbit_system(2, "001")
     pipe = build_pipeline(orb, K=2, kmax=1, C=0.0, m=(0,))
     p = Point("001", "001", "001", 0)
     validate_point(orb, p)
@@ -45,11 +45,11 @@ def test_pure_orbit_system_pipeline():
 def test_long_orbit_round_trips_through_conditional_codes(monkeypatch):
     """An orbit of period 33 > n_1 has no singular stretch: its points lay
     out regular blocks at both scales, and every scale-2 block is coded by
-    the orbit system's conditional codebook, whose keys are the orbit's
-    words that refine the block's coarse itinerary."""
-    orb = OrbitSystem(2, "0" + "".join(format(i, "04b") for i in range(1, 9)))
+    the orbit's conditional codebook, which counts the orbit's words that
+    refine the block's coarse itinerary on its graph, a single cycle."""
+    orb = orbit_system(2, "0" + "".join(format(i, "04b") for i in range(1, 9)))
     pipe = build_pipeline(orb, K=2, kmax=2, C=0.0)
-    assert (orb.period, pipe.schedule.n) == (33, (21, 22))
+    assert (len(orb.orbit_word), pipe.schedule.n) == (33, (21, 22))
     built = []
     build = codec.build_conditional_codebook
 
@@ -68,7 +68,7 @@ def test_long_orbit_round_trips_through_conditional_codes(monkeypatch):
             want = itinerary(orb, p, pipe.schedule.m[l - 1], (-60, 60))
             assert res.itinerary_list(l, (-60, 60)) == want
     assert len(points) == 4 and built
-    assert all(type(cb) is Codebook and cb.context is not None for cb in built)
+    assert all(type(cb) is RefinementCodebook and cb.context is not None for cb in built)
 
 
 def test_full_shift_periodic_machinery_hits_honest_wall():
