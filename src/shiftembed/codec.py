@@ -31,7 +31,7 @@ from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
                      ROLE_CLOSING, ROLE_MARKER, ROLE_MARKER_K, SpanOrderError)
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
-from .entropy import least_period_count
+from .entropy import periodic_code_fits
 from .markers import Interval, ReturnPartition, return_partition
 from .systems import (OdometerPoint, _parse_int, _parse_kv, _parse_window,
                       periodic_orbits)
@@ -469,7 +469,7 @@ def build_periodic_code(system, K, n1):
     n1; more points of a shorter least period than the K-shift has (which
     build_schedule refuses) exhaust that period's words.
     """
-    if least_period_count(system, n1) >= K ** (n1 - 1):
+    if not periodic_code_fits(system, K, n1):
         raise ScheduleError("periodic-code precondition #Per_{n1} < K^{n1-1} fails")
     by_period = {}
     for v, n in periodic_orbits(system, n1).items():

@@ -72,17 +72,22 @@ def _moebius_sum(fix_count, n):
     return sum(_moebius(n // d) * fix_count(d) for d in range(1, n + 1) if n % d == 0)
 
 
+def periodic_code_fits(system, K, n1):
+    """The periodic-code precondition #Per_{n1} < K^{n1-1}: the points of
+    least period n1 leave room for a K-ary code of primitive n1-words."""
+    return least_period_count(system, n1) < K ** (n1 - 1)
+
+
 def periodic_shortfall(system, K, n1):
-    """The least period p <= n1 at which the periodic code has no room, as
-    (p, the system's points of least period p, the most it may have); None
-    when there is none.  Below n1 the most is the full K-shift's count, the
-    paper's hypothesis #Per_p(X) <= #Per_p({1..K}^Z); at n1 it is
-    K^{n1-1} - 1, so the points of least period n1 leave room for a K-ary
-    code of primitive n1-words."""
-    fix = [None] + [system.fix_count(d) for d in range(1, n1 + 1)]
-    for p in range(1, n1 + 1):
-        most = K ** (n1 - 1) - 1 if p == n1 else _moebius_sum(lambda d: K ** d, p)
+    """The least period p < n1 at which X has more points than the full
+    K-shift, as (p, the system's points of least period p, the K-shift's);
+    None when there is none.  This is the paper's hypothesis
+    #Per_p(X) <= #Per_p({1..K}^Z) below n1; periodic_code_fits states the
+    bound at n1."""
+    fix = [None] + [system.fix_count(d) for d in range(1, n1)]
+    for p in range(1, n1):
         count = _moebius_sum(fix.__getitem__, p)
+        most = _moebius_sum(lambda d: K ** d, p)
         if count > most:
             return p, count, most
     return None
@@ -323,7 +328,8 @@ def verify_schedule(system, schedule):
         report.add("entropy", "growth", k, _growth_holds(n, schedule.nprime, k),
                    "n'_%d = %d, n_%d = %d" % (k, schedule.nprime[k - 1], k + 1, n[k]))
     if schedule.periodic and system.periodic:
-        report.add("entropy", "periodic-code", 1, periodic_shortfall(system, K, n[0]) is None)
+        report.add("entropy", "periodic-code", 1, periodic_shortfall(system, K, n[0]) is None
+                   and periodic_code_fits(system, K, n[0]))
     for k in range(1, schedule.kmax + 1):
         report.add("entropy", "tower-radius", k, schedule.r[k - 1] >= schedule.n[k - 1])
     tables = layout_free_tables(schedule)
@@ -438,15 +444,17 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
         found = None
         if start <= N_cert and tail():
             for n0 in range(start, N_cert + 1):
-                short = periodic_shortfall(system, K, n0) if k == 1 and periodic else None
-                if short is None:
-                    found = n0
-                    break
-                if short[0] < n0:
-                    # below n0 the bound is the K-shift's, whatever n_1 is
-                    raise PeriodicPointsError(
-                        "%d points of least period %d, more than the full %d-shift's %d"
-                        % (short[1], short[0], K, short[2]))
+                if k == 1 and periodic:
+                    short = periodic_shortfall(system, K, n0)
+                    if short is not None:
+                        # below n0 the bound is the K-shift's, whatever n_1 is
+                        raise PeriodicPointsError(
+                            "%d points of least period %d, more than the full %d-shift's %d"
+                            % (short[1], short[0], K, short[2]))
+                    if not periodic_code_fits(system, K, n0):
+                        continue
+                found = n0
+                break
         if found is None:
             raise ScheduleError("no admissible n_%d within certified range %d" % (k, N_cert))
         ns.append(found)

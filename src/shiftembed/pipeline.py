@@ -152,9 +152,8 @@ def sample_points(system, count, seed=DEFAULT_SEED):
     if system.kind == "odometer":
         return [OdometerPoint(system, [rng.randrange(p) for p in system.base])
                 for _ in range(count)]
-    if all(len(succ) == 1 for succ in system._succ.values()):
-        # a graph of disjoint cycles is a finite system: its points are the
-        # rotations of its orbits, and a walk has nothing to choose
+    if system.finite:
+        # its points are the rotations of its orbits: a walk has nothing to choose
         phases = _cycle_words(system, len(system.states))
         return [Point(w, w, w, 0) for w in itertools.islice(itertools.cycle(phases), count)]
     cycles = _cycle_words(system, 6)

@@ -21,7 +21,6 @@ points are eventually periodic on both sides, odometer points are digit
 lists (the first D digits of a point are closed under the map).
 """
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -93,12 +92,13 @@ class Sft:
         return True
 
     def _build_graph(self):
-        M = self.memory
-        if self.alphabet_size ** M > WORD_ENUM_BUDGET:
-            raise EnumerationBudgetError("block graph too large: A^M = %d" %
-                                         self.alphabet_size ** M)
-        states = ["".join(t) for t in itertools.product(self.letters, repeat=M)]
-        states = [s for s in states if self._clean(s)]
+        # the clean M-blocks, grown letter by letter from clean prefixes
+        states = [""]
+        for n in range(1, self.memory + 1):
+            if len(states) * self.alphabet_size > WORD_ENUM_BUDGET:
+                raise EnumerationBudgetError("block graph too large: %d candidate %d-blocks"
+                                             % (len(states) * self.alphabet_size, n))
+            states = [w + c for w in states for c in self.letters if self._clean_suffix(w + c)]
         succ = {s: [] for s in states}
         pred = {s: [] for s in states}
         for s in states:
@@ -126,6 +126,8 @@ class Sft:
         # the transition table: state -> letter -> next state, one entry per edge
         self._step = {s: {t[-1]: t for t in self._succ[s]} for s in self.states}
         self.adjacency = [[int(t in self._succ[s]) for t in self.states] for s in self.states]
+        # one successor everywhere: the graph is disjoint cycles, the system finite
+        self.finite = all(len(succ) == 1 for succ in self._succ.values())
 
     # -- cells ----------------------------------------------------------------
 
@@ -322,10 +324,14 @@ class Sft:
 
 
 def orbit_system(alphabet_size, word):
-    """The orbit closure of one periodic word: the Sft that forbids every
-    L-word off the orbit of the word's primitive root.  L is the least
-    length whose (L - 1)-windows of the orbit are distinct, so the essential
-    graph is one cycle through them.  The root is kept as `orbit_word` to
+    """The orbit closure of one periodic word, as the Sft that forbids the
+    minimal words off the orbit of the word's primitive root: the letters
+    not in it, and each a u b whose a u and u b are factors of the orbit but
+    a u b is not.  With L the least length whose (L - 1)-windows of the
+    orbit are distinct, a u of length L - 1 occurs once, so no such word is
+    longer than L, and a u of length L - 2 occurring twice makes one of
+    length L: the essential graph is one cycle through the (L - 1)-windows,
+    built without listing A^L words.  The root is kept as `orbit_word` to
     serialize the system back as an orbit spec."""
     if alphabet_size < 1 or alphabet_size > len(ALPHABET_CHARS):
         raise SpecParseError("alphabet size out of range")
@@ -336,12 +342,16 @@ def orbit_system(alphabet_size, word):
     p = len(root)
     L = next(L for L in range(1, p + 2)
              if len({periodic_window(root, j, j + L - 2) for j in range(p)}) == p)
-    if alphabet_size ** L > WORD_ENUM_BUDGET:
-        raise EnumerationBudgetError("orbit of period %d forbids %d-words: A^L = %d"
-                                     % (p, L, alphabet_size ** L))
-    on_orbit = {periodic_window(root, j, j + L - 1) for j in range(p)}
-    system = Sft(alphabet_size, forbidden=[
-        w for w in map("".join, itertools.product(letters, repeat=L)) if w not in on_orbit])
+    factors = [{periodic_window(root, j, j + n - 1) for j in range(p)} for n in range(L + 1)]
+    forbidden = [c for c in letters if c not in factors[1]]
+    for n in range(L - 1):
+        before, after = {}, {}
+        for w in factors[n + 1]:
+            before.setdefault(w[1:], []).append(w[0])
+            after.setdefault(w[:-1], []).append(w[-1])
+        forbidden += [a + u + b for u in factors[n] for a in before[u] for b in after[u]
+                      if a + u + b not in factors[n + 2]]
+    system = Sft(alphabet_size, forbidden=forbidden)
     system.orbit_word = root
     return system
 
@@ -768,7 +778,7 @@ def parse_system(text):
     if kind == "odometer":
         return Odometer([_parse_int(v, "base entry") for v in _parse_list(kv["base"], "base")])
     A = _parse_int(kv["alphabet"], "alphabet")
-    if "word" in needs[kind]:
+    if kind == "orbit":
         return orbit_system(A, kv["word"])
     if "matrix" in kv:
         rows = [_parse_list(row, "matrix row") for row in _parse_list(kv["matrix"], "matrix")]

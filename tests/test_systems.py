@@ -13,6 +13,7 @@ from shiftembed.entropy import (EntropyEstimate, appendix_fullness_check, htop_e
                                least_period_count)
 from shiftembed.errors import (EmptySubshiftError, EnumerationBudgetError,
                                InvalidPointError, SpecParseError)
+from shiftembed import systems
 from shiftembed.systems import (Odometer, OdometerPoint, Point,
                                 Sft, _lyndon_orbits, coordinate, dyadic_odometer,
                                 enumerate_periodic, enumerate_words,
@@ -24,6 +25,8 @@ from shiftembed.words import ALPHABET_CHARS, necklace, periodic_window, primitiv
 
 # an orbit of period 33, longer than any n_k its schedules pick
 ORBIT33 = "0" + "".join(format(i, "04b") for i in range(1, 9))
+# an orbit whose (L - 1)-windows part only at L = 22: 2^22 words of that length
+LONG_RUN = "0" * 21 + "1"
 
 
 def brute_words(forbidden, n, A=2):
@@ -93,6 +96,8 @@ class TestParse:
             "kind: orbit\nalphabet: 2\nword: 0\n",
             "kind: orbit\nalphabet: 2\nword: 001\n",
             "kind: orbit\nalphabet: 2\nword: %s\n" % ORBIT33,
+            "kind: orbit\nalphabet: 2\nword: %s\n" % LONG_RUN,
+            "kind: orbit\nalphabet: 36\nword: 00001\n",
         ]
         for doc in docs:
             assert serialize_system(parse_system(doc)) == doc
@@ -382,9 +387,10 @@ class TestPeriodic:
         assert orb.count_words(5) == 2
 
     @pytest.mark.parametrize("A, word", [(1, "0"), (2, "0"), (2, "01"), (2, "0101"),
-                                         (2, "001"), (2, ORBIT33)],
+                                         (2, "001"), (2, ORBIT33), (2, LONG_RUN),
+                                         (36, "00001")],
                              ids=["period1-A1", "period1", "period2", "power", "period3",
-                                  "period33"])
+                                  "period33", "long-run", "36-letters"])
     def test_orbit_counts_equal_the_listed_orbit(self, A, word):
         """An orbit_system's words, counts, fixed points and orbits are those
         of its word's orbit, listed phase by phase; its graph is one cycle."""
@@ -446,6 +452,16 @@ class TestPeriodic:
             assert _lyndon_orbits(system, nmax) == \
                 {v: n for v, n in necklaces.items() if n <= nmax}, nmax
 
+    def test_block_graph_grows_only_clean_blocks(self, monkeypatch):
+        """The block graph grows clean blocks from clean prefixes instead of
+        listing all A^M: an orbit's few blocks pass with A^M past the
+        budget, and a length with more candidate blocks is refused."""
+        monkeypatch.setattr(systems, "WORD_ENUM_BUDGET", 1000)
+        assert len(orbit_system(2, "0" * 15 + "1").states) == 16
+        with pytest.raises(EnumerationBudgetError,
+                           match="^block graph too large: 1024 candidate 10-blocks$"):
+            Sft(2, forbidden=["0" * 16])
+
     def test_periodic_orbits_refused_before_enumerating(self):
         fs = Sft(2, forbidden=())
         with pytest.raises(EnumerationBudgetError, match="WORD_ENUM_BUDGET = 4000000"):
@@ -489,8 +505,8 @@ class TestReplacedRules:
                 cyclic += got
         assert 0 < cyclic
 
-    @pytest.mark.parametrize("word", ["0", "01", "001", ORBIT33],
-                             ids=["period1", "period2", "period3", "period33"])
+    @pytest.mark.parametrize("word", ["0", "01", "001", ORBIT33, LONG_RUN],
+                             ids=["period1", "period2", "period3", "period33", "long-run"])
     def test_orbit_membership_equals_lcm_window(self, word):
         orb = orbit_system(2, word)
         accepted = 0
