@@ -18,7 +18,9 @@ Streams use one token per position.  Internal symbols:
 Decoding rebuilds the block structure scale by scale from the markers and
 re-runs the same layout arithmetic, so encoder and decoder cannot drift
 apart: lengths obey ScaleSchedule.layout_bounds and stretches the slots of
-the laid-out layers.  Codewords are then inverted per context.
+the laid-out layers.  Codewords are then inverted per context, except in
+a slice of an odometer's period stream, whose blocks take their labels
+from the slice's residue.
 """
 
 import functools
@@ -626,8 +628,12 @@ def odometer_period(pipeline):
 
 def _period_streams(pipeline):
     """An odometer pipeline's period streams, or () for a word system or
-    when the period pass raised."""
-    return pipeline.odometer_period if pipeline.system.kind == "odometer" else ()
+    when the period pass raised.  Their decode index is built with them, on
+    the first encode or decode (Pipeline._period_index)."""
+    if pipeline.system.kind != "odometer":
+        return ()
+    pipeline._period_index      # gated on the period's first use, whichever codec pass it is
+    return pipeline.odometer_period
 
 
 def _period_slice(stream, point, window):
@@ -969,52 +975,64 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
     return out_intervals, labels, orbits, cert_parts
 
 
-def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
-    """Invert the codeword of every regular block of a decoded layer into
-    its itinerary labels and certify the block.  The layer's spans are
-    disjoint, so no other span of the layer labels a block's positions.  A
-    block is skipped when a coarse label is not decoded.  The
-    layout drops every regular block that the stream's range cuts, so a
-    block's slots and marker lie in the stream: every padding slot must
-    hold the pad letter, and above scale 1 the marker slot must hold a
-    marker."""
+def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts, known):
+    """Label every regular block of a decoded layer and certify it.  The
+    layer's spans are disjoint, so no other span of the layer labels a
+    block's positions.  A block is skipped when a coarse label is not
+    decoded.  A block that `known`, the stream's period slice, has labels
+    for takes them from its residue; every other block's codeword is
+    inverted (_read_codeword)."""
     k = layer.scale
     A = stream.a
-    symbols = stream.symbols
     codebooks = {}      # (length, filling or coarse itinerary) -> codebook
     for blk in layer.blocks:
         if blk.kind != "regular":
             continue
         s, e = blk.start - A, blk.end - A
-        coarse = None
-        if k >= 2:
-            coarse = labels_prev[s:e]
-            if None in coarse:
-                continue  # outside the previous decoded labels
-            coarse = tuple(coarse)
-        key = (e - s, len(blk.fill_positions) if k == 1 else coarse)
-        cb = codebooks.get(key)
-        if cb is None:
-            try:
-                cb = codebooks[key] = _block_codebook(pipeline, k, blk, coarse)
-            except CapacityError as exc:    # a block the encoder refuses: no stream holds one
-                raise MalformedStreamError("scale-%d block [%d, %d): %s"
-                                           % (k, blk.start, blk.end, exc),
-                                           scale=k, position=blk.start) from None
-        slots = blk.fill_positions[:cb.length]     # sorted, as every slot list
-        if slots and slots[-1] - slots[0] == len(slots) - 1:       # one run
-            fine = cb.decode(symbols[slots[0] - A:slots[-1] + 1 - A])
-        else:
-            fine = cb.decode([symbols[pos - A] for pos in slots])
-        for pos in blk.fill_positions[cb.length:]:
-            if symbols[pos - A] != SYM_PAD:
-                raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
-                                           % (pos, k, symbols[pos - A]), scale=k, position=pos)
+        coarse = labels_prev[s:e] if k >= 2 else None
+        if coarse is not None and None in coarse:
+            continue  # outside the previous decoded labels
+        fine = None if known is None else known.labels(pipeline, k, blk)
+        if fine is None:
+            fine = _read_codeword(stream, pipeline, blk, coarse, codebooks)
         labels[s:e] = fine
         cert_parts.append((blk.start, blk.end - 1))
-        if k >= 2 and symbols[blk.marker_pos - A] not in (SYM_MK, SYM_LB, SYM_DB):
-            raise MalformedStreamError("marker slot %d lacks its symbol" % blk.marker_pos,
-                                       scale=k, position=blk.marker_pos)
+
+
+def _read_codeword(stream, pipeline, blk, coarse, codebooks):
+    """The itinerary labels of a regular block's codeword, given its coarse
+    labels above scale 1; codebooks caches the layer's codebooks.  The
+    layout drops every regular block that the stream's range cuts, so a
+    block's slots and marker lie in the stream: every padding slot must
+    hold the pad letter, and above scale 1 the marker slot must hold a
+    marker."""
+    k = blk.scale
+    A = stream.a
+    symbols = stream.symbols
+    if coarse is not None:
+        coarse = tuple(coarse)
+    key = (blk.length(), len(blk.fill_positions) if k == 1 else coarse)
+    cb = codebooks.get(key)
+    if cb is None:
+        try:
+            cb = codebooks[key] = _block_codebook(pipeline, k, blk, coarse)
+        except CapacityError as exc:    # a block the encoder refuses: no stream holds one
+            raise MalformedStreamError("scale-%d block [%d, %d): %s"
+                                       % (k, blk.start, blk.end, exc),
+                                       scale=k, position=blk.start) from None
+    slots = blk.fill_positions[:cb.length]     # sorted, as every slot list
+    if slots and slots[-1] - slots[0] == len(slots) - 1:       # one run
+        fine = cb.decode(symbols[slots[0] - A:slots[-1] + 1 - A])
+    else:
+        fine = cb.decode([symbols[pos - A] for pos in slots])
+    for pos in blk.fill_positions[cb.length:]:
+        if symbols[pos - A] != SYM_PAD:
+            raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
+                                       % (pos, k, symbols[pos - A]), scale=k, position=pos)
+    if k >= 2 and symbols[blk.marker_pos - A] not in (SYM_MK, SYM_LB, SYM_DB):
+        raise MalformedStreamError("marker slot %d lacks its symbol" % blk.marker_pos,
+                                   scale=k, position=blk.marker_pos)
+    return fine
 
 
 def _refine_label(labels_prev, i, m_prev, m_new):
@@ -1180,11 +1198,22 @@ def decode_k(stream, pipeline, k):
     takes holds the orbit letter or a bracket (of a block the window edge
     cut).  Below the top scale the deeper layers are not laid out, so past
     the prefix any code letter or free slot may stand where they write.
+
+    An odometer stream that is a slice of the scale-k period stream is laid
+    out and checked alike, but a regular block whose phase the period
+    index's gate has read takes its labels from the slice's residue
+    instead of from its codeword (_period_slice_of).
     """
+    if not 1 <= k <= pipeline.schedule.kmax:
+        raise ValueError("scale %d out of range" % k)
+    return _decode(stream, pipeline, k, _period_slice_of(stream, pipeline, k))[0]
+
+
+def _decode(stream, pipeline, k, known):
+    """decode_k's result and the layout it decoded; `known` is the stream's
+    period slice, or None to read every codeword."""
     from .blocks import BlockLayout
     sched = pipeline.schedule
-    if not 1 <= k <= sched.kmax:
-        raise ValueError("scale %d out of range" % k)
     A, B = stream.a, stream.b
     layout = BlockLayout(schedule=sched, lo=A, hi=B)
     structure = [(t, ch) for t, ch in enumerate(stream.symbols, A) if ch in _STRUCTURE]
@@ -1197,7 +1226,8 @@ def decode_k(stream, pipeline, k):
                 stream, pipeline, l, layout, itineraries[l - 1], structure)
             orbits.extend(o for o in orbits_l if o not in orbits)
         layer = _append_decoded_layer(layout, l, (A, B), intervals)
-        _read_codewords(stream, pipeline, layer, itineraries.get(l - 1), labels, cert_parts)
+        _read_codewords(stream, pipeline, layer, itineraries.get(l - 1), labels, cert_parts,
+                        known)
         itineraries[l] = labels
         certified[l] = _covered_range(cert_parts, (A, B))
     _check_block_ends(pipeline, layout, itineraries)
@@ -1205,7 +1235,147 @@ def decode_k(stream, pipeline, k):
     # position no layer takes to its orbit letter
     stream_k = SymbolStream(A, B, _pi_symbols(stream, pipeline, layout))
     return DecodeResult(itineraries=itineraries, certified=certified,
-                        orbits=orbits, stream_k=stream_k)
+                        orbits=orbits, stream_k=stream_k), layout
+
+
+# -- decoding an odometer stream from its period ------------------------------------
+
+
+@dataclass
+class _PeriodScale:
+    """What a decode needs to read a scale-k odometer stream from its period.
+
+    `symbols` is one least period of psi_k's symbols, of length p_k;
+    `phases` maps the shortest prefix of each rotation symbols[i:] +
+    symbols[:i] that no other rotation shares to its phase i, and `lengths`
+    lists the lengths of those prefixes in ascending order; `read` holds,
+    for each layer l <= k, the (phase mod p_k, length) of every regular
+    block whose labels the gate read.
+    """
+
+    symbols: list
+    phases: dict
+    lengths: tuple
+    read: tuple
+
+
+@dataclass
+class _PeriodSlice:
+    """A stream that is the slice of its scale's period stream read from
+    the residue of `point`."""
+
+    scale: _PeriodScale
+    point: object
+
+    def labels(self, pipeline, l, blk):
+        """The scale-l labels of a regular block from the point's residue, or
+        None when the gate read no block of its phase and length."""
+        n = blk.end - blk.start
+        phase = (blk.start + self.point.residue) % len(self.scale.symbols)
+        if (phase, n) not in self.scale.read[l - 1]:
+            return None
+        return pipeline.system.labels(self.point, blk.start, pipeline.schedule.m[l - 1], n)
+
+
+def _build_period_index(pipeline):
+    """Per scale k, the _PeriodScale of an odometer pipeline's scale-k period
+    stream, or None where the scale has none; () when the period pass
+    raised.
+
+    Labels are read from a residue mod p_k, so a scale has no index when the
+    cell modulus of a radius m_l, l <= k, does not divide p_k.  Nor has it
+    one when its gate fails: the codeword path decodes the residue-0 slice
+    on [-R, p_k - 1 + R], R the decode margin, once, and must raise
+    nothing and decode every label as the residue-0 point's cell.  The
+    blocks it reads are the ones a slice may take labels for."""
+    system, sched = pipeline.system, pipeline.schedule
+    R = pipeline.decode_margin()
+    index = []
+    for k, stream in enumerate(pipeline.odometer_period, 1):
+        full = stream.symbols
+        p = next(d for d in range(1, len(full) + 1) if full[d:] + full[:d] == full)
+        symbols = full[:p]
+        read = None
+        if all(p % system.modulus(m + 1) == 0 for m in sched.m[:k]):
+            read = _gate(pipeline, k, symbols, (-R, p - 1 + R))
+        if read is None:
+            index.append(None)
+            continue
+        phases = _distinguishing_prefixes(symbols)
+        index.append(_PeriodScale(symbols, phases, tuple(sorted(set(map(len, phases)))), read))
+    return tuple(index)
+
+
+def _gate(pipeline, k, symbols, window):
+    """Per layer l <= k, the (phase, length) of every regular block that the
+    codeword path reads on the residue-0 slice of a period on the window,
+    or None when that decode raises or a label it decodes is not the
+    residue-0 point's cell."""
+    system, sched = pipeline.system, pipeline.schedule
+    a, b = window
+    try:
+        result, layout = _decode(SymbolStream(a, b, periodic_window(symbols, a, b)),
+                                 pipeline, k, None)
+    except ShiftEmbedError:
+        return None
+    zero = OdometerPoint(system, (0,) * system.depth)
+    read = []
+    for layer in layout.layers:
+        l = layer.scale
+        labels = result.itineraries[l]
+        cells = system.labels(zero, a, sched.m[l - 1], b - a + 1)
+        if any(lab is not None and lab != cell for lab, cell in zip(labels, cells)):
+            return None
+        read.append(frozenset((blk.start % len(symbols), blk.length())
+                              for blk in layer.blocks
+                              if blk.kind == "regular" and labels[blk.start - a] is not None))
+    return tuple(read)
+
+
+def _distinguishing_prefixes(symbols):
+    """The shortest prefix of each rotation of a primitive symbol list that
+    no other rotation shares, as a tuple, mapped to the rotation's phase.
+    No key is a prefix of another."""
+    doubled = symbols + symbols
+    p = len(symbols)
+    phases, open_phases, n = {}, range(p), 0
+    while open_phases:
+        n += 1
+        groups = {}
+        for i in open_phases:
+            groups.setdefault(tuple(doubled[i:i + n]), []).append(i)
+        open_phases = []
+        for prefix, shared in groups.items():
+            if len(shared) == 1:
+                phases[prefix] = shared[0]
+            else:
+                open_phases += shared
+    return phases
+
+
+def _period_slice_of(stream, pipeline, k):
+    """The _PeriodSlice of a stream of at least p_k symbols that is a slice
+    of the scale-k period stream, else None: its prefix names the phase of
+    its first symbol, and the slice from that phase must be the whole
+    stream."""
+    index = pipeline._period_index if _period_streams(pipeline) else ()
+    scale = index[k - 1] if index else None
+    if scale is None or len(stream.symbols) < len(scale.symbols):
+        return None
+    p = len(scale.symbols)
+    head = tuple(stream.symbols[:scale.lengths[-1]])
+    for n in scale.lengths:
+        phase = scale.phases.get(head[:n])
+        if phase is not None:
+            break
+    else:
+        return None
+    residue = (phase - stream.a) % p
+    if stream.symbols != periodic_window(scale.symbols, stream.a, stream.b, residue):
+        return None
+    system = pipeline.system
+    return _PeriodSlice(scale, OdometerPoint(system, system.digits_of_residue(residue,
+                                                                             system.depth)))
 
 
 def invert(stream, pipeline, k):

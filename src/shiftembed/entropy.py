@@ -415,6 +415,17 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
     every n >= n_k on the certified range plus tail.  The growth condition
     alpha*n_k >= C*2^k is applied with the caller's headroom C, and the
     growth inequality n'_k < n_{k+1} is refused at every scale.
+
+    C matters because the families bound only the codeword lengths.  Each
+    block also spends a constant on its marker slot and on truncation,
+    while the free room it leaves the scales above grows as alpha times its
+    length.  C = 0 keeps the shortest blocks the families allow, where the
+    constants win, and check_layout_capacity refuses them.  On the golden
+    mean with kmax = 3 and N_cert = 64: K = 3, C = 0 is refused by the
+    layout capacity ("scale-3 block of length 30: 3 slots needed, 2
+    available"), and K = 3, C = 4 gives n = (13, 26, 52), which passes;
+    K = 2, C = 0 is refused before the layout, as no n_3 within N_cert is
+    admissible (ScheduleError).
     """
     m = tuple(range(kmax)) if m is None else check_radii(m, kmax)
     if not math.isfinite(C):

@@ -3,7 +3,10 @@
 A Pipeline owns everything the codec needs and keeps nothing per point:
 a point context lives for one encode pass, and codebooks rank on the
 system's counts and are built per lookup.  An odometer pipeline keeps its
-codes over one period, which every odometer encode slices.  Building a
+codes over one period, which every odometer encode slices, and beside them
+a decode index: a decode of a slice of the period takes its labels from
+the slice's residue instead of its codewords.  Both are built on the first
+encode or decode, never by build_pipeline.  Building a
 pipeline runs the capacity checks up front so that encoding cannot fail
 later on admissible inputs.
 Pipelines serialize to a directory of flat text artifacts and rebuild
@@ -40,8 +43,15 @@ class Pipeline:
     @functools.cached_property
     def odometer_period(self):
         """An odometer's codes over one period, rendered on the first encode
-        (codec.odometer_period)."""
+        or decode (codec.odometer_period)."""
         return codec.odometer_period(self)
+
+    @functools.cached_property
+    def _period_index(self):
+        """Per scale, what a decode needs to read an odometer stream that is
+        a slice of the period stream from its residue, built and gated with
+        the period on the first encode or decode (codec._build_period_index)."""
+        return codec._build_period_index(self)
 
     def decode_margin(self):
         """Stream inflation that certifies a requested window after decoding."""

@@ -381,6 +381,7 @@ class Odometer:
             m *= p
             self.moduli.append(m)
         self._cells = {}        # depth -> cell table, at most `depth` entries
+        self._residues = {}     # depth -> {cell: its residue}, beside each table
 
     def modulus(self, d):
         if d < 1 or d > self.depth:
@@ -400,6 +401,7 @@ class Odometer:
         if table is None:
             table = self._cells[d] = tuple(self.digits_of_residue(r, d)
                                            for r in range(self.modulus(d)))
+            self._residues[d] = {cell: r for r, cell in enumerate(table)}
         return table
 
     def cell_run(self, residue, d, n):
@@ -420,9 +422,10 @@ class Odometer:
         return self.cell_run(point.residue_at(t, m + 1), m + 1, n)
 
     def follows(self, a, b):
-        """Whether cell b can be the cell after a: the orbit reads the cell table cyclically."""
+        """Whether cell b can be the cell after a: the orbit adds one to a's
+        residue mod the cell modulus."""
         table = self.cell_table(len(a))
-        return b == table[(table.index(a) + 1) % len(table)]
+        return b == table[(self._residues[len(a)][a] + 1) % len(table)]
 
     def cell_count(self, m, n):
         """A radius-m cell run is fixed by its first cell, whatever n."""

@@ -9,7 +9,7 @@ from check_reference import (filtered_least_period_words, forbidden_shape_count_
                              min_period, primitive_and_shaped, restrict, verify_injective)
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
 from layout_reference import ROLE_SINGULAR_FILL, record_layouts, roles
-from shiftembed import codec
+from shiftembed import blocks, codec
 from shiftembed.codec import (Codebook, PeriodicCode, RankedCodebook, SymbolStream,
                               build_first_codebook, build_conditional_codebook,
                               build_periodic_code)
@@ -23,6 +23,7 @@ from shiftembed.systems import (Odometer, OdometerPoint, Point, Sft, cell_label,
                                 golden_mean, itinerary, least_period_words, orbit_system)
 from shiftembed.words import (code_length_needed, kary_alphabet, kary_index, kary_word,
                               periodic_window)
+from test_identity import _decode_text
 
 
 def itinerary_keys(system, m, n):
@@ -1047,7 +1048,9 @@ class TestOdometerPeriod:
 
     def test_verify_equivariance_can_fail(self):
         """verify_pipeline compares an encode with the shifted point's own
-        render, so a period read from the wrong offset fails its record."""
+        render, so a period read from the wrong offset fails its record.
+        The decode gate refuses that period at every scale: its residue-0
+        slice decodes to the residue-1 cells."""
         base, kwargs = MIXED_BASE
         pipe = build_pipeline(Odometer(base), **kwargs)
         pipe.odometer_period = tuple(
@@ -1057,6 +1060,7 @@ class TestOdometerPeriod:
         report = verify_pipeline(pipe, sample_count=2)
         assert [r.ok for r in report.records if (r.module, r.name) == ("codec", "equivariance")] \
             == [False, False]
+        assert pipe._period_index == (None, None)
 
     def test_a_period_pass_that_raises_renders_each_window(self, monkeypatch):
         """The residue-0 render raises here, so no period is kept, and each
@@ -1078,6 +1082,85 @@ class TestOdometerPeriod:
         assert pipe.odometer_period == ()
         with pytest.raises(CapacityError, match="refused at scale 1"):
             pipe.encode(_residue_point(odo, 0), 2, (-8, 8))
+
+    @pytest.mark.parametrize("config, k", [("odo_pipe", 1), ("odo_pipe", 2), ("odo_pipe", 3),
+                                           ("mixed_pipe", 1), ("mixed_pipe", 2)],
+                             ids=["dyadic8-1", "dyadic8-2", "dyadic8-3",
+                                  "base35223-1", "base35223-2"])
+    def test_a_slice_decodes_as_its_codewords(self, request, monkeypatch, config, k):
+        """A slice of the period stream takes its labels from its residue,
+        and decodes as the codeword path does: on every residue at the top
+        scale on 2 p_k symbols, and on sampled points on the bench window."""
+        pipe = request.getfixturevalue(config)
+        odo = pipe.system
+        p = len(pipe._period_index[k - 1].symbols)
+        streams = []
+        if k == pipe.kmax:
+            streams += [pipe.encode(_residue_point(odo, r), k, (-p, p - 1)) for r in range(p)]
+        R = 200 + pipe.decode_margin()
+        streams += [pipe.encode(point, k, (-R, R)) for point in sample_points(odo, 10, seed=k)]
+        for stream in streams:
+            assert codec._period_slice_of(stream, pipe, k) is not None
+        fast = [_decoded(pipe, stream, k) for stream in streams]
+        monkeypatch.setattr(pipe, "_period_index", ())
+        assert [_decoded(pipe, stream, k) for stream in streams] == fast
+
+    @pytest.mark.parametrize("config", ["odo_pipe", "mixed_pipe"],
+                             ids=["dyadic8", "base35223"])
+    def test_a_short_or_mutated_slice_reads_its_codewords(self, request, monkeypatch, config):
+        pipe = request.getfixturevalue(config)
+        odo = pipe.system
+        k = pipe.kmax
+        p = len(pipe._period_index[k - 1].symbols)
+        point = _residue_point(odo, 5)
+        short = pipe.encode(point, k, (0, p - 2))
+        whole = pipe.encode(point, k, (-p, p))
+        mutated = SymbolStream(whole.a, whole.b, list(whole.symbols))
+        mutated.symbols[p] = "2" if mutated.symbols[p] == "1" else "1"
+        assert codec._period_slice_of(whole, pipe, k) is not None
+        assert codec._period_slice_of(short, pipe, k) is None
+        assert codec._period_slice_of(mutated, pipe, k) is None
+        texts = [_decoded(pipe, stream, k) for stream in (short, mutated)]
+        monkeypatch.setattr(pipe, "_period_index", ())
+        assert [_decoded(pipe, stream, k) for stream in (short, mutated)] == texts
+
+    def test_a_slice_decode_reads_no_codeword(self, monkeypatch):
+        """Counted cost: the period render lays out 3 layers and the gate 6
+        more, reading 186 codewords, once; then each decode of a dyadic
+        slice at k=3 reads no codeword and lays out 3 layers."""
+        counts = {"codewords": 0, "layers": 0}
+        decode, append_layer = Codebook.decode, blocks.append_layer
+
+        def counted_decode(cb, word):
+            counts["codewords"] += 1
+            return decode(cb, word)
+
+        def counted_append(layout, partition):
+            counts["layers"] += 1
+            return append_layer(layout, partition)
+
+        pipe = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
+        monkeypatch.setattr(Codebook, "decode", counted_decode)
+        monkeypatch.setattr(blocks, "append_layer", counted_append)
+        assert all(pipe._period_index)
+        assert counts == {"codewords": 186, "layers": 3 + 6}
+        R = 200 + pipe.decode_margin()
+        streams = [pipe.encode(point, 3, (-R, R))
+                   for point in sample_points(pipe.system, 20, seed=3)]
+        counts.update(codewords=0, layers=0)
+        for stream in streams:
+            pipe.decode(stream, 3)
+        assert counts == {"codewords": 0, "layers": 3 * len(streams)}
+
+
+def _decoded(pipe, stream, k):
+    """The pinned decode text of a stream and, when it decodes, its pi_k
+    symbols."""
+    try:
+        symbols = pipe.decode(stream, k).stream_k.symbols
+    except ShiftEmbedError:
+        symbols = None
+    return _decode_text(pipe, stream, k), symbols
 
 
 def _schedule(m, mp, K=2, budget=10 ** 6):
