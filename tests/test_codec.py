@@ -1108,6 +1108,9 @@ class TestOdometerPeriod:
     @pytest.mark.parametrize("config", ["odo_pipe", "mixed_pipe"],
                              ids=["dyadic8", "base35223"])
     def test_a_short_or_mutated_slice_reads_its_codewords(self, request, monkeypatch, config):
+        """A window shorter than p_k, or a slice with one symbol changed, is
+        no slice, so it decodes through its codewords with or without the
+        index."""
         pipe = request.getfixturevalue(config)
         odo = pipe.system
         k = pipe.kmax
