@@ -1246,16 +1246,16 @@ class _PeriodScale:
     """What a decode needs to read a scale-k odometer stream from its period.
 
     `symbols` is one least period of psi_k's symbols, of length p_k;
-    `phases` maps the shortest prefix of each rotation symbols[i:] +
-    symbols[:i] that no other rotation shares to its phase i, and `lengths`
-    lists the lengths of those prefixes in ascending order; `read` holds,
-    for each layer l <= k, the (phase mod p_k, length) of every regular
-    block whose labels the gate read.
+    `phases` maps the length-`length` prefix of each rotation symbols[i:] +
+    symbols[:i], as a tuple, to its phase i, where `length` is the least
+    length at which those prefixes are all distinct; `read` holds, for each
+    layer l <= k, the (phase mod p_k, length) of every regular block whose
+    labels the gate read.
     """
 
     symbols: list
     phases: dict
-    lengths: tuple
+    length: int
     read: tuple
 
 
@@ -1301,8 +1301,7 @@ def _build_period_index(pipeline):
         if read is None:
             index.append(None)
             continue
-        phases = _distinguishing_prefixes(symbols)
-        index.append(_PeriodScale(symbols, phases, tuple(sorted(set(map(len, phases)))), read))
+        index.append(_PeriodScale(symbols, *_rotation_phases(symbols), read))
     return tuple(index)
 
 
@@ -1332,25 +1331,21 @@ def _gate(pipeline, k, symbols, window):
     return tuple(read)
 
 
-def _distinguishing_prefixes(symbols):
-    """The shortest prefix of each rotation of a primitive symbol list that
-    no other rotation shares, as a tuple, mapped to the rotation's phase.
-    No key is a prefix of another."""
+def _rotation_phases(symbols):
+    """({prefix: phase}, n) for a primitive symbol list: the n-symbol prefix
+    of each rotation, as a tuple, mapped to the rotation's phase, where n
+    (at most the list's length) is the least length at which those
+    prefixes are all distinct."""
     doubled = symbols + symbols
     p = len(symbols)
-    phases, open_phases, n = {}, range(p), 0
+    open_phases, n = range(p), 0
     while open_phases:
         n += 1
         groups = {}
         for i in open_phases:
             groups.setdefault(tuple(doubled[i:i + n]), []).append(i)
-        open_phases = []
-        for prefix, shared in groups.items():
-            if len(shared) == 1:
-                phases[prefix] = shared[0]
-            else:
-                open_phases += shared
-    return phases
+        open_phases = [i for shared in groups.values() if len(shared) > 1 for i in shared]
+    return {tuple(doubled[i:i + n]): i for i in range(p)}, n
 
 
 def _period_slice_of(stream, pipeline, k):
@@ -1363,12 +1358,8 @@ def _period_slice_of(stream, pipeline, k):
     if scale is None or len(stream.symbols) < len(scale.symbols):
         return None
     p = len(scale.symbols)
-    head = tuple(stream.symbols[:scale.lengths[-1]])
-    for n in scale.lengths:
-        phase = scale.phases.get(head[:n])
-        if phase is not None:
-            break
-    else:
+    phase = scale.phases.get(tuple(stream.symbols[:scale.length]))
+    if phase is None:
         return None
     residue = (phase - stream.a) % p
     if stream.symbols != periodic_window(scale.symbols, stream.a, stream.b, residue):

@@ -14,6 +14,7 @@ odometer's answers (no words, bounded cell counts, entropy 0) are its own.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -261,12 +262,13 @@ def _family1_tail_certified(K, alpha, m1, N_cert, counts, cells):
         if math.log(cells[N_cert]) > (N_cert + 1) * (h + alpha / 4) + 1e-12:
             return False
     else:
+        logs = [math.log(c) for c in counts[:N_cert + 1]]
         best = None
         for N0 in range(1, N_cert + 1):
-            g0 = math.log(counts[N0]) / N0
+            g0 = logs[N0] / N0
             if g0 >= h + alpha / 4:
                 continue
-            cstar = max(math.log(counts[r]) - r * g0 for r in range(0, N0))
+            cstar = max(lr - r * g0 for r, lr in enumerate(logs[:N0]))
             threshold = (2 * m1 * g0 + cstar) / (h + alpha / 4 - g0)
             if best is None or threshold < best:
                 best = threshold
@@ -360,17 +362,22 @@ def layout_free_tables(schedule):
     tables = {}
     for k in range(2, schedule.kmax + 1):
         lo, hi = schedule.block_bounds(k - 1)
-        cost = {}
-        for part in range(lo, hi):
-            if k == 2:
-                cost[part] = schedule.free1(part)
-            else:
-                cost[part] = tables[k - 1][part] - 1 - schedule.budget(part, k - 1)
+        if k == 2:
+            cost = [schedule.free1(part) for part in range(lo, hi)]
+        else:
+            cost = [tables[k - 1][part] - 1 - schedule.budget(part, k - 1)
+                    for part in range(lo, hi)]
         best = [0] + [math.inf] * (2 * schedule.nprime[k - 1] - 1)
         for total in range(lo, len(best)):
-            best[total] = min((best[total - part] + cost[part]
-                               for part in range(lo, min(hi - 1, total) + 1)),
-                              default=math.inf)
+            # best[total - part] + cost[part] over the parts that leave no
+            # remainder or one of at least lo (a remainder in (0, lo) has no
+            # tiling): the reversed slice pairs remainder total - lo - j
+            # with part lo + j, down to the remainder max(lo, total - hi + 1).
+            rests = best[total - lo:max(lo - 1, total - hi):-1]
+            value = min(map(operator.add, rests, cost), default=math.inf)
+            if total < hi:
+                value = min(value, cost[total - lo])
+            best[total] = value
         tables[k] = best
     return tables
 

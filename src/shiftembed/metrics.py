@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
+from .codec import _TOKEN_OUT
 from .errors import SpecParseError
 from .words import kary_alphabet, periodic_window
 
@@ -153,30 +154,39 @@ def periodic_orbit_measure(word, L):
 
 
 def cylinder_enumeration(alphabet, depth):
-    """The fixed enumeration of cylinder words: by length, lexicographic."""
-    return [w for L in range(1, depth + 1)
-            for w in sorted(map("".join, product(alphabet, repeat=L)))]
+    """The fixed enumeration of cylinder words: by length, lexicographic.
+    Over a string alphabet the words are strings, over a sequence of
+    symbols tuples of symbols."""
+    spell = "".join if isinstance(alphabet, str) else tuple
+    return [spell(w) for L in range(1, depth + 1) for w in sorted(product(alphabet, repeat=L))]
 
 
 def measure_distance(mu, nu, alphabet, depth=3):
-    """Truncated d_*: sum over the fixed enumeration of |mu(A) - nu(A)| / 2^i."""
+    """Truncated d_*: sum over the fixed enumeration of |mu(A) - nu(A)| / 2^i.
+
+    Each cylinder's mass is an integer count over its measure's common
+    denominator, and the sum is taken over one denominator for both."""
     if mu.L < depth or nu.L < depth:
         raise SpecParseError("measures must resolve words up to the enumeration depth")
-    total = Fraction(0)
-    for i, word in enumerate(cylinder_enumeration(alphabet, depth), start=1):
-        total += abs(_eval_on_word(mu, word) - _eval_on_word(nu, word)) / Fraction(2 ** i)
-    return total
+    (a, da), (b, db) = _cylinder_counts(mu, depth), _cylinder_counts(nu, depth)
+    words = [tuple(w) for w in cylinder_enumeration(alphabet, depth)]
+    N = len(words)
+    total = sum(abs(a.get(w, 0) * db - b.get(w, 0) * da) << (N - i)
+                for i, w in enumerate(words, start=1))
+    return Fraction(total, (da * db) << N)
 
 
-def _eval_on_word(mu, word):
-    """Measure of the cylinder [word] from the length-L table, L >= len(word)."""
-    if len(word) == mu.L:
-        return mu(word)
-    total = Fraction(0)
+def _cylinder_counts(mu, depth):
+    """({cylinder word: count}, den): the mass of every cylinder of length
+    at most depth is count / den, read from one pass over the table.  Words
+    are tuples of symbols."""
+    den = lcm(*(f.denominator for f in mu.freqs.values()))
+    counts = Counter()
     for w, f in mu.freqs.items():
-        if w[:len(word)] == word:
-            total += f
-    return total
+        c, w = f.numerator * (den // f.denominator), tuple(w)
+        for i in range(1, depth + 1):
+            counts[w[:i]] += c
+    return counts, den
 
 
 def hausdorff_distance(S, T, alphabet, depth=3):
@@ -205,26 +215,34 @@ def convergence_report(points, pipeline, depth=2, sample_n=160):
     rows = []
     sched = pipeline.schedule
     N = sched.n[0] ** 2
-    alphabet = kary_alphabet(sched.K) + "|=[]o?"
+    alphabet = _stream_alphabet(sched.K)
     for idx, p in enumerate(points):
         streams = list(pipeline.encode_scales(p, (-4 * N, 4 * N)))
         sK = streams[-1]
+        mu_K = _stream_measure(sK, depth, sample_n)
         for k, sk in enumerate(streams, 1):
             val = stream_dN(sk, sK, N)
             rows.append((idx, k, "dN(psi_k, psi)", val, "horizon=%d" % (4 * N)))
             bound = dN_bound(sched, k)
             rows.append((idx, k, "dN-bound-ok", int(val <= bound), "bound=%s" % bound))
             mu_k = _stream_measure(sk, depth, sample_n)
-            mu_K = _stream_measure(sK, depth, sample_n)
             rows.append((idx, k, "d*(phi psi_k, phi psi)",
                          measure_distance(mu_k, mu_K, alphabet, depth), "horizon"))
             rows.append((idx, k, "N*dinf-bound", depth * val, "lemma-window"))
     return rows
 
 
+def _stream_alphabet(K):
+    """Every symbol a K-ary stream writes: its code letters and the
+    structural symbols, the double bracket one symbol."""
+    return tuple(kary_alphabet(K)) + tuple(_TOKEN_OUT)
+
+
 def _stream_measure(stream, L, n):
+    """The empirical measure of the first n length-L windows from time 0,
+    each a tuple of L stream symbols."""
     count = min(n, stream.b - L + 1)
     if count > 0:
         stream.get(0)       # the windows start at time 0: WindowError if the stream does not
     symbols = stream.symbols[-stream.a:]
-    return _window_measure(["".join(symbols[k:k + L]) for k in range(count)], L)
+    return _window_measure([tuple(symbols[k:k + L]) for k in range(count)], L)

@@ -35,9 +35,15 @@ two; `listed_orbit_words` lists an orbit's n-words as its windows at every
 phase, the words of a finite orbit read off the word alone.
 `roundtrip_or_named` round-trips a point and lets an error through only
 when its text is the one a strict xfail names.
+`fraction_measure_distance` is the truncated d_* as a Fraction sum, each
+cylinder's mass summed over the frequency table word by word, the oracle
+for `measure_distance`'s integer counts.  `family1_tail_per_pair_log` is
+the scale-1 tail certificate that takes the logarithm of a word count for
+every (N0, r) pair, the oracle for `entropy._family1_tail_certified`.
 """
 
 import contextlib
+import itertools
 import math
 import random
 import signal
@@ -251,6 +257,46 @@ def marginal_right(mu):
     for w, f in mu.freqs.items():
         out[w[1:]] = out.get(w[1:], Fraction(0)) + f
     return out
+
+
+def fraction_measure_distance(mu, nu, alphabet, depth):
+    """sum_i |mu(A_i) - nu(A_i)| / 2^i over the cylinder words A_i by
+    length, lexicographic, as tuples of the alphabet's symbols."""
+    def mass(m, word):
+        return sum((f for w, f in m.freqs.items() if tuple(w)[:len(word)] == word),
+                   Fraction(0))
+    words = [w for L in range(1, depth + 1)
+             for w in sorted(itertools.product(alphabet, repeat=L))]
+    total = Fraction(0)
+    for i, word in enumerate(words, start=1):
+        total += abs(mass(mu, word) - mass(nu, word)) / Fraction(2 ** i)
+    return total
+
+
+def family1_tail_per_pair_log(K, alpha, m1, N_cert, counts, cells):
+    """Both scale-1 inequalities past N_cert, with log #W_r taken afresh for
+    every pair (N0, r)."""
+    h = math.log(K) - alpha
+    if not counts:
+        if math.log(cells[N_cert]) > (N_cert + 1) * (h + alpha / 4) + 1e-12:
+            return False
+    else:
+        best = None
+        for N0 in range(1, N_cert + 1):
+            g0 = math.log(counts[N0]) / N0
+            if g0 >= h + alpha / 4:
+                continue
+            cstar = max(math.log(counts[r]) - r * g0 for r in range(0, N0))
+            threshold = (2 * m1 * g0 + cstar) / (h + alpha / 4 - g0)
+            if best is None or threshold < best:
+                best = threshold
+        if best is None or best > N_cert:
+            return False
+    slope = (1 - alpha / 2) * math.log(K) - (h + alpha / 4)
+    if slope <= 0:
+        return False
+    n0 = N_cert + 1
+    return n0 * (h + alpha / 4) < (n0 * (1 - alpha / 2) - 1) * math.log(K)
 
 
 def forbidden_shape_count_bound(n, K):

@@ -1,10 +1,12 @@
 import functools
 import math
+import types
 from fractions import Fraction
 
 import pytest
 
-from check_reference import count_oracle_systems, matpow_int, within_seconds
+from check_reference import (count_oracle_systems, family1_tail_per_pair_log, matpow_int,
+                             within_seconds)
 from shiftembed import entropy
 from shiftembed.entropy import (ScaleSchedule, _scale1_counts, appendix_fullness_check,
                                 build_schedule, conditional_count,
@@ -274,19 +276,30 @@ ODOMETER_ALPHA = Fraction(2977044471, 4294967296)   # log 2 at 2^-32 resolution
 
 def reference_free(sched):
     """Top-down recursion over compositions of one target length at a time:
-    fewest free slots a length-L stretch of regular (k-1)-blocks leaves."""
+    fewest free slots a length-L stretch of regular (k-1)-blocks leaves.
+    free.run(k, L) is the whole run for target L, best[0..L]."""
     @functools.lru_cache(maxsize=None)
-    def free(k, L):
-        if k == 1:
-            return sched.free1(L)
+    def run(k, L):
         lo, hi = sched.block_bounds(k - 1)
         best = [0] + [math.inf] * L
         for total in range(1, L + 1):
             for part in range(lo, min(hi - 1, total) + 1):
                 avail = free(k - 1, part) - (0 if k == 2 else 1 + sched.budget(part, k - 1))
                 best[total] = min(best[total], best[total - part] + avail)
-        return best[L]
+        return best
+
+    def free(k, L):
+        return sched.free1(L) if k == 1 else run(k, L)[L]
+    free.run = run
     return free
+
+
+# the schedules the benchmark builds, where the capacity scan runs longest
+BENCH_SCHEDULES = {
+    "odometer": lambda: build_schedule(dyadic_odometer(8), K=2, kmax=3, N_cert=128),
+    "golden-K2": lambda: build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0)),
+    "golden-K3": lambda: build_schedule(golden_mean(), K=3, kmax=3, C=4.0, N_cert=128),
+}
 
 
 def small_schedule(alpha, n):
@@ -313,6 +326,20 @@ class TestLayoutCapacity:
                 assert tables[k][L] == ref(k, L), (k, L)
         # both realizable and unrealizable lengths are exercised
         assert math.inf in tables[3] and any(v != math.inf for v in tables[3])
+
+    @pytest.mark.parametrize("name", sorted(BENCH_SCHEDULES))
+    def test_bench_tables_match_reference_recursion(self, name):
+        """The scan reads only remainders 0 and >= the shortest part; the
+        recursion reads every remainder.  A run for the longest target holds
+        the answer for every shorter one, so one run per scale covers every
+        entry, unreachable lengths (inf) included."""
+        sched = BENCH_SCHEDULES[name]()
+        tables = layout_free_tables(sched)
+        ref = reference_free(sched)
+        assert sorted(tables) == list(range(2, sched.kmax + 1))
+        for k, table in tables.items():
+            assert table == ref.run(k, len(table) - 1), k
+            assert math.inf in table[1:sched.n[k - 2]]
 
     def test_capacity_error_first_failure(self):
         sched = ScaleSchedule(K=2, alpha=Fraction(1, 5), m=(0, 0), n=(20, 100),
@@ -359,6 +386,51 @@ class TestLayoutCapacity:
         assert sched.n == (24, 47, 93)
         assert sched.nprime == (24, 71, 164)
         assert sched.r == (24, 48, 95)
+
+
+TAIL_SYSTEMS = {
+    "golden": golden_mean,
+    "no-000": lambda: Sft(2, ["000"]),
+    "no-0101": lambda: Sft(2, ["0101", "11"]),
+    "three-letter": lambda: Sft(3, ["00", "12", "21"]),
+    "odometer": lambda: dyadic_odometer(4),
+}
+
+
+class TestTailCertificate:
+    @pytest.mark.parametrize("name", sorted(TAIL_SYSTEMS))
+    def test_matches_per_pair_logs(self, name):
+        """The certificate takes log #W_r once per r; the reference takes it
+        for every pair (N0, r).  Both answer alike, and both answers occur."""
+        system = TAIL_SYSTEMS[name]()
+        h = system.spectral_log()
+        answers = set()
+        for K in (2, 3, 4):
+            if h >= math.log(K) - 1e-12:
+                continue
+            alpha = float(entropy._alpha_fraction(math.log(K) - h))
+            for m1 in (0, 1, 2):
+                for N_cert in (16, 32, 64, 128):
+                    counts, cells = _scale1_counts(system, m1, N_cert)
+                    args = (K, alpha, m1, N_cert, counts, cells)
+                    answer = entropy._family1_tail_certified(*args)
+                    assert answer == family1_tail_per_pair_log(*args), (K, m1, N_cert)
+                    answers.add(answer)
+        assert answers == {False, True}
+
+    def test_build_takes_each_log_once(self, monkeypatch):
+        """Counted cost: one golden K = 2 build_schedule makes 336 math.log
+        calls in entropy (2,409 with a log per (N0, r) pair of the scale-1
+        tail certificate)."""
+        calls = []
+
+        def log(*args):
+            calls.append(args)
+            return math.log(*args)
+        monkeypatch.setattr(entropy, "math", types.SimpleNamespace(**{**vars(math), "log": log}))
+        sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
+        assert sched.n == (9, 19)
+        assert len(calls) == 336
 
 
 class TestAppendix:

@@ -1,15 +1,22 @@
+import itertools
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from check_reference import count_disagreements, l1, marginal_left, marginal_right
-from shiftembed.metrics import (besicovitch_estimate, cantor_distance,
+from check_reference import (count_disagreements, fraction_measure_distance, l1,
+                             marginal_left, marginal_right)
+from shiftembed.codec import SYM_DB
+from shiftembed.metrics import (_cylinder_counts, _stream_alphabet, _stream_measure,
+                                besicovitch_estimate, cantor_distance,
                                 cylinder_enumeration, dN_distance,
                                 empirical_measure, hausdorff_distance,
                                 measure_distance, periodic_orbit_measure,
                                 stream_dN)
-from shiftembed.systems import Point
+from shiftembed.pipeline import build_pipeline, sample_points
+from shiftembed.systems import Point, golden_mean
 
 ZERO = Point("0", "0", "0", 0)
 ALT = Point("01", "01", "01", 0)
@@ -164,6 +171,53 @@ class TestMeasureDistance:
 
     def test_enumeration_fixed(self):
         assert cylinder_enumeration("01", 2) == ["0", "1", "00", "01", "10", "11"]
+        assert cylinder_enumeration(("1", "]", "]["), 1) == [("1",), ("]",), ("][",)]
+
+    def test_point_measures_match_fraction_sum(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            letters = "012"[:rng.randint(2, 3)]
+            word = lambda n: "".join(rng.choice(letters) for _ in range(n))
+            L = rng.randint(1, 3)
+            mu = periodic_orbit_measure(word(rng.randint(1, 7)), L)
+            nu = empirical_measure(Point(word(2), word(5), word(3), -2), L, rng.randint(1, 30))
+            for depth in range(1, L + 1):
+                assert measure_distance(mu, nu, letters, depth) == \
+                    fraction_measure_distance(mu, nu, letters, depth)
+
+
+@pytest.fixture(scope="module")
+def report_streams():
+    """The scale-1 and scale-2 streams of the eight points `report` draws
+    by default on golden K=2, kmax=2, m=(0,0), on its window."""
+    pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
+    N = pipe.schedule.n[0] ** 2
+    return [list(pipe.encode_scales(p, (-4 * N, 4 * N)))
+            for p in sample_points(golden_mean(), 8, seed=17)]
+
+
+class TestStreamMeasures:
+    def test_stream_measures_match_fraction_sum(self, report_streams):
+        alphabet = _stream_alphabet(2)
+        measures = [_stream_measure(s, 2, 160) for streams in report_streams for s in streams]
+        for mu, nu in itertools.combinations(measures, 2):
+            for depth in (1, 2):
+                assert measure_distance(mu, nu, alphabet, depth) == \
+                    fraction_measure_distance(mu, nu, alphabet, depth)
+
+    def test_double_bracket_windows_keep_their_mass(self, report_streams):
+        """A window holding the two-character symbol "][" is L symbols long,
+        and every depth's cylinder masses over the stream alphabet sum to 1."""
+        enumeration = cylinder_enumeration(_stream_alphabet(2), 2)
+        held = 0
+        for streams in report_streams:
+            mu = _stream_measure(streams[-1], 2, 160)
+            assert all(len(w) == 2 for w in mu.freqs)
+            counts, den = _cylinder_counts(mu, 2)
+            for depth in (1, 2):
+                assert sum(counts[w] for w in enumeration if len(w) == depth) == den
+            held += counts[(SYM_DB,)] > 0
+        assert held == 4
 
 
 class TestStreamDN:
