@@ -107,8 +107,12 @@ class SymbolStream:
                                  % (len(syms), a, b))
         res = None
         if "resolution" in kv:
-            res = [None if tok == "-" else _parse_int(tok, "stream resolution entry")
-                   for tok in kv["resolution"].split()]
+            toks = kv["resolution"].split()
+            try:
+                res = [None if tok == "-" else int(tok) for tok in toks]
+            except ValueError:      # entry by entry, to name the first that is no integer
+                res = [None if tok == "-" else _parse_int(tok, "stream resolution entry")
+                       for tok in toks]
             if len(res) != len(syms):
                 raise SpecParseError("stream has %d resolution entries for %d symbols"
                                      % (len(res), len(syms)))
@@ -503,9 +507,10 @@ class PointContext:
     layout: object
 
 
-def _context_scales(pipeline, point, window):
+def _context_scales(pipeline, point, window, runtime=None):
     """Resolve a point's context around a window one scale at a time,
-    yielding it after each scale's return partition and layer."""
+    yielding it after each scale's return partition and layer.  The towers
+    read the point through the given runtime, or a fresh one."""
     from .blocks import BlockLayout, append_layer
     sched = pipeline.schedule
     a, b = window
@@ -515,7 +520,8 @@ def _context_scales(pipeline, point, window):
     pad = 4 * sum(sched.nprime)
     lo, hi = a - pad, b + pad
     ctx = PointContext(point, lo, hi, [], BlockLayout(schedule=sched, lo=lo, hi=hi))
-    runtime = pipeline.stack.runtime(point)
+    if runtime is None:
+        runtime = pipeline.stack.runtime(point)
     for k in range(1, sched.kmax + 1):
         part = return_partition(point, pipeline.stack, k, (lo, hi),
                                 prev_layout=ctx.layout if k >= 2 else None,
@@ -598,13 +604,14 @@ def _write_singular_codes(put, blk, cond_word, ident_word):
         put(sorted(ips), ident_word)
 
 
-def render_scales(point, pipeline, window):
+def render_scales(point, pipeline, window, runtime=None):
     """Yield psi_1, ..., psi_kmax of a point on an inclusive window from one
     context, psi_k writing scale k's layer into the slots psi_{k-1} left
-    free.  Scale k is resolved right before it is rendered, and a scale
-    that raises ends the iteration with its error."""
+    free.  Scale k is resolved right before it is rendered, through the
+    given tower runtime of the point or a fresh one, and a scale that
+    raises ends the iteration with its error."""
     a, b = window
-    for k, ctx in enumerate(_context_scales(pipeline, point, window), 1):
+    for k, ctx in enumerate(_context_scales(pipeline, point, window, runtime), 1):
         if k == 1:
             size = ctx.hi - ctx.lo + 1
             syms, res = [SYM_FREE] * size, [None] * size
@@ -643,14 +650,15 @@ def _period_slice(stream, point, window):
                         periodic_window(stream.resolution, a, b, point.residue))
 
 
-def encode_scales(point, pipeline, window):
+def encode_scales(point, pipeline, window, runtime=None):
     """Yield psi_1, ..., psi_kmax of a point on an inclusive window.  An
     odometer point's codes are its pipeline's period streams read from its
     residue, unless the period pass raised: then, as for word systems, the
-    point's own window is rendered."""
+    point's own window is rendered, through the given tower runtime of the
+    point or a fresh one."""
     periods = _period_streams(pipeline)
     if not periods:
-        yield from render_scales(point, pipeline, window)
+        yield from render_scales(point, pipeline, window, runtime)
         return
     for stream in periods:
         yield _period_slice(stream, point, window)

@@ -236,28 +236,28 @@ def _scale1_counts(system, m1, N_cert):
             [system.cell_count(m1, n) for n in range(N_cert + 1)])
 
 
-def _family1_holds(K, alpha, cells, n):
+def _family1_holds(logK, alpha, cells, n):
     """#V_1^n <= e^{n(h+alpha/4)} < K^{n(1-alpha/2)-1} at one n, given cells = #V_1^n."""
-    h = math.log(K) - alpha
+    h = logK - alpha
     mid = n * (h + alpha / 4)
     left = math.log(cells) <= mid + 1e-12
-    right = mid < (n * (1 - alpha / 2) - 1) * math.log(K) - 1e-12
+    right = mid < (n * (1 - alpha / 2) - 1) * logK - 1e-12
     return left and right
 
 
-def _family2_holds(system, K, alpha, m_prev, m_cur, n, k):
+def _family2_holds(system, logK, alpha, m_prev, m_cur, n, k):
     cc = conditional_count(system, m_prev, m_cur, n)
-    return math.log(cc) < (n * alpha / 2 ** k - 1) * math.log(K) - 1e-12
+    return math.log(cc) < (n * alpha / 2 ** k - 1) * logK - 1e-12
 
 
-def _family1_tail_certified(K, alpha, m1, N_cert, counts, cells):
+def _family1_tail_certified(logK, alpha, m1, N_cert, counts, cells):
     """Certify both scale-1 inequalities for all n > N_cert (counts[n] = #W_n,
     cells[n] = #V_1^n).
 
     The left-hand side needs a submultiplicative tail only for a system
     with words.  Without words the cell counts do not grow with n, so the
     left-hand side holds past N_cert once it holds at N_cert + 1."""
-    h = math.log(K) - alpha
+    h = logK - alpha
     if not counts:
         if math.log(cells[N_cert]) > (N_cert + 1) * (h + alpha / 4) + 1e-12:
             return False
@@ -275,14 +275,14 @@ def _family1_tail_certified(K, alpha, m1, N_cert, counts, cells):
         if best is None or best > N_cert:
             return False
     # right-hand side: affine comparison, positive slope required
-    slope = (1 - alpha / 2) * math.log(K) - (h + alpha / 4)
+    slope = (1 - alpha / 2) * logK - (h + alpha / 4)
     if slope <= 0:
         return False
     n0 = N_cert + 1
-    return n0 * (h + alpha / 4) < (n0 * (1 - alpha / 2) - 1) * math.log(K)
+    return n0 * (h + alpha / 4) < (n0 * (1 - alpha / 2) - 1) * logK
 
 
-def _family2_tail_certified(system, K, alpha, m_prev, m_cur, k, N_cert):
+def _family2_tail_certified(system, logK, alpha, m_prev, m_cur, k, N_cert):
     """Conditional counts stabilize in n; compare the plateau at N_cert+1."""
     window = 8
     tail_counts = {conditional_count(system, m_prev, m_cur, n)
@@ -291,19 +291,21 @@ def _family2_tail_certified(system, K, alpha, m_prev, m_cur, k, N_cert):
         return False
     cc = tail_counts.pop()
     n0 = N_cert + 1
-    return math.log(cc) < (n0 * alpha / 2 ** k - 1) * math.log(K)
+    return math.log(cc) < (n0 * alpha / 2 ** k - 1) * logK
 
 
-def _family(system, K, alpha, m, k, N_cert, scale1):
+def _family(system, logK, alpha, m, k, N_cert, scale1):
     """The scale-k inequality family as (holds, tail): holds(n) tests one n
-    and tail() certifies the plateau past N_cert.  scale1 is the pair
-    _scale1_counts gives for m[0] and N_cert."""
+    and tail() certifies the plateau past N_cert.  logK is log K, taken once
+    by the caller; scale1 is the pair _scale1_counts gives for m[0] and
+    N_cert."""
     if k == 1:
         counts, cells1 = scale1
-        return (lambda nn: _family1_holds(K, alpha, cells1[nn], nn),
-                lambda: _family1_tail_certified(K, alpha, m[0], N_cert, counts, cells1))
-    return (lambda nn: _family2_holds(system, K, alpha, m[k - 2], m[k - 1], nn, k),
-            lambda: _family2_tail_certified(system, K, alpha, m[k - 2], m[k - 1], k, N_cert))
+        return (lambda nn: _family1_holds(logK, alpha, cells1[nn], nn),
+                lambda: _family1_tail_certified(logK, alpha, m[0], N_cert, counts, cells1))
+    return (lambda nn: _family2_holds(system, logK, alpha, m[k - 2], m[k - 1], nn, k),
+            lambda: _family2_tail_certified(system, logK, alpha, m[k - 2], m[k - 1], k,
+                                            N_cert))
 
 
 def _growth_holds(n, nprime, k):
@@ -322,8 +324,9 @@ def verify_schedule(system, schedule):
     N = schedule.N_cert
     m, n = schedule.m, schedule.n
     scale1 = _scale1_counts(system, m[0], N)
+    logK = math.log(K)
     for k in range(1, schedule.kmax + 1):
-        holds, tail = _family(system, K, alpha, m, k, N, scale1)
+        holds, tail = _family(system, logK, alpha, m, k, N, scale1)
         ok = all(holds(nn) for nn in range(n[k - 1], N + 1)) and tail()
         report.add("entropy", "scale1-capacity" if k == 1 else "conditional-capacity", k, ok)
     for k in range(1, schedule.kmax):
@@ -451,7 +454,7 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
         lower = 1 if k == 1 else ns[-1] + 1
         while af * lower < C * 2 ** k:
             lower += 1
-        holds, tail = _family(system, K, af, m, k, N_cert, scale1)
+        holds, tail = _family(system, logK, af, m, k, N_cert, scale1)
         # n0 must see the family hold on all of [n0, N_cert]: one pass down
         # from N_cert finds the last failure, and every n0 past it qualifies.
         start = lower

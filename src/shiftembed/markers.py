@@ -288,9 +288,14 @@ class TowerRuntime:
     Word towers read the point through one letter text, the letters of
     [_text_lo, _text_lo + len(_text)), which grows geometrically to
     whatever range the towers ask for, and through one match table per
-    scale.  swept holds, per scale, the last range WordTower.members
-    decided and its members.  chase_depth counts the nested rank-chase
-    frames under way and chase_depth_max the deepest reached.
+    scale.  swept holds, per scale, the last range whose members were all
+    decided, and those members: the range WordTower.members swept, or the
+    range a verify_tower probe decided.  chase_depth counts the nested
+    rank-chase frames under way and chase_depth_max the deepest reached.
+
+    Every table is a function of the point and the position, never of the
+    window that asked, so one runtime serves any number of passes over its
+    point: an encode pass, or a verify run's probes and encodes.
     """
 
     def __init__(self, stack, point):
@@ -677,7 +682,7 @@ def _check_special_nesting(part, prev_part):
 # -- verification ---------------------------------------------------------------
 
 
-def verify_tower(stack, k, probe_points=None):
+def verify_tower(stack, k, probe_points=None, runtimes=None):
     """Exact verification of the three tower invariants at scale k.
 
     Odometer towers are flat residue sets and are checked by plain set
@@ -686,6 +691,13 @@ def verify_tower(stack, k, probe_points=None):
     orbit window separation, Fine-and-Wilf overlap margins) plus
     deterministic probe sweeps along supplied points.  Each check is one
     "markers" record named invariant(method), e.g. disjointness(probe).
+
+    A probe reads its point through runtimes[i], the caller's runtime of
+    probe_points[i], or through a fresh runtime when runtimes is None.  It
+    decides the members of [-4 n'_k, 4 n'_k] one by one with the lazy
+    WordTower.member and records them as the runtime's swept range, so the
+    covering probe, whose every window lies inside that range, reads the
+    probe's own members by bisection.
     """
     tower = stack[k]
     report = VerifyReport()
@@ -730,10 +742,13 @@ def verify_tower(stack, k, probe_points=None):
         ok, detail = False, str(exc)
     report.add("markers", "covering(structural-exact)", k, ok, detail)
 
-    for point in probe_points or []:
-        runtime = stack.runtime(point)
+    probe_points = probe_points or []
+    if runtimes is None:
+        runtimes = [stack.runtime(point) for point in probe_points]
+    for point, runtime in zip(probe_points, runtimes):
         lo, hi = -4 * tower.nprime, 4 * tower.nprime
         members = [t for t in range(lo, hi + 1) if tower.member(point, t, runtime)]
+        runtime.swept[k] = (lo, hi, members)
         ok_dis = all(t1 - t0 >= tower.n for t0, t1 in zip(members, members[1:]))
         report.add("markers", "disjointness(probe)", k, ok_dis, "point %r" % (point,))
         ok_cov = all(runtime.near(tower, t, tower.nprime) or runtime.match(tower, t) is not None

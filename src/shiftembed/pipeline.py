@@ -1,14 +1,15 @@
 """Pipeline assembly: schedule, towers, codebooks, periodic code.
 
 A Pipeline owns everything the codec needs and keeps nothing per point:
-a point context lives for one encode pass, and codebooks rank on the
-system's counts and are built per lookup.  An odometer pipeline keeps its
-codes over one period, which every odometer encode slices, and beside them
-a decode index: a decode of a slice of the period takes its labels from
-the slice's residue instead of its codewords.  Both are built on the first
-encode or decode, never by build_pipeline.  Building a
-pipeline runs the capacity checks up front so that encoding cannot fail
-later on admissible inputs.
+a point context and its tower runtime live for one encode pass (a sampled
+point's runtime for one verify run: its probes and its encode passes),
+and codebooks rank on the system's counts and are built per lookup.  An
+odometer pipeline keeps its codes over one period, which every odometer
+encode slices, and beside them a decode index: a decode of a slice of the
+period takes its labels from the slice's residue instead of its codewords.
+Both are built on the first encode or decode, never by build_pipeline.
+Building a pipeline runs the capacity checks up front so that encoding
+cannot fail later on admissible inputs.
 Pipelines serialize to a directory of flat text artifacts and rebuild
 deterministically.
 """
@@ -240,7 +241,14 @@ def _joins(system, word, right):
 def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
                     window=(-60, 60)):
     """Run the cross-module invariant suites; report one record per check.
-    An empty point list raises ValueError: no record may pass vacuously."""
+    An empty point list raises ValueError: no record may pass vacuously.
+
+    Each sampled point has one tower runtime: the probes of verify_tower
+    at every scale and then the point's encode passes (equivariance, round
+    trip, d_N) read it, so its ranks, matches and members are decided once.
+    The shifted point of the equivariance check is rendered through a fresh
+    runtime of its own, so that record compares two independent passes.
+    """
     from . import metrics
     system, sched = pipeline.system, pipeline.schedule
     if points is None:
@@ -250,55 +258,68 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
     report = verify_schedule(system, sched)
 
     probe = points[: max(2, min(4, len(points)))]
+    runtimes = [pipeline.stack.runtime(p) for p in probe]
     for k in range(1, sched.kmax + 1):
-        report.records += verify_tower(pipeline.stack, k, probe_points=probe).records
+        report.records += verify_tower(pipeline.stack, k, probe_points=probe,
+                                       runtimes=runtimes).records
 
     # one encode pass per (point, window) serves every scale; an encode,
     # decode or read-back that raises fails its check at that scale, with
-    # the first error text as the record's detail, instead of ending the run
+    # the first error text as the record's detail, instead of ending the run.
+    # The points are taken in order, each through all of its passes, so a
+    # runtime is dropped once its point is done.
     kmax = sched.kmax
     a, b = window
-    equivariance, roundtrip = {}, {}        # failed scale -> first error text
-    for p in points:
+    margin = pipeline.decode_margin()
+    N = sched.n[0] ** 2
+    equivariance, roundtrip, dn = {}, {}, {}     # failed scale -> first error text
+    for i, p in enumerate(points):
+        runtime = runtimes.pop(0) if runtimes else pipeline.stack.runtime(p)
+
+        def encode(window):
+            return _encode_pass(codec.encode_scales(p, pipeline, window, runtime))
+
         # the shifted point is rendered on its own window: an odometer
         # encode slices one period, so two encodes would agree by construction
-        s0, err0 = _encode_pass(pipeline.encode_scales(p, (a, b)))
+        s0, err0 = encode((a, b))
         s1, err1 = _encode_pass(codec.render_scales(p.shifted(1), pipeline, (a - 1, b - 1)))
         for k in range(1, kmax + 1):
             if k > len(s0) or k > len(s1):
                 _fail(equivariance, k, err0 if k > len(s0) else err1)
             elif s0[k - 1].symbols != s1[k - 1].symbols:
                 _fail(equivariance, k)
-    margin = pipeline.decode_margin()
-    for p in points[: max(4, len(points) // 3)]:
-        streams, err = _encode_pass(pipeline.encode_scales(p, (a - margin, b + margin)))
-        want = [itinerary(system, p, m, (a, b)) for m in sched.m]
-        for k in range(1, kmax + 1):
-            if k > len(streams):
-                _fail(roundtrip, k, err)
-                continue
-            try:
-                res = pipeline.decode(streams[k - 1], k)
-                got = [res.itinerary_list(l, (a, b)) for l in range(1, k + 1)]
-            except ShiftEmbedError as exc:
-                _fail(roundtrip, k, exc)
-                continue
-            if got != want[:k]:
-                _fail(roundtrip, k)
+        if i < max(4, len(points) // 3):
+            _check_roundtrip(pipeline, p, (a, b), encode((a - margin, b + margin)), roundtrip)
+        if i < 6:
+            streams, err = encode((-4 * N, 4 * N))
+            if err is not None:
+                _fail(dn, 1, err)
+            elif metrics.stream_dN(streams[0], streams[-1], N) > metrics.dN_bound(sched, 1):
+                _fail(dn, 1)
     for k in range(1, kmax + 1):
         report.add("codec", "equivariance", k, k not in equivariance, equivariance.get(k, ""))
         report.add("codec", "roundtrip", k, k not in roundtrip, roundtrip.get(k, ""))
-
-    dn = {}
-    N = sched.n[0] ** 2
-    for p in points[:6]:
-        streams, err = _encode_pass(pipeline.encode_scales(p, (-4 * N, 4 * N)))
-        if err is not None:
-            _fail(dn, 1, err)
-        elif metrics.stream_dN(streams[0], streams[-1], N) > metrics.dN_bound(sched, 1):
-            _fail(dn, 1)
     report.add("codec", "dN-convergence", 1, 1 not in dn, dn.get(1, ""))
     return report
+
+
+def _check_roundtrip(pipeline, point, window, encoded, failed):
+    """Decode each stream of one encode pass at its scale and compare the
+    itineraries read back on the window with the point's own."""
+    streams, err = encoded
+    want = [itinerary(pipeline.system, point, m, window) for m in pipeline.schedule.m]
+    for k in range(1, pipeline.kmax + 1):
+        if k > len(streams):
+            _fail(failed, k, err)
+            continue
+        try:
+            res = pipeline.decode(streams[k - 1], k)
+            got = [res.itinerary_list(l, window) for l in range(1, k + 1)]
+        except ShiftEmbedError as exc:
+            _fail(failed, k, exc)
+            continue
+        if got != want[:k]:
+            _fail(failed, k)
 
 
 def _encode_pass(scales):

@@ -795,6 +795,17 @@ class TestRefusalTexts:
                            match="^stream has 1 resolution entries for 2 symbols$"):
             SymbolStream.from_text("window: 0:1\nsymbols: 1 2\nresolution: 1\n")
 
+    def test_stream_text_refuses_a_resolution_entry(self):
+        """The first entry that is neither '-' nor an integer is named."""
+        with pytest.raises(SpecParseError,
+                           match="^stream resolution entry must be an integer, not 'x'$"):
+            SymbolStream.from_text("window: 0:2\nsymbols: 1 2 1\nresolution: 1 - x\n")
+        with pytest.raises(SpecParseError,
+                           match="^stream resolution entry must be an integer, not '1.5'$"):
+            SymbolStream.from_text("window: 0:2\nsymbols: 1 2 1\nresolution: 1.5 - y\n")
+        stream = SymbolStream.from_text("window: 0:2\nsymbols: 1 2 1\nresolution: 1 - 2\n")
+        assert stream.resolution == [1, None, 2]
+
     def test_stream_refuses_a_symbol_count(self):
         with pytest.raises(ValueError, match="^symbol count does not match window$"):
             SymbolStream(0, 2, ["1"])

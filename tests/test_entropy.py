@@ -412,16 +412,17 @@ class TestTailCertificate:
             for m1 in (0, 1, 2):
                 for N_cert in (16, 32, 64, 128):
                     counts, cells = _scale1_counts(system, m1, N_cert)
-                    args = (K, alpha, m1, N_cert, counts, cells)
-                    answer = entropy._family1_tail_certified(*args)
-                    assert answer == family1_tail_per_pair_log(*args), (K, m1, N_cert)
+                    args = (alpha, m1, N_cert, counts, cells)
+                    answer = entropy._family1_tail_certified(math.log(K), *args)
+                    assert answer == family1_tail_per_pair_log(K, *args), (K, m1, N_cert)
                     answers.add(answer)
         assert answers == {False, True}
 
     def test_build_takes_each_log_once(self, monkeypatch):
-        """Counted cost: one golden K = 2 build_schedule makes 336 math.log
-        calls in entropy (2,409 with a log per (N0, r) pair of the scale-1
-        tail certificate)."""
+        """Counted cost: one golden K = 2 build_schedule makes 171 math.log
+        calls in entropy (336 with log K taken again at every n a family
+        tests, 2,409 with a log per (N0, r) pair of the scale-1 tail
+        certificate)."""
         calls = []
 
         def log(*args):
@@ -430,7 +431,7 @@ class TestTailCertificate:
         monkeypatch.setattr(entropy, "math", types.SimpleNamespace(**{**vars(math), "log": log}))
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
         assert sched.n == (9, 19)
-        assert len(calls) == 336
+        assert len(calls) == 171
 
 
 class TestAppendix:

@@ -12,10 +12,11 @@ from encode_reference import bounded_stretch_points, long_tail_points, reference
 from shiftembed.blocks import LayoutBlock
 from shiftembed.entropy import ScaleSchedule, build_schedule
 from shiftembed.errors import ScheduleError, SeparationError, ShiftEmbedError
-from shiftembed import markers
+from shiftembed import codec, markers
 from shiftembed.markers import (Interval, PeriodicNeighborhood, TowerStack, _adjust_boundaries,
                                 _tag_singular, build_towers, return_partition, verify_tower)
-from shiftembed.pipeline import build_pipeline, load_pipeline, sample_points, save_pipeline
+from shiftembed.pipeline import (_encode_pass, build_pipeline, load_pipeline, sample_points,
+                                 save_pipeline, verify_pipeline)
 from shiftembed.systems import (OdometerPoint, Point, Sft, dyadic_odometer, full_shift,
                                 golden_mean, least_period_words, orbit_system)
 from shiftembed.words import (is_primitive, least_period_at_most, necklace, periodic_name,
@@ -710,6 +711,63 @@ class TestNearAReturn:
                 assert rt.near(tower, t, tower.nprime) == \
                     near_reference(tower, point, t, tower.nprime, ref)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_equals_reference_after_the_probes(self, pipe, k):
+        """A verify_tower probe records the members it decided on
+        [-4 n'_k, 4 n'_k] as the swept range: near reads them by bisection
+        at every position the covering probe asks, and past the range's
+        edges decides the rest member by member."""
+        tower = pipe.stack[k]
+        lo, hi = -4 * tower.nprime, 4 * tower.nprime
+        for point in sample_points(golden_mean(), 4, seed=17) + long_tail_points((13, 29), 1):
+            fast = pipe.stack.runtime(point)
+            for j in range(1, k + 1):
+                verify_tower(pipe.stack, j, probe_points=[point], runtimes=[fast])
+            assert fast.swept[k][:2] == (lo, hi)
+            slow = pipe.stack.runtime(point)
+            for pos in range(lo - tower.nprime, hi + tower.nprime + 1):
+                for w in (tower.nprime, tower.n, 1):
+                    assert fast.near(tower, pos, w) == \
+                        near_reference(tower, point, pos, w, slow), (point, pos, w)
+
+
+def encoded(scales):
+    """The symbols and resolution of each stream of one encode pass, and
+    the text of the error that ended it, or None."""
+    streams, err = _encode_pass(scales)
+    return [(s.symbols, s.resolution) for s in streams], err and str(err)
+
+
+class TestSharedRuntime:
+    """verify_pipeline reads a sample point through one runtime: the probes
+    of every scale, then the encodes on the verify windows.  Each stream,
+    symbols and resolution alike, and each refusal equal the ones a fresh
+    runtime gives: at three scales the first point is refused at scale 3,
+    "codeword of length 1 cannot fit 0 slots", on every window."""
+
+    CONFIGS = {
+        "golden-K2": dict(K=2, kmax=2, C=0.0, m=(0, 0)),
+        "golden-K3": dict(K=3, kmax=2, C=0.0, m=(0, 0)),
+        "golden-K3-kmax3": dict(K=3, kmax=3, C=4.0, N_cert=128),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_probes_then_encodes_equal_fresh_runtimes(self, name):
+        pipe = build_pipeline(golden_mean(), **self.CONFIGS[name])
+        margin = pipe.decode_margin()
+        N = pipe.schedule.n[0] ** 2
+        windows = [(-60, 60), (-60 - margin, 60 + margin), (-4 * N, 4 * N)]
+        points = sample_points(golden_mean(), 4, seed=17) + long_tail_points((13, 29), 1)
+        shared = [pipe.stack.runtime(point) for point in points]
+        for k in range(1, pipe.kmax + 1):
+            report = verify_tower(pipe.stack, k, probe_points=points, runtimes=shared)
+            assert report.passed, report.lines()
+        for point, runtime in zip(points, shared):
+            for window in windows:
+                got = encoded(codec.encode_scales(point, pipe, window, runtime))
+                assert got == encoded(codec.encode_scales(point, pipe, window)), \
+                    (name, point, window)
+
 
 class TestRankOrderSweep:
     """WordTower.members decides a range in rank order; on a fresh runtime
@@ -996,6 +1054,16 @@ def test_sampled_golden_encodes_chase_nothing(pipe, runtimes):
     for point in sample_points(golden_mean(), 20, seed=3):
         pipe.encode(point, 2, (-446, 446))
     assert {rt.chase_depth_max for rt in runtimes} == {0}
+
+
+def test_a_golden_verify_resolves_each_point_once(pipe, runtimes):
+    """Counted cost: one golden K = 2 verify_pipeline at its default seed
+    and 12 points makes 24 runtimes, one per sampled point and one per
+    shifted point, and they evaluate 2,568 ranks.  A fresh runtime per
+    probe and per encode pass made 42 runtimes and 4,413 ranks."""
+    assert verify_pipeline(pipe).passed
+    assert len(runtimes) == 24
+    assert sum(len(cache) for rt in runtimes for cache in rt.rank_cache.values()) == 2568
 
 
 def test_a_radius_below_the_period_bound_fails_covering():
