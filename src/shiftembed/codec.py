@@ -635,11 +635,10 @@ def odometer_period(pipeline):
 
 def _period_streams(pipeline):
     """An odometer pipeline's period streams, or () for a word system or
-    when the period pass raised.  Their decode index is built with them, on
-    the first encode or decode (Pipeline._period_index)."""
+    when the period pass raised.  An encode only slices them; their decode
+    index (Pipeline._period_index) is built on the first decode."""
     if pipeline.system.kind != "odometer":
         return ()
-    pipeline._period_index      # gated on the period's first use, whichever codec pass it is
     return pipeline.odometer_period
 
 
@@ -921,9 +920,9 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
             nxt_open = opens[i + 1] if i + 1 < len(opens) else None
             nxt_close = _next_after(closes, b)
             if nxt_open is not None and (nxt_close is None or nxt_open <= nxt_close):
-                e, adjacent = nxt_open, True
+                e = nxt_open
             elif nxt_close is not None:
-                e, adjacent = nxt_close, False
+                e = nxt_close
             else:
                 continue  # cut by the window edge
             if not len_lo <= e - b < len_hi:

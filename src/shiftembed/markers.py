@@ -223,11 +223,6 @@ class WordTower:
         runtime.swept[self.k] = (lo, hi, accepted)
         return accepted
 
-    def accepted_tier(self, point, pos, runtime):
-        if not self.member(point, pos, runtime):
-            return None
-        return self.rank(point, pos, runtime)[0]
-
 
 def lift_residues(system, residues, depth, new_depth):
     """The residues modulo the depth-`new_depth` modulus of the points whose
@@ -288,10 +283,9 @@ class TowerRuntime:
     Word towers read the point through one letter text, the letters of
     [_text_lo, _text_lo + len(_text)), which grows geometrically to
     whatever range the towers ask for, and through one match table per
-    scale.  swept holds, per scale, the last range whose members were all
-    decided, and those members: the range WordTower.members swept, or the
-    range a verify_tower probe decided.  chase_depth counts the nested
-    rank-chase frames under way and chase_depth_max the deepest reached.
+    scale.  swept holds, per scale, the last range that WordTower.members
+    swept, and its members.  chase_depth counts the nested rank-chase
+    frames under way and chase_depth_max the deepest reached.
 
     Every table is a function of the point and the position, never of the
     window that asked, so one runtime serves any number of passes over its
@@ -605,7 +599,7 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
                                            (scan_lo, scan_hi), runtime))
 
     if prev_layout is not None:
-        _adjust_boundaries(intervals, prev_layout, stack.schedule, k)
+        _adjust_boundaries(intervals, prev_layout, k)
     part = ReturnPartition(scale=k, intervals=intervals,
                            returns=returns, computed_range=(scan_lo, scan_hi))
     if prev_partition is not None:
@@ -646,7 +640,7 @@ def _tag_singular(iv, stack, k, comp_range, runtime):
     return iv
 
 
-def _adjust_boundaries(intervals, prev_layout, schedule, k):
+def _adjust_boundaries(intervals, prev_layout, k):
     """Move regular boundaries to block starts or marker positions of the
     previous layout (inductive rule of the periodic construction)."""
     for iv in intervals:
@@ -694,10 +688,11 @@ def verify_tower(stack, k, probe_points=None, runtimes=None):
 
     A probe reads its point through runtimes[i], the caller's runtime of
     probe_points[i], or through a fresh runtime when runtimes is None.  It
-    decides the members of [-4 n'_k, 4 n'_k] one by one with the lazy
-    WordTower.member and records them as the runtime's swept range, so the
-    covering probe, whose every window lies inside that range, reads the
-    probe's own members by bisection.
+    takes the members of [-4 n'_k, 4 n'_k] from WordTower.members, the
+    rank-order sweep that the encoder's return partitions use, which records
+    them as the runtime's swept range; so the covering probe, whose every
+    window lies inside that range, reads the probe's own members by
+    bisection.  The nesting probe reads each member's tier from its rank.
     """
     tower = stack[k]
     report = VerifyReport()
@@ -747,8 +742,7 @@ def verify_tower(stack, k, probe_points=None, runtimes=None):
         runtimes = [stack.runtime(point) for point in probe_points]
     for point, runtime in zip(probe_points, runtimes):
         lo, hi = -4 * tower.nprime, 4 * tower.nprime
-        members = [t for t in range(lo, hi + 1) if tower.member(point, t, runtime)]
-        runtime.swept[k] = (lo, hi, members)
+        members = tower.members(point, lo, hi, runtime)
         ok_dis = all(t1 - t0 >= tower.n for t0, t1 in zip(members, members[1:]))
         report.add("markers", "disjointness(probe)", k, ok_dis, "point %r" % (point,))
         ok_cov = all(runtime.near(tower, t, tower.nprime) or runtime.match(tower, t) is not None
@@ -757,7 +751,7 @@ def verify_tower(stack, k, probe_points=None, runtimes=None):
         if k >= 2:
             ok_nest = True
             for t in members:
-                tier = tower.accepted_tier(point, t, runtime)
+                tier = tower.rank(point, t, runtime)[0]
                 if tier == 1 and not tower.parent.member(point, t, runtime) or \
                         tier == 2 and runtime.near(tower.parent, t, tower.prev_nprime):
                     ok_nest = False

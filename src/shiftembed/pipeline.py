@@ -7,7 +7,8 @@ and codebooks rank on the system's counts and are built per lookup.  An
 odometer pipeline keeps its codes over one period, which every odometer
 encode slices, and beside them a decode index: a decode of a slice of the
 period takes its labels from the slice's residue instead of its codewords.
-Both are built on the first encode or decode, never by build_pipeline.
+The codes are built on the first encode or decode, the index on the first
+decode, and neither by build_pipeline.
 Building a pipeline runs the capacity checks up front so that encoding
 cannot fail later on admissible inputs.
 Pipelines serialize to a directory of flat text artifacts and rebuild
@@ -50,8 +51,8 @@ class Pipeline:
     @functools.cached_property
     def _period_index(self):
         """Per scale, what a decode needs to read an odometer stream that is
-        a slice of the period stream from its residue, built and gated with
-        the period on the first encode or decode (codec._build_period_index)."""
+        a slice of the period stream from its residue, built and gated on
+        the first decode (codec._build_period_index); no encode reads it."""
         return codec._build_period_index(self)
 
     def decode_margin(self):
@@ -206,7 +207,6 @@ def _stitch_point(system, rng, left, right, middle_len):
             if not succ:
                 break
             word += rng.choice(succ)[-1]
-        glue = 0
         probe = word
         ok = False
         for _ in range(4 * len(right) + 8):
@@ -217,7 +217,6 @@ def _stitch_point(system, rng, left, right, middle_len):
             if not succ:
                 break
             probe += rng.choice(succ)[-1]
-            glue += 1
         if not ok:
             continue
         core = probe[len(left) * max(2, -(-(M + 1) // len(left))):]

@@ -626,6 +626,39 @@ class TestNonSpecialSingular:
         _roundtrip(pipe3, Point("0", "", "0000000101", 0))
 
 
+class TestUnreadSingularSlots:
+    """The conditional and identification slots of a non-special singular
+    block carry its codes, but the decoder never reads them back: a stream
+    with another letter in one decodes to the labels of the original."""
+
+    POINT = Point("0000001000100100100", "1000010000100101001001010",
+                  "0100001010101000100", -7)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the scale-2 block (None, -19) of period 19 holds the pad letter 1 "
+        "at identification slot -182 and at conditional slot -191; with 2 "
+        "at either slot the stream decodes with the same certified windows "
+        "and the same scale-2 labels on [-200, 200]"))
+    def test_a_changed_slot_is_seen(self, pipe):
+        margin = pipe.decode_margin()
+        window = (-200 - margin, 200 + margin)
+        blk = pipe.context(self.POINT, window).layout.layer(2).block_at(-182)
+        assert (blk.start, blk.end, blk.m, blk.special) == (None, -19, 19, False)
+        assert -182 in blk.ident_positions and -191 in blk.cond_positions
+        stream = pipe.encode(self.POINT, 2, window)
+        base = pipe.decode(stream, 2)
+        for t in (-182, -191):
+            assert stream.get(t) == "1"
+            symbols = list(stream.symbols)
+            symbols[t - stream.a] = "2"
+            try:
+                res = pipe.decode(SymbolStream(stream.a, stream.b, symbols), 2)
+            except ShiftEmbedError:
+                continue
+            assert (res.certified, res.itinerary_list(2, (-200, 200))) != \
+                (base.certified, base.itinerary_list(2, (-200, 200))), t
+
+
 class TestStretchFreeing:
     """The decoder checks a singular stretch against the roles of the layers
     it lays out (BlockLayout.roles): a stretch position that a layer frees
@@ -1137,6 +1170,16 @@ class TestOdometerPeriod:
         texts = [_decoded(pipe, stream, k) for stream in (short, mutated)]
         monkeypatch.setattr(pipe, "_period_index", ())
         assert [_decoded(pipe, stream, k) for stream in (short, mutated)] == texts
+
+    def test_only_a_decode_builds_the_index(self):
+        """An encode slices the period and reads no decode index; the first
+        decode builds and gates it."""
+        pipe = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
+        R = 200 + pipe.decode_margin()
+        stream = pipe.encode(_residue_point(pipe.system, 5), 3, (-R, R))
+        assert "_period_index" not in vars(pipe)
+        pipe.decode(stream, 3)
+        assert "_period_index" in vars(pipe)
 
     def test_a_slice_decode_reads_no_codeword(self, monkeypatch):
         """Counted cost: the period render lays out 3 layers and the gate 6

@@ -15,6 +15,9 @@ Both guards match bare names, so they are blind to a name that another
 definition or attribute shares: a call of `system.fix_count` counts as a
 use of every `fix_count` the package defines, whichever class the call can
 reach.  Such a name stays unseen until its callers are read.
+
+A third guard holds every function of the package to reading each local it
+assigns, and each module-level function to reading each parameter.
 """
 
 import ast
@@ -101,6 +104,74 @@ def test_public_names_are_used_by_the_readme_or_the_demos():
         word for block in re.findall(r"```python\n(.*?)```", readme, re.S)
         for word, _ in _words(block)}
     assert sorted(PUBLIC_NAMES - used) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(function):
+    """The nodes of a function's own scope: its body, not the bodies of the
+    functions, lambdas and classes it defines."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _dead_locals(folder=PACKAGE):
+    """'module:line function name' of every local that a function of the
+    folder's modules assigns and never reads, and of every parameter that a
+    module-level function never reads.  A read anywhere in the function,
+    a nested function's body included, counts; `x += 1` is no read of x.
+    Names that start with `_` are exempt, and so are the parameters of
+    methods, since the system and tower classes share signatures."""
+    out = []
+    for path in sorted(folder.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            reads = {node.id for node in ast.walk(fn)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            bound = [(node.id, node.lineno) for node in _own_nodes(fn)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+            bound += [(node.name, node.lineno) for node in _own_nodes(fn)
+                      if isinstance(node, ast.ExceptHandler) and node.name]
+            if id(fn) in top:
+                a = fn.args
+                bound += [(arg.arg, arg.lineno) for arg in a.posonlyargs + a.args + a.kwonlyargs
+                          + [x for x in (a.vararg, a.kwarg) if x]]
+            first = {}
+            for name, line in bound:
+                first[name] = min(line, first.get(name, line))
+            out += ["%s:%d %s %s" % (path.stem, line, fn.name, name)
+                    for name, line in sorted(first.items(), key=lambda item: item[1])
+                    if not name.startswith("_") and name not in reads]
+    return out
+
+
+def test_every_local_is_read():
+    assert _dead_locals() == []
+
+
+def test_the_local_guard_sees_a_dead_local(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(a, unread, _exempt):\n"
+        "    b, dead = a, 0\n"
+        "    count = 0\n"
+        "    count += 1\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as exc:\n"
+        "        pass\n"
+        "    return [b for _ in ()]\n"
+        "class C:\n"
+        "    def g(self, shared):\n"
+        "        return 1\n")
+    assert _dead_locals(tmp_path) == ["m:1 f unread", "m:2 f dead", "m:3 f count", "m:7 f exc"]
 
 
 # The functions outside systems.py that pick their own module's per-kind

@@ -1099,7 +1099,7 @@ def test_boundary_adjustment_bisects_the_progression():
         marks = range(s, s + rng.randrange(0, 120), rng.randrange(1, 25))
         b, e = sorted(rng.sample(range(-100, 100), 2))
         iv = Interval(b, e, "singular")
-        _adjust_boundaries([iv], ProgressionLayout(marks), None, 2)
+        _adjust_boundaries([iv], ProgressionLayout(marks), 2)
         assert (iv.adj_start, iv.adj_end) == tuple(
             next((p for p in marks if p >= t), t) for t in (b, e))
 

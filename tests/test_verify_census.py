@@ -171,6 +171,9 @@ class NoMembers(WordTower):
     def member(self, point, pos, runtime):
         return False
 
+    def members(self, point, lo, hi, runtime):
+        return []
+
 
 class TierOneOffItsParent(WordTower):
     """Ranks every piece outside the periodic neighborhood tier 1, parent
