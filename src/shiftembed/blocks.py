@@ -60,8 +60,14 @@ class LayoutBlock:
 
 
 class SpanOrderError(ValueError):
-    """Spans that overlap or run backwards.  The decoder reports it as a
-    malformed stream; from an encode layout it is a broken invariant."""
+    """Spans that overlap or run backwards; `block` is the (start, end) of
+    the span that runs backwards or starts inside the one before it.  The
+    decoder reports it as a malformed stream; from an encode layout it is a
+    broken invariant."""
+
+    def __init__(self, message, block):
+        super().__init__(message)
+        self.block = block
 
 
 def span_keys(spans):
@@ -73,8 +79,9 @@ def span_keys(spans):
     ends = [inf if s.end is None else s.end for s in spans]
     for i, (key, end, nxt) in enumerate(zip(keys, ends, keys[1:] + [inf])):
         if not key <= end <= nxt:
+            bad = spans[i] if key > end else spans[i + 1]
             raise SpanOrderError("spans overlap or run backwards: %s" % ", ".join(
-                "[%s, %s)" % (s.start, s.end) for s in spans[i:i + 2]))
+                "[%s, %s)" % (s.start, s.end) for s in spans[i:i + 2]), (bad.start, bad.end))
     return keys
 
 
@@ -284,14 +291,8 @@ def _free_in_special_subblocks(schedule, prev_layer, blk, k):
         if s >= e:
             continue
         step = schedule.budget(e - s, k)
-        if step <= 0:
-            continue
-        p = 1
-        while step * p < e - s:
-            l = step * p
-            if l > n1:
-                freed.append(s + l)
-            p += 1
+        if step > 0:
+            freed.extend(s + l for l in range(step, e - s, step) if l > n1)
     return freed
 
 

@@ -17,16 +17,18 @@ Streams use one token per position.  Internal symbols:
 
 Decoding rebuilds the block structure scale by scale from the markers and
 re-runs the same layout arithmetic, so encoder and decoder cannot drift
-apart: lengths obey ScaleSchedule.layout_bounds and stretches the slots of
-the laid-out layers.  Codewords are then inverted per context, except in
-a slice of an odometer's period stream, whose blocks take their labels
-from the slice's residue.
+apart: lengths obey ScaleSchedule.layout_bounds.  Codewords are then
+inverted per context, except in a slice of an odometer's period stream,
+whose blocks take their labels from the slice's residue, and the decoded
+layers are rendered by the encoder's slot writer and compared with the
+stream.
 """
 
 import functools
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
@@ -61,6 +63,9 @@ _ROLE_SYMBOL = {ROLE_MARKER: SYM_M1, ROLE_CLOSING: SYM_TERM, ROLE_MARKER_K: SYM_
                 ROLE_BRACKET_OPEN: SYM_LB, ROLE_BRACKET_CLOSE: SYM_RB,
                 ROLE_BRACKET_BOTH: SYM_DB}
 _STRUCTURE = frozenset(_ROLE_SYMBOL.values())
+_BRACKETS = frozenset((SYM_LB, SYM_RB, SYM_DB))
+_OPENING = frozenset((SYM_LB, SYM_DB))
+_FREE_SYMBOLS = frozenset((SYM_FREE, SYM_UNRESOLVED))
 
 
 @dataclass
@@ -552,38 +557,52 @@ def _block_codebook(pipeline, l, blk, coarse):
     return pipeline.cond_codebook(l, blk.length(), coarse)
 
 
-def _render_layer(pipeline, ctx, l, syms, res):
-    """Write the scale-l layer over the context range into syms and res,
-    which hold psi_{l-1} on [ctx.lo, ctx.hi], a symbol and a resolution
-    scale per position (a free slot's None), and then hold psi_l."""
+def _point_codewords(pipeline, point, l):
+    """The encoder's codeword source at scale l: a regular block's codeword
+    of the point's labels, padded to its filling slots."""
     sched, system = pipeline.schedule, pipeline.system
-    point, lo = ctx.point, ctx.lo
-    layer = ctx.layout.layer(l)
-    m_l = sched.m[l - 1]
+
+    def codeword(blk):
+        n = blk.length()
+        coarse = system.labels(point, blk.start, sched.m[l - 2], n) if l >= 2 else None
+        return _block_codebook(pipeline, l, blk, coarse).encode(
+            system.labels(point, blk.start, sched.m[l - 1], n), pad_to=len(blk.fill_positions))
+    return codeword
+
+
+def _render_layer(pipeline, layout, l, codeword, syms, res):
+    """Write the scale-l layer of a layout over its range into syms and res,
+    which hold psi_{l-1} on [layout.lo, layout.hi], a symbol and a
+    resolution scale per position (a free slot's None), and then hold
+    psi_l.  codeword(blk) is a regular l-block's filling, padded to its
+    slots: the encoder's from a point's labels, the decoder's as read."""
+    sched = pipeline.schedule
+    lo, layer = layout.lo, layout.layer(l)
 
     def put(positions, word):
         for pos, ch in zip(positions, word):
-            syms[pos - lo], res[pos - lo] = ch, l
+            syms[pos - lo] = ch
+            res[pos - lo] = l
 
     for blk in layer.blocks:
         for pos in blk.freed_positions:         # none at scale 1
             syms[pos - lo], res[pos - lo] = SYM_FREE, None
-        if blk.kind == "regular":
-            n = blk.length()
-            coarse = system.labels(point, blk.start, sched.m[l - 2], n) if l >= 2 else None
-            cb = _block_codebook(pipeline, l, blk, coarse)
-            put(blk.fill_positions, cb.encode(system.labels(point, blk.start, m_l, n),
-                                              pad_to=len(blk.fill_positions)))
+        if blk.kind == "regular" and l == 1:    # one run of filling slots
+            fill = blk.fill_positions
+            syms[fill.start - lo:fill.stop - lo] = codeword(blk)
+            res[fill.start - lo:fill.stop - lo] = [1] * len(fill)
+        elif blk.kind == "regular":
+            put(blk.fill_positions, codeword(blk))
         elif l == 1:
             s = lo if blk.start is None else max(blk.start, lo)
-            e = ctx.hi + 1 if blk.end is None else min(blk.end, ctx.hi + 1)
+            e = layout.hi + 1 if blk.end is None else min(blk.end, layout.hi + 1)
             if s < e:
                 w = pipeline.periodic_code.orbit_code[blk.orbit]
                 syms[s - lo:e - lo] = periodic_window(w, s, e - 1, blk.phase)
                 res[s - lo:e - lo] = [1] * (e - s)
         elif not blk.special:
             coarse = _orbit_key(blk.orbit, sched.m[l - 2], blk.m)
-            fine = _orbit_key(blk.orbit, m_l, blk.m)
+            fine = _orbit_key(blk.orbit, sched.m[l - 1], blk.m)
             cb = pipeline.cond_codebook(l, blk.m, coarse)
             icb = pipeline.ident_codebook(l, blk.m, fine)
             budget = sched.budget(blk.m, l)
@@ -594,14 +613,10 @@ def _render_layer(pipeline, ctx, l, syms, res):
 
 
 def _write_singular_codes(put, blk, cond_word, ident_word):
-    groups = {}
-    for p in blk.cond_positions:
-        groups.setdefault((p + blk.phase) // blk.m, [[], []])[0].append(p)
-    for p in blk.ident_positions:
-        groups.setdefault((p + blk.phase) // blk.m, [[], []])[1].append(p)
-    for _, (cps, ips) in sorted(groups.items()):
-        put(sorted(cps), cond_word)
-        put(sorted(ips), ident_word)
+    """Each repetition of the orbit word holds both codes in its slots."""
+    for slots, word in ((blk.cond_positions, cond_word), (blk.ident_positions, ident_word)):
+        for _, run in itertools.groupby(slots, key=lambda p: (p + blk.phase) // blk.m):
+            put(list(run), word)
 
 
 def render_scales(point, pipeline, window, runtime=None):
@@ -615,7 +630,7 @@ def render_scales(point, pipeline, window, runtime=None):
         if k == 1:
             size = ctx.hi - ctx.lo + 1
             syms, res = [SYM_FREE] * size, [None] * size
-        _render_layer(pipeline, ctx, k, syms, res)
+        _render_layer(pipeline, ctx.layout, k, _point_codewords(pipeline, point, k), syms, res)
         yield SymbolStream(a, b, syms[a - ctx.lo:b - ctx.lo + 1], res[a - ctx.lo:b - ctx.lo + 1])
 
 
@@ -635,8 +650,8 @@ def odometer_period(pipeline):
 
 def _period_streams(pipeline):
     """An odometer pipeline's period streams, or () for a word system or
-    when the period pass raised.  An encode only slices them; their decode
-    index (Pipeline._period_index) is built on the first decode."""
+    when the period pass raised.  An encode only slices them; a scale's
+    decode index (_period_scale) is built on the first decode at it."""
     if pipeline.system.kind != "odometer":
         return ()
     return pipeline.odometer_period
@@ -737,8 +752,8 @@ def _decode_scale1(stream, pipeline, structure):
             return None
         return code.lookup_prefix("".join(word))
 
-    boundaries = sorted(set(starts) | {u - n1 for u in terms})
     stretch_starts = {u - n1 for u in terms}
+    boundaries = sorted(set(starts) | stretch_starts)
 
     intervals = []
     labels = [None] * (B - A + 1)
@@ -766,30 +781,19 @@ def _decode_scale1(stream, pipeline, structure):
         if s is not None and e is not None and e - s < len_hi:
             raise MalformedStreamError("singular stretch [%d, %d) too short" % (s, e),
                                        scale=1, position=s)
-        tag = None
-        anchor = None
-        if s is not None:
-            tag = lookup_at(s)
-            anchor = s
-        if tag is None:
-            u = A if s is None else s
-            stop = B if e is None else e - 1
-            while u + n1 - 1 <= stop:
-                tag = lookup_at(u)
-                if tag is not None:
-                    anchor = u
-                    break
-                u += 1
-        if tag is None:
+        stop = B + 1 if e is None else e       # the first readable prefix names the orbit
+        anchor = next((u for u in range(A if s is None else s, stop - n1 + 1)
+                       if lookup_at(u) is not None), None)
+        if anchor is None:
             if s is not None and e is not None:
                 raise MalformedStreamError("singular stretch %r has no readable prefix"
                                            % ((s, e),), scale=1, position=s)
             continue  # edge region too dirty to certify: drop it
-        v, d = tag
+        v, d = lookup_at(anchor)
         phase = (d - anchor) % len(v)
         if s is None and e is not None and e - A < len_hi and any(
-                ch != code.stream_letter(v, phase, t) and ch not in (SYM_LB, SYM_RB, SYM_DB)
-                for t, ch in enumerate(stream.symbols[:e - A], A)):
+                ch != code.stream_letter(v, phase, t) and ch not in _BRACKETS
+                for t, ch in enumerate(symbols[:e - A], A)):
             continue  # a block the left edge cut
         lo_t = A if s is None else max(s, A)    # a stretch is read inside the stream only
         hi_t = B + 1 if e is None else e
@@ -802,68 +806,6 @@ def _decode_scale1(stream, pipeline, structure):
         cert_parts.append((lo_t, hi_t - 1))
     intervals.sort(key=lambda iv: iv.start if iv.start is not None else A - 1)
     return intervals, labels, orbits, cert_parts
-
-
-def _check_stretch(stream, pipeline, layout, blk, top, symbols):
-    """Check a singular stretch of the decoded scale-1 layer against the
-    layers laid out over it (the rule is decode_k's), and write its orbit
-    letters into the pi_k symbols.  Between the positions that the layers
-    take, the stretch is compared with its tiled code word by slices."""
-    sched = pipeline.schedule
-    letters = _code_letters(sched.K)
-    A, B = stream.a, stream.b
-    src = stream.symbols
-    prefix_end = A if blk.start is None else blk.start + sched.n[0]
-    lo_t = A if blk.start is None else max(blk.start, A)
-    hi_t = B + 1 if blk.end is None else min(blk.end, B + 1)
-    word = pipeline.periodic_code.orbit_code[blk.orbit]
-    orbit_letters = list(periodic_window(word, lo_t, hi_t - 1, blk.phase))
-
-    def check(t):       # past the prefix a bracket or, below the top, a deeper symbol passes
-        ch, letter = src[t - A], orbit_letters[t - lo_t]
-        in_prefix = t < prefix_end
-        deeper = not top and (ch in letters or ch in (SYM_FREE, SYM_UNRESOLVED))
-        if ch == letter or not in_prefix and (ch in (SYM_LB, SYM_RB, SYM_DB) or deeper):
-            return
-        raise MalformedStreamError(
-            "stretch content clashes with orbit %r at %d" % (blk.orbit, t) if ch in letters
-            else "unexpected terminator inside a stretch at %d" % t if ch == SYM_TERM
-            else "bracket inside a protected prefix at %d" % t if ch in (SYM_LB, SYM_RB, SYM_DB)
-            else "free slot inside a stretch at %d" % t if ch in (SYM_FREE, SYM_UNRESOLVED)
-            else "alien symbol %r inside a stretch at %d" % (ch, t), scale=1, position=t)
-
-    # the terminator right after the protected prefix is the stretch's
-    terminator = {prefix_end: False} if blk.start is not None and lo_t <= prefix_end < hi_t \
-        else {}
-    u = lo_t
-    for t, free in _taken_in_stretch(layout, lo_t, hi_t, terminator) + [(hi_t, None)]:
-        if src[u - A:t - A] != orbit_letters[u - lo_t:t - lo_t]:
-            for v in range(u, t):
-                check(v)
-        symbols[u - A:t - A] = orbit_letters[u - lo_t:t - lo_t]
-        if free is None:
-            break
-        if free:
-            if top and src[t - A] not in (SYM_FREE, SYM_UNRESOLVED):
-                raise MalformedStreamError("freed slot %d of a stretch holds %r"
-                                           % (t, src[t - A]), scale=1, position=t)
-        elif t < prefix_end:
-            symbols[t - A] = orbit_letters[t - lo_t]
-            check(t)
-        u = t + 1
-
-
-def _taken_in_stretch(layout, lo_t, hi_t, taken):
-    """(t, free) in order for every t of [lo_t, hi_t) that `taken` holds or
-    a layer above scale 1 takes, free when the last such layer frees it."""
-    for layer in layout.layers[1:]:
-        for blk in layer.blocks_near(lo_t, hi_t - 1):
-            for run, free in ((blk.fill_positions, False), (blk.cond_positions, False),
-                              (blk.ident_positions, False), (blk.free_slots, True)):
-                for t in run[bisect_left(run, lo_t):bisect_left(run, hi_t)]:
-                    taken[t] = free
-        taken.update((t, False) for t, _ in layer.marks if lo_t <= t < hi_t)
-    return sorted(taken.items())
 
 
 def _covered_range(parts, within):
@@ -892,7 +834,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
     len_lo, len_hi = sched.layout_bounds(k)
     prev_layer = layout.layer(k - 1)
 
-    marks = {SYM_LB, SYM_DB, SYM_RB} if sched.periodic else {SYM_LB, SYM_DB, SYM_RB, SYM_MK}
+    marks = _BRACKETS if sched.periodic else _BRACKETS | {SYM_MK}
     boundaries = []   # (pos_of_symbol, boundary, type)
     for t, ch in structure:
         if ch not in marks:
@@ -917,14 +859,11 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
         opens = [b for _, b, ch in boundaries if ch in (SYM_LB, SYM_DB)]
         closes = [b for _, b, ch in boundaries if ch in (SYM_RB, SYM_DB)]
         for i, b in enumerate(opens):
-            nxt_open = opens[i + 1] if i + 1 < len(opens) else None
-            nxt_close = _next_after(closes, b)
-            if nxt_open is not None and (nxt_close is None or nxt_open <= nxt_close):
-                e = nxt_open
-            elif nxt_close is not None:
-                e = nxt_close
-            else:
+            ends = [e for e in (opens[i + 1] if i + 1 < len(opens) else None,
+                                _next_after(closes, b)) if e is not None]
+            if not ends:
                 continue  # cut by the window edge
+            e = min(ends)
             if not len_lo <= e - b < len_hi:
                 raise MalformedStreamError("scale-%d block [%d, %d) has impossible length"
                                            % (k, b, e), scale=k, position=b)
@@ -983,63 +922,46 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
 
 
 def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts, known):
-    """Label every regular block of a decoded layer and certify it.  The
-    layer's spans are disjoint, so no other span of the layer labels a
-    block's positions.  A block is skipped when a coarse label is not
-    decoded.  A block that `known`, the stream's period slice, has labels
-    for takes them from its residue; every other block's codeword is
-    inverted (_read_codeword)."""
+    """Label and certify the regular blocks of a decoded layer, in order.
+    Return each block's filling as _render_layer writes it, by start, and
+    the (start, error) of the first block whose codeword is refused, after
+    which no block is read, or None.  A block with undecoded coarse labels,
+    or whose labels `known` (the stream's period slice) gives from its
+    residue, keeps the stream's filling; any other, its codeword and pads."""
     k = layer.scale
     A = stream.a
+    symbols = stream.symbols
     codebooks = {}      # (length, filling or coarse itinerary) -> codebook
+    words, refused = {}, None
     for blk in layer.blocks:
         if blk.kind != "regular":
             continue
         s, e = blk.start - A, blk.end - A
+        fill = blk.fill_positions
+        word = words[blk.start] = symbols[fill.start - A:fill.stop - A] if k == 1 else \
+            [symbols[t - A] for t in fill]
         coarse = labels_prev[s:e] if k >= 2 else None
-        if coarse is not None and None in coarse:
-            continue  # outside the previous decoded labels
+        if refused is not None or coarse is not None and None in coarse:
+            continue
         fine = None if known is None else known.labels(pipeline, k, blk)
         if fine is None:
-            fine = _read_codeword(stream, pipeline, blk, coarse, codebooks)
+            if k >= 2:
+                coarse = tuple(coarse)
+            key = (blk.length(), len(fill) if k == 1 else coarse)
+            try:
+                if key not in codebooks:
+                    codebooks[key] = _block_codebook(pipeline, k, blk, coarse)
+                fine = codebooks[key].decode(word)
+            except (CapacityError, MalformedStreamError) as exc:    # a block no stream holds
+                refused = (blk.start, exc if isinstance(exc, MalformedStreamError) else
+                           MalformedStreamError("scale-%d block [%d, %d): %s" % (
+                               k, blk.start, blk.end, exc), scale=k, position=blk.start))
+                continue
+            n = codebooks[key].length
+            words[blk.start] = list(word[:n]) + [SYM_PAD] * (len(word) - n)
         labels[s:e] = fine
         cert_parts.append((blk.start, blk.end - 1))
-
-
-def _read_codeword(stream, pipeline, blk, coarse, codebooks):
-    """The itinerary labels of a regular block's codeword, given its coarse
-    labels above scale 1; codebooks caches the layer's codebooks.  The
-    layout drops every regular block that the stream's range cuts, so a
-    block's slots and marker lie in the stream: every padding slot must
-    hold the pad letter, and above scale 1 the marker slot must hold a
-    marker."""
-    k = blk.scale
-    A = stream.a
-    symbols = stream.symbols
-    if coarse is not None:
-        coarse = tuple(coarse)
-    key = (blk.length(), len(blk.fill_positions) if k == 1 else coarse)
-    cb = codebooks.get(key)
-    if cb is None:
-        try:
-            cb = codebooks[key] = _block_codebook(pipeline, k, blk, coarse)
-        except CapacityError as exc:    # a block the encoder refuses: no stream holds one
-            raise MalformedStreamError("scale-%d block [%d, %d): %s"
-                                       % (k, blk.start, blk.end, exc),
-                                       scale=k, position=blk.start) from None
-    slots = blk.fill_positions[:cb.length]     # sorted, as every slot list
-    if slots and slots[-1] - slots[0] == len(slots) - 1:       # one run
-        fine = cb.decode(symbols[slots[0] - A:slots[-1] + 1 - A])
-    else:
-        fine = cb.decode([symbols[pos - A] for pos in slots])
-    for pos in blk.fill_positions[cb.length:]:
-        if symbols[pos - A] != SYM_PAD:
-            raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
-                                       % (pos, k, symbols[pos - A]), scale=k, position=pos)
-    if k >= 2 and symbols[blk.marker_pos - A] not in (SYM_MK, SYM_LB, SYM_DB):
-        raise MalformedStreamError("marker slot %d lacks its symbol" % blk.marker_pos,
-                                   scale=k, position=blk.marker_pos)
-    return fine
+    return words, refused
 
 
 def _refine_label(labels_prev, i, m_prev, m_new):
@@ -1074,37 +996,27 @@ def _split_singular_region(iv, pipeline, k, labels_prev, prev_layer, window):
     deep_hi = hi if iv.end is None else hi - npk
     if deep_lo >= deep_hi:
         return []
-    tagged = []
-    for pv in prev_layer.blocks_near(deep_lo, deep_hi - 1):
-        if pv.kind != "singular" or pv.orbit is None:
-            continue
-        p_lo = deep_lo if pv.start is None else max(pv.start, deep_lo)
-        p_hi = deep_hi if pv.end is None else min(pv.end, deep_hi)
-        if p_lo < p_hi:
-            tagged.append([pv.start, pv.end, pv.orbit, pv.phase])
-    pieces = []
-    cursor = deep_lo
-    for seg in tagged:
-        s = cursor if seg[0] is None else max(seg[0], deep_lo)
+    tagged = [pv for pv in prev_layer.blocks_near(deep_lo, deep_hi - 1)
+              if pv.kind == "singular" and pv.orbit is not None
+              and (deep_lo if pv.start is None else max(pv.start, deep_lo))
+              < (deep_hi if pv.end is None else min(pv.end, deep_hi))]
+    pieces, cursor = [], deep_lo
+    # each stretch, and each gap before one or before deep_hi, is a piece
+    for pv in tagged + [Interval(deep_hi, deep_hi, "singular")]:
+        s = cursor if pv.start is None else max(pv.start, deep_lo)
         if s > cursor:
             gap_tag = _extract_period(pipeline, k, labels_prev, cursor, s, (A, B))
             if gap_tag is not None:
-                pieces.append([cursor, s, gap_tag[0], gap_tag[1]])
-        pieces.append([s, seg[1], seg[2], seg[3]])
-        cursor = deep_hi if seg[1] is None else min(seg[1], deep_hi)
-    if cursor < deep_hi:
-        gap_tag = _extract_period(pipeline, k, labels_prev, cursor, deep_hi, (A, B))
-        if gap_tag is not None:
-            pieces.append([cursor, deep_hi, gap_tag[0], gap_tag[1]])
+                pieces.append([cursor, s, *gap_tag])
+        if pv.orbit is not None:
+            pieces.append([s, pv.end, pv.orbit, pv.phase])
+        cursor = deep_hi if pv.end is None else min(pv.end, deep_hi)
     if not pieces:
         return []
-    pieces[0][0] = iv.start
-    pieces[-1][1] = iv.end
-    out = []
-    for s, e, orbit, phase in pieces:
-        out.append(Interval(s, e, "singular", special=sched.is_special(k, len(orbit)),
-                            orbit=orbit, phase=phase % len(orbit), m=len(orbit)))
-    return out
+    pieces[0][0], pieces[-1][1] = iv.start, iv.end
+    return [Interval(s, e, "singular", special=sched.is_special(k, len(orbit)),
+                     orbit=orbit, phase=phase % len(orbit), m=len(orbit))
+            for s, e, orbit, phase in pieces]
 
 
 def _extract_period(pipeline, k, labels_prev, s, e, window):
@@ -1131,7 +1043,8 @@ def _extract_period(pipeline, k, labels_prev, s, e, window):
 def _append_decoded_layer(layout, k, window, intervals):
     """Append the scale-k layer of intervals read off a stream.  Spans that
     overlap or run backwards, or a block the layout refuses, come from the
-    stream, so they make it malformed: the encoder emits neither."""
+    stream, so they make it malformed: the encoder emits neither.  The
+    refusal names the start of the block refused."""
     from .blocks import append_layer
     A, B = window
     try:
@@ -1139,41 +1052,113 @@ def _append_decoded_layer(layout, k, window, intervals):
                                computed_range=(A - 1, B + 1))
         return append_layer(layout, part)
     except (SpanOrderError, CapacityError) as exc:
-        raise MalformedStreamError(str(exc), scale=k) from None
+        raise MalformedStreamError(str(exc), scale=k, position=exc.block[0]) from None
 
 
-def _pi_symbols(stream, pipeline, layout):
-    """The pi_k symbols of a stream over its decoded layout: a free slot at
-    every position that no layer decides or whose last deciding layer frees
-    (layer 1 decides every position of its blocks, a layer above it only
-    its slots and structural positions), and each singular stretch checked
-    and written with its orbit letters."""
-    A, B = stream.a, stream.b
-    src = stream.symbols
-    symbols = [SYM_FREE] * len(src)
-    for layer in layout.layers:
-        for blk in layer.blocks:
-            free = blk.free_slots
-            if layer.scale == 1:
-                s = A if blk.start is None else max(blk.start, A)
-                e = B + 1 if blk.end is None else min(blk.end, B + 1)
-                if s < e:
-                    symbols[s - A:e - A] = src[s - A:e - A]
-                if free:                    # one range
-                    symbols[free[0] - A:free[-1] + 1 - A] = [SYM_FREE] * len(free)
+def _mismatches(syms, src, step=64):
+    """Where the render and the stream differ, a slice of `step` at a time."""
+    for lo in range(0, len(src), step):
+        if syms[lo:lo + step] != src[lo:lo + step]:
+            yield from itertools.compress(range(lo, lo + step), map(
+                operator.ne, syms[lo:lo + step], src[lo:lo + step]))
+
+
+def _check_layers(stream, layout, syms, res, refused=None):
+    """Compare the filling and marker slots of the regular blocks above
+    scale 1 with the stream in the order a decode reads them: each layer's
+    blocks in turn, a block's codeword (`refused`, for the last layer, as
+    _read_codewords returns it), filling and marker.  A block opens with
+    '[' or '][' as the stream says, and pi_k keeps that form: the decoder
+    cannot see the block before its first block, nor lays out a singular
+    region too short to name its orbit.  Return where the two differ."""
+    A, src = stream.a, stream.symbols
+    mismatches = list(_mismatches(syms, src))
+    wrong = [i for i in mismatches if (res[i] or 0) > 1]       # a layer above 1 wrote them
+    for layer in layout.layers[1:]:
+        l = layer.scale
+
+        def order(i):       # a block's marker after its filling
+            blk = layer.block_at(A + i)
+            return blk.end if blk is not None and blk.marker_pos == A + i else A + i
+
+        for i in sorted((i for i in wrong if res[i] == l), key=order):
+            t, ch, blk = A + i, src[i], layer.block_at(A + i)
+            if refused is not None and l == layout.kmax and order(i) > refused[0]:
+                break
+            if {syms[i], ch} <= _OPENING:
+                syms[i] = ch
+            elif blk is None or blk.kind != "regular":
                 continue
-            for t in itertools.chain(blk.fill_positions, blk.cond_positions,
-                                     blk.ident_positions):
-                symbols[t - A] = src[t - A]
-            for t in free:
-                symbols[t - A] = SYM_FREE
-        for t, _ in layer.marks:
-            symbols[t - A] = src[t - A]
+            elif t == blk.marker_pos and ch not in (SYM_MK, SYM_LB, SYM_DB):
+                raise MalformedStreamError("marker slot %d lacks its symbol" % t,
+                                           scale=l, position=t)
+            elif syms[i] not in _STRUCTURE:
+                raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
+                                           % (t, l, ch), scale=l, position=t)
+    if refused is not None:
+        raise refused[1]
+    return [i for i in mismatches if syms[i] != src[i]]
+
+
+def _check_render(stream, pipeline, layout, syms, res, mismatches):
+    """Compare the rest of the render with the stream, given where they
+    differ, and return the pi_k symbols: the render, with a free slot where
+    no layer decides a position.  A protected prefix holds its orbit
+    letters where no layer frees a slot.  Only these differences pass:
+    - a free slot is compared only where every layer lays out a block;
+    - a bracket of a cut block may stand past a stretch's prefix;
+    - below the top scale, a deeper symbol may stand in a free slot and
+      past a stretch's prefix;
+    - at the top, a free slot holds 'o' or '?'.
+    Stretches are compared first, then the other slots."""
+    sched = pipeline.schedule
+    A, src = stream.a, stream.symbols
+    n1 = sched.n[0]
+    top = layout.kmax == sched.kmax
+    letters = _code_letters(sched.K)
+    deeper = letters | _FREE_SYMBOLS | (_BRACKETS if sched.periodic else {SYM_MK})
     for blk in layout.layer(1).blocks:
-        if blk.kind == "singular":
-            _check_stretch(stream, pipeline, layout, blk,
-                           layout.kmax == pipeline.schedule.kmax, symbols)
-    return symbols
+        if blk.kind == "singular" and blk.start is not None:
+            s, e = max(blk.start, A) - A, min(blk.start + n1, stream.b + 1) - A
+            if res[s:e].count(1) < e - s:       # a layer above 1 writes into the prefix
+                w = pipeline.periodic_code.orbit_code[blk.orbit]
+                for i, letter in enumerate(periodic_window(w, A + s, A + e - 1, blk.phase), s):
+                    if syms[i] != SYM_FREE:
+                        syms[i], res[i] = letter, 1
+                mismatches = list(_mismatches(syms, src))
+    late = None
+    for i in mismatches:
+        t, ch = A + i, src[i]
+        if syms[i] == SYM_FREE:
+            if ch in (_FREE_SYMBOLS if top else deeper) or layout.layers[-1].block_at(t) is None \
+                    or any(layer.block_at(t) is None for layer in layout.layers):
+                continue
+            stretch = layout.block_at(1, t)
+            if stretch.kind == "singular":
+                raise MalformedStreamError("freed slot %d of a stretch holds %r" % (t, ch),
+                                           scale=1, position=t)
+        elif res[i] == 1:
+            stretch = layout.block_at(1, t)
+            if (stretch.start is None or t >= stretch.start + n1) and \
+                    (ch in _BRACKETS or not top and ch in deeper):
+                continue
+            raise MalformedStreamError(
+                "stretch content clashes with orbit %r at %d" % (stretch.orbit, t)
+                if ch in letters
+                else "unexpected terminator inside a stretch at %d" % t if ch == SYM_TERM
+                else "bracket inside a protected prefix at %d" % t if ch in _BRACKETS
+                else "free slot inside a stretch at %d" % t if ch in _FREE_SYMBOLS
+                else "alien symbol %r inside a stretch at %d" % (ch, t), scale=1, position=t)
+        late = i if late is None else late
+    if late is not None:
+        t, ch, l = A + late, src[late], res[late]
+        raise MalformedStreamError(
+            "free slot %d holds %r" % (t, ch) if l is None
+            else "marker slot %d holds %r, not %r" % (t, ch, syms[late])
+            if syms[late] in _STRUCTURE
+            else "code slot %d of a singular scale-%d block holds %r" % (t, l, ch),
+            scale=l or layout.kmax, position=t)
+    return syms
 
 
 def _check_block_ends(pipeline, layout, itineraries):
@@ -1199,17 +1184,14 @@ def _check_block_ends(pipeline, layout, itineraries):
 def decode_k(stream, pipeline, k):
     """Invert the scale-k code: block structure, itineraries, orbit ids.
 
-    A singular stretch holds orbit letters in its protected n_1-prefix.
-    Past it, a position that a layer fills or brackets is that layer's to
-    read, one that a layer frees holds a free slot, and one that no layer
-    takes holds the orbit letter or a bracket (of a block the window edge
-    cut).  Below the top scale the deeper layers are not laid out, so past
-    the prefix any code letter or free slot may stand where they write.
-
-    An odometer stream that is a slice of the scale-k period stream is laid
-    out and checked alike, but a regular block whose phase the period
-    index's gate has read takes its labels from the slice's residue
-    instead of from its codeword (_period_slice_of).
+    Layers 1..k are laid out from the stream's markers, and each regular
+    block's codeword is read; then the encoder's writer, _render_layer,
+    renders the layers from those codewords and the singular blocks'
+    orbits, and the render must be the stream (_check_layers,
+    _check_render list what may differ).  The render is the pi_k form.  A
+    slice of the scale-k odometer period stream is laid out and compared
+    alike, but a regular block whose phase the period index's gate has
+    read takes its labels from the slice's residue (_period_slice_of).
     """
     if not 1 <= k <= pipeline.schedule.kmax:
         raise ValueError("scale %d out of range" % k)
@@ -1224,23 +1206,29 @@ def _decode(stream, pipeline, k, known):
     A, B = stream.a, stream.b
     layout = BlockLayout(schedule=sched, lo=A, hi=B)
     structure = [(t, ch) for t, ch in enumerate(stream.symbols, A) if ch in _STRUCTURE]
-    itineraries, certified = {}, {}
+    itineraries, certified, orbits = {}, {}, []
+    syms, res = [SYM_FREE] * (B - A + 1), [None] * (B - A + 1)
     for l in range(1, k + 1):
-        if l == 1:
-            intervals, labels, orbits, cert_parts = _decode_scale1(stream, pipeline, structure)
-        else:
-            intervals, labels, orbits_l, cert_parts = _decode_scale_k(
-                stream, pipeline, l, layout, itineraries[l - 1], structure)
-            orbits.extend(o for o in orbits_l if o not in orbits)
-        layer = _append_decoded_layer(layout, l, (A, B), intervals)
-        _read_codewords(stream, pipeline, layer, itineraries.get(l - 1), labels, cert_parts,
-                        known)
+        try:
+            intervals, labels, orbits_l, cert_parts = \
+                _decode_scale1(stream, pipeline, structure) if l == 1 else \
+                _decode_scale_k(stream, pipeline, l, layout, itineraries[l - 1], structure)
+            layer = _append_decoded_layer(layout, l, (A, B), intervals)
+        except MalformedStreamError:
+            _check_layers(stream, layout, syms, res)    # the layers read before come first
+            raise
+        orbits.extend(o for o in orbits_l if l == 1 or o not in orbits)
+        words, refused = _read_codewords(stream, pipeline, layer, itineraries.get(l - 1),
+                                         labels, cert_parts, known)
+        _render_layer(pipeline, layout, l, lambda blk: words[blk.start], syms, res)
+        if refused is not None:
+            _check_layers(stream, layout, syms, res, refused)
         itineraries[l] = labels
         certified[l] = _covered_range(cert_parts, (A, B))
+    mismatches = _check_layers(stream, layout, syms, res)
     _check_block_ends(pipeline, layout, itineraries)
-    # pi_k form: deeper-scale symbols revert to free slots, and a stretch
-    # position no layer takes to its orbit letter
-    stream_k = SymbolStream(A, B, _pi_symbols(stream, pipeline, layout))
+    stream_k = SymbolStream(A, B, _check_render(stream, pipeline, layout, syms, res,
+                                                mismatches))
     return DecodeResult(itineraries=itineraries, certified=certified,
                         orbits=orbits, stream_k=stream_k), layout
 
@@ -1284,10 +1272,10 @@ class _PeriodSlice:
         return pipeline.system.labels(self.point, blk.start, pipeline.schedule.m[l - 1], n)
 
 
-def _build_period_index(pipeline):
-    """Per scale k, the _PeriodScale of an odometer pipeline's scale-k period
-    stream, or None where the scale has none; () when the period pass
-    raised.
+def _period_scale(pipeline, k):
+    """The _PeriodScale of an odometer pipeline's scale-k period stream, or
+    None where the scale has none, built and gated on the first lookup and
+    kept in Pipeline._period_index.
 
     Labels are read from a residue mod p_k, so a scale has no index when the
     cell modulus of a radius m_l, l <= k, does not divide p_k.  Nor has it
@@ -1295,21 +1283,17 @@ def _build_period_index(pipeline):
     on [-R, p_k - 1 + R], R the decode margin, once, and must raise
     nothing and decode every label as the residue-0 point's cell.  The
     blocks it reads are the ones a slice may take labels for."""
-    system, sched = pipeline.system, pipeline.schedule
-    R = pipeline.decode_margin()
-    index = []
-    for k, stream in enumerate(pipeline.odometer_period, 1):
-        full = stream.symbols
+    index = pipeline._period_index
+    if k not in index:
+        system, sched = pipeline.system, pipeline.schedule
+        full = pipeline.odometer_period[k - 1].symbols
         p = next(d for d in range(1, len(full) + 1) if full[d:] + full[:d] == full)
-        symbols = full[:p]
-        read = None
+        symbols, read, R = full[:p], None, pipeline.decode_margin()
         if all(p % system.modulus(m + 1) == 0 for m in sched.m[:k]):
             read = _gate(pipeline, k, symbols, (-R, p - 1 + R))
-        if read is None:
-            index.append(None)
-            continue
-        index.append(_PeriodScale(symbols, *_rotation_phases(symbols), read))
-    return tuple(index)
+        index[k] = None if read is None else \
+            _PeriodScale(symbols, *_rotation_phases(symbols), read)
+    return index[k]
 
 
 def _gate(pipeline, k, symbols, window):
@@ -1360,8 +1344,7 @@ def _period_slice_of(stream, pipeline, k):
     of the scale-k period stream, else None: its prefix names the phase of
     its first symbol, and the slice from that phase must be the whole
     stream."""
-    index = pipeline._period_index if _period_streams(pipeline) else ()
-    scale = index[k - 1] if index else None
+    scale = _period_scale(pipeline, k) if _period_streams(pipeline) else None
     if scale is None or len(stream.symbols) < len(scale.symbols):
         return None
     p = len(scale.symbols)

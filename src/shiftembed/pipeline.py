@@ -7,8 +7,8 @@ and codebooks rank on the system's counts and are built per lookup.  An
 odometer pipeline keeps its codes over one period, which every odometer
 encode slices, and beside them a decode index: a decode of a slice of the
 period takes its labels from the slice's residue instead of its codewords.
-The codes are built on the first encode or decode, the index on the first
-decode, and neither by build_pipeline.
+The codes are built on the first encode or decode, a scale's index on the
+first decode at that scale, and neither by build_pipeline.
 Building a pipeline runs the capacity checks up front so that encoding
 cannot fail later on admissible inputs.
 Pipelines serialize to a directory of flat text artifacts and rebuild
@@ -50,10 +50,11 @@ class Pipeline:
 
     @functools.cached_property
     def _period_index(self):
-        """Per scale, what a decode needs to read an odometer stream that is
-        a slice of the period stream from its residue, built and gated on
-        the first decode (codec._build_period_index); no encode reads it."""
-        return codec._build_period_index(self)
+        """Scale -> what a decode needs to read an odometer stream that is a
+        slice of the scale's period stream from its residue, or None; a
+        scale is built and gated on the first decode at it
+        (codec._period_scale), and no encode reads it."""
+        return {}
 
     def decode_margin(self):
         """Stream inflation that certifies a requested window after decoding."""

@@ -321,6 +321,22 @@ class TestBisectLookups:
             pipe.decode(bad, 2)
 
 
+    def test_a_refused_layer_names_the_block(self):
+        """A layer the decoder refuses names the start of the block refused:
+        the one the layout refuses, or the span that runs backwards or
+        starts inside the one before it."""
+        sched = schedule(n=(20, 100))
+        part1 = partition(1, [(i * 20, (i + 1) * 20, "regular") for i in range(5)])
+        layout = build_block_layout(sched, [part1], (0, 99))
+        with pytest.raises(MalformedStreamError) as info:
+            _append_decoded_layer(layout, 2, (0, 99), [Interval(0, 100, "regular")])
+        assert (info.value.scale, info.value.position) == (2, 0)
+        for spans, start in [([(None, 10, "singular"), (5, 30, "regular")], 5),
+                             ([(0, 20, "regular"), (40, 30, "regular")], 40)]:
+            with pytest.raises(MalformedStreamError) as info:
+                _append_decoded_layer(layout, 2, (0, 99), [Interval(*span) for span in spans])
+            assert (info.value.scale, info.value.position) == (2, start)
+
 class TestLayoutBounds:
     """ScaleSchedule.layout_bounds is the one rule for the length of a
     laid-out regular block: the layout refuses a block outside it, and the
@@ -394,13 +410,6 @@ def _slots(blk):
             blk.ident_positions, blk.freed_positions, tuple(blk.free_slots))
 
 
-def _span_pi(stream, pipe, layout):
-    try:
-        return codec._pi_symbols(stream, pipe, layout)
-    except MalformedStreamError as exc:
-        return str(exc)
-
-
 REFERENCE_CONFIGS = dict(TestLayoutBounds.CONFIGS, **{
     "long-tail-k2": TestLayoutBounds.CONFIGS["golden-k2"],
     "long-tail-k3": TestLayoutBounds.CONFIGS["golden-k3"],
@@ -412,7 +421,9 @@ MUTATION_TOKENS = ["1", "2", "|", "=", "[", "]", "][", "o", "?"]
 def recorded_layouts(name):
     """(pipeline, [(layout, partitions, error, decoded stream or None)]) of
     the encode contexts of a few points, and of the decodes of their
-    streams at every scale and of seeded mutations of their top streams."""
+    streams at every scale and of seeded mutations of their top streams.
+    A decode's stream tags the last layout it lays out, its own: the first
+    decode of an odometer scale lays out the period index's gate before."""
     make_system, kwargs = REFERENCE_CONFIGS[name]
     system = make_system()
     pipe = build_pipeline(system, **kwargs)
@@ -425,7 +436,8 @@ def recorded_layouts(name):
 
     def record(stream, fn, *args):
         seen, error = record_layouts(fn, *args)
-        out.extend((layout, parts, error, stream) for layout, parts in seen)
+        out.extend((layout, parts, error, stream if i == len(seen) - 1 else None)
+                   for i, (layout, parts) in enumerate(seen))
 
     for point in points:
         record(None, codec.build_point_context, pipe, point, window)
@@ -470,13 +482,15 @@ class TestSpanLayoutAgainstReference:
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
     def test_pi_symbols_equal_the_reference(self, name):
+        """The decoder refuses every stream whose stretches the reference
+        refuses, and where both decode, their pi_k symbols are equal."""
         pipe, recorded = recorded_layouts(name)
-        decoded = [(layout, partitions, stream) for layout, partitions, _, stream in recorded
-                   if stream is not None and len(layout.layers) == len(partitions)]
+        decoded = [(layout, partitions, stream) for layout, partitions, error, stream in recorded
+                   if stream is not None and error is None]
         assert decoded
         for layout, partitions, stream in decoded:
-            assert _span_pi(stream, pipe, layout) == \
-                reference_pi_symbols(stream, pipe, layout, partitions)
+            assert reference_pi_symbols(stream, pipe, layout, partitions) == \
+                pipe.decode(stream, layout.kmax).stream_k.symbols
 
     def test_free_after_the_top_layer_is_not_the_top_free_list(self):
         # a special singular 2-block or a cut regular 2-block leaves the

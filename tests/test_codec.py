@@ -1,4 +1,5 @@
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -628,17 +629,14 @@ class TestNonSpecialSingular:
 
 class TestUnreadSingularSlots:
     """The conditional and identification slots of a non-special singular
-    block carry its codes, but the decoder never reads them back: a stream
-    with another letter in one decodes to the labels of the original."""
+    block carry its codes, and the decoder reads them back by rendering the
+    block: the scale-2 block (None, -19) of period 19 holds the pad letter 1
+    at identification slot -182 and at conditional slot -191, and a stream
+    with 2 at either slot is refused there."""
 
     POINT = Point("0000001000100100100", "1000010000100101001001010",
                   "0100001010101000100", -7)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the scale-2 block (None, -19) of period 19 holds the pad letter 1 "
-        "at identification slot -182 and at conditional slot -191; with 2 "
-        "at either slot the stream decodes with the same certified windows "
-        "and the same scale-2 labels on [-200, 200]"))
     def test_a_changed_slot_is_seen(self, pipe):
         margin = pipe.decode_margin()
         window = (-200 - margin, 200 + margin)
@@ -646,17 +644,54 @@ class TestUnreadSingularSlots:
         assert (blk.start, blk.end, blk.m, blk.special) == (None, -19, 19, False)
         assert -182 in blk.ident_positions and -191 in blk.cond_positions
         stream = pipe.encode(self.POINT, 2, window)
-        base = pipe.decode(stream, 2)
         for t in (-182, -191):
             assert stream.get(t) == "1"
             symbols = list(stream.symbols)
             symbols[t - stream.a] = "2"
-            try:
-                res = pipe.decode(SymbolStream(stream.a, stream.b, symbols), 2)
-            except ShiftEmbedError:
-                continue
-            assert (res.certified, res.itinerary_list(2, (-200, 200))) != \
-                (base.certified, base.itinerary_list(2, (-200, 200))), t
+            with pytest.raises(MalformedStreamError) as info:
+                pipe.decode(SymbolStream(stream.a, stream.b, symbols), 2)
+            assert (str(info.value), info.value.scale, info.value.position) == \
+                ("code slot %d of a singular scale-2 block holds '2'" % t, 2, t)
+
+
+class TestTopFreeSlots:
+    """At the top scale a free slot holds 'o' or '?': no deeper layer writes
+    there, so a code letter in a free slot of a regular block puts the
+    stream outside the code's image."""
+
+    @staticmethod
+    def free_slots(pipe, point, window):
+        layer = pipe.context(point, window).layout.layer(pipe.kmax)
+        return [t for blk in layer.blocks if blk.kind == "regular" for t in blk.free_slots
+                if -200 <= t <= 200]
+
+    def test_odometer(self, odo_pipe):
+        rng = random.Random(3)
+        R = 200 + odo_pipe.decode_margin()
+        refused = 0
+        for point in sample_points(dyadic_odometer(8), 10, seed=3):
+            stream = odo_pipe.encode(point, 3, (-R, R))
+            for t in rng.sample(self.free_slots(odo_pipe, point, (-R, R)), 5):
+                letter = rng.choice("12")
+                symbols = list(stream.symbols)
+                assert symbols[t - stream.a] == "o"
+                symbols[t - stream.a] = letter
+                with pytest.raises(MalformedStreamError) as info:
+                    odo_pipe.decode(SymbolStream(stream.a, stream.b, symbols), 3)
+                assert (str(info.value), info.value.scale, info.value.position) == \
+                    ("free slot %d holds %r" % (t, letter), 3, t)
+                refused += 1
+        assert refused == 50
+
+    def test_golden(self, pipe):
+        window = (-200 - pipe.decode_margin(), 200 + pipe.decode_margin())
+        point = sample_points(golden_mean(), 10, seed=3)[9]
+        assert self.free_slots(pipe, point, window) == [27]
+        stream = pipe.encode(point, 2, window)
+        symbols = list(stream.symbols)
+        symbols[27 - stream.a] = "2"
+        with pytest.raises(MalformedStreamError, match="^free slot 27 holds '2'$"):
+            pipe.decode(SymbolStream(stream.a, stream.b, symbols), 2)
 
 
 class TestStretchFreeing:
@@ -1104,19 +1139,19 @@ class TestOdometerPeriod:
         report = verify_pipeline(pipe, sample_count=2)
         assert [r.ok for r in report.records if (r.module, r.name) == ("codec", "equivariance")] \
             == [False, False]
-        assert pipe._period_index == (None, None)
+        assert pipe._period_index == {1: None, 2: None}
 
     def test_a_period_pass_that_raises_renders_each_window(self, monkeypatch):
         """The residue-0 render raises here, so no period is kept, and each
         point's encode is its own render, the residue-0 error included."""
-        render_layer = codec._render_layer
+        point_codewords = codec._point_codewords
 
-        def refuse_residue_zero(pipeline, ctx, l, *out):
-            if ctx.point.residue == 0:
+        def refuse_residue_zero(pipeline, point, l):
+            if point.residue == 0:
                 raise CapacityError("refused at scale %d" % l, scale=l)
-            render_layer(pipeline, ctx, l, *out)
+            return point_codewords(pipeline, point, l)
 
-        monkeypatch.setattr(codec, "_render_layer", refuse_residue_zero)
+        monkeypatch.setattr(codec, "_point_codewords", refuse_residue_zero)
         base, kwargs = MIXED_BASE
         pipe = build_pipeline(Odometer(base), **kwargs)
         odo = pipe.system
@@ -1137,7 +1172,7 @@ class TestOdometerPeriod:
         scale on 2 p_k symbols, and on sampled points on the bench window."""
         pipe = request.getfixturevalue(config)
         odo = pipe.system
-        p = len(pipe._period_index[k - 1].symbols)
+        p = len(codec._period_scale(pipe, k).symbols)
         streams = []
         if k == pipe.kmax:
             streams += [pipe.encode(_residue_point(odo, r), k, (-p, p - 1)) for r in range(p)]
@@ -1146,7 +1181,7 @@ class TestOdometerPeriod:
         for stream in streams:
             assert codec._period_slice_of(stream, pipe, k) is not None
         fast = [_decoded(pipe, stream, k) for stream in streams]
-        monkeypatch.setattr(pipe, "_period_index", ())
+        monkeypatch.setattr(codec, "_period_slice_of", lambda *args: None)
         assert [_decoded(pipe, stream, k) for stream in streams] == fast
 
     @pytest.mark.parametrize("config", ["odo_pipe", "mixed_pipe"],
@@ -1158,7 +1193,7 @@ class TestOdometerPeriod:
         pipe = request.getfixturevalue(config)
         odo = pipe.system
         k = pipe.kmax
-        p = len(pipe._period_index[k - 1].symbols)
+        p = len(codec._period_scale(pipe, k).symbols)
         point = _residue_point(odo, 5)
         short = pipe.encode(point, k, (0, p - 2))
         whole = pipe.encode(point, k, (-p, p))
@@ -1168,23 +1203,26 @@ class TestOdometerPeriod:
         assert codec._period_slice_of(short, pipe, k) is None
         assert codec._period_slice_of(mutated, pipe, k) is None
         texts = [_decoded(pipe, stream, k) for stream in (short, mutated)]
-        monkeypatch.setattr(pipe, "_period_index", ())
+        monkeypatch.setattr(codec, "_period_slice_of", lambda *args: None)
         assert [_decoded(pipe, stream, k) for stream in (short, mutated)] == texts
 
     def test_only_a_decode_builds_the_index(self):
         """An encode slices the period and reads no decode index; the first
-        decode builds and gates it."""
+        decode at a scale builds and gates that scale's index alone."""
         pipe = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
         R = 200 + pipe.decode_margin()
         stream = pipe.encode(_residue_point(pipe.system, 5), 3, (-R, R))
         assert "_period_index" not in vars(pipe)
         pipe.decode(stream, 3)
-        assert "_period_index" in vars(pipe)
+        assert list(pipe._period_index) == [3]
+        pipe.decode(stream, 1)
+        assert list(pipe._period_index) == [3, 1]
 
     def test_a_slice_decode_reads_no_codeword(self, monkeypatch):
-        """Counted cost: the period render lays out 3 layers and the gate 6
-        more, reading 186 codewords, once; then each decode of a dyadic
-        slice at k=3 reads no codeword and lays out 3 layers."""
+        """Counted cost: the period render lays out 3 layers, and the first
+        decode at k=3 gates scale 3 alone, laying out 3 more and reading
+        78 codewords; each decode of a dyadic slice at k=3 reads no codeword
+        and lays out 3 layers."""
         counts = {"codewords": 0, "layers": 0}
         decode, append_layer = Codebook.decode, blocks.append_layer
 
@@ -1199,11 +1237,12 @@ class TestOdometerPeriod:
         pipe = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
         monkeypatch.setattr(Codebook, "decode", counted_decode)
         monkeypatch.setattr(blocks, "append_layer", counted_append)
-        assert all(pipe._period_index)
-        assert counts == {"codewords": 186, "layers": 3 + 6}
         R = 200 + pipe.decode_margin()
         streams = [pipe.encode(point, 3, (-R, R))
                    for point in sample_points(pipe.system, 20, seed=3)]
+        assert counts == {"codewords": 0, "layers": 3}
+        pipe.decode(streams[0], 3)
+        assert counts == {"codewords": 78, "layers": 3 + 3 + 3}
         counts.update(codewords=0, layers=0)
         for stream in streams:
             pipe.decode(stream, 3)

@@ -220,12 +220,14 @@ PINNED_MALFORMED = {
     # a regular block's padding slots must hold the pad letter: 1, 1 and 17
     # of the golden K=2, golden K=3 and odometer texts are the padding error
     # for a mutation that used to decode.  8 of the 10 golden K=2 mutations
-    # of DEFECT_POINT decode, where each raised "impossible length"
+    # of DEFECT_POINT decode, where each raised "impossible length".  A
+    # top-scale free slot holds 'o' or '?': one golden K=3 and one odometer
+    # text are "free slot N holds ..." for a mutation that used to decode
     "golden-k2": "8fe73eebd2b6f0b4",
-    "golden-k3": "d6fdf5e16e24d64c",
+    "golden-k3": "032c193037a2879c",
     # 46 of its 100 texts are "codeword '...' not in codebook image" for a
     # non-letter in a scale-1 filling, the text every scale raises
-    "odometer": "4ebf597feac67a7e",
+    "odometer": "c3da6b1c09e45664",
     "orbit001": "a452344178f4de89",
 }
 
@@ -255,11 +257,14 @@ PINNED_SWEEP = {
     # 9 texts of each golden config, "=" at position 0..8, certify scale 1
     # from -90 on: the stretch before the substituted terminator is labelled
     # inside the stream only, not from -99 + i on, extrapolated from its orbit
-    "golden-k2": "5cdc64dba62b67cb",
-    "golden-k3": "b364d51fe87b5185",
+    # A top-scale free slot holds 'o' or '?': 5 of the 1,448 golden K=2
+    # texts, 17 of the 1,629 golden K=3 texts and 48 of the 2,408 odometer
+    # texts, decodes before, are "free slot N holds ..."
+    "golden-k2": "bb28f3e198c273e9",
+    "golden-k3": "ee7bdb7934440000",
     # 3 of the 2,408 odometer texts, decodes before, refuse labels at a
     # block end that are not one point's consecutive cells
-    "odometer": "f58bbfe186974ca7",
+    "odometer": "8cecd4be42707a4a",
 }
 
 
@@ -352,13 +357,14 @@ def _laid_out(fn, *args):
 def layout_roles_digests(name):
     """(encode digest, decode digest): one over the layouts of every
     point's encode context, one over the layouts decode_k rebuilds from the
-    point's top-scale stream.  An odometer pipeline builds its decode index
-    first, as the index gate's layouts are not rebuilt from any stream."""
+    point's top-scale stream.  An odometer pipeline builds its top scale's
+    decode index first, as the index gate's layouts are not rebuilt from
+    any stream."""
     make_system, kwargs = LAYOUT_CONFIGS[name]
     system = make_system()
     pipe = build_pipeline(system, **kwargs)
     if system.kind == "odometer":
-        pipe._period_index
+        codec._period_scale(pipe, pipe.kmax)
     a, b = WINDOW
     margin = pipe.decode_margin()
     window = (a - margin, b + margin)

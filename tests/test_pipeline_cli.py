@@ -79,10 +79,10 @@ class TestPipeline:
         from shiftembed import codec
         render_layer = codec._render_layer
 
-        def refuse_scale_two(pipeline, ctx, l, *out):
+        def refuse_scale_two(pipeline, layout, l, *out):
             if l == 2:
                 raise CapacityError("refused at scale 2", scale=2)
-            render_layer(pipeline, ctx, l, *out)
+            render_layer(pipeline, layout, l, *out)
 
         monkeypatch.setattr(codec, "_render_layer", refuse_scale_two)
         report = verify_pipeline(pipe, points=sample_points(golden_mean(), 4, seed=13),

@@ -200,10 +200,10 @@ def scale_two_render_raises():
     pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
     render_layer = codec._render_layer
 
-    def refuse_scale_two(pipeline, ctx, l, *out):
+    def refuse_scale_two(pipeline, layout, l, *out):
         if l == 2:
             raise CapacityError("refused at scale 2", scale=2)
-        render_layer(pipeline, ctx, l, *out)
+        render_layer(pipeline, layout, l, *out)
 
     with mock.patch.object(codec, "_render_layer", refuse_scale_two):
         return verify_pipeline(pipe, points=PROBES, window=(-40, 40))
