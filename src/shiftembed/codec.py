@@ -1117,6 +1117,9 @@ def _check_render(stream, pipeline, layout, syms, res, mismatches):
     top = layout.kmax == sched.kmax
     letters = _code_letters(sched.K)
     deeper = letters | _FREE_SYMBOLS | (_BRACKETS if sched.periodic else {SYM_MK})
+    last = layout.layers[-1].blocks     # the deepest layer lays out no block outside [lo, hi)
+    lo = A if not last or last[0].start is None else last[0].start
+    hi = A if not last else stream.b + 1 if last[-1].end is None else last[-1].end
     for blk in layout.layer(1).blocks:
         if blk.kind == "singular" and blk.start is not None:
             s, e = max(blk.start, A) - A, min(blk.start + n1, stream.b + 1) - A
@@ -1130,8 +1133,8 @@ def _check_render(stream, pipeline, layout, syms, res, mismatches):
     for i in mismatches:
         t, ch = A + i, src[i]
         if syms[i] == SYM_FREE:
-            if ch in (_FREE_SYMBOLS if top else deeper) or layout.layers[-1].block_at(t) is None \
-                    or any(layer.block_at(t) is None for layer in layout.layers):
+            if ch in (_FREE_SYMBOLS if top else deeper) or not lo <= t < hi or \
+                    any(layer.block_at(t) is None for layer in layout.layers):
                 continue
             stretch = layout.block_at(1, t)
             if stretch.kind == "singular":
