@@ -21,13 +21,14 @@ apart: lengths obey ScaleSchedule.layout_bounds.  Codewords are then
 inverted per context, except in a slice of an odometer's period stream,
 whose blocks take their labels from the slice's residue, and the decoded
 layers are rendered by the encoder's slot writer and compared with the
-stream.
+stream.  A decode raises the first refusal it meets, in one order: per
+layer while parsing, laying out and reading codewords, then at a block
+end, then at the first position where the render and the stream differ.
 """
 
 import functools
 import itertools
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -828,10 +829,10 @@ def _covered_range(parts, within):
 
 def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
     """Reconstruct scale-k structure from markers/brackets above the
-    decoded layers, and read its singular regions."""
+    decoded layers, and read its singular regions; the layout checks block
+    lengths (layout_bounds), for the decoder as for the encoder."""
     sched = pipeline.schedule
     A, B = stream.a, stream.b
-    len_lo, len_hi = sched.layout_bounds(k)
     prev_layer = layout.layer(k - 1)
 
     marks = _BRACKETS if sched.periodic else _BRACKETS | {SYM_MK}
@@ -861,13 +862,8 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
         for i, b in enumerate(opens):
             ends = [e for e in (opens[i + 1] if i + 1 < len(opens) else None,
                                 _next_after(closes, b)) if e is not None]
-            if not ends:
-                continue  # cut by the window edge
-            e = min(ends)
-            if not len_lo <= e - b < len_hi:
-                raise MalformedStreamError("scale-%d block [%d, %d) has impossible length"
-                                           % (k, b, e), scale=k, position=b)
-            intervals.append(Interval(b, e, "regular"))
+            if ends:        # else cut by the window edge
+                intervals.append(Interval(b, min(ends), "regular"))
         # singular gaps between a close and the next open; a close that is
         # also an open ("][") opens a regular block, so no gap starts there
         open_set = set(opens)
@@ -881,11 +877,7 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
             intervals.append(Interval(None, None, "singular"))
     else:
         cands = [b for _, b, ch in boundaries if ch == SYM_MK]
-        for b, e in zip(cands, cands[1:]):
-            if not len_lo <= e - b < len_hi:
-                raise MalformedStreamError("scale-%d gap %d out of range" % (k, e - b),
-                                           scale=k, position=b)
-            intervals.append(Interval(b, e, "regular"))
+        intervals = [Interval(b, e, "regular") for b, e in zip(cands, cands[1:])]
         if not intervals:
             raise MalformedStreamError("no scale-%d markers found" % k, scale=k)
 
@@ -922,17 +914,17 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
 
 
 def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts, known):
-    """Label and certify the regular blocks of a decoded layer, in order.
-    Return each block's filling as _render_layer writes it, by start, and
-    the (start, error) of the first block whose codeword is refused, after
-    which no block is read, or None.  A block with undecoded coarse labels,
-    or whose labels `known` (the stream's period slice) gives from its
-    residue, keeps the stream's filling; any other, its codeword and pads."""
+    """Label and certify the regular blocks of a decoded layer, in order,
+    and return each block's filling as _render_layer writes it, by start.
+    A block with undecoded coarse labels, or whose labels `known` (the
+    stream's period slice) gives from its residue, keeps the stream's
+    filling; any other, its codeword and pads.  A codeword or a context no
+    stream holds raises at once, naming the block's start."""
     k = layer.scale
     A = stream.a
     symbols = stream.symbols
     codebooks = {}      # (length, filling or coarse itinerary) -> codebook
-    words, refused = {}, None
+    words = {}
     for blk in layer.blocks:
         if blk.kind != "regular":
             continue
@@ -941,7 +933,7 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts, kn
         word = words[blk.start] = symbols[fill.start - A:fill.stop - A] if k == 1 else \
             [symbols[t - A] for t in fill]
         coarse = labels_prev[s:e] if k >= 2 else None
-        if refused is not None or coarse is not None and None in coarse:
+        if coarse is not None and None in coarse:
             continue
         fine = None if known is None else known.labels(pipeline, k, blk)
         if fine is None:
@@ -952,16 +944,17 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts, kn
                 if key not in codebooks:
                     codebooks[key] = _block_codebook(pipeline, k, blk, coarse)
                 fine = codebooks[key].decode(word)
-            except (CapacityError, MalformedStreamError) as exc:    # a block no stream holds
-                refused = (blk.start, exc if isinstance(exc, MalformedStreamError) else
-                           MalformedStreamError("scale-%d block [%d, %d): %s" % (
-                               k, blk.start, blk.end, exc), scale=k, position=blk.start))
-                continue
+            except MalformedStreamError as exc:
+                exc.scale, exc.position = k, blk.start
+                raise
+            except CapacityError as exc:        # a block no stream holds
+                raise MalformedStreamError("scale-%d block [%d, %d): %s" % (
+                    k, blk.start, blk.end, exc), scale=k, position=blk.start) from None
             n = codebooks[key].length
             words[blk.start] = list(word[:n]) + [SYM_PAD] * (len(word) - n)
         labels[s:e] = fine
         cert_parts.append((blk.start, blk.end - 1))
-    return words, refused
+    return words
 
 
 def _refine_label(labels_prev, i, m_prev, m_new):
@@ -1035,7 +1028,8 @@ def _extract_period(pipeline, k, labels_prev, s, e, window):
         return None
     hit = periodic_name("".join(word), sched.n[k - 1])
     if hit is None:
-        raise MalformedStreamError("shadowed region content is not periodic")
+        raise MalformedStreamError("shadowed region content is not periodic",
+                                   scale=k, position=lo)
     v, shift = hit
     return v, (shift - lo) % len(v)
 
@@ -1055,62 +1049,21 @@ def _append_decoded_layer(layout, k, window, intervals):
         raise MalformedStreamError(str(exc), scale=k, position=exc.block[0]) from None
 
 
-def _mismatches(syms, src, step=64):
-    """Where the render and the stream differ, a slice of `step` at a time."""
-    for lo in range(0, len(src), step):
-        if syms[lo:lo + step] != src[lo:lo + step]:
-            yield from itertools.compress(range(lo, lo + step), map(
-                operator.ne, syms[lo:lo + step], src[lo:lo + step]))
-
-
-def _check_layers(stream, layout, syms, res, refused=None):
-    """Compare the filling and marker slots of the regular blocks above
-    scale 1 with the stream in the order a decode reads them: each layer's
-    blocks in turn, a block's codeword (`refused`, for the last layer, as
-    _read_codewords returns it), filling and marker.  A block opens with
-    '[' or '][' as the stream says, and pi_k keeps that form: the decoder
-    cannot see the block before its first block, nor lays out a singular
-    region too short to name its orbit.  Return where the two differ."""
-    A, src = stream.a, stream.symbols
-    mismatches = list(_mismatches(syms, src))
-    wrong = [i for i in mismatches if (res[i] or 0) > 1]       # a layer above 1 wrote them
-    for layer in layout.layers[1:]:
-        l = layer.scale
-
-        def order(i):       # a block's marker after its filling
-            blk = layer.block_at(A + i)
-            return blk.end if blk is not None and blk.marker_pos == A + i else A + i
-
-        for i in sorted((i for i in wrong if res[i] == l), key=order):
-            t, ch, blk = A + i, src[i], layer.block_at(A + i)
-            if refused is not None and l == layout.kmax and order(i) > refused[0]:
-                break
-            if {syms[i], ch} <= _OPENING:
-                syms[i] = ch
-            elif blk is None or blk.kind != "regular":
-                continue
-            elif t == blk.marker_pos and ch not in (SYM_MK, SYM_LB, SYM_DB):
-                raise MalformedStreamError("marker slot %d lacks its symbol" % t,
-                                           scale=l, position=t)
-            elif syms[i] not in _STRUCTURE:
-                raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
-                                           % (t, l, ch), scale=l, position=t)
-    if refused is not None:
-        raise refused[1]
-    return [i for i in mismatches if syms[i] != src[i]]
-
-
-def _check_render(stream, pipeline, layout, syms, res, mismatches):
-    """Compare the rest of the render with the stream, given where they
-    differ, and return the pi_k symbols: the render, with a free slot where
-    no layer decides a position.  A protected prefix holds its orbit
-    letters where no layer frees a slot.  Only these differences pass:
+def _check_render(stream, pipeline, layout, syms, res):
+    """Compare the render with the stream position by position and return
+    the pi_k symbols: the render, with a free slot where no layer decides a
+    position.  A protected prefix holds its orbit letters where no layer
+    frees a slot, and a block opens with '[' or '][' as the stream says:
+    the decoder cannot see the block before a layer's first block, nor lays
+    out a singular region too short to name its orbit.  Only these other
+    differences pass:
     - a free slot is compared only where every layer lays out a block;
     - a bracket of a cut block may stand past a stretch's prefix;
     - below the top scale, a deeper symbol may stand in a free slot and
       past a stretch's prefix;
     - at the top, a free slot holds 'o' or '?'.
-    Stretches are compared first, then the other slots."""
+    The first position that differs otherwise raises the text of the role
+    its slot has."""
     sched = pipeline.schedule
     A, src = stream.a, stream.symbols
     n1 = sched.n[0]
@@ -1128,19 +1081,18 @@ def _check_render(stream, pipeline, layout, syms, res, mismatches):
                 for i, letter in enumerate(periodic_window(w, A + s, A + e - 1, blk.phase), s):
                     if syms[i] != SYM_FREE:
                         syms[i], res[i] = letter, 1
-                mismatches = list(_mismatches(syms, src))
-    late = None
-    for i in mismatches:
-        t, ch = A + i, src[i]
+    step = 64           # slices compare fast, and the two differ at few positions
+    for i in [i for j in range(0, len(src), step) if syms[j:j + step] != src[j:j + step]
+              for i in range(j, min(j + step, len(src))) if syms[i] != src[i]]:
+        t, ch, l = A + i, src[i], res[i]
         if syms[i] == SYM_FREE:
             if ch in (_FREE_SYMBOLS if top else deeper) or not lo <= t < hi or \
                     any(layer.block_at(t) is None for layer in layout.layers):
                 continue
-            stretch = layout.block_at(1, t)
-            if stretch.kind == "singular":
+            if layout.block_at(1, t).kind == "singular":
                 raise MalformedStreamError("freed slot %d of a stretch holds %r" % (t, ch),
                                            scale=1, position=t)
-        elif res[i] == 1:
+        elif l == 1:
             stretch = layout.block_at(1, t)
             if (stretch.start is None or t >= stretch.start + n1) and \
                     (ch in _BRACKETS or not top and ch in deeper):
@@ -1152,13 +1104,21 @@ def _check_render(stream, pipeline, layout, syms, res, mismatches):
                 else "bracket inside a protected prefix at %d" % t if ch in _BRACKETS
                 else "free slot inside a stretch at %d" % t if ch in _FREE_SYMBOLS
                 else "alien symbol %r inside a stretch at %d" % (ch, t), scale=1, position=t)
-        late = i if late is None else late
-    if late is not None:
-        t, ch, l = A + late, src[late], res[late]
+        elif {syms[i], ch} <= _OPENING:
+            syms[i] = ch
+            continue
+        else:
+            blk = layout.block_at(l, t)
+            if blk is not None and blk.kind == "regular":
+                if t == blk.marker_pos and ch not in (SYM_MK, SYM_LB, SYM_DB):
+                    raise MalformedStreamError("marker slot %d lacks its symbol" % t,
+                                               scale=l, position=t)
+                if syms[i] not in _STRUCTURE:
+                    raise MalformedStreamError("padding slot %d of a scale-%d block holds %r"
+                                               % (t, l, ch), scale=l, position=t)
         raise MalformedStreamError(
             "free slot %d holds %r" % (t, ch) if l is None
-            else "marker slot %d holds %r, not %r" % (t, ch, syms[late])
-            if syms[late] in _STRUCTURE
+            else "marker slot %d holds %r, not %r" % (t, ch, syms[i]) if syms[i] in _STRUCTURE
             else "code slot %d of a singular scale-%d block holds %r" % (t, l, ch),
             scale=l or layout.kmax, position=t)
     return syms
@@ -1190,11 +1150,16 @@ def decode_k(stream, pipeline, k):
     Layers 1..k are laid out from the stream's markers, and each regular
     block's codeword is read; then the encoder's writer, _render_layer,
     renders the layers from those codewords and the singular blocks'
-    orbits, and the render must be the stream (_check_layers,
-    _check_render list what may differ).  The render is the pi_k form.  A
-    slice of the scale-k odometer period stream is laid out and compared
-    alike, but a regular block whose phase the period index's gate has
-    read takes its labels from the slice's residue (_period_slice_of).
+    orbits, and the render must be the stream (_check_render lists what
+    may differ).  The render is the pi_k form.  A slice of the scale-k
+    odometer period stream is laid out and compared alike, but a regular
+    block whose phase the period index's gate has read takes its labels
+    from the slice's residue (_period_slice_of).
+
+    A malformed stream raises the first refusal met: per layer, at its
+    parse, its layout (append_layer; above scale 1 its layout_bounds is the
+    one length rule) and its codewords; then at a block end; then at the
+    first position where the render and the stream differ.
     """
     if not 1 <= k <= pipeline.schedule.kmax:
         raise ValueError("scale %d out of range" % k)
@@ -1212,26 +1177,18 @@ def _decode(stream, pipeline, k, known):
     itineraries, certified, orbits = {}, {}, []
     syms, res = [SYM_FREE] * (B - A + 1), [None] * (B - A + 1)
     for l in range(1, k + 1):
-        try:
-            intervals, labels, orbits_l, cert_parts = \
-                _decode_scale1(stream, pipeline, structure) if l == 1 else \
-                _decode_scale_k(stream, pipeline, l, layout, itineraries[l - 1], structure)
-            layer = _append_decoded_layer(layout, l, (A, B), intervals)
-        except MalformedStreamError:
-            _check_layers(stream, layout, syms, res)    # the layers read before come first
-            raise
+        intervals, labels, orbits_l, cert_parts = \
+            _decode_scale1(stream, pipeline, structure) if l == 1 else \
+            _decode_scale_k(stream, pipeline, l, layout, itineraries[l - 1], structure)
+        layer = _append_decoded_layer(layout, l, (A, B), intervals)
         orbits.extend(o for o in orbits_l if l == 1 or o not in orbits)
-        words, refused = _read_codewords(stream, pipeline, layer, itineraries.get(l - 1),
-                                         labels, cert_parts, known)
+        words = _read_codewords(stream, pipeline, layer, itineraries.get(l - 1),
+                                labels, cert_parts, known)
         _render_layer(pipeline, layout, l, lambda blk: words[blk.start], syms, res)
-        if refused is not None:
-            _check_layers(stream, layout, syms, res, refused)
         itineraries[l] = labels
         certified[l] = _covered_range(cert_parts, (A, B))
-    mismatches = _check_layers(stream, layout, syms, res)
     _check_block_ends(pipeline, layout, itineraries)
-    stream_k = SymbolStream(A, B, _check_render(stream, pipeline, layout, syms, res,
-                                                mismatches))
+    stream_k = SymbolStream(A, B, _check_render(stream, pipeline, layout, syms, res))
     return DecodeResult(itineraries=itineraries, certified=certified,
                         orbits=orbits, stream_k=stream_k), layout
 

@@ -803,7 +803,7 @@ class TestDecodeErrorLocation:
     @pytest.mark.parametrize("t, symbol, scale, text", [
         (-54, "|", 1, "block [-54, -22) has impossible length"),
         (-309, "2", 1, "stretch content clashes with orbit '001' at -309"),
-        (-417, "][", 2, "scale-2 block [-417, -22) has impossible length"),
+        (-417, "][", 2, "scale-2 block (-417, -22) has length 395 outside [9, 66)"),
     ], ids=["scale-1-block", "stretch", "scale-2-block"])
     def test_mutated_stream(self, pipe, t, symbol, scale, text):
         margin = pipe.decode_margin()

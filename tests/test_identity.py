@@ -222,9 +222,12 @@ PINNED_MALFORMED = {
     # for a mutation that used to decode.  8 of the 10 golden K=2 mutations
     # of DEFECT_POINT decode, where each raised "impossible length".  A
     # top-scale free slot holds 'o' or '?': one golden K=3 and one odometer
-    # text are "free slot N holds ..." for a mutation that used to decode
-    "golden-k2": "8fe73eebd2b6f0b4",
-    "golden-k3": "032c193037a2879c",
+    # text are "free slot N holds ..." for a mutation that used to decode.
+    # Scale-2 lengths are the layout's rule: 10 golden K=2 and 11 golden K=3
+    # texts are "scale-2 block (N, N) has length N outside [lo, hi)", not
+    # "scale-2 block [N, N) has impossible length"
+    "golden-k2": "5026c81962016028",
+    "golden-k3": "19706997b6ece129",
     # 46 of its 100 texts are "codeword '...' not in codebook image" for a
     # non-letter in a scale-1 filling, the text every scale raises
     "odometer": "c3da6b1c09e45664",
@@ -260,11 +263,17 @@ PINNED_SWEEP = {
     # A top-scale free slot holds 'o' or '?': 5 of the 1,448 golden K=2
     # texts, 17 of the 1,629 golden K=3 texts and 48 of the 2,408 odometer
     # texts, decodes before, are "free slot N holds ..."
-    "golden-k2": "bb28f3e198c273e9",
-    "golden-k3": "ee7bdb7934440000",
+    # Scale-2 and scale-3 lengths are the layout's rule ("scale-k block
+    # (N, N) has length N outside [lo, hi)"): 38 golden K=2 texts, 76 golden
+    # K=3 texts and 6 odometer texts.  A decode raises the first refusal in
+    # one order, every layer's parse before the render's comparison, which
+    # goes by position: 21 odometer texts name a missing scale-3 marker, not
+    # a scale-2 padding slot, and 4 golden K=3 texts an earlier slot
+    "golden-k2": "79b28dd09f63bfa6",
+    "golden-k3": "98089b3b2ff3ca4d",
     # 3 of the 2,408 odometer texts, decodes before, refuse labels at a
     # block end that are not one point's consecutive cells
-    "odometer": "8cecd4be42707a4a",
+    "odometer": "677e28295e8583d0",
 }
 
 
@@ -494,7 +503,9 @@ PINNED_GROWING_ROUNDTRIPS = [
     ("6a4d8c7bc11c5a7b", "d6e568cf5538dd49"),
 ]
 
-PINNED_GROWING_MALFORMED = "be49cf84af77a3ca"
+# 9 of the 90 texts are the layout's "scale-2 block (N, N) has length N
+# outside [lo, hi)", not "scale-2 block [N, N) has impossible length"
+PINNED_GROWING_MALFORMED = "6bc8b96ca8b755f0"
 
 
 def test_growing_radius_decodes_pinned():

@@ -8,8 +8,10 @@ text).  WITNESSES maps each site to a stream, most of them one substitution
 away from an encoded stream, whose decode raises a MalformedStreamError
 built there: its text is one of the site's texts and of no other site's,
 or, for a site without literal texts, the site's function is on its
-traceback.  A check that no stream reaches could not tell a stream of the
-code's image from one outside it.
+traceback.  A decode refusal also names its scale, and the position where
+the decode stopped, a block's or region's start or a slot.  A check that no
+stream reaches could not tell a stream of the code's image from one outside
+it.
 """
 
 import ast
@@ -124,10 +126,6 @@ WITNESSES = {
         lambda: substituted(*GOLDEN_SWEEP, {-30: "="}),
     ("_decode_scale1", "singular stretch %r has no readable prefix"):
         lambda: substituted("growing-k3", 0, wide("growing-k3"), {-31: "="}),
-    ("_decode_scale_k", "scale-%d block [%d, %d) has impossible length"):
-        lambda: substituted(*GOLDEN_SWEEP, {-90: "["}),
-    ("_decode_scale_k", "scale-%d gap %d out of range"):
-        lambda: substituted(*ODOMETER_SWEEP, {-87: "="}),
     ("_decode_scale_k", "no scale-%d markers found"):
         lambda: substituted(*ODOMETER_SWEEP, {-22: "1"}),
     ("_read_codewords", "scale-%d block [%d, %d): %s"):
@@ -136,12 +134,12 @@ WITNESSES = {
     ("_extract_period", "shadowed region content is not periodic"):
         lambda: substituted("growing-k3", 0, wide("growing-k3"), {-3: "]"}),
     ("_append_decoded_layer",): lambda: substituted(*GOLDEN_SWEEP, {14: "]"}),
-    ("_check_layers", "marker slot %d lacks its symbol"):
+    ("_check_render", "marker slot %d lacks its symbol"):
         lambda: substituted("golden-k3", Point("00001001000101010000",
                                                "01010100101000001001010101000101001",
                                                "00101001010001010100", -22),
                             wide("golden-k3"), {-98: "]["}),
-    ("_check_layers", "padding slot %d of a scale-%d block holds %r"):
+    ("_check_render", "padding slot %d of a scale-%d block holds %r"):
         lambda: substituted(*GOLDEN_SWEEP, {0: "2"}),
     ("_check_render", "freed slot %d of a stretch holds %r"):
         lambda: substituted("golden-k3", 0, (-90, 90), {-89: "1"}),
@@ -163,6 +161,10 @@ def test_every_refusal_has_a_witness():
     assert sorted(map(_key, scan_refusals())) == sorted(WITNESSES)
 
 
+# the one decode refusal that names a scale but no position
+UNPLACED = {("_decode_scale_k", "no scale-%d markers found")}
+
+
 @pytest.mark.parametrize("key", sorted(WITNESSES), ids=" ".join)
 def test_the_witness_raises_its_refusal(key):
     sites = dict((_key(site), site[1]) for site in scan_refusals())
@@ -173,6 +175,28 @@ def test_the_witness_raises_its_refusal(key):
         assert matched == [key], str(error)
     else:
         assert key[0] in [frame.name for frame in traceback.extract_tb(error.__traceback__)]
+    if key[0] != "encode":      # a decode refusal names where it stopped
+        assert error.scale is not None
+        assert (error.position is None) == (key in UNPLACED)
+
+
+class TestRefusalOrder:
+    """A decode raises the first refusal it meets: a layer's codewords are
+    read before the render is compared, and the render is compared in
+    position order, whatever role each slot has."""
+
+    def test_a_stretch_clash_before_a_padding_slot(self):
+        # -90 lies in the scale-1 stretch of '001', 0 is a scale-2 padding slot
+        error = substituted(*GOLDEN_SWEEP, {-90: "2", 0: "2"})
+        assert (str(error), error.scale, error.position) == \
+            ("stretch content clashes with orbit '001' at -90", 1, -90)
+
+    def test_a_refused_codeword_after_a_padding_slot(self):
+        # -117 is a padding slot of a scale-2 block, -21 a codeword letter
+        # of the scale-3 block from -76
+        error = substituted(*ODOMETER_SWEEP, {-117: "2", -21: "o"})
+        assert (str(error), error.scale, error.position) == \
+            ("codeword 'o' not in codebook image", 3, -76)
 
 
 def test_the_scan_reads_every_message_form(tmp_path):

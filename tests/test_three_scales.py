@@ -44,15 +44,15 @@ FIRST_OF_EACH_TEXT = [
            "conditional code needs 2 letters, budget 1"),
     # encoded, then refused at decode
     pinned(0, Point("010", "0010001010001000010101010010001010101010", "001", -21),
-           MalformedStreamError, "padding slot 15 of a scale-2 block holds '['"),
+           MalformedStreamError, "scale-3 block (-39, -9) has no slot for its marker"),
     pinned(1, Point("000001", "010010001001010010100010100100000", "01000", -26),
            MalformedStreamError, "codeword '' not in codebook image"),
     pinned(4, Point("000010", "10101010101000101010", "000001", -13),
-           MalformedStreamError, "padding slot 4 of a scale-2 block holds '3'"),
-    pinned(6, Point("0001", "000", "010000", -3), MalformedStreamError,
-           "scale-3 block (-23, 20) has no slot for its marker"),
+           MalformedStreamError, "scale-3 block (-7, 6): 1 filling slots needed, 0 available"),
     pinned(16, Point("0001", "010101010010101010100100010000101010", "001010", -19),
            MalformedStreamError, "spans overlap or run backwards: [38, None), [52, None)"),
+    pinned(22, Point("001", "0010001010001000101010100101001", "00010", -2),
+           MalformedStreamError, "codeword '[2' not in codebook image"),
     pinned(75, Point("000010", "0101010101000101001010101010010", "000101", -19),
            MalformedStreamError, "codeword '[' not in codebook image"),
 ]
@@ -73,11 +73,11 @@ SEED3_CENSUS = {
     ("encode", "codeword of length N cannot fit N slots"): (2, 49),
     ("encode", "scale-N block (N, N) has no slot for its marker"): (8, 10),
     ("encode", "conditional code needs N letters, budget N"): (88, 1),
-    ("decode", "padding slot N of a scale-N block holds '['"): (0, 3),
+    ("decode", "scale-N block (N, N) has no slot for its marker"): (0, 14),
     ("decode", "codeword '' not in codebook image"): (1, 8),
-    ("decode", "padding slot N of a scale-N block holds 'N'"): (4, 3),
-    ("decode", "scale-N block (N, N) has no slot for its marker"): (6, 13),
+    ("decode", "scale-N block (N, N): N filling slots needed, N available"): (4, 3),
     ("decode", "spans overlap or run backwards: [N, None), [N, None)"): (16, 12),
+    ("decode", "codeword '[N' not in codebook image"): (22, 2),
     ("decode", "codeword '[' not in codebook image"): (75, 1),
 }
 
