@@ -18,8 +18,7 @@ Streams use one token per position.  Internal symbols:
 Decoding rebuilds the block structure scale by scale from the markers and
 re-runs the same layout arithmetic, so encoder and decoder cannot drift
 apart: lengths obey ScaleSchedule.layout_bounds.  Codewords are then
-inverted per context, except in a slice of an odometer's period stream,
-whose blocks take their labels from the slice's residue, and the decoded
+inverted per context, each distinct one once per layer, and the decoded
 layers are rendered by the encoder's slot writer and compared with the
 stream.  A decode raises the first refusal it meets, in one order: per
 layer while parsing, laying out and reading codewords, then at a block
@@ -651,8 +650,8 @@ def odometer_period(pipeline):
 
 def _period_streams(pipeline):
     """An odometer pipeline's period streams, or () for a word system or
-    when the period pass raised.  An encode only slices them; a scale's
-    decode index (_period_scale) is built on the first decode at it."""
+    when the period pass raised.  An encode slices them; a decode reads
+    none."""
     if pipeline.system.kind != "odometer":
         return ()
     return pipeline.odometer_period
@@ -913,17 +912,17 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
     return out_intervals, labels, orbits, cert_parts
 
 
-def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts, known):
+def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
     """Label and certify the regular blocks of a decoded layer, in order,
     and return each block's filling as _render_layer writes it, by start.
-    A block with undecoded coarse labels, or whose labels `known` (the
-    stream's period slice) gives from its residue, keeps the stream's
-    filling; any other, its codeword and pads.  A codeword or a context no
-    stream holds raises at once, naming the block's start."""
+    A block with undecoded coarse labels keeps the stream's filling; any
+    other, its codeword and pads.  Each distinct codeword of a length and
+    context is read once per layer.  A codeword or a context no stream
+    holds raises at once, naming the block's start."""
     k = layer.scale
     A = stream.a
     symbols = stream.symbols
-    codebooks = {}      # (length, filling or coarse itinerary) -> codebook
+    books = {}      # (length, filling or coarse itinerary) -> (codebook, {head: labels})
     words = {}
     for blk in layer.blocks:
         if blk.kind != "regular":
@@ -935,23 +934,21 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts, kn
         coarse = labels_prev[s:e] if k >= 2 else None
         if coarse is not None and None in coarse:
             continue
-        fine = None if known is None else known.labels(pipeline, k, blk)
-        if fine is None:
-            if k >= 2:
-                coarse = tuple(coarse)
-            key = (blk.length(), len(fill) if k == 1 else coarse)
-            try:
-                if key not in codebooks:
-                    codebooks[key] = _block_codebook(pipeline, k, blk, coarse)
-                fine = codebooks[key].decode(word)
-            except MalformedStreamError as exc:
-                exc.scale, exc.position = k, blk.start
-                raise
-            except CapacityError as exc:        # a block no stream holds
-                raise MalformedStreamError("scale-%d block [%d, %d): %s" % (
-                    k, blk.start, blk.end, exc), scale=k, position=blk.start) from None
-            n = codebooks[key].length
-            words[blk.start] = list(word[:n]) + [SYM_PAD] * (len(word) - n)
+        if k >= 2:
+            coarse = tuple(coarse)
+        key = (blk.length(), len(fill) if k == 1 else coarse)
+        try:
+            cb, read = books.get(key) or books.setdefault(
+                key, (_block_codebook(pipeline, k, blk, coarse), {}))
+            head = tuple(word[:cb.length])
+            fine = read.get(head) or read.setdefault(head, cb.decode(word))
+        except MalformedStreamError as exc:
+            exc.scale, exc.position = k, blk.start
+            raise
+        except CapacityError as exc:        # a block no stream holds
+            raise MalformedStreamError("scale-%d block [%d, %d): %s" % (
+                k, blk.start, blk.end, exc), scale=k, position=blk.start) from None
+        words[blk.start] = list(head) + [SYM_PAD] * (len(word) - cb.length)
         labels[s:e] = fine
         cert_parts.append((blk.start, blk.end - 1))
     return words
@@ -1151,26 +1148,17 @@ def decode_k(stream, pipeline, k):
     block's codeword is read; then the encoder's writer, _render_layer,
     renders the layers from those codewords and the singular blocks'
     orbits, and the render must be the stream (_check_render lists what
-    may differ).  The render is the pi_k form.  A slice of the scale-k
-    odometer period stream is laid out and compared alike, but a regular
-    block whose phase the period index's gate has read takes its labels
-    from the slice's residue (_period_slice_of).
+    may differ).  The render is the pi_k form.
 
     A malformed stream raises the first refusal met: per layer, at its
     parse, its layout (append_layer; above scale 1 its layout_bounds is the
     one length rule) and its codewords; then at a block end; then at the
     first position where the render and the stream differ.
     """
-    if not 1 <= k <= pipeline.schedule.kmax:
-        raise ValueError("scale %d out of range" % k)
-    return _decode(stream, pipeline, k, _period_slice_of(stream, pipeline, k))[0]
-
-
-def _decode(stream, pipeline, k, known):
-    """decode_k's result and the layout it decoded; `known` is the stream's
-    period slice, or None to read every codeword."""
     from .blocks import BlockLayout
     sched = pipeline.schedule
+    if not 1 <= k <= sched.kmax:
+        raise ValueError("scale %d out of range" % k)
     A, B = stream.a, stream.b
     layout = BlockLayout(schedule=sched, lo=A, hi=B)
     structure = [(t, ch) for t, ch in enumerate(stream.symbols, A) if ch in _STRUCTURE]
@@ -1183,140 +1171,14 @@ def _decode(stream, pipeline, k, known):
         layer = _append_decoded_layer(layout, l, (A, B), intervals)
         orbits.extend(o for o in orbits_l if l == 1 or o not in orbits)
         words = _read_codewords(stream, pipeline, layer, itineraries.get(l - 1),
-                                labels, cert_parts, known)
+                                labels, cert_parts)
         _render_layer(pipeline, layout, l, lambda blk: words[blk.start], syms, res)
         itineraries[l] = labels
         certified[l] = _covered_range(cert_parts, (A, B))
     _check_block_ends(pipeline, layout, itineraries)
     stream_k = SymbolStream(A, B, _check_render(stream, pipeline, layout, syms, res))
     return DecodeResult(itineraries=itineraries, certified=certified,
-                        orbits=orbits, stream_k=stream_k), layout
-
-
-# -- decoding an odometer stream from its period ------------------------------------
-
-
-@dataclass
-class _PeriodScale:
-    """What a decode needs to read a scale-k odometer stream from its period.
-
-    `symbols` is one least period of psi_k's symbols, of length p_k;
-    `phases` maps the length-`length` prefix of each rotation symbols[i:] +
-    symbols[:i], as a tuple, to its phase i, where `length` is the least
-    length at which those prefixes are all distinct; `read` holds, for each
-    layer l <= k, the (phase mod p_k, length) of every regular block whose
-    labels the gate read.
-    """
-
-    symbols: list
-    phases: dict
-    length: int
-    read: tuple
-
-
-@dataclass
-class _PeriodSlice:
-    """A stream that is the slice of its scale's period stream read from
-    the residue of `point`."""
-
-    scale: _PeriodScale
-    point: object
-
-    def labels(self, pipeline, l, blk):
-        """The scale-l labels of a regular block from the point's residue, or
-        None when the gate read no block of its phase and length."""
-        n = blk.end - blk.start
-        phase = (blk.start + self.point.residue) % len(self.scale.symbols)
-        if (phase, n) not in self.scale.read[l - 1]:
-            return None
-        return pipeline.system.labels(self.point, blk.start, pipeline.schedule.m[l - 1], n)
-
-
-def _period_scale(pipeline, k):
-    """The _PeriodScale of an odometer pipeline's scale-k period stream, or
-    None where the scale has none, built and gated on the first lookup and
-    kept in Pipeline._period_index.
-
-    Labels are read from a residue mod p_k, so a scale has no index when the
-    cell modulus of a radius m_l, l <= k, does not divide p_k.  Nor has it
-    one when its gate fails: the codeword path decodes the residue-0 slice
-    on [-R, p_k - 1 + R], R the decode margin, once, and must raise
-    nothing and decode every label as the residue-0 point's cell.  The
-    blocks it reads are the ones a slice may take labels for."""
-    index = pipeline._period_index
-    if k not in index:
-        system, sched = pipeline.system, pipeline.schedule
-        full = pipeline.odometer_period[k - 1].symbols
-        p = next(d for d in range(1, len(full) + 1) if full[d:] + full[:d] == full)
-        symbols, read, R = full[:p], None, pipeline.decode_margin()
-        if all(p % system.modulus(m + 1) == 0 for m in sched.m[:k]):
-            read = _gate(pipeline, k, symbols, (-R, p - 1 + R))
-        index[k] = None if read is None else \
-            _PeriodScale(symbols, *_rotation_phases(symbols), read)
-    return index[k]
-
-
-def _gate(pipeline, k, symbols, window):
-    """Per layer l <= k, the (phase, length) of every regular block that the
-    codeword path reads on the residue-0 slice of a period on the window,
-    or None when that decode raises or a label it decodes is not the
-    residue-0 point's cell."""
-    system, sched = pipeline.system, pipeline.schedule
-    a, b = window
-    try:
-        result, layout = _decode(SymbolStream(a, b, periodic_window(symbols, a, b)),
-                                 pipeline, k, None)
-    except ShiftEmbedError:
-        return None
-    zero = OdometerPoint(system, (0,) * system.depth)
-    read = []
-    for layer in layout.layers:
-        l = layer.scale
-        labels = result.itineraries[l]
-        cells = system.labels(zero, a, sched.m[l - 1], b - a + 1)
-        if any(lab is not None and lab != cell for lab, cell in zip(labels, cells)):
-            return None
-        read.append(frozenset((blk.start % len(symbols), blk.length())
-                              for blk in layer.blocks
-                              if blk.kind == "regular" and labels[blk.start - a] is not None))
-    return tuple(read)
-
-
-def _rotation_phases(symbols):
-    """({prefix: phase}, n) for a primitive symbol list: the n-symbol prefix
-    of each rotation, as a tuple, mapped to the rotation's phase, where n
-    (at most the list's length) is the least length at which those
-    prefixes are all distinct."""
-    doubled = symbols + symbols
-    p = len(symbols)
-    open_phases, n = range(p), 0
-    while open_phases:
-        n += 1
-        groups = {}
-        for i in open_phases:
-            groups.setdefault(tuple(doubled[i:i + n]), []).append(i)
-        open_phases = [i for shared in groups.values() if len(shared) > 1 for i in shared]
-    return {tuple(doubled[i:i + n]): i for i in range(p)}, n
-
-
-def _period_slice_of(stream, pipeline, k):
-    """The _PeriodSlice of a stream of at least p_k symbols that is a slice
-    of the scale-k period stream, else None: its prefix names the phase of
-    its first symbol, and the slice from that phase must be the whole
-    stream."""
-    scale = _period_scale(pipeline, k) if _period_streams(pipeline) else None
-    if scale is None or len(stream.symbols) < len(scale.symbols):
-        return None
-    p = len(scale.symbols)
-    phase = scale.phases.get(tuple(stream.symbols[:scale.length]))
-    if phase is None:
-        return None
-    residue = (phase - stream.a) % p
-    if stream.symbols != periodic_window(scale.symbols, stream.a, stream.b, residue):
-        return None
-    system = pipeline.system
-    return _PeriodSlice(scale, OdometerPoint(system, system.digits_of_residue(residue,
-                                                                             system.depth)))
+                        orbits=orbits, stream_k=stream_k)
 
 
 def invert(stream, pipeline, k):

@@ -5,10 +5,8 @@ a point context and its tower runtime live for one encode pass (a sampled
 point's runtime for one verify run: its probes and its encode passes),
 and codebooks rank on the system's counts and are built per lookup.  An
 odometer pipeline keeps its codes over one period, which every odometer
-encode slices, and beside them a decode index: a decode of a slice of the
-period takes its labels from the slice's residue instead of its codewords.
-The codes are built on the first encode or decode, a scale's index on the
-first decode at that scale, and neither by build_pipeline.
+encode slices; they are built on the first encode, not by build_pipeline,
+and a decode reads its codewords as for any system.
 Building a pipeline runs the capacity checks up front so that encoding
 cannot fail later on admissible inputs.
 Pipelines serialize to a directory of flat text artifacts and rebuild
@@ -45,16 +43,8 @@ class Pipeline:
     @functools.cached_property
     def odometer_period(self):
         """An odometer's codes over one period, rendered on the first encode
-        or decode (codec.odometer_period)."""
+        (codec.odometer_period); no decode reads them."""
         return codec.odometer_period(self)
-
-    @functools.cached_property
-    def _period_index(self):
-        """Scale -> what a decode needs to read an odometer stream that is a
-        slice of the scale's period stream from its residue, or None; a
-        scale is built and gated on the first decode at it
-        (codec._period_scale), and no encode reads it."""
-        return {}
 
     def decode_margin(self):
         """Stream inflation that certifies a requested window after decoding."""

@@ -422,8 +422,7 @@ def recorded_layouts(name):
     """(pipeline, [(layout, partitions, error, decoded stream or None)]) of
     the encode contexts of a few points, and of the decodes of their
     streams at every scale and of seeded mutations of their top streams.
-    A decode's stream tags the last layout it lays out, its own: the first
-    decode of an odometer scale lays out the period index's gate before."""
+    A decode's stream tags the last layout it lays out, its own."""
     make_system, kwargs = REFERENCE_CONFIGS[name]
     system = make_system()
     pipe = build_pipeline(system, **kwargs)

@@ -24,7 +24,6 @@ from shiftembed.systems import (Odometer, OdometerPoint, Point, Sft, cell_label,
                                 golden_mean, itinerary, least_period_words, orbit_system)
 from shiftembed.words import (code_length_needed, kary_alphabet, kary_index, kary_word,
                               periodic_window)
-from test_identity import _decode_text
 
 
 def itinerary_keys(system, m, n):
@@ -1120,16 +1119,17 @@ class TestOdometerPeriod:
             assert [s.to_text() for s in pipe.encode_scales(point, window)] == \
                 [s.to_text() for s in want]
 
-    def test_every_residue_roundtrips(self, mixed_pipe):
-        odo = mixed_pipe.system
+    @pytest.mark.parametrize("config", ["odo_pipe", "mixed_pipe"],
+                             ids=["dyadic8", "base35223"])
+    def test_every_residue_roundtrips(self, request, config):
+        pipe = request.getfixturevalue(config)
+        odo = pipe.system
         for r in range(odo.modulus(odo.depth)):
-            _roundtrip(mixed_pipe, _residue_point(odo, r), window=(-10, 10))
+            _roundtrip(pipe, _residue_point(odo, r), window=(-10, 10))
 
     def test_verify_equivariance_can_fail(self):
         """verify_pipeline compares an encode with the shifted point's own
-        render, so a period read from the wrong offset fails its record.
-        The decode gate refuses that period at every scale: its residue-0
-        slice decodes to the residue-1 cells."""
+        render, so a period read from the wrong offset fails its record."""
         base, kwargs = MIXED_BASE
         pipe = build_pipeline(Odometer(base), **kwargs)
         pipe.odometer_period = tuple(
@@ -1139,7 +1139,6 @@ class TestOdometerPeriod:
         report = verify_pipeline(pipe, sample_count=2)
         assert [r.ok for r in report.records if (r.module, r.name) == ("codec", "equivariance")] \
             == [False, False]
-        assert pipe._period_index == {1: None, 2: None}
 
     def test_a_period_pass_that_raises_renders_each_window(self, monkeypatch):
         """The residue-0 render raises here, so no period is kept, and each
@@ -1162,101 +1161,65 @@ class TestOdometerPeriod:
         with pytest.raises(CapacityError, match="refused at scale 1"):
             pipe.encode(_residue_point(odo, 0), 2, (-8, 8))
 
-    @pytest.mark.parametrize("config, k", [("odo_pipe", 1), ("odo_pipe", 2), ("odo_pipe", 3),
-                                           ("mixed_pipe", 1), ("mixed_pipe", 2)],
-                             ids=["dyadic8-1", "dyadic8-2", "dyadic8-3",
-                                  "base35223-1", "base35223-2"])
-    def test_a_slice_decodes_as_its_codewords(self, request, monkeypatch, config, k):
-        """A slice of the period stream takes its labels from its residue,
-        and decodes as the codeword path does: on every residue at the top
-        scale on 2 p_k symbols, and on sampled points on the bench window."""
-        pipe = request.getfixturevalue(config)
-        odo = pipe.system
-        p = len(codec._period_scale(pipe, k).symbols)
-        streams = []
-        if k == pipe.kmax:
-            streams += [pipe.encode(_residue_point(odo, r), k, (-p, p - 1)) for r in range(p)]
-        R = 200 + pipe.decode_margin()
-        streams += [pipe.encode(point, k, (-R, R)) for point in sample_points(odo, 10, seed=k)]
-        for stream in streams:
-            assert codec._period_slice_of(stream, pipe, k) is not None
-        fast = [_decoded(pipe, stream, k) for stream in streams]
-        monkeypatch.setattr(codec, "_period_slice_of", lambda *args: None)
-        assert [_decoded(pipe, stream, k) for stream in streams] == fast
+    def test_a_decode_renders_no_period(self, odo_pipe):
+        """A decode reads its stream's codewords, so a fresh pipeline that
+        only decodes never renders the period."""
+        window = (-10, 10)
+        point = _residue_point(odo_pipe.system, 5)
+        stream = _roundtrip(odo_pipe, point, window)
+        fresh = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
+        res = fresh.decode(stream, 3)
+        assert "odometer_period" not in vars(fresh)
+        assert res.itinerary_list(3, window) == \
+            itinerary(odo_pipe.system, point, odo_pipe.schedule.m[2], window)
 
-    @pytest.mark.parametrize("config", ["odo_pipe", "mixed_pipe"],
-                             ids=["dyadic8", "base35223"])
-    def test_a_short_or_mutated_slice_reads_its_codewords(self, request, monkeypatch, config):
-        """A window shorter than p_k, or a slice with one symbol changed, is
-        no slice, so it decodes through its codewords with or without the
-        index."""
-        pipe = request.getfixturevalue(config)
-        odo = pipe.system
-        k = pipe.kmax
-        p = len(codec._period_scale(pipe, k).symbols)
-        point = _residue_point(odo, 5)
-        short = pipe.encode(point, k, (0, p - 2))
-        whole = pipe.encode(point, k, (-p, p))
-        mutated = SymbolStream(whole.a, whole.b, list(whole.symbols))
-        mutated.symbols[p] = "2" if mutated.symbols[p] == "1" else "1"
-        assert codec._period_slice_of(whole, pipe, k) is not None
-        assert codec._period_slice_of(short, pipe, k) is None
-        assert codec._period_slice_of(mutated, pipe, k) is None
-        texts = [_decoded(pipe, stream, k) for stream in (short, mutated)]
-        monkeypatch.setattr(codec, "_period_slice_of", lambda *args: None)
-        assert [_decoded(pipe, stream, k) for stream in (short, mutated)] == texts
-
-    def test_only_a_decode_builds_the_index(self):
-        """An encode slices the period and reads no decode index; the first
-        decode at a scale builds and gates that scale's index alone."""
+    def test_a_decode_reads_each_codeword_once_per_layer(self, monkeypatch):
+        """Counted cost: the period render lays out 3 layers and reads no
+        codeword; each dyadic decode at k=3 lays out 3 layers and reads one
+        codeword per layer, the first decode included."""
+        counts = _count_decode_work(monkeypatch)
         pipe = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
-        R = 200 + pipe.decode_margin()
-        stream = pipe.encode(_residue_point(pipe.system, 5), 3, (-R, R))
-        assert "_period_index" not in vars(pipe)
-        pipe.decode(stream, 3)
-        assert list(pipe._period_index) == [3]
-        pipe.decode(stream, 1)
-        assert list(pipe._period_index) == [3, 1]
-
-    def test_a_slice_decode_reads_no_codeword(self, monkeypatch):
-        """Counted cost: the period render lays out 3 layers, and the first
-        decode at k=3 gates scale 3 alone, laying out 3 more and reading
-        78 codewords; each decode of a dyadic slice at k=3 reads no codeword
-        and lays out 3 layers."""
-        counts = {"codewords": 0, "layers": 0}
-        decode, append_layer = Codebook.decode, blocks.append_layer
-
-        def counted_decode(cb, word):
-            counts["codewords"] += 1
-            return decode(cb, word)
-
-        def counted_append(layout, partition):
-            counts["layers"] += 1
-            return append_layer(layout, partition)
-
-        pipe = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
-        monkeypatch.setattr(Codebook, "decode", counted_decode)
-        monkeypatch.setattr(blocks, "append_layer", counted_append)
         R = 200 + pipe.decode_margin()
         streams = [pipe.encode(point, 3, (-R, R))
                    for point in sample_points(pipe.system, 20, seed=3)]
         assert counts == {"codewords": 0, "layers": 3}
         pipe.decode(streams[0], 3)
-        assert counts == {"codewords": 78, "layers": 3 + 3 + 3}
+        assert counts == {"codewords": 3, "layers": 3 + 3}
         counts.update(codewords=0, layers=0)
         for stream in streams:
             pipe.decode(stream, 3)
-        assert counts == {"codewords": 0, "layers": 3 * len(streams)}
+        assert counts == {"codewords": 3 * len(streams), "layers": 3 * len(streams)}
 
 
-def _decoded(pipe, stream, k):
-    """The pinned decode text of a stream and, when it decodes, its pi_k
-    symbols."""
-    try:
-        symbols = pipe.decode(stream, k).stream_k.symbols
-    except ShiftEmbedError:
-        symbols = None
-    return _decode_text(pipe, stream, k), symbols
+def _count_decode_work(monkeypatch):
+    """Counts of Codebook.decode and append_layer calls from here on."""
+    counts = {"codewords": 0, "layers": 0}
+    decode, append_layer = Codebook.decode, blocks.append_layer
+
+    def counted_decode(cb, word):
+        counts["codewords"] += 1
+        return decode(cb, word)
+
+    def counted_append(layout, partition):
+        counts["layers"] += 1
+        return append_layer(layout, partition)
+
+    monkeypatch.setattr(Codebook, "decode", counted_decode)
+    monkeypatch.setattr(blocks, "append_layer", counted_append)
+    return counts
+
+
+def test_a_word_system_decode_reads_as_many_codewords(pipe, monkeypatch):
+    """Counted cost on golden K=2, where no two blocks of a layer share a
+    codeword and a context: 20 decodes at k=2 read 79 codewords, one per
+    block read, and lay out 40 layers."""
+    R = 200 + pipe.decode_margin()
+    streams = [pipe.encode(point, 2, (-R, R))
+               for point in sample_points(pipe.system, 20, seed=3)]
+    counts = _count_decode_work(monkeypatch)
+    for stream in streams:
+        pipe.decode(stream, 2)
+    assert counts == {"codewords": 79, "layers": 2 * len(streams)}
 
 
 def _schedule(m, mp, K=2, budget=10 ** 6):
@@ -1289,6 +1252,7 @@ def _assert_matches_table(cb, keys, foreign, K=2):
         assert _outcome(cb.encode, key) == _outcome(table.encode, key)
     assert _outcome(cb.encode, keys[0], cb.length - 1) == \
         _outcome(table.encode, keys[0], cb.length - 1)
+
 
 
 class TestCountedCodebooksAgainstReference:

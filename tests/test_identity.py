@@ -366,14 +366,10 @@ def _laid_out(fn, *args):
 def layout_roles_digests(name):
     """(encode digest, decode digest): one over the layouts of every
     point's encode context, one over the layouts decode_k rebuilds from the
-    point's top-scale stream.  An odometer pipeline builds its top scale's
-    decode index first, as the index gate's layouts are not rebuilt from
-    any stream."""
+    point's top-scale stream."""
     make_system, kwargs = LAYOUT_CONFIGS[name]
     system = make_system()
     pipe = build_pipeline(system, **kwargs)
-    if system.kind == "odometer":
-        codec._period_scale(pipe, pipe.kmax)
     a, b = WINDOW
     margin = pipe.decode_margin()
     window = (a - margin, b + margin)
