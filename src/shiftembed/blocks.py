@@ -23,6 +23,7 @@ decodable because the decoder recomputes the same layout.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import le
 
 from .errors import CapacityError
 
@@ -34,7 +35,7 @@ ROLE_BRACKET_CLOSE = "rightBracket"
 ROLE_BRACKET_BOTH = "bothBracket"
 
 
-@dataclass
+@dataclass(slots=True)
 class LayoutBlock:
     scale: int
     start: object               # None = unbounded side
@@ -77,12 +78,14 @@ def span_keys(spans):
     inf = float("inf")
     keys = [-inf if s.start is None else s.start for s in spans]
     ends = [inf if s.end is None else s.end for s in spans]
-    for i, (key, end, nxt) in enumerate(zip(keys, ends, keys[1:] + [inf])):
-        if not key <= end <= nxt:
-            bad = spans[i] if key > end else spans[i + 1]
-            raise SpanOrderError("spans overlap or run backwards: %s" % ", ".join(
-                "[%s, %s)" % (s.start, s.end) for s in spans[i:i + 2]), (bad.start, bad.end))
-    return keys
+    nexts = keys[1:] + [inf]
+    if all(map(le, keys, ends)) and all(map(le, ends, nexts)):
+        return keys
+    i = next(i for i, (key, end, nxt) in enumerate(zip(keys, ends, nexts))
+             if not key <= end <= nxt)
+    bad = spans[i] if keys[i] > ends[i] else spans[i + 1]
+    raise SpanOrderError("spans overlap or run backwards: %s" % ", ".join(
+        "[%s, %s)" % (s.start, s.end) for s in spans[i:i + 2]), (bad.start, bad.end))
 
 
 def span_at(spans, keys, t):
@@ -147,15 +150,17 @@ def _build_scale1(schedule, partition, window_range):
     n1 = schedule.n[0]
     blocks, marks, closings = [], [], []
     for iv in partition.intervals:
+        start, end = iv.start, iv.end
         if iv.kind == "regular":
-            if iv.start < lo or iv.end > hi + 1:
+            if start < lo or end > hi + 1:
                 continue  # cut by the resolved range: unusable for coding
-            fill_end = iv.start + 1 + schedule.fill1(iv.end - iv.start)
-            blocks.append(LayoutBlock(scale=1, start=iv.start, end=iv.end, kind="regular",
-                                      marker_pos=iv.start,
-                                      fill_positions=range(iv.start + 1, fill_end),
-                                      free_slots=range(fill_end, iv.end)))
-            marks.append((iv.start, ROLE_MARKER))
+            fill_end = start + 1 + schedule.fill1(end - start)
+            blk = LayoutBlock(1, start, end, "regular")
+            blk.marker_pos = start
+            blk.fill_positions = range(start + 1, fill_end)
+            blk.free_slots = range(fill_end, end)
+            blocks.append(blk)
+            marks.append((start, ROLE_MARKER))
         else:
             blk = LayoutBlock(scale=1, start=iv.start, end=iv.end, kind="singular",
                               special=True, orbit=iv.orbit, phase=iv.phase, m=iv.m)
@@ -180,6 +185,8 @@ def _build_scale_k(schedule, partition, prev_layer, window_range):
     base_free = prev_layer.free
     intervals = partition.intervals
     len_lo, len_hi = schedule.layout_bounds(k)
+    singular = [sub for sub in prev_layer.blocks if sub.kind == "singular"]
+    specials = any(sub.special for sub in singular)
 
     for idx, iv in enumerate(intervals):
         start, end = iv.adj_start, iv.adj_end
@@ -191,27 +198,26 @@ def _build_scale_k(schedule, partition, prev_layer, window_range):
                 raise CapacityError("scale-%d block %r has length %d outside [%d, %d)"
                                     % (k, (start, end), L, len_lo, len_hi),
                                     scale=k, block=(start, end))
-            blk = LayoutBlock(scale=k, start=start, end=end, kind="regular")
-            freed = _free_in_special_subblocks(schedule, prev_layer, blk, k)
+            blk = LayoutBlock(k, start, end, "regular")
+            freed = _free_in_special_subblocks(schedule, prev_layer, blk, k) if specials else ()
             blk.freed_positions = tuple(freed)
-            slots = _slots_in(base_free, start, end, lo, hi)
+            slots = base_free[bisect_left(base_free, start):bisect_left(base_free, end)]
             if freed:
                 slots = sorted(set(slots).union(freed))
-            start_sub = prev_layer.block_at(start)
+            start_sub = prev_layer.block_at(start) if singular else None
             if start_sub is not None and start_sub.kind == "singular":
                 # the adjusted boundary sits at a marker-capable singular
                 # position: the bracket lands there, costing no free slot
                 blk.marker_pos = start
-                if slots[:1] == [start]:
-                    slots = slots[1:]
+                i = 1 if slots[:1] == [start] else 0
             else:
                 if not slots:
                     raise CapacityError("scale-%d block %r has no slot for its marker"
                                         % (k, (start, end)), scale=k, block=(start, end))
                 blk.marker_pos = slots[0]
-                slots = slots[1:]
+                i = 1
             budget = schedule.budget(L, k)
-            if len(slots) < budget:
+            if len(slots) - i < budget:
                 # singular subblocks and closing markers legitimately eat
                 # slots; a block built purely from open regular subblocks
                 # must fit
@@ -223,17 +229,17 @@ def _build_scale_k(schedule, partition, prev_layer, window_range):
                 if not eaten:
                     raise CapacityError(
                         "scale-%d block %r: %d filling slots needed, %d available"
-                        % (k, (start, end), budget, len(slots)),
+                        % (k, (start, end), budget, len(slots) - i),
                         scale=k, block=(start, end))
-                budget = len(slots)
+                budget = len(slots) - i
             if schedule.periodic:
                 prev_adj = idx > 0 and intervals[idx - 1].kind == "regular"
                 marks.append((blk.marker_pos,
                               ROLE_BRACKET_BOTH if prev_adj else ROLE_BRACKET_OPEN))
             else:
                 marks.append((blk.marker_pos, ROLE_MARKER_K))
-            blk.fill_positions = tuple(slots[:budget])
-            blk.free_slots = tuple(slots[budget:])
+            blk.fill_positions = tuple(slots[i:i + budget])
+            blk.free_slots = tuple(slots[i + budget:])
             blocks.append(blk)
         else:
             blk = LayoutBlock(scale=k, start=start, end=end, kind="singular",

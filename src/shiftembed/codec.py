@@ -648,20 +648,36 @@ def odometer_period(pipeline):
         return ()
 
 
-def _period_streams(pipeline):
-    """An odometer pipeline's period streams, or () for a word system or
-    when the period pass raised.  An encode slices them; a decode reads
-    none."""
+def _period_streams(pipeline, width):
+    """An odometer pipeline's period streams, one (symbols, resolution, P)
+    per scale, or () for a word system or when the period pass raised.
+    Each holds a whole number of periods P, so that one slice reads any
+    window of `width` positions: P 2^j positions for the least j with
+    P 2^j >= P - 1 + w, w the widest window encoded so far, so fewer than
+    2 (P - 1 + w).  They are tiled from Pipeline.odometer_period and grow
+    by doubling; an encode slices them, and a decode reads none."""
     if pipeline.system.kind != "odometer":
         return ()
-    return pipeline.odometer_period
+    tiles = pipeline.period_tiles
+    if tiles and len(tiles[0][0]) >= tiles[0][2] - 1 + width:
+        return tiles
+    periods = pipeline.odometer_period
+    if not periods:
+        return ()
+    P = len(periods[0].symbols)
+    q = len(tiles[0][0]) // P if tiles else 1
+    while P * q < P - 1 + width:
+        q *= 2
+    pipeline.period_tiles = tuple((s.symbols * q, s.resolution * q, P) for s in periods)
+    return pipeline.period_tiles
 
 
-def _period_slice(stream, point, window):
+def _period_slice(tile, point, window):
     """A period stream read on an inclusive window from a point's residue."""
     a, b = window
-    return SymbolStream(a, b, periodic_window(stream.symbols, a, b, point.residue),
-                        periodic_window(stream.resolution, a, b, point.residue))
+    symbols, resolution, P = tile
+    s = (a + point.residue) % P
+    return SymbolStream(a, b, symbols[s:s + b - a + 1], resolution[s:s + b - a + 1])
 
 
 def encode_scales(point, pipeline, window, runtime=None):
@@ -670,12 +686,12 @@ def encode_scales(point, pipeline, window, runtime=None):
     residue, unless the period pass raised: then, as for word systems, the
     point's own window is rendered, through the given tower runtime of the
     point or a fresh one."""
-    periods = _period_streams(pipeline)
+    periods = _period_streams(pipeline, window[1] - window[0] + 1)
     if not periods:
         yield from render_scales(point, pipeline, window, runtime)
         return
-    for stream in periods:
-        yield _period_slice(stream, point, window)
+    for tile in periods:
+        yield _period_slice(tile, point, window)
 
 
 def encode_k(point, pipeline, k, window):
@@ -683,7 +699,7 @@ def encode_k(point, pipeline, k, window):
     point, one slice of the scale-k period stream."""
     if not 1 <= k <= pipeline.schedule.kmax:
         raise ValueError("scale %d out of range" % k)
-    periods = _period_streams(pipeline)
+    periods = _period_streams(pipeline, window[1] - window[0] + 1)
     if periods:
         return _period_slice(periods[k - 1], point, window)
     return next(itertools.islice(render_scales(point, pipeline, window), k - 1, None))
@@ -754,6 +770,7 @@ def _decode_scale1(stream, pipeline, structure):
 
     stretch_starts = {u - n1 for u in terms}
     boundaries = sorted(set(starts) | stretch_starts)
+    following = dict(zip(boundaries, boundaries[1:]))    # each boundary's next, if any
 
     intervals = []
     labels = [None] * (B - A + 1)
@@ -762,7 +779,7 @@ def _decode_scale1(stream, pipeline, structure):
     orbits = []
 
     for s in starts:
-        nxt = _next_after(boundaries, s)
+        nxt = following.get(s)
         if nxt is None:
             continue  # cut by the window edge
         if not len_lo <= nxt - s < len_hi:
@@ -770,9 +787,7 @@ def _decode_scale1(stream, pipeline, structure):
                                        scale=1, position=s)
         intervals.append(Interval(s, nxt, "regular"))
 
-    stretch_bounds = []
-    for s in sorted(stretch_starts):
-        stretch_bounds.append((s, _next_after(boundaries, s)))
+    stretch_bounds = [(s, following.get(s)) for s in sorted(stretch_starts)]
     first_boundary = boundaries[0] if boundaries else None
     if periodic and (first_boundary is None or first_boundary > A):
         stretch_bounds.append((None, first_boundary))
@@ -815,9 +830,11 @@ def _covered_range(parts, within):
     extends it."""
     runs = []
     for lo, hi in sorted(parts):
-        if runs and lo <= runs[-1][1] + 1:
-            runs[-1][1] = max(runs[-1][1], hi)
+        if runs and lo <= end + 1:
+            if hi > end:
+                end = runs[-1][1] = hi
         else:
+            end = hi
             runs.append([lo, hi])
     if not runs:
         return None
@@ -834,22 +851,21 @@ def _decode_scale_k(stream, pipeline, k, layout, labels_prev, structure):
     A, B = stream.a, stream.b
     prev_layer = layout.layer(k - 1)
 
-    marks = _BRACKETS if sched.periodic else _BRACKETS | {SYM_MK}
+    # a scale-k marker occupies the first free slot of its block; markers
+    # of deeper scales sit on later slots and are skipped
+    firsts = {} if sched.periodic else {blk.free_slots[0]: blk.start for blk in prev_layer.blocks
+                                        if blk.kind == "regular" and blk.free_slots}
     boundaries = []   # (pos_of_symbol, boundary, type)
     for t, ch in structure:
-        if ch not in marks:
-            continue
-        blk = prev_layer.block_at(t)
-        if blk is None:
-            continue
-        if ch != SYM_MK:
+        if ch in _BRACKETS:
+            blk = prev_layer.block_at(t)
+            if blk is None:
+                continue
             b = blk.start if blk.kind == "regular" else t
             if b is not None:
                 boundaries.append((t, b, ch))
-        elif blk.kind == "regular" and blk.free_slots and blk.free_slots[0] == t:
-            # a scale-k marker occupies the first free slot of its block;
-            # markers of deeper scales sit on later slots and are skipped
-            boundaries.append((t, blk.start, SYM_MK))
+        elif ch == SYM_MK and t in firsts:
+            boundaries.append((t, firsts[t], SYM_MK))
     boundaries.sort(key=lambda x: x[1])
 
     intervals = []
@@ -916,39 +932,53 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
     """Label and certify the regular blocks of a decoded layer, in order,
     and return each block's filling as _render_layer writes it, by start.
     A block with undecoded coarse labels keeps the stream's filling; any
-    other, its codeword and pads.  Each distinct codeword of a length and
-    context is read once per layer.  A codeword or a context no stream
-    holds raises at once, naming the block's start."""
+    other, its codeword and pads.  A layer's codebooks are keyed by block
+    length and filling size and, above scale 1, by the first and last
+    labels of the coarse itinerary, the whole itinerary confirmed by list
+    equality, which short-circuits on the label objects that blocks of one
+    codeword share.  Each distinct codeword of a codebook is read once per
+    layer, its labels and padded filling kept for the next block that
+    holds it.  A codeword or a context no stream holds raises at once,
+    naming the block's start."""
     k = layer.scale
     A = stream.a
     symbols = stream.symbols
-    books = {}      # (length, filling or coarse itinerary) -> (codebook, {head: labels})
+    books = {}      # key -> [(coarse, codebook, {head: (labels, padded filling)})]
     words = {}
     for blk in layer.blocks:
         if blk.kind != "regular":
             continue
         s, e = blk.start - A, blk.end - A
         fill = blk.fill_positions
-        word = words[blk.start] = symbols[fill.start - A:fill.stop - A] if k == 1 else \
-            [symbols[t - A] for t in fill]
         coarse = labels_prev[s:e] if k >= 2 else None
-        if coarse is not None and None in coarse:
-            continue
-        if k >= 2:
-            coarse = tuple(coarse)
-        key = (blk.length(), len(fill) if k == 1 else coarse)
+        key = (e - s, len(fill)) if k == 1 else (e - s, len(fill), coarse[0], coarse[-1])
+        for entry in books.get(key, ()):
+            if entry[0] == coarse:      # a kept context's labels are all decoded
+                break
+        else:
+            if k >= 2 and not all(coarse):      # no label is empty: only None is false
+                words[blk.start] = [symbols[t - A] for t in fill]
+                continue
+            entry = None
         try:
-            cb, read = books.get(key) or books.setdefault(
-                key, (_block_codebook(pipeline, k, blk, coarse), {}))
-            head = tuple(word[:cb.length])
-            fine = read.get(head) or read.setdefault(head, cb.decode(word))
+            if entry is None:
+                context = tuple(coarse) if k >= 2 else None
+                entry = (coarse, _block_codebook(pipeline, k, blk, context), {})
+                books.setdefault(key, []).append(entry)
+            _, cb, read = entry
+            n = cb.length
+            head = tuple(symbols[fill.start - A:fill.start - A + n]) if k == 1 else \
+                tuple([symbols[t - A] for t in fill[:n]])
+            got = read.get(head)
+            if got is None:
+                got = read[head] = (cb.decode(head), list(head) + [SYM_PAD] * (len(fill) - n))
         except MalformedStreamError as exc:
             exc.scale, exc.position = k, blk.start
             raise
-        except CapacityError as exc:        # a block no stream holds
+        except CapacityError as exc:            # a block no stream holds
             raise MalformedStreamError("scale-%d block [%d, %d): %s" % (
                 k, blk.start, blk.end, exc), scale=k, position=blk.start) from None
-        words[blk.start] = list(head) + [SYM_PAD] * (len(word) - cb.length)
+        fine, words[blk.start] = got
         labels[s:e] = fine
         cert_parts.append((blk.start, blk.end - 1))
     return words
@@ -1131,10 +1161,12 @@ def _check_block_ends(pipeline, layout, itineraries):
     for layer in layout.layers:
         k = layer.scale
         labels = itineraries[k]
+        last_a = last_b = None      # the last pair that follows: blocks of one codeword repeat it
         for t in (blk.end for blk in layer.blocks if blk.end is not None):
             a, b = labels[t - 1 - A], labels[t - A]
-            if a is None or b is None:
+            if a is None or b is None or a is last_a and b is last_b:
                 continue
+            last_a, last_b = a, b
             if not system.follows(a, b):
                 raise MalformedStreamError("scale-%d labels %r at %d and %r at %d "
                                            "describe no point" % (k, a, t - 1, b, t),

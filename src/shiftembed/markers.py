@@ -463,7 +463,7 @@ def build_towers(system, schedule):
 # -- return structure ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Interval:
     """Half-open stretch [start, end) of the return structure at one scale.
 

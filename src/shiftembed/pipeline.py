@@ -4,9 +4,9 @@ A Pipeline owns everything the codec needs and keeps nothing per point:
 a point context and its tower runtime live for one encode pass (a sampled
 point's runtime for one verify run: its probes and its encode passes),
 and codebooks rank on the system's counts and are built per lookup.  An
-odometer pipeline keeps its codes over one period, which every odometer
-encode slices; they are built on the first encode, not by build_pipeline,
-and a decode reads its codewords as for any system.
+odometer pipeline keeps its codes over one period, tiled to whole periods
+that every odometer encode slices; they are built on the first encode, not
+by build_pipeline, and a decode reads its codewords as for any system.
 Building a pipeline runs the capacity checks up front so that encoding
 cannot fail later on admissible inputs.
 Pipelines serialize to a directory of flat text artifacts and rebuild
@@ -35,6 +35,7 @@ class Pipeline:
         self.schedule = schedule
         self.stack = stack
         self.periodic_code = periodic_code
+        self.period_tiles = ()      # odometer_period tiled by codec._period_streams
 
     @property
     def kmax(self):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from types import SimpleNamespace
@@ -1060,6 +1061,18 @@ class TestWordKeys:
                         assert cell_label(system, point, blk.start, m) == want[0]
         assert min(blocks.values()) >= 20
 
+    def test_periodic_window_equals_letter_by_letter(self):
+        """periodic_window slices one copy of w when the window fits in it,
+        and copies of w otherwise; either way letter i is w[(i + phase) % |w|],
+        in w's type."""
+        for w in ("0", "0010101", list("0010101"), tuple("01")):
+            for a in range(-9, 10):
+                for b in range(a, a + 20):
+                    for phase in (0, 3, -2):
+                        got = periodic_window(w, a, b, phase)
+                        assert type(got) is type(w)
+                        assert list(got) == [w[(i + phase) % len(w)] for i in range(a, b + 1)]
+
     def test_orbit_key_equals_periodic_windows(self):
         for orbit in ("0", "01", "0010101", "0001000000000"):
             for m in (0, 1, 3):
@@ -1119,6 +1132,19 @@ class TestOdometerPeriod:
             assert [s.to_text() for s in pipe.encode_scales(point, window)] == \
                 [s.to_text() for s in want]
 
+    def test_period_streams_double_to_the_widest_window(self):
+        """An encode reads one slice of its scale's period stream, kept as
+        P 2^j positions for the least j with P 2^j >= P - 1 + w, w the
+        widest window encoded so far; P = 128 on the dyadic odometer."""
+        pipe = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
+        point = _residue_point(pipe.system, 77)
+        for width, kept in ((1, 128), (129, 256), (10, 256), (640, 1024)):
+            window = (-300, width - 301)
+            assert pipe.encode(point, 3, window).to_text() == \
+                list(codec.render_scales(point, pipe, window))[2].to_text()
+            assert [(len(symbols), len(res), P) for symbols, res, P in pipe.period_tiles] \
+                == [(kept, kept, 128)] * 3
+
     @pytest.mark.parametrize("config", ["odo_pipe", "mixed_pipe"],
                              ids=["dyadic8", "base35223"])
     def test_every_residue_roundtrips(self, request, config):
@@ -1174,26 +1200,66 @@ class TestOdometerPeriod:
             itinerary(odo_pipe.system, point, odo_pipe.schedule.m[2], window)
 
     def test_a_decode_reads_each_codeword_once_per_layer(self, monkeypatch):
-        """Counted cost: the period render lays out 3 layers and reads no
-        codeword; each dyadic decode at k=3 lays out 3 layers and reads one
-        codeword per layer, the first decode included."""
+        """Counted cost: the period render lays out 3 layers, reads no
+        codeword and builds a codebook per regular block, 119; each dyadic
+        decode at k=3 lays out 3 layers, and builds one codebook and reads
+        one codeword per layer, the first decode included."""
         counts = _count_decode_work(monkeypatch)
         pipe = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
         R = 200 + pipe.decode_margin()
         streams = [pipe.encode(point, 3, (-R, R))
                    for point in sample_points(pipe.system, 20, seed=3)]
-        assert counts == {"codewords": 0, "layers": 3}
+        assert counts == {"codewords": 0, "layers": 3, "codebooks": 119}
         pipe.decode(streams[0], 3)
-        assert counts == {"codewords": 3, "layers": 3 + 3}
-        counts.update(codewords=0, layers=0)
+        assert counts == {"codewords": 3, "layers": 3 + 3, "codebooks": 119 + 3}
+        counts.update(codewords=0, layers=0, codebooks=0)
         for stream in streams:
             pipe.decode(stream, 3)
-        assert counts == {"codewords": 3 * len(streams), "layers": 3 * len(streams)}
+        assert counts == {"codewords": 3 * len(streams), "layers": 3 * len(streams),
+                          "codebooks": 3 * len(streams)}
+
+    def test_a_codebook_key_confirms_the_whole_context(self, odo_pipe, monkeypatch):
+        """_read_codewords keys a layer's codebooks by block length, filling
+        size and the end labels of the coarse itinerary.  Here two scale-3
+        blocks of one dyadic stream, each two blocks merged by a deleted
+        marker, have length 256 and the same end labels, and differ inside,
+        where the second has one scale-2 codeword flipped.  Each gets its
+        own codebook, and the second context, which no point has, is
+        refused at its block's start with the text it had under the
+        whole-context key."""
+        R = 200 + odo_pipe.decode_margin()
+        stream = odo_pipe.encode(sample_points(odo_pipe.system, 1, seed=3)[0], 3, (-R, R))
+        (layout, _), = record_layouts(odo_pipe.decode, stream, 3)[0]
+        top = [blk for blk in layout.layer(3).blocks if blk.kind == "regular"]
+        A, symbols = stream.a, list(stream.symbols)
+        for blk in (top[1], top[3]):
+            assert symbols[blk.marker_pos - A] == codec.SYM_MK
+            symbols[blk.marker_pos - A] = "1"
+        inner = [blk for blk in layout.layer(2).blocks
+                 if top[2].start < blk.start and blk.end < top[3].end]
+        flip = inner[0].fill_positions[0] - A
+        symbols[flip] = "2" if symbols[flip] == "1" else "1"
+        contexts = []
+
+        def spy(system, schedule, k, n, coarse):
+            contexts.append((k, n, coarse))
+            return build_conditional_codebook(system, schedule, k, n, coarse)
+
+        monkeypatch.setattr(codec, "build_conditional_codebook", spy)
+        with pytest.raises(MalformedStreamError) as info:
+            odo_pipe.decode(SymbolStream(stream.a, stream.b, symbols), 3)
+        (_, n1, first), (_, n2, second) = [c for c in contexts if c[0] == 3]
+        assert n1 == n2 == 256 and first != second
+        assert (first[0], first[-1]) == (second[0], second[-1])
+        assert (info.value.scale, info.value.position) == (3, top[2].start) == (3, -588)
+        assert str(info.value) == "unknown context %r" % (second,)
+        assert hashlib.sha256(str(info.value).encode()).hexdigest()[:16] == "f35fa833086800c0"
 
 
 def _count_decode_work(monkeypatch):
-    """Counts of Codebook.decode and append_layer calls from here on."""
-    counts = {"codewords": 0, "layers": 0}
+    """Counts of Codebook.decode and append_layer calls, and of first and
+    conditional codebook builds, from here on."""
+    counts = {"codewords": 0, "layers": 0, "codebooks": 0}
     decode, append_layer = Codebook.decode, blocks.append_layer
 
     def counted_decode(cb, word):
@@ -1204,22 +1270,31 @@ def _count_decode_work(monkeypatch):
         counts["layers"] += 1
         return append_layer(layout, partition)
 
+    def counted(build):
+        def counted_build(*args):
+            counts["codebooks"] += 1
+            return build(*args)
+        return counted_build
+
     monkeypatch.setattr(Codebook, "decode", counted_decode)
     monkeypatch.setattr(blocks, "append_layer", counted_append)
+    for name in ("build_first_codebook", "build_conditional_codebook"):
+        monkeypatch.setattr(codec, name, counted(getattr(codec, name)))
     return counts
 
 
 def test_a_word_system_decode_reads_as_many_codewords(pipe, monkeypatch):
     """Counted cost on golden K=2, where no two blocks of a layer share a
     codeword and a context: 20 decodes at k=2 read 79 codewords, one per
-    block read, and lay out 40 layers."""
+    block read, lay out 40 layers, and build 70 codebooks, one per length
+    or context of a layer read (scale-1 blocks of one length share one)."""
     R = 200 + pipe.decode_margin()
     streams = [pipe.encode(point, 2, (-R, R))
                for point in sample_points(pipe.system, 20, seed=3)]
     counts = _count_decode_work(monkeypatch)
     for stream in streams:
         pipe.decode(stream, 2)
-    assert counts == {"codewords": 79, "layers": 2 * len(streams)}
+    assert counts == {"codewords": 79, "layers": 2 * len(streams), "codebooks": 70}
 
 
 def _schedule(m, mp, K=2, budget=10 ** 6):

@@ -381,6 +381,21 @@ class TestLayoutCapacity:
             for k in (2, 3):
                 assert sched.budget(L, k) == int(alpha * L / 2 ** k)
 
+    @pytest.mark.parametrize("name", sorted({**BENCH_SCHEDULES, "golden-K3-kmax2": None}))
+    def test_built_budgets_match_fraction_formulas(self, name):
+        """The budgets read alpha's numerator and denominator once, as
+        integers: at every scale k of a built schedule, every length L below
+        layout_bounds(k)'s upper end has the fill1 and budget of the
+        Fraction formulas."""
+        sched = build_schedule(golden_mean(), K=3, kmax=2, C=0.0, m=(0, 0)) \
+            if name == "golden-K3-kmax2" else BENCH_SCHEDULES[name]()
+        alpha = sched.alpha
+        assert isinstance(alpha, Fraction)
+        for k in range(1, sched.kmax + 1):
+            for L in range(1, sched.layout_bounds(k)[1]):
+                assert sched.fill1(L) == min(int((1 - alpha / 2) * L), L - 2), (k, L)
+                assert sched.budget(L, k) == int(alpha * L / 2 ** k), (k, L)
+
     def test_odometer_schedule_pinned(self):
         sched = build_schedule(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
         assert sched.n == (24, 47, 93)

@@ -285,6 +285,23 @@ def _certified_inside(res, a, b):
     return all(cert is None or a <= cert[0] <= cert[1] <= b for cert in res.certified.values())
 
 
+def test_no_decoded_label_is_empty(config):
+    """codec._read_codewords scans a coarse itinerary for undecoded labels
+    with all(), which is exact because no decoded label is empty: every
+    label, at every scale, of the decodes of the pinned round trips."""
+    name, system, pipe = config
+    a, b = WINDOW
+    margin = pipe.decode_margin()
+    labels = []
+    for point in _points(name, system):
+        try:
+            res = pipe.decode(pipe.encode(point, pipe.kmax, (a - margin, b + margin)), pipe.kmax)
+        except ShiftEmbedError:
+            continue        # pinned by roundtrip_digests
+        labels.extend(lab for labs in res.itineraries.values() for lab in labs if lab is not None)
+    assert labels and all(len(lab) > 0 for lab in labels)
+
+
 def test_certified_windows_lie_in_the_stream():
     """A decode certifies only positions of its stream: the sampled round
     trips of every configuration, and the sweep's substitutions of a
