@@ -651,25 +651,24 @@ def odometer_period(pipeline):
 def _period_streams(pipeline, width):
     """An odometer pipeline's period streams, one (symbols, resolution, P)
     per scale, or () for a word system or when the period pass raised.
-    Each holds a whole number of periods P, so that one slice reads any
-    window of `width` positions: P 2^j positions for the least j with
-    P 2^j >= P - 1 + w, w the widest window encoded so far, so fewer than
-    2 (P - 1 + w).  They are tiled from Pipeline.odometer_period and grow
-    by doubling; an encode slices them, and a decode reads none."""
+    They are kept in Pipeline.period_tiles, the pipeline's one copy of its
+    period: built from odometer_period on the first encode, each holds a
+    whole number of periods P, so that one slice reads any window of
+    `width` positions, and doubles while it is shorter than P - 1 + width;
+    an encode slices them, and a decode reads none."""
     if pipeline.system.kind != "odometer":
         return ()
     tiles = pipeline.period_tiles
-    if tiles and len(tiles[0][0]) >= tiles[0][2] - 1 + width:
-        return tiles
-    periods = pipeline.odometer_period
-    if not periods:
-        return ()
-    P = len(periods[0].symbols)
-    q = len(tiles[0][0]) // P if tiles else 1
-    while P * q < P - 1 + width:
-        q *= 2
-    pipeline.period_tiles = tuple((s.symbols * q, s.resolution * q, P) for s in periods)
-    return pipeline.period_tiles
+    if tiles is None:
+        tiles = pipeline.period_tiles = tuple(
+            (s.symbols, s.resolution, len(s.symbols)) for s in odometer_period(pipeline))
+    if tiles and len(tiles[0][0]) < tiles[0][2] - 1 + width:
+        q = 2
+        while len(tiles[0][0]) * q < tiles[0][2] - 1 + width:
+            q *= 2
+        tiles = pipeline.period_tiles = tuple(
+            (symbols * q, resolution * q, P) for symbols, resolution, P in tiles)
+    return tiles
 
 
 def _period_slice(tile, point, window):

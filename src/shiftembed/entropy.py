@@ -108,6 +108,11 @@ def _moebius(n):
     return result
 
 
+def _trunc_div(num, den):
+    """num / den rounded toward zero (den > 0), as int() rounds a Fraction."""
+    return num // den if num >= 0 else -(-num // den)
+
+
 @dataclass(frozen=True)
 class ScaleSchedule:
     """Verified scale data consumed by the marker and codec stages."""
@@ -121,14 +126,6 @@ class ScaleSchedule:
     periodic: bool
     C: float = 0.0
     N_cert: int = 64
-    # alpha's numerator and denominator, read once: the budgets take them
-    # at every block the layout lays out
-    _num: int = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_num", self.alpha.numerator)
-        object.__setattr__(self, "_den", self.alpha.denominator)
 
     @property
     def kmax(self):
@@ -144,14 +141,12 @@ class ScaleSchedule:
         Capped at L-2 so every regular 1-block keeps at least one free slot
         for higher-scale markers.
         """
-        num, den = (2 * self._den - self._num) * L, 2 * self._den
-        # rounded toward zero, as int() rounds a Fraction
-        return min(num // den if num >= 0 else -(-num // den), L - 2)
+        a, d = self.alpha.numerator, self.alpha.denominator
+        return min(_trunc_div((2 * d - a) * L, 2 * d), L - 2)
 
     def budget(self, L, k):
         """k-filling budget of a k-block of length L (k >= 2): int(alpha L / 2^k)."""
-        num, den = self._num * L, self._den << k
-        return num // den if num >= 0 else -(-num // den)
+        return _trunc_div(self.alpha.numerator * L, self.alpha.denominator << k)
 
     def free1(self, L):
         return L - 1 - self.fill1(L)

@@ -4,16 +4,15 @@ A Pipeline owns everything the codec needs and keeps nothing per point:
 a point context and its tower runtime live for one encode pass (a sampled
 point's runtime for one verify run: its probes and its encode passes),
 and codebooks rank on the system's counts and are built per lookup.  An
-odometer pipeline keeps its codes over one period, tiled to whole periods
-that every odometer encode slices; they are built on the first encode, not
-by build_pipeline, and a decode reads its codewords as for any system.
+odometer pipeline keeps its codes over whole periods, which every odometer
+encode slices (Pipeline.period_tiles); they are built on the first encode,
+not by build_pipeline, and a decode reads its codewords as for any system.
 Building a pipeline runs the capacity checks up front so that encoding
 cannot fail later on admissible inputs.
 Pipelines serialize to a directory of flat text artifacts and rebuild
 deterministically.
 """
 
-import functools
 import itertools
 import os
 
@@ -30,22 +29,26 @@ CORE_MAX = 12   # the sampler's short-core length scale
 
 
 class Pipeline:
+    """A system's schedule, towers and periodic code.
+
+    period_tiles is None until the first odometer encode, then () if the
+    period pass raised, else one (symbols, resolution, P) per scale: the
+    scale's code over P 2^j positions, P the odometer's period and j the
+    least with P 2^j >= P - 1 + w, w the widest window encoded so far.  It
+    is the one state an encode leaves behind, and holds fewer than
+    2 (P - 1 + w) symbols and as many resolutions per scale.
+    """
+
     def __init__(self, system, schedule, stack, periodic_code):
         self.system = system
         self.schedule = schedule
         self.stack = stack
         self.periodic_code = periodic_code
-        self.period_tiles = ()      # odometer_period tiled by codec._period_streams
+        self.period_tiles = None    # built by codec._period_streams
 
     @property
     def kmax(self):
         return self.schedule.kmax
-
-    @functools.cached_property
-    def odometer_period(self):
-        """An odometer's codes over one period, rendered on the first encode
-        (codec.odometer_period); no decode reads them."""
-        return codec.odometer_period(self)
 
     def decode_margin(self):
         """Stream inflation that certifies a requested window after decoding."""

@@ -77,8 +77,6 @@ def periodic_window(w, a, b, phase=0):
         return ""
     n = len(w)
     s = (a + phase) % n
-    if s + b - a < n:           # inside one copy of w
-        return w[s:s + b - a + 1]
     return (w * ((s + b - a) // n + 1))[s: s + b - a + 1]
 
 

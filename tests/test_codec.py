@@ -1062,9 +1062,8 @@ class TestWordKeys:
         assert min(blocks.values()) >= 20
 
     def test_periodic_window_equals_letter_by_letter(self):
-        """periodic_window slices one copy of w when the window fits in it,
-        and copies of w otherwise; either way letter i is w[(i + phase) % |w|],
-        in w's type."""
+        """Letter i of periodic_window(w, a, b, phase) is w[(i + phase) % |w|],
+        in w's type, for windows inside one copy of w and across copies."""
         for w in ("0", "0010101", list("0010101"), tuple("01")):
             for a in range(-9, 10):
                 for b in range(a, a + 20):
@@ -1114,7 +1113,7 @@ class TestOdometerPeriod:
         P = periods[-1]
         rendered = codec.render_scales(_residue_point(odo, 0), pipe, (0, 3 * P - 1))
         assert [min_period(_cells(s)) for s in rendered] == periods
-        assert [len(s.symbols) for s in pipe.odometer_period] == [P] * len(periods)
+        assert [len(s.symbols) for s in codec.odometer_period(pipe)] == [P] * len(periods)
 
     @pytest.mark.parametrize("config", ["odo_pipe", "mixed_pipe"],
                              ids=["dyadic8", "base35223"])
@@ -1158,9 +1157,8 @@ class TestOdometerPeriod:
         render, so a period read from the wrong offset fails its record."""
         base, kwargs = MIXED_BASE
         pipe = build_pipeline(Odometer(base), **kwargs)
-        pipe.odometer_period = tuple(
-            SymbolStream(s.a, s.b, s.symbols[1:] + s.symbols[:1],
-                         s.resolution[1:] + s.resolution[:1])
+        pipe.period_tiles = tuple(
+            (s.symbols[1:] + s.symbols[:1], s.resolution[1:] + s.resolution[:1], len(s.symbols))
             for s in codec.odometer_period(pipe))
         report = verify_pipeline(pipe, sample_count=2)
         assert [r.ok for r in report.records if (r.module, r.name) == ("codec", "equivariance")] \
@@ -1183,7 +1181,7 @@ class TestOdometerPeriod:
         point = _residue_point(odo, 7)
         assert [s.to_text() for s in pipe.encode_scales(point, (-8, 8))] == \
             [s.to_text() for s in codec.render_scales(point, pipe, (-8, 8))]
-        assert pipe.odometer_period == ()
+        assert pipe.period_tiles == ()
         with pytest.raises(CapacityError, match="refused at scale 1"):
             pipe.encode(_residue_point(odo, 0), 2, (-8, 8))
 
@@ -1195,7 +1193,7 @@ class TestOdometerPeriod:
         stream = _roundtrip(odo_pipe, point, window)
         fresh = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
         res = fresh.decode(stream, 3)
-        assert "odometer_period" not in vars(fresh)
+        assert fresh.period_tiles is None
         assert res.itinerary_list(3, window) == \
             itinerary(odo_pipe.system, point, odo_pipe.schedule.m[2], window)
 

@@ -383,10 +383,10 @@ class TestLayoutCapacity:
 
     @pytest.mark.parametrize("name", sorted({**BENCH_SCHEDULES, "golden-K3-kmax2": None}))
     def test_built_budgets_match_fraction_formulas(self, name):
-        """The budgets read alpha's numerator and denominator once, as
-        integers: at every scale k of a built schedule, every length L below
-        layout_bounds(k)'s upper end has the fill1 and budget of the
-        Fraction formulas."""
+        """The budgets divide alpha's integer numerator and denominator,
+        rounding toward zero: at every scale k of a built schedule, every
+        length L below layout_bounds(k)'s upper end has the fill1 and budget
+        of the Fraction formulas."""
         sched = build_schedule(golden_mean(), K=3, kmax=2, C=0.0, m=(0, 0)) \
             if name == "golden-K3-kmax2" else BENCH_SCHEDULES[name]()
         alpha = sched.alpha
