@@ -1137,7 +1137,7 @@ class TestOdometerPeriod:
         widest window encoded so far; P = 128 on the dyadic odometer."""
         pipe = build_pipeline(dyadic_odometer(8), K=2, kmax=3, N_cert=128)
         point = _residue_point(pipe.system, 77)
-        for width, kept in ((1, 128), (129, 256), (10, 256), (640, 1024)):
+        for width, kept in ((1, 128), (129, 256), (130, 512), (10, 512), (640, 1024)):
             window = (-300, width - 301)
             assert pipe.encode(point, 3, window).to_text() == \
                 list(codec.render_scales(point, pipe, window))[2].to_text()
