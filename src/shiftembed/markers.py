@@ -429,21 +429,6 @@ class TowerStack:
     def runtime(self, point):
         return TowerRuntime(self, point)
 
-    def serialize(self):
-        """Each scale's residues or orbits; every scale's orbit list comes
-        from the one orbit walk of the tower with the largest n."""
-        out = []
-        top = max(self.towers, key=lambda tower: tower.n)
-        for tower in self.towers:
-            out.append("scale: %d" % tower.k)
-            if isinstance(tower, OdometerTower):
-                out.append("depth: %d" % tower.depth)
-                out.append("residues: [%s]" % ", ".join(map(str, sorted(tower.residues))))
-            else:
-                out.append("orbits: [%s]" % ", ".join(
-                    sorted(v for v, p in top.pernbhd.orbits.items() if p <= tower.n)))
-        return "\n".join(out) + "\n"
-
 
 def build_towers(system, schedule):
     """Build the tower stack for every scale of the schedule."""

@@ -9,8 +9,10 @@ encode slices (Pipeline.period_tiles); they are built on the first encode,
 not by build_pipeline, and a decode reads its codewords as for any system.
 Building a pipeline runs the capacity checks up front so that encoding
 cannot fail later on admissible inputs.
-Pipelines serialize to a directory of flat text artifacts and rebuild
-deterministically.
+A pipeline saves to a directory of the flat text files that load_pipeline
+reads, system.txt, schedule.txt and (for a system with periodic points)
+periodic_code.txt, and loads back deterministically, the towers rebuilt
+from the system and schedule.
 """
 
 import itertools
@@ -338,22 +340,16 @@ def _fail(failed, k, exc=None):
 
 
 def save_pipeline(pipeline, outdir):
+    """Write the files load_pipeline reads: system.txt, schedule.txt and,
+    for a system with periodic points, periodic_code.txt."""
     os.makedirs(outdir, exist_ok=True)
     def put(name, text):
         with open(os.path.join(outdir, name), "w") as fh:
             fh.write(text)
     put("system.txt", serialize_system(pipeline.system))
     put("schedule.txt", pipeline.schedule.serialize())
-    put("towers.txt", pipeline.stack.serialize())
     if pipeline.periodic_code is not None:
         put("periodic_code.txt", pipeline.periodic_code.serialize())
-    # one line per scale-1 block length of the schedule
-    sched = pipeline.schedule
-    lines = []
-    for L in range(*sched.block_bounds(1)):
-        cb = pipeline.first_codebook(L, sched.fill1(L))
-        lines.append("first n=%d len=%d size=%d\n" % (L, cb.length, len(cb)))
-    put("codebooks.txt", "".join(lines))
 
 
 def _read(path, parse, *args):

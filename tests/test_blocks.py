@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from check_reference import roundtrip_or_named
 from encode_reference import long_tail_points
 from layout_reference import (ROLE_FILL, ROLE_FREE, dump_lines, free_special_singular,
                               layer_roles, marker_progression, record_layouts,
@@ -546,3 +547,47 @@ class TestSpanLayoutAgainstReference:
             k = rng.choice([1, 2])
             assert list(_marker_progression(sched, blk, k, lo, hi)) == \
                 marker_progression(sched, blk, k, lo, hi)
+
+
+class TestFreeInSpecialSubblocks:
+    """A witness for blocks._free_in_special_subblocks on golden K=3: the
+    core repeats the period-9 orbit word 000000001 three times, so the
+    scale-1 layer has the bounded special stretch (-6, 13) inside the
+    regular scale-2 block [-15, 23).  budget(19, 2) = 2, so the rule frees
+    every second position of the stretch past n_1 = 9: 4, 6, 8, 10, 12.
+    The block fills the first four and leaves 12 a free slot."""
+
+    POINT = Point("0", "0" + "000000001" * 3 + "0", "0", -15)
+
+    @pytest.fixture(scope="class")
+    def pipe(self):
+        make_system, kwargs = TestLayoutBounds.CONFIGS["golden-k3"]
+        pipe = build_pipeline(make_system(), **kwargs)
+        assert pipe.schedule.n == (9, 10)
+        return pipe
+
+    def _block(self, layout):
+        return next(blk for blk in layout.layer(2).blocks
+                    if blk.kind == "regular" and blk.freed_positions)
+
+    def test_freed_positions_at_encode_and_decode(self, pipe):
+        margin = pipe.decode_margin()
+        window = (-200 - margin, 200 + margin)
+        layout = pipe.context(self.POINT, window).layout
+        stretch = layout.layer(1).block_at(0)
+        assert (stretch.kind, stretch.special, stretch.start, stretch.end, stretch.m) == \
+            ("singular", True, -6, 13, 9)
+        blk = self._block(layout)
+        assert (blk.start, blk.end, blk.freed_positions) == (-15, 23, (4, 6, 8, 10, 12))
+        assert blk.fill_positions == (-7, 4, 6, 8, 10)
+        assert [blk for blk in layout.layer(2).blocks if blk.freed_positions] == [blk]
+        stream = pipe.encode(self.POINT, 2, window)
+        assert [stream.get(t) for t in blk.freed_positions] == ["1", "1", "1", "1", "o"]
+        seen, error = record_layouts(pipe.decode, stream, 2)
+        assert error is None
+        decoded = self._block(seen[-1][0])
+        assert (decoded.start, decoded.end, decoded.freed_positions, decoded.fill_positions) \
+            == (blk.start, blk.end, blk.freed_positions, blk.fill_positions)
+
+    def test_roundtrip(self, pipe):
+        roundtrip_or_named(pipe, self.POINT, 2, (-200, 200), None)

@@ -30,8 +30,8 @@ from shiftembed import codec
 from shiftembed.cli import main
 from shiftembed.codec import SymbolStream, build_periodic_code
 from shiftembed.errors import ShiftEmbedError
-from shiftembed.pipeline import (build_pipeline, sample_points, save_pipeline,
-                                 verify_pipeline)
+from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points,
+                                 save_pipeline, verify_pipeline)
 from shiftembed.systems import Point, Sft, dyadic_odometer, golden_mean, orbit_system
 from shiftembed.words import kary_alphabet
 
@@ -434,36 +434,27 @@ def artifact_digests(outdir):
 
 
 GOLDEN_K2_ARTIFACTS = {
-    "codebooks.txt": "3ad6c2db729c6e52",
     "periodic_code.txt": "0ddaf2eec2a119a1",
     "schedule.txt": "48149db841ef9d93",
     "system.txt": "a57b061aae642646",
-    "towers.txt": "59824a58f9774f27",
 }
 
 PINNED_ARTIFACTS = {
     "golden-k2": GOLDEN_K2_ARTIFACTS,
     "golden-k3": {
-        "codebooks.txt": "7752e43f4c386ac8",
         "periodic_code.txt": "76f50d6fdea3c3d9",
         "schedule.txt": "828ee8663f589b35",
         "system.txt": "a57b061aae642646",
-        "towers.txt": "2492317203417faa",
     },
     # aperiodic: no periodic code is written
     "odometer": {
-        "codebooks.txt": "84e5dce3c16c0ecd",
         "schedule.txt": "33ea0c61a810d632",
         "system.txt": "36d1ba06c37dc80f",
-        "towers.txt": "bfb1694aee90abf0",
     },
     "orbit001": {
-        "codebooks.txt": "c08dc4e7b6b79f40",
         "periodic_code.txt": "314e0c2831213c23",
         "schedule.txt": "d7569a4d0d78720f",
         "system.txt": "33c7a86ea6237274",
-        # "scale: 1" and "orbits: [001]" only, with no "patterns:" line
-        "towers.txt": "a4cdbadf306a7e56",
     },
 }
 
@@ -473,6 +464,25 @@ def test_saved_artifacts_pinned(name, tmp_path):
     make_system, kwargs = CONFIGS[name]
     save_pipeline(build_pipeline(make_system(), precheck=True, **kwargs), str(tmp_path))
     assert artifact_digests(str(tmp_path)) == PINNED_ARTIFACTS[name]
+
+
+def test_saved_files_are_the_loaded_files(config, tmp_path, monkeypatch):
+    """save_pipeline writes exactly the files that load_pipeline opens,
+    each once, as recorded through pipeline._read."""
+    from shiftembed import pipeline as pipeline_module
+    _, _, pipe = config
+    save_pipeline(pipe, str(tmp_path))
+    opened = []
+    read = pipeline_module._read
+
+    def recording(path, *args):
+        opened.append(path)
+        return read(path, *args)
+
+    monkeypatch.setattr(pipeline_module, "_read", recording)
+    load_pipeline(str(tmp_path))
+    assert sorted(opened) == [os.path.join(str(tmp_path), name)
+                              for name in sorted(os.listdir(tmp_path))]
 
 
 def test_cli_build_artifacts_pinned(tmp_path, capsys):

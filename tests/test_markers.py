@@ -150,10 +150,7 @@ def test_load_enumerates_only_the_periodic_code(tmp_path, monkeypatch):
 
 
 def test_golden_towers_orbit_counts(pipe):
-    lines = pipe.stack.serialize().splitlines()
-    counts = [len(line[len("orbits: ["):-1].split(", "))
-              for line in lines if line.startswith("orbits: ")]
-    assert counts == [25, 1420]
+    assert [len(tower.pernbhd.orbits) for tower in pipe.stack] == [25, 1420]
 
 
 def residue_set(tower):

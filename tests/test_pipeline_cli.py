@@ -10,7 +10,7 @@ from shiftembed.entropy import ScaleSchedule, build_schedule
 from shiftembed.errors import CapacityError, ScheduleError, SpecParseError
 from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points, save_pipeline,
                                  verify_pipeline)
-from shiftembed.systems import dyadic_odometer, golden_mean
+from shiftembed.systems import dyadic_odometer, golden_mean, parse_system
 
 
 @pytest.fixture(scope="module")
@@ -33,21 +33,6 @@ class TestPipeline:
                       str(out2))
         for name in os.listdir(out1):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_codebooks_file_does_not_depend_on_what_was_encoded(self, tmp_path):
-        """codebooks.txt is the schedule's scale-1 codebooks: the same bytes
-        before and after encoding, one line per scale-1 block length."""
-        fresh = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
-        before, after = tmp_path / "before", tmp_path / "after"
-        save_pipeline(fresh, str(before))
-        for point in sample_points(golden_mean(), 5, seed=3):
-            fresh.encode(point, 2, (-60, 60))
-        save_pipeline(fresh, str(after))
-        text = (before / "codebooks.txt").read_text()
-        assert (after / "codebooks.txt").read_text() == text
-        lo, hi = fresh.schedule.block_bounds(1)
-        assert [line.split()[1] for line in text.splitlines()] == \
-            ["n=%d" % L for L in range(lo, hi)]
 
     def test_override_reverified(self):
         bad = ScaleSchedule(K=2, alpha=pipefrac(), m=(0, 0), n=(5, 7),
@@ -246,8 +231,8 @@ class TestCli:
         assert labels[0] == "labels" and {len(x.split(".")) for x in labels[1:]} == {1}
 
     def test_build_walks_the_orbit_tree_once_per_length(self, tmp_path, monkeypatch):
-        """The periodic code walks n_1 = 9; the orbit lists of towers.txt
-        come from the one walk of n_2 = 19."""
+        """The periodic code walks n_1 = 9, and nothing walks further: each
+        tower tests its periodic neighbourhood on the window."""
         from shiftembed import systems
         walks = Counter()
         real = systems._lyndon_orbits
@@ -257,9 +242,27 @@ class TestCli:
             return real(system, nmax)
 
         monkeypatch.setattr(systems, "_lyndon_orbits", counting)
-        out = self._build(tmp_path)
-        assert walks == {9: 1, 19: 1}
-        assert (out / "towers.txt").read_text().count("orbits: [") == 2
+        self._build(tmp_path)
+        assert walks == {9: 1}
+
+    @pytest.mark.parametrize("spec, K, kmax, C, n", [
+        ("kind: sft\nalphabet: 2\nforbidden: [11]\n", 3, 3, 4, (13, 26, 52)),
+        ("kind: sft\nalphabet: 2\nforbidden: []\n", 3, 2, 0, (14, 23)),
+    ], ids=["golden-K3-kmax3-C4", "full2-K3-kmax2-C0"])
+    def test_build_enumerates_no_orbit_past_n1(self, tmp_path, spec, K, kmax, C, n):
+        """The orbits of period <= n_kmax are 86,267,571,272 admissible
+        52-words on golden K=3 and 2^23 words on the full 2-shift, over
+        WORD_ENUM_BUDGET; build lists none of them, so both build, and
+        the directory loads back the built schedule and periodic code."""
+        sysfile = tmp_path / "system.txt"
+        sysfile.write_text(spec)
+        out = tmp_path / "pipe"
+        assert main(["build", "--system", str(sysfile), "--K", str(K), "--kmax", str(kmax),
+                     "--C", str(C), "--out", str(out)]) == 0
+        built = build_pipeline(parse_system(spec), K=K, kmax=kmax, C=C)
+        again = load_pipeline(str(out))
+        assert again.schedule == built.schedule and again.schedule.n == n
+        assert again.periodic_code.orbit_code == built.periodic_code.orbit_code
 
 
 class TestMalformedInputExitsTwo:
