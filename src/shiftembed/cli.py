@@ -91,10 +91,8 @@ def cmd_decode(args):
         if cert is None:
             lines.append("scale %d uncertified" % l)
             continue
-        lo, hi = cert
-        labels = " ".join(map(pipeline.system.label_text, result.itinerary_list(l, cert)))
-        lines.append("scale %d window %d:%d" % (l, lo, hi))
-        lines.append("labels %s" % labels)
+        lines.append("scale %d window %d:%d" % (l, *cert))
+        lines.append("labels " + pipeline.system.labels_text(result.itinerary_list(l, cert)))
     lines.append("orbits %s" % " ".join(result.orbits))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

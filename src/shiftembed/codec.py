@@ -57,6 +57,9 @@ _TOKEN_OUT = {SYM_M1: "B1", SYM_MK: "B2", SYM_LB: "LB", SYM_RB: "RB",
               SYM_DB: "DB", SYM_FREE: "FR", SYM_UNRESOLVED: "UN"}
 # every token a stream file may hold: the structural names and the code letters
 _TOKEN_IN = {**{v: k for k, v in _TOKEN_OUT.items()}, **{c: c for c in CODE_CHARS}}
+# the resolution tokens to_text writes up to scale 9; any other goes through int()
+_RESOLUTION_IN = {"-": None, **{str(r): r for r in range(1, 10)}}
+_RESOLUTION_OUT = {r: tok for tok, r in _RESOLUTION_IN.items()}
 
 # the stream symbol of each structural layout role
 _ROLE_SYMBOL = {ROLE_MARKER: SYM_M1, ROLE_CLOSING: SYM_TERM, ROLE_MARKER_K: SYM_MK,
@@ -90,10 +93,12 @@ class SymbolStream:
         return self.symbols[t - self.a]
 
     def to_text(self):
-        toks = [_TOKEN_OUT.get(s, s) for s in self.symbols]
-        res = " ".join("-" if r is None else str(r) for r in self.resolution)
-        return "window: %d:%d\nsymbols: %s\nresolution: %s\n" % (
-            self.a, self.b, " ".join(toks), res)
+        toks = " ".join(map(_TOKEN_OUT.get, self.symbols, self.symbols))
+        try:
+            res = " ".join(map(_RESOLUTION_OUT.__getitem__, self.resolution))
+        except KeyError:        # a scale above 9
+            res = " ".join("-" if r is None else str(r) for r in self.resolution)
+        return "window: %d:%d\nsymbols: %s\nresolution: %s\n" % (self.a, self.b, toks, res)
 
     @classmethod
     def from_text(cls, text):
@@ -103,7 +108,7 @@ class SymbolStream:
             raise SpecParseError("stream needs 'window' and 'symbols'")
         a, b = _parse_window(kv["window"], "stream window")
         try:
-            syms = [_TOKEN_IN[tok] for tok in kv["symbols"].split()]
+            syms = list(map(_TOKEN_IN.__getitem__, kv["symbols"].split()))
         except KeyError as exc:
             raise SpecParseError("stream token %r is not one of B1 B2 LB RB DB FR UN "
                                  "or a code letter" % exc.args[0]) from None
@@ -114,8 +119,8 @@ class SymbolStream:
         if "resolution" in kv:
             toks = kv["resolution"].split()
             try:
-                res = [None if tok == "-" else int(tok) for tok in toks]
-            except ValueError:      # entry by entry, to name the first that is no integer
+                res = list(map(_RESOLUTION_IN.__getitem__, toks))
+            except KeyError:        # entry by entry, to name the first that is no integer
                 res = [None if tok == "-" else _parse_int(tok, "stream resolution entry")
                        for tok in toks]
             if len(res) != len(syms):
@@ -377,8 +382,14 @@ class PeriodicCode:
     def __init__(self, n1, K, orbit_code):
         self.n1 = n1
         self.K = K
-        self.orbit_code = {}
-        self.prefix_table = {}
+        self.orbit_code = dict(orbit_code)
+        self.prefix_table = {p: (v, d) for v, w in orbit_code.items()
+                             for d, p in enumerate(_rotation_prefixes(w, n1))}
+        if len(self.prefix_table) == sum(map(len, orbit_code.values())):
+            return
+        # some prefix is claimed twice: replay the claims in order to name the
+        # first word that takes a taken prefix
+        self.orbit_code, self.prefix_table = {}, {}
         for v, w in orbit_code.items():
             if not self.claim(v, w):
                 raise ShiftEmbedError("periodic code prefix collision: code word %r of "

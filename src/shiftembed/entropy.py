@@ -113,6 +113,13 @@ def _trunc_div(num, den):
     return num // den if num >= 0 else -(-num // den)
 
 
+def neighborhood_radii(m, n):
+    """The neighborhood radii r_k = max(m_k + n_k, n_k) of partition radii m
+    and tower lengths n, the one rule build_schedule writes and
+    ScaleSchedule.parse checks."""
+    return tuple(max(mk + nk, nk) for mk, nk in zip(m, n))
+
+
 @dataclass(frozen=True)
 class ScaleSchedule:
     """Verified scale data consumed by the marker and codec stages."""
@@ -220,6 +227,9 @@ class ScaleSchedule:
         if lists["nprime"] != tuple(itertools.accumulate(lists["n"])):
             raise SpecParseError("schedule nprime %s is not the running sums of n %s"
                                  % (list(lists["nprime"]), list(lists["n"])))
+        if lists["r"] != neighborhood_radii(lists["m"], lists["n"]):
+            raise SpecParseError("schedule r %s is not max(m_k + n_k, n_k) of m %s and n %s"
+                                 % (list(lists["r"]), list(lists["m"]), list(lists["n"])))
         return cls(K=_parse_int(kv["K"], "schedule K"),
                    alpha=_parse_fraction(kv["alpha"], "schedule alpha"),
                    periodic=kv["periodic"] == "1", C=_parse_finite(kv["C"], "schedule C"),
@@ -484,9 +494,9 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
     for k in range(1, kmax):
         if not _growth_holds(ns, nprime, k):
             raise ScheduleError("growth inequality n'_k < n_{k+1} fails at k=%d" % k)
-    r = tuple(max(m[k - 1] + ns[k - 1], ns[k - 1]) for k in range(1, kmax + 1))
     schedule = ScaleSchedule(K=K, alpha=alpha, m=m, n=tuple(ns), nprime=nprime,
-                             r=r, periodic=periodic, C=C, N_cert=N_cert)
+                             r=neighborhood_radii(m, ns), periodic=periodic, C=C,
+                             N_cert=N_cert)
     check_layout_capacity(schedule)
     return schedule
 

@@ -50,6 +50,17 @@ class CapacityError(ShiftEmbedError):
         self.block = block
 
 
+class NestingError(ShiftEmbedError):
+    """A special singular block whose deep middle lies outside the singular
+    blocks of the previous scale."""
+
+    def __init__(self, message, scale=None, block=None, position=None):
+        super().__init__(message)
+        self.scale = scale
+        self.block = block
+        self.position = position
+
+
 class MalformedStreamError(ShiftEmbedError):
     """Symbol stream admits no consistent block parse."""
 

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import chain
 
 from .blocks import span_at, span_keys
-from .errors import (EnumerationBudgetError, SeparationError,
+from .errors import (EnumerationBudgetError, NestingError, SeparationError,
                      ShiftEmbedError, VerifyReport, WindowError)
 from .systems import periodic_orbits
 from .words import necklace, periodic_name, primitive_root
@@ -655,7 +655,10 @@ def _check_special_nesting(part, prev_part):
             b = phi - 1 if iv.end is None else iv.end - 1
             mid = max(plo + 1, min(phi - 1, (a + b) // 2))
             if prev_part.interval_at(mid).kind != "singular":
-                raise ShiftEmbedError("special singular block not nested in previous scale")
+                block = (iv.start, iv.end)
+                raise NestingError("scale-%d special singular block %r not nested in "
+                                   "previous scale at %d" % (part.scale, block, mid),
+                                   scale=part.scale, block=block, position=mid)
 
 
 # -- verification ---------------------------------------------------------------

@@ -151,6 +151,10 @@ class Sft:
         """A cell label as printed: the word itself."""
         return label
 
+    def labels_text(self, labels):
+        """A list of cell labels as printed on one line."""
+        return " ".join(labels)
+
     # -- word level ---------------------------------------------------------
 
     def is_admissible(self, w):
@@ -446,6 +450,10 @@ class Odometer:
     def label_text(self, label):
         """A cell label as printed: its digits joined by dots."""
         return ".".join(map(str, label))
+
+    def labels_text(self, labels):
+        """A list of cell labels as printed on one line."""
+        return " ".join(map(self.label_text, labels))
 
     def residue_of_digits(self, digits):
         res = 0

@@ -247,6 +247,15 @@ class TestPeriodicCode:
         assert not code.claim("00101", "21111")
         assert code.prefix_table == table and code.orbit_code["00101"] == "11122"
 
+    def test_a_repeated_prefix_within_one_word_is_kept_as_claim_keeps_it(self):
+        """The one-pass table also counts a word whose own rotations share a
+        prefix (a power, which parse refuses first); the claims replayed in
+        order accept it, and the table is theirs: the later rotation wins."""
+        code = PeriodicCode(9, 2, {"0001": "1212", "01": "11"})
+        assert code.orbit_code == {"0001": "1212", "01": "11"}
+        assert code.prefix_table == {"121212121": ("0001", 2), "212121212": ("0001", 3),
+                                     "111111111": ("01", 1)}
+
     def test_n1_sixteen_injective(self):
         code = build_periodic_code(golden_mean(), 2, 16)
         assert verify_injective(code)
@@ -260,6 +269,27 @@ class TestStreams:
         back = SymbolStream.from_text(text)
         assert back == s
         assert back.to_text() == text
+
+    def test_text_round_trip_of_every_token_and_resolution(self):
+        """Every token a stream file may hold, and the resolutions None, 1-9
+        and 12 (the first outside the token table), read back as written."""
+        tokens = list(codec._TOKEN_IN)
+        resolutions = [None] + list(range(1, 10)) + [12]
+        n = max(len(tokens), len(resolutions))
+        tokens = list(itertools.islice(itertools.cycle(tokens), n))
+        resolutions = list(itertools.islice(itertools.cycle(resolutions), n))
+        stream = SymbolStream(0, n - 1, [codec._TOKEN_IN[tok] for tok in tokens], resolutions)
+        text = stream.to_text()
+        assert text == "window: 0:%d\nsymbols: %s\nresolution: %s\n" % (
+            n - 1, " ".join(tokens), " ".join("-" if r is None else str(r) for r in resolutions))
+        back = SymbolStream.from_text(text)
+        assert (back.symbols, back.resolution) == (stream.symbols, resolutions)
+        assert back.to_text() == text
+
+    def test_resolution_entries_outside_the_token_table_read_as_integers(self):
+        stream = SymbolStream.from_text("window: 0:2\nsymbols: 1 2 1\n"
+                                        "resolution: +1 \u0663 12\n")
+        assert stream.resolution == [1, 3, 12]
 
     def test_limit_marks_unresolved(self, pipe):
         p = Point("10", "00100101001", "001", -5)
@@ -857,6 +887,17 @@ class TestRefusalTexts:
         text = pipe.periodic_code.serialize().replace("orbit: 0 -> 1", "orbit: 0 -> 1\n" + line)
         with pytest.raises(SpecParseError, match="^periodic code line '%s'$" % line):
             PeriodicCode.parse(text, golden_mean(), 9, 2)
+
+    def test_stream_text_refuses_an_unknown_token(self):
+        with pytest.raises(SpecParseError) as err:
+            SymbolStream.from_text("window: 0:2\nsymbols: B1 foo 1\n")
+        assert str(err.value) == ("stream token 'foo' is not one of B1 B2 LB RB DB FR UN "
+                                  "or a code letter")
+
+    def test_stream_text_refuses_a_symbol_count(self):
+        with pytest.raises(SpecParseError) as err:
+            SymbolStream.from_text("window: 0:5\nsymbols: 1 1\nresolution: 1 1\n")
+        assert str(err.value) == "stream has 2 symbols for window 0:5"
 
     def test_stream_text_refuses_a_resolution_count(self):
         with pytest.raises(SpecParseError,

@@ -11,10 +11,11 @@ from clopen_reference import Clopen, OdoClopen
 from encode_reference import bounded_stretch_points, long_tail_points, reference_tag
 from shiftembed.blocks import LayoutBlock
 from shiftembed.entropy import ScaleSchedule, build_schedule
-from shiftembed.errors import ScheduleError, SeparationError, ShiftEmbedError
+from shiftembed.errors import NestingError, ScheduleError, SeparationError, ShiftEmbedError
 from shiftembed import codec, markers
-from shiftembed.markers import (Interval, PeriodicNeighborhood, TowerStack, _adjust_boundaries,
-                                _tag_singular, build_towers, return_partition, verify_tower)
+from shiftembed.markers import (Interval, PeriodicNeighborhood, ReturnPartition, TowerStack,
+                                _adjust_boundaries, _check_special_nesting, _tag_singular,
+                                build_towers, return_partition, verify_tower)
 from shiftembed.pipeline import (_encode_pass, build_pipeline, load_pipeline, sample_points,
                                  save_pipeline, verify_pipeline)
 from shiftembed.systems import (OdometerPoint, Point, Sft, dyadic_odometer, full_shift,
@@ -1181,3 +1182,22 @@ def test_periodic_neighborhood_wrapper():
     assert (nb.n, nb.r) == (1, 2)
     assert matched_windows(nb) == {"00000"}
 
+
+def test_a_special_block_outside_the_coarser_singular_blocks_is_named():
+    """The nesting refusal names the scale, the block and the position
+    whose coarser block is regular; a block whose middle is singular at the
+    previous scale passes."""
+    prev = ReturnPartition(scale=1, intervals=[Interval(None, 0, "regular"),
+                                               Interval(0, 10, "singular"),
+                                               Interval(10, None, "regular")],
+                           returns=[0, 10], computed_range=(-20, 30))
+    nested = ReturnPartition(scale=2, intervals=[Interval(2, 8, "singular", special=True)],
+                             returns=[2, 8], computed_range=(-20, 30))
+    _check_special_nesting(nested, prev)
+    part = ReturnPartition(scale=2, intervals=[Interval(12, 20, "singular", special=True)],
+                           returns=[12, 20], computed_range=(-20, 30))
+    with pytest.raises(NestingError) as err:
+        _check_special_nesting(part, prev)
+    assert str(err.value) == \
+        "scale-2 special singular block (12, 20) not nested in previous scale at 15"
+    assert (err.value.scale, err.value.block, err.value.position) == (2, (12, 20), 15)

@@ -13,8 +13,7 @@ reached by no other test.
 import pytest
 
 from check_reference import roundtrip_or_named
-from shiftembed.errors import (CapacityError, MalformedStreamError, ShiftEmbedError,
-                               WindowError)
+from shiftembed.errors import CapacityError, MalformedStreamError, NestingError, WindowError
 from shiftembed.pipeline import build_pipeline
 from shiftembed.systems import Point, golden_mean
 
@@ -59,8 +58,8 @@ def pinned(R, u, window, error, text):
            "scale-2 block (-548, -548) has length 0 outside [9, 66)"),
     pinned(12, "0", wide_window(12, "0"), WindowError,
            "time 755 outside computed range (-594, 756)"),
-    pinned(13, "00", wide_window(13, "00"), ShiftEmbedError,
-           "special singular block not nested in previous scale"),
+    pinned(13, "00", wide_window(13, "00"), NestingError,
+           "scale-2 special singular block (-650, -579) not nested in previous scale at -569"),
 ])
 def test_long_run_is_refused(pipe, R, u, window, text):
     roundtrip_or_named(pipe, run_point(R, u), 2, window, text)

@@ -1,4 +1,5 @@
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -453,13 +454,16 @@ class TestMalformedInputExitsTwo:
         "lists-of-unequal-length": (("r: [9, 19]\n", "r: [9]\n"),
                                     "must be nonempty and of one length"),
         "C-not-finite": (("C: 0.0\n", "C: nan\n"), "schedule C must be a finite number"),
+        "r-not-m-plus-n": (("r: [9, 19]\n", "r: [9, 149]\n"),
+                           "schedule r [9, 149] is not max(m_k + n_k, n_k) of m [0, 0] "
+                           "and n [9, 19]"),
     }
 
     @pytest.mark.parametrize("name", sorted(SCHEDULE_EDITS))
     def test_load_refuses_a_malformed_schedule(self, saved, tmp_path, capsys, name):
         (old, new), fragment = self.SCHEDULE_EDITS[name]
         out = self._edited_pipeline(saved, tmp_path, old, new)
-        with pytest.raises(SpecParseError, match=fragment.replace("[", r"\[")):
+        with pytest.raises(SpecParseError, match=re.escape(fragment)):
             load_pipeline(str(out))
         err = self._exits_two(["encode", "--pipeline", str(out), "--point",
                                str(saved / "point.txt"), "--window=-40:40"], capsys)
@@ -675,6 +679,19 @@ class TestPeriodicCodeLoad:
         assert main(["encode", "--pipeline", str(out), "--point", str(point),
                      "--window=-40:40", "--out", str(stream)]) == 0
         return out, stream
+
+    def test_rotation_collision_names_the_first_word_that_takes_a_taken_prefix(self, saved,
+                                                                              tmp_path):
+        import shutil
+        out = tmp_path / "pipe"
+        shutil.copytree(saved[0], out)
+        path = out / "periodic_code.txt"
+        corrupt, _ = self.CORRUPTIONS["rotation-collision"]
+        path.write_text(corrupt(path.read_text()))
+        with pytest.raises(SpecParseError) as err:
+            load_pipeline(str(out))
+        assert str(err.value) == ("%s: periodic code prefix collision: code word '21111' of "
+                                  "orbit '00101'" % path)
 
     def test_untampered_file_loads_the_built_code(self, saved, pipe):
         out, _ = saved
