@@ -146,7 +146,8 @@ class Codebook:
     key's codeword is the K-ary word of its index among the sorted keys.
 
     This class lists its keys (the one orbit of an identification); a
-    subclass counts them, supplying `_rank` and `_unrank`.
+    subclass counts them, supplying `_rank` and `_unrank`, and codes a
+    regular block, supplying `encode_block`, the codeword of a point's block.
     A length of None is the one the key count needs.
     """
 
@@ -179,6 +180,10 @@ class Codebook:
         index = self._rank(key)
         if index is None:
             raise MalformedStreamError("itinerary word %r not in codebook domain" % (key,))
+        return self._codeword(index, pad_to)
+
+    def _codeword(self, index, pad_to):
+        """The K-ary word of an index, padded to pad_to slots when given."""
         word = kary_word(index, self.length, self.K)
         if pad_to is not None:
             if pad_to < self.length:
@@ -215,12 +220,32 @@ def _spelled(key, m, n):
     return w if len(w) == n + 2 * m and _window_key(w, m, n) == key else None
 
 
-class RankedCodebook(Codebook):
-    """The scale-1 codebook of an SFT, computed per lookup.
+class _WordCodebook(Codebook):
+    """An SFT codebook whose keys are the radius-m windows of (n + 2m)-words.
 
     Sliding windows of equal length compare as the word they slide over, so
-    the sorted itinerary keys are the sorted (n + 2m)-words and a key's index
-    is its word's rank, which the SFT counts on its graph.
+    a key ranks as the word it spells, through the subclass's `_word_rank`.
+    """
+
+    def _rank(self, key):
+        w = _spelled(key, self.m, self.n)
+        return None if w is None else self._word_rank(w)
+
+    def encode_block(self, point, start, pad_to=None):
+        """The codeword of the point's block of length n at start: the rank
+        of the point's (n + 2m)-word there, its key never built.  A word
+        outside the domain is refused by encode, with its key."""
+        w = point.word(start - self.m, start + self.n - 1 + self.m)
+        index = self._word_rank(w)
+        if index is None:
+            return self.encode(_window_key(w, self.m, self.n), pad_to)
+        return self._codeword(index, pad_to)
+
+
+class RankedCodebook(_WordCodebook):
+    """The scale-1 codebook of an SFT, computed per lookup: the sorted
+    itinerary keys are the sorted (n + 2m)-words, and a key's index is its
+    word's rank, which the SFT counts on its graph.
     """
 
     def __init__(self, system, m, n, length, K):
@@ -228,15 +253,14 @@ class RankedCodebook(Codebook):
         self.m = m
         self._setup(1, n, length, system.count_words(n + 2 * m), K, None)
 
-    def _rank(self, key):
-        w = _spelled(key, self.m, self.n)
-        return None if w is None else self.system.word_rank(w)
+    def _word_rank(self, w):
+        return self.system.word_rank(w)
 
     def _unrank(self, index):
         return _window_key(self.system.word_at(index, self.n + 2 * self.m), self.m, self.n)
 
 
-class RefinementCodebook(Codebook):
+class RefinementCodebook(_WordCodebook):
     """The scale-k codebook of an SFT given the word u its context spells:
     the radius-m' windows of the words x + u + y, |x| = |y| = m' - m.
 
@@ -260,10 +284,9 @@ class RefinementCodebook(Codebook):
         self._setup(k, n, None, system.count_words(self.ext, end=self.into) * self._right,
                     K, coarse)
 
-    def _rank(self, key):
-        w = _spelled(key, self.m, self.n)
+    def _word_rank(self, w):
         d = self.ext - len(self.into)
-        if w is None or w[d:len(w) - d] != self.u:
+        if w[d:len(w) - d] != self.u:
             return None
         left = self.system.word_rank(w[:self.ext], end=self.into)
         right = self.system.word_rank(w[len(w) - self.ext:], start=self.out)
@@ -310,6 +333,11 @@ class ResidueCodebook(Codebook):
             shift = shift * p + digit
         step = self.system.moduli[self.lo - 1] if self.lo else 1
         return self.system.cell_run(self.offset + step * shift, self.depth, self.n)
+
+    def encode_block(self, point, start, pad_to=None):
+        """The codeword of the point's block of length n at start: the key
+        of its n cells of depth d."""
+        return self.encode(self.system.labels(point, start, self.depth - 1, self.n), pad_to)
 
 
 def build_first_codebook(system, schedule, n, length=None):
@@ -570,14 +598,13 @@ def _block_codebook(pipeline, l, blk, coarse):
 
 def _point_codewords(pipeline, point, l):
     """The encoder's codeword source at scale l: a regular block's codeword
-    of the point's labels, padded to its filling slots."""
+    of the point's word over the block, padded to its filling slots."""
     sched, system = pipeline.schedule, pipeline.system
 
     def codeword(blk):
-        n = blk.length()
-        coarse = system.labels(point, blk.start, sched.m[l - 2], n) if l >= 2 else None
-        return _block_codebook(pipeline, l, blk, coarse).encode(
-            system.labels(point, blk.start, sched.m[l - 1], n), pad_to=len(blk.fill_positions))
+        coarse = system.labels(point, blk.start, sched.m[l - 2], blk.length()) if l >= 2 else None
+        return _block_codebook(pipeline, l, blk, coarse).encode_block(
+            point, blk.start, pad_to=len(blk.fill_positions))
     return codeword
 
 

@@ -5,11 +5,14 @@ the nested-marker construction: pieces are cylinders of one fixed width,
 ranked lexicographically by their window, and a point is accepted exactly
 when no strictly smaller-ranked piece is accepted within distance n_k - 1.
 Membership is decided per point, never through a flat pattern set.  Over
-the range a return partition scans, WordTower.members decides every
-position in increasing rank order, so each test reads only members already
-decided.  Anywhere else, and for neighbours past that range's edges, the
-recursive WordTower.member is the definition: its rank chase terminates
-because ranks strictly decrease, and CHASE_LIMIT bounds its depth.  A tail
+the range a return partition scans, WordTower.members ranks every position
+in one pass over the runtime's letter text (WordTower.rank_range) and then
+decides them in increasing rank order, so each test reads only members
+already decided.  Anywhere else, and for neighbours past that range's
+edges, the recursive WordTower.member is the definition: its rank chase
+terminates because ranks strictly decrease, and CHASE_LIMIT bounds its
+depth.  A lone rank is the same pass on one position, so the rank rule has
+one copy, and the central-window match rule one (TowerRuntime.match).  A tail
 of least period at most n_k lies in the scale-k periodic neighborhood, so
 no position past its quiet bound (TowerRuntime.quiet_bounds) is in a piece:
 a rank there is None without matching its window, and members are sought
@@ -22,6 +25,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from math import inf
 
 from .blocks import span_at, span_keys
 from .errors import (EnumerationBudgetError, NestingError, SeparationError,
@@ -116,11 +120,19 @@ class WordTower:
     # rank = (tier, window) or None; windows compare lexicographically
 
     def rank(self, point, pos, runtime):
-        """The piece of T^pos(point): its full window of width 2R + 1,
-        R = r + n'_(k-1), sliced from the runtime's letter text.
+        """The piece of T^pos(point): (tier, full window), the full window
+        of width 2R + 1 with R = r + n'_(k-1), or None outside every piece.
 
-        A tier-1 piece at k >= 2 needs the full window to match no orbit of
-        period <= n.  It matches exactly when the central radius-r window
+        At k = 1 the tier is 1 when the central radius-r window matches no
+        orbit of period <= n.  At k >= 2 it is 1 when pos is a member of the
+        scale below and the full window matches no orbit of period <= n,
+        and 2 when no member of the scale below lies within n'_(k-1) - 1 of
+        pos and the central window matches no orbit; any other position is
+        in no piece.  A lone position's rank is rank_range's pass on
+        [pos, pos], so a chase and a sweep rank by one rule.
+
+        The pass tests the full window without matching it.  It matches
+        exactly when the central radius-r window
         matches, with least period p, and p is also a period of the full
         window.  If the full window has least period q <= n, the central
         window has period q and least period p <= q, so by Fine and Wilf
@@ -132,30 +144,76 @@ class WordTower:
         necklace.  So one slice comparison replaces a second match.
         """
         cache = runtime.rank_cache[self.k]
-        if pos in cache:
-            return cache[pos]
+        if pos not in cache:
+            self.rank_range(point, pos, pos, runtime)
+        return cache.get(pos)
+
+    def rank_range(self, point, lo, hi, runtime):
+        """Rank each position of [lo, hi] between the quiet bounds that the
+        rank cache lacks, in increasing order, into the cache.
+
+        The quiet bounds are read once, and every piece window is sliced
+        from one text of the runtime's letters.  The central windows are
+        matched left to right, where a rank needs them, so each match
+        slides from its left neighbour (TowerRuntime.match).  At k >= 2,
+        parent membership and TowerRuntime.near read the parent's swept
+        members with two pointers that move with the position; a position
+        outside the parent's swept range, or one with no parent member in
+        reach of a pointer, asks the parent's lazy rule, in the order the
+        rank rule reads them.
+        """
+        cache = runtime.rank_cache[self.k]
         left, right = runtime.quiet_bounds(self)
-        if left is not None and pos < left or right is not None and pos > right:
-            return None
+        if left is not None and lo < left:
+            lo = left
+        if right is not None and hi > right:
+            hi = right
+        if lo > hi:
+            return
         R = self.piece_halfwidth
-        tier = None
+        W = 2 * R + 1
+        text = runtime.window(lo - R, hi + R)       # the piece window at t is text[t - lo:][:W]
+        match = runtime.match
         if self.k == 1:
-            if runtime.match(self, pos) is None:
-                tier = 1
-        elif self.parent.member(point, pos, runtime):
-            hit = runtime.match(self, pos)
-            if hit is None:
-                tier = 1
+            for t in range(lo, hi + 1):
+                if t not in cache:
+                    cache[t] = None if match(self, t) is not None else \
+                        (1, text[t - lo:t - lo + W])
+            return
+        parent, w = self.parent, self.prev_nprime
+        # the parent's members are known on its swept range, and past a
+        # quiet bound that the range reaches, where there are none
+        plo, phi, members = runtime.swept.get(self.k - 1, (0, -1, ()))
+        qlo, qhi = runtime.quiet_bounds(parent)
+        known_lo = -inf if qlo is not None and plo <= qlo <= phi else plo
+        known_hi = inf if qhi is not None and plo <= qhi <= phi else phi
+        n_members = len(members)
+        i = bisect_left(members, lo)                # the first member at or after t
+        j = bisect_left(members, lo - w + 1)        # the first member at or after t - w + 1
+        for t in range(lo, hi + 1):
+            while i < n_members and members[i] < t:
+                i += 1
+            while j < n_members and members[j] <= t - w:
+                j += 1
+            if t in cache:
+                continue
+            if known_lo <= t <= known_hi:
+                in_parent = i < n_members and members[i] == t
             else:
-                window = runtime.window(pos - R, pos + R)
-                if window[hit[2]:] != window[:-hit[2]]:
-                    tier = 1
-        elif not runtime.near(self.parent, pos, self.prev_nprime):
-            if runtime.match(self, pos) is None:
-                tier = 2
-        out = None if tier is None else (tier, runtime.window(pos - R, pos + R))
-        cache[pos] = out
-        return out
+                in_parent = parent.member(point, t, runtime)
+            rk = None
+            if in_parent:
+                hit = match(self, t)
+                window = text[t - lo:t - lo + W]
+                if hit is None or window[hit[2]:] != window[:-hit[2]]:
+                    rk = (1, window)
+            else:
+                near = (j < n_members and members[j] < t + w
+                        or not known_lo <= t - w + 1 <= t + w - 1 <= known_hi
+                        and runtime.near(parent, t, w))
+                if not near and match(self, t) is None:
+                    rk = (2, text[t - lo:t - lo + W])
+            cache[t] = rk
 
     def member(self, point, pos, runtime):
         """Greedy acceptance: in a piece, and no smaller-ranked accepted neighbor.
@@ -190,7 +248,8 @@ class WordTower:
             runtime.chase_depth = depth - 1
 
     def members(self, point, lo, hi, runtime):
-        """The sorted members in [lo, hi], decided in increasing rank order.
+        """The sorted members in [lo, hi]: rank_range ranks the range in
+        one pass, and the positions are decided in increasing rank order.
 
         When t comes up, every position of the range that ranks below it is
         decided, so the ones within the chase neighbourhood of t are read by
@@ -200,10 +259,12 @@ class WordTower:
         Neighbours outside [lo, hi] go through the lazy member.  Writes the
         member cache, and the result for TowerRuntime.near.
         """
+        self.rank_range(point, lo, hi, runtime)
+        ranks = runtime.rank_cache[self.k]
         cache = runtime.member_cache[self.k]
         ranked = []
         for t in range(lo, hi + 1):
-            rk = self.rank(point, t, runtime)
+            rk = ranks.get(t)
             if rk is None:
                 cache[t] = False
             else:
@@ -491,7 +552,8 @@ class ReturnPartition:
     def interval_at(self, t):
         iv = span_at(self.intervals, self.keys, t)
         if iv is None:
-            raise WindowError("time %d outside computed range %r" % (t, self.computed_range))
+            raise WindowError("time %d outside computed range %r" % (t, self.computed_range),
+                              scale=self.scale, position=t)
         return iv
 
 
@@ -653,7 +715,7 @@ def _check_special_nesting(part, prev_part):
         if iv.kind == "singular" and iv.special:
             a = plo + 1 if iv.start is None else iv.start
             b = phi - 1 if iv.end is None else iv.end - 1
-            mid = max(plo + 1, min(phi - 1, (a + b) // 2))
+            mid = (a + b) // 2
             if prev_part.interval_at(mid).kind != "singular":
                 block = (iv.start, iv.end)
                 raise NestingError("scale-%d special singular block %r not nested in "

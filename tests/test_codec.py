@@ -11,7 +11,7 @@ from check_reference import (filtered_least_period_words, forbidden_shape_count_
                              min_period, primitive_and_shaped, restrict, verify_injective)
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
 from layout_reference import ROLE_SINGULAR_FILL, record_layouts, roles
-from shiftembed import blocks, codec
+from shiftembed import blocks, codec, systems
 from shiftembed.codec import (Codebook, PeriodicCode, RankedCodebook, SymbolStream,
                               build_first_codebook, build_conditional_codebook,
                               build_periodic_code)
@@ -1334,6 +1334,73 @@ def test_a_word_system_decode_reads_as_many_codewords(pipe, monkeypatch):
     for stream in streams:
         pipe.decode(stream, 2)
     assert counts == {"codewords": 79, "layers": 2 * len(streams), "codebooks": 70}
+
+
+
+def test_an_encode_builds_keys_only_for_coarse_contexts(pipe, monkeypatch):
+    """Counted cost: 20 golden K=2 encodes on ±446 build 28 itinerary keys,
+    one per coarse context of a scale-2 block; a regular block's codeword
+    ranks the point's word and builds none.  Building the block's key,
+    spelling it back and checking the spelling took 190."""
+    calls = []
+    real = codec._window_key
+
+    def counting(w, m, n):
+        calls.append(n)
+        return real(w, m, n)
+
+    for module in (codec, systems):
+        monkeypatch.setattr(module, "_window_key", counting)
+    for point in sample_points(golden_mean(), 20, seed=11):
+        pipe.encode(point, 2, (-446, 446))
+    assert len(calls) == 28
+
+
+class TestBlockCodewords:
+    """A word codebook's codeword of a point's block, ranked from the
+    point's word, against the codeword of the block's key; outside the
+    domain both paths refuse with the key's text."""
+
+    def _pairs(self, pipe, point):
+        """(codebook, block start) of every regular block the point's
+        scale-2 context lays out around 0, at both scales."""
+        sched, system = pipe.schedule, pipe.system
+        layout = pipe.context(point, (-60, 60)).layout
+        for l in (1, 2):
+            for blk in layout.layer(l).blocks:
+                if blk.kind != "regular" or blk.start is None:
+                    continue
+                n = blk.length()
+                if l == 1:
+                    yield pipe.first_codebook(n, len(blk.fill_positions)), blk.start
+                else:
+                    coarse = system.labels(point, blk.start, sched.m[0], n)
+                    yield pipe.cond_codebook(2, n, coarse), blk.start
+
+    @pytest.mark.parametrize("m", [(0, 0), (0, 1)])
+    def test_equals_the_key_path(self, m):
+        pipe = build_pipeline(golden_mean(), K=3, kmax=2, C=0.0, m=m)
+        seen = set()
+        for point in sample_points(golden_mean(), 8, seed=5):
+            for cb, start in self._pairs(pipe, point):
+                key = pipe.system.labels(point, start, cb.m, cb.n)
+                for pad in (None, cb.length + 2):
+                    assert cb.encode_block(point, start, pad) == cb.encode(key, pad)
+                seen.add(type(cb).__name__)
+        assert seen == {"RankedCodebook", "RefinementCodebook"}
+
+    def test_a_word_outside_the_domain_is_refused_with_its_key(self, pipe):
+        good = sample_points(golden_mean(), 1, seed=5)[0]
+        bad = Point("0", "0110", "0", 0)      # "11" is forbidden in the golden mean
+        for cb in (pipe.first_codebook(12, pipe.schedule.fill1(12)),
+                   pipe.cond_codebook(2, 12, golden_mean().labels(good, 0, 0, 12))):
+            texts = []
+            for encode in (lambda: cb.encode_block(bad, -3),
+                           lambda: cb.encode(golden_mean().labels(bad, -3, cb.m, 12))):
+                with pytest.raises(MalformedStreamError, match="not in codebook domain") as err:
+                    encode()
+                texts.append(str(err.value))
+            assert texts[0] == texts[1]
 
 
 def _schedule(m, mp, K=2, budget=10 ** 6):

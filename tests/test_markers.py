@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from check_reference import escaping_pieces, filtered_least_period_words, min_period
 from clopen_reference import Clopen, OdoClopen
 from encode_reference import bounded_stretch_points, long_tail_points, reference_tag
+from rank_reference import ReferenceTowers
 from shiftembed.blocks import LayoutBlock
 from shiftembed.entropy import ScaleSchedule, build_schedule
-from shiftembed.errors import NestingError, ScheduleError, SeparationError, ShiftEmbedError
+from shiftembed.errors import (NestingError, ScheduleError, SeparationError, ShiftEmbedError,
+                               WindowError)
 from shiftembed import codec, markers
 from shiftembed.markers import (Interval, PeriodicNeighborhood, ReturnPartition, TowerStack,
                                 _adjust_boundaries, _check_special_nesting, _tag_singular,
@@ -1029,6 +1031,47 @@ class TestQuietTails:
         assert sides == 2 * len(points) * len(stack)
 
 
+class TestRankReference:
+    """The range pass against tests/rank_reference.py, a rank rule that
+    slides nothing and keeps no rank, position by position on [-3 n'_k,
+    3 n'_k].  The configurations and points are TestRankOrderSweep's and
+    TestQuietTails'.  One runtime sweeps the scales in order, as an encode
+    does, so each scale's pass reads its parent's swept members; a second
+    runtime ranks each position alone, as the lazy chase does."""
+
+    CONFIGS = {**TestRankOrderSweep.CONFIGS, **TestQuietTails.CONFIGS}
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_ranks_and_members_equal_the_reference(self, name):
+        make_system, kwargs = self.CONFIGS[name]
+        system = make_system()
+        stack = build_pipeline(system, **kwargs).stack
+        points = []
+        if name in TestRankOrderSweep.CONFIGS:
+            points += sample_points(system, 6, seed=13)
+        if name in TestQuietTails.CONFIGS:
+            points += sample_points(system, 20, seed=11)
+        if name.startswith("golden"):
+            points += long_tail_points((7, 13, 29), 1)
+        quiet = 0
+        for point in points:
+            swept, lazy = stack.runtime(point), stack.runtime(point)
+            ref = ReferenceTowers(stack, point)
+            for tower in stack:
+                k, lo, hi = tower.k, -3 * tower.nprime, 3 * tower.nprime
+                members = tower.members(point, lo, hi, swept)
+                for t in range(lo, hi + 1):
+                    rk, member = ref.rank(k, t), ref.member(k, t)
+                    assert swept.rank_cache[k].get(t) == rk, (name, point, k, t)
+                    assert swept.member_cache[k][t] == member, (name, point, k, t)
+                    assert tower.rank(point, t, lazy) == rk, (name, point, k, t)
+                    assert tower.member(point, t, lazy) == member, (name, point, k, t)
+                    quiet += t not in swept.rank_cache[k]
+                assert members == [t for t in range(lo, hi + 1) if ref.member(k, t)]
+        # positions past a quiet bound, which the pass skips, are compared too
+        assert quiet
+
+
 def test_a_chase_deeper_than_the_limit_is_refused_by_name(pipe, runtimes, monkeypatch):
     """The limit bounds the nested chase frames a runtime records: an
     encode that reaches depth d passes at CHASE_LIMIT = d and is refused at
@@ -1201,3 +1244,18 @@ def test_a_special_block_outside_the_coarser_singular_blocks_is_named():
     assert str(err.value) == \
         "scale-2 special singular block (12, 20) not nested in previous scale at 15"
     assert (err.value.scale, err.value.block, err.value.position) == (2, (12, 20), 15)
+
+
+def test_a_special_block_whose_middle_the_coarser_scale_did_not_compute_is_refused():
+    """The nesting check tests the block's own middle: one left of the
+    previous scale's computed range is refused by that partition, which
+    names its scale and the position."""
+    prev = ReturnPartition(scale=1, intervals=[Interval(-10, 0, "regular"),
+                                               Interval(0, 10, "singular")],
+                           returns=[-10, 0, 10], computed_range=(-11, 11))
+    part = ReturnPartition(scale=2, intervals=[Interval(-40, -20, "singular", special=True)],
+                           returns=[-40, -20], computed_range=(-60, 30))
+    with pytest.raises(WindowError) as err:
+        _check_special_nesting(part, prev)
+    assert str(err.value) == "time -31 outside computed range (-11, 11)"
+    assert (err.value.scale, err.value.position) == (1, -31)
