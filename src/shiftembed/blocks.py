@@ -269,9 +269,9 @@ def _closing_bracket_pos(schedule, prev_layer, boundary):
     """']' position closing a regular k-block whose successor is singular:
     the marker slot of the (k-1)-block holding the boundary, or the nearest
     marker-capable position inside a singular (k-1)-block (respecting the
-    protected prefix)."""
-    if boundary is None:
-        return None
+    protected prefix).  The boundary is the start of that singular
+    successor, which a regular interval bounds; None where no laid-out
+    (k-1)-block holds it."""
     blk = prev_layer.block_at(boundary)
     if blk is None:
         return None
@@ -289,13 +289,10 @@ def _free_in_special_subblocks(schedule, prev_layer, blk, k):
     n1 = schedule.n[0]
     freed = []
     for sub in prev_layer.blocks_near(blk.start, blk.end - 1):
-        if sub.kind != "singular" or not sub.special:
+        if sub.kind != "singular" or not sub.special or sub.start is None or sub.end is None:
             continue
-        if sub.start is None or sub.end is None:
-            continue
+        # a sub ending before blk.start gives e <= s and a step of at most 0
         s, e = max(sub.start, blk.start), min(sub.end, blk.end)
-        if s >= e:
-            continue
         step = schedule.budget(e - s, k)
         if step > 0:
             freed.extend(s + l for l in range(step, e - s, step) if l > n1)

@@ -13,7 +13,7 @@ from .codec import SymbolStream
 from .entropy import ScaleSchedule, check_radii
 from .errors import PeriodicPointsError, ScheduleError, ShiftEmbedError, SpecParseError
 from .metrics import convergence_report
-from .pipeline import (DEFAULT_SEED, _read, build_pipeline, load_pipeline,
+from .pipeline import (DEFAULT_SEED, _read, build_pipeline, load_pipeline, precheck_pipeline,
                        sample_points, save_pipeline, verify_pipeline)
 from .systems import _parse_finite, _parse_int, _parse_window, parse_point, parse_system
 from .words import CODE_CHARS
@@ -52,9 +52,10 @@ def cmd_build(args):
     schedule = _read(args.schedule, ScaleSchedule.parse) if args.schedule else None
     try:
         pipeline = build_pipeline(system, K=args.K, kmax=args.kmax, C=C, m=m,
-                                  N_cert=args.N_cert, schedule=schedule, precheck=True)
+                                  N_cert=args.N_cert, schedule=schedule)
     except PeriodicPointsError as exc:
         raise SpecParseError(str(exc)) from None
+    precheck_pipeline(pipeline)
     save_pipeline(pipeline, args.out)
     print("pipeline written to %s (n = %s)" % (args.out, list(pipeline.schedule.n)))
     return 0

@@ -673,24 +673,22 @@ def render_scales(point, pipeline, window, runtime=None):
 
 
 def odometer_period(pipeline):
-    """psi_1, ..., psi_kmax of the residue-0 point on [0, P - 1], or () when
-    that pass raises.  P is the modulus of the deepest digit depth a scale
-    reads, a tower's or a key cell's, so the residue mod P is all the
-    encoder reads of an odometer point and every code is periodic in P."""
+    """psi_1, ..., psi_kmax of the residue-0 point on [0, P - 1].  P is the
+    modulus of the deepest digit depth a scale reads, a tower's or a key
+    cell's, so the residue mod P is all the encoder reads of an odometer
+    point and every code is periodic in P."""
     system, sched = pipeline.system, pipeline.schedule
-    try:
-        depth = max(max(tower.depth for tower in pipeline.stack.towers), max(sched.m) + 1)
-        zero = OdometerPoint(system, (0,) * system.depth)
-        return tuple(render_scales(zero, pipeline, (0, system.modulus(depth) - 1)))
-    except ShiftEmbedError:
-        return ()
+    depth = max(max(tower.depth for tower in pipeline.stack.towers), max(sched.m) + 1)
+    zero = OdometerPoint(system, (0,) * system.depth)
+    return tuple(render_scales(zero, pipeline, (0, system.modulus(depth) - 1)))
 
 
 def _period_streams(pipeline, width):
     """An odometer pipeline's period streams, one (symbols, resolution, P)
-    per scale, or () for a word system or when the period pass raised.
-    They are kept in Pipeline.period_tiles, the pipeline's one copy of its
-    period: built from odometer_period on the first encode, each holds a
+    per scale, or () for a word system.  A period pass that raises raises
+    from the encode that asked for it.  They are kept in
+    Pipeline.period_tiles, the pipeline's one copy of its period: built
+    from odometer_period on the first encode, each holds a
     whole number of periods P, so that one slice reads any window of
     `width` positions, and doubles while it is shorter than P - 1 + width;
     an encode slices them, and a decode reads none."""
@@ -700,7 +698,7 @@ def _period_streams(pipeline, width):
     if tiles is None:
         tiles = pipeline.period_tiles = tuple(
             (s.symbols, s.resolution, len(s.symbols)) for s in odometer_period(pipeline))
-    if tiles and len(tiles[0][0]) < tiles[0][2] - 1 + width:
+    if len(tiles[0][0]) < tiles[0][2] - 1 + width:
         q = 2
         while len(tiles[0][0]) * q < tiles[0][2] - 1 + width:
             q *= 2
@@ -720,9 +718,8 @@ def _period_slice(tile, point, window):
 def encode_scales(point, pipeline, window, runtime=None):
     """Yield psi_1, ..., psi_kmax of a point on an inclusive window.  An
     odometer point's codes are its pipeline's period streams read from its
-    residue, unless the period pass raised: then, as for word systems, the
-    point's own window is rendered, through the given tower runtime of the
-    point or a fresh one."""
+    residue; a word point's window is rendered, through the given tower
+    runtime of the point or a fresh one."""
     periods = _period_streams(pipeline, window[1] - window[0] + 1)
     if not periods:
         yield from render_scales(point, pipeline, window, runtime)
@@ -821,7 +818,7 @@ def _decode_scale1(stream, pipeline, structure):
             continue  # cut by the window edge
         if not len_lo <= nxt - s < len_hi:
             raise MalformedStreamError("block [%d, %d) has impossible length" % (s, nxt),
-                                       scale=1, position=s)
+                                       scale=1, block=(s, nxt), position=s)
         intervals.append(Interval(s, nxt, "regular"))
 
     stretch_bounds = [(s, following.get(s)) for s in sorted(stretch_starts)]
@@ -832,14 +829,14 @@ def _decode_scale1(stream, pipeline, structure):
     for s, e in stretch_bounds:
         if s is not None and e is not None and e - s < len_hi:
             raise MalformedStreamError("singular stretch [%d, %d) too short" % (s, e),
-                                       scale=1, position=s)
+                                       scale=1, block=(s, e), position=s)
         stop = B + 1 if e is None else e       # the first readable prefix names the orbit
         anchor = next((u for u in range(A if s is None else s, stop - n1 + 1)
                        if lookup_at(u) is not None), None)
         if anchor is None:
             if s is not None and e is not None:
                 raise MalformedStreamError("singular stretch %r has no readable prefix"
-                                           % ((s, e),), scale=1, position=s)
+                                           % ((s, e),), scale=1, block=(s, e), position=s)
             continue  # edge region too dirty to certify: drop it
         v, d = lookup_at(anchor)
         phase = (d - anchor) % len(v)
@@ -1014,7 +1011,8 @@ def _read_codewords(stream, pipeline, layer, labels_prev, labels, cert_parts):
             raise
         except CapacityError as exc:            # a block no stream holds
             raise MalformedStreamError("scale-%d block [%d, %d): %s" % (
-                k, blk.start, blk.end, exc), scale=k, position=blk.start) from None
+                k, blk.start, blk.end, exc), scale=k, block=(blk.start, blk.end),
+                position=blk.start) from None
         fine, words[blk.start] = got
         labels[s:e] = fine
         cert_parts.append((blk.start, blk.end - 1))

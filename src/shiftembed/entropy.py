@@ -432,8 +432,12 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
     """Smallest-(n_k) schedule satisfying the three inequality families.
 
     n_k is the smallest threshold such that the scale-k family holds for
-    every n >= n_k on the certified range plus tail.  The growth condition
-    alpha*n_k >= C*2^k is applied with the caller's headroom C, and the
+    every n >= n_k on the certified range plus tail.  At that n_1 the
+    periodic code always fits (periodic_code_fits): #Per_{n_1} >= K^{n_1 - 1}
+    would give the word count, at least the point count, the bound
+    3 alpha n_1 / 4 <= log K through the family's left inequality, and its
+    right inequality needs 3 alpha n_1 / 4 > (1 + alpha n_1 / 2) log K.
+    The growth condition alpha*n_k >= C*2^k is applied with the caller's headroom C, and the
     growth inequality n'_k < n_{k+1} is refused at every scale.
 
     C matters because the families bound only the codeword lengths.  Each
@@ -472,28 +476,23 @@ def build_schedule(system, K, kmax, C=8.0, m=None, N_cert=64):
             if not holds(nn):
                 start = nn + 1
                 break
-        found = None
-        if start <= N_cert and tail():
-            for n0 in range(start, N_cert + 1):
-                if k == 1 and periodic:
-                    short = periodic_shortfall(system, K, n0)
-                    if short is not None:
-                        # below n0 the bound is the K-shift's, whatever n_1 is
-                        raise PeriodicPointsError(
-                            "%d points of least period %d, more than the full %d-shift's %d"
-                            % (short[1], short[0], K, short[2]))
-                    if not periodic_code_fits(system, K, n0):
-                        continue
-                found = n0
-                break
-        if found is None:
-            raise ScheduleError("no admissible n_%d within certified range %d" % (k, N_cert))
-        ns.append(found)
+        if start > N_cert or not tail():
+            raise ScheduleError("no admissible n_%d within certified range %d" % (k, N_cert),
+                                scale=k)
+        if k == 1 and periodic:
+            short = periodic_shortfall(system, K, start)
+            if short is not None:
+                # below n_1 the bound is the K-shift's, whatever n_1 is
+                raise PeriodicPointsError(
+                    "%d points of least period %d, more than the full %d-shift's %d"
+                    % (short[1], short[0], K, short[2]))
+        ns.append(start)
 
     nprime = tuple(itertools.accumulate(ns))
     for k in range(1, kmax):
         if not _growth_holds(ns, nprime, k):
-            raise ScheduleError("growth inequality n'_k < n_{k+1} fails at k=%d" % k)
+            raise ScheduleError("growth inequality n'_k < n_{k+1} fails at k=%d" % k,
+                                scale=k)
     schedule = ScaleSchedule(K=K, alpha=alpha, m=m, n=tuple(ns), nprime=nprime,
                              r=neighborhood_radii(m, ns), periodic=periodic, C=C,
                              N_cert=N_cert)

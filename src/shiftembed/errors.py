@@ -1,16 +1,24 @@
 """Exception hierarchy and verification record shared across the package.
 
-Every error raised on a structural failure carries enough provenance
-(scale, block or position) to locate the offending object.  Every check
-that reports instead of raising (schedule, tower and pipeline verification)
-gives one `VerifyRecord` per check, collected in a `VerifyReport`.
+Every package error is built by one constructor, `ShiftEmbedError`'s,
+which keeps the provenance its text names: the scale, the block (a span
+or a block length) and the position, each None when the text names none.
+Every check that reports instead of raising (schedule, tower and pipeline
+verification) gives one `VerifyRecord` per check, collected in a
+`VerifyReport`.
 """
 
 from dataclasses import dataclass, field
 
 
 class ShiftEmbedError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors, and their one constructor."""
+
+    def __init__(self, message, scale=None, block=None, position=None):
+        super().__init__(message)
+        self.scale = scale
+        self.block = block
+        self.position = position
 
 
 class SpecParseError(ShiftEmbedError):
@@ -44,39 +52,18 @@ class PeriodicPointsError(ScheduleError):
 class CapacityError(ShiftEmbedError):
     """Codebook domain exceeds K**length, or a block is too short for its budgets."""
 
-    def __init__(self, message, scale=None, block=None):
-        super().__init__(message)
-        self.scale = scale
-        self.block = block
-
 
 class NestingError(ShiftEmbedError):
     """A special singular block whose deep middle lies outside the singular
     blocks of the previous scale."""
 
-    def __init__(self, message, scale=None, block=None, position=None):
-        super().__init__(message)
-        self.scale = scale
-        self.block = block
-        self.position = position
-
 
 class MalformedStreamError(ShiftEmbedError):
     """Symbol stream admits no consistent block parse."""
 
-    def __init__(self, message, scale=None, position=None):
-        super().__init__(message)
-        self.scale = scale
-        self.position = position
-
 
 class WindowError(ShiftEmbedError):
     """Window too small for the requested operation (caller must widen)."""
-
-    def __init__(self, message, scale=None, position=None):
-        super().__init__(message)
-        self.scale = scale
-        self.position = position
 
 
 @dataclass

@@ -241,7 +241,7 @@ class WordTower:
             if depth > runtime.chase_depth_max:
                 if depth > CHASE_LIMIT:
                     raise ShiftEmbedError("rank chase deeper than %d frames at scale %d"
-                                          % (CHASE_LIMIT, self.k))
+                                          % (CHASE_LIMIT, self.k), scale=self.k)
                 runtime.chase_depth_max = depth
             return self.member(point, u, runtime)
         finally:
@@ -311,7 +311,8 @@ class OdometerTower:
             depth += 1
         if system.modulus(depth) < self.n:
             raise EnumerationBudgetError(
-                "odometer depth %d too shallow for n_%d = %d" % (system.depth, k, self.n))
+                "odometer depth %d too shallow for n_%d = %d" % (system.depth, k, self.n),
+                scale=k)
         self.depth = depth
         mod = system.modulus(depth)
         base = lift_residues(system, parent.residues, parent.depth, depth) if parent \
@@ -590,7 +591,8 @@ def _scan_for_return(tower, point, runtime, from_pos, direction, quiet_bound):
         if tower.member(point, t, runtime):
             return t
         t += direction
-    raise WindowError("no return within %d steps from %d" % (RETURN_SCAN_CAP, from_pos))
+    raise WindowError("no return within %d steps from %d" % (RETURN_SCAN_CAP, from_pos),
+                      scale=tower.k, position=from_pos)
 
 
 def return_partition(point, stack, k, window, prev_layout=None, prev_partition=None,
@@ -610,15 +612,15 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
     """
     tower = stack[k]
     a, b = window
-    len_lo, len_hi = stack.schedule.block_bounds(k)
+    len_hi = stack.schedule.block_bounds(k)[1]
     pad = 2 * tower.nprime
     lo, hi = a - pad, b + pad
 
     if isinstance(tower, OdometerTower):
+        # the greedy leaves every residue within n'_k - 1 of the tower, so
+        # a scan range wider than 8 n'_k holds returns
         scan_lo, scan_hi = lo - 2 * tower.nprime, hi + 2 * tower.nprime
         returns = tower.returns(point, scan_lo, scan_hi)
-        if not returns:
-            raise WindowError("aperiodic tower produced no returns on %r" % ((scan_lo, scan_hi),))
         left_open = right_open = False
     else:
         runtime = stack.runtime(point) if runtime is None else runtime
@@ -633,13 +635,12 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
         scan_hi = (last + 2 * tower.nprime if right_open else last) + 1
         returns = tower.members(point, first, last, runtime)
 
-    # a side that returns nowhere is open, so no returns give (None, None)
+    # a side that returns nowhere is open, so no returns give (None, None);
+    # returns lie at least n_k apart, the greedy's exclusion radius
     bounds = [None] * left_open + returns + [None] * right_open
     intervals = []
     for t0, t1 in zip(bounds, bounds[1:]):
         if t0 is not None and t1 is not None and t1 - t0 < len_hi:
-            if t1 - t0 < len_lo:
-                raise ShiftEmbedError("return gap %d below n_%d" % (t1 - t0, k))
             intervals.append(Interval(t0, t1, "regular"))
         else:
             intervals.append(_tag_singular(Interval(t0, t1, "singular"), stack, k,
@@ -671,7 +672,9 @@ def _tag_singular(iv, stack, k, comp_range, runtime):
     u = comp_range[0] if iv.start is None else iv.start + tower.nprime
     v = comp_range[1] - 1 if iv.end is None else iv.end - tower.nprime
     if u > v:
-        raise ShiftEmbedError("singular stretch %r has no interior points" % ((iv.start, iv.end),))
+        block = (iv.start, iv.end)
+        raise ShiftEmbedError("singular stretch %r has no interior points" % (block,),
+                              scale=k, block=block)
     hit = runtime.match(tower, u)
     if hit is not None:
         text = runtime.window(u - tower.r, v + tower.r)
@@ -680,7 +683,8 @@ def _tag_singular(iv, stack, k, comp_range, runtime):
     if hit is None:
         t = next(t for t in range(u, v + 1) if runtime.match(tower, t) is None)
         raise ShiftEmbedError(
-            "covering violated: time %d of a singular stretch matches no orbit" % t)
+            "covering violated: time %d of a singular stretch matches no orbit" % t,
+            scale=k, position=t)
     key, phase = hit[:2]
     iv.orbit, iv.phase, iv.m = key, phase, len(key)
     iv.special = stack.schedule.is_special(k, iv.m)

@@ -7,8 +7,9 @@ and codebooks rank on the system's counts and are built per lookup.  An
 odometer pipeline keeps its codes over whole periods, which every odometer
 encode slices (Pipeline.period_tiles); they are built on the first encode,
 not by build_pipeline, and a decode reads its codewords as for any system.
-Building a pipeline runs the capacity checks up front so that encoding
-cannot fail later on admissible inputs.
+build_pipeline checks the schedule and its layout capacity; the other
+build-time guarantees, every codebook's capacity and the tower invariants,
+are precheck_pipeline's, which `shiftembed build` runs before it saves.
 A pipeline saves to a directory of the flat text files that load_pipeline
 reads, system.txt, schedule.txt and (for a system with periodic points)
 periodic_code.txt, and loads back deterministically, the towers rebuilt
@@ -24,7 +25,7 @@ from .entropy import (ScaleSchedule, build_schedule, check_layout_capacity,
 from .errors import CapacityError, ScheduleError, ShiftEmbedError, SpecParseError
 from .markers import build_towers, verify_tower
 from .systems import (OdometerPoint, Point, itinerary, parse_system, periodic_orbits,
-                      serialize_system, validate_point)
+                      serialize_system)
 
 DEFAULT_SEED = 17
 CORE_MAX = 12   # the sampler's short-core length scale
@@ -33,10 +34,10 @@ CORE_MAX = 12   # the sampler's short-core length scale
 class Pipeline:
     """A system's schedule, towers and periodic code.
 
-    period_tiles is None until the first odometer encode, then () if the
-    period pass raised, else one (symbols, resolution, P) per scale: the
-    scale's code over P 2^j positions, P the odometer's period and j the
-    least with P 2^j >= P - 1 + w, w the widest window encoded so far.  It
+    period_tiles is None until the first odometer encode, then one
+    (symbols, resolution, P) per scale: the scale's code over P 2^j
+    positions, P the odometer's period and j the least with
+    P 2^j >= P - 1 + w, w the widest window encoded so far.  It
     is the one state an encode leaves behind, and holds fewer than
     2 (P - 1 + w) symbols and as many resolutions per scale.
     """
@@ -91,8 +92,7 @@ class Pipeline:
         return codec.invert(stream, self, k)
 
 
-def build_pipeline(system, K, kmax, C=8.0, m=None, N_cert=64, schedule=None,
-                   precheck=False):
+def build_pipeline(system, K, kmax, C=8.0, m=None, N_cert=64, schedule=None):
     """Assemble a pipeline: schedule (built or override), towers, periodic code."""
     if schedule is None:
         schedule = build_schedule(system, K, kmax, C=C, m=m, N_cert=N_cert)
@@ -110,10 +110,7 @@ def build_pipeline(system, K, kmax, C=8.0, m=None, N_cert=64, schedule=None,
     periodic_code = None
     if schedule.periodic:
         periodic_code = codec.build_periodic_code(system, K, schedule.n[0])
-    pipeline = Pipeline(system, schedule, stack, periodic_code)
-    if precheck:
-        precheck_pipeline(pipeline)
-    return pipeline
+    return Pipeline(system, schedule, stack, periodic_code)
 
 
 def _check_periodic_flag(system, schedule):
@@ -146,7 +143,7 @@ def precheck_pipeline(pipeline):
         bad = [r.line() for r in verify_tower(pipeline.stack, k).records if not r.ok]
         if bad:
             raise ScheduleError("tower verification failed at scale %d:\n%s"
-                                % (k, "\n".join(bad)))
+                                % (k, "\n".join(bad)), scale=k)
 
 
 # -- deterministic point sampling ------------------------------------------------
@@ -193,36 +190,25 @@ def _cycle_words(system, nmax):
 
 
 def _stitch_point(system, rng, left, right, middle_len):
-    """left-periodic tail | random admissible middle | right-periodic tail."""
+    """left-periodic tail | random admissible middle | right-periodic tail,
+    or None when 40 walks fail to join the right tail.
+
+    The walk steps through the essential graph, where every state has a
+    successor, from the end of a repeated left tail, and it joins the right
+    tail where the last M + 2 letters and two right periods are admissible.
+    Every (M + 1)-window of the point lies in a tail, in the walk or in
+    that junction, so the point is admissible by construction."""
     M = system.memory
-    tries = 0
-    while tries < 40:
-        tries += 1
-        word = left * max(2, -(-(M + 1) // len(left)))
+    head = left * max(2, -(-(M + 1) // len(left)))
+    for _ in range(40):
+        word = head
         for _ in range(middle_len):
-            succ = system._succ.get(word[-M:])
-            if not succ:
-                break
-            word += rng.choice(succ)[-1]
-        probe = word
-        ok = False
+            word += rng.choice(system._succ[word[-M:]])[-1]
         for _ in range(4 * len(right) + 8):
-            if _joins(system, probe, right):
-                ok = True
-                break
-            succ = system._succ.get(probe[-M:])
-            if not succ:
-                break
-            probe += rng.choice(succ)[-1]
-        if not ok:
-            continue
-        core = probe[len(left) * max(2, -(-(M + 1) // len(left))):]
-        point = Point(left, core, right, anchor=-rng.randrange(0, max(1, len(core) + 1)))
-        try:
-            validate_point(system, point)
-            return point
-        except ShiftEmbedError:
-            continue
+            if _joins(system, word, right):
+                core = word[len(head):]
+                return Point(left, core, right, anchor=-rng.randrange(0, max(1, len(core) + 1)))
+            word += rng.choice(system._succ[word[-M:]])[-1]
     return None
 
 
@@ -371,8 +357,7 @@ def load_pipeline(outdir):
         try:
             periodic_code = _read(path, codec.PeriodicCode.parse, system, schedule.n[0],
                                   schedule.K)
-        except OSError as exc:
-            raise SpecParseError("%s: %s" % (path, exc.strerror)) from None
-        except SpecParseError as exc:
-            raise SpecParseError("%s: %s" % (path, exc)) from None
+        except (OSError, SpecParseError) as exc:
+            # an unreadable file is named by its strerror, a refused one by its text
+            raise SpecParseError("%s: %s" % (path, getattr(exc, "strerror", exc))) from None
     return Pipeline(system, schedule, build_towers(system, schedule), periodic_code)

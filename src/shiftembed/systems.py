@@ -549,7 +549,14 @@ class OdometerPoint:
 
 
 def validate_point(system, point):
-    """Raise InvalidPointError unless the point is admissible for the system."""
+    """Raise InvalidPointError unless the point is admissible for the system.
+
+    A word point with cyclically admissible tails is admissible when the
+    window of its core, padded by a tail period and a forbidden word's
+    length on each side, holds no forbidden word: every forbidden word
+    that meets the point lies in that window or in one tail.  Its M-blocks
+    then lie on a bi-infinite clean path, so they are states of the
+    essential graph."""
     if isinstance(point, OdometerPoint):
         if system.kind != "odometer" or point.system is not system:
             raise InvalidPointError("odometer point bound to a different system")
@@ -569,8 +576,6 @@ def validate_point(system, point):
     window = point.word(a - pad, b + pad)
     if not system._clean(window):
         raise InvalidPointError("point window %r hits a forbidden word" % window)
-    if not system.is_admissible(window):
-        raise InvalidPointError("point window %r leaves the essential subshift" % window)
 
 
 # -- spec-level operations ----------------------------------------------------

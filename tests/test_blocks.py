@@ -591,3 +591,48 @@ class TestFreeInSpecialSubblocks:
 
     def test_roundtrip(self, pipe):
         roundtrip_or_named(pipe, self.POINT, 2, (-200, 200), None)
+
+
+class TestClosingBracket:
+    """The ']' that closes a regular k-block before a singular one: the
+    k-boundary's (k-1)-block decides where it goes."""
+
+    @staticmethod
+    def _closings(monkeypatch, encode):
+        """(boundary, holding (k-1)-block, position) of every closing
+        bracket an encode places."""
+        from shiftembed import blocks
+        seen, real = [], blocks._closing_bracket_pos
+
+        def spy(schedule, prev_layer, boundary):
+            pos = real(schedule, prev_layer, boundary)
+            seen.append((boundary, prev_layer.block_at(boundary), pos))
+            return pos
+
+        monkeypatch.setattr(blocks, "_closing_bracket_pos", spy)
+        return seen, encode()
+
+    def test_a_boundary_outside_every_laid_out_block_closes_nothing(self, monkeypatch):
+        """The core ends the scale-2 returns at 188, and the tail of period
+        11, above n_1 = 9, keeps returning at scale 1: the scale-1 block
+        from 188 runs past the resolved range, so no block is laid out
+        there and no bracket closes the scale-2 block."""
+        pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
+        point = Point("0", "0001000100000", "00001000001", 150)
+        seen, stream = self._closings(monkeypatch, lambda: pipe.encode(point, 2, (-30, 30)))
+        assert [(boundary, pos) for boundary, blk, pos in seen if blk is None] == [(188, None)]
+        layout = pipe.context(point, (-30, 30)).layout
+        assert layout.hi < 188 and layout.block_at(1, 188) is None
+        assert stream.symbols.count("]") == 0
+
+    def test_a_boundary_in_a_non_special_stretch_is_the_bracket(self, monkeypatch):
+        """On three scales a tail of period 21, in (n_1, n_2] = (13, 26],
+        is a non-special singular scale-2 stretch: the scale-3 block before
+        it closes at the boundary itself."""
+        pipe = build_pipeline(golden_mean(), K=3, kmax=3, C=4.0, N_cert=128)
+        point = Point("0", "0001000100000", "0" * 20 + "1", 0)
+        seen, stream = self._closings(monkeypatch, lambda: pipe.encode(point, 3, (-60, 60)))
+        [(boundary, blk, pos)] = [entry for entry in seen
+                                  if entry[1] is not None and entry[1].kind == "singular"]
+        assert (boundary, blk.special, blk.m, pos) == (47, False, 21, 47)
+        assert stream.get(47) == "]"

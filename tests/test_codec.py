@@ -1205,9 +1205,9 @@ class TestOdometerPeriod:
         assert [r.ok for r in report.records if (r.module, r.name) == ("codec", "equivariance")] \
             == [False, False]
 
-    def test_a_period_pass_that_raises_renders_each_window(self, monkeypatch):
-        """The residue-0 render raises here, so no period is kept, and each
-        point's encode is its own render, the residue-0 error included."""
+    def test_a_period_pass_that_raises_raises_from_each_encode(self, monkeypatch):
+        """The residue-0 render raises here, so no period is kept, and every
+        point's encode raises the period pass's error, whatever its residue."""
         point_codewords = codec._point_codewords
 
         def refuse_residue_zero(pipeline, point, l):
@@ -1219,12 +1219,12 @@ class TestOdometerPeriod:
         base, kwargs = MIXED_BASE
         pipe = build_pipeline(Odometer(base), **kwargs)
         odo = pipe.system
-        point = _residue_point(odo, 7)
-        assert [s.to_text() for s in pipe.encode_scales(point, (-8, 8))] == \
-            [s.to_text() for s in codec.render_scales(point, pipe, (-8, 8))]
-        assert pipe.period_tiles == ()
-        with pytest.raises(CapacityError, match="refused at scale 1"):
-            pipe.encode(_residue_point(odo, 0), 2, (-8, 8))
+        for residue in (7, 0):
+            with pytest.raises(CapacityError, match="refused at scale 1"):
+                list(pipe.encode_scales(_residue_point(odo, residue), (-8, 8)))
+            with pytest.raises(CapacityError, match="refused at scale 1"):
+                pipe.encode(_residue_point(odo, residue), 2, (-8, 8))
+            assert pipe.period_tiles is None
 
     def test_a_decode_renders_no_period(self, odo_pipe):
         """A decode reads its stream's codewords, so a fresh pipeline that

@@ -16,7 +16,7 @@ from shiftembed.entropy import (ScaleSchedule, _scale1_counts, appendix_fullness
 from shiftembed.errors import CapacityError, PeriodicPointsError, ScheduleError, VerifyRecord
 from shiftembed.pipeline import build_pipeline
 from shiftembed.systems import (Sft, dyadic_odometer, full_shift, golden_mean,
-                                least_period_words, orbit_system)
+                                least_period_words, orbit_system, validate_point)
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -476,9 +476,30 @@ class TestAppendix:
         with pytest.raises(ValueError):
             complete_to_point(orbit, "00", 0)
 
+    def test_a_word_shorter_than_the_memory_grows_from_a_state_holding_it(self):
+        # memory 2: '1' is read as the first state that holds it, '01',
+        # which puts the 0 before it at 4
+        system = Sft(2, forbidden=("111",))
+        point = complete_to_point(system, "1", 5)
+        validate_point(system, point)
+        assert point.word(4, 5) == "01"
+
     def test_completion_is_admissible(self):
         sys = golden_mean()
         p = complete_to_point(sys, "00100", -2)
         from shiftembed.systems import validate_point
         validate_point(sys, p)
         assert p.word(-2, 2) == "00100"
+
+
+def test_conditional_counts_that_alternate_certify_no_tail():
+    """The graph 0 -> {1, 2} -> 0 has period 2: the pair of states that
+    joins the most extensions, 0 to 0, is joined only by paths of even
+    length, so the conditional counts alternate 4, 2 and never settle, and
+    the scale-2 tail is not certified however high n_2 is tried."""
+    two_periodic = Sft(3, forbidden=("00", "11", "12", "21", "22"))
+    assert [conditional_count(two_periodic, 0, 1, n) for n in range(1, 9)] == [4, 2] * 4
+    with pytest.raises(ScheduleError, match="^no admissible n_2 within certified range 64$") \
+            as info:
+        build_schedule(two_periodic, K=3, kmax=2, C=0.0, m=(0, 1))
+    assert info.value.scale == 2

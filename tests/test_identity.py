@@ -30,8 +30,8 @@ from shiftembed import codec
 from shiftembed.cli import main
 from shiftembed.codec import SymbolStream, build_periodic_code
 from shiftembed.errors import ShiftEmbedError
-from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points,
-                                 save_pipeline, verify_pipeline)
+from shiftembed.pipeline import (build_pipeline, load_pipeline, precheck_pipeline,
+                                 sample_points, save_pipeline, verify_pipeline)
 from shiftembed.systems import Point, Sft, dyadic_odometer, golden_mean, orbit_system
 from shiftembed.words import kary_alphabet
 
@@ -462,7 +462,9 @@ PINNED_ARTIFACTS = {
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_saved_artifacts_pinned(name, tmp_path):
     make_system, kwargs = CONFIGS[name]
-    save_pipeline(build_pipeline(make_system(), precheck=True, **kwargs), str(tmp_path))
+    pipe = build_pipeline(make_system(), **kwargs)
+    precheck_pipeline(pipe)
+    save_pipeline(pipe, str(tmp_path))
     assert artifact_digests(str(tmp_path)) == PINNED_ARTIFACTS[name]
 
 

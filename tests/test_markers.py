@@ -18,8 +18,9 @@ from shiftembed import codec, markers
 from shiftembed.markers import (Interval, PeriodicNeighborhood, ReturnPartition, TowerStack,
                                 _adjust_boundaries, _check_special_nesting, _tag_singular,
                                 build_towers, return_partition, verify_tower)
-from shiftembed.pipeline import (_encode_pass, build_pipeline, load_pipeline, sample_points,
-                                 save_pipeline, verify_pipeline)
+from shiftembed.pipeline import (_encode_pass, build_pipeline, load_pipeline,
+                                 precheck_pipeline, sample_points, save_pipeline,
+                                 verify_pipeline)
 from shiftembed.systems import (OdometerPoint, Point, Sft, dyadic_odometer, full_shift,
                                 golden_mean, least_period_words, orbit_system)
 from shiftembed.words import (is_primitive, least_period_at_most, necklace, periodic_name,
@@ -624,8 +625,9 @@ class TestShortPeriodPieces:
             return stack
 
         monkeypatch.setattr(pipeline_module, "build_towers", dropping)
+        pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
         with pytest.raises(ScheduleError) as err:
-            build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0), precheck=True)
+            precheck_pipeline(pipe)
         assert str(err.value).splitlines() == [
             "tower verification failed at scale 1:",
             "markers disjointness(structural-exact) scale=1 FAIL short-period pieces "
@@ -640,7 +642,8 @@ class TestShortPeriodPieces:
             return real(self, n)
 
         monkeypatch.setattr(Sft, "words", recording)
-        pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0, m=(0, 0), precheck=True)
+        pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0, m=(0, 0))
+        precheck_pipeline(pipe)
         assert 2 * pipe.stack[1].piece_halfwidth + 1 == 19
         assert asked and 19 not in asked
 

@@ -9,9 +9,9 @@ from shiftembed.cli import main
 from shiftembed.codec import SymbolStream
 from shiftembed.entropy import ScaleSchedule, build_schedule
 from shiftembed.errors import CapacityError, ScheduleError, SpecParseError
-from shiftembed.pipeline import (build_pipeline, load_pipeline, sample_points, save_pipeline,
-                                 verify_pipeline)
-from shiftembed.systems import dyadic_odometer, golden_mean, parse_system
+from shiftembed.pipeline import (build_pipeline, load_pipeline, precheck_pipeline,
+                                 sample_points, save_pipeline, verify_pipeline)
+from shiftembed.systems import dyadic_odometer, golden_mean, parse_system, validate_point
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +45,9 @@ class TestPipeline:
         from shiftembed import pipeline as pipeline_module
         monkeypatch.setattr(pipeline_module, "conditional_count",
                             lambda system, m_prev, m_cur, n: 2 ** n)
+        pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
         with pytest.raises(CapacityError, match="conditional capacity fails at scale 2") as err:
-            build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0), precheck=True)
+            precheck_pipeline(pipe)
         assert (err.value.scale, err.value.block) == (2, 19)
 
     def test_verify_harness_passes(self, pipe):
@@ -86,6 +87,17 @@ class TestPipeline:
         a = sample_points(golden_mean(), 10, seed=5)
         b = sample_points(golden_mean(), 10, seed=5)
         assert [repr(p) for p in a] == [repr(p) for p in b]
+
+    def test_sampler_draws_again_where_no_walk_joins_the_right_tail(self):
+        """'10' is forbidden, so no walk from a left tail of 1s reaches a
+        right tail of 0s: that draw is dropped after 40 walks, and every
+        point kept is admissible."""
+        one_way = parse_system("kind: sft\nalphabet: 2\nforbidden: [10]\n")
+        points = sample_points(one_way, 12, seed=5)
+        assert len(points) == 12
+        assert ("1", "0") not in {(p.left, p.right) for p in points}
+        for point in points:
+            validate_point(one_way, point)
 
 
 def pipefrac():
@@ -286,6 +298,12 @@ class TestMalformedInputExitsTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err and err.count("\n") == 1
         return err
+
+    def test_an_unknown_command_is_a_usage_error(self, capsys):
+        capsys.readouterr()
+        assert main(["nonsense"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nonsense'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text", [
         "garbage\n",

@@ -217,6 +217,14 @@ class TestCoordinate:
         assert coordinate(p, 5) == "0"
 
 
+class TestOdometerPoints:
+    def test_a_point_of_its_own_system_is_valid(self):
+        odo = dyadic_odometer(3)
+        point = OdometerPoint(odo, [1, 0, 1])
+        assert validate_point(odo, point) is None
+        assert repr(point) == "OdometerPoint((1, 0, 1))"
+
+
 class TestItinerary:
     def test_radius_zero(self):
         sys = golden_mean()
