@@ -37,8 +37,8 @@ from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
 from .entropy import periodic_code_fits
 from .markers import Interval, ReturnPartition, return_partition
-from .systems import (OdometerPoint, _parse_int, _parse_kv, _parse_window,
-                      periodic_orbits)
+from .systems import (OdometerPoint, Sft, _parse_int, _parse_kv, _parse_window,
+                      lyndon_words, periodic_orbits)
 from .words import (CODE_CHARS, _window_key, code_length_needed, is_primitive,
                     kary_alphabet, kary_index, kary_word, least_period_at_most, necklace,
                     periodic_name, periodic_window)
@@ -510,26 +510,43 @@ def build_periodic_code(system, K, n1):
     """Greedy lexicographic assignment satisfying the code-word rule.
 
     The orbits of least period n, in necklace order, share one stream of
-    the K-ary n-words in lexicographic order; every orbit takes the next
-    word that passes _code_word_ok and whose rotation prefixes the code has
-    not taken.  A rotation of a taken word is refused that way too: its
-    prefixes are the taken word's.  The n prefixes of one word are
-    distinct, since each starts with its rotation and a primitive word's
-    rotations are distinct.  The precondition checked here is the one at
-    n1; more points of a shorter least period than the K-shift has (which
-    build_schedule refuses) exhaust that period's words.
+    the K-ary Lyndon words of length n in lexicographic order, the Lyndon
+    walk of the full K-shift relabelled to the code letters; every orbit
+    takes the next word whose rotation prefixes the code has not taken.
+    The n prefixes of one word are distinct, since each starts with its
+    rotation and a primitive word's rotations are distinct.  The
+    precondition checked here is the one at n1; more points of a shorter
+    least period than the K-shift has (which build_schedule refuses)
+    exhaust that period's words.
+
+    This is the greedy over every K-ary n-word in lexicographic order that
+    takes the next word passing _code_word_ok and claim, claim for claim:
+    - a Lyndon word w has no border, so no prefix of w w w ... of length
+      >= len(w) has a period q < len(w) (w, its prefix, would have the
+      border of length len(w) - q), and _code_word_ok holds for w;
+    - a word that passes _code_word_ok is primitive, so its least rotation
+      is a Lyndon word, and no larger than the word.  All rotations of a
+      word have the same rotation prefixes, so once that Lyndon word has
+      been tried, by this orbit or an earlier one of the period, the
+      prefixes are taken (claimed then, or taken already, and the table
+      only grows), and no other rotation can be claimed;
+    - a refused claim changes nothing, so dropping the words that would be
+      refused leaves every claim and its order, and a period that runs out
+      of Lyndon words runs out of words: the same exhaustion refusal.
     """
     if not periodic_code_fits(system, K, n1):
         raise ScheduleError("periodic-code precondition #Per_{n1} < K^{n1-1} fails")
     by_period = {}
     for v, n in periodic_orbits(system, n1).items():
         by_period.setdefault(n, []).append(v)
+    shift = Sft(K, forbidden=())
+    relabel = str.maketrans(shift.letters, kary_alphabet(K))
     code = PeriodicCode(n1, K, {})
     for n in sorted(by_period):
-        candidates = map("".join, itertools.product(kary_alphabet(K), repeat=n))
+        candidates = (w.translate(relabel) for w in lyndon_words(shift, n) if len(w) == n)
         for v in sorted(by_period[n]):
             for cand in candidates:
-                if _code_word_ok(cand, n1) and code.claim(v, cand):
+                if code.claim(v, cand):
                     break
             else:
                 raise CapacityError("periodic code exhausted at period %d" % n,

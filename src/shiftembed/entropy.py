@@ -265,24 +265,26 @@ def _family1_tail_certified(logK, alpha, m1, N_cert, counts, cells):
     cells[n] = #V_1^n).
 
     The left-hand side needs a submultiplicative tail only for a system
-    with words.  Without words the cell counts do not grow with n, so the
-    left-hand side holds past N_cert once it holds at N_cert + 1."""
+    with words: it holds past N_cert when some N0 <= N_cert has a threshold
+    at most N_cert, so the scan stops at the first such N0 and takes the
+    logarithm of each word count it reads once, of none past that N0.
+    Without words the cell counts do not grow with n, so the left-hand side
+    holds past N_cert once it holds at N_cert + 1."""
     h = logK - alpha
     if not counts:
         if math.log(cells[N_cert]) > (N_cert + 1) * (h + alpha / 4) + 1e-12:
             return False
     else:
-        logs = [math.log(c) for c in counts[:N_cert + 1]]
-        best = None
+        logs = [math.log(counts[0])]
         for N0 in range(1, N_cert + 1):
+            logs.append(math.log(counts[N0]))
             g0 = logs[N0] / N0
             if g0 >= h + alpha / 4:
                 continue
             cstar = max(lr - r * g0 for r, lr in enumerate(logs[:N0]))
-            threshold = (2 * m1 * g0 + cstar) / (h + alpha / 4 - g0)
-            if best is None or threshold < best:
-                best = threshold
-        if best is None or best > N_cert:
+            if (2 * m1 * g0 + cstar) / (h + alpha / 4 - g0) <= N_cert:
+                break
+        else:
             return False
     # right-hand side: affine comparison, positive slope required
     slope = (1 - alpha / 2) * logK - (h + alpha / 4)

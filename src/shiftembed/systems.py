@@ -660,14 +660,22 @@ def periodic_orbits(system, nmax):
 
 def _lyndon_orbits(system, nmax):
     """Every cyclically admissible Lyndon word of an Sft of length <= nmax,
-    mapped to its length.
+    mapped to its length.  A Lyndon word is its own least rotation, so it
+    is the necklace of its orbit."""
+    return {word: len(word) for word in lyndon_words(system, nmax)}
 
-    Walks the prenecklace tree of Fredricksen-Kessler-Maiorana: a node of
-    length t whose FKM period p equals t is a Lyndon word, and every Lyndon
-    word of length <= nmax is a node exactly once.  A Lyndon word is its own
-    least rotation, so it is the necklace of its orbit.  A child is kept
-    only while the prefix is a path of the essential graph; that pruning is
-    exact, because every prefix of a cyclically admissible word is one.
+
+def lyndon_words(system, nmax):
+    """The cyclically admissible Lyndon words of an Sft of length <= nmax,
+    lazily, in lexicographic order.
+
+    Walks the prenecklace tree of Fredricksen-Kessler-Maiorana depth first,
+    children in letter order, so each node comes before its extensions and
+    after every smaller word: a node of length t whose FKM period p equals
+    t is a Lyndon word, and every Lyndon word of length <= nmax is a node
+    exactly once.  A child is kept only while the prefix is a path of the
+    essential graph; that pruning is exact, because every prefix of a
+    cyclically admissible word is one.
 
     Every forbidden word fits in M + 1 letters (M the memory), so a prefix
     is a path when its (M + 1)-windows are edges.  A node of length >= M
@@ -678,15 +686,14 @@ def _lyndon_orbits(system, nmax):
     """
     M = system.memory
     step = system._step
-    table = {}
-
-    def grow(word, p, state):
+    walk = system._walk
+    todo = [("", 0, None)]      # the nodes still to visit, the next one last
+    while todo:
+        word, p, state = todo.pop()
         t = len(word)
-        if t and p == t and (system._walk(state, word[:M]) is not None if t > M
+        if t and p == t and (walk(state, word[:M]) is not None if t > M
                              else system.is_cyclic_word(word)):
-            table[word] = t
-        if t == nmax:
-            return
+            yield word
         # below the memory a child is its own state-to-be
         kids = step[state] if t >= M else {
             c: word + c for c in system.letters
@@ -694,12 +701,19 @@ def _lyndon_orbits(system, nmax):
         # FKM: the next letter repeats word[t - p] (period kept) or exceeds it
         # (the prefix becomes Lyndon); the root takes every letter at period 1
         low = word[t - p] if t else ""
-        for c, nxt in kids.items():
-            if c >= low:
-                grow(word + c, p if c == low else t + 1, nxt)
-
-    grow("", 0, None)
-    return table
+        if t + 1 == nmax:
+            # the children are leaves, visited next: the Lyndon ones exceed
+            # low, and past the memory they start with this node's M letters
+            head = word[:M]
+            for c, nxt in kids.items():
+                if c > low and (walk(nxt, head) is not None if t >= M
+                                else system.is_cyclic_word(word + c)):
+                    yield word + c
+        elif t < nmax:
+            for c, nxt in reversed(kids.items()):
+                if c < low:
+                    break
+                todo.append((word + c, p if c == low else t + 1, nxt))
 
 
 # -- parsing / serialization --------------------------------------------------

@@ -40,6 +40,11 @@ cylinder's mass summed over the frequency table word by word, the oracle
 for `measure_distance`'s integer counts.  `family1_tail_per_pair_log` is
 the scale-1 tail certificate that takes the logarithm of a word count for
 every (N0, r) pair, the oracle for `entropy._family1_tail_certified`.
+`lexicographic_periodic_code` is the periodic code's greedy over every
+K-ary word of each period, the reference for `codec.build_periodic_code`,
+which draws Lyndon words only; `lyndon_by_rotations` lists the Lyndon words
+by their definition, and `small_sft_family` is the family of small SFTs
+the code is compared on.
 """
 
 import contextlib
@@ -51,11 +56,13 @@ from fractions import Fraction
 
 import pytest
 
-from shiftembed.codec import SymbolStream, _rotation_prefixes
-from shiftembed.errors import ShiftEmbedError, WindowError
+from shiftembed.codec import PeriodicCode, SymbolStream, _code_word_ok, _rotation_prefixes
+from shiftembed.entropy import periodic_code_fits
+from shiftembed.errors import CapacityError, ScheduleError, ShiftEmbedError, WindowError
 from shiftembed.metrics import _extend_counts, disagreement_data
-from shiftembed.systems import Point, Sft, full_shift, golden_mean, itinerary
-from shiftembed.words import is_primitive, periodic_window
+from shiftembed.systems import (Point, Sft, full_shift, golden_mean, itinerary,
+                                periodic_orbits)
+from shiftembed.words import is_primitive, kary_alphabet, periodic_window
 
 
 def min_period(s):
@@ -297,6 +304,49 @@ def family1_tail_per_pair_log(K, alpha, m1, N_cert, counts, cells):
         return False
     n0 = N_cert + 1
     return n0 * (h + alpha / 4) < (n0 * (1 - alpha / 2) - 1) * math.log(K)
+
+
+def lexicographic_periodic_code(system, K, n1):
+    """The periodic code of `codec.build_periodic_code` as its greedy over
+    every K-ary n-word: the orbits of least period n, in necklace order,
+    share one stream of the K-ary n-words in lexicographic order, and every
+    orbit takes the next word that passes _code_word_ok and claim."""
+    if not periodic_code_fits(system, K, n1):
+        raise ScheduleError("periodic-code precondition #Per_{n1} < K^{n1-1} fails")
+    by_period = {}
+    for v, n in periodic_orbits(system, n1).items():
+        by_period.setdefault(n, []).append(v)
+    code = PeriodicCode(n1, K, {})
+    for n in sorted(by_period):
+        candidates = map("".join, itertools.product(kary_alphabet(K), repeat=n))
+        for v in sorted(by_period[n]):
+            for cand in candidates:
+                if _code_word_ok(cand, n1) and code.claim(v, cand):
+                    break
+            else:
+                raise CapacityError("periodic code exhausted at period %d" % n,
+                                    scale=1, block=n)
+    return code
+
+
+def lyndon_by_rotations(letters, n):
+    """The words of length n over the letters that are smaller than each
+    of their proper rotations, in lexicographic order."""
+    return [w for w in map("".join, itertools.product(letters, repeat=n))
+            if all(w < w[i:] + w[:i] for i in range(1, n))]
+
+
+def small_sft_family():
+    """id -> Sft for every pair of forbidden words of length 2-3 on two
+    letters and every pair of forbidden 2-words on three letters: 102
+    shifts, none of them empty."""
+    family = {}
+    for A, lengths in ((2, (2, 3)), (3, (2,))):
+        words = ["".join(w) for L in lengths
+                 for w in itertools.product("012"[:A], repeat=L)]
+        for pair in itertools.combinations(words, 2):
+            family["A%d-%s" % (A, "-".join(pair))] = Sft(A, forbidden=pair)
+    return family
 
 
 def forbidden_shape_count_bound(n, K):

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from check_reference import (filtered_least_period_words, forbidden_shape_count_bound,
-                             min_period, primitive_and_shaped, restrict, verify_injective)
+                             lexicographic_periodic_code, lyndon_by_rotations, min_period,
+                             primitive_and_shaped, restrict, small_sft_family,
+                             verify_injective)
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
 from layout_reference import ROLE_SINGULAR_FILL, record_layouts, roles
 from shiftembed import blocks, codec, systems
 from shiftembed.codec import (Codebook, PeriodicCode, RankedCodebook, SymbolStream,
                               build_first_codebook, build_conditional_codebook,
                               build_periodic_code)
+from shiftembed.entropy import periodic_code_fits
 from shiftembed.errors import (CapacityError, EnumerationBudgetError,
                                MalformedStreamError, ScheduleError, ShiftEmbedError,
                                SpecParseError, WindowError)
@@ -36,6 +39,15 @@ def itinerary_keys(system, m, n):
             out.append(tuple(w[i:i + 2 * m + 1] for i in range(n)))
         return out
     return sorted({system.cell_run(rho, m + 1, n) for rho in range(system.modulus(m + 1))})
+
+
+def code_or_refusal(build, system, K, n1):
+    """The serialize form of a periodic code, or its refusal with the
+    refusal's scale and block."""
+    try:
+        return build(system, K, n1).serialize()
+    except ShiftEmbedError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "scale", None), getattr(exc, "block", None)
 
 
 def refinement_keys(system, m, mp, n, coarse):
@@ -225,6 +237,57 @@ class TestPeriodicCode:
                     checked += 1
                     rejected += not ok
         assert 0 < rejected < checked
+
+    @pytest.mark.parametrize("K, pmax", [(1, 16), (2, 16), (3, 9)])
+    def test_every_lyndon_word_passes_the_code_word_rule(self, K, pmax):
+        """A Lyndon word w has no border, so no prefix of w w w ... of length
+        n1 >= len(w) has a period below len(w): the Lyndon stream of
+        build_periodic_code needs no code-word test.  Every Lyndon word of
+        length p <= pmax, at every n1 from p to 16."""
+        checked = 0
+        for p in range(1, pmax + 1):
+            for w in lyndon_by_rotations(kary_alphabet(K), p):
+                for n1 in range(p, 17):
+                    assert codec._code_word_ok(w, n1), (w, n1)
+                    checked += 1
+        assert checked == {1: 16, 2: 19114, 3: 30173}[K]
+
+    def test_golden_codes_are_the_greedy_over_every_word(self):
+        """Golden K=2 for every n1 <= 16: the same code, or the same
+        refusal (the precondition at n1 <= 2, exhaustion at 3 and 5)."""
+        for n1 in range(1, 17):
+            assert code_or_refusal(build_periodic_code, golden_mean(), 2, n1) == \
+                code_or_refusal(lexicographic_periodic_code, golden_mean(), 2, n1), n1
+
+    @pytest.mark.parametrize("K, n1max", [(2, 12), (3, 8)])
+    def test_small_sft_codes_are_the_greedy_over_every_word(self, K, n1max):
+        """Every system of the small-SFT family, at every n1 <= n1max where
+        the precondition holds: the same code or the same exhaustion.  For
+        K=3 the greedy over all 3^n words doubles its time with each n1,
+        to 5 s at n1 = 12 alone, so the sweep stops at 8."""
+        compared = 0
+        for name, system in small_sft_family().items():
+            for n1 in range(1, n1max + 1):
+                if periodic_code_fits(system, K, n1):
+                    assert code_or_refusal(build_periodic_code, system, K, n1) == \
+                        code_or_refusal(lexicographic_periodic_code, system, K, n1), (name, n1)
+                    compared += 1
+        assert compared == {2: 699, 3: 646}[K]
+
+    def test_golden_code_draws_one_candidate_per_claim(self, monkeypatch):
+        """Counted cost: golden K=2, n1 = 9 draws 81 Lyndon words, each one
+        claim; the greedy over every word made 199 code-word tests and 88
+        claims."""
+        drawn = []
+        claim = PeriodicCode.claim
+
+        def counting(code, v, w):
+            drawn.append(w)
+            return claim(code, v, w)
+
+        monkeypatch.setattr(PeriodicCode, "claim", counting)
+        build_periodic_code(golden_mean(), 2, 9)
+        assert len(drawn) == 81
 
     def test_count_bound_numeric(self):
         for n in range(1, 17):

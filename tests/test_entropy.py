@@ -415,8 +415,10 @@ TAIL_SYSTEMS = {
 class TestTailCertificate:
     @pytest.mark.parametrize("name", sorted(TAIL_SYSTEMS))
     def test_matches_per_pair_logs(self, name):
-        """The certificate takes log #W_r once per r; the reference takes it
-        for every pair (N0, r).  Both answer alike, and both answers occur."""
+        """The certificate takes log #W_r at most once per r and stops at
+        the first N0 that certifies; the reference takes it for every pair
+        (N0, r) and the least threshold over every N0.  Both answer alike,
+        and both answers occur."""
         system = TAIL_SYSTEMS[name]()
         h = system.spectral_log()
         answers = set()
@@ -434,10 +436,11 @@ class TestTailCertificate:
         assert answers == {False, True}
 
     def test_build_takes_each_log_once(self, monkeypatch):
-        """Counted cost: one golden K = 2 build_schedule makes 171 math.log
-        calls in entropy (336 with log K taken again at every n a family
-        tests, 2,409 with a log per (N0, r) pair of the scale-1 tail
-        certificate)."""
+        """Counted cost: one golden K = 2 build_schedule makes 111 math.log
+        calls in entropy (171 while the scale-1 tail certificate took the
+        log of every word count up to N_cert, not only up to the first N0
+        that certifies; 336 with log K taken again at every n a family
+        tests, 2,409 with a log per (N0, r) pair of that certificate)."""
         calls = []
 
         def log(*args):
@@ -446,7 +449,7 @@ class TestTailCertificate:
         monkeypatch.setattr(entropy, "math", types.SimpleNamespace(**{**vars(math), "log": log}))
         sched = build_schedule(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
         assert sched.n == (9, 19)
-        assert len(calls) == 171
+        assert len(calls) == 111
 
 
 class TestAppendix:

@@ -14,7 +14,7 @@ encode context and a decode lay out for the golden, long-tail and
 odometer points and for golden K=3 with a growing radius.  They also
 pin every file that `save_pipeline` writes for those configurations and
 for a CLI `build`, and the greedy periodic code of five more (system, K,
-n_1).  A change that moves a digest changed the
+n_1), with the candidates it draws.  A change that moves a digest changed the
 output.
 """
 
@@ -24,6 +24,7 @@ import random
 
 import pytest
 
+from check_reference import lexicographic_periodic_code
 from encode_reference import long_tail_points
 from layout_reference import dump_lines, record_layouts
 from shiftembed import codec
@@ -507,10 +508,35 @@ PINNED_PERIODIC_CODES = {
 }
 
 
+# the candidates each of those codes draws, one claim per Lyndon word: the
+# greedy over every K-ary word made 4,145, 426, 1,394, 5,665 and 4,148
+# code-word tests and 2,063, 284, 1,044, 3,792 and 3,123 claims
+PINNED_PERIODIC_CLAIMS = {"golden-K2-16": 1968, "golden-K3-13": 282, "golden-K4-16": 1040,
+                          "golden-K3-19": 3774, "sft22-201-K4-9": 3079}
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_PERIODIC_CODES))
 def test_periodic_code_pinned(name):
     make_system, K, n1, digest = PINNED_PERIODIC_CODES[name]
     assert _digest(build_periodic_code(make_system(), K, n1).serialize()) == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PERIODIC_CODES))
+def test_periodic_code_is_the_greedy_over_every_word(name, monkeypatch):
+    """The Lyndon stream claims what the greedy over all K^n words claims,
+    at the pinned count of candidates (ROADMAP item 25)."""
+    make_system, K, n1, _ = PINNED_PERIODIC_CODES[name]
+    want = lexicographic_periodic_code(make_system(), K, n1).serialize()
+    drawn = []
+    claim = codec.PeriodicCode.claim
+
+    def counting(code, v, w):
+        drawn.append(w)
+        return claim(code, v, w)
+
+    monkeypatch.setattr(codec.PeriodicCode, "claim", counting)
+    assert build_periodic_code(make_system(), K, n1).serialize() == want
+    assert len(drawn) == PINNED_PERIODIC_CLAIMS[name]
 
 
 PINNED_GROWING_ROUNDTRIPS = [

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from check_reference import (count_oracle_systems, doubled_window_cyclic,
                              filtered_least_period_words, lcm_window_on_orbit,
-                             listed_orbit_words, matpow_int, orbit_probe_points,
-                             scanned_admissible, scanned_cyclic)
+                             listed_orbit_words, lyndon_by_rotations, matpow_int,
+                             orbit_probe_points, scanned_admissible, scanned_cyclic,
+                             within_seconds)
 from shiftembed.entropy import (EntropyEstimate, appendix_fullness_check, htop_estimate,
                                least_period_count)
 from shiftembed.errors import (EmptySubshiftError, EnumerationBudgetError,
@@ -18,7 +19,8 @@ from shiftembed.systems import (Odometer, OdometerPoint, Point,
                                 Sft, _lyndon_orbits, coordinate, dyadic_odometer,
                                 enumerate_periodic, enumerate_words,
                                 full_shift, golden_mean, itinerary,
-                                least_period_words, orbit_system, parse_point, parse_system,
+                                least_period_words, lyndon_words, orbit_system, parse_point,
+                                parse_system,
                                 periodic_orbits, product_coding, serialize_point,
                                 serialize_system, validate_point)
 from shiftembed.words import ALPHABET_CHARS, necklace, periodic_window, primitive_root
@@ -457,8 +459,26 @@ class TestPeriodic:
         wrap = max(system._forbidden_lengths + [system.memory]) - 1
         assert 1 <= wrap < 12
         for nmax in range(1, 13):
+            assert list(lyndon_words(system, nmax)) == \
+                sorted(v for v, n in necklaces.items() if n <= nmax), nmax
             assert _lyndon_orbits(system, nmax) == \
                 {v: n for v, n in necklaces.items() if n <= nmax}, nmax
+
+    @pytest.mark.parametrize("A", [1, 2, 3])
+    def test_full_shift_lyndon_words_are_the_definitions(self, A):
+        """On a full shift the walk lists the words smaller than each of
+        their proper rotations, every length up to nmax in one
+        lexicographic order."""
+        for nmax in range(1, 10):
+            assert list(lyndon_words(full_shift(A), nmax)) == sorted(
+                w for n in range(1, nmax + 1) for w in lyndon_by_rotations(ALPHABET_CHARS[:A], n))
+
+    def test_lyndon_words_are_handed_out_lazily(self):
+        """The first words of a walk to length 60 come without the 2^60
+        leaves below them."""
+        with within_seconds(1):
+            assert list(itertools.islice(lyndon_words(full_shift(2), 60), 4)) == \
+                ["0", "0" * 59 + "1", "0" * 58 + "1", "0" * 58 + "11"]
 
     def test_block_graph_grows_only_clean_blocks(self, monkeypatch):
         """The block graph grows clean blocks from clean prefixes instead of
