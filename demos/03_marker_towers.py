@@ -8,10 +8,13 @@ verified through their structural atoms plus probe sweeps.
 from shiftembed import PeriodicNeighborhood, build_towers, return_partition, verify_tower
 from shiftembed.entropy import build_schedule
 from shiftembed.pipeline import build_pipeline, sample_points
-from shiftembed.systems import OdometerPoint, Point, dyadic_odometer, golden_mean
+from shiftembed.systems import (OdometerPoint, Point, dyadic_odometer, golden_mean,
+                                periodic_orbits)
 
 nb = PeriodicNeighborhood(golden_mean(), 2, 2)
-print("orbits of period <= 2 (necklace, least period):", sorted(nb.orbits.items()))
+print("orbits of period <= 2 (necklace, least period):",
+      sorted(periodic_orbits(golden_mean(), 2).items()))
+print("window 01010 matches (necklace, rotation):", nb.match_word("01010"))
 
 odo = dyadic_odometer(8)
 osched = build_schedule(odo, K=2, kmax=3, N_cert=128)
@@ -22,7 +25,8 @@ for k in (1, 2, 3):
 
 zero = OdometerPoint(odo, (0,) * 8)
 part = return_partition(zero, stack, 1, (0, 90))
-print("returns of 0 at scale 1:", part.returns[:6], "... gaps of", osched.n[0], "+")
+print("returns of 0 at scale 1:", [iv.start for iv in part.intervals[:6]],
+      "... gaps of", osched.n[0], "+")
 
 pipe = build_pipeline(golden_mean(), K=2, kmax=2, C=0.0, m=(0, 0))
 x = Point("10", "00100", "001", -2)

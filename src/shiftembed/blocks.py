@@ -37,7 +37,6 @@ ROLE_BRACKET_BOTH = "bothBracket"
 
 @dataclass(slots=True)
 class LayoutBlock:
-    scale: int
     start: object               # None = unbounded side
     end: object                 # half-open
     kind: str                   # "regular" | "singular"
@@ -145,25 +144,25 @@ def _slots_in(slots, start, end, lo, hi):
     return slots[bisect_left(slots, s):bisect_left(slots, e)]
 
 
-def _build_scale1(schedule, partition, window_range):
+def _build_scale1(schedule, intervals, window_range):
     lo, hi = window_range
     n1 = schedule.n[0]
     blocks, marks, closings = [], [], []
-    for iv in partition.intervals:
+    for iv in intervals:
         start, end = iv.start, iv.end
         if iv.kind == "regular":
             if start < lo or end > hi + 1:
                 continue  # cut by the resolved range: unusable for coding
             fill_end = start + 1 + schedule.fill1(end - start)
-            blk = LayoutBlock(1, start, end, "regular")
+            blk = LayoutBlock(start, end, "regular")
             blk.marker_pos = start
             blk.fill_positions = range(start + 1, fill_end)
             blk.free_slots = range(fill_end, end)
             blocks.append(blk)
             marks.append((start, ROLE_MARKER))
         else:
-            blk = LayoutBlock(scale=1, start=iv.start, end=iv.end, kind="singular",
-                              special=True, orbit=iv.orbit, phase=iv.phase, m=iv.m)
+            blk = LayoutBlock(start=iv.start, end=iv.end, kind="singular", special=True,
+                              orbit=iv.orbit, phase=iv.phase, m=iv.m)
             blocks.append(blk)
             if schedule.periodic and iv.start is not None and lo <= iv.start + n1 <= hi:
                 # prefix terminator: one mark right after the protected
@@ -178,12 +177,10 @@ def _build_scale1(schedule, partition, window_range):
     return layer
 
 
-def _build_scale_k(schedule, partition, prev_layer, window_range):
-    k = partition.scale
+def _build_scale_k(schedule, k, intervals, prev_layer, window_range):
     lo, hi = window_range
     blocks, marks = [], []
     base_free = prev_layer.free
-    intervals = partition.intervals
     len_lo, len_hi = schedule.layout_bounds(k)
     singular = [sub for sub in prev_layer.blocks if sub.kind == "singular"]
     specials = any(sub.special for sub in singular)
@@ -198,7 +195,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range):
                 raise CapacityError("scale-%d block %r has length %d outside [%d, %d)"
                                     % (k, (start, end), L, len_lo, len_hi),
                                     scale=k, block=(start, end))
-            blk = LayoutBlock(k, start, end, "regular")
+            blk = LayoutBlock(start, end, "regular")
             freed = _free_in_special_subblocks(schedule, prev_layer, blk, k) if specials else ()
             blk.freed_positions = tuple(freed)
             slots = base_free[bisect_left(base_free, start):bisect_left(base_free, end)]
@@ -242,8 +239,8 @@ def _build_scale_k(schedule, partition, prev_layer, window_range):
             blk.free_slots = tuple(slots[i + budget:])
             blocks.append(blk)
         else:
-            blk = LayoutBlock(scale=k, start=start, end=end, kind="singular",
-                              special=iv.special, orbit=iv.orbit, phase=iv.phase, m=iv.m)
+            blk = LayoutBlock(start=start, end=end, kind="singular", special=iv.special,
+                              orbit=iv.orbit, phase=iv.phase, m=iv.m)
             if iv.special:
                 blk.freed_positions = blk.free_slots = tuple(
                     _free_special_singular(schedule, blk, k, lo, hi))
@@ -375,14 +372,17 @@ def _marker_progression(schedule, blk, k, lo, hi):
     return range(s + (anchor - s) % mprime, e, mprime)
 
 
-def append_layer(layout, partition):
-    """Extend a layout chain by the layer of the next scale."""
-    prev = layout.layers[-1] if layout.layers else None
+def append_layer(layout, intervals):
+    """Extend a layout chain by the layer of the next scale, laid out from
+    that scale's intervals in order: a return partition's when encoding,
+    the ones read off a stream when decoding.  The scale is the one past
+    the layout's top layer."""
+    k = layout.kmax + 1
     rng = (layout.lo, layout.hi)
-    if partition.scale == 1:
-        layer = _build_scale1(layout.schedule, partition, rng)
+    if k == 1:
+        layer = _build_scale1(layout.schedule, intervals, rng)
     else:
-        layer = _build_scale_k(layout.schedule, partition, prev, rng)
+        layer = _build_scale_k(layout.schedule, k, intervals, layout.layers[-1], rng)
     layout.layers.append(layer)
     return layer
 

@@ -32,11 +32,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .blocks import (ROLE_BRACKET_BOTH, ROLE_BRACKET_CLOSE, ROLE_BRACKET_OPEN,
-                     ROLE_CLOSING, ROLE_MARKER, ROLE_MARKER_K, SpanOrderError)
+                     ROLE_CLOSING, ROLE_MARKER, ROLE_MARKER_K, SpanOrderError, span_keys)
 from .errors import (CapacityError, MalformedStreamError, ScheduleError,
                      ShiftEmbedError, SpecParseError, WindowError)
 from .entropy import periodic_code_fits
-from .markers import Interval, ReturnPartition, return_partition
+from .markers import Interval, return_partition
 from .systems import (OdometerPoint, Sft, _parse_int, _parse_kv, _parse_window,
                       lyndon_words, periodic_orbits)
 from .words import (CODE_CHARS, _window_key, code_length_needed, is_primitive,
@@ -151,12 +151,12 @@ class Codebook:
     A length of None is the one the key count needs.
     """
 
-    def __init__(self, scale, n, length, keys, K, context=None):
+    def __init__(self, scale, n, length, keys, K):
         self._sorted = sorted(keys)
         self._index = {key: i for i, key in enumerate(self._sorted)}
-        self._setup(scale, n, length, len(self._sorted), K, context)
+        self._setup(scale, n, length, len(self._sorted), K)
 
-    def _setup(self, scale, n, length, size, K, context):
+    def _setup(self, scale, n, length, size, K):
         if length is None:
             length = code_length_needed(size, K)
         if size > K ** length:
@@ -167,7 +167,6 @@ class Codebook:
         self.length = length
         self.size = size
         self.K = K
-        self.context = context
 
     def _rank(self, key):
         """Index of a key among the sorted keys; None outside the domain."""
@@ -251,7 +250,7 @@ class RankedCodebook(_WordCodebook):
     def __init__(self, system, m, n, length, K):
         self.system = system
         self.m = m
-        self._setup(1, n, length, system.count_words(n + 2 * m), K, None)
+        self._setup(1, n, length, system.count_words(n + 2 * m), K)
 
     def _word_rank(self, w):
         return self.system.word_rank(w)
@@ -271,7 +270,7 @@ class RefinementCodebook(_WordCodebook):
     index is rank_left * R + rank_right.
     """
 
-    def __init__(self, system, k, m, mp, n, K, coarse, u):
+    def __init__(self, system, k, m, mp, n, K, u):
         M = system.memory
         if len(u) < M:
             raise ScheduleError("context %r is shorter than the memory" % (u,))
@@ -281,8 +280,7 @@ class RefinementCodebook(_WordCodebook):
         self.into, self.out = u[:M], u[len(u) - M:]
         self.ext = M + mp - m               # the length of x + u[:M] and of u[-M:] + y
         self._right = system.count_words(self.ext, start=self.out)
-        self._setup(k, n, None, system.count_words(self.ext, end=self.into) * self._right,
-                    K, coarse)
+        self._setup(k, n, None, system.count_words(self.ext, end=self.into) * self._right, K)
 
     def _word_rank(self, w):
         d = self.ext - len(self.into)
@@ -316,7 +314,7 @@ class ResidueCodebook(Codebook):
         self.lo = len(context[0]) if context else 0
         self.radix = system.base[self.lo:depth]
         self.offset = system.residue_of_digits(context[0]) if context else 0
-        self._setup(scale, n, length, math.prod(self.radix), K, context)
+        self._setup(scale, n, length, math.prod(self.radix), K)
 
     def _rank(self, key):
         if len(key) != self.n:
@@ -367,7 +365,7 @@ def build_conditional_codebook(system, schedule, k, n, coarse):
     if not known:
         raise MalformedStreamError("unknown context %r" % (coarse,))
     if system.kind == "sft":
-        cb = RefinementCodebook(system, k, m, mp, n, schedule.K, coarse, u)
+        cb = RefinementCodebook(system, k, m, mp, n, schedule.K, u)
     budget = schedule.budget(n, k)
     if cb.length > budget and mp != m:
         raise CapacityError("conditional code needs %d letters, budget %d"
@@ -391,7 +389,7 @@ def build_identification_codebook(system, schedule, k, m_period, fine):
     if (system.is_cyclic_word(w) and is_primitive(w)
             and _orbit_key(w, mp, m_period) == fine):
         keys = [necklace(w)]
-    return Codebook(k, m_period, 0, keys, schedule.K, context=fine)
+    return Codebook(k, m_period, 0, keys, schedule.K)
 
 
 # -- the periodic code (prefix-injective orbit naming) --------------------------
@@ -559,11 +557,10 @@ def build_periodic_code(system, K, n1):
 
 @dataclass
 class PointContext:
-    """Partitions and layout chain of one point over an inflated range."""
+    """Partitions and layout chain of one point over an inflated range, the
+    layout's [lo, hi]."""
 
     point: object
-    lo: int
-    hi: int
     partitions: list
     layout: object
 
@@ -580,7 +577,7 @@ def _context_scales(pipeline, point, window, runtime=None):
     # already widened the window by the decode margin
     pad = 4 * sum(sched.nprime)
     lo, hi = a - pad, b + pad
-    ctx = PointContext(point, lo, hi, [], BlockLayout(schedule=sched, lo=lo, hi=hi))
+    ctx = PointContext(point, [], BlockLayout(schedule=sched, lo=lo, hi=hi))
     if runtime is None:
         runtime = pipeline.stack.runtime(point)
     for k in range(1, sched.kmax + 1):
@@ -589,7 +586,7 @@ def _context_scales(pipeline, point, window, runtime=None):
                                 prev_partition=ctx.partitions[-1] if k >= 2 else None,
                                 runtime=runtime)
         ctx.partitions.append(part)
-        append_layer(ctx.layout, part)
+        append_layer(ctx.layout, part.intervals)
         yield ctx
 
 
@@ -682,11 +679,12 @@ def render_scales(point, pipeline, window, runtime=None):
     raises ends the iteration with its error."""
     a, b = window
     for k, ctx in enumerate(_context_scales(pipeline, point, window, runtime), 1):
+        lo = ctx.layout.lo
         if k == 1:
-            size = ctx.hi - ctx.lo + 1
+            size = ctx.layout.hi - lo + 1
             syms, res = [SYM_FREE] * size, [None] * size
         _render_layer(pipeline, ctx.layout, k, _point_codewords(pipeline, point, k), syms, res)
-        yield SymbolStream(a, b, syms[a - ctx.lo:b - ctx.lo + 1], res[a - ctx.lo:b - ctx.lo + 1])
+        yield SymbolStream(a, b, syms[a - lo:b - lo + 1], res[a - lo:b - lo + 1])
 
 
 def odometer_period(pipeline):
@@ -1113,17 +1111,16 @@ def _extract_period(pipeline, k, labels_prev, s, e, window):
     return v, (shift - lo) % len(v)
 
 
-def _append_decoded_layer(layout, k, window, intervals):
+def _append_decoded_layer(layout, k, intervals):
     """Append the scale-k layer of intervals read off a stream.  Spans that
-    overlap or run backwards, or a block the layout refuses, come from the
-    stream, so they make it malformed: the encoder emits neither.  The
-    refusal names the start of the block refused."""
+    overlap or run backwards, checked before the layout runs, or a block
+    the layout refuses, come from the stream, so they make it malformed:
+    the encoder emits neither.  The refusal names the start of the block
+    refused."""
     from .blocks import append_layer
-    A, B = window
     try:
-        part = ReturnPartition(scale=k, intervals=intervals, returns=[],
-                               computed_range=(A - 1, B + 1))
-        return append_layer(layout, part)
+        span_keys(intervals)
+        return append_layer(layout, intervals)
     except (SpanOrderError, CapacityError) as exc:
         raise MalformedStreamError(str(exc), scale=k, position=exc.block[0]) from None
 
@@ -1252,7 +1249,7 @@ def decode_k(stream, pipeline, k):
         intervals, labels, orbits_l, cert_parts = \
             _decode_scale1(stream, pipeline, structure) if l == 1 else \
             _decode_scale_k(stream, pipeline, l, layout, itineraries[l - 1], structure)
-        layer = _append_decoded_layer(layout, l, (A, B), intervals)
+        layer = _append_decoded_layer(layout, l, intervals)
         orbits.extend(o for o in orbits_l if l == 1 or o not in orbits)
         words = _read_codewords(stream, pipeline, layer, itineraries.get(l - 1),
                                 labels, cert_parts)

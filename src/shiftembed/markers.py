@@ -23,14 +23,12 @@ Odometer towers live on residues and are always exact and flat.
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from math import inf
 
 from .blocks import span_at, span_keys
 from .errors import (EnumerationBudgetError, NestingError, SeparationError,
                      ShiftEmbedError, VerifyReport, WindowError)
-from .systems import periodic_orbits
 from .words import necklace, periodic_name, primitive_root
 
 FLAT_PATTERN_BUDGET = 300_000
@@ -46,8 +44,8 @@ class PeriodicNeighborhood:
     central cylinder.  Orbit identification of a window goes through its
     minimal period: r >= n makes every matching window fully determine the
     orbit and the phase.  Membership is a local test on the window (least
-    period at most n, root cyclically admissible), so nothing is enumerated
-    until the explicit orbit list is asked for.
+    period at most n, root cyclically admissible), so no orbit is ever
+    enumerated: only the orbits that windows name are tested and memoized.
     """
 
     def __init__(self, system, n, r):
@@ -61,11 +59,6 @@ class PeriodicNeighborhood:
         # forbidden word could be, so the memo is bounded by the number of
         # orbits of period <= n
         self._is_orbit = {}
-
-    @cached_property
-    def orbits(self):
-        """necklace -> least period for every orbit of period <= n."""
-        return periodic_orbits(self.system, self.n)
 
     def has_orbit(self, key):
         """Whether the necklace of a primitive word of length <= n names an orbit."""
@@ -474,8 +467,7 @@ class TowerRuntime:
 
 
 class TowerStack:
-    def __init__(self, system, schedule, towers):
-        self.system = system
+    def __init__(self, schedule, towers):
         self.schedule = schedule
         self.towers = towers
 
@@ -504,7 +496,7 @@ def build_towers(system, schedule):
             tower = WordTower(system, schedule, k, pernbhd, parent)
         towers.append(tower)
         parent = tower
-    return TowerStack(system, schedule, towers)
+    return TowerStack(schedule, towers)
 
 
 # -- return structure ----------------------------------------------------------
@@ -543,7 +535,6 @@ class Interval:
 class ReturnPartition:
     scale: int
     intervals: list
-    returns: list
     computed_range: tuple
     keys: list = field(init=False, repr=False, compare=False)
 
@@ -648,8 +639,7 @@ def return_partition(point, stack, k, window, prev_layout=None, prev_partition=N
 
     if prev_layout is not None:
         _adjust_boundaries(intervals, prev_layout, k)
-    part = ReturnPartition(scale=k, intervals=intervals,
-                           returns=returns, computed_range=(scan_lo, scan_hi))
+    part = ReturnPartition(scale=k, intervals=intervals, computed_range=(scan_lo, scan_hi))
     if prev_partition is not None:
         _check_special_nesting(part, prev_partition)
     return part

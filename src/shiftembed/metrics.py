@@ -208,21 +208,28 @@ def dN_bound(schedule, k):
     return Fraction(3) * Fraction(schedule.alpha) / 2 ** k
 
 
+def dN_horizon(schedule):
+    """(N, window) of the d_N checks: N = n_1^2, read on streams encoded
+    over [-4N, 4N]."""
+    N = schedule.n[0] ** 2
+    return N, (-4 * N, 4 * N)
+
+
 def convergence_report(points, pipeline, depth=2, sample_n=160):
     """Per point and scale: d_N of the codes, empirical-measure pushforward
     distances, and the window bound N * d_N from the uniform-convergence
     argument.  Rows: (point index, scale, metric, value, exactness tag)."""
     rows = []
     sched = pipeline.schedule
-    N = sched.n[0] ** 2
+    N, window = dN_horizon(sched)
     alphabet = _stream_alphabet(sched.K)
     for idx, p in enumerate(points):
-        streams = list(pipeline.encode_scales(p, (-4 * N, 4 * N)))
+        streams = list(pipeline.encode_scales(p, window))
         sK = streams[-1]
         mu_K = _stream_measure(sK, depth, sample_n)
         for k, sk in enumerate(streams, 1):
             val = stream_dN(sk, sK, N)
-            rows.append((idx, k, "dN(psi_k, psi)", val, "horizon=%d" % (4 * N)))
+            rows.append((idx, k, "dN(psi_k, psi)", val, "horizon=%d" % window[1]))
             bound = dN_bound(sched, k)
             rows.append((idx, k, "dN-bound-ok", int(val <= bound), "bound=%s" % bound))
             mu_k = _stream_measure(sk, depth, sample_n)

@@ -253,7 +253,7 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
     kmax = sched.kmax
     a, b = window
     margin = pipeline.decode_margin()
-    N = sched.n[0] ** 2
+    N, horizon = metrics.dN_horizon(sched)
     equivariance, roundtrip, dn = {}, {}, {}     # failed scale -> first error text
     for i, p in enumerate(points):
         runtime = runtimes.pop(0) if runtimes else pipeline.stack.runtime(p)
@@ -273,7 +273,7 @@ def verify_pipeline(pipeline, points=None, seed=DEFAULT_SEED, sample_count=12,
         if i < max(4, len(points) // 3):
             _check_roundtrip(pipeline, p, (a, b), encode((a - margin, b + margin)), roundtrip)
         if i < 6:
-            streams, err = encode((-4 * N, 4 * N))
+            streams, err = encode(horizon)
             if err is not None:
                 _fail(dn, 1, err)
             elif metrics.stream_dN(streams[0], streams[-1], N) > metrics.dN_bound(sched, 1):

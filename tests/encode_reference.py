@@ -104,9 +104,9 @@ def _dict_render_layer(pipeline, ctx, l, sym):
             for pos, ch in zip(blk.fill_positions, word):
                 sym[pos] = (ch, l)
         elif l == 1:
-            s = blk.start if blk.start is not None else ctx.lo
-            e = blk.end if blk.end is not None else ctx.hi + 1
-            for t in range(max(s, ctx.lo), min(e, ctx.hi + 1)):
+            s = blk.start if blk.start is not None else ctx.layout.lo
+            e = blk.end if blk.end is not None else ctx.layout.hi + 1
+            for t in range(max(s, ctx.layout.lo), min(e, ctx.layout.hi + 1)):
                 sym[t] = (pipeline.periodic_code.stream_letter(blk.orbit, blk.phase, t), 1)
         elif not blk.special:
             coarse = codec._orbit_key(blk.orbit, sched.m[l - 2], blk.m)
@@ -141,7 +141,7 @@ def dict_render_scales(point, pipeline, window):
     rng = None
     try:
         for k, ctx in enumerate(codec._context_scales(pipeline, point, window), 1):
-            rng = (ctx.lo, ctx.hi)
+            rng = (ctx.layout.lo, ctx.layout.hi)
             _dict_render_layer(pipeline, ctx, k, sym)
             cells = list(map(sym.get, range(a, b + 1),
                              itertools.repeat((codec.SYM_FREE, None))))

@@ -8,7 +8,7 @@ position back out of that span layout (`layer_roles`, `roles`,
 then rescans the dict for the free slots, `marker_progression` tests
 every position of the range, and `reference_pi_symbols` builds the pi_k
 symbols and checks singular stretches one position at a time against the
-merged role dicts.  `record_layouts` captures the partitions a call lays
+merged role dicts.  `record_layouts` captures the intervals a call lays
 out, so that a test can lay them out both ways and compare.
 """
 
@@ -65,19 +65,20 @@ def dump_lines(layout):
 
 
 def record_layouts(fn, *args):
-    """([(layout, partitions)], error text or None) of the call fn(*args):
+    """([(layout, layers)], error text or None) of the call fn(*args):
     every layout it extends through blocks.append_layer, in order, with
-    the partitions passed for it, the one that raised included."""
+    the intervals passed for each of its layers, the one that raised
+    included."""
     seen = []
     real = blocks.append_layer
 
-    def append_layer(layout, partition):
-        parts = next((parts for known, parts in seen if known is layout), None)
-        if parts is None:
-            parts = []
-            seen.append((layout, parts))
-        parts.append(partition)
-        return real(layout, partition)
+    def append_layer(layout, intervals):
+        layers = next((layers for known, layers in seen if known is layout), None)
+        if layers is None:
+            layers = []
+            seen.append((layout, layers))
+        layers.append(intervals)
+        return real(layout, intervals)
 
     blocks.append_layer = append_layer
     try:
@@ -93,18 +94,19 @@ def record_layouts(fn, *args):
 # -- the position-by-position layout -----------------------------------------------
 
 
-def reference_layers(layout, partitions):
+def reference_layers(layout, layers):
     """(role dict, free list, blocks) of each layer that the earlier
-    position-by-position build lays out from the partitions over the
-    layout's range, and the text of the error that ends it, or None."""
+    position-by-position build lays out from the intervals of scales 1, 2,
+    ... over the layout's range, and the text of the error that ends it, or
+    None."""
     rng = (layout.lo, layout.hi)
     out, prev = [], None
     try:
-        for part in partitions:
-            if part.scale == 1:
-                prev = _build_scale1(layout.schedule, part, rng)
+        for k, intervals in enumerate(layers, 1):
+            if k == 1:
+                prev = _build_scale1(layout.schedule, intervals, rng)
             else:
-                prev = _build_scale_k(layout.schedule, part, prev, rng)
+                prev = _build_scale_k(layout.schedule, k, intervals, prev, rng)
             out.append((prev.role, prev.free, prev.blocks))
     except (CapacityError, blocks.SpanOrderError) as exc:
         return out, "%s: %s" % (type(exc).__name__, exc)
@@ -117,17 +119,17 @@ def _layer(k, block_list, role):
     return layer
 
 
-def _build_scale1(schedule, partition, window_range):
+def _build_scale1(schedule, intervals, window_range):
     lo, hi = window_range
     n1 = schedule.n[0]
     role = {}
     block_list = []
-    for iv in partition.intervals:
+    for iv in intervals:
         if iv.kind == "regular":
             if iv.start < lo or iv.end > hi + 1:
                 continue
             fill = schedule.fill1(iv.end - iv.start)
-            blk = LayoutBlock(scale=1, start=iv.start, end=iv.end, kind="regular",
+            blk = LayoutBlock(start=iv.start, end=iv.end, kind="regular",
                               marker_pos=iv.start)
             role[iv.start] = ROLE_MARKER
             blk.fill_positions = tuple(range(iv.start + 1, iv.start + 1 + fill))
@@ -138,7 +140,7 @@ def _build_scale1(schedule, partition, window_range):
                 role[p] = ROLE_FREE
             block_list.append(blk)
         else:
-            blk = LayoutBlock(scale=1, start=iv.start, end=iv.end, kind="singular",
+            blk = LayoutBlock(start=iv.start, end=iv.end, kind="singular",
                               special=True, orbit=iv.orbit, phase=iv.phase, m=iv.m)
             s = lo if iv.start is None else max(iv.start, lo)
             e = hi + 1 if iv.end is None else min(iv.end, hi + 1)
@@ -150,12 +152,10 @@ def _build_scale1(schedule, partition, window_range):
     return _layer(1, block_list, role)
 
 
-def _build_scale_k(schedule, partition, prev_layer, window_range):
-    k = partition.scale
+def _build_scale_k(schedule, k, intervals, prev_layer, window_range):
     lo, hi = window_range
     role = {}
     block_list = []
-    intervals = partition.intervals
     for idx, iv in enumerate(intervals):
         start, end = iv.adj_start, iv.adj_end
         if iv.kind == "regular":
@@ -166,7 +166,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range):
             if not len_lo <= L < len_hi:
                 raise CapacityError("scale-%d block %r has length %d outside [%d, %d)"
                                     % (k, (start, end), L, len_lo, len_hi))
-            blk = LayoutBlock(scale=k, start=start, end=end, kind="regular")
+            blk = LayoutBlock(start=start, end=end, kind="regular")
             freed = blocks._free_in_special_subblocks(schedule, prev_layer, blk, k)
             blk.freed_positions = tuple(freed)
             slots = sorted(set(blocks._slots_in(prev_layer.free, start, end, lo, hi))
@@ -205,7 +205,7 @@ def _build_scale_k(schedule, partition, prev_layer, window_range):
                 role[p] = ROLE_FREE
             block_list.append(blk)
         else:
-            blk = LayoutBlock(scale=k, start=start, end=end, kind="singular",
+            blk = LayoutBlock(start=start, end=end, kind="singular",
                               special=iv.special, orbit=iv.orbit, phase=iv.phase, m=iv.m)
             if iv.special:
                 freed = free_special_singular(schedule, blk, k, lo, hi)
@@ -309,12 +309,12 @@ def marker_progression(schedule, blk, k, lo, hi):
 # -- pi_k and the stretch check, one position at a time ------------------------------
 
 
-def reference_pi_symbols(stream, pipeline, layout, partitions):
+def reference_pi_symbols(stream, pipeline, layout, layers):
     """The pi_k symbols of a stream over a decoded layout, from the merged
     role dicts of the position-by-position layout, or the text of the error
     the stretch check raises."""
     merged = {}
-    for k, (role, _, _) in enumerate(reference_layers(layout, partitions)[0], 1):
+    for k, (role, _, _) in enumerate(reference_layers(layout, layers)[0], 1):
         merged.update({t: (r, k) for t, r in role.items()})
     symbols = [codec.SYM_FREE if merged.get(t, (ROLE_FREE, None))[0] == ROLE_FREE else ch
                for t, ch in enumerate(stream.symbols, stream.a)]

@@ -37,13 +37,13 @@ def build_block_layout(sched, partitions, window_range):
     laid out layer by layer as encode and decode lay it out."""
     layout = BlockLayout(schedule=sched, lo=window_range[0], hi=window_range[1])
     for part in partitions:
-        append_layer(layout, part)
+        append_layer(layout, part.intervals)
     return layout
 
 
 def partition(scale, intervals, rng=(-50, 1100)):
     ivs = [Interval(*spec[:3], **(spec[3] if len(spec) > 3 else {})) for spec in intervals]
-    return ReturnPartition(scale=scale, intervals=ivs, returns=[],
+    return ReturnPartition(scale=scale, intervals=ivs,
                            computed_range=(rng[0] - 1, rng[1] + 1))
 
 
@@ -94,7 +94,7 @@ class TestNextScaleMarkers:
         # m'=12 is the smallest multiple of m=3 reaching n_k=10
         from shiftembed.blocks import LayoutBlock, _marker_progression
         sched = schedule(alpha=Fraction(1, 5), m=(0,), n=(10,), periodic=True)
-        blk = LayoutBlock(scale=1, start=None, end=None, kind="singular",
+        blk = LayoutBlock(start=None, end=None, kind="singular",
                           special=False, orbit="001", phase=0, m=3)
         blk.free_slots = tuple(range(0, 48, 3))
         marks = _marker_progression(sched, blk, 1, 0, 47)
@@ -104,7 +104,7 @@ class TestNextScaleMarkers:
     def test_one_sided_progression_steps_forward(self):
         from shiftembed.blocks import LayoutBlock, _marker_progression
         sched = schedule(alpha=Fraction(1, 5), m=(0,), n=(10,), periodic=True)
-        blk = LayoutBlock(scale=1, start=5, end=None, kind="singular",
+        blk = LayoutBlock(start=5, end=None, kind="singular",
                           special=False, orbit="001", phase=0, m=3)
         blk.free_slots = (14, 17, 20, 23)
         marks = _marker_progression(sched, blk, 1, 0, 60)
@@ -172,7 +172,7 @@ class TestPeriodicGrammar:
 
 def layout_block(m, phase, start=None, end=None):
     from shiftembed.blocks import LayoutBlock
-    return LayoutBlock(scale=1, start=start, end=end, kind="singular",
+    return LayoutBlock(start=start, end=end, kind="singular",
                        special=True, orbit="x" * 0 or None, phase=phase, m=m)
 
 
@@ -235,20 +235,21 @@ class TestBisectLookups:
         # period-7 tails shadow a singular stretch, period-13 tails keep
         # returning, so their edge blocks are cut by the resolved range
         ctx = build_point_context(pipe3, point, (-60, 60))
+        lo, hi = ctx.layout.lo, ctx.layout.hi
         for layer in ctx.layout.layers:
             assert layer.keys is not None
             assert (layer.blocks[0].start is None) == first_unbounded
             assert (layer.blocks[-1].end is None) == last_unbounded
-            for t in range(ctx.lo - 5, ctx.hi + 6):
+            for t in range(lo - 5, hi + 6):
                 assert layer.block_at(t) is _scan(layer.blocks, t)
-            for a, b in ((ctx.lo, ctx.lo + 40), (-7, 30), (ctx.hi - 40, ctx.hi)):
+            for a, b in ((lo, lo + 40), (-7, 30), (hi - 40, hi)):
                 near = layer.blocks_near(a, b)
                 assert [s for s in layer.blocks if any(s.covers(t) for t in range(a, b + 1))] \
                     == [s for s in near if any(s.covers(t) for t in range(a, b + 1))]
             for start, end in ((None, None), (None, 0), (0, None), (-30, 31), (5, 5)):
-                s = ctx.lo if start is None else start
-                e = ctx.hi + 1 if end is None else end
-                assert _slots_in(layer.free, start, end, ctx.lo, ctx.hi) == \
+                s = lo if start is None else start
+                e = hi + 1 if end is None else end
+                assert _slots_in(layer.free, start, end, lo, hi) == \
                     [p for p in layer.free if s <= p < e]
         for part in ctx.partitions:
             assert part.keys is not None
@@ -288,9 +289,9 @@ class TestBisectLookups:
                           (16, 35, "regular"), (16, None, "singular"),
                           (35, None, "singular")])
         with pytest.raises(SpanOrderError, match=r"\[5, 4\)$"):
-            span_keys([LayoutBlock(1, 5, 4, "regular")])
-        assert span_keys([LayoutBlock(1, 5, 5, "regular")]) == [5]
-        touching = [LayoutBlock(1, 0, 10, "regular"), LayoutBlock(1, 10, 20, "regular")]
+            span_keys([LayoutBlock(5, 4, "regular")])
+        assert span_keys([LayoutBlock(5, 5, "regular")]) == [5]
+        touching = [LayoutBlock(0, 10, "regular"), LayoutBlock(10, 20, "regular")]
         assert span_keys(touching) == [0, 10]
         touching[0].end = 11
         with pytest.raises(SpanOrderError, match=r"\[0, 11\), \[10, 20\)"):
@@ -304,7 +305,7 @@ class TestBisectLookups:
         part1 = partition(1, [(i * 20, (i + 1) * 20, "regular") for i in range(5)])
         layout = build_block_layout(sched, [part1], (0, 99))
         with pytest.raises(MalformedStreamError, match=r"\(0, 100\): 5 filling slots needed"):
-            _append_decoded_layer(layout, 2, (0, 99), [Interval(0, 100, "regular")])
+            _append_decoded_layer(layout, 2, [Interval(0, 100, "regular")])
 
     def test_overlapping_spans_read_off_a_stream_are_malformed(self):
         # a stray close bracket at time 44 starts a second right-unbounded
@@ -330,12 +331,12 @@ class TestBisectLookups:
         part1 = partition(1, [(i * 20, (i + 1) * 20, "regular") for i in range(5)])
         layout = build_block_layout(sched, [part1], (0, 99))
         with pytest.raises(MalformedStreamError) as info:
-            _append_decoded_layer(layout, 2, (0, 99), [Interval(0, 100, "regular")])
+            _append_decoded_layer(layout, 2, [Interval(0, 100, "regular")])
         assert (info.value.scale, info.value.position) == (2, 0)
         for spans, start in [([(None, 10, "singular"), (5, 30, "regular")], 5),
                              ([(0, 20, "regular"), (40, 30, "regular")], 40)]:
             with pytest.raises(MalformedStreamError) as info:
-                _append_decoded_layer(layout, 2, (0, 99), [Interval(*span) for span in spans])
+                _append_decoded_layer(layout, 2, [Interval(*span) for span in spans])
             assert (info.value.scale, info.value.position) == (2, start)
 
 class TestLayoutBounds:
@@ -509,7 +510,7 @@ class TestSpanLayoutAgainstReference:
         part = partition(1, [(0, 5, "singular", dict(special=True, orbit="0", phase=0, m=1)),
                              (5, 150, "regular")])
         layout = build_block_layout(sched, [part], (0, hi))
-        (role, free, _), = reference_layers(layout, [part])[0]
+        (role, free, _), = reference_layers(layout, [part.intervals])[0]
         assert layer_roles(layout, 1) == role and layout.layer(1).free == free
         assert (role[9] == ROLE_CLOSING) == (hi == 99)
 
@@ -522,7 +523,7 @@ class TestSpanLayoutAgainstReference:
             hi = lo + rng.randrange(0, 150)
             start = rng.choice([None, rng.randrange(lo - 30, hi + 10)])
             end = rng.choice([None, (start if start is not None else lo) + rng.randrange(0, 150)])
-            blk = LayoutBlock(scale=2, start=start, end=end, kind="singular", special=True,
+            blk = LayoutBlock(start=start, end=end, kind="singular", special=True,
                               phase=rng.randrange(0, 50), m=rng.randrange(1, 50))
             k = rng.choice([2, 3])
             assert _free_special_singular(sched, blk, k, lo, hi) == \
@@ -537,7 +538,7 @@ class TestSpanLayoutAgainstReference:
             hi = lo + rng.randrange(0, 150)
             start = rng.choice([None, rng.randrange(lo - 30, hi + 10)])
             end = rng.choice([None, (start if start is not None else lo) + rng.randrange(1, 150)])
-            blk = LayoutBlock(scale=2, start=start, end=end, kind="singular",
+            blk = LayoutBlock(start=start, end=end, kind="singular",
                               special=rng.random() < 0.3, phase=rng.randrange(0, 50),
                               m=rng.randrange(1, 30))
             s = lo if start is None else max(start, lo)

@@ -13,7 +13,7 @@ from check_reference import (filtered_least_period_words, forbidden_shape_count_
                              verify_injective)
 from encode_reference import bounded_stretch_points, dict_render_scales, long_tail_points
 from layout_reference import ROLE_SINGULAR_FILL, record_layouts, roles
-from shiftembed import blocks, codec, systems
+from shiftembed import blocks, codec, metrics, systems
 from shiftembed.codec import (Codebook, PeriodicCode, RankedCodebook, SymbolStream,
                               build_first_codebook, build_conditional_codebook,
                               build_periodic_code)
@@ -592,6 +592,25 @@ class TestEncodeScales:
                 [pipe.encode(point, k, window).to_text() for k in range(1, pipe.kmax + 1)]
             assert streams[-1].unresolved().to_text() == \
                 pipe.encode_limit(point, window).to_text()
+
+    @pytest.mark.parametrize("config", ["pipe", "pipe3", "odo_pipe"])
+    def test_streams_do_not_depend_on_the_window(self, config, request):
+        """A point's stream at every scale, symbols and resolutions, on
+        each window that verify_pipeline and convergence_report encode is
+        the restriction of its stream on their union."""
+        pipe = request.getfixturevalue(config)
+        system = pipe.system
+        reach = 60 + pipe.decode_margin()
+        windows = [(-60, 60), (-reach, reach), metrics.dN_horizon(pipe.schedule)[1]]
+        union = (min(a for a, _ in windows), max(b for _, b in windows))
+        points = sample_points(system, 40, seed=5)
+        if system.kind != "odometer":
+            points += long_tail_points((10, 13, 19), 4)
+        for point in points:
+            wide = list(pipe.encode_scales(point, union))
+            for a, b in windows:
+                assert [(s.symbols, s.resolution) for s in pipe.encode_scales(point, (a, b))] \
+                    == [(r.symbols, r.resolution) for r in (restrict(s, a, b) for s in wide)]
 
     def test_a_scale_that_raises_ends_the_pass(self):
         grow3 = build_pipeline(golden_mean(), K=3, kmax=2, C=0.0, m=(0, 1))
@@ -1368,9 +1387,9 @@ def _count_decode_work(monkeypatch):
         counts["codewords"] += 1
         return decode(cb, word)
 
-    def counted_append(layout, partition):
+    def counted_append(layout, intervals):
         counts["layers"] += 1
-        return append_layer(layout, partition)
+        return append_layer(layout, intervals)
 
     def counted(build):
         def counted_build(*args):
@@ -1482,7 +1501,7 @@ def _assert_matches_table(cb, keys, foreign, K=2):
     """A counted codebook gives the codewords, decodes and domain, image and
     padding errors of the sorted key table."""
     table = Codebook(cb.scale, cb.n, code_length_needed(len(keys), K) if cb.scale > 1
-                     else cb.length, keys, K, context=cb.context)
+                     else cb.length, keys, K)
     assert (len(cb), cb.length) == (len(table), table.length)
     words = ["3" * cb.length, "1" * max(cb.length - 1, 0)]
     if K ** cb.length <= 64:

@@ -18,6 +18,10 @@ reach.  Such a name stays unseen until its callers are read.
 
 A third guard holds every function of the package to reading each local it
 assigns, and each module-level function to reading each parameter.
+
+A fourth guard holds the package's state to being read: every attribute a
+class assigns as `self.X = ...` and every field of a dataclass is read as
+`.X` somewhere in the package, save the few fields kept for callers.
 """
 
 import ast
@@ -254,3 +258,65 @@ def test_no_system_kind_is_orbit():
     assert ["%s:%d" % (path.stem, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))
             if "orbit" in _kinds_compared(node)] == []
+
+
+# Fields the package sets and never reads itself, kept for its callers.
+CALLER_FIELDS = {
+    "ShiftEmbedError.position": "the provenance a refusal reports, beside scale and block",
+    "EntropyEstimate.upper": "the word-count entropy bound that htop_estimate reports",
+    "EntropyEstimate.spectral": "the transfer-matrix entropy that htop_estimate reports",
+    "EntropyEstimate.per_n": "the per-length word-count bounds behind the upper one",
+}
+
+
+def _is_dataclass(cls):
+    """Whether `@dataclass` or `@dataclass(...)` decorates the class."""
+    return any(_names(d.func if isinstance(d, ast.Call) else d) == {"dataclass"}
+               for d in cls.decorator_list)
+
+
+def _unread_state(folder=PACKAGE):
+    """'Class.X' of every attribute a class of the folder's modules assigns
+    as `self.X = ...`, and of every field of its dataclasses, that no code
+    of the folder reads as `.X`."""
+    kept, reads = set(), set()
+    for path in sorted(folder.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_dataclass(node):
+                kept |= {(node.name, stmt.target.id) for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+            kept |= {(node.name, attr.attr) for attr in ast.walk(node)
+                     if isinstance(attr, ast.Attribute) and isinstance(attr.ctx, ast.Store)
+                     and isinstance(attr.value, ast.Name) and attr.value.id == "self"}
+    return sorted("%s.%s" % pair for pair in kept if pair[1] not in reads)
+
+
+def test_all_state_is_read():
+    """Like the dead-name guards, this one matches bare names: a field is
+    read when any `.X` of the package is, whatever object it reads.  So it
+    cannot see a field whose name something else shares, such as
+    ReturnPartition's returns (OdometerTower.returns is a method),
+    PeriodicNeighborhood's orbits (DecodeResult has orbits), TowerStack's
+    system or LayoutBlock's scale; those were found by reading the code."""
+    assert _unread_state() == sorted(CALLER_FIELDS)
+
+
+def test_the_state_guard_sees_unread_state(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    used: int\n"
+        "    unused: int = 0\n"
+        "    hidden: list = field(default_factory=list)\n"
+        "class C:\n"
+        "    def __init__(self, d):\n"
+        "        self.d = d\n"
+        "        self.dead = d.used\n"
+        "        self.hidden = self.d\n")
+    assert _unread_state(tmp_path) == ["C.dead", "C.hidden", "D.hidden", "D.unused"]

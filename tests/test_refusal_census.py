@@ -316,9 +316,9 @@ def not_nested():
     prev = ReturnPartition(scale=1, intervals=[Interval(None, 0, "regular"),
                                                Interval(0, 10, "singular"),
                                                Interval(10, None, "regular")],
-                           returns=[0, 10], computed_range=(-20, 30))
+                           computed_range=(-20, 30))
     part = ReturnPartition(scale=2, intervals=[Interval(12, 20, "singular", special=True)],
-                           returns=[12, 20], computed_range=(-20, 30))
+                           computed_range=(-20, 30))
     return raised(_check_special_nesting, part, prev)
 
 
@@ -328,11 +328,8 @@ def layout_refusal(n, part1, part2, lo_hi):
     sched = ScaleSchedule(K=2, alpha=Fraction(1, 5), m=(0, 0), n=n, nprime=nprime,
                           r=n, periodic=True)
     layout = BlockLayout(schedule=sched, lo=lo_hi[0], hi=lo_hi[1])
-    append_layer(layout, ReturnPartition(1, [Interval(s, e, "regular") for s, e in part1],
-                                         [], (lo_hi[0] - 1, lo_hi[1] + 1)))
-    return raised(append_layer, layout,
-                  ReturnPartition(2, [Interval(s, e, "regular") for s, e in part2], [],
-                                  (lo_hi[0] - 1, lo_hi[1] + 1)))
+    append_layer(layout, [Interval(s, e, "regular") for s, e in part1])
+    return raised(append_layer, layout, [Interval(s, e, "regular") for s, e in part2])
 
 
 def precheck_over_capacity():
@@ -366,8 +363,8 @@ ODOMETER_SWEEP = ("odometer", 0, (-150, 150))
 WITNESSES = {
     # blocks
     ("span_keys", "spans overlap or run backwards: %s"):
-        lambda: raised(span_keys, [LayoutBlock(1, 0, 5, "regular"),
-                                   LayoutBlock(1, 3, 8, "regular")]),
+        lambda: raised(span_keys, [LayoutBlock(0, 5, "regular"),
+                                   LayoutBlock(3, 8, "regular")]),
     ("_build_scale_k", "scale-%d block %r has length %d outside [%d, %d)"):
         lambda: layout_refusal((9, 20), [(i * 8, i * 8 + 8) for i in range(4)], [(8, 16)],
                                (0, 31)),

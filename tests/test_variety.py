@@ -68,7 +68,7 @@ def test_long_orbit_round_trips_through_conditional_codes(monkeypatch):
             want = itinerary(orb, p, pipe.schedule.m[l - 1], (-60, 60))
             assert res.itinerary_list(l, (-60, 60)) == want
     assert len(points) == 4 and built
-    assert all(type(cb) is RefinementCodebook and cb.context is not None for cb in built)
+    assert all(type(cb) is RefinementCodebook and cb.u for cb in built)
 
 
 def test_full_shift_periodic_machinery_hits_honest_wall():
